@@ -22,6 +22,8 @@
 //!   determinism-critical numeric modules.
 //! * `no-wallclock-in-kernels` — no `Instant`/`SystemTime` in
 //!   kernel/scoring modules.
+//! * `arch-intrinsics-confined` — `core::arch`/`std::arch` intrinsics
+//!   only in `crates/tensor/src/kernels.rs`.
 //!
 //! Findings are suppressed inline with a justified `lint:allow`
 //! comment (`rule` in parens, then a mandatory `: reason`), e.g.

@@ -30,6 +30,7 @@ pub const NO_BARE_LOCKS: &str = "no-bare-locks";
 pub const FLOAT_TOTAL_ORDER: &str = "float-total-order";
 pub const NO_HASH_ITERATION: &str = "no-hash-iteration";
 pub const NO_WALLCLOCK_IN_KERNELS: &str = "no-wallclock-in-kernels";
+pub const ARCH_INTRINSICS_CONFINED: &str = "arch-intrinsics-confined";
 /// Meta-rule: a malformed `lint:allow` (missing justification or
 /// unknown rule name) is itself a finding — suppressions without a
 /// reason are how grandfathered mess accretes.
@@ -43,7 +44,13 @@ pub const ALL_RULES: &[&str] = &[
     FLOAT_TOTAL_ORDER,
     NO_HASH_ITERATION,
     NO_WALLCLOCK_IN_KERNELS,
+    ARCH_INTRINSICS_CONFINED,
 ];
+
+/// The only files that may name `core::arch` / `std::arch` intrinsics:
+/// the kernel module, and a `simd.rs` split out of it should it grow one.
+const ARCH_INTRINSICS_HOME: &[&str] =
+    &["crates/tensor/src/kernels.rs", "crates/tensor/src/simd.rs"];
 
 /// Path prefixes a rule is enforced under (forward-slash relative
 /// paths). An empty list means "the whole workspace".
@@ -62,6 +69,10 @@ pub const ALL_RULES: &[&str] = &[
 /// * `no-hash-iteration` and `no-wallclock-in-kernels` cover the
 ///   determinism-critical numeric modules, where hash iteration order
 ///   or wall-clock reads would break bitwise reproducibility.
+/// * `arch-intrinsics-confined` is global *minus* the kernel module (an
+///   exclusion, so it is applied at the rule rather than listed here):
+///   every SIMD intrinsic lives beside the portable code and the bitwise
+///   tests that hold it to the no-FMA, fixed-order contract.
 pub fn rule_scope(rule: &str) -> &'static [&'static str] {
     match rule {
         UNSAFE_NEEDS_SAFETY | FLOAT_TOTAL_ORDER => &[],
@@ -410,6 +421,31 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
                      hot path impure; time at the service/eval layer instead",
                     t.text
                 ),
+            );
+        }
+
+        // arch-intrinsics-confined: a `core::arch` / `std::arch` path
+        // outside the kernel module. One fused multiply-add or one
+        // reordered reduction anywhere else would silently break the
+        // bitwise walls; in the kernel module it cannot get past the
+        // portable-path oracle tests. Test code is not exempt. The
+        // `asm!` macros also live under `arch` but are not intrinsics.
+        if !ARCH_INTRINSICS_HOME.contains(&rel_path)
+            && t.kind == TokenKind::Ident
+            && t.text == "arch"
+            && prev(1).is_some_and(|p| p.text == ":")
+            && prev(2).is_some_and(|p| p.text == ":")
+            && prev(3).is_some_and(|p| p.text == "core" || p.text == "std")
+            && !(next(1).is_some_and(|n| n.text == ":")
+                && next(2).is_some_and(|n| n.text == ":")
+                && next(3).is_some_and(|n| n.text == "asm" || n.text == "global_asm"))
+        {
+            push(
+                ARCH_INTRINSICS_CONFINED,
+                t.line,
+                "`core::arch`/`std::arch` outside crates/tensor/src/kernels.rs — SIMD \
+                 intrinsics stay beside the portable path and its bitwise tests"
+                    .to_string(),
             );
         }
     }

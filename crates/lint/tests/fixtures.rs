@@ -159,6 +159,25 @@ fn no_wallclock_in_kernels_accepts_comments_strings_and_tests() {
 }
 
 #[test]
+fn arch_intrinsics_confined_fires_at_exact_spans_tests_included() {
+    let f = lint_source("crates/serve/src/arch_fixture.rs", &fixture("arch_fire.rs"));
+    assert_eq!(spans("arch-intrinsics-confined", &f), vec![3, 6, 11]);
+    assert_eq!(f.len(), 3, "unexpected extra findings: {f:?}");
+}
+
+#[test]
+fn arch_intrinsics_confined_accepts_the_kernel_module_asm_and_quoted() {
+    // The same intrinsics paths are at home in the kernel module.
+    let f = lint_source("crates/tensor/src/kernels.rs", &fixture("arch_fire.rs"));
+    assert!(f.is_empty(), "allowed file flagged: {f:?}");
+    let f = lint_source(
+        "crates/serve/src/arch_fixture.rs",
+        &fixture("arch_clean.rs"),
+    );
+    assert!(f.is_empty(), "clean fixture flagged: {f:?}");
+}
+
+#[test]
 fn bad_suppressions_are_findings_and_do_not_suppress() {
     let f = lint_source(
         "crates/serve/src/suppression_fixture.rs",

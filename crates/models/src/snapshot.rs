@@ -193,37 +193,66 @@ impl EmbeddingSnapshot {
         );
     }
 
-    /// Scores the contiguous item range `[start, start + len)` for a
-    /// *block* of users in one pass over the item tables — the batched
-    /// serving fast path. `out` holds one `len`-wide row per user,
-    /// row-major: `out[u * len + j]` is `users[u]`'s score for item
-    /// `start + j`, bit-identical to what [`EmbeddingSnapshot::score_block`]
-    /// writes for that user alone (the kernel shares loads of the item
-    /// tables across the block; it never changes any user's accumulation
-    /// order).
+    /// The own and social embedding rows of `users`, in order — gathered
+    /// once per batched catalogue walk and handed to
+    /// [`EmbeddingSnapshot::score_block_rows`] for every block of it.
     ///
     /// # Panics
-    /// Panics if any user is out of range, the item range exceeds the
-    /// catalogue, or `out.len() != users.len() * len`.
-    pub fn score_block_multi(&self, users: &[u32], start: usize, len: usize, out: &mut [f32]) {
-        let owns: Vec<&[f32]> = users
+    /// Panics if any user is out of range.
+    pub fn user_rows(&self, users: &[u32]) -> (Vec<&[f32]>, Vec<&[f32]>) {
+        users
             .iter()
-            .map(|&u| self.user_own.row(u as usize))
-            .collect();
-        let socials: Vec<&[f32]> = users
-            .iter()
-            .map(|&u| self.user_social.row(u as usize))
-            .collect();
+            .map(|&u| {
+                (
+                    self.user_own.row(u as usize),
+                    self.user_social.row(u as usize),
+                )
+            })
+            .unzip()
+    }
+
+    /// Scores the contiguous item range `[start, start + len)` for a
+    /// *block* of users in one pass over the item tables — the batched
+    /// serving fast path. `owns`/`socials` are the users' rows as
+    /// [`EmbeddingSnapshot::user_rows`] returns them; `out` holds one
+    /// `len`-wide row per user, row-major: `out[u * len + j]` is user
+    /// `u`'s score for item `start + j`, bit-identical to what
+    /// [`EmbeddingSnapshot::score_block`] writes for that user alone (the
+    /// kernel shares loads of the item tables across the block; it never
+    /// changes any user's accumulation order).
+    ///
+    /// # Panics
+    /// Panics if the item range exceeds the catalogue, a row has the wrong
+    /// width, or `out.len() != owns.len() * len`.
+    pub fn score_block_rows(
+        &self,
+        owns: &[&[f32]],
+        socials: &[&[f32]],
+        start: usize,
+        len: usize,
+        out: &mut [f32],
+    ) {
         kernels::blend_dot_block_multi(
-            &owns,
+            owns,
             &self.item_own,
-            &socials,
+            socials,
             &self.item_social,
             self.alpha,
             start,
             len,
             out,
         );
+    }
+
+    /// [`EmbeddingSnapshot::score_block_rows`] for callers scoring a
+    /// single block: gathers `users`' rows, then scores them.
+    ///
+    /// # Panics
+    /// Panics if any user is out of range, the item range exceeds the
+    /// catalogue, or `out.len() != users.len() * len`.
+    pub fn score_block_multi(&self, users: &[u32], start: usize, len: usize, out: &mut [f32]) {
+        let (owns, socials) = self.user_rows(users);
+        self.score_block_rows(&owns, &socials, start, len, out);
     }
 
     /// Scores an explicit list of item ids for `user` into `out` — the

@@ -157,23 +157,6 @@ struct DealSlot {
     filter: Option<Arc<BitMatrix>>,
 }
 
-/// Whether `item`'s bit is set in a filter row. Bounds-checked: items
-/// past the row's words — appended by a grow-only publish after the
-/// filter was built — read as unset, i.e. unseen/allowed.
-#[inline]
-fn bit_set(words: &[u64], item: usize) -> bool {
-    words
-        .get(item / 64)
-        .is_some_and(|w| w >> (item % 64) & 1 == 1)
-}
-
-/// The composed candidate gate: an item is blocked when its per-user
-/// seen bit *or* its catalogue-wide deal-state bit is set.
-#[inline]
-fn blocked(seen: Option<&[u64]>, deal: Option<&[u64]>, item: usize) -> bool {
-    seen.is_some_and(|w| bit_set(w, item)) || deal.is_some_and(|w| bit_set(w, item))
-}
-
 /// Scores one user against the full catalogue and keeps the top K.
 pub struct QueryEngine {
     handle: SnapshotHandle,
@@ -842,18 +825,7 @@ impl QueryEngine {
                 let len = self.block_size.min(list.len() - start);
                 let out = &mut scores[..len];
                 index.score_cell(snapshot, user, cell, start, out);
-                let chunk = &list[start..start + len];
-                if seen.is_none() && deal.is_none() {
-                    for (&item, &score) in chunk.iter().zip(out.iter()) {
-                        topk.push(item, score);
-                    }
-                } else {
-                    for (&item, &score) in chunk.iter().zip(out.iter()) {
-                        if !blocked(seen, deal, item as usize) {
-                            topk.push(item, score);
-                        }
-                    }
-                }
+                topk.offer_listed(&list[start..start + len], out, seen, deal);
                 start += len;
             }
         }
@@ -878,27 +850,17 @@ impl QueryEngine {
             .map(|&u| self.filter.as_ref().map(|f| f.row_words(u as usize)))
             .collect();
         let deal = deal.map(|f| f.row_words(0));
+        let (owns, socials) = snapshot.user_rows(users);
         let len_cap = self.block_size.min(n_items.max(1));
         let mut block = vec![0.0f32; users.len() * len_cap];
         let mut start = 0usize;
         while start < n_items {
             let len = self.block_size.min(n_items - start);
             let out = &mut block[..users.len() * len];
-            snapshot.score_block_multi(users, start, len, out);
+            snapshot.score_block_rows(&owns, &socials, start, len, out);
             for (u, topk) in topks.iter_mut().enumerate() {
                 let scores = &out[u * len..(u + 1) * len];
-                if seens[u].is_none() && deal.is_none() {
-                    for (j, &score) in scores.iter().enumerate() {
-                        topk.push((start + j) as u32, score);
-                    }
-                } else {
-                    for (j, &score) in scores.iter().enumerate() {
-                        let item = start + j;
-                        if !blocked(seens[u], deal, item) {
-                            topk.push(item as u32, score);
-                        }
-                    }
-                }
+                topk.offer_block(start as u32, scores, seens[u], deal);
             }
             start += len;
         }
@@ -923,18 +885,7 @@ impl QueryEngine {
             let len = self.block_size.min(n_items - start);
             let out = &mut block[..len];
             snapshot.score_block(user, start, out);
-            if seen.is_none() && deal.is_none() {
-                for (j, &score) in out.iter().enumerate() {
-                    topk.push((start + j) as u32, score);
-                }
-            } else {
-                for (j, &score) in out.iter().enumerate() {
-                    let item = start + j;
-                    if !blocked(seen, deal, item) {
-                        topk.push(item as u32, score);
-                    }
-                }
-            }
+            topk.offer_block(start as u32, out, seen, deal);
             start += len;
         }
         topk.into_sorted()

@@ -50,10 +50,12 @@
 //!   query instead of the eval path's materialize-and-sort
 //!   `O(n log n)`, with `O(k)` extra memory.
 //! * [`engine::QueryEngine`] — walks the catalogue in cache-sized blocks
-//!   through `gb_tensor::kernels::blend_dot_block`, filters seen items
-//!   and deal-blocked items (a hot-swappable one-row deal-state mask,
-//!   e.g. from `gb_data::EventLog::blocked_items_at`) with one
-//!   bit-probe each ([`gb_graph::BitMatrix`]), and optionally
+//!   through `gb_tensor::kernels::blend_dot_block` and offers each score
+//!   block to the heap threshold-first ([`topk::TopK::offer_block`]):
+//!   only scores that reach the heap floor pay the bit-probe
+//!   ([`gb_graph::BitMatrix`]) of the seen filter and the deal filter (a
+//!   hot-swappable one-row deal-state mask, e.g. from
+//!   `gb_data::EventLog::blocked_items_at`) and the heap push. Optionally
 //!   caches `(user, k)` responses in an LRU ([`cache::LruCache`]).
 //!   `recommend_many` scores up to `EngineConfig::user_block` users per
 //!   catalogue pass (`blend_dot_block_multi` streams the item tables

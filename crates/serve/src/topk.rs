@@ -4,9 +4,32 @@
 //! `O(n log n)` time and `O(n)` memory per query. The serving engine
 //! instead streams scores through a size-`k` binary min-heap: `O(n log k)`
 //! worst case, and in practice most candidates fail the "beats the
-//! current k-th best" check and cost a single comparison.
+//! current k-th best" check. The engine therefore offers whole score
+//! blocks ([`TopK::offer_block`], [`TopK::offer_listed`]), which compare
+//! `SCAN` scores at a time against the heap floor and run the seen/deal
+//! filter probe and [`TopK::push`] for the few survivors only.
 
 use gb_eval::topk::ranks_before;
+
+/// Scores compared against the heap floor per step of the block scan.
+const SCAN: usize = 8;
+
+/// Whether `item`'s bit is set in a filter row. Bounds-checked: items
+/// past the row's words — appended by a grow-only publish after the
+/// filter was built — read as unset, i.e. unseen/allowed.
+#[inline]
+fn bit_set(words: &[u64], item: usize) -> bool {
+    words
+        .get(item / 64)
+        .is_some_and(|w| w >> (item % 64) & 1 == 1)
+}
+
+/// The composed candidate gate: an item is blocked when its per-user
+/// seen bit *or* its catalogue-wide deal-state bit is set.
+#[inline]
+fn blocked(seen: Option<&[u64]>, deal: Option<&[u64]>, item: usize) -> bool {
+    seen.is_some_and(|w| bit_set(w, item)) || deal.is_some_and(|w| bit_set(w, item))
+}
 
 /// One ranked recommendation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -74,6 +97,96 @@ impl TopK {
         } else if ranks_before(entry, self.heap[0]) {
             self.heap[0] = entry;
             self.sift_down(0);
+        }
+    }
+
+    /// Offers `scores[j]` as item `first + j` for every `j`, skipping
+    /// items whose bit is set in the `seen` or `deal` filter row (bits past
+    /// a row's end read as unset). Leaves exactly the heap a
+    /// [`TopK::push`] per unblocked item would.
+    pub fn offer_block(
+        &mut self,
+        first: u32,
+        scores: &[f32],
+        seen: Option<&[u64]>,
+        deal: Option<&[u64]>,
+    ) {
+        self.offer(scores, |j| first + j as u32, seen, deal);
+    }
+
+    /// [`TopK::offer_block`] for an explicit id list: offers `scores[j]`
+    /// as item `items[j]`.
+    ///
+    /// # Panics
+    /// Panics if `items` and `scores` differ in length.
+    pub fn offer_listed(
+        &mut self,
+        items: &[u32],
+        scores: &[f32],
+        seen: Option<&[u64]>,
+        deal: Option<&[u64]>,
+    ) {
+        assert_eq!(items.len(), scores.len(), "offer_listed: length mismatch");
+        self.offer(scores, |j| items[j], seen, deal);
+    }
+
+    /// The score an offer must reach to have any chance of being kept:
+    /// the weakest kept score once the heap is full, `-∞` while it fills.
+    #[inline]
+    fn floor(&self) -> f32 {
+        if self.heap.len() < self.k {
+            f32::NEG_INFINITY
+        } else {
+            self.heap[0].1
+        }
+    }
+
+    /// The threshold-first scan under both `offer_*` methods.
+    ///
+    /// A full heap keeps an offer iff it `ranks_before` the root: its
+    /// score is `total_cmp`-greater, or equal with a smaller id. For
+    /// finite scores either implies `score >= floor` under IEEE `>=`
+    /// (`+0.0 >= -0.0` included), NaN fails `>=`, and `push` rejects every
+    /// non-finite score itself — so `score >= floor` passes every offer
+    /// `push` would keep. The heap holds a set selected under a strict
+    /// total order, so when the filter probe runs relative to the score
+    /// test cannot change the result.
+    #[inline]
+    fn offer(
+        &mut self,
+        scores: &[f32],
+        id: impl Fn(usize) -> u32,
+        seen: Option<&[u64]>,
+        deal: Option<&[u64]>,
+    ) {
+        if self.k == 0 {
+            return;
+        }
+        // Offers one score that reached the floor; returns the floor after.
+        let survivor = |topk: &mut Self, j: usize, score: f32| {
+            let item = id(j);
+            if !blocked(seen, deal, item as usize) {
+                topk.push(item, score);
+            }
+            topk.floor()
+        };
+        let mut floor = self.floor();
+        let mut j = 0;
+        let mut groups = scores.chunks_exact(SCAN);
+        for group in groups.by_ref() {
+            if group.iter().fold(false, |any, &s| any | (s >= floor)) {
+                for (l, &score) in group.iter().enumerate() {
+                    if score >= floor {
+                        floor = survivor(self, j + l, score);
+                    }
+                }
+            }
+            j += SCAN;
+        }
+        for (l, &score) in groups.remainder().iter().enumerate() {
+            if score >= floor {
+                floor = survivor(self, j + l, score);
+            }
         }
     }
 

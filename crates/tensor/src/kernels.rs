@@ -7,15 +7,30 @@
 //!
 //! The dense hot paths (the propagation matmuls during training, the
 //! blended dot-product scoring during serving) are cache-blocked and
-//! register-tiled around one shared lane width, [`DOT_LANES`]: inner loops
-//! accumulate into explicit `[f32; DOT_LANES]` arrays that stable Rust
-//! lowers to SIMD registers, with fixed-order tail handling for dimensions
-//! that are not a multiple of the lane width. Every reduction has a *fixed*
-//! summation order — lane `l` always sums indices `l, l+8, l+16, …` and the
-//! lanes always combine in the same pairwise tree — so repeated calls are
-//! bit-identical and the train/serve call sites that share [`dot`] (the
-//! offline scorers in `gb-models`/`gb-core`, `blend_dot_block` in
-//! `gb-serve`) produce bit-identical scores.
+//! register-tiled around one shared lane width, [`DOT_LANES`], with
+//! fixed-order tail handling for dimensions that are not a multiple of the
+//! lane width. Every reduction has a *fixed* summation order — lane `l`
+//! always sums indices `l, l+8, l+16, …` and the lanes always combine in
+//! the same pairwise tree — so repeated calls are bit-identical and the
+//! train/serve call sites that share [`dot`] (the offline scorers in
+//! `gb-models`/`gb-core`, `blend_dot_block` in `gb-serve`) produce
+//! bit-identical scores.
+//!
+//! The one reduction, `dot_tile`, and the 4-item blend tile under the three
+//! `blend_dot_*` kernels are written with explicit 256-bit
+//! `core::arch::x86_64` intrinsics wherever the build enables AVX (the
+//! workspace default, see `.cargo/config.toml`). Left to itself, LLVM
+//! SLP-vectorises the `[f32; DOT_LANES]` accumulator form *across the
+//! 4-item tile* instead of along the 8 lanes: 128-bit multiplies fed by
+//! shuffles, and no 256-bit arithmetic at all. The array form stays as the
+//! fallback for builds without AVX and as the oracle the unit tests hold
+//! the intrinsics to, bit for bit.
+//!
+//! **No FMA, on either path.** Every product is rounded before it is added
+//! (`mul` then `add`; never `_mm256_fmadd_ps` or `f32::mul_add`). A fused
+//! multiply-add changes the low bit, and the serve == offline,
+//! sharded == single, parallel == serial and multi == single walls all rest
+//! on one rounding sequence.
 //!
 //! The pre-blocking scalar loops survive in [`reference`]; the property
 //! tests pin the blocked kernels to them within float-reassociation
@@ -44,8 +59,12 @@ fn reduce_lanes(l: &[f32; DOT_LANES]) -> f32 {
 /// `T` simultaneous lane-blocked dot products of `a` against `rows`,
 /// sharing the loads of `a`. Each output is bit-identical to
 /// `dot(a, rows[t])` — the tile is a scheduling choice, not a numeric one.
+///
+/// The portable form: the whole kernel on builds without AVX, and the
+/// oracle the tests compare the intrinsics against on builds with it.
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "avx"))))]
 #[inline(always)]
-fn dot_tile<const T: usize>(a: &[f32], rows: [&[f32]; T]) -> [f32; T] {
+fn dot_tile_portable<const T: usize>(a: &[f32], rows: [&[f32]; T]) -> [f32; T] {
     let mut lanes = [[0.0f32; DOT_LANES]; T];
     let chunks = a.len() / DOT_LANES;
     for c in 0..chunks {
@@ -67,6 +86,135 @@ fn dot_tile<const T: usize>(a: &[f32], rows: [&[f32]; T]) -> [f32; T] {
         out[t] = acc;
     }
     out
+}
+
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx")))]
+use dot_tile_portable as dot_tile;
+
+#[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
+use avx::dot_tile;
+
+/// The 256-bit forms of the lane loop. Same lane assignment, same
+/// `mul`-then-`add` per lane, same reduction tree as the portable code.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
+mod avx {
+    use super::{reduce_lanes, DOT_LANES, ROW_TILE};
+    use core::arch::x86_64::*;
+
+    /// The `T` lane-accumulator vectors of `a` against `rows` over the
+    /// whole chunks of `a`: lane `l` of vector `t` is
+    /// `Σ_c a[8c + l] * rows[t][8c + l]`, ascending `c`, starting from `+0.0`.
+    #[inline(always)]
+    fn lane_sums<const T: usize>(a: &[f32], rows: &[&[f32]; T]) -> [__m256; T] {
+        for row in rows {
+            assert!(row.len() >= a.len(), "dot_tile: row shorter than vector");
+        }
+        // SAFETY: `setzero`, `mul` and `add` touch registers only and AVX
+        // is enabled for this build (the `cfg` on the module). Each load
+        // reads floats `8c .. 8c + 8` with `8c + 8 <= a.len()`, and every
+        // row is at least `a.len()` long (asserted above), so all eight
+        // are inside the slice; `loadu` has no alignment requirement.
+        unsafe {
+            let mut acc = [_mm256_setzero_ps(); T];
+            for c in 0..a.len() / DOT_LANES {
+                let va = _mm256_loadu_ps(a.as_ptr().add(c * DOT_LANES));
+                for t in 0..T {
+                    let vb = _mm256_loadu_ps(rows[t].as_ptr().add(c * DOT_LANES));
+                    acc[t] = _mm256_add_ps(acc[t], _mm256_mul_ps(va, vb));
+                }
+            }
+            acc
+        }
+    }
+
+    /// [`super::dot_tile_portable`] with the chunk loop in 256-bit
+    /// registers; the lane reduction and the in-order scalar tail are the
+    /// portable code's own.
+    #[inline(always)]
+    pub(super) fn dot_tile<const T: usize>(a: &[f32], rows: [&[f32]; T]) -> [f32; T] {
+        let sums = lane_sums(a, &rows);
+        let tail = a.len() / DOT_LANES * DOT_LANES;
+        let mut out = [0.0f32; T];
+        for t in 0..T {
+            // SAFETY: `__m256` and `[f32; 8]` are the same 32 bytes with
+            // no invalid bit patterns; lane `l` is element `l`.
+            let lanes: [f32; DOT_LANES] = unsafe { core::mem::transmute(sums[t]) };
+            let mut acc = reduce_lanes(&lanes);
+            for q in tail..a.len() {
+                acc += a[q] * rows[t][q];
+            }
+            out[t] = acc;
+        }
+        out
+    }
+
+    /// One fused 4-item Eq. 9 tile for widths with no scalar tail:
+    /// `out[t] = (1-alpha) * own·own_rows[t] + alpha * social·social_rows[t]`,
+    /// each product bit-identical to [`dot_tile`]'s.
+    ///
+    /// The eight accumulators (four own, four social) are reduced together:
+    /// the halves of each pair are folded (`l + (l+4)`), the four items'
+    /// folded quads transposed inside each 128-bit half, and the columns
+    /// added as `(c0 + c2) + (c1 + c3)` — which is
+    /// `((l0+l4)+(l2+l6))+((l1+l5)+(l3+l7))`, [`reduce_lanes`], for all
+    /// eight sums at once. Blend and store are 4 wide.
+    ///
+    /// # Panics
+    /// Panics if either width has a tail, a row is shorter than its
+    /// vector, or `out` holds fewer than four floats.
+    #[inline(always)]
+    pub(super) fn blend_tile(
+        own: &[f32],
+        own_rows: &[&[f32]; ROW_TILE],
+        social: &[f32],
+        social_rows: &[&[f32]; ROW_TILE],
+        alpha: f32,
+        out: &mut [f32],
+    ) {
+        assert!(
+            own.len().is_multiple_of(DOT_LANES) && social.len().is_multiple_of(DOT_LANES),
+            "blend_tile: width with a scalar tail"
+        );
+        assert!(out.len() >= ROW_TILE, "blend_tile: output tile too short");
+        let o = lane_sums(own, own_rows);
+        let s = lane_sums(social, social_rows);
+        // SAFETY: everything up to the store is register arithmetic and
+        // AVX is enabled for this build; the store writes four floats at
+        // `out[0..4]`, which exist (asserted above), with no alignment
+        // requirement.
+        unsafe {
+            // h[t] = [o[t].lo + o[t].hi | s[t].lo + s[t].hi]
+            let fold = |o: __m256, s: __m256| {
+                _mm256_add_ps(
+                    _mm256_permute2f128_ps::<0x20>(o, s),
+                    _mm256_permute2f128_ps::<0x31>(o, s),
+                )
+            };
+            let h = [
+                fold(o[0], s[0]),
+                fold(o[1], s[1]),
+                fold(o[2], s[2]),
+                fold(o[3], s[3]),
+            ];
+            // 4x4 transpose inside each 128-bit half: c[q] holds element
+            // `q` of the four items' folded quads.
+            let t0 = _mm256_unpacklo_ps(h[0], h[1]);
+            let t1 = _mm256_unpackhi_ps(h[0], h[1]);
+            let t2 = _mm256_unpacklo_ps(h[2], h[3]);
+            let t3 = _mm256_unpackhi_ps(h[2], h[3]);
+            let c0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+            let c1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+            let c2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+            let c3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+            // [own·item0..3 | social·item0..3]
+            let dots = _mm256_add_ps(_mm256_add_ps(c0, c2), _mm256_add_ps(c1, c3));
+            let blended = _mm_add_ps(
+                _mm_mul_ps(_mm_set1_ps(1.0 - alpha), _mm256_castps256_ps128(dots)),
+                _mm_mul_ps(_mm_set1_ps(alpha), _mm256_extractf128_ps::<1>(dots)),
+            );
+            _mm_storeu_ps(out.as_mut_ptr(), blended);
+        }
+    }
 }
 
 /// Lane-blocked dot product: eight independent accumulators over chunks of
@@ -519,6 +667,113 @@ pub fn normalize_rows(a: &Matrix) -> Matrix {
     out
 }
 
+/// The tile under [`blend_dot_block`], [`blend_dot_block_multi`] and
+/// [`blend_dot_indexed`]: both item tables and the Eq. 9 blend, resolved
+/// once per kernel call. The three kernels differ only in which rows they
+/// hand to [`BlendTile::score`] and in what order; every score is
+/// `blend(dot(own, item_own[i]), dot(social, item_social[i]))` with the
+/// same [`dot`] and the same blend arithmetic whichever kernel, tile
+/// width or code path produced it.
+struct BlendTile<'a> {
+    item_own: &'a Matrix,
+    item_social: &'a Matrix,
+    alpha: f32,
+    /// The social product contributes: the model has a social table and
+    /// a non-zero blend weight.
+    has_social: bool,
+}
+
+impl<'a> BlendTile<'a> {
+    fn new(item_own: &'a Matrix, item_social: &'a Matrix, alpha: f32) -> Self {
+        Self {
+            item_own,
+            item_social,
+            alpha,
+            has_social: item_social.cols() > 0 && alpha != 0.0,
+        }
+    }
+
+    /// Rows every scored id must stay under.
+    fn n_items(&self) -> usize {
+        if self.has_social {
+            self.item_own.rows().min(self.item_social.rows())
+        } else {
+            self.item_own.rows()
+        }
+    }
+
+    /// Panics unless the user vectors are as wide as their tables.
+    fn check_user(&self, kernel: &str, own: &[f32], social: &[f32]) {
+        assert_eq!(
+            self.item_own.cols(),
+            own.len(),
+            "{kernel}: own width mismatch"
+        );
+        if self.has_social {
+            assert_eq!(
+                self.item_social.cols(),
+                social.len(),
+                "{kernel}: social width mismatch"
+            );
+        }
+    }
+
+    /// `out[t]` = the blended score of item `ids[t]`, `t < T`.
+    #[inline(always)]
+    fn score<const T: usize>(&self, own: &[f32], social: &[f32], ids: [usize; T], out: &mut [f32]) {
+        let alpha = self.alpha;
+        let own_rows: [&[f32]; T] = std::array::from_fn(|t| self.item_own.row(ids[t]));
+        if !self.has_social {
+            let o = dot_tile(own, own_rows);
+            for t in 0..T {
+                out[t] = if alpha == 0.0 {
+                    o[t]
+                } else {
+                    (1.0 - alpha) * o[t]
+                };
+            }
+            return;
+        }
+        let social_rows: [&[f32]; T] = std::array::from_fn(|t| self.item_social.row(ids[t]));
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
+        if own.len().is_multiple_of(DOT_LANES) && social.len().is_multiple_of(DOT_LANES) {
+            if let (Ok(own_rows), Ok(social_rows)) =
+                (own_rows[..].try_into(), social_rows[..].try_into())
+            {
+                // A full tile of tail-free widths: one fused pass.
+                return avx::blend_tile(own, own_rows, social, social_rows, alpha, out);
+            }
+        }
+        let o = dot_tile(own, own_rows);
+        let s = dot_tile(social, social_rows);
+        for t in 0..T {
+            out[t] = (1.0 - alpha) * o[t] + alpha * s[t];
+        }
+    }
+
+    /// Scores items `id(0), …, id(out.len() - 1)` for one user: full
+    /// [`ROW_TILE`]-item tiles, then the remainder one at a time.
+    #[inline(always)]
+    fn score_each(
+        &self,
+        own: &[f32],
+        social: &[f32],
+        id: impl Fn(usize) -> usize,
+        out: &mut [f32],
+    ) {
+        let mut tiles = out.chunks_exact_mut(ROW_TILE);
+        let mut j = 0;
+        for tile in tiles.by_ref() {
+            self.score::<ROW_TILE>(own, social, std::array::from_fn(|t| id(j + t)), tile);
+            j += ROW_TILE;
+        }
+        for slot in tiles.into_remainder().chunks_mut(1) {
+            self.score::<1>(own, social, [id(j)], slot);
+            j += 1;
+        }
+    }
+}
+
 /// Blocked Eq. 9-style scoring of a contiguous item range for one user:
 /// for each `j < out.len()`,
 /// `out[j] = (1-alpha) * own · item_own[start+j] + alpha * social · item_social[start+j]`.
@@ -547,76 +802,13 @@ pub fn blend_dot_block(
     start: usize,
     out: &mut [f32],
 ) {
-    let n = out.len();
+    let tile = BlendTile::new(item_own, item_social, alpha);
     assert!(
-        start + n <= item_own.rows(),
-        "blend_dot_block: own range out of bounds"
+        start + out.len() <= tile.n_items(),
+        "blend_dot_block: item range out of bounds"
     );
-    assert_eq!(
-        item_own.cols(),
-        own.len(),
-        "blend_dot_block: own width mismatch"
-    );
-    let has_social = item_social.cols() > 0 && alpha != 0.0;
-    if has_social {
-        assert!(
-            start + n <= item_social.rows(),
-            "blend_dot_block: social range out of bounds"
-        );
-        assert_eq!(
-            item_social.cols(),
-            social.len(),
-            "blend_dot_block: social width mismatch"
-        );
-    }
-    let blend = |o: f32, s: f32| {
-        if has_social {
-            (1.0 - alpha) * o + alpha * s
-        } else if alpha == 0.0 {
-            o
-        } else {
-            (1.0 - alpha) * o
-        }
-    };
-    let mut j0 = 0;
-    while j0 + ROW_TILE <= n {
-        let i0 = start + j0;
-        let o = dot_tile::<ROW_TILE>(
-            own,
-            [
-                item_own.row(i0),
-                item_own.row(i0 + 1),
-                item_own.row(i0 + 2),
-                item_own.row(i0 + 3),
-            ],
-        );
-        let s = if has_social {
-            dot_tile::<ROW_TILE>(
-                social,
-                [
-                    item_social.row(i0),
-                    item_social.row(i0 + 1),
-                    item_social.row(i0 + 2),
-                    item_social.row(i0 + 3),
-                ],
-            )
-        } else {
-            [0.0; ROW_TILE]
-        };
-        for t in 0..ROW_TILE {
-            out[j0 + t] = blend(o[t], s[t]);
-        }
-        j0 += ROW_TILE;
-    }
-    for (j, slot) in out.iter_mut().enumerate().skip(j0) {
-        let o = dot_tile::<1>(own, [item_own.row(start + j)])[0];
-        let s = if has_social {
-            dot_tile::<1>(social, [item_social.row(start + j)])[0]
-        } else {
-            0.0
-        };
-        *slot = blend(o, s);
-    }
+    tile.check_user("blend_dot_block", own, social);
+    tile.score_each(own, social, |j| start + j, out);
 }
 
 /// Multi-user variant of [`blend_dot_block`]: scores the same contiguous
@@ -625,13 +817,11 @@ pub fn blend_dot_block(
 /// `out[u * len + j]` is user `u`'s score for item `start + j`.
 ///
 /// The item tiles are the outer loop and the users the inner one, so each
-/// `ROW_TILE`-row segment of the item tables is loaded from memory once
-/// per user block instead of once per user — the serving catalogue pass is
-/// memory-bound on the item tables, and this is the classic multi-query
-/// amortization. Per user, every product is the *same* [`dot_tile`] call
-/// sequence as [`blend_dot_block`] issues, in the same order, so each
-/// user's row is bit-identical to a single-user call: batching is a
-/// scheduling choice, never a numeric one.
+/// `ROW_TILE`-row segment of the item tables comes from memory once per
+/// user block and from L1 for every user after the first. Per user, every
+/// tile is the *same* tile [`blend_dot_block`] computes, so each user's
+/// row is bit-identical to a single-user call: batching is a scheduling
+/// choice, never a numeric one.
 ///
 /// `item_social` may have zero columns (models without a social term).
 /// Zero users is a no-op.
@@ -661,81 +851,26 @@ pub fn blend_dot_block_multi(
         owns.len() * len,
         "blend_dot_block_multi: output size mismatch"
     );
+    let tile = BlendTile::new(item_own, item_social, alpha);
     assert!(
-        start + len <= item_own.rows(),
-        "blend_dot_block_multi: own range out of bounds"
+        start + len <= tile.n_items(),
+        "blend_dot_block_multi: item range out of bounds"
     );
-    let has_social = item_social.cols() > 0 && alpha != 0.0;
-    if has_social {
-        assert!(
-            start + len <= item_social.rows(),
-            "blend_dot_block_multi: social range out of bounds"
-        );
+    for (own, social) in owns.iter().zip(socials) {
+        tile.check_user("blend_dot_block_multi", own, social);
     }
-    for (u, own) in owns.iter().enumerate() {
-        assert_eq!(
-            item_own.cols(),
-            own.len(),
-            "blend_dot_block_multi: own width mismatch (user slot {u})"
-        );
-        if has_social {
-            assert_eq!(
-                item_social.cols(),
-                socials[u].len(),
-                "blend_dot_block_multi: social width mismatch (user slot {u})"
-            );
+    let full = len - len % ROW_TILE;
+    for j0 in (0..full).step_by(ROW_TILE) {
+        let ids = std::array::from_fn(|t| start + j0 + t);
+        for (u, (own, social)) in owns.iter().zip(socials).enumerate() {
+            let at = u * len + j0;
+            tile.score::<ROW_TILE>(own, social, ids, &mut out[at..at + ROW_TILE]);
         }
     }
-    let blend = |o: f32, s: f32| {
-        if has_social {
-            (1.0 - alpha) * o + alpha * s
-        } else if alpha == 0.0 {
-            o
-        } else {
-            (1.0 - alpha) * o
-        }
-    };
-    let mut j0 = 0;
-    while j0 + ROW_TILE <= len {
-        let i0 = start + j0;
-        let own_rows = [
-            item_own.row(i0),
-            item_own.row(i0 + 1),
-            item_own.row(i0 + 2),
-            item_own.row(i0 + 3),
-        ];
-        let social_rows = if has_social {
-            Some([
-                item_social.row(i0),
-                item_social.row(i0 + 1),
-                item_social.row(i0 + 2),
-                item_social.row(i0 + 3),
-            ])
-        } else {
-            None
-        };
-        for (u, own) in owns.iter().enumerate() {
-            let o = dot_tile::<ROW_TILE>(own, own_rows);
-            let s = match &social_rows {
-                Some(rows) => dot_tile::<ROW_TILE>(socials[u], *rows),
-                None => [0.0; ROW_TILE],
-            };
-            let orow = &mut out[u * len + j0..u * len + j0 + ROW_TILE];
-            for t in 0..ROW_TILE {
-                orow[t] = blend(o[t], s[t]);
-            }
-        }
-        j0 += ROW_TILE;
-    }
-    for j in j0..len {
-        for (u, own) in owns.iter().enumerate() {
-            let o = dot_tile::<1>(own, [item_own.row(start + j)])[0];
-            let s = if has_social {
-                dot_tile::<1>(socials[u], [item_social.row(start + j)])[0]
-            } else {
-                0.0
-            };
-            out[u * len + j] = blend(o, s);
+    for j in full..len {
+        for (u, (own, social)) in owns.iter().zip(socials).enumerate() {
+            let at = u * len + j;
+            tile.score::<1>(own, social, [start + j], &mut out[at..at + 1]);
         }
     }
 }
@@ -748,11 +883,10 @@ pub fn blend_dot_block_multi(
 /// through [`blend_dot_block`] — a gather defeats the prefetcher on hot
 /// catalogue-sized tables.
 ///
-/// `out[j]` is the Eq. 9 blend for item `items[j]`. Every per-item
-/// product is the same lane-blocked [`dot`] (via [`dot_tile`], tiled
-/// [`ROW_TILE`] gathered rows at a time) as [`blend_dot_block`] issues
-/// for that item, so a gathered item's score is **bit-identical** to
-/// what a contiguous pass computes — candidate selection changes which
+/// `out[j]` is the Eq. 9 blend for item `items[j]`, from the same tile
+/// (over [`ROW_TILE`] gathered rows at a time) as [`blend_dot_block`]
+/// computes for that item, so a gathered item's score is **bit-identical**
+/// to what a contiguous pass computes — candidate selection changes which
 /// items are scored, never what any score is.
 ///
 /// `item_social` may have zero columns (models without a social term);
@@ -777,80 +911,15 @@ pub fn blend_dot_indexed(
         items.len(),
         "blend_dot_indexed: output size mismatch"
     );
-    assert_eq!(
-        item_own.cols(),
-        own.len(),
-        "blend_dot_indexed: own width mismatch"
-    );
-    let has_social = item_social.cols() > 0 && alpha != 0.0;
-    if has_social {
-        assert_eq!(
-            item_social.cols(),
-            social.len(),
-            "blend_dot_indexed: social width mismatch"
-        );
-    }
+    let tile = BlendTile::new(item_own, item_social, alpha);
+    tile.check_user("blend_dot_indexed", own, social);
     for &i in items {
         assert!(
-            (i as usize) < item_own.rows() && (!has_social || (i as usize) < item_social.rows()),
+            (i as usize) < tile.n_items(),
             "blend_dot_indexed: item {i} out of range"
         );
     }
-    let blend = |o: f32, s: f32| {
-        if has_social {
-            (1.0 - alpha) * o + alpha * s
-        } else if alpha == 0.0 {
-            o
-        } else {
-            (1.0 - alpha) * o
-        }
-    };
-    let n = items.len();
-    let mut j0 = 0;
-    while j0 + ROW_TILE <= n {
-        let ids = [
-            items[j0] as usize,
-            items[j0 + 1] as usize,
-            items[j0 + 2] as usize,
-            items[j0 + 3] as usize,
-        ];
-        let o = dot_tile::<ROW_TILE>(
-            own,
-            [
-                item_own.row(ids[0]),
-                item_own.row(ids[1]),
-                item_own.row(ids[2]),
-                item_own.row(ids[3]),
-            ],
-        );
-        let s = if has_social {
-            dot_tile::<ROW_TILE>(
-                social,
-                [
-                    item_social.row(ids[0]),
-                    item_social.row(ids[1]),
-                    item_social.row(ids[2]),
-                    item_social.row(ids[3]),
-                ],
-            )
-        } else {
-            [0.0; ROW_TILE]
-        };
-        for t in 0..ROW_TILE {
-            out[j0 + t] = blend(o[t], s[t]);
-        }
-        j0 += ROW_TILE;
-    }
-    for (j, slot) in out.iter_mut().enumerate().skip(j0) {
-        let i = items[j] as usize;
-        let o = dot_tile::<1>(own, [item_own.row(i)])[0];
-        let s = if has_social {
-            dot_tile::<1>(social, [item_social.row(i)])[0]
-        } else {
-            0.0
-        };
-        *slot = blend(o, s);
-    }
+    tile.score_each(own, social, |j| items[j] as usize, out);
 }
 
 /// Cosine similarity between two equal-length vectors; 0.0 if either is a
@@ -1009,6 +1078,33 @@ mod tests {
 
     fn m(rows: usize, cols: usize, v: &[f32]) -> Matrix {
         Matrix::from_vec(rows, cols, v.to_vec())
+    }
+
+    /// Seeded test data with the awkward values mixed in: signed zeros,
+    /// subnormals, 1e30-scale magnitudes (products overflow to ±∞ and
+    /// their sums to NaN) and mixed signs.
+    fn awkward(n: usize, seed: u32) -> Vec<f32> {
+        let mut state = seed.wrapping_mul(2654435761).wrapping_add(1);
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+                let unit = (state >> 8) as f32 / (1u32 << 24) as f32 - 0.5;
+                match (state >> 4) % 16 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f32::MIN_POSITIVE * unit,
+                    3 => 1e30 * unit,
+                    _ => unit,
+                }
+            })
+            .collect()
+    }
+
+    /// Bitwise equality, with any NaN equal to any NaN: which operand's
+    /// payload an x86 NaN result carries depends on operand order, and
+    /// serving rejects non-finite scores before ranking them.
+    fn same_bits(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
     }
 
     #[test]
@@ -1190,51 +1286,45 @@ mod tests {
 
     #[test]
     fn blend_dot_block_multi_matches_single_user_bitwise() {
-        // Awkward dims on purpose: non-multiple-of-8 widths and a
-        // non-multiple-of-4 item count exercise both tails.
-        let item_own = Matrix::from_fn(11, 13, |r, c| (r as f32 * 0.31 - c as f32 * 0.17).sin());
-        let item_social = Matrix::from_fn(11, 5, |r, c| (r as f32 * 0.23 + c as f32 * 0.41).cos());
-        let owns_data: Vec<Vec<f32>> = (0..3)
-            .map(|u| {
-                (0..13)
-                    .map(|i| ((u * 17 + i) as f32 * 0.19).sin())
-                    .collect()
-            })
-            .collect();
-        let socials_data: Vec<Vec<f32>> = (0..3)
-            .map(|u| (0..5).map(|i| ((u * 7 + i) as f32 * 0.29).cos()).collect())
-            .collect();
-        let owns: Vec<&[f32]> = owns_data.iter().map(Vec::as_slice).collect();
-        let socials: Vec<&[f32]> = socials_data.iter().map(Vec::as_slice).collect();
-        for &(start, len) in &[(0usize, 11usize), (2, 7), (3, 1), (0, 0)] {
-            let mut multi = vec![0.0f32; owns.len() * len];
-            blend_dot_block_multi(
-                &owns,
-                &item_own,
-                &socials,
-                &item_social,
-                0.35,
-                start,
-                len,
-                &mut multi,
-            );
-            for u in 0..owns.len() {
-                let mut single = vec![0.0f32; len];
-                blend_dot_block(
-                    owns[u],
+        // Widths with a scalar tail (the per-table path) and without one
+        // (the fused tile); block lengths that are and are not multiples
+        // of the 4-item tile, so full tiles and the remainder both run.
+        for &(wo, ws) in &[(13usize, 5usize), (16, 8), (32, 32), (40, 8)] {
+            let item_own = Matrix::from_vec(11, wo, awkward(11 * wo, 1));
+            let item_social = Matrix::from_vec(11, ws, awkward(11 * ws, 2));
+            let owns_data: Vec<Vec<f32>> = (0..3).map(|u| awkward(wo, 10 + u)).collect();
+            let socials_data: Vec<Vec<f32>> = (0..3).map(|u| awkward(ws, 20 + u)).collect();
+            let owns: Vec<&[f32]> = owns_data.iter().map(Vec::as_slice).collect();
+            let socials: Vec<&[f32]> = socials_data.iter().map(Vec::as_slice).collect();
+            for &(start, len) in &[(0usize, 11usize), (2, 7), (3, 1), (0, 0), (1, 8), (7, 4)] {
+                let mut multi = vec![0.0f32; owns.len() * len];
+                blend_dot_block_multi(
+                    &owns,
                     &item_own,
-                    socials[u],
+                    &socials,
                     &item_social,
                     0.35,
                     start,
-                    &mut single,
+                    len,
+                    &mut multi,
                 );
-                for j in 0..len {
-                    assert_eq!(
-                        multi[u * len + j].to_bits(),
-                        single[j].to_bits(),
-                        "user {u} item {j} (start {start}, len {len})"
+                for u in 0..owns.len() {
+                    let mut single = vec![0.0f32; len];
+                    blend_dot_block(
+                        owns[u],
+                        &item_own,
+                        socials[u],
+                        &item_social,
+                        0.35,
+                        start,
+                        &mut single,
                     );
+                    for j in 0..len {
+                        assert!(
+                            same_bits(multi[u * len + j], single[j]),
+                            "widths {wo}+{ws}, user {u} item {j} (start {start}, len {len})"
+                        );
+                    }
                 }
             }
         }
@@ -1287,39 +1377,43 @@ mod tests {
 
     #[test]
     fn blend_dot_indexed_matches_block_scores_bitwise() {
-        let item_own = Matrix::from_fn(17, 13, |r, c| (r as f32 * 0.31 - c as f32 * 0.17).sin());
-        let item_social = Matrix::from_fn(17, 5, |r, c| (r as f32 * 0.23 + c as f32 * 0.41).cos());
-        let own: Vec<f32> = (0..13).map(|i| (i as f32 * 0.19).sin()).collect();
-        let social: Vec<f32> = (0..5).map(|i| (i as f32 * 0.29).cos()).collect();
-        let alpha = 0.35f32;
-        let mut full = vec![0.0f32; 17];
-        blend_dot_block(&own, &item_own, &social, &item_social, alpha, 0, &mut full);
-        // Arbitrary gathers (with repeats, unsorted) across both tile
-        // paths, and the full ascending catalogue as the exhaustive case.
-        let gathers: Vec<Vec<u32>> = vec![
-            vec![],
-            vec![16],
-            vec![3, 1, 4, 1, 5, 9, 2, 6],
-            vec![0, 5, 10, 15, 2],
-            (0..17u32).collect(),
-        ];
-        for items in gathers {
-            let mut got = vec![0.0f32; items.len()];
-            blend_dot_indexed(
-                &own,
-                &item_own,
-                &social,
-                &item_social,
-                alpha,
-                &items,
-                &mut got,
-            );
-            for (j, &i) in items.iter().enumerate() {
-                assert_eq!(
-                    got[j].to_bits(),
-                    full[i as usize].to_bits(),
-                    "item {i} (slot {j})"
+        for &(wo, ws) in &[(13usize, 5usize), (16, 8), (32, 32), (40, 8)] {
+            let item_own = Matrix::from_vec(17, wo, awkward(17 * wo, 3));
+            let item_social = Matrix::from_vec(17, ws, awkward(17 * ws, 4));
+            let own = awkward(wo, 5);
+            let social = awkward(ws, 6);
+            let alpha = 0.35f32;
+            let mut full = vec![0.0f32; 17];
+            blend_dot_block(&own, &item_own, &social, &item_social, alpha, 0, &mut full);
+            // Arbitrary gathers (with repeats, unsorted) across both tile
+            // paths, contiguous runs `start..start + n` whose tiles fall
+            // differently from the block's, and the whole catalogue.
+            let gathers: Vec<Vec<u32>> = vec![
+                vec![],
+                vec![16],
+                vec![3, 1, 4, 1, 5, 9, 2, 6],
+                vec![0, 5, 10, 15, 2],
+                (1..9u32).collect(),
+                (2..13u32).collect(),
+                (0..17u32).collect(),
+            ];
+            for items in gathers {
+                let mut got = vec![0.0f32; items.len()];
+                blend_dot_indexed(
+                    &own,
+                    &item_own,
+                    &social,
+                    &item_social,
+                    alpha,
+                    &items,
+                    &mut got,
                 );
+                for (j, &i) in items.iter().enumerate() {
+                    assert!(
+                        same_bits(got[j], full[i as usize]),
+                        "widths {wo}+{ws}, item {i} (slot {j})"
+                    );
+                }
             }
         }
     }
@@ -1442,6 +1536,68 @@ mod tests {
             let s = dot(&social, item_social.row(j));
             let want = (1.0 - alpha) * o + alpha * s;
             assert_eq!(got.to_bits(), want.to_bits(), "item {j}");
+        }
+    }
+
+    #[test]
+    fn dot_tile_matches_portable_tile_bitwise() {
+        // Every length 0..=100 covers every chunk count and every tail.
+        // On builds without AVX both names are the portable tile, and the
+        // test holds trivially — the same test, on both paths.
+        for d in 0..=100usize {
+            let a = awkward(d, d as u32);
+            let rows: Vec<Vec<f32>> = (0..4)
+                .map(|t| awkward(d, 1000 + 4 * d as u32 + t))
+                .collect();
+            let tile = [&rows[0][..], &rows[1][..], &rows[2][..], &rows[3][..]];
+            let got = dot_tile::<4>(&a, tile);
+            let want = dot_tile_portable::<4>(&a, tile);
+            for t in 0..4 {
+                assert!(
+                    same_bits(got[t], want[t]),
+                    "d={d} t={t}: {} vs {}",
+                    got[t],
+                    want[t]
+                );
+                let one = dot_tile::<1>(&a, [tile[t]])[0];
+                assert!(same_bits(one, want[t]), "d={d} t={t} (T = 1)");
+            }
+        }
+    }
+
+    #[test]
+    fn blend_tile_is_the_portable_blend_of_two_dots_bitwise() {
+        // Tail-free widths take the fused tile on AVX builds, the others
+        // the per-table path; nine items are two full tiles and one
+        // remainder item. `alpha == 0` and a zero-width social table are
+        // the two social-free forms.
+        let n = 9;
+        for &wo in &[8usize, 16, 32, 40, 1, 7, 9, 31, 33] {
+            for &ws in &[8usize, 16, 32, 40, 1, 7, 9, 31, 33, 0] {
+                let item_own = Matrix::from_vec(n, wo, awkward(n * wo, 7));
+                let item_social = Matrix::from_vec(n, ws, awkward(n * ws, 8));
+                let own = awkward(wo, 9);
+                let social = awkward(ws, 10);
+                for &alpha in &[0.0f32, 0.6, 1.0] {
+                    let mut got = vec![0.0f32; n];
+                    blend_dot_block(&own, &item_own, &social, &item_social, alpha, 0, &mut got);
+                    for (j, &got) in got.iter().enumerate() {
+                        let o = dot_tile_portable::<1>(&own, [item_own.row(j)])[0];
+                        let s = dot_tile_portable::<1>(&social, [item_social.row(j)])[0];
+                        let want = if ws > 0 && alpha != 0.0 {
+                            (1.0 - alpha) * o + alpha * s
+                        } else if alpha == 0.0 {
+                            o
+                        } else {
+                            (1.0 - alpha) * o
+                        };
+                        assert!(
+                            same_bits(got, want),
+                            "widths {wo}+{ws} alpha {alpha} item {j}: {got} vs {want}"
+                        );
+                    }
+                }
+            }
         }
     }
 }
