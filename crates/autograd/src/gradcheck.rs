@@ -201,6 +201,32 @@ mod tests {
     }
 
     #[test]
+    fn gradcheck_gather_dot() {
+        // Eq. 9's shape: a user table and an item table met through
+        // aligned index lists with repeats, then the table dotted with
+        // itself.
+        let mut store = ParamStore::new();
+        let u = store.add("u", seeded(4, 3, 0.15));
+        let v = store.add("v", seeded(5, 3, 0.55));
+        for p in [u, v] {
+            assert_grads_match(&mut store, p, 2e-2, |s, t| {
+                let uv = t.param(s, u);
+                let vv = t.param(s, v);
+                let users = Arc::new(vec![3u32, 0, 3, 1]);
+                let pos = t.gather_dot(uv, users.clone(), vv, Arc::new(vec![4, 4, 0, 2]));
+                let neg = t.gather_dot(uv, users, vv, Arc::new(vec![1, 3, 1, 0]));
+                let own = t.gather_dot(vv, Arc::new(vec![0, 2]), vv, Arc::new(vec![2, 2]));
+                let diff = t.sub(pos, neg);
+                let ls = t.log_sigmoid(diff);
+                let bpr = t.mean_all(ls);
+                let reg = t.sum_all(own);
+                let reg = t.scale(reg, 0.1);
+                t.sub(reg, bpr)
+            });
+        }
+    }
+
+    #[test]
     fn gradcheck_concat_and_leaky_relu() {
         let mut store = ParamStore::new();
         let a = store.add("a", seeded(3, 2, 0.3));

@@ -59,6 +59,23 @@ impl NodeGrads {
         kernels::scatter_add_rows(acc, indices, g);
     }
 
+    /// Fused [`Tape::gather_dot`] backward for one operand: scatters
+    /// `src[src_idx[r]] * g[r]` into row `dst_idx[r]` of the accumulator
+    /// slot for `v` (as wide as `src`), never materializing the scaled
+    /// rows.
+    fn scatter_accumulate_scaled(
+        &mut self,
+        v: Var,
+        rows: usize,
+        dst_idx: &[u32],
+        src: &Matrix,
+        src_idx: &[u32],
+        g: &Matrix,
+    ) {
+        let acc = self.slots[v.0].get_or_insert_with(|| Matrix::zeros(rows, src.cols()));
+        kernels::scatter_add_scaled_rows(acc, dst_idx, src, src_idx, g);
+    }
+
     fn take(&mut self, idx: usize) -> Option<Matrix> {
         self.slots[idx].take()
     }
@@ -186,7 +203,8 @@ impl Tape {
     /// [`Tape::backward_with_inputs`], positionally in recording order —
     /// this is the shard side of the shared-forward protocol: the batch
     /// tape computes a table once, each shard tape `input`s the `Arc`'d
-    /// value and later seeds the batch tape with the reduced gradients.
+    /// value (or a `gather` of just its own rows) and the shards'
+    /// cotangents later seed the batch tape.
     pub fn input(&mut self, value: Arc<Matrix>) -> Var {
         let slot = self.n_inputs;
         self.n_inputs += 1;
@@ -385,6 +403,30 @@ impl Tape {
         )
     }
 
+    /// Dot products of indexed row pairs, producing an `n x 1` column of
+    /// scores: `out[r] = a[ia[r]] · b[ib[r]]`, read straight off the two
+    /// tables.
+    ///
+    /// Bit-identical — value and both cotangents — to
+    /// `rowwise_dot(gather(a, ia), gather(b, ib))` when each gather feeds
+    /// that one dot, without the two gathered copies or their two scaled
+    /// clones on the way back. The backward scatters `b`'s rows first,
+    /// then `a`'s, each in index order with the product rounded before
+    /// the add — the order the composition's descending sweep meets its
+    /// two gathers in — so `a` and `b` may be the same node.
+    pub fn gather_dot(&mut self, a: Var, ia: Arc<Vec<u32>>, b: Var, ib: Arc<Vec<u32>>) -> Var {
+        let av = self.arc_value(a);
+        let bv = self.arc_value(b);
+        let value = kernels::gather_dot(&av, &ia, &bv, &ib);
+        self.push(
+            value,
+            Some(Box::new(move |g, ng, _sinks| {
+                ng.scatter_accumulate_scaled(b, bv.rows(), &ib, &av, &ia, &g);
+                ng.scatter_accumulate_scaled(a, av.rows(), &ia, &bv, &ib, &g);
+            })),
+        )
+    }
+
     /// Scales row `i` of `a` by the scalar `s[i]` (`s` is `n x 1`).
     pub fn scale_rows(&mut self, a: Var, s: Var) -> Var {
         let av = self.arc_value(a);
@@ -562,9 +604,13 @@ impl Tape {
     }
 
     /// Reverse sweep seeded with explicit cotangents instead of a scalar
-    /// loss — the batch-tape side of the shared-forward protocol: after
-    /// the shards' input gradients are reduced in fixed shard order,
-    /// one seeded sweep backpropagates them through the shared forward.
+    /// loss — the batch-tape side of the shared-forward protocol: one
+    /// seeded sweep backpropagates the shards' input gradients through
+    /// the shared forward. They reach it reduced in fixed shard order
+    /// either way: summed by the caller and seeded at the table's node,
+    /// or seeded shard by shard at per-shard `gather` nodes of the table,
+    /// whose fused backwards accumulate them in sweep (descending node)
+    /// order.
     ///
     /// # Panics
     /// Panics if a seed's shape differs from its node's value shape, or
@@ -868,5 +914,122 @@ mod tests {
             fused.get(w).unwrap().as_slice(),
             unfused.get(w).unwrap().as_slice()
         );
+    }
+
+    // ----- gather_dot == gather + gather + rowwise_dot ---------------------
+
+    /// `(a, ia, b, ib)`: tables by position, and their aligned row lists.
+    type DotSpec = (usize, Vec<u32>, usize, Vec<u32>);
+
+    /// One dot per spec over the tables `params`, recorded fused or as the
+    /// three-node composition, each through its own `log σ(w_k · dot)` so
+    /// every row's cotangent differs. Returns the dots' value bits and the
+    /// table gradients.
+    fn dots_grads(
+        store: &ParamStore,
+        params: &[ParamId],
+        specs: &[DotSpec],
+        fused: bool,
+    ) -> (Vec<Vec<u32>>, Gradients) {
+        let mut t = Tape::new();
+        let tables: Vec<Var> = params.iter().map(|&p| t.param(store, p)).collect();
+        let mut values = Vec::new();
+        let mut total = None;
+        for (k, (a, ia, b, ib)) in specs.iter().enumerate() {
+            let (ia, ib) = (Arc::new(ia.clone()), Arc::new(ib.clone()));
+            let d = if fused {
+                t.gather_dot(tables[*a], ia, tables[*b], ib)
+            } else {
+                let ga = t.gather(tables[*a], ia);
+                let gb = t.gather(tables[*b], ib);
+                t.rowwise_dot(ga, gb)
+            };
+            values.push(t.value(d).as_slice().iter().map(|v| v.to_bits()).collect());
+            let w = t.scale(d, 0.3 + 0.4 * k as f32);
+            let ls = t.log_sigmoid(w);
+            let term = t.sum_all(ls);
+            total = Some(match total {
+                Some(acc) => t.add(acc, term),
+                None => term,
+            });
+        }
+        let loss = total.expect("at least one dot spec");
+        (values, t.backward(loss, store))
+    }
+
+    fn assert_fused_matches_composition(widths: &[usize], rows: &[usize], specs: &[DotSpec]) {
+        for &w in widths {
+            let mut store = ParamStore::new();
+            let params: Vec<ParamId> = rows
+                .iter()
+                .enumerate()
+                .map(|(p, &n)| {
+                    store.add(
+                        format!("t{p}"),
+                        Matrix::from_fn(n, w, |r, c| {
+                            ((p * 31 + r * 7 + c * 3) as f32 * 0.37).sin() * 0.9
+                        }),
+                    )
+                })
+                .collect();
+            let (fused_values, fused) = dots_grads(&store, &params, specs, true);
+            let (comp_values, comp) = dots_grads(&store, &params, specs, false);
+            assert_eq!(fused_values, comp_values, "width {w}: forward bits");
+            for &p in &params {
+                let bits = |g: &Gradients| {
+                    g.get(p)
+                        .map(|m| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+                };
+                assert_eq!(
+                    bits(&fused),
+                    bits(&comp),
+                    "width {w}: cotangent of table {p}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gather_dot_matches_gather_gather_rowwise_dot_bitwise() {
+        // Duplicate indices on both sides, an empty index list (its tables
+        // still receive a zero cotangent), every lane-tail width, and
+        // several dots sharing a table on either side — the four
+        // `tape_scores` calls of one shard, in miniature.
+        assert_fused_matches_composition(
+            &[1, 7, 8, 32, 33],
+            &[5, 4, 6, 3],
+            &[
+                (0, vec![4, 0, 4, 4, 2, 0], 1, vec![3, 3, 1, 0, 3, 2]),
+                (0, vec![1, 4, 1], 2, vec![5, 0, 5]),
+                (2, vec![0, 0, 3, 5], 1, vec![2, 2, 2, 1]),
+                (3, vec![], 1, vec![]),
+                (0, vec![2], 2, vec![2]),
+            ],
+        );
+    }
+
+    #[test]
+    fn gather_dot_of_a_table_with_itself_scatters_b_side_first() {
+        // `a` and `b` the same node: both scatters land in one
+        // accumulator, `b`'s rows first and then `a`'s — the order the
+        // composition's sweep meets its two gathers in. Overlapping
+        // indices make any other order round differently.
+        assert_fused_matches_composition(
+            &[1, 7, 33],
+            &[6],
+            &[
+                (0, vec![0, 1, 2, 3, 1, 5], 0, vec![1, 1, 0, 3, 4, 5]),
+                (0, vec![5, 5, 2], 0, vec![2, 5, 2]),
+            ],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "gather_dot index count mismatch")]
+    fn gather_dot_rejects_misaligned_index_lists() {
+        let (store, w) = store_with("w", Matrix::zeros(3, 2));
+        let mut t = Tape::new();
+        let wv = t.param(&store, w);
+        t.gather_dot(wv, Arc::new(vec![0, 1]), wv, Arc::new(vec![0]));
     }
 }

@@ -141,6 +141,39 @@ impl LossBatch {
         shards
     }
 
+    /// The same pairs with every user id replaced by its position in
+    /// `users` and — when `items` is given — every item id by its position
+    /// in `items`: the batch as it indexes *compact* tables holding only
+    /// those rows. Both lists must be sorted, distinct and cover the
+    /// batch ([`LossBatch::touched_users`] / [`LossBatch::touched_items`]
+    /// are); the cost is `O(pairs · log rows)`, never a function of the
+    /// full table sizes.
+    pub(crate) fn to_local_rows(&self, users: &[u32], items: Option<&[u32]>) -> LossBatch {
+        let local = |ids: &Arc<Vec<u32>>, rows: Option<&[u32]>| match rows {
+            None => Arc::clone(ids),
+            Some(rows) => Arc::new(
+                ids.iter()
+                    .map(|id| {
+                        // invariant: `rows` lists every id of the batch
+                        // (the caller computed it from this batch).
+                        rows.binary_search(id)
+                            .expect("batch id missing from its row list")
+                            as u32
+                    })
+                    .collect(),
+            ),
+        };
+        LossBatch {
+            fwd_users: local(&self.fwd_users, Some(users)),
+            fwd_pos: local(&self.fwd_pos, items),
+            fwd_neg: local(&self.fwd_neg, items),
+            rev_users: local(&self.rev_users, Some(users)),
+            rev_pos: local(&self.rev_pos, items),
+            rev_neg: local(&self.rev_neg, items),
+            n_behaviors: self.n_behaviors,
+        }
+    }
+
     /// All distinct users appearing in the batch (for regularization).
     pub fn touched_users(&self) -> Vec<u32> {
         let mut users: Vec<u32> = self
@@ -299,6 +332,31 @@ mod tests {
         assert_eq!(shards.len(), 2, "only two one-pair shards survive");
         let empty = LossBatch::default();
         assert!(empty.split(4).is_empty());
+    }
+
+    #[test]
+    fn local_rows_index_the_touched_lists() {
+        let d = dataset();
+        let sampler = NegativeSampler::from_dataset(&d);
+        let mut rng = StdRng::seed_from_u64(3);
+        let b = LossBatch::build(&d, &[0, 1, 1, 0], 2, &sampler, &mut rng);
+        let (users, items) = (b.touched_users(), b.touched_items());
+        let through = |local: &[u32], rows: &[u32]| -> Vec<u32> {
+            local.iter().map(|&r| rows[r as usize]).collect()
+        };
+        let both = b.to_local_rows(&users, Some(&items));
+        assert_eq!(through(&both.fwd_users, &users), *b.fwd_users);
+        assert_eq!(through(&both.rev_users, &users), *b.rev_users);
+        assert_eq!(through(&both.fwd_pos, &items), *b.fwd_pos);
+        assert_eq!(through(&both.fwd_neg, &items), *b.fwd_neg);
+        assert_eq!(through(&both.rev_pos, &items), *b.rev_pos);
+        assert_eq!(through(&both.rev_neg, &items), *b.rev_neg);
+        assert_eq!(both.n_behaviors, b.n_behaviors);
+        // Without an item list the item ids stay global.
+        let users_only = b.to_local_rows(&users, None);
+        assert_eq!(users_only.fwd_users, both.fwd_users);
+        assert_eq!(users_only.fwd_neg, b.fwd_neg);
+        assert_eq!(users_only.rev_pos, b.rev_pos);
     }
 
     #[test]

@@ -133,17 +133,76 @@ struct ScoreTables {
     friend_mean: Var,
 }
 
+/// Which id space indexes the rows of a shared table.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum RowIds {
+    Users,
+    Items,
+}
+
 /// One shared forward pass per training batch: the propagated tables
-/// every shard reads, recorded once on the calling thread. Shards bind
-/// `tables` positionally as `input` leaves (same order as `vars`),
-/// return cotangents w.r.t. them, and the reduced cotangents seed one
+/// every shard reads, recorded once on the calling thread. Each shard
+/// binds its rows of them positionally as `input` leaves (slot order of
+/// `vars`) and returns cotangents w.r.t. those rows, which seed one
 /// backward sweep over `tape`.
 struct SharedForward {
     tape: Tape,
     /// Vars of the shared tables on `tape`, in fixed slot order.
-    vars: Vec<Var>,
-    /// The tables' values, `Arc`-shared with every shard tape.
+    vars: Vec<(Var, RowIds)>,
+}
+
+/// The rows the regularization terms of [`GbgcnModel::assemble_loss`]
+/// read for one (sub-)batch.
+struct RegRows {
+    /// Sorted distinct global ids of its users and items — the rows of the
+    /// raw-embedding *parameters* the L2 terms gather.
+    users: Arc<Vec<u32>>,
+    items: Arc<Vec<u32>>,
+    /// Rows of `users` in the `user_raw` / raw-friend-mean tables the
+    /// social term reads: `users` itself for full tables, `0..n` for a
+    /// shard's compact ones.
+    user_rows: Arc<Vec<u32>>,
+}
+
+impl RegRows {
+    /// Everything `batch` touches, read off full tables at global ids.
+    fn of(batch: &LossBatch) -> Self {
+        let users = Arc::new(batch.touched_users());
+        Self {
+            user_rows: Arc::clone(&users),
+            users,
+            items: Arc::new(batch.touched_items()),
+        }
+    }
+}
+
+/// Everything one shard's private tape reads: its pairs, and the shared
+/// tables they index.
+struct ShardInputs {
+    /// The shard's pairs; the index vectors address rows of `tables`.
+    batch: LossBatch,
+    reg: RegRows,
+    /// The shared tables in [`GbgcnModel::shared_forward`] slot order,
+    /// bound as `input` leaves.
     tables: Vec<Arc<Matrix>>,
+}
+
+/// Scores the four pair lists of `batch` through `score(users, items)` in
+/// the fixed recording order forward-observed, forward-negative,
+/// reversed-higher, reversed-lower (the reversed pair only when the batch
+/// has any), as [`GbgcnModel::assemble_loss`] takes them.
+fn score_pairs(
+    batch: &LossBatch,
+    mut score: impl FnMut(Arc<Vec<u32>>, Arc<Vec<u32>>) -> Var,
+) -> (Var, Var, Option<(Var, Var)>) {
+    let fwd_pos = score(batch.fwd_users.clone(), batch.fwd_pos.clone());
+    let fwd_neg = score(batch.fwd_users.clone(), batch.fwd_neg.clone());
+    let rev = (!batch.rev_users.is_empty()).then(|| {
+        let rev_pos = score(batch.rev_users.clone(), batch.rev_pos.clone());
+        let rev_neg = score(batch.rev_users.clone(), batch.rev_neg.clone());
+        (rev_pos, rev_neg)
+    });
+    (fwd_pos, fwd_neg, rev)
 }
 
 impl GbgcnModel {
@@ -189,7 +248,8 @@ impl GbgcnModel {
         self.store.scalar_count()
     }
 
-    /// Eq. 9 on the tape for aligned `(user, item)` index lists.
+    /// Eq. 9 on the tape for aligned `(user, item)` index lists: both
+    /// dots read straight off the four tables ([`Tape::gather_dot`]).
     fn tape_scores(
         &self,
         tape: &mut Tape,
@@ -197,12 +257,8 @@ impl GbgcnModel {
         users: Arc<Vec<u32>>,
         items: Arc<Vec<u32>>,
     ) -> Var {
-        let ue = tape.gather(t.u_hat_i, users.clone());
-        let vi = tape.gather(t.v_hat_i, items.clone());
-        let fm = tape.gather(t.friend_mean, users);
-        let vp = tape.gather(t.v_hat_p, items);
-        let own = tape.rowwise_dot(ue, vi);
-        let social = tape.rowwise_dot(fm, vp);
+        let own = tape.gather_dot(t.u_hat_i, users.clone(), t.v_hat_i, items.clone());
+        let social = tape.gather_dot(t.friend_mean, users, t.v_hat_p, items);
         let own_w = tape.scale(own, 1.0 - self.cfg.alpha);
         let social_w = tape.scale(social, self.cfg.alpha);
         tape.add(own_w, social_w)
@@ -210,7 +266,9 @@ impl GbgcnModel {
 
     /// Pre-training scores: the "extremely simplified version of GBGCN
     /// that removes all propagation layers" (Sec. III-C.3) — Eq. 9 on the
-    /// raw embeddings.
+    /// raw embeddings. The one item gather feeds both dots, so this stays
+    /// `gather` + `rowwise_dot`: two `gather_dot`s would scatter the item
+    /// cotangent in two passes and re-associate its sum.
     fn pretrain_scores(
         &self,
         tape: &mut Tape,
@@ -229,20 +287,20 @@ impl GbgcnModel {
         tape.add(own_w, social_w)
     }
 
-    /// Assembles the double-pairwise loss (Eqs. 10–12) from scored pairs,
-    /// then adds L2 and social regularization on the raw embeddings.
+    /// Assembles the double-pairwise loss (Eqs. 10–12) from scored pairs
+    /// over `n_behaviors` behaviors, then adds L2 and social regularization
+    /// on the raw embeddings at `reg`'s rows.
     ///
-    /// `social_vars`, when given, are `(user_raw_full, raw_friend_mean)`
-    /// vars already on the tape (shard tapes pass their `input` leaves);
-    /// when `None` the social-reg term records its own param node and
-    /// segment mean (the replicated/serial path).
+    /// `social_vars`, when given, are `(user_raw, raw_friend_mean)` tables
+    /// already on the tape (shard tapes pass their `input` leaves); when
+    /// `None` the social-reg term records its own param node and segment
+    /// mean (the replicated/serial path).
     fn assemble_loss(
         &self,
         tape: &mut Tape,
-        batch: &LossBatch,
-        fwd_pos: Var,
-        fwd_neg: Var,
-        rev: Option<(Var, Var)>,
+        n_behaviors: usize,
+        (fwd_pos, fwd_neg, rev): (Var, Var, Option<(Var, Var)>),
+        reg: &RegRows,
         social_vars: Option<(Var, Var)>,
     ) -> Var {
         let diff = tape.sub(fwd_pos, fwd_neg);
@@ -256,17 +314,15 @@ impl GbgcnModel {
             let weighted = tape.scale(rsum, -self.cfg.beta);
             total = tape.add(total, weighted);
         }
-        let norm = tape.scale(total, 1.0 / batch.n_behaviors.max(1) as f32);
+        let norm = tape.scale(total, 1.0 / n_behaviors.max(1) as f32);
 
         // L2 on touched raw embeddings.
-        let touched_u = Arc::new(batch.touched_users());
-        let touched_v = Arc::new(batch.touched_items());
-        let ue = tape.gather_param(&self.store, self.params.user_raw, touched_u.clone());
-        let vee = tape.gather_param(&self.store, self.params.item_raw, touched_v);
+        let ue = tape.gather_param(&self.store, self.params.user_raw, reg.users.clone());
+        let vee = tape.gather_param(&self.store, self.params.item_raw, reg.items.clone());
         let l2u = tape.sum_sq(ue);
         let l2v = tape.sum_sq(vee);
         let l2 = tape.add(l2u, l2v);
-        let l2 = tape.scale(l2, self.cfg.l2 / batch.n_behaviors.max(1) as f32);
+        let l2 = tape.scale(l2, self.cfg.l2 / n_behaviors.max(1) as f32);
         let mut loss = tape.add(norm, l2);
 
         // Social regularization [1] on raw user embeddings.
@@ -277,11 +333,11 @@ impl GbgcnModel {
                     tape.segment_mean(u_full, self.social.offsets(), self.social.members());
                 (u_full, fm_raw)
             });
-            let ub = tape.gather(u_full, touched_u.clone());
-            let fmb = tape.gather(fm_raw, touched_u);
+            let ub = tape.gather(u_full, reg.user_rows.clone());
+            let fmb = tape.gather(fm_raw, reg.user_rows.clone());
             let gap = tape.sub(ub, fmb);
             let sq = tape.sum_sq(gap);
-            let reg = tape.scale(sq, self.cfg.social_reg / batch.n_behaviors.max(1) as f32);
+            let reg = tape.scale(sq, self.cfg.social_reg / n_behaviors.max(1) as f32);
             loss = tape.add(loss, reg);
         }
         loss
@@ -304,36 +360,11 @@ impl GbgcnModel {
             v_hat_p: ve.v_hat_p,
             friend_mean,
         };
-        let fwd_pos = self.tape_scores(
-            &mut tape,
-            &st,
-            batch.fwd_users.clone(),
-            batch.fwd_pos.clone(),
-        );
-        let fwd_neg = self.tape_scores(
-            &mut tape,
-            &st,
-            batch.fwd_users.clone(),
-            batch.fwd_neg.clone(),
-        );
-        let rev = if batch.rev_users.is_empty() {
-            None
-        } else {
-            let rp = self.tape_scores(
-                &mut tape,
-                &st,
-                batch.rev_users.clone(),
-                batch.rev_pos.clone(),
-            );
-            let rn = self.tape_scores(
-                &mut tape,
-                &st,
-                batch.rev_users.clone(),
-                batch.rev_neg.clone(),
-            );
-            Some((rp, rn))
-        };
-        let loss = self.assemble_loss(&mut tape, batch, fwd_pos, fwd_neg, rev, None);
+        let scores = score_pairs(batch, |users, items| {
+            self.tape_scores(&mut tape, &st, users, items)
+        });
+        let reg = RegRows::of(batch);
+        let loss = self.assemble_loss(&mut tape, batch.n_behaviors, scores, &reg, None);
         let value = tape.value(loss).get(0, 0);
         let grads = tape.backward(loss, &self.store);
         (value, grads)
@@ -348,45 +379,16 @@ impl GbgcnModel {
 
     /// Replicated-forward gradient of the propagation-free pre-training
     /// model on one batch; returns `(loss, gradients)` without stepping.
-    /// Serial counterpart of [`GbgcnModel::pretrain_shard_grad`].
+    /// Serial counterpart of [`GbgcnModel::shard_grad`].
     fn pretrain_grad(&self, batch: &LossBatch) -> (f32, Gradients) {
         let mut tape = Tape::new();
         let u_raw = tape.param(&self.store, self.params.user_raw);
         let friend_mean = tape.segment_mean(u_raw, self.social.offsets(), self.social.members());
-        let fwd_pos = self.pretrain_scores(
-            &mut tape,
-            u_raw,
-            friend_mean,
-            batch.fwd_users.clone(),
-            batch.fwd_pos.clone(),
-        );
-        let fwd_neg = self.pretrain_scores(
-            &mut tape,
-            u_raw,
-            friend_mean,
-            batch.fwd_users.clone(),
-            batch.fwd_neg.clone(),
-        );
-        let rev = if batch.rev_users.is_empty() {
-            None
-        } else {
-            let rp = self.pretrain_scores(
-                &mut tape,
-                u_raw,
-                friend_mean,
-                batch.rev_users.clone(),
-                batch.rev_pos.clone(),
-            );
-            let rn = self.pretrain_scores(
-                &mut tape,
-                u_raw,
-                friend_mean,
-                batch.rev_users.clone(),
-                batch.rev_neg.clone(),
-            );
-            Some((rp, rn))
-        };
-        let loss = self.assemble_loss(&mut tape, batch, fwd_pos, fwd_neg, rev, None);
+        let scores = score_pairs(batch, |users, items| {
+            self.pretrain_scores(&mut tape, u_raw, friend_mean, users, items)
+        });
+        let reg = RegRows::of(batch);
+        let loss = self.assemble_loss(&mut tape, batch.n_behaviors, scores, &reg, None);
         let value = tape.value(loss).get(0, 0);
         let grads = tape.backward(loss, &self.store);
         (value, grads)
@@ -407,135 +409,156 @@ impl GbgcnModel {
     /// friend_mean]` plus `[user_raw, raw_friend_mean]` when social
     /// regularization is active; pre-training: `[user_raw,
     /// raw_friend_mean]` (the raw friend mean doubles as the social-reg
-    /// term's segment mean — it is the same computation).
+    /// term's segment mean — it is the same computation). Every slot is a
+    /// node of its own, so no two slots share a cotangent accumulator.
     fn shared_forward(&self, finetune: bool) -> SharedForward {
+        use RowIds::{Items, Users};
         let mut tape = Tape::new();
         let mut vars = Vec::with_capacity(6);
         if finetune {
             let ve = self.propagate_counted(&mut tape);
             let friend_mean =
                 tape.segment_mean(ve.u_hat_p, self.social.offsets(), self.social.members());
-            vars.extend([ve.u_hat_i, ve.v_hat_i, ve.v_hat_p, friend_mean]);
+            vars.extend([
+                (ve.u_hat_i, Users),
+                (ve.v_hat_i, Items),
+                (ve.v_hat_p, Items),
+                (friend_mean, Users),
+            ]);
             if self.cfg.social_reg > 0.0 {
                 let u_full = tape.param(&self.store, self.params.user_raw);
                 let fm_raw =
                     tape.segment_mean(u_full, self.social.offsets(), self.social.members());
-                vars.extend([u_full, fm_raw]);
+                vars.extend([(u_full, Users), (fm_raw, Users)]);
             }
         } else {
             let u_raw = tape.param(&self.store, self.params.user_raw);
             let friend_mean =
                 tape.segment_mean(u_raw, self.social.offsets(), self.social.members());
-            vars.extend([u_raw, friend_mean]);
+            vars.extend([(u_raw, Users), (friend_mean, Users)]);
         }
-        let tables = vars.iter().map(|&v| tape.arc_value(v)).collect();
-        SharedForward { tape, vars, tables }
+        SharedForward { tape, vars }
     }
 
-    /// Consumer side of the shared-forward protocol for one fine-tuning
-    /// shard: binds `tables` as `input` leaves (slot order of
+    /// Records `shard`'s *compact* tables on the shared tape — one
+    /// `gather` per shared table at the shard's sorted distinct users (or
+    /// items) — and returns the shard's inputs over them, its pairs
+    /// renumbered to compact rows, together with the gather nodes in slot
+    /// order. The shard's table cotangents are then `n_distinct x w`, seed
+    /// those gather nodes directly, and the gathers' own scatter-add
+    /// backward folds them into the full-size tables: all per-shard work
+    /// is `O(batch)`, never a function of the table heights.
+    ///
+    /// Pre-training shares no item table (its item rows come from the
+    /// parameter by `gather_param`), so there the item ids stay global.
+    fn compact_shard(&self, fwd: &mut SharedForward, shard: &LossBatch) -> (ShardInputs, Vec<Var>) {
+        let users = Arc::new(shard.touched_users());
+        let items = Arc::new(shard.touched_items());
+        let gathers: Vec<Var> = fwd
+            .vars
+            .iter()
+            .map(|&(v, ids)| {
+                let rows = match ids {
+                    RowIds::Users => &users,
+                    RowIds::Items => &items,
+                };
+                fwd.tape.gather(v, Arc::clone(rows))
+            })
+            .collect();
+        let shares_items = fwd.vars.iter().any(|&(_, ids)| ids == RowIds::Items);
+        let inputs = ShardInputs {
+            batch: shard.to_local_rows(&users, shares_items.then_some(&items[..])),
+            reg: RegRows {
+                user_rows: Arc::new((0..users.len() as u32).collect()),
+                users,
+                items,
+            },
+            tables: gathers.iter().map(|&g| fwd.tape.arc_value(g)).collect(),
+        };
+        (inputs, gathers)
+    }
+
+    /// Consumer side of the shared-forward protocol for one shard: binds
+    /// `shard.tables` as `input` leaves (slot order of
     /// [`GbgcnModel::shared_forward`]), scores and assembles the loss on
     /// a private tape, and returns `(loss, param gradients, per-table
-    /// cotangents)`. Pure in `(self, batch, tables)`, so shards may run
-    /// on any thread in any order.
-    fn finetune_shard_grad(
+    /// cotangents)`. Pure in `(self, shard)`, so shards may run on any
+    /// thread in any order.
+    ///
+    /// Pre-training's shared tables are `[user_raw, raw_friend_mean]`,
+    /// reused by both Eq. 9 scoring and the social-regularization term.
+    fn shard_grad(
         &self,
-        batch: &LossBatch,
-        tables: &[Arc<Matrix>],
+        shard: &ShardInputs,
+        finetune: bool,
     ) -> (f32, Gradients, Vec<Option<Matrix>>) {
         let mut tape = Tape::new();
-        let inputs: Vec<Var> = tables.iter().map(|t| tape.input(Arc::clone(t))).collect();
-        let st = ScoreTables {
-            u_hat_i: inputs[0],
-            v_hat_i: inputs[1],
-            v_hat_p: inputs[2],
-            friend_mean: inputs[3],
-        };
-        let social_vars = (self.cfg.social_reg > 0.0).then(|| (inputs[4], inputs[5]));
-        let fwd_pos = self.tape_scores(
-            &mut tape,
-            &st,
-            batch.fwd_users.clone(),
-            batch.fwd_pos.clone(),
-        );
-        let fwd_neg = self.tape_scores(
-            &mut tape,
-            &st,
-            batch.fwd_users.clone(),
-            batch.fwd_neg.clone(),
-        );
-        let rev = if batch.rev_users.is_empty() {
-            None
+        let inputs: Vec<Var> = shard
+            .tables
+            .iter()
+            .map(|t| tape.input(Arc::clone(t)))
+            .collect();
+        let (scores, social_vars) = if finetune {
+            let st = ScoreTables {
+                u_hat_i: inputs[0],
+                v_hat_i: inputs[1],
+                v_hat_p: inputs[2],
+                friend_mean: inputs[3],
+            };
+            let scores = score_pairs(&shard.batch, |users, items| {
+                self.tape_scores(&mut tape, &st, users, items)
+            });
+            let social_vars = (self.cfg.social_reg > 0.0).then(|| (inputs[4], inputs[5]));
+            (scores, social_vars)
         } else {
-            let rp = self.tape_scores(
-                &mut tape,
-                &st,
-                batch.rev_users.clone(),
-                batch.rev_pos.clone(),
-            );
-            let rn = self.tape_scores(
-                &mut tape,
-                &st,
-                batch.rev_users.clone(),
-                batch.rev_neg.clone(),
-            );
-            Some((rp, rn))
+            let (u_raw, friend_mean) = (inputs[0], inputs[1]);
+            let scores = score_pairs(&shard.batch, |users, items| {
+                self.pretrain_scores(&mut tape, u_raw, friend_mean, users, items)
+            });
+            (scores, Some((u_raw, friend_mean)))
         };
-        let loss = self.assemble_loss(&mut tape, batch, fwd_pos, fwd_neg, rev, social_vars);
+        let n_behaviors = shard.batch.n_behaviors;
+        let loss = self.assemble_loss(&mut tape, n_behaviors, scores, &shard.reg, social_vars);
         let value = tape.value(loss).get(0, 0);
         let (grads, table_grads) = tape.backward_with_inputs(loss, &self.store);
         (value, grads, table_grads)
     }
 
-    /// Pre-training counterpart of [`GbgcnModel::finetune_shard_grad`]:
-    /// the shared tables are `[user_raw, raw_friend_mean]`, reused by
-    /// both Eq. 9 scoring and the social-regularization term.
-    fn pretrain_shard_grad(
+    /// Runs [`GbgcnModel::shard_grad`] over `shards` on `executor`'s
+    /// threads; returns the shard-summed loss, the parameter gradients
+    /// merged in fixed shard order, and every shard's table cotangents.
+    fn run_shards(
         &self,
-        batch: &LossBatch,
-        tables: &[Arc<Matrix>],
-    ) -> (f32, Gradients, Vec<Option<Matrix>>) {
-        let mut tape = Tape::new();
-        let inputs: Vec<Var> = tables.iter().map(|t| tape.input(Arc::clone(t))).collect();
-        let (u_raw, friend_mean) = (inputs[0], inputs[1]);
-        let social_vars = (self.cfg.social_reg > 0.0).then_some((u_raw, friend_mean));
-        let fwd_pos = self.pretrain_scores(
-            &mut tape,
-            u_raw,
-            friend_mean,
-            batch.fwd_users.clone(),
-            batch.fwd_pos.clone(),
-        );
-        let fwd_neg = self.pretrain_scores(
-            &mut tape,
-            u_raw,
-            friend_mean,
-            batch.fwd_users.clone(),
-            batch.fwd_neg.clone(),
-        );
-        let rev = if batch.rev_users.is_empty() {
-            None
-        } else {
-            let rp = self.pretrain_scores(
-                &mut tape,
-                u_raw,
-                friend_mean,
-                batch.rev_users.clone(),
-                batch.rev_pos.clone(),
+        shards: &[ShardInputs],
+        executor: &ShardExecutor,
+        finetune: bool,
+    ) -> (f32, Gradients, Vec<Vec<Option<Matrix>>>) {
+        // Per-shard table-cotangent side channel: `accumulate` merges
+        // only `(loss, Gradients)`, so the third output travels through
+        // shard-indexed one-shot slots instead.
+        let table_grads: Vec<OnceLock<Vec<Option<Matrix>>>> =
+            (0..shards.len()).map(|_| OnceLock::new()).collect();
+        let (loss, grads) = executor.accumulate(self.store.len(), shards.len(), |s| {
+            let (value, grads, tg) = self.shard_grad(&shards[s], finetune);
+            // invariant: `accumulate` hands each shard index to exactly one
+            // closure call, so no slot is set twice.
+            assert!(
+                table_grads[s].set(tg).is_ok(),
+                "shard {s} ran twice within one accumulate call"
             );
-            let rn = self.pretrain_scores(
-                &mut tape,
-                u_raw,
-                friend_mean,
-                batch.rev_users.clone(),
-                batch.rev_neg.clone(),
-            );
-            Some((rp, rn))
-        };
-        let loss = self.assemble_loss(&mut tape, batch, fwd_pos, fwd_neg, rev, social_vars);
-        let value = tape.value(loss).get(0, 0);
-        let (grads, table_grads) = tape.backward_with_inputs(loss, &self.store);
-        (value, grads, table_grads)
+            (value, grads)
+        });
+        let table_grads = table_grads
+            .into_iter()
+            .map(|slot| {
+                // invariant: `accumulate` runs every shard closure exactly
+                // once before returning (or propagates its panic), so every
+                // slot is filled here.
+                slot.into_inner()
+                    .expect("shard table gradients published before accumulate returned")
+            })
+            .collect();
+        (loss, grads, table_grads)
     }
 
     /// Shard-summed loss and merged gradient of one mini-batch under the
@@ -544,11 +567,12 @@ impl GbgcnModel {
     ///
     /// The forward pass through the propagation layers runs **once per
     /// batch** on the calling thread ([`GbgcnModel::shared_forward`]);
-    /// shards read the `Arc`'d tables, their per-table cotangents are
-    /// reduced in fixed shard order, and a single seeded backward sweep
-    /// over the shared tape produces the propagation gradients. The
-    /// whole pipeline stays a pure function of `(self, batch, n_shards)`
-    /// — thread count never changes a bit.
+    /// each shard reads only its own rows of the shared tables
+    /// ([`GbgcnModel::compact_shard`]) and its compact cotangents seed its
+    /// gather nodes on the shared tape, whose single backward sweep both
+    /// reduces them — in ascending shard order — and produces the
+    /// propagation gradients. The whole pipeline stays a pure function of
+    /// `(self, batch, n_shards)` — thread count never changes a bit.
     fn sharded_grad(
         &self,
         batch: &LossBatch,
@@ -561,51 +585,31 @@ impl GbgcnModel {
         if batch.is_empty() {
             return (0.0, Gradients::empty(self.store.len()));
         }
-        let shards = batch.split(n_shards);
         let mut fwd = self.shared_forward(finetune);
-        // Per-shard table-cotangent side channel: `accumulate` merges
-        // only `(loss, Gradients)`, so the third output travels through
-        // shard-indexed one-shot slots instead.
-        let table_grads: Vec<OnceLock<Vec<Option<Matrix>>>> =
-            (0..shards.len()).map(|_| OnceLock::new()).collect();
-        let (loss, mut grads) = executor.accumulate(self.store.len(), shards.len(), |s| {
-            let (value, grads, tg) = if finetune {
-                self.finetune_shard_grad(&shards[s], &fwd.tables)
-            } else {
-                self.pretrain_shard_grad(&shards[s], &fwd.tables)
-            };
-            assert!(
-                table_grads[s].set(tg).is_ok(),
-                "shard {s} ran twice within one accumulate call"
-            );
-            (value, grads)
-        });
-        // Reduce the per-shard table cotangents in fixed shard order —
-        // the same determinism anchor the parameter-gradient merge uses.
-        let mut reduced: Vec<Option<Matrix>> = (0..fwd.vars.len()).map(|_| None).collect();
-        for slot in table_grads {
-            // invariant: `accumulate` runs every shard closure exactly
-            // once before returning (or propagates its panic), so every
-            // slot is filled here.
-            let shard_grads = slot
-                .into_inner()
-                .expect("shard table gradients published before accumulate returned");
-            for (acc, g) in reduced.iter_mut().zip(shard_grads) {
-                if let Some(g) = g {
-                    match acc {
-                        Some(a) => kernels::add_assign(a, &g),
-                        slot @ None => *slot = Some(g),
-                    }
-                }
-            }
-        }
-        // One propagation backward per batch, seeded with the reduced
-        // cotangents.
-        let seeds: Vec<(Var, Matrix)> = fwd
-            .vars
+        // Recorded in *reverse* shard order: the sweep visits nodes in
+        // descending order, so it meets shard 0's gathers first and
+        // scatters `acc[row] += S_k[row]` for k = 0, 1, 2, … — the
+        // ascending-shard sum `((S_0 + S_1) + S_2) + …` of every row's
+        // cotangent. (Summing only the shards that touch a row, from a
+        // zeroed accumulator, equals summing dense per-shard tables whose
+        // untouched rows are `+0.0`: a partial sum that starts from `+0.0`
+        // is never `-0.0`, so adding `+0.0` to it, or it to `+0.0`,
+        // changes no bit.)
+        let mut compact: Vec<_> = batch
+            .split(n_shards)
             .iter()
-            .zip(reduced)
-            .filter_map(|(&v, g)| g.map(|g| (v, g)))
+            .rev()
+            .map(|shard| self.compact_shard(&mut fwd, shard))
+            .collect();
+        compact.reverse();
+        let (shards, gathers): (Vec<_>, Vec<_>) = compact.into_iter().unzip();
+        let (loss, mut grads, table_grads) = self.run_shards(&shards, executor, finetune);
+        // One propagation backward per batch, seeded at the gather nodes.
+        let seeds: Vec<(Var, Matrix)> = gathers
+            .into_iter()
+            .flatten()
+            .zip(table_grads.into_iter().flatten())
+            .filter_map(|(v, g)| g.map(|g| (v, g)))
             .collect();
         if !seeds.is_empty() {
             grads.merge(fwd.tape.backward_seeded(seeds, &self.store));
@@ -988,11 +992,223 @@ impl Scorer for GbgcnModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AblationMode;
     use gb_data::synth::{generate, SynthConfig};
     use gb_data::GroupBehavior;
+    use proptest::prelude::*;
 
     fn tiny_train() -> Dataset {
         generate(&SynthConfig::tiny())
+    }
+
+    /// The dense-table recipe [`GbgcnModel::sharded_grad`] replaced, kept
+    /// as its oracle: every shard binds the *full* shared tables at global
+    /// ids and returns full-size cotangents, the calling thread sums them
+    /// table by table in ascending shard order, and the sums seed the
+    /// shared tape's table nodes themselves.
+    fn sharded_grad_dense(
+        m: &GbgcnModel,
+        batch: &LossBatch,
+        n_shards: usize,
+        executor: &ShardExecutor,
+        finetune: bool,
+    ) -> (f32, Gradients) {
+        if batch.is_empty() {
+            return (0.0, Gradients::empty(m.store.len()));
+        }
+        let mut fwd = m.shared_forward(finetune);
+        let tables: Vec<Arc<Matrix>> = fwd
+            .vars
+            .iter()
+            .map(|&(v, _)| fwd.tape.arc_value(v))
+            .collect();
+        let shards: Vec<ShardInputs> = batch
+            .split(n_shards)
+            .into_iter()
+            .map(|shard| ShardInputs {
+                reg: RegRows::of(&shard),
+                batch: shard,
+                tables: tables.clone(),
+            })
+            .collect();
+        let (loss, mut grads, table_grads) = m.run_shards(&shards, executor, finetune);
+        let mut reduced: Vec<Option<Matrix>> = (0..fwd.vars.len()).map(|_| None).collect();
+        for shard_grads in table_grads {
+            for (acc, g) in reduced.iter_mut().zip(shard_grads) {
+                if let Some(g) = g {
+                    match acc {
+                        Some(a) => kernels::add_assign(a, &g),
+                        slot @ None => *slot = Some(g),
+                    }
+                }
+            }
+        }
+        let seeds: Vec<(Var, Matrix)> = fwd
+            .vars
+            .iter()
+            .zip(reduced)
+            .filter_map(|(&(v, _), g)| g.map(|g| (v, g)))
+            .collect();
+        if !seeds.is_empty() {
+            grads.merge(fwd.tape.backward_seeded(seeds, &m.store));
+        }
+        (loss, grads)
+    }
+
+    fn pairs_batch(
+        fwd: &[(u32, u32, u32)],
+        rev: &[(u32, u32, u32)],
+        n_behaviors: usize,
+    ) -> LossBatch {
+        let col = |pairs: &[(u32, u32, u32)], f: fn(&(u32, u32, u32)) -> u32| {
+            Arc::new(pairs.iter().map(f).collect::<Vec<u32>>())
+        };
+        LossBatch {
+            fwd_users: col(fwd, |p| p.0),
+            fwd_pos: col(fwd, |p| p.1),
+            fwd_neg: col(fwd, |p| p.2),
+            rev_users: col(rev, |p| p.0),
+            rev_pos: col(rev, |p| p.1),
+            rev_neg: col(rev, |p| p.2),
+            n_behaviors,
+        }
+    }
+
+    /// Loss and every gradient table of the compact protocol, bit for bit
+    /// against the dense oracle, for both trainer stages.
+    fn assert_compact_equals_dense(m: &GbgcnModel, batch: &LossBatch, n_shards: usize, what: &str) {
+        let executor = ShardExecutor::new(2);
+        for finetune in [true, false] {
+            let (loss, grads) = m.sharded_grad(batch, n_shards, &executor, finetune);
+            let (want_loss, want) = sharded_grad_dense(m, batch, n_shards, &executor, finetune);
+            let what = format!("{what}, {n_shards} shards, finetune {finetune}");
+            assert_eq!(loss.to_bits(), want_loss.to_bits(), "{what}: loss");
+            assert_eq!(grads.touched(), want.touched(), "{what}: touched params");
+            for ((id, g), (want_id, w)) in grads.iter().zip(want.iter()) {
+                assert_eq!(id, want_id, "{what}");
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(g), bits(w), "{what}: gradient of {}", m.store.name(id));
+            }
+        }
+    }
+
+    fn wall_model(social_reg: f32, ablation: AblationMode) -> GbgcnModel {
+        let cfg = GbgcnConfig {
+            social_reg,
+            ablation,
+            ..GbgcnConfig::test_config()
+        };
+        GbgcnModel::new(cfg, &tiny_train())
+    }
+
+    #[test]
+    fn compact_shards_equal_dense_shards_on_edge_batches() {
+        let sampled = {
+            let d = tiny_train();
+            let sampler = NegativeSampler::from_dataset(&d);
+            let mut rng = StdRng::seed_from_u64(17);
+            let idx: Vec<usize> = (0..48).collect();
+            LossBatch::build(&d, &idx, 2, &sampler, &mut rng)
+        };
+        let cases = [
+            ("sampled batch", sampled),
+            // Users 3 and 9 and items 1 and 5 recur in every shard.
+            (
+                "ids repeated across shards",
+                pairs_batch(
+                    &[
+                        (3, 1, 5),
+                        (9, 5, 1),
+                        (3, 5, 2),
+                        (9, 1, 5),
+                        (3, 1, 7),
+                        (9, 5, 1),
+                        (3, 1, 5),
+                        (9, 7, 1),
+                    ],
+                    &[(9, 5, 1), (3, 1, 5), (9, 1, 7), (3, 5, 1)],
+                    4,
+                ),
+            ),
+            (
+                "no reversed pairs",
+                pairs_batch(
+                    &[(0, 1, 2), (4, 3, 2), (0, 2, 1), (7, 1, 3), (4, 1, 2)],
+                    &[],
+                    3,
+                ),
+            ),
+            // Two forward pairs against twelve reversed: from 3 shards up,
+            // the trailing shards carry reversed pairs only.
+            (
+                "shards with only reversed pairs",
+                pairs_batch(
+                    &[(2, 4, 6), (8, 6, 4)],
+                    &[
+                        (1, 4, 6),
+                        (2, 6, 4),
+                        (3, 4, 5),
+                        (8, 5, 4),
+                        (1, 6, 5),
+                        (2, 4, 6),
+                        (5, 4, 6),
+                        (8, 6, 4),
+                        (3, 5, 6),
+                        (1, 4, 5),
+                        (2, 5, 4),
+                        (5, 6, 4),
+                    ],
+                    2,
+                ),
+            ),
+            (
+                "reversed pairs only",
+                pairs_batch(&[], &[(1, 2, 3), (4, 3, 2), (1, 3, 2)], 1),
+            ),
+        ];
+        let default_reg = GbgcnConfig::default().social_reg;
+        assert!(
+            default_reg > 0.0,
+            "the default exercises the social-reg slots"
+        );
+        for social_reg in [default_reg, 0.0] {
+            let m = wall_model(social_reg, AblationMode::Full);
+            for (what, batch) in &cases {
+                for n_shards in 1..=8 {
+                    assert_compact_equals_dense(
+                        &m,
+                        batch,
+                        n_shards,
+                        &format!("{what}, social_reg {social_reg}"),
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn compact_shards_equal_dense_shards_bitwise(
+            n_shards in 1usize..=8,
+            // Few distinct users and items, so shards share most of them.
+            fwd in prop::collection::vec((0u32..30, 0u32..10, 0u32..10), 0..48),
+            rev in prop::collection::vec((0u32..30, 0u32..10, 0u32..10), 0..48),
+            social_reg_on in 0usize..2,
+            ablation in 0usize..4,
+        ) {
+            let ablation = [
+                AblationMode::Full,
+                AblationMode::NoUserRoles,
+                AblationMode::NoItemRoles,
+                AblationMode::NoRoles,
+            ][ablation];
+            let m = wall_model(0.05 * social_reg_on as f32, ablation);
+            let batch = pairs_batch(&fwd, &rev, fwd.len().max(1));
+            assert_compact_equals_dense(&m, &batch, n_shards, "generated batch");
+        }
     }
 
     #[test]

@@ -26,11 +26,26 @@
 //! fallback for builds without AVX and as the oracle the unit tests hold
 //! the intrinsics to, bit for bit.
 //!
-//! **No FMA, on either path.** Every product is rounded before it is added
-//! (`mul` then `add`; never `_mm256_fmadd_ps` or `f32::mul_add`). A fused
-//! multiply-add changes the low bit, and the serve == offline,
-//! sharded == single, parallel == serial and multi == single walls all rest
-//! on one rounding sequence.
+//! The products that do not reduce along lanes — [`matmul`] and
+//! [`matmul_tn`], the propagation FCs forward and their weight gradients —
+//! share one tile loop that differs only in how it addresses the left
+//! operand (`Lhs`: `a[(i0+r)*k + kk]` for `matmul`, `a[kk*m + i0+r]` for
+//! `matmul_tn`). Under AVX every whole 4-row × 16-column output tile is
+//! eight accumulator vectors held across the full reduction
+//! (`acc[r][0..2] += set1(a) * loadu(b)`); the array form's 4×8 tile and
+//! its partial-tile loop compute the output's edges there, and all of it
+//! without AVX. Tiles partition the *output*, never the reduction: every
+//! element is the ascending-index sum from `+0.0` whichever tile produced
+//! it. [`segment_mean`] follows the same arrangement — each output row
+//! accumulated in registers over 32-column strips, explicit vectors under
+//! AVX, arrays otherwise, per-element order `(((0 + s0) + s1) + …) * inv`
+//! in both. [`matmul_nt`] reduces along lanes and stays on `dot_tile`.
+//!
+//! **No FMA, on either path, in any kernel.** Every product is rounded
+//! before it is added (`mul` then `add`; never `_mm256_fmadd_ps` or
+//! `f32::mul_add`). A fused multiply-add changes the low bit, and the
+//! serve == offline, sharded == single, parallel == serial and
+//! multi == single walls all rest on one rounding sequence.
 //!
 //! The pre-blocking scalar loops survive in [`reference`]; the property
 //! tests pin the blocked kernels to them within float-reassociation
@@ -98,7 +113,8 @@ use avx::dot_tile;
 /// `mul`-then-`add` per lane, same reduction tree as the portable code.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
 mod avx {
-    use super::{reduce_lanes, DOT_LANES, ROW_TILE};
+    use super::{reduce_lanes, Lhs, DOT_LANES, ROW_TILE, SEG_STRIP};
+    use crate::Matrix;
     use core::arch::x86_64::*;
 
     /// The `T` lane-accumulator vectors of `a` against `rows` over the
@@ -215,6 +231,130 @@ mod avx {
             _mm_storeu_ps(out.as_mut_ptr(), blended);
         }
     }
+
+    /// Columns per register tile of [`matmul_tiles`]: two vectors a row.
+    const COL_TILE: usize = 2 * DOT_LANES;
+
+    /// Every whole `ROW_TILE x COL_TILE` tile of the `m x n` product
+    /// `out = a * b`, eight accumulator vectors live across the full `k`
+    /// loop: per `kk`, two loads of `b`'s row segment and four broadcasts
+    /// of `a` feed eight `mul`-then-`add`s. Each element is the
+    /// ascending-`kk` sum from `+0.0`, as in the array form.
+    ///
+    /// Returns the extents `(rows, cols)` of the top-left region of `out`
+    /// it filled; the caller computes the rest.
+    ///
+    /// # Panics
+    /// Panics if an operand is shorter than its shape.
+    #[inline]
+    pub(super) fn matmul_tiles(
+        a: Lhs<'_>,
+        b: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> (usize, usize) {
+        let (m_full, n_full) = (m - m % ROW_TILE, n - n % COL_TILE);
+        if m_full == 0 || n_full == 0 || k == 0 {
+            return (0, 0);
+        }
+        assert!(
+            (m_full - 1) * a.i_stride + (k - 1) * a.k_stride < a.data.len()
+                && k * n <= b.len()
+                && m_full * n <= out.len(),
+            "matmul_tiles: operand shorter than its shape"
+        );
+        // SAFETY: AVX is enabled for this build (the `cfg` on the module)
+        // and `loadu`/`storeu` have no alignment requirement. With
+        // `i0 + r < m_full`, `kk < k` and `j0 + COL_TILE <= n_full <= n`:
+        // the read of `a` is at most `(m_full - 1) * i_stride +
+        // (k - 1) * k_stride`, the two loads of `b` end at
+        // `kk * n + j0 + COL_TILE <= k * n`, and the two stores end at
+        // `(i0 + r) * n + j0 + COL_TILE <= m_full * n` — all inside their
+        // slices by the assert above.
+        unsafe {
+            for i0 in (0..m_full).step_by(ROW_TILE) {
+                for j0 in (0..n_full).step_by(COL_TILE) {
+                    let mut acc = [[_mm256_setzero_ps(); 2]; ROW_TILE];
+                    for kk in 0..k {
+                        let bp = b.as_ptr().add(kk * n + j0);
+                        let b0 = _mm256_loadu_ps(bp);
+                        let b1 = _mm256_loadu_ps(bp.add(DOT_LANES));
+                        let ap = a.data.as_ptr().add(i0 * a.i_stride + kk * a.k_stride);
+                        for (r, acc) in acc.iter_mut().enumerate() {
+                            let av = _mm256_set1_ps(*ap.add(r * a.i_stride));
+                            acc[0] = _mm256_add_ps(acc[0], _mm256_mul_ps(av, b0));
+                            acc[1] = _mm256_add_ps(acc[1], _mm256_mul_ps(av, b1));
+                        }
+                    }
+                    for (r, acc) in acc.iter().enumerate() {
+                        let op = out.as_mut_ptr().add((i0 + r) * n + j0);
+                        _mm256_storeu_ps(op, acc[0]);
+                        _mm256_storeu_ps(op.add(DOT_LANES), acc[1]);
+                    }
+                }
+            }
+        }
+        (m_full, n_full)
+    }
+
+    /// Columns `c .. c + 8V` of one [`super::segment_mean`] output row:
+    /// `V` accumulator vectors from `+0.0`, one `add` per member row in
+    /// list order, one `mul` by `inv` and one store.
+    #[inline(always)]
+    fn segment_strip<const V: usize>(
+        src: &Matrix,
+        seg: &[u32],
+        c: usize,
+        inv: f32,
+        out: &mut [f32],
+    ) {
+        let out = &mut out[c..c + V * DOT_LANES];
+        // SAFETY: AVX is enabled for this build and `loadu`/`storeu` have
+        // no alignment requirement. `s` and `out` are bounds-checked
+        // slices of exactly `8V` floats; each load and store covers floats
+        // `8v .. 8v + 8` of one of them with `v < V`.
+        unsafe {
+            let mut acc = [_mm256_setzero_ps(); V];
+            for &m in seg {
+                let s = &src.row(m as usize)[c..c + V * DOT_LANES];
+                for (v, acc) in acc.iter_mut().enumerate() {
+                    *acc = _mm256_add_ps(*acc, _mm256_loadu_ps(s.as_ptr().add(v * DOT_LANES)));
+                }
+            }
+            let inv = _mm256_set1_ps(inv);
+            for (v, acc) in acc.iter().enumerate() {
+                _mm256_storeu_ps(
+                    out.as_mut_ptr().add(v * DOT_LANES),
+                    _mm256_mul_ps(*acc, inv),
+                );
+            }
+        }
+    }
+
+    /// The whole-vector columns of one [`super::segment_mean`] output row,
+    /// in [`SEG_STRIP`]-column strips and then single vectors. Returns how
+    /// many leading columns of `out` it wrote; the caller computes the
+    /// rest.
+    #[inline]
+    pub(super) fn segment_mean_strips(
+        src: &Matrix,
+        seg: &[u32],
+        inv: f32,
+        out: &mut [f32],
+    ) -> usize {
+        let mut c = 0;
+        while c + SEG_STRIP <= out.len() {
+            segment_strip::<{ SEG_STRIP / DOT_LANES }>(src, seg, c, inv, out);
+            c += SEG_STRIP;
+        }
+        while c + DOT_LANES <= out.len() {
+            segment_strip::<1>(src, seg, c, inv, out);
+            c += DOT_LANES;
+        }
+        c
+    }
 }
 
 /// Lane-blocked dot product: eight independent accumulators over chunks of
@@ -249,49 +389,58 @@ fn axpy_into(dst: &mut [f32], alpha: f32, src: &[f32]) {
     }
 }
 
-/// `C = A * B` (matrix product).
-///
-/// Register-tiled micro-kernel: `ROW_TILE x DOT_LANES` output tiles are
-/// accumulated in `[f32; DOT_LANES]` arrays across the full `k` loop, so
-/// each element of `B`'s row segment is loaded once per tile instead of
-/// once per output row. Every output element is the ascending-`k` ordered
-/// sum `Σ_k a[i][k] * b[k][j]` regardless of which tile computed it, which
-/// keeps [`matmul`] and [`matmul_tn`] bit-consistent on transposed inputs.
-///
-/// # Panics
-/// Panics if `a.cols() != b.rows()`.
-pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul shape mismatch: {:?} x {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let mut out = Matrix::zeros(m, n);
-    if m == 0 || n == 0 || k == 0 {
-        return out;
+/// The left operand of [`matmul`] / [`matmul_tn`] as their shared tile
+/// loop reads it: the factor for output row `i` at reduction index `kk` is
+/// `data[i * i_stride + kk * k_stride]`. `matmul` reads `A` row-major
+/// (`i_stride = k`, `k_stride = 1`); `matmul_tn` reads `A^T` out of `A`'s
+/// own buffer (`i_stride = 1`, `k_stride = m`) without materializing it.
+#[derive(Clone, Copy)]
+struct Lhs<'a> {
+    data: &'a [f32],
+    i_stride: usize,
+    k_stride: usize,
+}
+
+impl Lhs<'_> {
+    #[inline(always)]
+    fn at(&self, i: usize, kk: usize) -> f32 {
+        self.data[i * self.i_stride + kk * self.k_stride]
     }
-    let ad = a.as_slice();
-    let bd = b.as_slice();
-    let od = out.as_mut_slice();
-    let mut i0 = 0;
-    while i0 < m {
-        let ir = ROW_TILE.min(m - i0);
-        let mut j0 = 0;
-        while j0 < n {
-            let jr = DOT_LANES.min(n - j0);
+}
+
+/// The array form of the matmul tile loop over output rows `rows` and
+/// columns `cols` of the zeroed `m x n` buffer `od`: `ROW_TILE x DOT_LANES`
+/// tiles accumulated in `[f32; DOT_LANES]` arrays across the full `k`
+/// loop, partial tiles accumulated in the output itself. Either way every
+/// element is the ascending-`kk` sum `Σ a(i, kk) * b[kk][j]` from `+0.0`.
+///
+/// The whole kernel on builds without AVX, the edge of the output that
+/// the 4x16 tiles of `avx::matmul_tiles` do not reach on builds with it,
+/// and the oracle the tests hold that tile to.
+fn matmul_tiles_portable(
+    a: Lhs<'_>,
+    bd: &[f32],
+    od: &mut [f32],
+    k: usize,
+    n: usize,
+    rows: std::ops::Range<usize>,
+    cols: std::ops::Range<usize>,
+) {
+    let mut i0 = rows.start;
+    while i0 < rows.end {
+        let ir = ROW_TILE.min(rows.end - i0);
+        let mut j0 = cols.start;
+        while j0 < cols.end {
+            let jr = DOT_LANES.min(cols.end - j0);
             if ir == ROW_TILE && jr == DOT_LANES {
                 // Full micro-tile: 4 x 8 accumulators live in registers.
                 let mut acc = [[0.0f32; DOT_LANES]; ROW_TILE];
                 for kk in 0..k {
                     let brow = &bd[kk * n + j0..kk * n + j0 + DOT_LANES];
-                    for r in 0..ROW_TILE {
-                        let av = ad[(i0 + r) * k + kk];
+                    for (r, acc_row) in acc.iter_mut().enumerate() {
+                        let av = a.at(i0 + r, kk);
                         for l in 0..DOT_LANES {
-                            acc[r][l] += av * brow[l];
+                            acc_row[l] += av * brow[l];
                         }
                     }
                 }
@@ -304,7 +453,7 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
                 for r in 0..ir {
                     let orow = &mut od[(i0 + r) * n + j0..(i0 + r) * n + j0 + jr];
                     for kk in 0..k {
-                        let av = ad[(i0 + r) * k + kk];
+                        let av = a.at(i0 + r, kk);
                         let brow = &bd[kk * n + j0..kk * n + j0 + jr];
                         for l in 0..jr {
                             orow[l] += av * brow[l];
@@ -316,17 +465,59 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
         }
         i0 += ir;
     }
+}
+
+/// The `m x n` product of `a` (`m x k` as [`Lhs`] addresses it) and `b`:
+/// whole 4x16 tiles in 256-bit registers where the build has AVX, the rest
+/// of the output — all of it where it has not — in the array form.
+fn matmul_strided(a: Lhs<'_>, b: &Matrix, m: usize, k: usize) -> Matrix {
+    let n = b.cols();
+    let mut out = Matrix::zeros(m, n);
+    let (bd, od) = (b.as_slice(), out.as_mut_slice());
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
+    let (m_done, n_done) = avx::matmul_tiles(a, bd, od, m, k, n);
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx")))]
+    let (m_done, n_done) = (0, 0);
+    matmul_tiles_portable(a, bd, od, k, n, 0..m_done, n_done..n);
+    matmul_tiles_portable(a, bd, od, k, n, m_done..m, 0..n);
     out
+}
+
+/// `C = A * B` (matrix product).
+///
+/// Register-tiled micro-kernel: each output tile is accumulated in
+/// registers across the full `k` loop, so each element of `B`'s row
+/// segment is loaded once per tile instead of once per output row. Every
+/// output element is the ascending-`k` ordered sum `Σ_k a[i][k] * b[k][j]`
+/// from `+0.0` regardless of which tile computed it; [`matmul_tn`] runs
+/// the same tile loop over a transposed read of its left operand, so the
+/// two are bit-identical on transposed inputs.
+///
+/// # Panics
+/// Panics if `a.cols() != b.rows()`.
+pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    assert_eq!(
+        a.cols(),
+        b.rows(),
+        "matmul shape mismatch: {:?} x {:?}",
+        a.shape(),
+        b.shape()
+    );
+    let (m, k) = a.shape();
+    let lhs = Lhs {
+        data: a.as_slice(),
+        i_stride: k,
+        k_stride: 1,
+    };
+    matmul_strided(lhs, b, m, k)
 }
 
 /// `C = A^T * B`.
 ///
-/// Used by matmul backward (`dW = X^T * dY`) without materializing `A^T`.
-/// Cache-blocked over output rows: a `ROW_TILE`-row band of `C` stays
-/// L1-resident while both inputs stream row-major exactly once per band,
-/// with the lane-chunked [`axpy_into`] as the inner loop. Per-element
-/// order is the ascending-`r` sum — bit-identical to
-/// `matmul(a.transposed(), b)`.
+/// Used by matmul backward (`dW = X^T * dY`) without materializing `A^T`:
+/// [`matmul`]'s tile loop with the left factor for output row `i` read
+/// down column `i` of `A`. Per-element order is the ascending-`r` sum —
+/// bit-identical to `matmul(a.transposed(), b)`.
 pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(
         a.rows(),
@@ -335,27 +526,13 @@ pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
         a.shape(),
         b.shape()
     );
-    let m = a.cols();
-    let n = b.cols();
-    let mut out = Matrix::zeros(m, n);
-    if m == 0 || n == 0 {
-        return out;
-    }
-    let od = out.as_mut_slice();
-    let mut i0 = 0;
-    while i0 < m {
-        let ir = ROW_TILE.min(m - i0);
-        let band = &mut od[i0 * n..(i0 + ir) * n];
-        for r in 0..a.rows() {
-            let a_seg = &a.row(r)[i0..i0 + ir];
-            let b_row = b.row(r);
-            for (t, &av) in a_seg.iter().enumerate() {
-                axpy_into(&mut band[t * n..(t + 1) * n], av, b_row);
-            }
-        }
-        i0 += ir;
-    }
-    out
+    let (k, m) = a.shape();
+    let lhs = Lhs {
+        data: a.as_slice(),
+        i_stride: 1,
+        k_stride: m,
+    };
+    matmul_strided(lhs, b, m, k)
 }
 
 /// `C = A * B^T`.
@@ -522,12 +699,94 @@ pub fn scatter_add_rows(dst: &mut Matrix, indices: &[u32], src: &Matrix) {
     }
 }
 
+/// Dot products of indexed row pairs, as an `n x 1` column:
+/// `out[r] = a[ia[r]] · b[ib[r]]`, read straight off the two tables.
+///
+/// Bit-identical to [`rowwise_dot`] of the two [`gather_rows`] copies —
+/// the same [`dot`] over the same rows — without making them.
+pub fn gather_dot(a: &Matrix, ia: &[u32], b: &Matrix, ib: &[u32]) -> Matrix {
+    assert_eq!(ia.len(), ib.len(), "gather_dot index count mismatch");
+    assert_eq!(a.cols(), b.cols(), "gather_dot width mismatch");
+    let mut out = Matrix::zeros(ia.len(), 1);
+    for (o, (&i, &j)) in out.as_mut_slice().iter_mut().zip(ia.iter().zip(ib)) {
+        *o = dot(a.row(i as usize), b.row(j as usize));
+    }
+    out
+}
+
+/// Scaled scatter-add between indexed rows:
+/// `dst[id[r]] += src[is[r]] * g[r]` for every `r` in order, `g` an
+/// `n x 1` column, each product rounded before it is added.
+///
+/// One side of the backward pass of [`gather_dot`]. Bit-identical to
+/// scaling the gathered rows of `src` by `g` into a copy and
+/// [`scatter_add_rows`]-ing the copy: same products, same row order.
+pub fn scatter_add_scaled_rows(dst: &mut Matrix, id: &[u32], src: &Matrix, is: &[u32], g: &Matrix) {
+    assert!(
+        id.len() == g.rows() && is.len() == g.rows() && g.cols() == 1,
+        "scatter_add_scaled_rows index count mismatch"
+    );
+    assert_eq!(
+        dst.cols(),
+        src.cols(),
+        "scatter_add_scaled_rows width mismatch"
+    );
+    for ((&d, &s), &gr) in id.iter().zip(is).zip(g.as_slice()) {
+        axpy_into(dst.row_mut(d as usize), gr, src.row(s as usize));
+    }
+}
+
+/// Columns per register strip of [`segment_mean`]: four lane vectors.
+const SEG_STRIP: usize = 4 * DOT_LANES;
+
+/// Columns `from..` of one [`segment_mean`] output row in the array form:
+/// [`SEG_STRIP`]-column strips, then single lane vectors, then single
+/// columns, each accumulated from `+0.0` over the member rows in list
+/// order and scaled by `inv` once — `(((0 + s0) + s1) + …) * inv` per
+/// element, whatever the strip width.
+///
+/// The whole row on builds without AVX (`from == 0`), the scalar tail
+/// behind `avx::segment_mean_strips` on builds with it, and the oracle the
+/// tests hold those strips to.
+fn segment_mean_row_portable(src: &Matrix, seg: &[u32], inv: f32, out: &mut [f32], from: usize) {
+    #[inline(always)]
+    fn strip<const W: usize>(src: &Matrix, seg: &[u32], c: usize, inv: f32, out: &mut [f32]) {
+        let mut acc = [0.0f32; W];
+        for &m in seg {
+            let s = &src.row(m as usize)[c..c + W];
+            for l in 0..W {
+                acc[l] += s[l];
+            }
+        }
+        for (o, a) in out[c..c + W].iter_mut().zip(acc) {
+            *o = a * inv;
+        }
+    }
+    let mut c = from;
+    while c + SEG_STRIP <= out.len() {
+        strip::<SEG_STRIP>(src, seg, c, inv, out);
+        c += SEG_STRIP;
+    }
+    while c + DOT_LANES <= out.len() {
+        strip::<DOT_LANES>(src, seg, c, inv, out);
+        c += DOT_LANES;
+    }
+    while c < out.len() {
+        strip::<1>(src, seg, c, inv, out);
+        c += 1;
+    }
+}
+
 /// Mean-aggregates rows of `src` over CSR-style segments.
 ///
 /// `offsets` has `n_out + 1` entries; output row `i` is the mean of
 /// `src[members[offsets[i]..offsets[i+1]]]`. Empty segments produce a zero
 /// row — exactly the convention of the paper's propagation (a node with no
 /// neighbours in a view contributes nothing).
+///
+/// Each output row is accumulated in registers a column strip at a time
+/// (one load per member per strip, one store per strip) instead of through
+/// a load-add-store of the output row per member.
 pub fn segment_mean(src: &Matrix, offsets: &[usize], members: &[u32]) -> Matrix {
     let n_out = offsets.len() - 1;
     let mut out = Matrix::zeros(n_out, src.cols());
@@ -538,12 +797,11 @@ pub fn segment_mean(src: &Matrix, offsets: &[usize], members: &[u32]) -> Matrix 
         }
         let inv = 1.0 / seg.len() as f32;
         let o = out.row_mut(i);
-        for &m in seg {
-            axpy_into(o, 1.0, src.row(m as usize));
-        }
-        for x in o.iter_mut() {
-            *x *= inv;
-        }
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
+        let done = avx::segment_mean_strips(src, seg, inv, o);
+        #[cfg(not(all(target_arch = "x86_64", target_feature = "avx")))]
+        let done = 0;
+        segment_mean_row_portable(src, seg, inv, o, done);
     }
     out
 }
@@ -1596,6 +1854,115 @@ mod tests {
                             "widths {wo}+{ws} alpha {alpha} item {j}: {got} vs {want}"
                         );
                     }
+                }
+            }
+        }
+    }
+    /// Every size `0..=20` (no tile, one row tile, one column tile, every
+    /// edge width on every side, empty dims) plus the widths around and at
+    /// the trainer's own.
+    fn tile_dims() -> Vec<usize> {
+        (0..=20).chain([31, 32, 33, 96]).collect()
+    }
+
+    /// [`matmul_strided`] with no AVX tile: the array form end to end.
+    fn matmul_portable(a: Lhs<'_>, b: &Matrix, m: usize, k: usize) -> Matrix {
+        let n = b.cols();
+        let mut out = Matrix::zeros(m, n);
+        matmul_tiles_portable(a, b.as_slice(), out.as_mut_slice(), k, n, 0..m, 0..n);
+        out
+    }
+
+    fn assert_same_bits(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}");
+        for (i, (&g, &w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert!(same_bits(g, w), "{what}: element {i}: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn matmul_and_matmul_tn_match_their_portable_forms_bitwise() {
+        // On builds without AVX both sides are the array form, and the
+        // test holds trivially — the same test, on both paths.
+        let dims = tile_dims();
+        let mut seed = 0u32;
+        for &mm in &dims {
+            for &kk in &dims {
+                for &nn in &dims {
+                    seed += 1;
+                    let b = Matrix::from_vec(kk, nn, awkward(kk * nn, seed));
+                    let a = Matrix::from_vec(mm, kk, awkward(mm * kk, seed ^ 0x5555));
+                    let lhs = Lhs {
+                        data: a.as_slice(),
+                        i_stride: kk,
+                        k_stride: 1,
+                    };
+                    assert_same_bits(
+                        &matmul(&a, &b),
+                        &matmul_portable(lhs, &b, mm, kk),
+                        &format!("matmul {mm}x{kk}x{nn}"),
+                    );
+                    let at = Matrix::from_vec(kk, mm, awkward(kk * mm, seed ^ 0xAAAA));
+                    let lhs = Lhs {
+                        data: at.as_slice(),
+                        i_stride: 1,
+                        k_stride: mm,
+                    };
+                    assert_same_bits(
+                        &matmul_tn(&at, &b),
+                        &matmul_portable(lhs, &b, mm, kk),
+                        &format!("matmul_tn {mm}x{kk}x{nn}"),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_tn_is_matmul_of_the_transpose_bitwise_at_training_shape() {
+        // The matmul-backward shape of the propagation FCs:
+        // `dW = X^T * dY` with 2000 users and 96-wide layers.
+        let a = Matrix::from_vec(2000, 96, awkward(2000 * 96, 11));
+        let b = Matrix::from_vec(2000, 96, awkward(2000 * 96, 12));
+        assert_same_bits(
+            &matmul_tn(&a, &b),
+            &matmul(&a.transposed(), &b),
+            "matmul_tn 2000x96x96",
+        );
+    }
+
+    #[test]
+    fn segment_mean_matches_its_portable_form_bitwise() {
+        // Empty segments (first, middle, last), duplicate members, a
+        // 1-member segment and one long enough to round differently in
+        // any other order; every strip / vector / scalar-tail split.
+        let offsets = [0usize, 0, 3, 4, 4, 11, 13, 13];
+        let members = [5u32, 0, 5, 2, 1, 6, 1, 3, 3, 4, 0, 6, 6];
+        for w in tile_dims() {
+            let src = Matrix::from_vec(7, w, awkward(7 * w, w as u32 + 40));
+            let got = segment_mean(&src, &offsets, &members);
+            let mut want = Matrix::zeros(offsets.len() - 1, w);
+            for i in 0..offsets.len() - 1 {
+                let seg = &members[offsets[i]..offsets[i + 1]];
+                if !seg.is_empty() {
+                    let inv = 1.0 / seg.len() as f32;
+                    segment_mean_row_portable(&src, seg, inv, want.row_mut(i), 0);
+                }
+            }
+            assert_same_bits(&got, &want, &format!("segment_mean w={w}"));
+            // The per-element definition, independent of any strip:
+            // `(((0 + s0) + s1) + …) * inv`.
+            for i in 0..offsets.len() - 1 {
+                let seg = &members[offsets[i]..offsets[i + 1]];
+                for c in 0..w {
+                    let mut acc = 0.0f32;
+                    for &m in seg {
+                        acc += src.get(m as usize, c);
+                    }
+                    if !seg.is_empty() {
+                        acc *= 1.0 / seg.len() as f32;
+                    }
+                    assert!(same_bits(got.get(i, c), acc), "w={w} segment {i} col {c}");
                 }
             }
         }
