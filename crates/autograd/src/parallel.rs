@@ -24,15 +24,14 @@
 //! A `threads > 1` executor owns a **persistent pool** of `threads - 1`
 //! worker threads fed through a channel (the same request/queue pattern
 //! `gb-serve`'s `RecommendService` uses). One executor serves every
-//! mini-batch of a training run, so an epoch costs zero thread spawns
-//! instead of the thousands of spawn/join round-trips the previous
-//! `std::thread::scope` implementation paid. Each [`ShardExecutor::accumulate`]
-//! call dispatches the non-first shard chunks to the pool, computes the
-//! first chunk on the caller's thread, and blocks until every dispatched
-//! chunk signals completion — only then does it touch the result slots, so
-//! borrowed state never escapes the call. Dropping the executor closes the
-//! queue and joins all workers (no leaked threads; the `--ignored` soak
-//! test counts OS threads to prove it).
+//! mini-batch of a training run, so an epoch costs zero thread spawns.
+//! Each [`ShardExecutor::accumulate`] call dispatches the non-first shard
+//! chunks to the pool, computes the first chunk on the caller's thread,
+//! and blocks until every dispatched chunk signals completion — only then
+//! does it touch the result slots, so borrowed state never escapes the
+//! call. Dropping the executor closes the queue and joins all workers (no
+//! leaked threads; the `--ignored` soak test counts OS threads to prove
+//! it).
 
 use crate::params::Gradients;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -203,11 +202,8 @@ impl Drop for ShardJobGuard {
 /// produces bit-identical results.
 pub struct ShardExecutor {
     threads: usize,
+    /// `Some` exactly when `threads > 1`.
     pool: Option<Pool>,
-    /// Legacy per-batch `std::thread::scope` spawning instead of the
-    /// pool. Numerically identical (the merge is the same); kept so the
-    /// bench runner can measure what the persistent pool saves.
-    scoped: bool,
 }
 
 impl std::fmt::Debug for ShardExecutor {
@@ -231,29 +227,12 @@ impl ShardExecutor {
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let pool = (threads > 1).then(|| Pool::start(threads - 1));
-        Self {
-            threads,
-            pool,
-            scoped: false,
-        }
+        Self { threads, pool }
     }
 
     /// The single-threaded executor.
     pub fn serial() -> Self {
         Self::new(1)
-    }
-
-    /// The legacy executor that scope-spawns fresh OS threads for every
-    /// [`ShardExecutor::accumulate`] call instead of keeping a pool.
-    /// Bit-identical results (the shard-order merge is shared); retained
-    /// only so the spawn overhead the persistent pool amortizes away
-    /// stays measurable in-repo (`gb-bench`'s `bench_report`).
-    pub fn scoped(threads: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-            pool: None,
-            scoped: true,
-        }
     }
 
     /// Configured worker-thread count.
@@ -300,30 +279,7 @@ impl ShardExecutor {
         let threads = self.threads.min(n_shards);
         let mut slots: Vec<Option<(f32, Gradients)>> = (0..n_shards).map(|_| None).collect();
         match &self.pool {
-            _ if threads <= 1 || nested => {
-                for (shard, slot) in slots.iter_mut().enumerate() {
-                    *slot = Some(shard_fn(shard));
-                }
-            }
-            _ if self.scoped => {
-                // Legacy per-batch spawning (see `ShardExecutor::scoped`).
-                let chunk = n_shards.div_ceil(threads);
-                std::thread::scope(|scope| {
-                    for (t, slot_chunk) in slots.chunks_mut(chunk).enumerate() {
-                        let shard_fn = &shard_fn;
-                        scope.spawn(move || {
-                            for (i, slot) in slot_chunk.iter_mut().enumerate() {
-                                *slot = Some(shard_fn(t * chunk + i));
-                            }
-                        });
-                    }
-                });
-            }
-            // invariant: `ShardExecutor::new` starts a pool whenever
-            // `threads > 1`, and the arms above consumed every
-            // `threads <= 1`, nested, and scoped case.
-            None => unreachable!("non-scoped executors with threads > 1 always own a pool"),
-            Some(pool) => {
+            Some(pool) if threads > 1 && !nested => {
                 // Contiguous static partition: chunk `t` owns shards
                 // `[t*chunk, (t+1)*chunk)`. No work stealing — assignment
                 // must not depend on timing (results are slotted by shard
@@ -401,6 +357,12 @@ impl ShardExecutor {
                 }
                 if let Some(payload) = worker_panic {
                     resume_unwind(payload);
+                }
+            }
+            // One thread, one shard, or a nested call.
+            _ => {
+                for (shard, slot) in slots.iter_mut().enumerate() {
+                    *slot = Some(shard_fn(shard));
                 }
             }
         }
@@ -566,15 +528,6 @@ mod tests {
                 want.get(0).unwrap().as_slice()
             );
         }
-    }
-
-    #[test]
-    fn scoped_mode_matches_pool_bitwise() {
-        let (a_loss, a) = ShardExecutor::scoped(3).accumulate(3, 7, shard_grad);
-        let (b_loss, b) = ShardExecutor::new(3).accumulate(3, 7, shard_grad);
-        assert_eq!(a_loss.to_bits(), b_loss.to_bits());
-        assert_eq!(a.get(0).unwrap().as_slice(), b.get(0).unwrap().as_slice());
-        assert_eq!(a.get(2).unwrap().as_slice(), b.get(2).unwrap().as_slice());
     }
 
     #[test]

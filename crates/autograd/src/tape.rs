@@ -121,10 +121,6 @@ pub struct Tape {
     n_inputs: usize,
     /// Set once a backward pass has consumed the closures.
     consumed: bool,
-    /// When `false`, gather backwards reproduce the seed tape's
-    /// allocate-then-add pattern (one zeroed table per gather node).
-    /// Bench-only: the A/B side of the fused-scatter comparison.
-    fused_scatter: bool,
 }
 
 impl Tape {
@@ -134,18 +130,6 @@ impl Tape {
             nodes: Vec::with_capacity(64),
             n_inputs: 0,
             consumed: false,
-            fused_scatter: true,
-        }
-    }
-
-    /// Tape whose gather backwards allocate a fresh zeroed table per
-    /// node (the seed tape's behaviour). Exists only as the "before"
-    /// side of the `BENCH_PR10` fused-scatter A/B; training uses
-    /// [`Tape::new`].
-    pub fn new_unfused() -> Self {
-        Self {
-            fused_scatter: false,
-            ..Self::new()
         }
     }
 
@@ -223,19 +207,12 @@ impl Tape {
     pub fn gather_param(&mut self, store: &ParamStore, id: ParamId, indices: Arc<Vec<u32>>) -> Var {
         let value = kernels::gather_rows(store.value(id), &indices);
         let (rows, cols) = store.value(id).shape();
-        let fused = self.fused_scatter;
         self.push(
             value,
             Some(Box::new(move |g, _ng, sinks| {
-                if fused {
-                    sinks
-                        .params
-                        .scatter_accumulate(id, rows, cols, &indices, &g);
-                } else {
-                    let mut acc = Matrix::zeros(rows, cols);
-                    kernels::scatter_add_rows(&mut acc, &indices, &g);
-                    sinks.params.accumulate(id, acc);
-                }
+                sinks
+                    .params
+                    .scatter_accumulate(id, rows, cols, &indices, &g);
             })),
         )
     }
@@ -246,17 +223,10 @@ impl Tape {
     pub fn gather(&mut self, src: Var, indices: Arc<Vec<u32>>) -> Var {
         let value = kernels::gather_rows(&self.nodes[src.0].value, &indices);
         let (rows, cols) = self.nodes[src.0].value.shape();
-        let fused = self.fused_scatter;
         self.push(
             value,
             Some(Box::new(move |g, ng, _sinks| {
-                if fused {
-                    ng.scatter_accumulate(src, rows, cols, &indices, &g);
-                } else {
-                    let mut acc = Matrix::zeros(rows, cols);
-                    kernels::scatter_add_rows(&mut acc, &indices, &g);
-                    ng.accumulate(src, acc);
-                }
+                ng.scatter_accumulate(src, rows, cols, &indices, &g);
             })),
         )
     }
@@ -897,23 +867,35 @@ mod tests {
     }
 
     #[test]
-    fn unfused_gather_backward_matches_fused() {
+    fn fused_gather_backward_matches_table_per_node_reference() {
         let (store, w) = store_with("emb", Matrix::from_fn(4, 2, |r, c| (r + c) as f32 * 0.3));
-        let run = |mut t: Tape| {
-            let wv = t.param(&store, w);
-            let g1 = t.gather(wv, Arc::new(vec![0, 2, 2]));
-            let g2 = t.gather(wv, Arc::new(vec![1, 2]));
-            let s1 = t.sum_all(g1);
-            let s2 = t.sum_all(g2);
-            let loss = t.add(s1, s2);
-            t.backward(loss, &store)
+        // Row 2 repeats inside the first gather and recurs in the second.
+        let (idx1, idx2) = (vec![0u32, 2, 2], vec![1u32, 2]);
+        // Dyadic weights: every partial sum below is exact in any order.
+        let (w1, w2) = (0.5f32, 0.25f32);
+
+        let mut t = Tape::new();
+        let wv = t.param(&store, w);
+        let g1 = t.gather(wv, Arc::new(idx1.clone()));
+        let g2 = t.gather(wv, Arc::new(idx2.clone()));
+        let s1 = t.sum_all(g1);
+        let s2 = t.sum_all(g2);
+        let s1 = t.scale(s1, w1);
+        let s2 = t.scale(s2, w2);
+        let loss = t.add(s1, s2);
+        let fused = t.backward(loss, &store);
+
+        // Reference: one zeroed table per gather node, summed afterwards.
+        let table_of = |idx: &[u32], weight: f32| {
+            let mut table = Matrix::zeros(4, 2);
+            kernels::scatter_add_rows(&mut table, idx, &Matrix::full(idx.len(), 2, weight));
+            table
         };
-        let fused = run(Tape::new());
-        let unfused = run(Tape::new_unfused());
-        assert_eq!(
-            fused.get(w).unwrap().as_slice(),
-            unfused.get(w).unwrap().as_slice()
-        );
+        let mut want = table_of(&idx2, w2);
+        kernels::add_assign(&mut want, &table_of(&idx1, w1));
+
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(fused.get(w).unwrap()), bits(&want));
     }
 
     // ----- gather_dot == gather + gather + rowwise_dot ---------------------

@@ -115,7 +115,9 @@ pub struct GbgcnModel {
     params: PropParams,
     graphs: HeteroGraphs,
     social: Csr,
-    dataset: Dataset,
+    /// The construction-time training set, which
+    /// [`GbgcnModel::measure_epoch_secs_parallel`] draws its batches from.
+    dataset: Arc<Dataset>,
     finals: Option<FinalEmbeddings>,
     /// Counts full GBGCN propagation forward passes — observability for
     /// the shared-forward contract (`sharded_grad` runs `propagate`
@@ -123,9 +125,8 @@ pub struct GbgcnModel {
     propagate_calls: AtomicU64,
 }
 
-/// Tape vars of the propagated tables Eq. 9 reads, whether they live on
-/// a full forward tape (serial path) or entered a shard tape as `input`
-/// leaves (shared-forward path).
+/// Tape vars of the propagated tables Eq. 9 reads — a shard tape's
+/// `input` leaves.
 struct ScoreTables {
     u_hat_i: Var,
     v_hat_i: Var,
@@ -159,21 +160,9 @@ struct RegRows {
     users: Arc<Vec<u32>>,
     items: Arc<Vec<u32>>,
     /// Rows of `users` in the `user_raw` / raw-friend-mean tables the
-    /// social term reads: `users` itself for full tables, `0..n` for a
-    /// shard's compact ones.
+    /// social term reads: `0..n` for a shard's compact tables (`users`
+    /// itself for the full tables the test oracles bind).
     user_rows: Arc<Vec<u32>>,
-}
-
-impl RegRows {
-    /// Everything `batch` touches, read off full tables at global ids.
-    fn of(batch: &LossBatch) -> Self {
-        let users = Arc::new(batch.touched_users());
-        Self {
-            user_rows: Arc::clone(&users),
-            users,
-            items: Arc::new(batch.touched_items()),
-        }
-    }
 }
 
 /// Everything one shard's private tape reads: its pairs, and the shared
@@ -185,6 +174,17 @@ struct ShardInputs {
     /// The shared tables in [`GbgcnModel::shared_forward`] slot order,
     /// bound as `input` leaves.
     tables: Vec<Arc<Matrix>>,
+}
+
+/// What one run of [`GbgcnModel::train`] reads besides the model: the
+/// batch source and the RNG stream that shuffles it and samples its
+/// negatives, and the shard decomposition the gradients run under.
+struct TrainRun<'a> {
+    train: &'a Dataset,
+    sampler: NegativeSampler,
+    rng: StdRng,
+    executor: ShardExecutor,
+    n_shards: usize,
 }
 
 /// Scores the four pair lists of `batch` through `score(users, items)` in
@@ -219,14 +219,14 @@ impl GbgcnModel {
             params,
             graphs,
             social,
-            dataset: train.clone(),
+            dataset: Arc::new(train.clone()),
             finals: None,
             propagate_calls: AtomicU64::new(0),
         }
     }
 
     /// Number of full propagation forward passes run so far (tests and
-    /// benches assert the shared-forward once-per-batch contract on it).
+    /// `gbbench` assert the shared-forward once-per-batch contract on it).
     pub fn propagation_forward_count(&self) -> u64 {
         self.propagate_calls.load(Ordering::Relaxed)
     }
@@ -291,10 +291,9 @@ impl GbgcnModel {
     /// over `n_behaviors` behaviors, then adds L2 and social regularization
     /// on the raw embeddings at `reg`'s rows.
     ///
-    /// `social_vars`, when given, are `(user_raw, raw_friend_mean)` tables
-    /// already on the tape (shard tapes pass their `input` leaves); when
-    /// `None` the social-reg term records its own param node and segment
-    /// mean (the replicated/serial path).
+    /// `social_vars` are the `(user_raw, raw_friend_mean)` tables on the
+    /// tape (shard tapes pass their `input` leaves), `Some` exactly when
+    /// social regularization is on.
     fn assemble_loss(
         &self,
         tape: &mut Tape,
@@ -326,13 +325,7 @@ impl GbgcnModel {
         let mut loss = tape.add(norm, l2);
 
         // Social regularization [1] on raw user embeddings.
-        if self.cfg.social_reg > 0.0 {
-            let (u_full, fm_raw) = social_vars.unwrap_or_else(|| {
-                let u_full = tape.param(&self.store, self.params.user_raw);
-                let fm_raw =
-                    tape.segment_mean(u_full, self.social.offsets(), self.social.members());
-                (u_full, fm_raw)
-            });
+        if let Some((u_full, fm_raw)) = social_vars {
             let ub = tape.gather(u_full, reg.user_rows.clone());
             let fmb = tape.gather(fm_raw, reg.user_rows.clone());
             let gap = tape.sub(ub, fmb);
@@ -341,64 +334,6 @@ impl GbgcnModel {
             loss = tape.add(loss, reg);
         }
         loss
-    }
-
-    /// Replicated-forward gradient of the full model on one batch: the
-    /// whole pass — propagation included — is recorded on one tape.
-    /// Pure in `(self, batch)`. This is the serial validation trainer's
-    /// step and the "before" side of the shared-forward bench A/B; the
-    /// sharded trainer shares one propagation per batch instead
-    /// ([`GbgcnModel::sharded_grad`]).
-    fn finetune_grad(&self, batch: &LossBatch) -> (f32, Gradients) {
-        let mut tape = Tape::new();
-        let ve = self.propagate_counted(&mut tape);
-        let friend_mean =
-            tape.segment_mean(ve.u_hat_p, self.social.offsets(), self.social.members());
-        let st = ScoreTables {
-            u_hat_i: ve.u_hat_i,
-            v_hat_i: ve.v_hat_i,
-            v_hat_p: ve.v_hat_p,
-            friend_mean,
-        };
-        let scores = score_pairs(batch, |users, items| {
-            self.tape_scores(&mut tape, &st, users, items)
-        });
-        let reg = RegRows::of(batch);
-        let loss = self.assemble_loss(&mut tape, batch.n_behaviors, scores, &reg, None);
-        let value = tape.value(loss).get(0, 0);
-        let grads = tape.backward(loss, &self.store);
-        (value, grads)
-    }
-
-    /// One full-model training step; returns the batch loss.
-    fn finetune_step(&mut self, batch: &LossBatch, sgd: &Sgd) -> f32 {
-        let (value, grads) = self.finetune_grad(batch);
-        sgd.step(&mut self.store, &grads);
-        value
-    }
-
-    /// Replicated-forward gradient of the propagation-free pre-training
-    /// model on one batch; returns `(loss, gradients)` without stepping.
-    /// Serial counterpart of [`GbgcnModel::shard_grad`].
-    fn pretrain_grad(&self, batch: &LossBatch) -> (f32, Gradients) {
-        let mut tape = Tape::new();
-        let u_raw = tape.param(&self.store, self.params.user_raw);
-        let friend_mean = tape.segment_mean(u_raw, self.social.offsets(), self.social.members());
-        let scores = score_pairs(batch, |users, items| {
-            self.pretrain_scores(&mut tape, u_raw, friend_mean, users, items)
-        });
-        let reg = RegRows::of(batch);
-        let loss = self.assemble_loss(&mut tape, batch.n_behaviors, scores, &reg, None);
-        let value = tape.value(loss).get(0, 0);
-        let grads = tape.backward(loss, &self.store);
-        (value, grads)
-    }
-
-    /// One pre-training step on the propagation-free model.
-    fn pretrain_step(&mut self, batch: &LossBatch, adam: &mut Adam) -> f32 {
-        let (value, grads) = self.pretrain_grad(batch);
-        adam.step(&mut self.store, &grads);
-        value
     }
 
     /// Records the per-batch shared forward pass: one propagation (or
@@ -498,6 +433,7 @@ impl GbgcnModel {
             .iter()
             .map(|t| tape.input(Arc::clone(t)))
             .collect();
+        let social_reg = self.cfg.social_reg > 0.0;
         let (scores, social_vars) = if finetune {
             let st = ScoreTables {
                 u_hat_i: inputs[0],
@@ -508,14 +444,13 @@ impl GbgcnModel {
             let scores = score_pairs(&shard.batch, |users, items| {
                 self.tape_scores(&mut tape, &st, users, items)
             });
-            let social_vars = (self.cfg.social_reg > 0.0).then(|| (inputs[4], inputs[5]));
-            (scores, social_vars)
+            (scores, social_reg.then(|| (inputs[4], inputs[5])))
         } else {
             let (u_raw, friend_mean) = (inputs[0], inputs[1]);
             let scores = score_pairs(&shard.batch, |users, items| {
                 self.pretrain_scores(&mut tape, u_raw, friend_mean, users, items)
             });
-            (scores, Some((u_raw, friend_mean)))
+            (scores, social_reg.then_some((u_raw, friend_mean)))
         };
         let n_behaviors = shard.batch.n_behaviors;
         let loss = self.assemble_loss(&mut tape, n_behaviors, scores, &shard.reg, social_vars);
@@ -617,25 +552,6 @@ impl GbgcnModel {
         (loss, grads)
     }
 
-    /// Per-shard replicated-forward gradient: every shard replays the
-    /// full propagation on its own tape (the pre-shared-forward recipe).
-    /// Kept only as the "before" side of the `BENCH_PR10` epoch-time A/B
-    /// ([`GbgcnModel::measure_epoch_secs_replicated`]).
-    fn sharded_grad_replicated(
-        &self,
-        batch: &LossBatch,
-        n_shards: usize,
-        executor: &ShardExecutor,
-    ) -> (f32, Gradients) {
-        if batch.is_empty() {
-            return (0.0, Gradients::empty(self.store.len()));
-        }
-        let shards = batch.split(n_shards);
-        executor.accumulate(self.store.len(), shards.len(), |s| {
-            self.finetune_grad(&shards[s])
-        })
-    }
-
     /// Runs the full forward pass once and caches all twelve propagated
     /// tables (`Arc`-shared off the tape — no copies) for scoring and
     /// analysis. `embedding_analysis` reads this cache instead of
@@ -665,13 +581,113 @@ impl GbgcnModel {
         PropagatedTables::capture(&tape, &ve).to_analysis()
     }
 
+    /// One epoch of either trainer stage: shuffles `run.train` and, per
+    /// mini-batch, samples its negatives, takes the sharded gradient and
+    /// hands it to `step`. Returns the mean batch loss.
+    fn run_epoch(
+        &mut self,
+        run: &mut TrainRun<'_>,
+        finetune: bool,
+        mut step: impl FnMut(&mut ParamStore, &Gradients),
+    ) -> f32 {
+        let n = run.train.behaviors().len();
+        let mut loss_sum = 0.0f32;
+        let mut n_batches = 0;
+        for batch_idx in shuffled_batches(n, self.cfg.batch_size, &mut run.rng) {
+            let batch = LossBatch::build(
+                run.train,
+                &batch_idx,
+                self.cfg.neg_ratio,
+                &run.sampler,
+                &mut run.rng,
+            );
+            let (loss, grads) = self.sharded_grad(&batch, run.n_shards, &run.executor, finetune);
+            step(&mut self.store, &grads);
+            loss_sum += loss;
+            n_batches += 1;
+        }
+        loss_sum / n_batches.max(1) as f32
+    }
+
+    /// The one training loop (Sec. III-C.3) under every public trainer
+    /// entry point: `pretrain_epochs` of Adam on the propagation-free
+    /// model followed by row normalization of the raw embeddings, then
+    /// `finetune_epochs` of clipped SGD on the full model, with
+    /// `after_epoch(self, epoch)` called after each fine-tuning epoch
+    /// (inside the timed region). Every mini-batch (negative sampling
+    /// included) is assembled on the calling thread from one RNG stream
+    /// seeded with `seed`. Leaves finalization to the caller.
+    fn train(
+        &mut self,
+        train: &Dataset,
+        par: &ParallelTrainConfig,
+        seed: u64,
+        (pretrain_epochs, finetune_epochs): (usize, usize),
+        mut after_epoch: impl FnMut(&mut Self, usize),
+    ) -> TrainReport {
+        assert_eq!(
+            train.n_users(),
+            self.graphs.n_users(),
+            "dataset/user mismatch"
+        );
+        assert_eq!(
+            train.n_items(),
+            self.graphs.n_items(),
+            "dataset/item mismatch"
+        );
+        let mut run = TrainRun {
+            train,
+            executor: ShardExecutor::new(par.n_threads),
+            n_shards: par.n_shards.max(1),
+            rng: StdRng::seed_from_u64(seed),
+            sampler: NegativeSampler::from_dataset(train),
+        };
+
+        // --- stage 1: Adam pre-training of the simplified model, then
+        // normalization of the pre-trained embeddings ---------------------
+        if pretrain_epochs > 0 {
+            let mut adam = Adam::new(AdamConfig::with_lr(self.cfg.pretrain_lr), &self.store);
+            for epoch in 0..pretrain_epochs {
+                let loss = self.run_epoch(&mut run, false, |store, grads| adam.step(store, grads));
+                if self.cfg.verbose {
+                    let n_shards = run.n_shards;
+                    eprintln!("[GBGCN pre-train x{n_shards}] epoch {epoch}: loss {loss:.4}");
+                }
+            }
+            for id in [self.params.user_raw, self.params.item_raw] {
+                let normalized = kernels::normalize_rows(self.store.value(id));
+                *self.store.value_mut(id) = normalized;
+            }
+        }
+
+        // --- stage 2: SGD fine-tuning of the full model -------------------
+        let sgd = Sgd::new(self.cfg.finetune_lr).with_clip_norm(10.0);
+        let mut final_loss = 0.0f32;
+        let start = Instant::now();
+        for epoch in 0..finetune_epochs {
+            final_loss = self.run_epoch(&mut run, true, |store, grads| sgd.step(store, grads));
+            if self.cfg.verbose {
+                let n_shards = run.n_shards;
+                eprintln!("[GBGCN fine-tune x{n_shards}] epoch {epoch}: loss {final_loss:.4}");
+            }
+            after_epoch(self, epoch);
+        }
+        let elapsed = start.elapsed().as_secs_f64();
+        TrainReport {
+            epochs: pretrain_epochs + finetune_epochs,
+            mean_epoch_secs: elapsed / finetune_epochs.max(1) as f64,
+            final_loss,
+        }
+    }
+
     /// Fits with validation-based model selection (Sec. IV-A.2: "we save
     /// the model that has the best performance on the validation set").
     ///
-    /// Runs the usual pre-train → fine-tune pipeline, but every
-    /// `check_every` fine-tuning epochs evaluates NDCG@10 on the
-    /// validation instances and snapshots the parameters when it improves;
-    /// the best snapshot is restored before finalization.
+    /// The same parameter trajectory as [`Recommender::fit`], but every
+    /// `check_every` fine-tuning epochs (and after the last one) NDCG@10
+    /// on the validation instances is evaluated and the parameters are
+    /// snapshotted when it improves; the best snapshot is restored before
+    /// finalization. With no validation instances this is exactly `fit`.
     pub fn fit_with_validation(
         &mut self,
         train: &Dataset,
@@ -681,66 +697,46 @@ impl GbgcnModel {
         use gb_autograd::checkpoint;
         use gb_eval::EvalProtocol;
 
-        let cfg = self.cfg.clone();
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let GbgcnConfig {
+            seed,
+            pretrain_epochs,
+            finetune_epochs,
+            verbose,
+            ..
+        } = self.cfg;
         let sampler = NegativeSampler::from_dataset(train);
-        let n = train.behaviors().len();
         let protocol = EvalProtocol::exhaustive();
-
-        // Pre-training identical to `fit`.
-        let mut adam = Adam::new(AdamConfig::with_lr(cfg.pretrain_lr), &self.store);
-        for _ in 0..cfg.pretrain_epochs {
-            for batch_idx in shuffled_batches(n, cfg.batch_size, &mut rng) {
-                let batch = LossBatch::build(train, &batch_idx, cfg.neg_ratio, &sampler, &mut rng);
-                self.pretrain_step(&batch, &mut adam);
-            }
-        }
-        if cfg.pretrain_epochs > 0 {
-            for id in [self.params.user_raw, self.params.item_raw] {
-                let normalized = kernels::normalize_rows(self.store.value(id));
-                *self.store.value_mut(id) = normalized;
-            }
-        }
-
-        // Fine-tuning with periodic validation checkpoints.
-        let sgd = Sgd::new(cfg.finetune_lr).with_clip_norm(10.0);
-        let mut best_snapshot = checkpoint::snapshot(&self.store);
+        let mut best_snapshot = None;
         let mut best_score = f64::NEG_INFINITY;
-        let mut final_loss = 0.0f32;
-        let start = Instant::now();
-        for epoch in 0..cfg.finetune_epochs {
-            let mut loss_sum = 0.0f32;
-            let mut n_batches = 0;
-            for batch_idx in shuffled_batches(n, cfg.batch_size, &mut rng) {
-                let batch = LossBatch::build(train, &batch_idx, cfg.neg_ratio, &sampler, &mut rng);
-                loss_sum += self.finetune_step(&batch, &sgd);
-                n_batches += 1;
-            }
-            final_loss = loss_sum / n_batches.max(1) as f32;
-            let last = epoch + 1 == cfg.finetune_epochs;
-            if !validation.is_empty() && (epoch % check_every.max(1) == 0 || last) {
-                self.finalize();
-                let m = protocol.evaluate(self, validation, &sampler, train.n_items());
+        let report = self.train(
+            train,
+            &ParallelTrainConfig::serial(),
+            seed,
+            (pretrain_epochs, finetune_epochs),
+            |model, epoch| {
+                let due = epoch % check_every.max(1) == 0 || epoch + 1 == finetune_epochs;
+                if validation.is_empty() || !due {
+                    return;
+                }
+                model.finalize();
+                let m = protocol.evaluate(model, validation, &sampler, train.n_items());
                 let score = m.ndcg_at(10);
                 if score > best_score {
                     best_score = score;
-                    best_snapshot = checkpoint::snapshot(&self.store);
+                    best_snapshot = Some(checkpoint::snapshot(&model.store));
                 }
-                if cfg.verbose {
+                if verbose {
                     eprintln!(
                         "[GBGCN validate] epoch {epoch}: NDCG@10 {score:.4} (best {best_score:.4})"
                     );
                 }
-            }
+            },
+        );
+        if let Some(best) = &best_snapshot {
+            checkpoint::restore(&mut self.store, best);
         }
-        let elapsed = start.elapsed().as_secs_f64();
-        checkpoint::restore(&mut self.store, &best_snapshot);
         self.finalize();
-        TrainReport {
-            epochs: cfg.pretrain_epochs + cfg.finetune_epochs,
-            mean_epoch_secs: elapsed / cfg.finetune_epochs.max(1) as f64,
-            final_loss,
-        }
+        report
     }
 
     /// Saves the trained parameters as a JSON checkpoint.
@@ -795,139 +791,49 @@ impl GbgcnModel {
         par: &ParallelTrainConfig,
         handle: Option<&SnapshotHandle>,
     ) -> TrainReport {
-        assert_eq!(
-            train.n_users(),
-            self.graphs.n_users(),
-            "dataset/user mismatch"
-        );
-        assert_eq!(
-            train.n_items(),
-            self.graphs.n_items(),
-            "dataset/item mismatch"
-        );
-        let cfg = self.cfg.clone();
-        let executor = ShardExecutor::new(par.n_threads);
-        let n_shards = par.n_shards.max(1);
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let sampler = NegativeSampler::from_dataset(train);
-        let n = train.behaviors().len();
-
-        // --- stage 1: Adam pre-training of the simplified model ---------
-        let mut adam = Adam::new(AdamConfig::with_lr(cfg.pretrain_lr), &self.store);
-        for epoch in 0..cfg.pretrain_epochs {
-            let mut loss_sum = 0.0f32;
-            let mut n_batches = 0;
-            for batch_idx in shuffled_batches(n, cfg.batch_size, &mut rng) {
-                let batch = LossBatch::build(train, &batch_idx, cfg.neg_ratio, &sampler, &mut rng);
-                let (loss, grads) = self.sharded_grad(&batch, n_shards, &executor, false);
-                adam.step(&mut self.store, &grads);
-                loss_sum += loss;
-                n_batches += 1;
-            }
-            if cfg.verbose {
-                eprintln!(
-                    "[GBGCN pre-train x{n_shards}] epoch {epoch}: loss {:.4}",
-                    loss_sum / n_batches.max(1) as f32
-                );
-            }
-        }
-
-        // --- normalization of pre-trained embeddings ---------------------
-        if cfg.pretrain_epochs > 0 {
-            for id in [self.params.user_raw, self.params.item_raw] {
-                let normalized = kernels::normalize_rows(self.store.value(id));
-                *self.store.value_mut(id) = normalized;
-            }
-        }
-
-        // --- stage 2: SGD fine-tuning with incremental refresh -----------
-        let sgd = Sgd::new(cfg.finetune_lr).with_clip_norm(10.0);
-        let mut final_loss = 0.0f32;
-        let start = Instant::now();
-        for epoch in 0..cfg.finetune_epochs {
-            let mut loss_sum = 0.0f32;
-            let mut n_batches = 0;
-            for batch_idx in shuffled_batches(n, cfg.batch_size, &mut rng) {
-                let batch = LossBatch::build(train, &batch_idx, cfg.neg_ratio, &sampler, &mut rng);
-                let (loss, grads) = self.sharded_grad(&batch, n_shards, &executor, true);
-                sgd.step(&mut self.store, &grads);
-                loss_sum += loss;
-                n_batches += 1;
-            }
-            final_loss = loss_sum / n_batches.max(1) as f32;
-            if cfg.verbose {
-                eprintln!("[GBGCN fine-tune x{n_shards}] epoch {epoch}: loss {final_loss:.4}");
-            }
-            if let Some(handle) = handle {
-                if par.refresh_every > 0 && (epoch + 1) % par.refresh_every == 0 {
-                    self.finalize();
-                    handle.publish(self.export_snapshot());
+        let GbgcnConfig {
+            seed,
+            pretrain_epochs,
+            finetune_epochs,
+            ..
+        } = self.cfg;
+        let report = self.train(
+            train,
+            par,
+            seed,
+            (pretrain_epochs, finetune_epochs),
+            |model, epoch| {
+                if let Some(handle) = handle {
+                    if par.refresh_every > 0 && (epoch + 1) % par.refresh_every == 0 {
+                        model.finalize();
+                        handle.publish(model.export_snapshot());
+                    }
                 }
-            }
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-
+            },
+        );
         self.finalize();
         if let Some(handle) = handle {
             // Skip the final export when the cadence already published
             // after the last epoch — the tables are identical, and a
             // redundant version would only invalidate the serving cache.
             let cadence_covered_last_epoch = par.refresh_every > 0
-                && cfg.finetune_epochs > 0
-                && cfg.finetune_epochs.is_multiple_of(par.refresh_every);
+                && finetune_epochs > 0
+                && finetune_epochs.is_multiple_of(par.refresh_every);
             if !cadence_covered_last_epoch {
                 handle.publish(self.export_snapshot());
             }
         }
-        TrainReport {
-            epochs: cfg.pretrain_epochs + cfg.finetune_epochs,
-            mean_epoch_secs: elapsed / cfg.finetune_epochs.max(1) as f64,
-            final_loss,
-        }
+        report
     }
 
     /// Parallel counterpart of [`GbgcnModel::measure_epoch_secs`]: mean
-    /// wall-clock seconds of one sharded fine-tuning epoch under `par`.
+    /// wall-clock seconds of one sharded fine-tuning epoch under `par`,
+    /// over the construction-time dataset and an RNG stream of its own.
     pub fn measure_epoch_secs_parallel(&mut self, n: usize, par: &ParallelTrainConfig) -> f64 {
-        self.measure_epoch_loop(n, par, true)
-    }
-
-    /// Epoch timing of the pre-shared-forward recipe: every shard
-    /// replays the full propagation forward on its own tape. Kept only
-    /// as the "before" side of the `BENCH_PR10` shared-forward A/B.
-    pub fn measure_epoch_secs_replicated(&mut self, n: usize, par: &ParallelTrainConfig) -> f64 {
-        self.measure_epoch_loop(n, par, false)
-    }
-
-    fn measure_epoch_loop(&mut self, n: usize, par: &ParallelTrainConfig, shared: bool) -> f64 {
-        let executor = ShardExecutor::new(par.n_threads);
-        let n_shards = par.n_shards.max(1);
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xBEEF);
-        let sampler = NegativeSampler::from_dataset(&self.dataset);
-        let sgd = Sgd::new(self.cfg.finetune_lr).with_clip_norm(10.0);
-        let start = Instant::now();
-        for _ in 0..n.max(1) {
-            for batch_idx in shuffled_batches(
-                self.dataset.behaviors().len(),
-                self.cfg.batch_size,
-                &mut rng,
-            ) {
-                let batch = LossBatch::build(
-                    &self.dataset,
-                    &batch_idx,
-                    self.cfg.neg_ratio,
-                    &sampler,
-                    &mut rng,
-                );
-                let (_, grads) = if shared {
-                    self.sharded_grad(&batch, n_shards, &executor, true)
-                } else {
-                    self.sharded_grad_replicated(&batch, n_shards, &executor)
-                };
-                sgd.step(&mut self.store, &grads);
-            }
-        }
-        start.elapsed().as_secs_f64() / n.max(1) as f64
+        let dataset = Arc::clone(&self.dataset);
+        let seed = self.cfg.seed ^ 0xBEEF;
+        self.train(&dataset, par, seed, (0, n.max(1)), |_, _| {})
+            .mean_epoch_secs
     }
 }
 
@@ -1001,6 +907,62 @@ mod tests {
         generate(&SynthConfig::tiny())
     }
 
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Everything `batch` touches, read off full tables at global ids.
+    fn full_table_rows(batch: &LossBatch) -> RegRows {
+        let users = Arc::new(batch.touched_users());
+        RegRows {
+            user_rows: Arc::clone(&users),
+            users,
+            items: Arc::new(batch.touched_items()),
+        }
+    }
+
+    /// The single-tape fine-tuning recipe, kept as the oracle of the
+    /// shared-forward decomposition: the whole pass on one batch —
+    /// propagation included — recorded on one tape.
+    fn finetune_grad(m: &GbgcnModel, batch: &LossBatch) -> (f32, Gradients) {
+        let mut tape = Tape::new();
+        let ve = m.propagate_counted(&mut tape);
+        let friend_mean = tape.segment_mean(ve.u_hat_p, m.social.offsets(), m.social.members());
+        let st = ScoreTables {
+            u_hat_i: ve.u_hat_i,
+            v_hat_i: ve.v_hat_i,
+            v_hat_p: ve.v_hat_p,
+            friend_mean,
+        };
+        let scores = score_pairs(batch, |users, items| {
+            m.tape_scores(&mut tape, &st, users, items)
+        });
+        let social_vars = (m.cfg.social_reg > 0.0).then(|| {
+            let u_full = tape.param(&m.store, m.params.user_raw);
+            let fm_raw = tape.segment_mean(u_full, m.social.offsets(), m.social.members());
+            (u_full, fm_raw)
+        });
+        let reg = full_table_rows(batch);
+        let loss = m.assemble_loss(&mut tape, batch.n_behaviors, scores, &reg, social_vars);
+        let value = tape.value(loss).get(0, 0);
+        (value, tape.backward(loss, &m.store))
+    }
+
+    /// Single-tape oracle of the propagation-free pre-training stage.
+    fn pretrain_grad(m: &GbgcnModel, batch: &LossBatch) -> (f32, Gradients) {
+        let mut tape = Tape::new();
+        let u_raw = tape.param(&m.store, m.params.user_raw);
+        let friend_mean = tape.segment_mean(u_raw, m.social.offsets(), m.social.members());
+        let scores = score_pairs(batch, |users, items| {
+            m.pretrain_scores(&mut tape, u_raw, friend_mean, users, items)
+        });
+        let social_vars = (m.cfg.social_reg > 0.0).then_some((u_raw, friend_mean));
+        let reg = full_table_rows(batch);
+        let loss = m.assemble_loss(&mut tape, batch.n_behaviors, scores, &reg, social_vars);
+        let value = tape.value(loss).get(0, 0);
+        (value, tape.backward(loss, &m.store))
+    }
+
     /// The dense-table recipe [`GbgcnModel::sharded_grad`] replaced, kept
     /// as its oracle: every shard binds the *full* shared tables at global
     /// ids and returns full-size cotangents, the calling thread sums them
@@ -1026,7 +988,7 @@ mod tests {
             .split(n_shards)
             .into_iter()
             .map(|shard| ShardInputs {
-                reg: RegRows::of(&shard),
+                reg: full_table_rows(&shard),
                 batch: shard,
                 tables: tables.clone(),
             })
@@ -1086,8 +1048,6 @@ mod tests {
             assert_eq!(grads.touched(), want.touched(), "{what}: touched params");
             for ((id, g), (want_id, w)) in grads.iter().zip(want.iter()) {
                 assert_eq!(id, want_id, "{what}");
-                let bits =
-                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(g), bits(w), "{what}: gradient of {}", m.store.name(id));
             }
         }
@@ -1488,27 +1448,34 @@ mod tests {
     #[test]
     fn shared_forward_matches_replicated_recipe() {
         // The shared-forward decomposition is mathematically identical to
-        // the per-shard replicated forward: bitwise-equal loss (forward
-        // values are the same computation) and gradients equal up to
-        // float re-association in the backward reduction.
+        // every shard recording its whole pass on a tape of its own:
+        // bitwise-equal loss (forward values are the same computation) and
+        // gradients equal up to float re-association in the backward
+        // reduction — in both trainer stages.
+        type Oracle = fn(&GbgcnModel, &LossBatch) -> (f32, Gradients);
         let d = tiny_train();
         let m = GbgcnModel::new(GbgcnConfig::test_config(), &d);
         let sampler = NegativeSampler::from_dataset(&d);
         let mut rng = StdRng::seed_from_u64(5);
         let batch = LossBatch::build(&d, &[0, 2, 4, 6], 2, &sampler, &mut rng);
         let executor = ShardExecutor::new(3);
-        for n_shards in [1usize, 4] {
-            let (shared_loss, shared) = m.sharded_grad(&batch, n_shards, &executor, true);
-            let (repl_loss, repl) = m.sharded_grad_replicated(&batch, n_shards, &executor);
-            assert_eq!(shared_loss, repl_loss, "{n_shards} shards");
-            assert_eq!(shared.touched(), repl.touched(), "{n_shards} shards");
-            for ((id_a, ga), (id_b, gb)) in shared.iter().zip(repl.iter()) {
-                assert_eq!(id_a, id_b);
-                for (x, y) in ga.as_slice().iter().zip(gb.as_slice()) {
-                    assert!(
-                        (x - y).abs() <= 1e-4 * x.abs().max(y.abs()).max(1.0),
-                        "param {id_a}: {x} vs {y} ({n_shards} shards)"
-                    );
+        for (finetune, oracle) in [(true, finetune_grad as Oracle), (false, pretrain_grad)] {
+            for n_shards in [1usize, 4] {
+                let what = format!("finetune {finetune}, {n_shards} shards");
+                let (shared_loss, shared) = m.sharded_grad(&batch, n_shards, &executor, finetune);
+                let shards = batch.split(n_shards);
+                let (want_loss, want) =
+                    executor.accumulate(m.store.len(), shards.len(), |s| oracle(&m, &shards[s]));
+                assert_eq!(shared_loss.to_bits(), want_loss.to_bits(), "{what}");
+                assert_eq!(shared.touched(), want.touched(), "{what}");
+                for ((id_a, ga), (id_b, gb)) in shared.iter().zip(want.iter()) {
+                    assert_eq!(id_a, id_b);
+                    for (x, y) in ga.as_slice().iter().zip(gb.as_slice()) {
+                        assert!(
+                            (x - y).abs() <= 1e-4 * x.abs().max(y.abs()).max(1.0),
+                            "param {id_a}: {x} vs {y} ({what})"
+                        );
+                    }
                 }
             }
         }
@@ -1574,6 +1541,7 @@ mod tests {
     #[test]
     fn validation_fit_never_returns_a_worse_model_than_its_best_checkpoint() {
         use gb_data::split::leave_one_out;
+        use gb_eval::EvalProtocol;
         let d = tiny_train();
         let split = leave_one_out(&d, 3);
         let cfg = GbgcnConfig {
@@ -1581,11 +1549,50 @@ mod tests {
             finetune_epochs: 8,
             ..GbgcnConfig::test_config()
         };
-        let mut m = GbgcnModel::new(cfg, &split.train);
-        let report = m.fit_with_validation(&split.train, &split.validation, 2);
+        let sampler = NegativeSampler::from_dataset(&split.train);
+        let validation_ndcg = |m: &GbgcnModel| {
+            EvalProtocol::exhaustive()
+                .evaluate(m, &split.validation, &sampler, split.train.n_items())
+                .ndcg_at(10)
+        };
+        let mut selected = GbgcnModel::new(cfg.clone(), &split.train);
+        let report = selected.fit_with_validation(&split.train, &split.validation, 2);
         assert!(report.final_loss.is_finite());
-        // The returned model scores finitely and the validation machinery
-        // restored a snapshot (scoring works without an explicit fit()).
-        assert!(m.score_items(0, &[0, 1, 2]).iter().all(|s| s.is_finite()));
+        // `fit` is the same trajectory without selection, i.e. the last
+        // checkpoint, which is always among those compared.
+        let mut last = GbgcnModel::new(cfg, &split.train);
+        last.fit(&split.train);
+        let (selected, last) = (validation_ndcg(&selected), validation_ndcg(&last));
+        assert!(
+            selected >= last,
+            "selected model NDCG@10 {selected} < last epoch's {last}"
+        );
+    }
+
+    #[test]
+    fn validation_fit_without_validation_instances_is_fit_bitwise() {
+        let d = tiny_train();
+        let cfg = GbgcnConfig {
+            pretrain_epochs: 2,
+            finetune_epochs: 3,
+            ..GbgcnConfig::test_config()
+        };
+        let mut plain = GbgcnModel::new(cfg.clone(), &d);
+        let plain_report = plain.fit(&d);
+        let mut validated = GbgcnModel::new(cfg, &d);
+        let report = validated.fit_with_validation(&d, &[], 2);
+        assert_eq!(
+            report.final_loss.to_bits(),
+            plain_report.final_loss.to_bits()
+        );
+        let (want, got) = (plain.export_snapshot(), validated.export_snapshot());
+        for (what, a, b) in [
+            ("user_own", want.user_own(), got.user_own()),
+            ("user_social", want.user_social(), got.user_social()),
+            ("item_own", want.item_own(), got.item_own()),
+            ("item_social", want.item_social(), got.item_social()),
+        ] {
+            assert_eq!(bits(a), bits(b), "{what}");
+        }
     }
 }

@@ -247,11 +247,11 @@ fn collect_allows(tokens: &[Token]) -> Vec<Allow> {
 }
 
 /// Lints one file's source. `rel_path` decides rule scoping (and
-/// whether the whole file is test code — `tests/` and `benches/`
-/// directories). Returns unsuppressed findings, sorted by line.
+/// whether the whole file is test code — a `tests/` directory).
+/// Returns unsuppressed findings, sorted by line.
 pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
     let map = build_map(src);
-    let file_is_test = rel_path.split('/').any(|c| c == "tests" || c == "benches");
+    let file_is_test = rel_path.split('/').any(|c| c == "tests");
     let mut findings: Vec<Finding> = Vec::new();
     let mut push = |rule: &'static str, line: usize, message: String| {
         findings.push(Finding {

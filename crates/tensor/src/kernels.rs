@@ -49,7 +49,7 @@
 //!
 //! The pre-blocking scalar loops survive in [`reference`]; the property
 //! tests pin the blocked kernels to them within float-reassociation
-//! tolerance, and the bench runner measures the speedup against them.
+//! tolerance.
 
 use crate::Matrix;
 
@@ -1202,10 +1202,10 @@ pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
 /// Scalar reference implementations of the blocked hot-path kernels.
 ///
 /// These are the straightforward row-major loops the blocked kernels
-/// replaced. They are kept (a) as the ground truth the property tests
-/// compare the blocked kernels against, and (b) as the "before" side of
-/// the in-repo perf trajectory (`gb-bench`'s `bench_report` binary).
-/// They are *not* used by any training or serving path.
+/// replaced, kept as the ground truth the property tests compare the
+/// blocked kernels against (`tests/kernel_proptests.rs` is an
+/// integration test, so the module stays `pub`). They are *not* used by
+/// any training or serving path.
 pub mod reference {
     use crate::Matrix;
 
