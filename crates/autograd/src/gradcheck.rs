@@ -153,6 +153,31 @@ mod tests {
     }
 
     #[test]
+    fn gradcheck_dense() {
+        use crate::Activation;
+        let mut store = ParamStore::new();
+        let x = store.add("x", seeded(6, 3, 0.2));
+        let w = store.add("w", seeded(3, 4, 0.7));
+        let bias = store.add("bias", seeded(1, 4, 1.3));
+        for act in [
+            Activation::Tanh,
+            Activation::Sigmoid,
+            Activation::LeakyRelu(0.2),
+        ] {
+            for p in [x, w, bias] {
+                // Two of six rows read: the cotangent's other four rows are
+                // zero, so the backward takes its compact path.
+                assert_grads_match(&mut store, p, 2e-2, |s, t| {
+                    let (xv, wv, bv) = (t.param(s, x), t.param(s, w), t.param(s, bias));
+                    let y = t.dense(xv, wv, bv, act);
+                    let picked = t.gather(y, Arc::new(vec![4, 1, 4]));
+                    t.sum_sq(picked)
+                });
+            }
+        }
+    }
+
+    #[test]
     fn gradcheck_gather_and_segment_mean() {
         let mut store = ParamStore::new();
         let emb = store.add("emb", seeded(5, 3, 0.4));

@@ -17,6 +17,8 @@ pub struct ParamStore {
     values: Vec<Matrix>,
     names: Vec<String>,
     by_name: HashMap<String, ParamId>,
+    /// See [`ParamStore::generation`].
+    generation: u64,
 }
 
 impl ParamStore {
@@ -40,7 +42,18 @@ impl ParamStore {
         self.by_name.insert(name.clone(), id);
         self.names.push(name);
         self.values.push(value);
+        self.generation += 1;
         id
+    }
+
+    /// Counts the calls that could have changed a value: [`ParamStore::add`]
+    /// and [`ParamStore::value_mut`] — the only two ways in, so optimizer
+    /// steps, [`crate::checkpoint::restore`] and
+    /// [`crate::checkpoint::load_json`] all move it. Equal generations of
+    /// one store mean bit-identical parameters, which is what lets a
+    /// computation recorded from them be reused instead of re-run.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Value of parameter `id`.
@@ -50,9 +63,11 @@ impl ParamStore {
     }
 
     /// Mutable value of parameter `id` (used by optimizers and pre-training
-    /// normalization).
+    /// normalization). Advances [`ParamStore::generation`], whether or not
+    /// the caller then writes.
     #[inline]
     pub fn value_mut(&mut self, id: ParamId) -> &mut Matrix {
+        self.generation += 1;
         &mut self.values[id]
     }
 
@@ -217,6 +232,62 @@ mod tests {
         assert_eq!(g.touched(), 1);
         assert!(g.get(0).is_none());
         assert_eq!(g.get(1).unwrap().as_slice(), &[1.5, 1.5, 1.5, 1.5]);
+    }
+
+    #[test]
+    fn generation_moves_with_every_mutation_path_and_no_read() {
+        use crate::{checkpoint, Adam, AdamConfig, Sgd};
+        let mut s = ParamStore::new();
+        assert_eq!(s.generation(), 0);
+        let a = s.add("a", Matrix::full(2, 2, 1.0));
+        let b = s.add("b", Matrix::full(1, 2, 1.0));
+        let mut last = s.generation();
+        assert_eq!(last, 2, "one per `add`");
+
+        // Reads leave it alone.
+        let _ = (s.value(a), s.iter().count(), s.id("b"), s.scalar_count());
+        let _ = (checkpoint::snapshot(&s), s.any_non_finite());
+        let mut json = Vec::new();
+        checkpoint::save_json(&s, &mut json).unwrap();
+        assert_eq!(s.generation(), last);
+
+        let mut grads = Gradients::empty(s.len());
+        grads.accumulate(b, Matrix::full(1, 2, 0.5));
+        let snap = checkpoint::snapshot(&s);
+        let mut adam = Adam::new(AdamConfig::with_lr(0.1), &s);
+        type Mutation<'a> = Box<dyn FnMut(&mut ParamStore) + 'a>;
+        let mutations: Vec<(&str, Mutation)> = vec![
+            ("value_mut", Box::new(|s| s.value_mut(a).fill(3.0))),
+            (
+                "value_mut without a write",
+                Box::new(|s| {
+                    let _ = s.value_mut(a);
+                }),
+            ),
+            ("an SGD step", Box::new(|s| Sgd::new(0.1).step(s, &grads))),
+            ("an Adam step", Box::new(|s| adam.step(s, &grads))),
+            (
+                "checkpoint::restore",
+                Box::new(|s| checkpoint::restore(s, &snap)),
+            ),
+            (
+                "checkpoint::load_json",
+                Box::new(|s| {
+                    checkpoint::load_json(s, json.as_slice()).unwrap();
+                }),
+            ),
+            (
+                "add",
+                Box::new(|s| {
+                    s.add("c", Matrix::zeros(1, 1));
+                }),
+            ),
+        ];
+        for (what, mut mutate) in mutations {
+            mutate(&mut s);
+            assert!(s.generation() > last, "{what} must advance the generation");
+            last = s.generation();
+        }
     }
 
     #[test]

@@ -22,6 +22,77 @@ pub struct Var(usize);
 /// sinks (`GradSinks`: parameter slots and input leaves).
 type BackwardOp = Box<dyn FnOnce(Matrix, &mut NodeGrads, &mut GradSinks) + Send>;
 
+/// The elementwise activation [`Tape::dense`] applies to its affine map.
+#[derive(Clone, Copy, Debug)]
+pub enum Activation {
+    /// `tanh(x)`.
+    Tanh,
+    /// The logistic sigmoid.
+    Sigmoid,
+    /// LeakyReLU with the given negative slope (must be `> 0`).
+    LeakyRelu(f32),
+}
+
+impl Activation {
+    /// Applies the activation to every element of `m` in place — the same
+    /// scalar functions as `kernels::{tanh, sigmoid, leaky_relu}`.
+    fn apply(self, m: &mut Matrix) {
+        match self {
+            Self::Tanh => m.map_inplace(f32::tanh),
+            Self::Sigmoid => m.map_inplace(kernels::sigmoid_scalar),
+            Self::LeakyRelu(alpha) => m.map_inplace(|v| if v >= 0.0 { v } else { alpha * v }),
+        }
+    }
+
+    /// `g ⊙ act′` in place, from the stored *output* `y`:
+    /// `tanh′ = 1 - y²`, `σ′ = y(1 - y)`, and for a positive slope the
+    /// LeakyReLU output has its input's sign.
+    fn vjp(self, g: &mut Matrix, y: &Matrix) {
+        let pairs = g.as_mut_slice().iter_mut().zip(y.as_slice());
+        match self {
+            Self::Tanh => pairs.for_each(|(d, &yy)| *d *= 1.0 - yy * yy),
+            Self::Sigmoid => pairs.for_each(|(d, &yy)| *d *= yy * (1.0 - yy)),
+            Self::LeakyRelu(alpha) => pairs.for_each(|(d, &yy)| {
+                if yy < 0.0 {
+                    *d *= alpha;
+                }
+            }),
+        }
+    }
+}
+
+/// `(dX, dW)` of `Y = X W` for the cotangent `g` of `Y`: `g W^T` and
+/// `X^T g`, paying only for the rows of `g` that are not entirely `±0.0`.
+///
+/// A mini-batch's cotangent is nonzero in the rows the batch touched and
+/// nowhere else. When fewer than half of `g`'s rows are live, the live
+/// rows of `g` and `X` are gathered (ascending), `matmul_nt` / `matmul_tn`
+/// run on the compact operands and `dX`'s rows are written back into a
+/// zeroed table; otherwise both run on the full operands. The two paths
+/// agree bit for bit given finite `X` and `W` (`0 · ∞` is the only way a
+/// skipped row could have contributed): a zero row's products are all
+/// `±0.0`; every accumulator in `kernels.rs` starts at `+0.0`, so it is
+/// never `-0.0` and `acc + ±0.0 == acc` — the row's `dX` is `+0.0`
+/// throughout, and its terms drop out of `dW`'s ascending-row sums without
+/// reordering the rest. A row holding a NaN is not zero and is kept.
+fn matmul_vjp(x: &Matrix, w: &Matrix, g: &Matrix) -> (Matrix, Matrix) {
+    let live: Vec<u32> = (0..g.rows())
+        .filter(|&r| g.row(r).iter().any(|&v| v != 0.0))
+        .map(|r| r as u32)
+        .collect();
+    if 2 * live.len() >= g.rows() {
+        return (kernels::matmul_nt(g, w), kernels::matmul_tn(x, g));
+    }
+    let g_live = kernels::gather_rows(g, &live);
+    let dx_live = kernels::matmul_nt(&g_live, w);
+    let mut dx = Matrix::zeros(x.rows(), x.cols());
+    for (from, &to) in live.iter().enumerate() {
+        dx.row_mut(to as usize).copy_from_slice(dx_live.row(from));
+    }
+    let dw = kernels::matmul_tn(&kernels::gather_rows(x, &live), &g_live);
+    (dx, dw)
+}
+
 struct Node {
     /// Forward value, `Arc`-shared so backward closures (and callers via
     /// [`Tape::arc_value`]) can hold it without copying the matrix.
@@ -272,7 +343,8 @@ impl Tape {
 
     // ----- linear algebra -------------------------------------------------
 
-    /// Matrix product `a * b`.
+    /// Matrix product `a * b`. The backward pays only for the cotangent's
+    /// nonzero rows; operands must be finite (see [`Tape::dense`]).
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let av = self.arc_value(a);
         let bv = self.arc_value(b);
@@ -280,10 +352,51 @@ impl Tape {
         self.push(
             value,
             Some(Box::new(move |g, ng, _sinks| {
-                let da = kernels::matmul_nt(&g, &bv);
-                let db = kernels::matmul_tn(&av, &g);
+                let (da, db) = matmul_vjp(&av, &bv, &g);
                 ng.accumulate(a, da);
                 ng.accumulate(b, db);
+            })),
+        )
+    }
+
+    /// One fully-connected layer as one node: `act(x * w + bias)`, `bias`
+    /// a `1 x cols` row added to every row. Bit-identical — value and all
+    /// three cotangents — to recording [`Tape::matmul`], [`Tape::add_bias`]
+    /// and the activation's own op in a chain, but the product, the biased
+    /// sum and the activation share one buffer, so the tape holds one
+    /// table for the layer instead of three.
+    ///
+    /// Backward: `g ⊙ act′(y)` in place, its column sum to `bias`, then the
+    /// matmul VJP, which skips rows of it that are entirely `±0.0` (a
+    /// mini-batch's cotangent is zero outside the rows it touched). The
+    /// skip changes no bit provided `x` and `w` are finite — `0 · ∞` is the
+    /// only way a skipped row could have contributed.
+    ///
+    /// # Panics
+    /// Panics if the shapes do not compose.
+    pub fn dense(&mut self, x: Var, w: Var, bias: Var, act: Activation) -> Var {
+        let xv = self.arc_value(x);
+        let wv = self.arc_value(w);
+        let mut value = kernels::matmul(&xv, &wv);
+        let b = &self.nodes[bias.0].value;
+        assert_eq!(b.rows(), 1, "bias must be a row vector");
+        assert_eq!(value.cols(), b.cols(), "bias width mismatch");
+        for r in 0..value.rows() {
+            for (v, y) in value.row_mut(r).iter_mut().zip(b.row(0)) {
+                *v += y;
+            }
+        }
+        act.apply(&mut value);
+        let value = Arc::new(value);
+        let y = Arc::clone(&value);
+        self.push_arc(
+            value,
+            Some(Box::new(move |mut g, ng, _sinks| {
+                act.vjp(&mut g, &y);
+                ng.accumulate(bias, kernels::col_sum(&g));
+                let (dx, dw) = matmul_vjp(&xv, &wv, &g);
+                ng.accumulate(x, dx);
+                ng.accumulate(w, dw);
             })),
         )
     }
@@ -424,10 +537,7 @@ impl Tape {
         self.push_arc(
             value,
             Some(Box::new(move |mut g, ng, _sinks| {
-                // dσ/dx = σ(x)(1-σ(x)); use stored output.
-                for (d, &yy) in g.as_mut_slice().iter_mut().zip(y.as_slice()) {
-                    *d *= yy * (1.0 - yy);
-                }
+                Activation::Sigmoid.vjp(&mut g, &y);
                 ng.accumulate(a, g);
             })),
         )
@@ -440,9 +550,7 @@ impl Tape {
         self.push_arc(
             value,
             Some(Box::new(move |mut g, ng, _sinks| {
-                for (d, &yy) in g.as_mut_slice().iter_mut().zip(y.as_slice()) {
-                    *d *= 1.0 - yy * yy;
-                }
+                Activation::Tanh.vjp(&mut g, &y);
                 ng.accumulate(a, g);
             })),
         )
@@ -455,12 +563,7 @@ impl Tape {
         self.push_arc(
             value,
             Some(Box::new(move |mut g, ng, _sinks| {
-                // For alpha > 0 the output sign matches the input sign.
-                for (d, &yy) in g.as_mut_slice().iter_mut().zip(y.as_slice()) {
-                    if yy < 0.0 {
-                        *d *= alpha;
-                    }
-                }
+                Activation::LeakyRelu(alpha).vjp(&mut g, &y);
                 ng.accumulate(a, g);
             })),
         )
@@ -1013,5 +1116,135 @@ mod tests {
         let mut t = Tape::new();
         let wv = t.param(&store, w);
         t.gather_dot(wv, Arc::new(vec![0, 1]), wv, Arc::new(vec![0]));
+    }
+
+    // ----- zero-row-aware matmul VJP, and the fused dense node -------------
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        // Any NaN equals any NaN: which operand's payload an x86 NaN
+        // result carries depends on operand order.
+        m.as_slice()
+            .iter()
+            .map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() })
+            .collect()
+    }
+
+    /// Finite test data with the awkward values mixed in: signed zeros,
+    /// subnormals and 1e30-scale magnitudes, whose products overflow.
+    fn awkward(rows: usize, cols: usize, seed: u32) -> Matrix {
+        let mut state = seed.wrapping_mul(2654435761).wrapping_add(1);
+        Matrix::from_fn(rows, cols, |_, _| {
+            state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+            let unit = (state >> 8) as f32 / (1u32 << 24) as f32 - 0.5;
+            match (state >> 4) % 16 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::MIN_POSITIVE * unit,
+                3 => 1e30 * unit,
+                _ => unit,
+            }
+        })
+    }
+
+    #[test]
+    fn row_aware_matmul_vjp_equals_the_dense_vjp_bitwise() {
+        // `(m, row, col)` -> the cotangent element a pattern overwrites;
+        // `None` keeps the awkward data.
+        type Pattern = fn(usize, usize, usize) -> Option<f32>;
+        let patterns: [(&str, Pattern); 7] = [
+            ("no zero row", |_, _, c| (c == 0).then_some(0.25)),
+            ("all rows zero", |_, _, _| Some(0.0)),
+            ("all rows -0.0", |_, _, _| Some(-0.0)),
+            ("mixed-sign zeros, first row live", |_, r, c| {
+                (r != 0).then_some(if (r + c) % 2 == 0 { 0.0 } else { -0.0 })
+            }),
+            ("last row live", |m, r, _| (r + 1 != m).then_some(-0.0)),
+            ("a NaN row among zero rows", |m, r, _| {
+                Some(if r == m / 2 { f32::NAN } else { 0.0 })
+            }),
+            ("a third of the rows live", |_, r, _| {
+                (r % 3 != 0).then_some(0.0)
+            }),
+        ];
+        for m in [0usize, 1, 3, 4, 5, 33, 2000] {
+            // Reduction and output widths with and without lane tails; the
+            // training shape only at the training height.
+            let shapes: &[(usize, usize)] = if m == 2000 {
+                &[(96, 96), (7, 33)]
+            } else {
+                &[(8, 16), (7, 9), (33, 17), (1, 1)]
+            };
+            for &(k, n) in shapes {
+                let x = awkward(m, k, (m * 31 + k) as u32);
+                let w = awkward(k, n, (k * 17 + n) as u32);
+                let base = awkward(m, n, (m + n) as u32 + 5);
+                for (what, pattern) in &patterns {
+                    let g =
+                        Matrix::from_fn(m, n, |r, c| pattern(m, r, c).unwrap_or(base.get(r, c)));
+                    let (dx, dw) = matmul_vjp(&x, &w, &g);
+                    let what = format!("{what}, {m}x{k} * {k}x{n}");
+                    assert_eq!(bits(&dx), bits(&kernels::matmul_nt(&g, &w)), "dX: {what}");
+                    assert_eq!(bits(&dw), bits(&kernels::matmul_tn(&x, &g)), "dW: {what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_equals_the_matmul_add_bias_activation_chain_bitwise() {
+        let mut store = ParamStore::new();
+        let finite = |rows, cols, seed: f32| {
+            Matrix::from_fn(rows, cols, |r, c| {
+                (seed + 0.7 * r as f32 + 0.31 * c as f32).sin() * 0.8
+            })
+        };
+        // Widths with and without lane tails.
+        for (m, k, n) in [(9usize, 5usize, 7usize), (12, 16, 32), (1, 3, 1)] {
+            let tag = format!("{m}x{k}x{n}");
+            let x = store.add(format!("x{tag}"), finite(m, k, 0.2));
+            let w = store.add(format!("w{tag}"), finite(k, n, 0.9));
+            let b = store.add(format!("b{tag}"), finite(1, n, 1.7));
+            // A sparse read (most cotangent rows zero: the compact VJP) and
+            // a read of every row (the full one).
+            let reads: [Vec<u32>; 2] = [vec![m as u32 - 1, 0, 0], (0..m as u32).collect()];
+            for act in [
+                Activation::Tanh,
+                Activation::Sigmoid,
+                Activation::LeakyRelu(0.2),
+            ] {
+                for read in &reads {
+                    let run = |fused: bool| {
+                        let mut t = Tape::new();
+                        let (xv, wv, bv) =
+                            (t.param(&store, x), t.param(&store, w), t.param(&store, b));
+                        let y = if fused {
+                            t.dense(xv, wv, bv, act)
+                        } else {
+                            let lin = t.matmul(xv, wv);
+                            let biased = t.add_bias(lin, bv);
+                            match act {
+                                Activation::Tanh => t.tanh(biased),
+                                Activation::Sigmoid => t.sigmoid(biased),
+                                Activation::LeakyRelu(alpha) => t.leaky_relu(biased, alpha),
+                            }
+                        };
+                        let value = bits(t.value(y));
+                        let picked = t.gather(y, Arc::new(read.clone()));
+                        let ls = t.log_sigmoid(picked);
+                        let loss = t.sum_all(ls);
+                        let grads = t.backward(loss, &store);
+                        let of = |p| grads.get(p).map(bits);
+                        (value, of(x), of(w), of(b), t.len())
+                    };
+                    let (fused, chain) = (run(true), run(false));
+                    let what = format!("{act:?}, {tag}, {} rows read", read.len());
+                    assert_eq!(fused.0, chain.0, "value: {what}");
+                    assert_eq!(fused.1, chain.1, "dX: {what}");
+                    assert_eq!(fused.2, chain.2, "dW: {what}");
+                    assert_eq!(fused.3, chain.3, "db: {what}");
+                    assert_eq!(fused.4 + 2, chain.4, "one node for three: {what}");
+                }
+            }
+        }
     }
 }

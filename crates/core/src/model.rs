@@ -14,7 +14,7 @@ use gb_tensor::{kernels, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// The twelve propagated tables of one forward pass, `Arc`-shared off
@@ -77,7 +77,7 @@ struct FinalEmbeddings {
     views: PropagatedTables,
     /// Per-user mean of friends' participant-view embeddings — Eq. 9's
     /// social term precomputed by linearity of the dot product.
-    friend_mean_p: Matrix,
+    friend_mean_p: Arc<Matrix>,
 }
 
 /// The eight embedding matrices the Fig. 5 / Fig. 6 analyses inspect.
@@ -119,9 +119,16 @@ pub struct GbgcnModel {
     /// [`GbgcnModel::measure_epoch_secs_parallel`] draws its batches from.
     dataset: Arc<Dataset>,
     finals: Option<FinalEmbeddings>,
+    /// The fine-tune shared forward [`GbgcnModel::finalize`] recorded, kept
+    /// for the next fine-tuning step to take: propagation is a function of
+    /// the parameters alone, so until one of them changes that step's own
+    /// forward would recompute these tables bit for bit. Behind a mutex
+    /// only because a `Tape` is `Send` but not `Sync`, and the shard
+    /// closures borrow the model across the pool.
+    retained: Mutex<Option<RetainedForward>>,
     /// Counts full GBGCN propagation forward passes — observability for
     /// the shared-forward contract (`sharded_grad` runs `propagate`
-    /// exactly once per batch regardless of shard count).
+    /// at most once per batch regardless of shard count).
     propagate_calls: AtomicU64,
 }
 
@@ -150,6 +157,14 @@ struct SharedForward {
     tape: Tape,
     /// Vars of the shared tables on `tape`, in fixed slot order.
     vars: Vec<(Var, RowIds)>,
+}
+
+/// A fine-tune [`SharedForward`] and the [`ParamStore::generation`] its
+/// tables were computed at: valid exactly while the store still reports
+/// that generation.
+struct RetainedForward {
+    fwd: SharedForward,
+    generation: u64,
 }
 
 /// The rows the regularization terms of [`GbgcnModel::assemble_loss`]
@@ -221,12 +236,15 @@ impl GbgcnModel {
             social,
             dataset: Arc::new(train.clone()),
             finals: None,
+            retained: Mutex::new(None),
             propagate_calls: AtomicU64::new(0),
         }
     }
 
-    /// Number of full propagation forward passes run so far (tests and
+    /// Number of full propagation forward passes *run* so far (tests and
     /// `gbbench` assert the shared-forward once-per-batch contract on it).
+    /// A fine-tuning step that reuses the forward `finalize` recorded runs
+    /// none.
     pub fn propagation_forward_count(&self) -> u64 {
         self.propagate_calls.load(Ordering::Relaxed)
     }
@@ -347,32 +365,52 @@ impl GbgcnModel {
     /// term's segment mean — it is the same computation). Every slot is a
     /// node of its own, so no two slots share a cotangent accumulator.
     fn shared_forward(&self, finetune: bool) -> SharedForward {
+        if finetune {
+            return self.finetune_forward().0;
+        }
+        let mut tape = Tape::new();
+        let u_raw = tape.param(&self.store, self.params.user_raw);
+        let friend_mean = tape.segment_mean(u_raw, self.social.offsets(), self.social.members());
+        SharedForward {
+            tape,
+            vars: vec![(u_raw, RowIds::Users), (friend_mean, RowIds::Users)],
+        }
+    }
+
+    /// The fine-tuning [`GbgcnModel::shared_forward`], together with the
+    /// nodes of all twelve propagated tables on its tape.
+    fn finetune_forward(&self) -> (SharedForward, ViewEmbeddings) {
         use RowIds::{Items, Users};
         let mut tape = Tape::new();
-        let mut vars = Vec::with_capacity(6);
-        if finetune {
-            let ve = self.propagate_counted(&mut tape);
-            let friend_mean =
-                tape.segment_mean(ve.u_hat_p, self.social.offsets(), self.social.members());
-            vars.extend([
-                (ve.u_hat_i, Users),
-                (ve.v_hat_i, Items),
-                (ve.v_hat_p, Items),
-                (friend_mean, Users),
-            ]);
-            if self.cfg.social_reg > 0.0 {
-                let u_full = tape.param(&self.store, self.params.user_raw);
-                let fm_raw =
-                    tape.segment_mean(u_full, self.social.offsets(), self.social.members());
-                vars.extend([(u_full, Users), (fm_raw, Users)]);
-            }
-        } else {
-            let u_raw = tape.param(&self.store, self.params.user_raw);
-            let friend_mean =
-                tape.segment_mean(u_raw, self.social.offsets(), self.social.members());
-            vars.extend([(u_raw, Users), (friend_mean, Users)]);
+        let ve = self.propagate_counted(&mut tape);
+        let friend_mean =
+            tape.segment_mean(ve.u_hat_p, self.social.offsets(), self.social.members());
+        let mut vars = vec![
+            (ve.u_hat_i, Users),
+            (ve.v_hat_i, Items),
+            (ve.v_hat_p, Items),
+            (friend_mean, Users),
+        ];
+        if self.cfg.social_reg > 0.0 {
+            let u_full = tape.param(&self.store, self.params.user_raw);
+            let fm_raw = tape.segment_mean(u_full, self.social.offsets(), self.social.members());
+            vars.extend([(u_full, Users), (fm_raw, Users)]);
         }
-        SharedForward { tape, vars }
+        (SharedForward { tape, vars }, ve)
+    }
+
+    /// Takes the forward [`GbgcnModel::finalize`] retained, if the
+    /// parameters are still bit for bit the ones it was recorded from (no
+    /// [`ParamStore::value_mut`] since); a stale one is dropped.
+    fn take_retained(&self) -> Option<SharedForward> {
+        // The guard only ever covers an `Option` take or store, which leave
+        // the slot valid at every step, so a poisoned lock is recovered.
+        let kept = self
+            .retained
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()?;
+        (kept.generation == self.store.generation()).then_some(kept.fwd)
     }
 
     /// Records `shard`'s *compact* tables on the shared tape — one
@@ -501,7 +539,9 @@ impl GbgcnModel {
     /// reduced in fixed shard order.
     ///
     /// The forward pass through the propagation layers runs **once per
-    /// batch** on the calling thread ([`GbgcnModel::shared_forward`]);
+    /// batch** on the calling thread ([`GbgcnModel::shared_forward`]) — or
+    /// not at all, when `finalize` has already recorded it from these very
+    /// parameters ([`GbgcnModel::take_retained`]);
     /// each shard reads only its own rows of the shared tables
     /// ([`GbgcnModel::compact_shard`]) and its compact cotangents seed its
     /// gather nodes on the shared tape, whose single backward sweep both
@@ -520,7 +560,10 @@ impl GbgcnModel {
         if batch.is_empty() {
             return (0.0, Gradients::empty(self.store.len()));
         }
-        let mut fwd = self.shared_forward(finetune);
+        let mut fwd = match self.take_retained() {
+            Some(retained) if finetune => retained,
+            _ => self.shared_forward(finetune),
+        };
         // Recorded in *reverse* shard order: the sweep visits nodes in
         // descending order, so it meets shard 0's gathers first and
         // scatters `acc[row] += S_k[row]` for k = 0, 1, 2, … — the
@@ -552,20 +595,32 @@ impl GbgcnModel {
         (loss, grads)
     }
 
-    /// Runs the full forward pass once and caches all twelve propagated
-    /// tables (`Arc`-shared off the tape — no copies) for scoring and
-    /// analysis. `embedding_analysis` reads this cache instead of
-    /// re-propagating.
+    /// Records the fine-tune shared forward once and caches all twelve
+    /// propagated tables and the friend mean (`Arc`-shared off the tape —
+    /// no copies) for scoring and analysis; `embedding_analysis` reads
+    /// this cache instead of re-propagating. The tape itself is retained
+    /// with the parameter generation it was recorded at, so a fine-tuning
+    /// step that follows with the parameters untouched takes it as its
+    /// shared forward instead of propagating again.
     fn finalize(&mut self) {
-        let mut tape = Tape::new();
-        let ve = self.propagate_counted(&mut tape);
-        let views = PropagatedTables::capture(&tape, &ve);
-        let (offsets, members) = self.social.segments();
-        let friend_mean_p = kernels::segment_mean(&views.u_hat_p, offsets, members);
+        let (fwd, ve) = self.finetune_forward();
         self.finals = Some(FinalEmbeddings {
-            views,
-            friend_mean_p,
+            views: PropagatedTables::capture(&fwd.tape, &ve),
+            // Slot 3 of the fine-tune slot order: `friend_mean`.
+            friend_mean_p: fwd.tape.arc_value(fwd.vars[3].0),
         });
+        self.retain(Some(RetainedForward {
+            fwd,
+            generation: self.store.generation(),
+        }));
+    }
+
+    /// Replaces the retained forward (`None` releases it).
+    fn retain(&mut self, forward: Option<RetainedForward>) {
+        *self
+            .retained
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner) = forward;
     }
 
     /// Extracts the embedding matrices for the Fig. 5 / Fig. 6 analyses.
@@ -829,7 +884,13 @@ impl GbgcnModel {
     /// Parallel counterpart of [`GbgcnModel::measure_epoch_secs`]: mean
     /// wall-clock seconds of one sharded fine-tuning epoch under `par`,
     /// over the construction-time dataset and an RNG stream of its own.
+    ///
+    /// Starts cold: a forward retained by an earlier `finalize` is
+    /// released first, so a measured epoch pays for — and
+    /// [`GbgcnModel::propagation_forward_count`] counts — one propagation
+    /// per batch, whatever ran before it.
     pub fn measure_epoch_secs_parallel(&mut self, n: usize, par: &ParallelTrainConfig) -> f64 {
+        self.retain(None);
         let dataset = Arc::clone(&self.dataset);
         let seed = self.cfg.seed ^ 0xBEEF;
         self.train(&dataset, par, seed, (0, n.max(1)), |_, _| {})
@@ -866,7 +927,7 @@ impl SnapshotSource for GbgcnModel {
             self.cfg.alpha,
             (*f.views.u_hat_i).clone(),
             (*f.views.v_hat_i).clone(),
-            f.friend_mean_p.clone(),
+            (*f.friend_mean_p).clone(),
             (*f.views.v_hat_p).clone(),
         )
     }
@@ -1594,5 +1655,374 @@ mod tests {
         ] {
             assert_eq!(bits(a), bits(b), "{what}");
         }
+    }
+
+    // ----- the retained forward: work counter, staleness, warm == cold -----
+
+    fn tick_cfg(social_reg: f32, ablation: AblationMode) -> GbgcnConfig {
+        GbgcnConfig {
+            pretrain_epochs: 0,
+            finetune_epochs: 1,
+            social_reg,
+            ablation,
+            ..GbgcnConfig::test_config()
+        }
+    }
+
+    fn behaviors_of(d: &Dataset, range: std::ops::Range<usize>) -> Dataset {
+        d.with_behaviors(d.behaviors()[range].to_vec())
+    }
+
+    /// Propagation forwards `f` runs on `m`.
+    fn forwards_run(m: &mut GbgcnModel, f: impl FnOnce(&mut GbgcnModel)) -> u64 {
+        let before = m.propagation_forward_count();
+        f(m);
+        m.propagation_forward_count() - before
+    }
+
+    #[test]
+    fn a_streaming_tick_runs_one_propagation() {
+        let d = tiny_train();
+        let mut history = GbgcnModel::new(
+            GbgcnConfig {
+                pretrain_epochs: 1,
+                finetune_epochs: 1,
+                ..GbgcnConfig::test_config()
+            },
+            &d,
+        );
+        history.fit(&d);
+        let mut checkpoint = Vec::new();
+        history.save_checkpoint(&mut checkpoint).unwrap();
+
+        let cfg = tick_cfg(GbgcnConfig::default().social_reg, AblationMode::Full);
+        let batch_size = cfg.batch_size;
+        let par = ParallelTrainConfig::with_threads(4).scheduled_on(1);
+        let mut m = GbgcnModel::new(cfg, &d);
+        let loaded = forwards_run(&mut m, |m| m.load_checkpoint(&checkpoint[..]).unwrap());
+        assert_eq!(loaded, 1, "load_checkpoint finalizes once");
+        // A one-batch tick: its step takes the forward the last finalize
+        // retained, so the only propagation it runs is its own finalize.
+        for k in 0..3 {
+            let tick = behaviors_of(&d, k * 32..(k + 1) * 32);
+            let ran = forwards_run(&mut m, |m| {
+                m.fit_parallel(&tick, &par, None);
+            });
+            assert_eq!(ran, 1, "tick {k}");
+        }
+        // B batches: B - 1 forwards of their own, and the finalize.
+        let three_batches = behaviors_of(&d, 100..100 + 2 * batch_size + 1);
+        let ran = forwards_run(&mut m, |m| {
+            m.fit_parallel(&three_batches, &par, None);
+        });
+        assert_eq!(ran, 3, "a 3-batch call");
+        // A measured epoch starts cold and does not finalize: one forward
+        // per batch, and nothing left for the tick after it to take.
+        let batches = d.behaviors().len().div_ceil(batch_size) as u64;
+        let ran = forwards_run(&mut m, |m| {
+            m.measure_epoch_secs_parallel(1, &par);
+        });
+        assert_eq!(ran, batches, "a measured epoch");
+        let tick = behaviors_of(&d, 0..32);
+        let ran = forwards_run(&mut m, |m| {
+            m.fit_parallel(&tick, &par, None);
+        });
+        assert_eq!(ran, 2, "the tick after a measured epoch");
+    }
+
+    fn assert_same_grads(got: &(f32, Gradients), want: &(f32, Gradients), what: &str) {
+        assert_eq!(got.0.to_bits(), want.0.to_bits(), "{what}: loss");
+        assert_eq!(got.1.touched(), want.1.touched(), "{what}: touched params");
+        for ((id, g), (want_id, w)) in got.1.iter().zip(want.1.iter()) {
+            assert_eq!(id, want_id, "{what}");
+            assert_eq!(bits(g), bits(w), "{what}: gradient of param {id}");
+        }
+    }
+
+    #[test]
+    fn a_stale_forward_is_never_reused() {
+        use gb_autograd::checkpoint;
+        use gb_data::split::leave_one_out;
+        let d = tiny_train();
+        let split = leave_one_out(&d, 3);
+        let cfg = GbgcnConfig {
+            pretrain_epochs: 1,
+            finetune_epochs: 2,
+            ..GbgcnConfig::test_config()
+        };
+        let executor = ShardExecutor::new(2);
+        let batch = {
+            let sampler = NegativeSampler::from_dataset(&d);
+            let mut rng = StdRng::seed_from_u64(23);
+            let idx: Vec<usize> = (0..40).collect();
+            LossBatch::build(&d, &idx, 2, &sampler, &mut rng)
+        };
+        let mut other = GbgcnModel::new(
+            GbgcnConfig {
+                seed: 99,
+                ..cfg.clone()
+            },
+            &d,
+        );
+        other.fit(&d);
+        let mut other_json = Vec::new();
+        other.save_checkpoint(&mut other_json).unwrap();
+
+        // Every way the parameters move under a fitted model, and whether
+        // the path re-finalizes (leaving a *fresh* forward to take).
+        type Mutation<'a> = Box<dyn Fn(&mut GbgcnModel) + 'a>;
+        let paths: Vec<(&str, bool, Mutation)> = vec![
+            ("no mutation", true, Box::new(|_| {})),
+            (
+                "load_checkpoint",
+                true,
+                Box::new(|m| m.load_checkpoint(&other_json[..]).unwrap()),
+            ),
+            (
+                "fit_with_validation's restore",
+                true,
+                Box::new(|m| {
+                    m.fit_with_validation(&split.train, &split.validation, 1);
+                }),
+            ),
+            (
+                "a second fit_parallel",
+                true,
+                Box::new(|m| {
+                    m.fit_parallel(&d, &ParallelTrainConfig::with_threads(3), None);
+                }),
+            ),
+            (
+                "a pre-train stage (Adam steps, normalize_rows), not finalized",
+                false,
+                Box::new(|m| {
+                    let par = ParallelTrainConfig::serial();
+                    m.train(&d, &par, 5, (1, 0), |_, _| {});
+                }),
+            ),
+            (
+                "normalize_rows alone",
+                false,
+                Box::new(|m| {
+                    let id = m.params.user_raw;
+                    let normalized = kernels::normalize_rows(m.store.value(id));
+                    *m.store.value_mut(id) = normalized;
+                }),
+            ),
+            (
+                "an optimizer step",
+                false,
+                Box::new(|m| {
+                    let (_, grads) = m.sharded_grad(&batch, 2, &executor, true);
+                    Sgd::new(0.1).step(&mut m.store, &grads);
+                }),
+            ),
+        ];
+        for (what, refinalizes, mutate) in &paths {
+            let mut m = GbgcnModel::new(cfg.clone(), &split.train);
+            m.fit(&split.train);
+            mutate(&mut m);
+            // The oracle: the same parameters under a model that never
+            // finalized, so it has no forward to reuse.
+            let mut cold = GbgcnModel::new(cfg.clone(), &split.train);
+            checkpoint::restore(&mut cold.store, &checkpoint::snapshot(&m.store));
+            let want = cold.sharded_grad(&batch, 3, &executor, true);
+
+            let before = m.propagation_forward_count();
+            let got = m.sharded_grad(&batch, 3, &executor, true);
+            let ran = m.propagation_forward_count() - before;
+            assert_same_grads(&got, &want, what);
+            assert_eq!(ran, u64::from(!refinalizes), "{what}: forwards run");
+            // Taken or dropped, the retained forward is gone either way.
+            let again = m.sharded_grad(&batch, 3, &executor, true);
+            assert_same_grads(&again, &want, &format!("{what}, second call"));
+            assert_eq!(m.propagation_forward_count() - before, ran + 1, "{what}");
+        }
+    }
+
+    /// Everything a trainer call leaves observable on `m`, as bits: the four
+    /// exported snapshot tables, the twelve analysis tables, every parameter.
+    fn observable_bits(m: &GbgcnModel) -> Vec<Vec<u32>> {
+        let snap = m.export_snapshot();
+        let a = m.embedding_analysis();
+        [
+            snap.user_own(),
+            snap.user_social(),
+            snap.item_own(),
+            snap.item_social(),
+            &a.u_inview_i,
+            &a.u_inview_p,
+            &a.v_inview_i,
+            &a.v_inview_p,
+            &a.u_cross_i,
+            &a.u_cross_p,
+            &a.v_cross_i,
+            &a.v_cross_p,
+            &a.u_hat_i,
+            &a.u_hat_p,
+            &a.v_hat_i,
+            &a.v_hat_p,
+        ]
+        .into_iter()
+        .chain(m.store.iter().map(|(_, _, v)| v))
+        .map(bits)
+        .collect()
+    }
+
+    /// One trainer call of a chain.
+    type Call<'a> = &'a dyn Fn(&mut GbgcnModel) -> TrainReport;
+
+    /// Runs `calls` in order on one freshly finalized model — as written,
+    /// each free to take the forward its predecessor's `finalize`
+    /// retained, or (`cold`) with that forward released before every call —
+    /// and returns the loss bits and [`observable_bits`] after each.
+    fn run_chain(
+        cfg: &GbgcnConfig,
+        d: &Dataset,
+        calls: &[Call],
+        cold: bool,
+    ) -> Vec<(u32, Vec<Vec<u32>>)> {
+        let mut m = GbgcnModel::new(cfg.clone(), d);
+        m.finalize();
+        calls
+            .iter()
+            .map(|call| {
+                if cold {
+                    m.retain(None);
+                }
+                let report = call(&mut m);
+                (report.final_loss.to_bits(), observable_bits(&m))
+            })
+            .collect()
+    }
+
+    fn assert_warm_equals_cold(cfg: &GbgcnConfig, d: &Dataset, calls: &[Call], what: &str) {
+        let (warm, cold) = (
+            run_chain(cfg, d, calls, false),
+            run_chain(cfg, d, calls, true),
+        );
+        for (k, (w, c)) in warm.iter().zip(&cold).enumerate() {
+            assert_eq!(w.0, c.0, "{what}: final_loss of call {k}");
+            assert!(w.1 == c.1, "{what}: tables or parameters after call {k}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn warm_tick_chains_equal_cold_ones_bitwise(
+            n_ticks in 1usize..=6,
+            tick_len in 1usize..=48,
+            n_shards in 1usize..=8,
+            n_threads in 1usize..=2,
+            social_reg_on in 0usize..2,
+            ablation in 0usize..4,
+        ) {
+            let ablation = [
+                AblationMode::Full,
+                AblationMode::NoUserRoles,
+                AblationMode::NoItemRoles,
+                AblationMode::NoRoles,
+            ][ablation];
+            let social_reg = [0.0, GbgcnConfig::default().social_reg][social_reg_on];
+            let d = tiny_train();
+            let par = ParallelTrainConfig::with_threads(n_shards).scheduled_on(n_threads);
+            let ticks: Vec<_> = (0..n_ticks)
+                .map(|k| {
+                    let tick = behaviors_of(&d, k * tick_len..(k + 1) * tick_len);
+                    let par = &par;
+                    move |m: &mut GbgcnModel| m.fit_parallel(&tick, par, None)
+                })
+                .collect();
+            let calls: Vec<Call> = ticks.iter().map(|tick| tick as Call).collect();
+            assert_warm_equals_cold(&tick_cfg(social_reg, ablation), &d, &calls, "tick chain");
+        }
+    }
+
+    #[test]
+    fn warm_trainer_calls_equal_cold_ones_bitwise() {
+        use gb_data::split::leave_one_out;
+        let d = tiny_train();
+        let split = leave_one_out(&d, 3);
+        let default_reg = GbgcnConfig::default().social_reg;
+        let tick = tick_cfg(default_reg, AblationMode::Full);
+        let par = ParallelTrainConfig::with_threads(3).scheduled_on(2);
+        let several_batches = behaviors_of(&d, 0..2 * tick.batch_size + 9);
+        let handle = {
+            let mut seed = GbgcnModel::new(tick.clone(), &d);
+            seed.finalize();
+            SnapshotHandle::new(seed.export_snapshot())
+        };
+        let epochs = |pretrain_epochs, finetune_epochs| GbgcnConfig {
+            pretrain_epochs,
+            finetune_epochs,
+            ..tick.clone()
+        };
+        type BoxedCall<'a> = Box<dyn Fn(&mut GbgcnModel) -> TrainReport + 'a>;
+        let cases: Vec<(&str, GbgcnConfig, BoxedCall)> = vec![
+            (
+                "multi-batch calls",
+                tick.clone(),
+                Box::new(|m| m.fit_parallel(&several_batches, &par, None)),
+            ),
+            ("multi-epoch calls", epochs(0, 3), Box::new(|m| m.fit(&d))),
+            (
+                "calls that pre-train first",
+                epochs(2, 2),
+                Box::new(|m| m.fit_parallel(&d, &par, None)),
+            ),
+            (
+                "calls that publish (and so finalize) every epoch",
+                epochs(0, 3),
+                Box::new(|m| m.fit_parallel(&d, &par.clone().refresh_every(1), Some(&handle))),
+            ),
+            (
+                "fit_with_validation, whose hook finalizes mid-run",
+                epochs(1, 3),
+                Box::new(|m| m.fit_with_validation(&split.train, &split.validation, 1)),
+            ),
+        ];
+        for (what, cfg, call) in cases {
+            // Twice: the second call starts from the first one's finalize.
+            assert_warm_equals_cold(&cfg, &d, &[&*call, &*call], what);
+        }
+
+        // The finalizes *inside* a run, against runs that have none: a
+        // run publishing every epoch computes what a run with no handle
+        // computes,
+        let cfg = epochs(1, 3);
+        let run = |par: &ParallelTrainConfig, handle: Option<&SnapshotHandle>| {
+            let mut m = GbgcnModel::new(cfg.clone(), &d);
+            let report = m.fit_parallel(&d, par, handle);
+            (report.final_loss.to_bits(), observable_bits(&m))
+        };
+        assert!(
+            run(&par.clone().refresh_every(1), Some(&handle)) == run(&par, None),
+            "publishing every epoch changed the run"
+        );
+        // and validation selects exactly the best prefix of `fit`'s
+        // trajectory: epoch `e`'s parameters are those of a plain `fit` of
+        // `e` epochs under the same seed.
+        let sampler = NegativeSampler::from_dataset(&split.train);
+        let mut best: Option<(f64, Vec<Vec<u32>>)> = None;
+        let mut last_loss = 0;
+        for e in 1..=cfg.finetune_epochs {
+            let mut prefix = GbgcnModel::new(epochs(cfg.pretrain_epochs, e), &split.train);
+            last_loss = prefix.fit(&split.train).final_loss.to_bits();
+            let ndcg = gb_eval::EvalProtocol::exhaustive()
+                .evaluate(&prefix, &split.validation, &sampler, split.train.n_items())
+                .ndcg_at(10);
+            if best.as_ref().is_none_or(|(score, _)| ndcg > *score) {
+                best = Some((ndcg, observable_bits(&prefix)));
+            }
+        }
+        let mut selected = GbgcnModel::new(cfg, &split.train);
+        let report = selected.fit_with_validation(&split.train, &split.validation, 1);
+        assert_eq!(report.final_loss.to_bits(), last_loss);
+        assert!(
+            observable_bits(&selected) == best.expect("at least one epoch").1,
+            "validation did not select the best prefix of the fit trajectory"
+        );
     }
 }

@@ -119,14 +119,6 @@ pub struct ViewEmbeddings {
     pub v_hat_p: Var,
 }
 
-fn activate(tape: &mut Tape, x: Var, activation: Activation) -> Var {
-    match activation {
-        Activation::Tanh => tape.tanh(x),
-        Activation::Sigmoid => tape.sigmoid(x),
-        Activation::LeakyRelu => tape.leaky_relu(x, 0.2),
-    }
-}
-
 fn average_pair(tape: &mut Tape, a: Var, b: Var) -> Var {
     let sum = tape.add(a, b);
     tape.scale(sum, 0.5)
@@ -203,13 +195,16 @@ pub fn propagate(
     let v_inview_p = tape.concat_cols(&v_levels_p);
 
     // ---- cross-view propagation (Eqs. 4-7) ------------------------------
-    let act = cfg.activation;
+    let act = match cfg.activation {
+        Activation::Tanh => gb_autograd::Activation::Tanh,
+        Activation::Sigmoid => gb_autograd::Activation::Sigmoid,
+        Activation::LeakyRelu => gb_autograd::Activation::LeakyRelu(0.2),
+    };
+    // One tape node per FC: the tape keeps the layer's output only.
     let fc = |tape: &mut Tape, x: Var, w: ParamId, b: ParamId| {
         let wv = tape.param(store, w);
         let bv = tape.param(store, b);
-        let lin = tape.matmul(x, wv);
-        let biased = tape.add_bias(lin, bv);
-        activate(tape, biased, act)
+        tape.dense(x, wv, bv, act)
     };
 
     // Eq. 4: initiator-view users <- own items + users they shared to.

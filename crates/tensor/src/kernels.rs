@@ -808,6 +808,12 @@ pub fn segment_mean(src: &Matrix, offsets: &[usize], members: &[u32]) -> Matrix 
 
 /// Backward of [`segment_mean`]: routes `grad` (one row per segment) back to
 /// the member rows, scaled by `1 / segment_len`.
+///
+/// A row of `grad` that is entirely `±0.0` is skipped — a mini-batch's
+/// cotangent is nonzero in the rows it touched and nowhere else. Skipping
+/// changes no bit: `inv * ±0.0` is `±0.0`, every output element is a sum
+/// that starts from `+0.0` and so is never `-0.0`, and `acc + ±0.0 == acc`
+/// for every such `acc`. (A NaN row is not zero and is routed as before.)
 pub fn segment_mean_backward(
     grad: &Matrix,
     offsets: &[usize],
@@ -817,11 +823,11 @@ pub fn segment_mean_backward(
     let mut out = Matrix::zeros(src_rows, grad.cols());
     for i in 0..offsets.len() - 1 {
         let seg = &members[offsets[i]..offsets[i + 1]];
-        if seg.is_empty() {
+        let g = grad.row(i);
+        if seg.is_empty() || g.iter().all(|&v| v == 0.0) {
             continue;
         }
         let inv = 1.0 / seg.len() as f32;
-        let g = grad.row(i);
         for &m in seg {
             axpy_into(out.row_mut(m as usize), inv, g);
         }
@@ -1964,6 +1970,56 @@ mod tests {
                     }
                     assert!(same_bits(got.get(i, c), acc), "w={w} segment {i} col {c}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn segment_mean_backward_zero_row_skip_changes_no_bit() {
+        // Empty segments (0, 3, 6), duplicated members (5 within segment 1;
+        // 6 and 3 across segments), and member rows that only ever receive
+        // skipped rows.
+        let offsets = [0usize, 0, 3, 4, 4, 11, 13, 13, 15];
+        let members = [5u32, 0, 5, 2, 1, 6, 1, 3, 3, 4, 0, 6, 6, 7, 8];
+        let n_seg = offsets.len() - 1;
+        for w in tile_dims() {
+            let base = Matrix::from_vec(n_seg, w, awkward(n_seg * w, w as u32 + 90));
+            let rows_of = |fill: &dyn Fn(usize, usize) -> Option<f32>| {
+                Matrix::from_fn(n_seg, w, |r, c| fill(r, c).unwrap_or(base.get(r, c)))
+            };
+            let cases = [
+                ("no zero row", rows_of(&|_, c| (c == 0).then_some(0.5))),
+                ("all rows zero", rows_of(&|_, _| Some(0.0))),
+                ("all rows -0.0", rows_of(&|_, _| Some(-0.0))),
+                (
+                    "mixed-sign zero rows",
+                    rows_of(&|r, c| (r % 2 == 1).then_some(if c % 2 == 0 { 0.0 } else { -0.0 })),
+                ),
+                (
+                    "one live row",
+                    rows_of(&|r, c| (r != 4).then_some(if c == 1 { -0.0 } else { 0.0 })),
+                ),
+                ("a NaN row", rows_of(&|r, _| (r == 1).then_some(f32::NAN))),
+                (
+                    "subnormal rows",
+                    rows_of(&|r, _| (r < 5).then_some(-f32::MIN_POSITIVE / 4.0)),
+                ),
+            ];
+            for (what, grad) in &cases {
+                let got = segment_mean_backward(grad, &offsets, &members, 9);
+                // The kernel without the skip.
+                let mut want = Matrix::zeros(9, w);
+                for i in 0..n_seg {
+                    let seg = &members[offsets[i]..offsets[i + 1]];
+                    for &m in seg {
+                        axpy_into(
+                            want.row_mut(m as usize),
+                            1.0 / seg.len() as f32,
+                            grad.row(i),
+                        );
+                    }
+                }
+                assert_same_bits(&got, &want, &format!("{what}, w={w}"));
             }
         }
     }
