@@ -34,11 +34,12 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation to every element of `m` in place — the same
-    /// scalar functions as `kernels::{tanh, sigmoid, leaky_relu}`.
+    /// Applies the activation to every element of `m` in place, through
+    /// what the standalone tape ops run: `kernels::tanh_inplace` (all there
+    /// is under `kernels::tanh`) and `kernels::sigmoid_scalar`.
     fn apply(self, m: &mut Matrix) {
         match self {
-            Self::Tanh => m.map_inplace(f32::tanh),
+            Self::Tanh => kernels::tanh_inplace(m.as_mut_slice()),
             Self::Sigmoid => m.map_inplace(kernels::sigmoid_scalar),
             Self::LeakyRelu(alpha) => m.map_inplace(|v| if v >= 0.0 { v } else { alpha * v }),
         }

@@ -23,7 +23,9 @@
 //! * `no-wallclock-in-kernels` — no `Instant`/`SystemTime` in
 //!   kernel/scoring modules.
 //! * `arch-intrinsics-confined` — `core::arch`/`std::arch` intrinsics
-//!   only in `crates/tensor/src/kernels.rs`.
+//!   only in `crates/tensor/src/kernels.rs` and `simd.rs` beside it.
+//! * `no-libm-tanh` — no `f32::tanh` / `.tanh()` outside test code; the
+//!   one `tanh` is `gb_tensor::kernels::tanh_inplace`.
 //!
 //! Findings are suppressed inline with a justified `lint:allow`
 //! comment (`rule` in parens, then a mandatory `: reason`), e.g.

@@ -31,6 +31,7 @@ pub const FLOAT_TOTAL_ORDER: &str = "float-total-order";
 pub const NO_HASH_ITERATION: &str = "no-hash-iteration";
 pub const NO_WALLCLOCK_IN_KERNELS: &str = "no-wallclock-in-kernels";
 pub const ARCH_INTRINSICS_CONFINED: &str = "arch-intrinsics-confined";
+pub const NO_LIBM_TANH: &str = "no-libm-tanh";
 /// Meta-rule: a malformed `lint:allow` (missing justification or
 /// unknown rule name) is itself a finding — suppressions without a
 /// reason are how grandfathered mess accretes.
@@ -45,10 +46,12 @@ pub const ALL_RULES: &[&str] = &[
     NO_HASH_ITERATION,
     NO_WALLCLOCK_IN_KERNELS,
     ARCH_INTRINSICS_CONFINED,
+    NO_LIBM_TANH,
 ];
 
 /// The only files that may name `core::arch` / `std::arch` intrinsics:
-/// the kernel module, and a `simd.rs` split out of it should it grow one.
+/// the kernel module and the `Lane8` vector type its elementwise kernels
+/// are written over.
 const ARCH_INTRINSICS_HOME: &[&str] =
     &["crates/tensor/src/kernels.rs", "crates/tensor/src/simd.rs"];
 
@@ -73,6 +76,9 @@ const ARCH_INTRINSICS_HOME: &[&str] =
 ///   exclusion, so it is applied at the rule rather than listed here):
 ///   every SIMD intrinsic lives beside the portable code and the bitwise
 ///   tests that hold it to the no-FMA, fixed-order contract.
+/// * `no-libm-tanh` is global outside test code: the workspace has one
+///   `tanh`, `gb_tensor::kernels::tanh_inplace`, and test oracles are the
+///   only callers libm's keeps.
 pub fn rule_scope(rule: &str) -> &'static [&'static str] {
     match rule {
         UNSAFE_NEEDS_SAFETY | FLOAT_TOTAL_ORDER => &[],
@@ -447,6 +453,31 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
                  intrinsics stay beside the portable path and its bitwise tests"
                     .to_string(),
             );
+        }
+
+        // no-libm-tanh: `f32::tanh` / `f64::tanh` as a path, or a
+        // zero-argument `.tanh()` — the float method; `tape.tanh(v)` and
+        // `kernels::tanh(&m)` take an argument. libm's result differs
+        // from the in-repo kernel's in the last bits and from one glibc
+        // to the next, so a second call site would split the
+        // `dense` == chain wall and tie trained bits to the host again.
+        // Test code is exempt: libm (in f64) is the accuracy oracle.
+        if !test_code && t.kind == TokenKind::Ident && t.text == "tanh" {
+            let float_path = prev(1).is_some_and(|p| p.text == ":")
+                && prev(2).is_some_and(|p| p.text == ":")
+                && prev(3).is_some_and(|p| p.text == "f32" || p.text == "f64");
+            let float_method = prev(1).is_some_and(|p| p.text == ".")
+                && next(1).is_some_and(|n| n.text == "(")
+                && next(2).is_some_and(|n| n.text == ")");
+            if float_path || float_method {
+                push(
+                    NO_LIBM_TANH,
+                    t.line,
+                    "libm `tanh` outside test code — call \
+                     `gb_tensor::kernels::tanh_inplace`, the workspace's one `tanh`"
+                        .to_string(),
+                );
+            }
         }
     }
 

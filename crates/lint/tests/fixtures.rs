@@ -178,6 +178,25 @@ fn arch_intrinsics_confined_accepts_the_kernel_module_asm_and_quoted() {
 }
 
 #[test]
+fn no_libm_tanh_fires_on_the_path_and_the_zero_argument_method() {
+    let f = lint_source("crates/core/src/tanh_fixture.rs", &fixture("tanh_fire.rs"));
+    assert_eq!(spans("no-libm-tanh", &f), vec![4, 8, 9, 13]);
+    assert_eq!(f.len(), 4, "unexpected extra findings: {f:?}");
+    // No home is exempt: not even the kernel module keeps a libm call.
+    let f = lint_source("crates/tensor/src/kernels.rs", &fixture("tanh_fire.rs"));
+    assert_eq!(spans("no-libm-tanh", &f), vec![4, 8, 9, 13]);
+}
+
+#[test]
+fn no_libm_tanh_accepts_tape_ops_kernel_calls_quoted_and_tests() {
+    let f = lint_source("crates/core/src/tanh_fixture.rs", &fixture("tanh_clean.rs"));
+    assert!(f.is_empty(), "clean fixture flagged: {f:?}");
+    // A `tests/` directory is test code as a whole.
+    let f = lint_source("crates/core/tests/oracle.rs", &fixture("tanh_fire.rs"));
+    assert!(f.is_empty(), "test file flagged: {f:?}");
+}
+
+#[test]
 fn bad_suppressions_are_findings_and_do_not_suppress() {
     let f = lint_source(
         "crates/serve/src/suppression_fixture.rs",

@@ -18,6 +18,7 @@ pub mod init;
 pub mod kernels;
 pub mod kmeans;
 pub mod matrix;
+mod simd;
 
 pub use matrix::Matrix;
 
