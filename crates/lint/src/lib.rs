@@ -23,7 +23,7 @@
 //! * `no-wallclock-in-kernels` — no `Instant`/`SystemTime` in
 //!   kernel/scoring modules.
 //! * `arch-intrinsics-confined` — `core::arch`/`std::arch` intrinsics
-//!   only in `crates/tensor/src/kernels.rs` and `simd.rs` beside it.
+//!   only in `crates/tensor/src/simd.rs`.
 //! * `no-libm-tanh` — no `f32::tanh` / `.tanh()` outside test code; the
 //!   one `tanh` is `gb_tensor::kernels::tanh_inplace`.
 //!

@@ -49,11 +49,9 @@ pub const ALL_RULES: &[&str] = &[
     NO_LIBM_TANH,
 ];
 
-/// The only files that may name `core::arch` / `std::arch` intrinsics:
-/// the kernel module and the `Lane8` vector type its elementwise kernels
-/// are written over.
-const ARCH_INTRINSICS_HOME: &[&str] =
-    &["crates/tensor/src/kernels.rs", "crates/tensor/src/simd.rs"];
+/// The only file that may name `core::arch` / `std::arch` intrinsics:
+/// the `Lane8` vector type every kernel in `gb-tensor` is written over.
+const ARCH_INTRINSICS_HOME: &[&str] = &["crates/tensor/src/simd.rs"];
 
 /// Path prefixes a rule is enforced under (forward-slash relative
 /// paths). An empty list means "the whole workspace".
@@ -72,10 +70,10 @@ const ARCH_INTRINSICS_HOME: &[&str] =
 /// * `no-hash-iteration` and `no-wallclock-in-kernels` cover the
 ///   determinism-critical numeric modules, where hash iteration order
 ///   or wall-clock reads would break bitwise reproducibility.
-/// * `arch-intrinsics-confined` is global *minus* the kernel module (an
-///   exclusion, so it is applied at the rule rather than listed here):
-///   every SIMD intrinsic lives beside the portable code and the bitwise
-///   tests that hold it to the no-FMA, fixed-order contract.
+/// * `arch-intrinsics-confined` is global *minus* `gb-tensor`'s `simd.rs`
+///   (an exclusion, so it is applied at the rule rather than listed
+///   here): every SIMD intrinsic lives beside its portable twin and the
+///   bitwise tests that hold it to the no-FMA, fixed-order contract.
 /// * `no-libm-tanh` is global outside test code: the workspace has one
 ///   `tanh`, `gb_tensor::kernels::tanh_inplace`, and test oracles are the
 ///   only callers libm's keeps.
@@ -431,11 +429,11 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
         }
 
         // arch-intrinsics-confined: a `core::arch` / `std::arch` path
-        // outside the kernel module. One fused multiply-add or one
-        // reordered reduction anywhere else would silently break the
-        // bitwise walls; in the kernel module it cannot get past the
-        // portable-path oracle tests. Test code is not exempt. The
-        // `asm!` macros also live under `arch` but are not intrinsics.
+        // outside `simd.rs`. One fused multiply-add or one reordered
+        // reduction anywhere else would silently break the bitwise
+        // walls; behind `Lane8` it cannot get past the `Avx2 == Portable`
+        // tests. Test code is not exempt. The `asm!` macros also live
+        // under `arch` but are not intrinsics.
         if !ARCH_INTRINSICS_HOME.contains(&rel_path)
             && t.kind == TokenKind::Ident
             && t.text == "arch"
@@ -449,8 +447,8 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
             push(
                 ARCH_INTRINSICS_CONFINED,
                 t.line,
-                "`core::arch`/`std::arch` outside crates/tensor/src/kernels.rs — SIMD \
-                 intrinsics stay beside the portable path and its bitwise tests"
+                "`core::arch`/`std::arch` outside crates/tensor/src/simd.rs — SIMD \
+                 intrinsics stay behind `Lane8`, beside the portable form and its bitwise tests"
                     .to_string(),
             );
         }

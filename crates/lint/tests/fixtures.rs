@@ -163,12 +163,16 @@ fn arch_intrinsics_confined_fires_at_exact_spans_tests_included() {
     let f = lint_source("crates/serve/src/arch_fixture.rs", &fixture("arch_fire.rs"));
     assert_eq!(spans("arch-intrinsics-confined", &f), vec![3, 6, 11]);
     assert_eq!(f.len(), 3, "unexpected extra findings: {f:?}");
+    // The kernel module is no home either: its kernels are written over
+    // `Lane8` and name no intrinsic themselves.
+    let f = lint_source("crates/tensor/src/kernels.rs", &fixture("arch_fire.rs"));
+    assert_eq!(spans("arch-intrinsics-confined", &f), vec![3, 6, 11]);
 }
 
 #[test]
 fn arch_intrinsics_confined_accepts_the_kernel_module_asm_and_quoted() {
-    // The same intrinsics paths are at home in the kernel module.
-    let f = lint_source("crates/tensor/src/kernels.rs", &fixture("arch_fire.rs"));
+    // The same intrinsics paths are at home behind `Lane8`.
+    let f = lint_source("crates/tensor/src/simd.rs", &fixture("arch_fire.rs"));
     assert!(f.is_empty(), "allowed file flagged: {f:?}");
     let f = lint_source(
         "crates/serve/src/arch_fixture.rs",

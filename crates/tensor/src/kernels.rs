@@ -16,32 +16,36 @@
 //! `gb-models`/`gb-core`, `blend_dot_block` in `gb-serve`) produce
 //! bit-identical scores.
 //!
-//! The one reduction, `dot_tile`, and the 4-item blend tile under the three
-//! `blend_dot_*` kernels are written with explicit 256-bit
-//! `core::arch::x86_64` intrinsics wherever the build enables AVX (the
-//! workspace default, see `.cargo/config.toml`). Left to itself, LLVM
-//! SLP-vectorises the `[f32; DOT_LANES]` accumulator form *across the
-//! 4-item tile* instead of along the 8 lanes: 128-bit multiplies fed by
-//! shuffles, and no 256-bit arithmetic at all. The array form stays as the
-//! fallback for builds without AVX and as the oracle the unit tests hold
-//! the intrinsics to, bit for bit.
+//! Each vector kernel has **one body**, written over `simd::Lane8`,
+//! `#[inline(always)]` into the one function that runs it, and run at
+//! `simd::Native`: a `__m256` wherever the build enables AVX2 (the
+//! workspace default, see `.cargo/config.toml`), a `[f32; 8]` everywhere
+//! else, each array operation mirroring its intrinsic bit for bit. The
+//! unit tests instantiate the same bodies at `simd::Portable` and hold the
+//! two to each other, which is a real comparison on AVX2 builds only;
+//! [`reference`] shares no code with either. The lanes are explicit
+//! because, left to itself, LLVM SLP-vectorises an array accumulator
+//! *across the 4-item tile* instead of along the 8 lanes: 128-bit
+//! multiplies fed by shuffles, and no 256-bit arithmetic at all.
 //!
-//! The products that do not reduce along lanes — [`matmul`] and
-//! [`matmul_tn`], the propagation FCs forward and their weight gradients —
-//! share one tile loop that differs only in how it addresses the left
-//! operand (`Lhs`: `a[(i0+r)*k + kk]` for `matmul`, `a[kk*m + i0+r]` for
-//! `matmul_tn`). Under AVX every whole 4-row × 16-column output tile is
-//! eight accumulator vectors held across the full reduction
-//! (`acc[r][0..2] += set1(a) * loadu(b)`); the array form's 4×8 tile and
-//! its partial-tile loop compute the output's edges there, and all of it
-//! without AVX. Tiles partition the *output*, never the reduction: every
-//! element is the ascending-index sum from `+0.0` whichever tile produced
-//! it. [`segment_mean`] follows the same arrangement — each output row
-//! accumulated in registers over 32-column strips, explicit vectors under
-//! AVX, arrays otherwise, per-element order `(((0 + s0) + s1) + …) * inv`
-//! in both. [`matmul_nt`] reduces along lanes and stays on `dot_tile`.
+//! The one reduction along lanes is `dot_tile`; the three `blend_dot_*`
+//! kernels add a fused 4-item tile that reduces and blends eight
+//! accumulators at once (`Lane8::reduce_blend`). The products that do not
+//! reduce along lanes — [`matmul`] and [`matmul_tn`], the propagation FCs
+//! forward and their weight gradients — share one tile loop that differs
+//! only in how it addresses the left operand (`Lhs`: `a[(i0+r)*k + kk]` for
+//! `matmul`, `a[kk*m + i0+r]` for `matmul_tn`). Every whole 4-row ×
+//! 16-column output tile is eight accumulator vectors held across the full
+//! reduction (`acc[r][0..2] += splat(a) * loadu(b)`), a leftover 8 columns
+//! the same tile one vector wide, and the edges one element at a time.
+//! Tiles partition the *output*, never the reduction: every element is the
+//! ascending-index sum from `+0.0` whichever tile produced it.
+//! [`segment_mean`] follows the same arrangement — each output row
+//! accumulated in registers over 32-column strips, then single vectors,
+//! then single columns, per-element order `(((0 + s0) + s1) + …) * inv` in
+//! all three. [`matmul_nt`] reduces along lanes and stays on `dot_tile`.
 //!
-//! **No FMA, on either path, in any kernel.** Every product is rounded
+//! **No FMA, on either lane type, in any kernel.** Every product is rounded
 //! before it is added (`mul` then `add`; never `_mm256_fmadd_ps` or
 //! `f32::mul_add`). A fused multiply-add changes the low bit, and the
 //! serve == offline, sharded == single, parallel == serial and
@@ -49,62 +53,66 @@
 //!
 //! **One `tanh`, and not libm's.** [`tanh_inplace`] is the only hyperbolic
 //! tangent the workspace computes (`gb-lint`'s `no-libm-tanh` keeps it
-//! so): a branch-free Cephes split written once over `simd::Lane8` — a
-//! `__m256` on AVX2 builds, a `[f32; 8]` otherwise, each portable
-//! operation mirroring its intrinsic bit for bit — within 2 ulp of the
-//! exact value for every `f32`. A slice's tail is padded into one more
-//! vector, so an element's result depends on that element alone: not on
-//! its index, the slice's length, the build, or the host's C library.
+//! so): a branch-free Cephes split over the same `simd::Lane8`, within
+//! 2 ulp of the exact value for every `f32`. A slice's tail is padded into
+//! one more vector, so an element's result depends on that element alone:
+//! not on its index, the slice's length, the build, or the host's C
+//! library.
 //!
 //! The pre-blocking scalar loops survive in [`reference`]; the property
 //! tests pin the blocked kernels to them within float-reassociation
 //! tolerance.
 
-use crate::simd::{self, Lane8, EXP2I_BIAS};
+use crate::simd::{self, reduce_lanes, Lane8, EXP2I_BIAS};
 use crate::Matrix;
 
 /// Lane width (in `f32` elements) of every blocked reduction in this
 /// module. Callers that want to block to the same widths — the serving
 /// engine's item blocks, the scorer tables — should use multiples of this.
-pub const DOT_LANES: usize = 8;
+pub const DOT_LANES: usize = simd::LANES;
 
 /// Rows of `A` per register tile in [`matmul`] / [`matmul_tn`], and items
 /// per tile in [`matmul_nt`] / [`blend_dot_block`].
 const ROW_TILE: usize = 4;
 
-/// Fixed pairwise reduction of the lane accumulators. One tree for every
-/// caller: changing this changes every blocked dot product in the
-/// workspace at once, which is exactly the point — there is a single
-/// summation order to reason about.
+/// The `T` lane-accumulator vectors of `a` against `rows` over the whole
+/// chunks of `a`: lane `l` of vector `t` is
+/// `Σ_c a[8c + l] * rows[t][8c + l]`, ascending `c`, starting from `+0.0`.
 #[inline(always)]
-fn reduce_lanes(l: &[f32; DOT_LANES]) -> f32 {
-    ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]))
+fn lane_sums<L: Lane8, const T: usize>(a: &[f32], rows: &[&[f32]; T]) -> [L; T] {
+    for row in rows {
+        assert!(row.len() >= a.len(), "dot_tile: row shorter than vector");
+    }
+    // SAFETY: each load reads floats `8c .. 8c + 8` with
+    // `8c + 8 <= a.len()`, and every row is at least `a.len()` long
+    // (asserted above), so all eight are inside the slice.
+    unsafe {
+        let mut acc = [L::splat(0.0); T];
+        for c in 0..a.len() / DOT_LANES {
+            let va = L::loadu_ptr(a.as_ptr().add(c * DOT_LANES));
+            for t in 0..T {
+                let vb = L::loadu_ptr(rows[t].as_ptr().add(c * DOT_LANES));
+                acc[t] = acc[t].add(va.mul(vb));
+            }
+        }
+        acc
+    }
 }
 
 /// `T` simultaneous lane-blocked dot products of `a` against `rows`,
-/// sharing the loads of `a`. Each output is bit-identical to
-/// `dot(a, rows[t])` — the tile is a scheduling choice, not a numeric one.
-///
-/// The portable form: the whole kernel on builds without AVX, and the
-/// oracle the tests compare the intrinsics against on builds with it.
-#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "avx"))))]
+/// sharing the loads of `a`: [`lane_sums`] over the whole chunks, the fixed
+/// lane reduction, then the tail in index order. Each output is
+/// bit-identical to `dot(a, rows[t])` — the tile is a scheduling choice,
+/// not a numeric one.
 #[inline(always)]
-fn dot_tile_portable<const T: usize>(a: &[f32], rows: [&[f32]; T]) -> [f32; T] {
-    let mut lanes = [[0.0f32; DOT_LANES]; T];
-    let chunks = a.len() / DOT_LANES;
-    for c in 0..chunks {
-        let ca = &a[c * DOT_LANES..(c + 1) * DOT_LANES];
-        for t in 0..T {
-            let cb = &rows[t][c * DOT_LANES..(c + 1) * DOT_LANES];
-            for l in 0..DOT_LANES {
-                lanes[t][l] += ca[l] * cb[l];
-            }
-        }
-    }
-    let tail = chunks * DOT_LANES;
+fn dot_tile_on<L: Lane8, const T: usize>(a: &[f32], rows: [&[f32]; T]) -> [f32; T] {
+    let sums = lane_sums::<L, T>(a, &rows);
+    let tail = a.len() / DOT_LANES * DOT_LANES;
     let mut out = [0.0f32; T];
     for t in 0..T {
-        let mut acc = reduce_lanes(&lanes[t]);
+        let mut lanes = [0.0f32; DOT_LANES];
+        sums[t].storeu(&mut lanes);
+        let mut acc = reduce_lanes(&lanes);
         for q in tail..a.len() {
             acc += a[q] * rows[t][q];
         }
@@ -113,258 +121,40 @@ fn dot_tile_portable<const T: usize>(a: &[f32], rows: [&[f32]; T]) -> [f32; T] {
     out
 }
 
-#[cfg(not(all(target_arch = "x86_64", target_feature = "avx")))]
-use dot_tile_portable as dot_tile;
+/// [`dot_tile_on`] the lanes this build computes with.
+#[inline(always)]
+fn dot_tile<const T: usize>(a: &[f32], rows: [&[f32]; T]) -> [f32; T] {
+    dot_tile_on::<simd::Native, T>(a, rows)
+}
 
-#[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
-use avx::dot_tile;
-
-/// The 256-bit forms of the lane loop. Same lane assignment, same
-/// `mul`-then-`add` per lane, same reduction tree as the portable code.
-#[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
-mod avx {
-    use super::{reduce_lanes, Lhs, DOT_LANES, ROW_TILE, SEG_STRIP};
-    use crate::Matrix;
-    use core::arch::x86_64::*;
-
-    /// The `T` lane-accumulator vectors of `a` against `rows` over the
-    /// whole chunks of `a`: lane `l` of vector `t` is
-    /// `Σ_c a[8c + l] * rows[t][8c + l]`, ascending `c`, starting from `+0.0`.
-    #[inline(always)]
-    fn lane_sums<const T: usize>(a: &[f32], rows: &[&[f32]; T]) -> [__m256; T] {
-        for row in rows {
-            assert!(row.len() >= a.len(), "dot_tile: row shorter than vector");
-        }
-        // SAFETY: `setzero`, `mul` and `add` touch registers only and AVX
-        // is enabled for this build (the `cfg` on the module). Each load
-        // reads floats `8c .. 8c + 8` with `8c + 8 <= a.len()`, and every
-        // row is at least `a.len()` long (asserted above), so all eight
-        // are inside the slice; `loadu` has no alignment requirement.
-        unsafe {
-            let mut acc = [_mm256_setzero_ps(); T];
-            for c in 0..a.len() / DOT_LANES {
-                let va = _mm256_loadu_ps(a.as_ptr().add(c * DOT_LANES));
-                for t in 0..T {
-                    let vb = _mm256_loadu_ps(rows[t].as_ptr().add(c * DOT_LANES));
-                    acc[t] = _mm256_add_ps(acc[t], _mm256_mul_ps(va, vb));
-                }
-            }
-            acc
-        }
-    }
-
-    /// [`super::dot_tile_portable`] with the chunk loop in 256-bit
-    /// registers; the lane reduction and the in-order scalar tail are the
-    /// portable code's own.
-    #[inline(always)]
-    pub(super) fn dot_tile<const T: usize>(a: &[f32], rows: [&[f32]; T]) -> [f32; T] {
-        let sums = lane_sums(a, &rows);
-        let tail = a.len() / DOT_LANES * DOT_LANES;
-        let mut out = [0.0f32; T];
-        for t in 0..T {
-            // SAFETY: `__m256` and `[f32; 8]` are the same 32 bytes with
-            // no invalid bit patterns; lane `l` is element `l`.
-            let lanes: [f32; DOT_LANES] = unsafe { core::mem::transmute(sums[t]) };
-            let mut acc = reduce_lanes(&lanes);
-            for q in tail..a.len() {
-                acc += a[q] * rows[t][q];
-            }
-            out[t] = acc;
-        }
-        out
-    }
-
-    /// One fused 4-item Eq. 9 tile for widths with no scalar tail:
-    /// `out[t] = (1-alpha) * own·own_rows[t] + alpha * social·social_rows[t]`,
-    /// each product bit-identical to [`dot_tile`]'s.
-    ///
-    /// The eight accumulators (four own, four social) are reduced together:
-    /// the halves of each pair are folded (`l + (l+4)`), the four items'
-    /// folded quads transposed inside each 128-bit half, and the columns
-    /// added as `(c0 + c2) + (c1 + c3)` — which is
-    /// `((l0+l4)+(l2+l6))+((l1+l5)+(l3+l7))`, [`reduce_lanes`], for all
-    /// eight sums at once. Blend and store are 4 wide.
-    ///
-    /// # Panics
-    /// Panics if either width has a tail, a row is shorter than its
-    /// vector, or `out` holds fewer than four floats.
-    #[inline(always)]
-    pub(super) fn blend_tile(
-        own: &[f32],
-        own_rows: &[&[f32]; ROW_TILE],
-        social: &[f32],
-        social_rows: &[&[f32]; ROW_TILE],
-        alpha: f32,
-        out: &mut [f32],
-    ) {
-        assert!(
-            own.len().is_multiple_of(DOT_LANES) && social.len().is_multiple_of(DOT_LANES),
-            "blend_tile: width with a scalar tail"
-        );
-        assert!(out.len() >= ROW_TILE, "blend_tile: output tile too short");
-        let o = lane_sums(own, own_rows);
-        let s = lane_sums(social, social_rows);
-        // SAFETY: everything up to the store is register arithmetic and
-        // AVX is enabled for this build; the store writes four floats at
-        // `out[0..4]`, which exist (asserted above), with no alignment
-        // requirement.
-        unsafe {
-            // h[t] = [o[t].lo + o[t].hi | s[t].lo + s[t].hi]
-            let fold = |o: __m256, s: __m256| {
-                _mm256_add_ps(
-                    _mm256_permute2f128_ps::<0x20>(o, s),
-                    _mm256_permute2f128_ps::<0x31>(o, s),
-                )
-            };
-            let h = [
-                fold(o[0], s[0]),
-                fold(o[1], s[1]),
-                fold(o[2], s[2]),
-                fold(o[3], s[3]),
-            ];
-            // 4x4 transpose inside each 128-bit half: c[q] holds element
-            // `q` of the four items' folded quads.
-            let t0 = _mm256_unpacklo_ps(h[0], h[1]);
-            let t1 = _mm256_unpackhi_ps(h[0], h[1]);
-            let t2 = _mm256_unpacklo_ps(h[2], h[3]);
-            let t3 = _mm256_unpackhi_ps(h[2], h[3]);
-            let c0 = _mm256_shuffle_ps::<0x44>(t0, t2);
-            let c1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
-            let c2 = _mm256_shuffle_ps::<0x44>(t1, t3);
-            let c3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
-            // [own·item0..3 | social·item0..3]
-            let dots = _mm256_add_ps(_mm256_add_ps(c0, c2), _mm256_add_ps(c1, c3));
-            let blended = _mm_add_ps(
-                _mm_mul_ps(_mm_set1_ps(1.0 - alpha), _mm256_castps256_ps128(dots)),
-                _mm_mul_ps(_mm_set1_ps(alpha), _mm256_extractf128_ps::<1>(dots)),
-            );
-            _mm_storeu_ps(out.as_mut_ptr(), blended);
-        }
-    }
-
-    /// Columns per register tile of [`matmul_tiles`]: two vectors a row.
-    const COL_TILE: usize = 2 * DOT_LANES;
-
-    /// Every whole `ROW_TILE x COL_TILE` tile of the `m x n` product
-    /// `out = a * b`, eight accumulator vectors live across the full `k`
-    /// loop: per `kk`, two loads of `b`'s row segment and four broadcasts
-    /// of `a` feed eight `mul`-then-`add`s. Each element is the
-    /// ascending-`kk` sum from `+0.0`, as in the array form.
-    ///
-    /// Returns the extents `(rows, cols)` of the top-left region of `out`
-    /// it filled; the caller computes the rest.
-    ///
-    /// # Panics
-    /// Panics if an operand is shorter than its shape.
-    #[inline]
-    pub(super) fn matmul_tiles(
-        a: Lhs<'_>,
-        b: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) -> (usize, usize) {
-        let (m_full, n_full) = (m - m % ROW_TILE, n - n % COL_TILE);
-        if m_full == 0 || n_full == 0 || k == 0 {
-            return (0, 0);
-        }
-        assert!(
-            (m_full - 1) * a.i_stride + (k - 1) * a.k_stride < a.data.len()
-                && k * n <= b.len()
-                && m_full * n <= out.len(),
-            "matmul_tiles: operand shorter than its shape"
-        );
-        // SAFETY: AVX is enabled for this build (the `cfg` on the module)
-        // and `loadu`/`storeu` have no alignment requirement. With
-        // `i0 + r < m_full`, `kk < k` and `j0 + COL_TILE <= n_full <= n`:
-        // the read of `a` is at most `(m_full - 1) * i_stride +
-        // (k - 1) * k_stride`, the two loads of `b` end at
-        // `kk * n + j0 + COL_TILE <= k * n`, and the two stores end at
-        // `(i0 + r) * n + j0 + COL_TILE <= m_full * n` — all inside their
-        // slices by the assert above.
-        unsafe {
-            for i0 in (0..m_full).step_by(ROW_TILE) {
-                for j0 in (0..n_full).step_by(COL_TILE) {
-                    let mut acc = [[_mm256_setzero_ps(); 2]; ROW_TILE];
-                    for kk in 0..k {
-                        let bp = b.as_ptr().add(kk * n + j0);
-                        let b0 = _mm256_loadu_ps(bp);
-                        let b1 = _mm256_loadu_ps(bp.add(DOT_LANES));
-                        let ap = a.data.as_ptr().add(i0 * a.i_stride + kk * a.k_stride);
-                        for (r, acc) in acc.iter_mut().enumerate() {
-                            let av = _mm256_set1_ps(*ap.add(r * a.i_stride));
-                            acc[0] = _mm256_add_ps(acc[0], _mm256_mul_ps(av, b0));
-                            acc[1] = _mm256_add_ps(acc[1], _mm256_mul_ps(av, b1));
-                        }
-                    }
-                    for (r, acc) in acc.iter().enumerate() {
-                        let op = out.as_mut_ptr().add((i0 + r) * n + j0);
-                        _mm256_storeu_ps(op, acc[0]);
-                        _mm256_storeu_ps(op.add(DOT_LANES), acc[1]);
-                    }
-                }
-            }
-        }
-        (m_full, n_full)
-    }
-
-    /// Columns `c .. c + 8V` of one [`super::segment_mean`] output row:
-    /// `V` accumulator vectors from `+0.0`, one `add` per member row in
-    /// list order, one `mul` by `inv` and one store.
-    #[inline(always)]
-    fn segment_strip<const V: usize>(
-        src: &Matrix,
-        seg: &[u32],
-        c: usize,
-        inv: f32,
-        out: &mut [f32],
-    ) {
-        let out = &mut out[c..c + V * DOT_LANES];
-        // SAFETY: AVX is enabled for this build and `loadu`/`storeu` have
-        // no alignment requirement. `s` and `out` are bounds-checked
-        // slices of exactly `8V` floats; each load and store covers floats
-        // `8v .. 8v + 8` of one of them with `v < V`.
-        unsafe {
-            let mut acc = [_mm256_setzero_ps(); V];
-            for &m in seg {
-                let s = &src.row(m as usize)[c..c + V * DOT_LANES];
-                for (v, acc) in acc.iter_mut().enumerate() {
-                    *acc = _mm256_add_ps(*acc, _mm256_loadu_ps(s.as_ptr().add(v * DOT_LANES)));
-                }
-            }
-            let inv = _mm256_set1_ps(inv);
-            for (v, acc) in acc.iter().enumerate() {
-                _mm256_storeu_ps(
-                    out.as_mut_ptr().add(v * DOT_LANES),
-                    _mm256_mul_ps(*acc, inv),
-                );
-            }
-        }
-    }
-
-    /// The whole-vector columns of one [`super::segment_mean`] output row,
-    /// in [`SEG_STRIP`]-column strips and then single vectors. Returns how
-    /// many leading columns of `out` it wrote; the caller computes the
-    /// rest.
-    #[inline]
-    pub(super) fn segment_mean_strips(
-        src: &Matrix,
-        seg: &[u32],
-        inv: f32,
-        out: &mut [f32],
-    ) -> usize {
-        let mut c = 0;
-        while c + SEG_STRIP <= out.len() {
-            segment_strip::<{ SEG_STRIP / DOT_LANES }>(src, seg, c, inv, out);
-            c += SEG_STRIP;
-        }
-        while c + DOT_LANES <= out.len() {
-            segment_strip::<1>(src, seg, c, inv, out);
-            c += DOT_LANES;
-        }
-        c
-    }
+/// One fused 4-item Eq. 9 tile for widths with no scalar tail:
+/// `out[t] = (1-alpha) * own·own_rows[t] + alpha * social·social_rows[t]`,
+/// each product bit-identical to [`dot_tile`]'s: the same [`lane_sums`],
+/// and the eight accumulators (four own, four social) reduced and blended
+/// together by [`Lane8::reduce_blend`].
+///
+/// # Panics
+/// Panics if either width has a tail, a row is shorter than its vector, or
+/// `out` holds fewer than four floats.
+#[inline(always)]
+fn blend_tile<L: Lane8>(
+    own: &[f32],
+    own_rows: &[&[f32]; ROW_TILE],
+    social: &[f32],
+    social_rows: &[&[f32]; ROW_TILE],
+    alpha: f32,
+    out: &mut [f32],
+) {
+    assert!(
+        own.len().is_multiple_of(DOT_LANES) && social.len().is_multiple_of(DOT_LANES),
+        "blend_tile: width with a scalar tail"
+    );
+    let out = out
+        .first_chunk_mut()
+        .expect("blend_tile: output tile too short");
+    let o = lane_sums::<L, ROW_TILE>(own, own_rows);
+    let s = lane_sums::<L, ROW_TILE>(social, social_rows);
+    L::reduce_blend(o, s, alpha, out);
 }
 
 /// Lane-blocked dot product: eight independent accumulators over chunks of
@@ -418,16 +208,74 @@ impl Lhs<'_> {
     }
 }
 
-/// The array form of the matmul tile loop over output rows `rows` and
-/// columns `cols` of the zeroed `m x n` buffer `od`: `ROW_TILE x DOT_LANES`
-/// tiles accumulated in `[f32; DOT_LANES]` arrays across the full `k`
-/// loop, partial tiles accumulated in the output itself. Either way every
-/// element is the ascending-`kk` sum `Σ a(i, kk) * b[kk][j]` from `+0.0`.
+/// Every whole `ROW_TILE x 8V` tile in columns `from..` of the `m x n`
+/// product `out = a * b`: `4V` accumulator vectors live across the full `k`
+/// loop — per `kk`, `V` loads of `b`'s row segment and four broadcasts of
+/// `a` feed `4V` `mul`-then-`add`s. Each element is the ascending-`kk` sum
+/// `Σ a(i, kk) * b[kk][j]` from `+0.0`.
 ///
-/// The whole kernel on builds without AVX, the edge of the output that
-/// the 4x16 tiles of `avx::matmul_tiles` do not reach on builds with it,
-/// and the oracle the tests hold that tile to.
-fn matmul_tiles_portable(
+/// Returns the column the tiles stopped at; the caller computes the rest.
+///
+/// # Panics
+/// Panics if an operand is shorter than its shape.
+#[inline(always)]
+fn matmul_tiles<L: Lane8, const V: usize>(
+    a: Lhs<'_>,
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    from: usize,
+) -> usize {
+    let (m_full, width) = (m - m % ROW_TILE, V * DOT_LANES);
+    let to = from + n.saturating_sub(from) / width * width;
+    if m_full == 0 || to == from || k == 0 {
+        return from;
+    }
+    assert!(
+        (m_full - 1) * a.i_stride + (k - 1) * a.k_stride < a.data.len()
+            && k * n <= b.len()
+            && m_full * n <= out.len(),
+        "matmul_tiles: operand shorter than its shape"
+    );
+    // SAFETY: with `i0 + r < m_full`, `kk < k` and `j0 + width <= to <= n`:
+    // the read of `a` is at most `(m_full - 1) * i_stride +
+    // (k - 1) * k_stride`, the `V` loads of `b` end at
+    // `kk * n + j0 + width <= k * n`, and the `V` stores end at
+    // `(i0 + r) * n + j0 + width <= m_full * n` — all inside their slices
+    // by the assert above.
+    unsafe {
+        for i0 in (0..m_full).step_by(ROW_TILE) {
+            for j0 in (from..to).step_by(width) {
+                let mut acc = [[L::splat(0.0); V]; ROW_TILE];
+                for kk in 0..k {
+                    let bp = b.as_ptr().add(kk * n + j0);
+                    let bv: [L; V] = std::array::from_fn(|v| L::loadu_ptr(bp.add(v * DOT_LANES)));
+                    let ap = a.data.as_ptr().add(i0 * a.i_stride + kk * a.k_stride);
+                    for (r, acc) in acc.iter_mut().enumerate() {
+                        let av = L::splat(*ap.add(r * a.i_stride));
+                        for (acc, &bv) in acc.iter_mut().zip(&bv) {
+                            *acc = acc.add(av.mul(bv));
+                        }
+                    }
+                }
+                for (r, acc) in acc.iter().enumerate() {
+                    let op = out.as_mut_ptr().add((i0 + r) * n + j0);
+                    for (v, acc) in acc.iter().enumerate() {
+                        acc.storeu_ptr(op.add(v * DOT_LANES));
+                    }
+                }
+            }
+        }
+    }
+    to
+}
+
+/// Output rows `rows`, columns `cols` of the zeroed `m x n` buffer `od`,
+/// one element at a time: what the tiles do not reach. The same
+/// ascending-`kk` order per element, accumulated in the output itself.
+fn matmul_edge(
     a: Lhs<'_>,
     bd: &[f32],
     od: &mut [f32],
@@ -436,60 +284,36 @@ fn matmul_tiles_portable(
     rows: std::ops::Range<usize>,
     cols: std::ops::Range<usize>,
 ) {
-    let mut i0 = rows.start;
-    while i0 < rows.end {
-        let ir = ROW_TILE.min(rows.end - i0);
-        let mut j0 = cols.start;
-        while j0 < cols.end {
-            let jr = DOT_LANES.min(cols.end - j0);
-            if ir == ROW_TILE && jr == DOT_LANES {
-                // Full micro-tile: 4 x 8 accumulators live in registers.
-                let mut acc = [[0.0f32; DOT_LANES]; ROW_TILE];
-                for kk in 0..k {
-                    let brow = &bd[kk * n + j0..kk * n + j0 + DOT_LANES];
-                    for (r, acc_row) in acc.iter_mut().enumerate() {
-                        let av = a.at(i0 + r, kk);
-                        for l in 0..DOT_LANES {
-                            acc_row[l] += av * brow[l];
-                        }
-                    }
-                }
-                for (r, acc_row) in acc.iter().enumerate() {
-                    od[(i0 + r) * n + j0..(i0 + r) * n + j0 + DOT_LANES].copy_from_slice(acc_row);
-                }
-            } else {
-                // Edge tile: same ascending-k per-element order, partial
-                // widths accumulated directly in the (zeroed) output.
-                for r in 0..ir {
-                    let orow = &mut od[(i0 + r) * n + j0..(i0 + r) * n + j0 + jr];
-                    for kk in 0..k {
-                        let av = a.at(i0 + r, kk);
-                        let brow = &bd[kk * n + j0..kk * n + j0 + jr];
-                        for l in 0..jr {
-                            orow[l] += av * brow[l];
-                        }
-                    }
-                }
+    // The common case — `n` a multiple of the tile width — must cost
+    // nothing: the checked reads of `a` below would survive as a loop.
+    if cols.is_empty() {
+        return;
+    }
+    for i in rows {
+        let orow = &mut od[i * n + cols.start..i * n + cols.end];
+        for kk in 0..k {
+            let av = a.at(i, kk);
+            let brow = &bd[kk * n + cols.start..kk * n + cols.end];
+            for (o, &bv) in orow.iter_mut().zip(brow) {
+                *o += av * bv;
             }
-            j0 += jr;
         }
-        i0 += ir;
     }
 }
 
 /// The `m x n` product of `a` (`m x k` as [`Lhs`] addresses it) and `b`:
-/// whole 4x16 tiles in 256-bit registers where the build has AVX, the rest
-/// of the output — all of it where it has not — in the array form.
-fn matmul_strided(a: Lhs<'_>, b: &Matrix, m: usize, k: usize) -> Matrix {
+/// whole 4x16 tiles, then 4x8 tiles over the columns those leave, then the
+/// remaining columns and rows one element at a time. One copy of the tile
+/// loop serves both products: the strides stay run-time values.
+fn matmul_strided<L: Lane8>(a: Lhs<'_>, b: &Matrix, m: usize, k: usize) -> Matrix {
     let n = b.cols();
     let mut out = Matrix::zeros(m, n);
     let (bd, od) = (b.as_slice(), out.as_mut_slice());
-    #[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
-    let (m_done, n_done) = avx::matmul_tiles(a, bd, od, m, k, n);
-    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx")))]
-    let (m_done, n_done) = (0, 0);
-    matmul_tiles_portable(a, bd, od, k, n, 0..m_done, n_done..n);
-    matmul_tiles_portable(a, bd, od, k, n, m_done..m, 0..n);
+    let wide = matmul_tiles::<L, 2>(a, bd, od, m, k, n, 0);
+    let tiled = matmul_tiles::<L, 1>(a, bd, od, m, k, n, wide);
+    let m_full = m - m % ROW_TILE;
+    matmul_edge(a, bd, od, k, n, 0..m_full, tiled..n);
+    matmul_edge(a, bd, od, k, n, m_full..m, 0..n);
     out
 }
 
@@ -519,7 +343,7 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
         i_stride: k,
         k_stride: 1,
     };
-    matmul_strided(lhs, b, m, k)
+    matmul_strided::<simd::Native>(lhs, b, m, k)
 }
 
 /// `C = A^T * B`.
@@ -542,7 +366,7 @@ pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
         i_stride: 1,
         k_stride: m,
     };
-    matmul_strided(lhs, b, m, k)
+    matmul_strided::<simd::Native>(lhs, b, m, k)
 }
 
 /// `C = A * B^T`.
@@ -749,41 +573,62 @@ pub fn scatter_add_scaled_rows(dst: &mut Matrix, id: &[u32], src: &Matrix, is: &
 /// Columns per register strip of [`segment_mean`]: four lane vectors.
 const SEG_STRIP: usize = 4 * DOT_LANES;
 
-/// Columns `from..` of one [`segment_mean`] output row in the array form:
-/// [`SEG_STRIP`]-column strips, then single lane vectors, then single
-/// columns, each accumulated from `+0.0` over the member rows in list
-/// order and scaled by `inv` once — `(((0 + s0) + s1) + …) * inv` per
-/// element, whatever the strip width.
-///
-/// The whole row on builds without AVX (`from == 0`), the scalar tail
-/// behind `avx::segment_mean_strips` on builds with it, and the oracle the
-/// tests hold those strips to.
-fn segment_mean_row_portable(src: &Matrix, seg: &[u32], inv: f32, out: &mut [f32], from: usize) {
-    #[inline(always)]
-    fn strip<const W: usize>(src: &Matrix, seg: &[u32], c: usize, inv: f32, out: &mut [f32]) {
-        let mut acc = [0.0f32; W];
-        for &m in seg {
-            let s = &src.row(m as usize)[c..c + W];
-            for l in 0..W {
-                acc[l] += s[l];
+/// Columns `c .. c + 8V` of one [`segment_mean`] output row: `V`
+/// accumulator vectors from `+0.0`, one `add` per member row in list
+/// order, one `mul` by `inv` and one store.
+#[inline(always)]
+fn segment_strip<L: Lane8, const V: usize>(
+    src: &Matrix,
+    seg: &[u32],
+    c: usize,
+    inv: f32,
+    out: &mut [f32],
+) {
+    let end = c + V * DOT_LANES;
+    let mut acc = [L::splat(0.0); V];
+    for &m in seg {
+        let row = src.row(m as usize);
+        assert!(end <= row.len(), "segment_mean: strip past the source row");
+        // SAFETY: load `v < V` reads floats `c + 8v .. c + 8v + 8` of
+        // `row`, which end by `end <= row.len()` (asserted above).
+        unsafe {
+            for (v, acc) in acc.iter_mut().enumerate() {
+                *acc = acc.add(L::loadu_ptr(row.as_ptr().add(c + v * DOT_LANES)));
             }
         }
-        for (o, a) in out[c..c + W].iter_mut().zip(acc) {
-            *o = a * inv;
+    }
+    let inv = L::splat(inv);
+    assert!(end <= out.len(), "segment_mean: strip past the output row");
+    // SAFETY: store `v < V` writes floats `c + 8v .. c + 8v + 8` of `out`,
+    // which end by `end <= out.len()` (asserted above).
+    unsafe {
+        for (v, acc) in acc.iter().enumerate() {
+            acc.mul(inv)
+                .storeu_ptr(out.as_mut_ptr().add(c + v * DOT_LANES));
         }
     }
-    let mut c = from;
+}
+
+/// One [`segment_mean`] output row: [`SEG_STRIP`]-column strips, then
+/// single lane vectors, then single columns, each accumulated from `+0.0`
+/// over the member rows in list order and scaled by `inv` once —
+/// `(((0 + s0) + s1) + …) * inv` per element, whatever the strip width.
+#[inline(always)]
+fn segment_mean_row<L: Lane8>(src: &Matrix, seg: &[u32], inv: f32, out: &mut [f32]) {
+    let mut c = 0;
     while c + SEG_STRIP <= out.len() {
-        strip::<SEG_STRIP>(src, seg, c, inv, out);
+        segment_strip::<L, { SEG_STRIP / DOT_LANES }>(src, seg, c, inv, out);
         c += SEG_STRIP;
     }
     while c + DOT_LANES <= out.len() {
-        strip::<DOT_LANES>(src, seg, c, inv, out);
+        segment_strip::<L, 1>(src, seg, c, inv, out);
         c += DOT_LANES;
     }
-    while c < out.len() {
-        strip::<1>(src, seg, c, inv, out);
-        c += 1;
+    for (c, o) in out.iter_mut().enumerate().skip(c) {
+        let sum = seg
+            .iter()
+            .fold(0.0f32, |acc, &m| acc + src.row(m as usize)[c]);
+        *o = sum * inv;
     }
 }
 
@@ -797,7 +642,11 @@ fn segment_mean_row_portable(src: &Matrix, seg: &[u32], inv: f32, out: &mut [f32
 /// Each output row is accumulated in registers a column strip at a time
 /// (one load per member per strip, one store per strip) instead of through
 /// a load-add-store of the output row per member.
+///
+/// # Panics
+/// Panics if `offsets` is empty: even zero segments have the one offset.
 pub fn segment_mean(src: &Matrix, offsets: &[usize], members: &[u32]) -> Matrix {
+    assert!(!offsets.is_empty(), "segment_mean: offsets is empty");
     let n_out = offsets.len() - 1;
     let mut out = Matrix::zeros(n_out, src.cols());
     for i in 0..n_out {
@@ -806,12 +655,7 @@ pub fn segment_mean(src: &Matrix, offsets: &[usize], members: &[u32]) -> Matrix 
             continue;
         }
         let inv = 1.0 / seg.len() as f32;
-        let o = out.row_mut(i);
-        #[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
-        let done = avx::segment_mean_strips(src, seg, inv, o);
-        #[cfg(not(all(target_arch = "x86_64", target_feature = "avx")))]
-        let done = 0;
-        segment_mean_row_portable(src, seg, inv, o, done);
+        segment_mean_row::<simd::Native>(src, seg, inv, out.row_mut(i));
     }
     out
 }
@@ -824,12 +668,19 @@ pub fn segment_mean(src: &Matrix, offsets: &[usize], members: &[u32]) -> Matrix 
 /// changes no bit: `inv * ±0.0` is `±0.0`, every output element is a sum
 /// that starts from `+0.0` and so is never `-0.0`, and `acc + ±0.0 == acc`
 /// for every such `acc`. (A NaN row is not zero and is routed as before.)
+///
+/// # Panics
+/// Panics if `offsets` is empty: even zero segments have the one offset.
 pub fn segment_mean_backward(
     grad: &Matrix,
     offsets: &[usize],
     members: &[u32],
     src_rows: usize,
 ) -> Matrix {
+    assert!(
+        !offsets.is_empty(),
+        "segment_mean_backward: offsets is empty"
+    );
     let mut out = Matrix::zeros(src_rows, grad.cols());
     for i in 0..offsets.len() - 1 {
         let seg = &members[offsets[i]..offsets[i + 1]];
@@ -1121,13 +972,12 @@ impl<'a> BlendTile<'a> {
             return;
         }
         let social_rows: [&[f32]; T] = std::array::from_fn(|t| self.item_social.row(ids[t]));
-        #[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
         if own.len().is_multiple_of(DOT_LANES) && social.len().is_multiple_of(DOT_LANES) {
             if let (Ok(own_rows), Ok(social_rows)) =
                 (own_rows[..].try_into(), social_rows[..].try_into())
             {
                 // A full tile of tail-free widths: one fused pass.
-                return avx::blend_tile(own, own_rows, social, social_rows, alpha, out);
+                return blend_tile::<simd::Native>(own, own_rows, social, social_rows, alpha, out);
             }
         }
         let o = dot_tile(own, own_rows);
@@ -1406,6 +1256,28 @@ pub mod reference {
             let out_row = out.row_mut(i);
             for (j, out_v) in out_row.iter_mut().enumerate().take(n) {
                 *out_v = dot(a_row, b.row(j));
+            }
+        }
+        out
+    }
+
+    /// Mean aggregation one element at a time (same contract as
+    /// [`super::segment_mean`]): `(((0 + s0) + s1) + …) * (1 / len)` over
+    /// the member rows in list order, `+0.0` for an empty segment.
+    pub fn segment_mean(src: &Matrix, offsets: &[usize], members: &[u32]) -> Matrix {
+        assert!(!offsets.is_empty(), "segment_mean: offsets is empty");
+        let mut out = Matrix::zeros(offsets.len() - 1, src.cols());
+        for i in 0..offsets.len() - 1 {
+            let seg = &members[offsets[i]..offsets[i + 1]];
+            for c in 0..src.cols() {
+                let mut acc = 0.0f32;
+                for &m in seg {
+                    acc += src.get(m as usize, c);
+                }
+                if !seg.is_empty() {
+                    acc *= 1.0 / seg.len() as f32;
+                }
+                out.set(i, c, acc);
             }
         }
         out
@@ -1928,8 +1800,8 @@ mod tests {
     #[test]
     fn dot_tile_matches_portable_tile_bitwise() {
         // Every length 0..=100 covers every chunk count and every tail.
-        // On builds without AVX both names are the portable tile, and the
-        // test holds trivially — the same test, on both paths.
+        // A real comparison only under `cfg(target_feature = "avx2")`:
+        // elsewhere `Native` is `Portable` and both sides are one function.
         for d in 0..=100usize {
             let a = awkward(d, d as u32);
             let rows: Vec<Vec<f32>> = (0..4)
@@ -1937,7 +1809,7 @@ mod tests {
                 .collect();
             let tile = [&rows[0][..], &rows[1][..], &rows[2][..], &rows[3][..]];
             let got = dot_tile::<4>(&a, tile);
-            let want = dot_tile_portable::<4>(&a, tile);
+            let want = dot_tile_on::<simd::Portable, 4>(&a, tile);
             for t in 0..4 {
                 assert!(
                     same_bits(got[t], want[t]),
@@ -1953,10 +1825,13 @@ mod tests {
 
     #[test]
     fn blend_tile_is_the_portable_blend_of_two_dots_bitwise() {
-        // Tail-free widths take the fused tile on AVX builds, the others
-        // the per-table path; nine items are two full tiles and one
-        // remainder item. `alpha == 0` and a zero-width social table are
-        // the two social-free forms.
+        // Tail-free widths take the fused tile, the others the per-table
+        // path; nine items are two full tiles and one remainder item.
+        // `alpha == 0` and a zero-width social table are the two
+        // social-free forms. The oracle is the unfused `Portable` dot on
+        // every build, so the fused-vs-unfused half of this holds on all
+        // of them and the AVX2-vs-portable half only under
+        // `cfg(target_feature = "avx2")`.
         let n = 9;
         for &wo in &[8usize, 16, 32, 40, 1, 7, 9, 31, 33] {
             for &ws in &[8usize, 16, 32, 40, 1, 7, 9, 31, 33, 0] {
@@ -1968,8 +1843,8 @@ mod tests {
                     let mut got = vec![0.0f32; n];
                     blend_dot_block(&own, &item_own, &social, &item_social, alpha, 0, &mut got);
                     for (j, &got) in got.iter().enumerate() {
-                        let o = dot_tile_portable::<1>(&own, [item_own.row(j)])[0];
-                        let s = dot_tile_portable::<1>(&social, [item_social.row(j)])[0];
+                        let o = dot_tile_on::<simd::Portable, 1>(&own, [item_own.row(j)])[0];
+                        let s = dot_tile_on::<simd::Portable, 1>(&social, [item_social.row(j)])[0];
                         let want = if ws > 0 && alpha != 0.0 {
                             (1.0 - alpha) * o + alpha * s
                         } else if alpha == 0.0 {
@@ -1993,14 +1868,6 @@ mod tests {
         (0..=20).chain([31, 32, 33, 96]).collect()
     }
 
-    /// [`matmul_strided`] with no AVX tile: the array form end to end.
-    fn matmul_portable(a: Lhs<'_>, b: &Matrix, m: usize, k: usize) -> Matrix {
-        let n = b.cols();
-        let mut out = Matrix::zeros(m, n);
-        matmul_tiles_portable(a, b.as_slice(), out.as_mut_slice(), k, n, 0..m, 0..n);
-        out
-    }
-
     fn assert_same_bits(got: &Matrix, want: &Matrix, what: &str) {
         assert_eq!(got.shape(), want.shape(), "{what}");
         for (i, (&g, &w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
@@ -2010,8 +1877,8 @@ mod tests {
 
     #[test]
     fn matmul_and_matmul_tn_match_their_portable_forms_bitwise() {
-        // On builds without AVX both sides are the array form, and the
-        // test holds trivially — the same test, on both paths.
+        // A real comparison only under `cfg(target_feature = "avx2")`:
+        // elsewhere `Native` is `Portable` and both sides are one function.
         let dims = tile_dims();
         let mut seed = 0u32;
         for &mm in &dims {
@@ -2027,7 +1894,7 @@ mod tests {
                     };
                     assert_same_bits(
                         &matmul(&a, &b),
-                        &matmul_portable(lhs, &b, mm, kk),
+                        &matmul_strided::<simd::Portable>(lhs, &b, mm, kk),
                         &format!("matmul {mm}x{kk}x{nn}"),
                     );
                     let at = Matrix::from_vec(kk, mm, awkward(kk * mm, seed ^ 0xAAAA));
@@ -2038,7 +1905,7 @@ mod tests {
                     };
                     assert_same_bits(
                         &matmul_tn(&at, &b),
-                        &matmul_portable(lhs, &b, mm, kk),
+                        &matmul_strided::<simd::Portable>(lhs, &b, mm, kk),
                         &format!("matmul_tn {mm}x{kk}x{nn}"),
                     );
                 }
@@ -2063,7 +1930,10 @@ mod tests {
     fn segment_mean_matches_its_portable_form_bitwise() {
         // Empty segments (first, middle, last), duplicate members, a
         // 1-member segment and one long enough to round differently in
-        // any other order; every strip / vector / scalar-tail split.
+        // any other order; every strip / vector / scalar-tail split. The
+        // first comparison is a real one only under
+        // `cfg(target_feature = "avx2")`; the second, against the
+        // reference that shares no code with the strips, on every build.
         let offsets = [0usize, 0, 3, 4, 4, 11, 13, 13];
         let members = [5u32, 0, 5, 2, 1, 6, 1, 3, 3, 4, 0, 6, 6];
         for w in tile_dims() {
@@ -2074,26 +1944,29 @@ mod tests {
                 let seg = &members[offsets[i]..offsets[i + 1]];
                 if !seg.is_empty() {
                     let inv = 1.0 / seg.len() as f32;
-                    segment_mean_row_portable(&src, seg, inv, want.row_mut(i), 0);
+                    segment_mean_row::<simd::Portable>(&src, seg, inv, want.row_mut(i));
                 }
             }
             assert_same_bits(&got, &want, &format!("segment_mean w={w}"));
-            // The per-element definition, independent of any strip:
-            // `(((0 + s0) + s1) + …) * inv`.
-            for i in 0..offsets.len() - 1 {
-                let seg = &members[offsets[i]..offsets[i + 1]];
-                for c in 0..w {
-                    let mut acc = 0.0f32;
-                    for &m in seg {
-                        acc += src.get(m as usize, c);
-                    }
-                    if !seg.is_empty() {
-                        acc *= 1.0 / seg.len() as f32;
-                    }
-                    assert!(same_bits(got.get(i, c), acc), "w={w} segment {i} col {c}");
-                }
-            }
+            // The per-element definition, independent of any strip.
+            assert_same_bits(
+                &got,
+                &reference::segment_mean(&src, &offsets, &members),
+                &format!("segment_mean vs reference w={w}"),
+            );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "segment_mean: offsets is empty")]
+    fn segment_mean_rejects_empty_offsets() {
+        segment_mean(&Matrix::zeros(2, 3), &[], &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "segment_mean_backward: offsets is empty")]
+    fn segment_mean_backward_rejects_empty_offsets() {
+        segment_mean_backward(&Matrix::zeros(0, 3), &[], &[], 2);
     }
 
     #[test]

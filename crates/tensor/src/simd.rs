@@ -1,6 +1,10 @@
-//! Eight `f32` lanes behind one set of elementwise operations.
+//! Eight `f32` lanes behind one set of operations.
 //!
-//! [`Lane8`] is what an elementwise kernel is written against, once:
+//! [`Lane8`] is what every vector kernel in `kernels` is written against,
+//! once — the lane reduction under `dot`, the fused Eq. 9 blend tile, the
+//! `matmul` / `matmul_tn` output tile, the `segment_mean` strips and
+//! `tanh_inplace` — and this file is the only one in the workspace that
+//! names a `core::arch` intrinsic (`gb-lint`'s `arch-intrinsics-confined`):
 //! [`Avx2`] holds the lanes in a `__m256` wherever the build enables AVX2
 //! (the workspace default, see `.cargo/config.toml`), [`Portable`] in a
 //! `[f32; 8]` everywhere else, and [`Native`] names whichever the build
@@ -11,9 +15,10 @@
 //! portable form is compiled for the tests only, as the oracle the
 //! intrinsics are held to.
 //!
-//! Every operation acts on each lane alone, and none fuses a multiply
-//! with an add: a lane's result is a function of that lane's inputs and
-//! of nothing else. The set is what `kernels::tanh_inplace` needs.
+//! No operation fuses a multiply with an add. Every one but
+//! [`Lane8::reduce_blend`] acts on each lane alone — a lane's result is a
+//! function of that lane's inputs and of nothing else — and that one
+//! combines lanes in a single fixed tree, [`reduce_lanes`].
 
 /// Lanes per vector.
 pub(crate) const LANES: usize = 8;
@@ -24,12 +29,42 @@ pub(crate) const LANES: usize = 8;
 /// even) and that integer sits in the sum's low mantissa bits.
 pub(crate) const EXP2I_BIAS: f32 = 12_582_912.0;
 
-/// Eight `f32` lanes; see the module docs. All operations are lanewise.
+/// Fixed pairwise reduction of eight lane accumulators. One tree for every
+/// caller: changing this changes every blocked dot product in the
+/// workspace at once, which is exactly the point — there is a single
+/// summation order to reason about.
+#[inline(always)]
+pub(crate) fn reduce_lanes(l: &[f32; LANES]) -> f32 {
+    ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]))
+}
+
+/// Eight `f32` lanes; see the module docs. All operations but
+/// [`Lane8::reduce_blend`] are lanewise.
 pub(crate) trait Lane8: Copy {
+    /// The eight floats at `src`, lane `l` from `src.add(l)`.
+    ///
+    /// # Safety
+    /// `src` must be valid for reading eight `f32`s. No alignment beyond
+    /// an `f32`'s is required.
+    unsafe fn loadu_ptr(src: *const f32) -> Self;
+    /// Writes lane `l` to `dst.add(l)`.
+    ///
+    /// # Safety
+    /// `dst` must be valid for writing eight `f32`s. No alignment beyond
+    /// an `f32`'s is required.
+    unsafe fn storeu_ptr(self, dst: *mut f32);
     /// The eight floats of `src`, lane `l` from `src[l]`.
-    fn loadu(src: &[f32; LANES]) -> Self;
+    #[inline(always)]
+    fn loadu(src: &[f32; LANES]) -> Self {
+        // SAFETY: a `&[f32; 8]` is eight readable floats.
+        unsafe { Self::loadu_ptr(src.as_ptr()) }
+    }
     /// Writes lane `l` to `dst[l]`.
-    fn storeu(self, dst: &mut [f32; LANES]);
+    #[inline(always)]
+    fn storeu(self, dst: &mut [f32; LANES]) {
+        // SAFETY: a `&mut [f32; 8]` is eight writable floats.
+        unsafe { self.storeu_ptr(dst.as_mut_ptr()) }
+    }
     /// `v` in every lane.
     fn splat(v: f32) -> Self;
     fn add(self, o: Self) -> Self;
@@ -50,6 +85,10 @@ pub(crate) trait Lane8: Copy {
     /// moved into place and everything above it shifted out. Other inputs
     /// give that same integer expression's bits, whatever float they spell.
     fn exp2i(self) -> Self;
+    /// Reduces four `own` and four `social` lane accumulators and blends
+    /// the sums: `out[t] = (1-alpha) * r(own[t]) + alpha * r(social[t])`
+    /// with `r` = [`reduce_lanes`], both products rounded before the add.
+    fn reduce_blend(own: [Self; 4], social: [Self; 4], alpha: f32, out: &mut [f32; 4]);
 }
 
 #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
@@ -57,7 +96,7 @@ pub(crate) use avx2::Avx2;
 
 #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
 mod avx2 {
-    use super::{Lane8, LANES};
+    use super::Lane8;
     use core::arch::x86_64::*;
 
     /// [`Lane8`] in one 256-bit register.
@@ -73,18 +112,24 @@ mod avx2 {
     }
 
     impl Lane8 for Avx2 {
+        /// # Safety
+        /// As [`Lane8::loadu_ptr`]: eight readable floats at `src`.
         #[inline(always)]
-        fn loadu(src: &[f32; LANES]) -> Self {
-            // SAFETY: `src` is eight readable floats, `loadu` has no
-            // alignment requirement, and AVX is enabled for this build.
-            Self(unsafe { _mm256_loadu_ps(src.as_ptr()) })
+        unsafe fn loadu_ptr(src: *const f32) -> Self {
+            // SAFETY: the caller vouches for eight readable floats,
+            // `loadu` has no alignment requirement, and AVX is enabled for
+            // this build.
+            Self(unsafe { _mm256_loadu_ps(src) })
         }
 
+        /// # Safety
+        /// As [`Lane8::storeu_ptr`]: eight writable floats at `dst`.
         #[inline(always)]
-        fn storeu(self, dst: &mut [f32; LANES]) {
-            // SAFETY: `dst` is eight writable floats, `storeu` has no
-            // alignment requirement, and AVX is enabled for this build.
-            unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), self.0) }
+        unsafe fn storeu_ptr(self, dst: *mut f32) {
+            // SAFETY: the caller vouches for eight writable floats,
+            // `storeu` has no alignment requirement, and AVX is enabled
+            // for this build.
+            unsafe { _mm256_storeu_ps(dst, self.0) }
         }
 
         #[inline(always)]
@@ -157,6 +202,51 @@ mod avx2 {
                 )))
             })
         }
+
+        /// All eight sums at once: the halves of each own/social pair are
+        /// folded (`l + (l+4)`), the four items' folded quads transposed
+        /// inside each 128-bit half, and the columns added as
+        /// `(c0 + c2) + (c1 + c3)` — which is
+        /// `((l0+l4)+(l2+l6))+((l1+l5)+(l3+l7))`, `reduce_lanes`. Blend and
+        /// store are 4 wide.
+        #[inline(always)]
+        fn reduce_blend(o: [Self; 4], s: [Self; 4], alpha: f32, out: &mut [f32; 4]) {
+            // SAFETY: everything up to the store is register arithmetic
+            // and AVX is enabled for this build; the store writes the four
+            // floats of `out`, with no alignment requirement.
+            unsafe {
+                // h[t] = [o[t].lo + o[t].hi | s[t].lo + s[t].hi]
+                let fold = |o: Self, s: Self| {
+                    _mm256_add_ps(
+                        _mm256_permute2f128_ps::<0x20>(o.0, s.0),
+                        _mm256_permute2f128_ps::<0x31>(o.0, s.0),
+                    )
+                };
+                let h = [
+                    fold(o[0], s[0]),
+                    fold(o[1], s[1]),
+                    fold(o[2], s[2]),
+                    fold(o[3], s[3]),
+                ];
+                // 4x4 transpose inside each 128-bit half: c[q] holds
+                // element `q` of the four items' folded quads.
+                let t0 = _mm256_unpacklo_ps(h[0], h[1]);
+                let t1 = _mm256_unpackhi_ps(h[0], h[1]);
+                let t2 = _mm256_unpacklo_ps(h[2], h[3]);
+                let t3 = _mm256_unpackhi_ps(h[2], h[3]);
+                let c0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+                let c1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+                let c2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+                let c3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+                // [own·item0..3 | social·item0..3]
+                let dots = _mm256_add_ps(_mm256_add_ps(c0, c2), _mm256_add_ps(c1, c3));
+                let blended = _mm_add_ps(
+                    _mm_mul_ps(_mm_set1_ps(1.0 - alpha), _mm256_castps256_ps128(dots)),
+                    _mm_mul_ps(_mm_set1_ps(alpha), _mm256_extractf128_ps::<1>(dots)),
+                );
+                _mm_storeu_ps(out.as_mut_ptr(), blended);
+            }
+        }
     }
 }
 
@@ -165,7 +255,7 @@ pub(crate) use portable::Portable;
 
 #[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "avx2"))))]
 mod portable {
-    use super::{Lane8, LANES};
+    use super::{reduce_lanes, Lane8, LANES};
 
     const SIGN: u32 = 0x8000_0000;
 
@@ -182,14 +272,22 @@ mod portable {
     }
 
     impl Lane8 for Portable {
+        /// # Safety
+        /// As [`Lane8::loadu_ptr`]: eight readable floats at `src`.
         #[inline(always)]
-        fn loadu(src: &[f32; LANES]) -> Self {
-            Self(*src)
+        unsafe fn loadu_ptr(src: *const f32) -> Self {
+            // SAFETY: the caller vouches for eight readable floats, and an
+            // array of `f32` is aligned like one `f32`.
+            Self(unsafe { src.cast::<[f32; LANES]>().read() })
         }
 
+        /// # Safety
+        /// As [`Lane8::storeu_ptr`]: eight writable floats at `dst`.
         #[inline(always)]
-        fn storeu(self, dst: &mut [f32; LANES]) {
-            *dst = self.0;
+        unsafe fn storeu_ptr(self, dst: *mut f32) {
+            // SAFETY: the caller vouches for eight writable floats, and an
+            // array of `f32` is aligned like one `f32`.
+            unsafe { dst.cast::<[f32; LANES]>().write(self.0) }
         }
 
         #[inline(always)]
@@ -252,6 +350,13 @@ mod portable {
                     .map(|a| f32::from_bits(a.to_bits().wrapping_add(127) << 23)),
             )
         }
+
+        #[inline(always)]
+        fn reduce_blend(o: [Self; 4], s: [Self; 4], alpha: f32, out: &mut [f32; 4]) {
+            for t in 0..4 {
+                out[t] = (1.0 - alpha) * reduce_lanes(&o[t].0) + alpha * reduce_lanes(&s[t].0);
+            }
+        }
     }
 }
 
@@ -313,17 +418,103 @@ mod tests {
         assert_eq!(lt(-0.0, 0.0), 2.0);
     }
 
+    /// Four stored accumulator vectors: one side of a `reduce_blend`.
+    type Accs = [[f32; LANES]; 4];
+
+    /// `(own, social)` accumulators for `reduce_blend`: lanes drawn from
+    /// signed zeros, subnormals, infinities (`1e30 * 1e30` overflowed),
+    /// 3e38 magnitudes (whose sums overflow, and whose infinities cancel to
+    /// NaN) and ordinary values; then ordinary values with a single payload
+    /// NaN placed in each lane of each of the eight vectors in turn.
+    fn blend_cases() -> Vec<(Accs, Accs)> {
+        let huge = std::hint::black_box(1.0e30f32) * 1.0e30;
+        let pool = [
+            0.0, -0.0, 1.0e-40, -1.0e-40, 3.0e38, -3.0e38, huge, -huge, 0.625, -1.5, 7.0, 1.0e-3,
+        ];
+        let mut state = 1u32;
+        let mut accs = |from: &[f32]| -> Accs {
+            [(); 4].map(|()| {
+                [(); LANES].map(|()| {
+                    state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+                    from[(state >> 8) as usize % from.len()]
+                })
+            })
+        };
+        let mut cases: Vec<_> = (0..64).map(|_| (accs(&pool), accs(&pool))).collect();
+        for at in 0..2 * 4 * LANES {
+            let (mut own, mut social) = (accs(&pool[8..]), accs(&pool[8..]));
+            let side = if at < 4 * LANES {
+                &mut own
+            } else {
+                &mut social
+            };
+            side[at / LANES % 4][at % LANES] = f32::from_bits(0x7FC1_2345);
+            cases.push((own, social));
+        }
+        cases
+    }
+
+    fn reduce_blend_of<L: Lane8>((own, social): &(Accs, Accs), alpha: f32) -> [f32; 4] {
+        let mut got = [0.0; 4];
+        let load = |side: &Accs| side.map(|v| L::loadu(&v));
+        L::reduce_blend(load(own), load(social), alpha, &mut got);
+        got
+    }
+
+    /// Bitwise, with any NaN equal to any NaN: infinities that cancel make
+    /// a NaN whose sign is the instruction's (or the constant folder's).
+    fn same_bits(a: [f32; 4], b: [f32; 4]) -> bool {
+        (0..4).all(|t| a[t].to_bits() == b[t].to_bits() || (a[t].is_nan() && b[t].is_nan()))
+    }
+
+    fn reduce_blend_is_the_scalar_blend_of_the_reduced_lanes<L: Lane8>() {
+        for (i, case) in blend_cases().iter().enumerate() {
+            for alpha in [0.6f32, 1.0] {
+                let want: [f32; 4] = core::array::from_fn(|t| {
+                    (1.0 - alpha) * reduce_lanes(&case.0[t]) + alpha * reduce_lanes(&case.1[t])
+                });
+                let got = reduce_blend_of::<L>(case, alpha);
+                assert!(
+                    same_bits(got, want),
+                    "case {i} alpha {alpha}: {got:?} vs {want:?}"
+                );
+            }
+        }
+    }
+
+    /// A ramp moved through the pointer forms at every offset `0..8` of a
+    /// longer buffer: exactly floats `at .. at + 8` are read and written,
+    /// lane `l` at `at + l`.
+    fn pointer_forms_move_eight_floats_at_any_offset<L: Lane8>() {
+        let ramp: [f32; 2 * LANES] = core::array::from_fn(|i| i as f32 - 3.5);
+        for at in 0..LANES {
+            let mut buf = [0.0f32; 2 * LANES];
+            // SAFETY: `at + 8 <= 15`, inside both sixteen-float buffers.
+            unsafe { L::loadu_ptr(ramp.as_ptr().add(at)).storeu_ptr(buf.as_mut_ptr().add(at)) };
+            let want: [f32; 2 * LANES] = core::array::from_fn(|i| {
+                if (at..at + LANES).contains(&i) {
+                    ramp[i]
+                } else {
+                    0.0
+                }
+            });
+            assert_eq!(buf.map(f32::to_bits), want.map(f32::to_bits), "offset {at}");
+        }
+    }
+
+    fn keeps_the_lane_contract<L: Lane8>() {
+        min_returns_its_second_operand::<L>();
+        exp2i_spells_every_normal_power_of_two::<L>();
+        bit_ops_keep_every_other_bit::<L>();
+        reduce_blend_is_the_scalar_blend_of_the_reduced_lanes::<L>();
+        pointer_forms_move_eight_floats_at_any_offset::<L>();
+    }
+
     #[test]
     fn each_form_keeps_the_lane_contract() {
-        min_returns_its_second_operand::<Portable>();
-        exp2i_spells_every_normal_power_of_two::<Portable>();
-        bit_ops_keep_every_other_bit::<Portable>();
+        keeps_the_lane_contract::<Portable>();
         #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-        {
-            min_returns_its_second_operand::<Avx2>();
-            exp2i_spells_every_normal_power_of_two::<Avx2>();
-            bit_ops_keep_every_other_bit::<Avx2>();
-        }
+        keeps_the_lane_contract::<Avx2>();
     }
 
     /// Every ordered pair of these, through every operation, on both
@@ -383,9 +574,21 @@ mod tests {
                 check("exp2i", pa.exp2i(), va.exp2i(), false);
             }
         }
-        // Lanes keep their places through a load and a store.
+        // Lanes keep their places through a load and a store (the pointer
+        // forms at every offset: `each_form_keeps_the_lane_contract`).
         let ramp: [f32; LANES] = core::array::from_fn(|l| l as f32 - 3.5);
         assert_eq!(bits(out(Avx2::loadu(&ramp))), bits(ramp));
         assert_eq!(bits(out(Portable::loadu(&ramp))), bits(ramp));
+        // The one cross-lane op (each form is also held to its scalar
+        // definition in `each_form_keeps_the_lane_contract`).
+        for (i, case) in blend_cases().iter().enumerate() {
+            for alpha in [0.6f32, 1.0] {
+                let (x, p) = (
+                    reduce_blend_of::<Avx2>(case, alpha),
+                    reduce_blend_of::<Portable>(case, alpha),
+                );
+                assert!(same_bits(x, p), "case {i} alpha {alpha}: {x:?} vs {p:?}");
+            }
+        }
     }
 }

@@ -2,7 +2,8 @@
 //! references.
 //!
 //! Three guarantees per kernel, over random shapes that deliberately
-//! include non-multiple-of-lane dims (1, 7, 8, 9, 31, 32, 33):
+//! include non-multiple-of-lane dims (1, 7, 8, 9, 31, 32, 33; every width
+//! `0..=100` for `segment_mean`, which is bitwise its reference):
 //!
 //! 1. **Accuracy** — the blocked result matches the scalar reference
 //!    within 1e-5 relative tolerance (the only difference is float
@@ -114,6 +115,37 @@ proptest! {
             }
         }
         prop_assert_eq!(kernels::matmul_nt(&a, &b).as_slice(), got.as_slice());
+    }
+
+    #[test]
+    fn segment_mean_matches_reference_bitwise(
+        width in 0usize..=100,
+        src_rows in 1usize..12,
+        segs in prop::collection::vec(prop::collection::vec(0u32..1 << 16, 0..6), 0..8),
+        empty_ends in 0u32..4,
+        seed in 0u64..1 << 20,
+    ) {
+        // Random CSR: empty segments anywhere (and forced first / last by
+        // `empty_ends`), up to five members each out of at most eleven
+        // rows, so duplicates are common.
+        let mut offsets = vec![0usize];
+        let mut members = Vec::new();
+        if empty_ends & 1 == 1 {
+            offsets.push(0);
+        }
+        for seg in &segs {
+            members.extend(seg.iter().map(|m| m % src_rows as u32));
+            offsets.push(members.len());
+        }
+        if empty_ends & 2 == 2 {
+            offsets.push(members.len());
+        }
+        let src = random_matrix(src_rows, width, seed);
+        let got = kernels::segment_mean(&src, &offsets, &members);
+        let want = reference::segment_mean(&src, &offsets, &members);
+        prop_assert_eq!(got.shape(), want.shape());
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]
