@@ -1,16 +1,15 @@
 //! AGREE [19]: attentive group recommendation, on the paper's group
 //! conversion of the group-buying data.
 
-use crate::common::{add_l2, shuffled_batches, Recommender, TrainConfig, TrainReport};
-use gb_autograd::{Adam, AdamConfig, ParamId, ParamStore, Tape, Var};
+use crate::common::{add_l2, train_pairs, Recommender, TrainConfig, TrainReport};
+use gb_autograd::{ParamId, ParamStore, Tape, Var};
 use gb_data::convert::{to_groups, GroupData};
-use gb_data::{Dataset, NegativeSampler};
+use gb_data::Dataset;
 use gb_eval::Scorer;
 use gb_tensor::{init, kernels, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// AGREE aggregates member embeddings into a group embedding with an
 /// item-conditioned attention gate, adds a learned group-preference
@@ -27,11 +26,11 @@ use std::time::Instant;
 /// member-weighted structure that defines the model family.
 pub struct Agree {
     cfg: TrainConfig,
+    store: ParamStore,
     state: Option<AgreeState>,
 }
 
 struct AgreeState {
-    store: ParamStore,
     user_emb: ParamId,
     item_emb: ParamId,
     group_pref: ParamId,
@@ -43,7 +42,11 @@ struct AgreeState {
 impl Agree {
     /// Creates an untrained AGREE model.
     pub fn new(cfg: TrainConfig) -> Self {
-        Self { cfg, state: None }
+        Self {
+            cfg,
+            store: ParamStore::new(),
+            state: None,
+        }
     }
 
     /// Tape forward: group scores for aligned `(group, item)` lists.
@@ -53,6 +56,7 @@ impl Agree {
     /// of its members.
     #[allow(clippy::too_many_arguments)]
     fn forward(
+        store: &ParamStore,
         s: &AgreeState,
         tape: &mut Tape,
         groups: &[u32],
@@ -62,11 +66,11 @@ impl Agree {
         offsets: Arc<Vec<usize>>,
     ) -> (Var, Vec<Var>) {
         let n_edges = flat_members.len();
-        let mem = tape.gather_param(&s.store, s.user_emb, flat_members);
-        let itm_edge = tape.gather_param(&s.store, s.item_emb, items_per_member);
+        let mem = tape.gather_param(store, s.user_emb, flat_members);
+        let itm_edge = tape.gather_param(store, s.item_emb, items_per_member);
         let att_in = tape.concat_cols(&[mem, itm_edge]);
-        let w = tape.param(&s.store, s.att_w);
-        let b = tape.param(&s.store, s.att_b);
+        let w = tape.param(store, s.att_w);
+        let b = tape.param(store, s.att_b);
         let att_lin = tape.matmul(att_in, w);
         let att_logit = tape.add_bias(att_lin, b);
         let gate = tape.sigmoid(att_logit);
@@ -76,9 +80,9 @@ impl Agree {
         let ident: Arc<Vec<u32>> = Arc::new((0..n_edges as u32).collect());
         let agg = tape.segment_mean(gated, offsets, ident);
 
-        let pref = tape.gather_param(&s.store, s.group_pref, Arc::new(groups.to_vec()));
+        let pref = tape.gather_param(store, s.group_pref, Arc::new(groups.to_vec()));
         let group_repr = tape.add(agg, pref);
-        let item_repr = tape.gather_param(&s.store, s.item_emb, Arc::new(items.to_vec()));
+        let item_repr = tape.gather_param(store, s.item_emb, Arc::new(items.to_vec()));
         let score = tape.rowwise_dot(group_repr, item_repr);
         (score, vec![mem, item_repr, pref])
     }
@@ -108,7 +112,7 @@ impl Recommender for Agree {
     }
 
     fn fit(&mut self, train: &Dataset) -> TrainReport {
-        let cfg = self.cfg.clone();
+        let cfg = &self.cfg;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let groups = to_groups(train);
 
@@ -128,10 +132,7 @@ impl Recommender for Agree {
         );
         let att_w = store.add("agree.att.w", init::xavier_uniform(2 * d, 1, &mut rng));
         let att_b = store.add("agree.att.b", Matrix::zeros(1, 1));
-        let mut adam = Adam::new(AdamConfig::with_lr(cfg.lr), &store);
-
-        let mut state = AgreeState {
-            store,
+        let state = AgreeState {
             user_emb,
             item_emb,
             group_pref,
@@ -139,45 +140,36 @@ impl Recommender for Agree {
             att_b,
             groups,
         };
-        let sampler = NegativeSampler::from_dataset(train);
-        let activities = state.groups.group_items.clone();
 
-        let mut final_loss = 0.0f32;
-        let start = Instant::now();
-        for epoch in 0..cfg.epochs {
-            let mut epoch_loss = 0.0f32;
-            let mut n_batches = 0usize;
-            for batch in shuffled_batches(activities.len(), cfg.batch_size, &mut rng) {
-                let mut gids = Vec::new();
-                let mut pos = Vec::new();
-                let mut neg = Vec::new();
-                for idx in batch {
-                    let (g, item) = activities[idx];
-                    for _ in 0..cfg.neg_ratio.max(1) {
-                        gids.push(g);
-                        pos.push(item);
-                        neg.push(sampler.sample_one(g, &mut rng));
-                    }
-                }
-                let n = gids.len();
-
+        let report = train_pairs(
+            "AGREE",
+            cfg,
+            train,
+            &state.groups.group_items,
+            &mut store,
+            &mut rng,
+            |store, batch| {
+                let n = batch.len();
+                let gids = &batch.users;
                 let mut tape = Tape::new();
-                let (flat_p, ipm_p, off_p) = Self::flatten(&state.groups, &gids, &pos);
+                let (flat_p, ipm_p, off_p) = Self::flatten(&state.groups, gids, &batch.pos);
                 let (pos_s, mut reg) = Self::forward(
+                    store,
                     &state,
                     &mut tape,
-                    &gids,
-                    &pos,
+                    gids,
+                    &batch.pos,
                     Arc::new(flat_p),
                     Arc::new(ipm_p),
                     Arc::new(off_p),
                 );
-                let (flat_n, ipm_n, off_n) = Self::flatten(&state.groups, &gids, &neg);
+                let (flat_n, ipm_n, off_n) = Self::flatten(&state.groups, gids, &batch.neg);
                 let (neg_s, reg_n) = Self::forward(
+                    store,
                     &state,
                     &mut tape,
-                    &gids,
-                    &neg,
+                    gids,
+                    &batch.neg,
                     Arc::new(flat_n),
                     Arc::new(ipm_n),
                     Arc::new(off_n),
@@ -191,24 +183,12 @@ impl Recommender for Agree {
                 let sq = tape.mul(shifted, shifted);
                 let loss = tape.mean_all(sq);
                 let loss = add_l2(&mut tape, loss, &reg, cfg.l2, n);
-
-                epoch_loss += tape.value(loss).get(0, 0);
-                n_batches += 1;
-                let grads = tape.backward(loss, &state.store);
-                adam.step(&mut state.store, &grads);
-            }
-            final_loss = epoch_loss / n_batches.max(1) as f32;
-            if cfg.verbose {
-                eprintln!("[AGREE] epoch {epoch}: loss {final_loss:.4}");
-            }
-        }
-        let elapsed = start.elapsed().as_secs_f64();
+                (tape.value(loss).get(0, 0), tape.backward(loss, store))
+            },
+        );
+        self.store = store;
         self.state = Some(state);
-        TrainReport {
-            epochs: cfg.epochs,
-            mean_epoch_secs: elapsed / cfg.epochs.max(1) as f64,
-            final_loss,
-        }
+        report
     }
 }
 
@@ -218,16 +198,17 @@ impl Scorer for Agree {
     /// user ids in the conversion.
     fn score_items(&self, user: u32, items: &[u32]) -> Vec<f32> {
         let s = self.state.as_ref().expect("model not fitted");
+        let store = &self.store;
         let members = &s.groups.members[user as usize];
-        let mem_emb = kernels::gather_rows(s.store.value(s.user_emb), members);
-        let pref = s.store.value(s.group_pref).row(user as usize);
-        let w = s.store.value(s.att_w);
-        let b = s.store.value(s.att_b).get(0, 0);
+        let mem_emb = kernels::gather_rows(store.value(s.user_emb), members);
+        let pref = store.value(s.group_pref).row(user as usize);
+        let w = store.value(s.att_w);
+        let b = store.value(s.att_b).get(0, 0);
 
         items
             .iter()
             .map(|&item| {
-                let item_row = s.store.value(s.item_emb).row(item as usize);
+                let item_row = store.value(s.item_emb).row(item as usize);
                 // Gate each member on this item, mean-aggregate, add pref.
                 let dcols = mem_emb.cols();
                 let mut agg = vec![0.0f32; dcols];
@@ -302,6 +283,7 @@ mod tests {
         let (flat, ipm, off) = Agree::flatten(&s.groups, &gids, &items);
         let mut tape = Tape::new();
         let (score, _) = Agree::forward(
+            &m.store,
             s,
             &mut tape,
             &gids,

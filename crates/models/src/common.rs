@@ -1,11 +1,13 @@
 //! Shared training infrastructure for all recommenders.
 
-use gb_autograd::{Tape, Var};
-use gb_data::Dataset;
+use gb_autograd::{Adam, AdamConfig, Gradients, ParamStore, Tape, Var};
+use gb_data::{Dataset, NegativeSampler};
 use gb_eval::Scorer;
 use gb_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Hyper-parameters shared by every model in the comparison.
 ///
@@ -49,20 +51,6 @@ impl Default for TrainConfig {
     }
 }
 
-impl TrainConfig {
-    /// Config with a different epoch budget.
-    pub fn with_epochs(mut self, epochs: usize) -> Self {
-        self.epochs = epochs;
-        self
-    }
-
-    /// Config with a different seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
-
 /// Summary of one training run.
 #[derive(Clone, Copy, Debug)]
 pub struct TrainReport {
@@ -93,25 +81,106 @@ pub fn shuffled_batches(n: usize, batch_size: usize, rng: &mut StdRng) -> Vec<Ve
     idx.chunks(batch_size.max(1)).map(|c| c.to_vec()).collect()
 }
 
-/// BPR loss `-mean(ln σ(pos - neg))` over aligned `n x 1` score columns
-/// (Rendle et al. [27], the loss the paper uses for most baselines).
-pub fn bpr_loss(tape: &mut Tape, pos: Var, neg: Var) -> Var {
-    let diff = tape.sub(pos, neg);
-    let ls = tape.log_sigmoid(diff);
-    let mean = tape.mean_all(ls);
-    tape.scale(mean, -1.0)
+/// One mini-batch of aligned `(user, positive, negative)` triples; for
+/// the group models the "user" is the group id.
+pub(crate) struct PairBatch {
+    pub(crate) users: Vec<u32>,
+    pub(crate) pos: Vec<u32>,
+    pub(crate) neg: Vec<u32>,
 }
 
-/// BPR loss of one shard of a batch: `-(Σ ln σ(pos - neg)) / denom`,
-/// where `denom` is the *full* batch's pair count.
+impl PairBatch {
+    /// Number of triples.
+    pub(crate) fn len(&self) -> usize {
+        self.users.len()
+    }
+
+    /// `[users, pos, neg]` of each `(start, end)` span, built once on the
+    /// calling thread so shard closures only clone `Arc`s instead of
+    /// re-slicing the batch per gradient call.
+    pub(crate) fn shards(&self, spans: &[(usize, usize)]) -> Vec<[Arc<Vec<u32>>; 3]> {
+        spans
+            .iter()
+            .map(|&(a, b)| [&self.users, &self.pos, &self.neg].map(|v| Arc::new(v[a..b].to_vec())))
+            .collect()
+    }
+}
+
+/// The baselines' one training loop (Sec. III-C.2): every epoch shuffles
+/// `examples` into `cfg.batch_size` batches, pairs each `(user, item)`
+/// example with `cfg.neg_ratio.max(1)` negatives drawn for that user,
+/// hands the batch to `grad` — the model's own forward and loss,
+/// returning the loss value and its gradients — and takes one Adam step.
 ///
-/// Keeping the parent batch's normalizer makes shard losses sum to the
-/// full-batch [`bpr_loss`] (up to float association), and for a shard
-/// spanning the whole batch the gradient is bit-identical to
-/// `bpr_loss`'s — `x * (1/n)` negated and `x * (-(1/n))` are the same
-/// IEEE value, so the serial paths of the sharded trainers reproduce the
-/// legacy recipe exactly.
-pub fn sharded_bpr_loss(tape: &mut Tape, pos: Var, neg: Var, denom: usize) -> Var {
+/// `rng` has already drawn the model's initial parameters; shuffles and
+/// negatives continue the same stream. [`shuffled_batches`] never yields
+/// an empty batch, so `grad` always sees at least one triple and an
+/// example-free dataset never calls it. `name` labels the `verbose`
+/// per-epoch loss line.
+pub(crate) fn train_pairs(
+    name: &str,
+    cfg: &TrainConfig,
+    train: &Dataset,
+    examples: &[(u32, u32)],
+    store: &mut ParamStore,
+    rng: &mut StdRng,
+    mut grad: impl FnMut(&ParamStore, PairBatch) -> (f32, Gradients),
+) -> TrainReport {
+    let mut adam = Adam::new(AdamConfig::with_lr(cfg.lr), store);
+    let sampler = NegativeSampler::from_dataset(train);
+    let repeats = cfg.neg_ratio.max(1);
+
+    let mut final_loss = 0.0f32;
+    let start = Instant::now();
+    for epoch in 0..cfg.epochs {
+        let mut epoch_loss = 0.0f32;
+        let mut n_batches = 0usize;
+        for batch in shuffled_batches(examples.len(), cfg.batch_size, rng) {
+            let n = batch.len() * repeats;
+            let mut b = PairBatch {
+                users: Vec::with_capacity(n),
+                pos: Vec::with_capacity(n),
+                neg: Vec::with_capacity(n),
+            };
+            for idx in batch {
+                let (user, item) = examples[idx];
+                for _ in 0..repeats {
+                    b.users.push(user);
+                    b.pos.push(item);
+                    b.neg.push(sampler.sample_one(user, rng));
+                }
+            }
+            let (loss, grads) = grad(store, b);
+            epoch_loss += loss;
+            n_batches += 1;
+            adam.step(store, &grads);
+        }
+        final_loss = epoch_loss / n_batches.max(1) as f32;
+        if cfg.verbose {
+            eprintln!("[{name}] epoch {epoch}: loss {final_loss:.4}");
+        }
+    }
+    TrainReport {
+        epochs: cfg.epochs,
+        mean_epoch_secs: start.elapsed().as_secs_f64() / cfg.epochs.max(1) as f64,
+        final_loss,
+    }
+}
+
+/// BPR loss `-(Σ ln σ(pos - neg)) / denom` over aligned `n x 1` score
+/// columns (Rendle et al. [27], the loss the paper uses for most
+/// baselines), where `denom` is the *full* batch's pair count.
+///
+/// A whole-batch caller passes its own `n` and gets the batch mean; a
+/// shard of a sharded batch passes the parent batch's count, so shard
+/// losses sum to the full-batch loss (up to float association). Either
+/// way every pair's gradient is seeded with `1 * (-(1/n))`, the same
+/// IEEE value as a mean form's `(-1)/n`, which is why the whole-batch
+/// models share this one form without a trained bit moving
+/// (`tests/trainer_wall.rs`). Only the reported value rounds
+/// differently — `Σ · (-(1/n))` against `-(Σ / n)` — and can differ from
+/// a mean form's in the last place.
+pub fn bpr_loss(tape: &mut Tape, pos: Var, neg: Var, denom: usize) -> Var {
     let diff = tape.sub(pos, neg);
     let ls = tape.log_sigmoid(diff);
     let sum = tape.sum_all(ls);
@@ -152,16 +221,20 @@ pub fn dot_scores(user_emb: &[f32], item_table: &Matrix, items: &[u32]) -> Vec<f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gb_autograd::ParamStore;
     use rand::SeedableRng;
 
     #[test]
     fn batches_cover_all_indices_once() {
         let mut rng = StdRng::seed_from_u64(0);
-        let batches = shuffled_batches(10, 3, &mut rng);
-        let mut all: Vec<usize> = batches.into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..10).collect::<Vec<_>>());
+        for (n, batch_size) in [(10, 3), (10, 0), (1, 4)] {
+            let batches = shuffled_batches(n, batch_size, &mut rng);
+            let mut all: Vec<usize> = batches.into_iter().flatten().collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..n).collect::<Vec<_>>());
+        }
+        // Zero examples yield zero batches, so `train_pairs` never calls
+        // a model's gradient closure with an empty batch.
+        assert!(shuffled_batches(0, 3, &mut rng).is_empty());
     }
 
     #[test]
@@ -170,6 +243,14 @@ mod tests {
         let batches = shuffled_batches(10, 4, &mut rng);
         assert_eq!(batches.len(), 3);
         assert!(batches.iter().all(|b| b.len() <= 4));
+        // `batch_size = 0` is treated as 1.
+        let singles = shuffled_batches(5, 0, &mut rng);
+        assert_eq!(singles.len(), 5);
+        // No batch is ever empty, whatever the remainder.
+        for (n, batch_size) in [(10, 3), (10, 10), (10, 64), (7, 1), (5, 0)] {
+            let batches = shuffled_batches(n, batch_size, &mut rng);
+            assert!(batches.iter().all(|b| !b.is_empty()), "{n}/{batch_size}");
+        }
     }
 
     #[test]
@@ -184,33 +265,9 @@ mod tests {
         let s = t.param(&store, small);
         let l = t.param(&store, large);
         let z = t.param(&store, zero);
-        let loss_small = bpr_loss(&mut t, s, z);
-        let loss_large = bpr_loss(&mut t, l, z);
+        let loss_small = bpr_loss(&mut t, s, z, 2);
+        let loss_large = bpr_loss(&mut t, l, z, 2);
         assert!(t.value(loss_large).get(0, 0) < t.value(loss_small).get(0, 0));
-    }
-
-    #[test]
-    fn sharded_bpr_full_span_matches_bpr_gradient_bitwise() {
-        let mut store = ParamStore::new();
-        let p = store.add("pos", Matrix::from_vec(3, 1, vec![0.4, -0.2, 1.3]));
-        let n = store.add("neg", Matrix::from_vec(3, 1, vec![0.1, 0.5, -0.7]));
-
-        let mut t1 = Tape::new();
-        let (pv, nv) = (t1.param(&store, p), t1.param(&store, n));
-        let legacy = bpr_loss(&mut t1, pv, nv);
-        let g1 = t1.backward(legacy, &store);
-
-        let mut t2 = Tape::new();
-        let (pv, nv) = (t2.param(&store, p), t2.param(&store, n));
-        let sharded = sharded_bpr_loss(&mut t2, pv, nv, 3);
-        let g2 = t2.backward(sharded, &store);
-
-        for id in [p, n] {
-            assert_eq!(
-                g1.get(id).unwrap().as_slice(),
-                g2.get(id).unwrap().as_slice()
-            );
-        }
     }
 
     #[test]

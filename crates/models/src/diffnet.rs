@@ -1,18 +1,17 @@
 //! DiffNet [11]: layered social influence diffusion.
 
 use crate::common::{
-    add_l2, bpr_loss, dot_scores, shuffled_batches, Recommender, TrainConfig, TrainReport,
+    add_l2, bpr_loss, dot_scores, train_pairs, Recommender, TrainConfig, TrainReport,
 };
-use gb_autograd::{Adam, AdamConfig, ParamId, ParamStore, Tape, Var};
+use gb_autograd::{ParamId, ParamStore, Tape, Var};
 use gb_data::convert::{to_pairs, InteractionKind};
-use gb_data::{Dataset, NegativeSampler};
+use gb_data::Dataset;
 use gb_eval::Scorer;
 use gb_graph::{Bipartite, Csr};
 use gb_tensor::{init, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// DiffNet simulates the recursive social-influence diffusion process:
 /// starting from the raw user embedding, each diffusion layer fuses a
@@ -73,7 +72,7 @@ impl Recommender for DiffNet {
     }
 
     fn fit(&mut self, train: &Dataset) -> TrainReport {
-        let cfg = self.cfg.clone();
+        let cfg = &self.cfg;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut store = ParamStore::new();
         let u = store.add(
@@ -84,64 +83,37 @@ impl Recommender for DiffNet {
             "diffnet.item",
             init::xavier_uniform(train.n_items(), cfg.dim, &mut rng),
         );
-        let mut adam = Adam::new(AdamConfig::with_lr(cfg.lr), &store);
 
         let pairs = to_pairs(train, InteractionKind::BothRoles);
         let graph = Bipartite::from_interactions(train.n_users(), train.n_items(), &pairs);
-        let sampler = NegativeSampler::from_dataset(train);
-        let social = train.social().csr().clone();
-
-        let mut final_loss = 0.0f32;
-        let start = Instant::now();
-        for epoch in 0..cfg.epochs {
-            let mut epoch_loss = 0.0f32;
-            let mut n_batches = 0usize;
-            for batch in shuffled_batches(pairs.len(), cfg.batch_size, &mut rng) {
-                let mut users = Vec::new();
-                let mut pos = Vec::new();
-                let mut neg = Vec::new();
-                for idx in batch {
-                    let (usr, item) = pairs[idx];
-                    for _ in 0..cfg.neg_ratio.max(1) {
-                        users.push(usr);
-                        pos.push(item);
-                        neg.push(sampler.sample_one(usr, &mut rng));
-                    }
-                }
-                let n = users.len();
-
+        let social = train.social().csr();
+        let report = train_pairs(
+            "DiffNet",
+            cfg,
+            train,
+            &pairs,
+            &mut store,
+            &mut rng,
+            |store, batch| {
+                let n = batch.len();
                 let mut tape = Tape::new();
-                let u_final = diffuse(&store, u, v, &mut tape, &social, &graph, self.depth);
-                let ue = tape.gather(u_final, Arc::new(users));
-                let pe = tape.gather_param(&store, v, Arc::new(pos));
-                let ne = tape.gather_param(&store, v, Arc::new(neg));
+                let u_final = diffuse(store, u, v, &mut tape, social, &graph, self.depth);
+                let ue = tape.gather(u_final, Arc::new(batch.users));
+                let pe = tape.gather_param(store, v, Arc::new(batch.pos));
+                let ne = tape.gather_param(store, v, Arc::new(batch.neg));
                 let pos_s = tape.rowwise_dot(ue, pe);
                 let neg_s = tape.rowwise_dot(ue, ne);
-                let loss = bpr_loss(&mut tape, pos_s, neg_s);
+                let loss = bpr_loss(&mut tape, pos_s, neg_s, n);
                 let loss = add_l2(&mut tape, loss, &[ue, pe, ne], cfg.l2, n);
-
-                epoch_loss += tape.value(loss).get(0, 0);
-                n_batches += 1;
-                let grads = tape.backward(loss, &store);
-                adam.step(&mut store, &grads);
-            }
-            final_loss = epoch_loss / n_batches.max(1) as f32;
-            if cfg.verbose {
-                eprintln!("[DiffNet] epoch {epoch}: loss {final_loss:.4}");
-            }
-        }
-        let elapsed = start.elapsed().as_secs_f64();
+                (tape.value(loss).get(0, 0), tape.backward(loss, store))
+            },
+        );
 
         let mut tape = Tape::new();
-        let u_final = diffuse(&store, u, v, &mut tape, &social, &graph, self.depth);
+        let u_final = diffuse(&store, u, v, &mut tape, social, &graph, self.depth);
         self.user_final = tape.value(u_final).clone();
         self.item_emb = store.value(v).clone();
-
-        TrainReport {
-            epochs: cfg.epochs,
-            mean_epoch_secs: elapsed / cfg.epochs.max(1) as f64,
-            final_loss,
-        }
+        report
     }
 }
 

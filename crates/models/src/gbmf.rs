@@ -1,18 +1,14 @@
 //! GBMF: the paper's purpose-built group-buying matrix factorization
 //! baseline (the strongest baseline in Table III).
 
-use crate::common::{
-    add_l2, sharded_bpr_loss, shuffled_batches, Recommender, TrainConfig, TrainReport,
-};
-use gb_autograd::{shard_spans, Adam, AdamConfig, ParamStore, ShardExecutor, Tape, Var};
-use gb_data::{Dataset, NegativeSampler};
+use crate::common::{add_l2, bpr_loss, train_pairs, Recommender, TrainConfig, TrainReport};
+use gb_autograd::{shard_spans, ParamStore, ShardExecutor, Tape, Var};
+use gb_data::Dataset;
 use gb_eval::Scorer;
-use gb_graph::Csr;
 use gb_tensor::{init, kernels, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 /// GBMF configuration: the shared hyper-parameters plus the role
 /// coefficient `α` of the Eq. 9-style prediction.
@@ -105,8 +101,8 @@ impl Gbmf {
         n_shards: usize,
         executor: &ShardExecutor,
     ) -> TrainReport {
-        let cfg = self.cfg.clone();
-        let base = &cfg.base;
+        let base = &self.cfg.base;
+        let alpha = self.cfg.alpha;
         let mut rng = StdRng::seed_from_u64(base.seed);
         let mut store = ParamStore::new();
         let u = store.add(
@@ -117,7 +113,6 @@ impl Gbmf {
             "gbmf.item",
             init::xavier_uniform(train.n_items(), base.dim, &mut rng),
         );
-        let mut adam = Adam::new(AdamConfig::with_lr(base.lr), &store);
 
         // GBMF trains on launches (initiator-item), the task's positives.
         let launches: Vec<(u32, u32)> = train
@@ -125,50 +120,25 @@ impl Gbmf {
             .iter()
             .map(|b| (b.initiator, b.item))
             .collect();
-        let sampler = NegativeSampler::from_dataset(train);
-        let social: Csr = train.social().csr().clone();
+        let social = train.social().csr();
 
-        let mut final_loss = 0.0f32;
-        let start = Instant::now();
-        for epoch in 0..base.epochs {
-            let mut epoch_loss = 0.0f32;
-            let mut n_batches = 0usize;
-            for batch in shuffled_batches(launches.len(), base.batch_size, &mut rng) {
-                let mut users = Vec::new();
-                let mut pos = Vec::new();
-                let mut neg = Vec::new();
-                for idx in batch {
-                    let (usr, item) = launches[idx];
-                    for _ in 0..base.neg_ratio.max(1) {
-                        users.push(usr);
-                        pos.push(item);
-                        neg.push(sampler.sample_one(usr, &mut rng));
-                    }
-                }
-                let n = users.len();
-                // Empty-batch fast path: nothing to shard, skip the pool.
-                if n == 0 {
-                    continue;
-                }
-
+        let report = train_pairs(
+            "GBMF",
+            base,
+            train,
+            &launches,
+            &mut store,
+            &mut rng,
+            |store, batch| {
+                let n = batch.len();
                 let spans = shard_spans(n, n_shards);
                 // Shared forward: record the user table and the social
                 // segment mean once per batch; shards see them read-only.
                 let mut fwd = Tape::new();
-                let u_full = fwd.param(&store, u);
+                let u_full = fwd.param(store, u);
                 let friend_mean = fwd.segment_mean(u_full, social.offsets(), social.members());
                 let tables = [fwd.arc_value(u_full), fwd.arc_value(friend_mean)];
-                // Per-span index vectors built once on the calling thread.
-                let shard_idx: Vec<[Arc<Vec<u32>>; 3]> = spans
-                    .iter()
-                    .map(|&(a, b)| {
-                        [
-                            Arc::new(users[a..b].to_vec()),
-                            Arc::new(pos[a..b].to_vec()),
-                            Arc::new(neg[a..b].to_vec()),
-                        ]
-                    })
-                    .collect();
+                let shard_idx = batch.shards(&spans);
                 let table_grads: Vec<OnceLock<Vec<Option<Matrix>>>> =
                     (0..spans.len()).map(|_| OnceLock::new()).collect();
                 let (loss, mut grads) = executor.accumulate(store.len(), spans.len(), |s| {
@@ -176,29 +146,17 @@ impl Gbmf {
                     let mut tape = Tape::new();
                     let u_in = tape.input(Arc::clone(&tables[0]));
                     let fm_in = tape.input(Arc::clone(&tables[1]));
-                    let pe = tape.gather_param(&store, v, Arc::clone(shard_pos));
-                    let ne = tape.gather_param(&store, v, Arc::clone(shard_neg));
-                    let pos_s = eq9_score(
-                        &mut tape,
-                        u_in,
-                        fm_in,
-                        pe,
-                        Arc::clone(shard_users),
-                        cfg.alpha,
-                    );
-                    let neg_s = eq9_score(
-                        &mut tape,
-                        u_in,
-                        fm_in,
-                        ne,
-                        Arc::clone(shard_users),
-                        cfg.alpha,
-                    );
-                    let loss = sharded_bpr_loss(&mut tape, pos_s, neg_s, n);
+                    let pe = tape.gather_param(store, v, Arc::clone(shard_pos));
+                    let ne = tape.gather_param(store, v, Arc::clone(shard_neg));
+                    let pos_s =
+                        eq9_score(&mut tape, u_in, fm_in, pe, Arc::clone(shard_users), alpha);
+                    let neg_s =
+                        eq9_score(&mut tape, u_in, fm_in, ne, Arc::clone(shard_users), alpha);
+                    let loss = bpr_loss(&mut tape, pos_s, neg_s, n);
                     let ue = tape.gather(u_in, Arc::clone(shard_users));
                     let loss = add_l2(&mut tape, loss, &[ue, pe, ne], base.l2, n);
                     let value = tape.value(loss).get(0, 0);
-                    let (g, tg) = tape.backward_with_inputs(loss, &store);
+                    let (g, tg) = tape.backward_with_inputs(loss, store);
                     assert!(
                         table_grads[s].set(tg).is_ok(),
                         "shard {s} ran twice within one accumulate call"
@@ -230,28 +188,17 @@ impl Gbmf {
                     .filter_map(|(&var, g)| g.map(|g| (var, g)))
                     .collect();
                 if !seeds.is_empty() {
-                    grads.merge(fwd.backward_seeded(seeds, &store));
+                    grads.merge(fwd.backward_seeded(seeds, store));
                 }
-                epoch_loss += loss;
-                n_batches += 1;
-                adam.step(&mut store, &grads);
-            }
-            final_loss = epoch_loss / n_batches.max(1) as f32;
-            if base.verbose {
-                eprintln!("[GBMF] epoch {epoch}: loss {final_loss:.4}");
-            }
-        }
-        let elapsed = start.elapsed().as_secs_f64();
+                (loss, grads)
+            },
+        );
 
         self.user_emb = store.value(u).clone();
         self.item_emb = store.value(v).clone();
         let (offsets, members) = social.segments();
         self.friend_mean = kernels::segment_mean(&self.user_emb, offsets, members);
-        TrainReport {
-            epochs: base.epochs,
-            mean_epoch_secs: elapsed / base.epochs.max(1) as f64,
-            final_loss,
-        }
+        report
     }
 }
 

@@ -11,9 +11,16 @@
 //! | Group-buying | [`Gbmf`] |
 //!
 //! All models share the [`Recommender`] trait (`fit` + scoring through
-//! [`gb_eval::Scorer`]), the [`TrainConfig`] hyper-parameters, and the
-//! mini-batch/negative-sampling loop of Sec. III-C.2, so the Table III
-//! harness can treat them uniformly. Where the paper prescribes a
+//! [`gb_eval::Scorer`]) and the [`TrainConfig`] hyper-parameters, so the
+//! Table III harness can treat them uniformly. They also share one
+//! training loop, the mini-batch/negative-sampling recipe of Sec. III-C.2,
+//! written once as a crate-private function: it owns the Adam optimiser,
+//! the shuffled batches, the `neg_ratio` negatives drawn per example, the
+//! step, the per-epoch loss and timing, and the `verbose` log. Each
+//! model's `fit` is its parameter init, a closure holding only its own
+//! forward and loss (for `Mf` and `Gbmf`, their sharded recipe), and its
+//! post-training cache. `gb-core`'s GBGCN keeps its own loop: it trains
+//! on failed-group negatives in two phases. Where the paper prescribes a
 //! loss that differs from BPR (AGREE's regression-based pairwise loss,
 //! SIGR's log loss) the prescribed loss is used — the paper explicitly
 //! discusses those choices when analysing why the group recommenders

@@ -1,17 +1,16 @@
 //! Matrix factorization with BPR (the paper's `MF` and `MF(oi)` rows).
 
 use crate::common::{
-    add_l2, dot_scores, sharded_bpr_loss, shuffled_batches, Recommender, TrainConfig, TrainReport,
+    add_l2, bpr_loss, dot_scores, train_pairs, Recommender, TrainConfig, TrainReport,
 };
-use gb_autograd::{shard_spans, Adam, AdamConfig, ParamStore, ShardExecutor, Tape};
+use gb_autograd::{shard_spans, ParamStore, ShardExecutor, Tape};
 use gb_data::convert::{to_pairs, InteractionKind};
-use gb_data::{Dataset, NegativeSampler};
+use gb_data::Dataset;
 use gb_eval::Scorer;
 use gb_tensor::{init, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// BPR matrix factorization [38], [27].
 ///
@@ -67,7 +66,7 @@ impl Mf {
         n_shards: usize,
         executor: &ShardExecutor,
     ) -> TrainReport {
-        let cfg = self.cfg.clone();
+        let cfg = &self.cfg;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut store = ParamStore::new();
         let u = store.add(
@@ -78,80 +77,37 @@ impl Mf {
             "mf.item",
             init::xavier_uniform(train.n_items(), cfg.dim, &mut rng),
         );
-        let mut adam = Adam::new(AdamConfig::with_lr(cfg.lr), &store);
 
         let pairs = to_pairs(train, self.kind);
-        let sampler = NegativeSampler::from_dataset(train);
-
-        let mut final_loss = 0.0f32;
-        let start = Instant::now();
-        for epoch in 0..cfg.epochs {
-            let mut epoch_loss = 0.0f32;
-            let mut n_batches = 0usize;
-            for batch in shuffled_batches(pairs.len(), cfg.batch_size, &mut rng) {
-                let mut users = Vec::with_capacity(batch.len() * cfg.neg_ratio);
-                let mut pos = Vec::with_capacity(users.capacity());
-                let mut neg = Vec::with_capacity(users.capacity());
-                for idx in batch {
-                    let (usr, item) = pairs[idx];
-                    for _ in 0..cfg.neg_ratio.max(1) {
-                        users.push(usr);
-                        pos.push(item);
-                        neg.push(sampler.sample_one(usr, &mut rng));
-                    }
-                }
-                let n = users.len();
-                // Empty-batch fast path: a zero-example batch has nothing
-                // to shard — never build tapes or touch the worker pool
-                // (`shard_spans(0, n)` is an empty decomposition).
-                if n == 0 {
-                    continue;
-                }
-
+        let report = train_pairs(
+            &self.name,
+            cfg,
+            train,
+            &pairs,
+            &mut store,
+            &mut rng,
+            |store, batch| {
+                let n = batch.len();
                 let spans = shard_spans(n, n_shards);
-                // Per-span index vectors are built once on the calling
-                // thread; worker closures only clone `Arc`s instead of
-                // re-slicing the batch vectors per gradient call.
-                let shard_idx: Vec<[Arc<Vec<u32>>; 3]> = spans
-                    .iter()
-                    .map(|&(a, b)| {
-                        [
-                            Arc::new(users[a..b].to_vec()),
-                            Arc::new(pos[a..b].to_vec()),
-                            Arc::new(neg[a..b].to_vec()),
-                        ]
-                    })
-                    .collect();
-                let (loss, grads) = executor.accumulate(store.len(), spans.len(), |s| {
+                let shard_idx = batch.shards(&spans);
+                executor.accumulate(store.len(), spans.len(), |s| {
                     let [shard_users, shard_pos, shard_neg] = &shard_idx[s];
                     let mut tape = Tape::new();
-                    let ue = tape.gather_param(&store, u, Arc::clone(shard_users));
-                    let pe = tape.gather_param(&store, v, Arc::clone(shard_pos));
-                    let ne = tape.gather_param(&store, v, Arc::clone(shard_neg));
+                    let ue = tape.gather_param(store, u, Arc::clone(shard_users));
+                    let pe = tape.gather_param(store, v, Arc::clone(shard_pos));
+                    let ne = tape.gather_param(store, v, Arc::clone(shard_neg));
                     let pos_s = tape.rowwise_dot(ue, pe);
                     let neg_s = tape.rowwise_dot(ue, ne);
-                    let loss = sharded_bpr_loss(&mut tape, pos_s, neg_s, n);
+                    let loss = bpr_loss(&mut tape, pos_s, neg_s, n);
                     let loss = add_l2(&mut tape, loss, &[ue, pe, ne], cfg.l2, n);
-                    (tape.value(loss).get(0, 0), tape.backward(loss, &store))
-                });
-                epoch_loss += loss;
-                n_batches += 1;
-                adam.step(&mut store, &grads);
-            }
-            final_loss = epoch_loss / n_batches.max(1) as f32;
-            if cfg.verbose {
-                eprintln!("[{}] epoch {epoch}: loss {final_loss:.4}", self.name);
-            }
-        }
-        let elapsed = start.elapsed().as_secs_f64();
+                    (tape.value(loss).get(0, 0), tape.backward(loss, store))
+                })
+            },
+        );
 
         self.user_emb = store.value(u).clone();
         self.item_emb = store.value(v).clone();
-        TrainReport {
-            epochs: cfg.epochs,
-            mean_epoch_secs: elapsed / cfg.epochs.max(1) as f64,
-            final_loss,
-        }
+        report
     }
 }
 
@@ -237,9 +193,10 @@ mod tests {
 
     #[test]
     fn zero_pair_dataset_never_reaches_the_pool() {
-        // No behaviors at all: every epoch is a zero-example epoch. The
-        // empty-batch fast path must keep the worker pool completely idle
-        // and still produce a usable (untrained) model.
+        // No behaviors at all: every epoch is a zero-example epoch, which
+        // `shuffled_batches` turns into zero batches, so the worker pool
+        // must stay completely idle and the model still be usable
+        // (untrained).
         let d = Dataset::new(2, 3, vec![], vec![(0, 1)], vec![1; 3]);
         let cfg = TrainConfig {
             dim: 4,

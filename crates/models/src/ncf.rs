@@ -1,15 +1,14 @@
 //! Neural Collaborative Filtering [28]: GMF ⊕ MLP.
 
-use crate::common::{add_l2, bpr_loss, shuffled_batches, Recommender, TrainConfig, TrainReport};
-use gb_autograd::{Adam, AdamConfig, ParamId, ParamStore, Tape, Var};
+use crate::common::{add_l2, bpr_loss, train_pairs, Recommender, TrainConfig, TrainReport};
+use gb_autograd::{ParamId, ParamStore, Tape, Var};
 use gb_data::convert::{to_pairs, InteractionKind};
-use gb_data::{Dataset, NegativeSampler};
+use gb_data::Dataset;
 use gb_eval::Scorer;
 use gb_tensor::{init, kernels, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// NeuMF architecture: a GMF branch (elementwise product of embeddings)
 /// fused with an MLP branch (`[u || v] -> d -> d/2`), combined by a final
@@ -17,11 +16,11 @@ use std::time::Instant;
 /// conversion (the setting that wins in Table III's CF block).
 pub struct Ncf {
     cfg: TrainConfig,
+    store: ParamStore,
     params: Option<NcfParams>,
 }
 
 struct NcfParams {
-    store: ParamStore,
     ug: ParamId,
     vg: ParamId,
     um: ParamId,
@@ -36,12 +35,15 @@ struct NcfParams {
 impl Ncf {
     /// Creates an untrained NCF model.
     pub fn new(cfg: TrainConfig) -> Self {
-        Self { cfg, params: None }
+        Self {
+            cfg,
+            store: ParamStore::new(),
+            params: None,
+        }
     }
 
-    fn init_params(&self, train: &Dataset, rng: &mut StdRng) -> NcfParams {
+    fn init_params(&self, train: &Dataset, store: &mut ParamStore, rng: &mut StdRng) -> NcfParams {
         let d = self.cfg.dim;
-        let mut store = ParamStore::new();
         let ug = store.add(
             "ncf.gmf.user",
             init::xavier_uniform(train.n_users(), d, rng),
@@ -64,7 +66,6 @@ impl Ncf {
         let b2 = store.add("ncf.mlp.b2", Matrix::zeros(1, d / 2));
         let head = store.add("ncf.head", init::xavier_uniform(d + d / 2, 1, rng));
         NcfParams {
-            store,
             ug,
             vg,
             um,
@@ -79,33 +80,34 @@ impl Ncf {
 
     /// Scores a batch of (user, item) index lists on a tape.
     fn forward(
+        store: &ParamStore,
         p: &NcfParams,
         tape: &mut Tape,
         users: Arc<Vec<u32>>,
         items: Arc<Vec<u32>>,
     ) -> (Var, Vec<Var>) {
-        let ug = tape.gather_param(&p.store, p.ug, users.clone());
-        let vg = tape.gather_param(&p.store, p.vg, items.clone());
-        let um = tape.gather_param(&p.store, p.um, users);
-        let vm = tape.gather_param(&p.store, p.vm, items);
+        let ug = tape.gather_param(store, p.ug, users.clone());
+        let vg = tape.gather_param(store, p.vg, items.clone());
+        let um = tape.gather_param(store, p.um, users);
+        let vm = tape.gather_param(store, p.vm, items);
 
         let gmf = tape.mul(ug, vg);
 
         let mlp_in = tape.concat_cols(&[um, vm]);
-        let w1 = tape.param(&p.store, p.w1);
-        let b1 = tape.param(&p.store, p.b1);
+        let w1 = tape.param(store, p.w1);
+        let b1 = tape.param(store, p.b1);
         let z1_lin = tape.matmul(mlp_in, w1);
         let z1_b = tape.add_bias(z1_lin, b1);
         let z1 = tape.leaky_relu(z1_b, 0.0); // ReLU as in the paper
 
-        let w2 = tape.param(&p.store, p.w2);
-        let b2 = tape.param(&p.store, p.b2);
+        let w2 = tape.param(store, p.w2);
+        let b2 = tape.param(store, p.b2);
         let z2_lin = tape.matmul(z1, w2);
         let z2_b = tape.add_bias(z2_lin, b2);
         let z2 = tape.leaky_relu(z2_b, 0.0);
 
         let feat = tape.concat_cols(&[gmf, z2]);
-        let head = tape.param(&p.store, p.head);
+        let head = tape.param(store, p.head);
         let score = tape.matmul(feat, head);
         (score, vec![ug, vg, um, vm])
     }
@@ -113,33 +115,31 @@ impl Ncf {
     /// Plain-kernel forward for post-training scoring.
     fn forward_plain(&self, user: u32, items: &[u32]) -> Vec<f32> {
         let p = self.params.as_ref().expect("model not fitted");
+        let store = &self.store;
         let n = items.len();
         let users = vec![user; n];
         let idx_items: Vec<u32> = items.to_vec();
 
-        let ug = kernels::gather_rows(p.store.value(p.ug), &users);
-        let vg = kernels::gather_rows(p.store.value(p.vg), &idx_items);
-        let um = kernels::gather_rows(p.store.value(p.um), &users);
-        let vm = kernels::gather_rows(p.store.value(p.vm), &idx_items);
+        let ug = kernels::gather_rows(store.value(p.ug), &users);
+        let vg = kernels::gather_rows(store.value(p.vg), &idx_items);
+        let um = kernels::gather_rows(store.value(p.um), &users);
+        let vm = kernels::gather_rows(store.value(p.vm), &idx_items);
 
         let gmf = kernels::mul(&ug, &vg);
         let mlp_in = kernels::concat_cols(&[&um, &vm]);
         let z1 = kernels::leaky_relu(
             &kernels::add_bias(
-                &kernels::matmul(&mlp_in, p.store.value(p.w1)),
-                p.store.value(p.b1),
+                &kernels::matmul(&mlp_in, store.value(p.w1)),
+                store.value(p.b1),
             ),
             0.0,
         );
         let z2 = kernels::leaky_relu(
-            &kernels::add_bias(
-                &kernels::matmul(&z1, p.store.value(p.w2)),
-                p.store.value(p.b2),
-            ),
+            &kernels::add_bias(&kernels::matmul(&z1, store.value(p.w2)), store.value(p.b2)),
             0.0,
         );
         let feat = kernels::concat_cols(&[&gmf, &z2]);
-        kernels::matmul(&feat, p.store.value(p.head)).into_vec()
+        kernels::matmul(&feat, store.value(p.head)).into_vec()
     }
 }
 
@@ -149,59 +149,34 @@ impl Recommender for Ncf {
     }
 
     fn fit(&mut self, train: &Dataset) -> TrainReport {
-        let cfg = self.cfg.clone();
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let params = self.init_params(train, &mut rng);
-        let mut adam = Adam::new(AdamConfig::with_lr(cfg.lr), &params.store);
-
+        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
+        let mut store = ParamStore::new();
+        let p = self.init_params(train, &mut store, &mut rng);
         let pairs = to_pairs(train, InteractionKind::BothRoles);
-        let sampler = NegativeSampler::from_dataset(train);
-
-        let mut final_loss = 0.0f32;
-        let start = Instant::now();
-        let mut p = params;
-        for epoch in 0..cfg.epochs {
-            let mut epoch_loss = 0.0f32;
-            let mut n_batches = 0usize;
-            for batch in shuffled_batches(pairs.len(), cfg.batch_size, &mut rng) {
-                let mut users = Vec::new();
-                let mut pos = Vec::new();
-                let mut neg = Vec::new();
-                for idx in batch {
-                    let (usr, item) = pairs[idx];
-                    for _ in 0..cfg.neg_ratio.max(1) {
-                        users.push(usr);
-                        pos.push(item);
-                        neg.push(sampler.sample_one(usr, &mut rng));
-                    }
-                }
-                let n = users.len();
-                let users = Arc::new(users);
-
+        let report = train_pairs(
+            "NCF",
+            &self.cfg,
+            train,
+            &pairs,
+            &mut store,
+            &mut rng,
+            |store, batch| {
+                let n = batch.len();
+                let users = Arc::new(batch.users);
                 let mut tape = Tape::new();
-                let (pos_s, mut reg) = Self::forward(&p, &mut tape, users.clone(), Arc::new(pos));
-                let (neg_s, reg_n) = Self::forward(&p, &mut tape, users, Arc::new(neg));
+                let (pos_s, mut reg) =
+                    Self::forward(store, &p, &mut tape, users.clone(), Arc::new(batch.pos));
+                let (neg_s, reg_n) =
+                    Self::forward(store, &p, &mut tape, users, Arc::new(batch.neg));
                 reg.extend(reg_n);
-                let loss = bpr_loss(&mut tape, pos_s, neg_s);
-                let loss = add_l2(&mut tape, loss, &reg, cfg.l2, n);
-
-                epoch_loss += tape.value(loss).get(0, 0);
-                n_batches += 1;
-                let grads = tape.backward(loss, &p.store);
-                adam.step(&mut p.store, &grads);
-            }
-            final_loss = epoch_loss / n_batches.max(1) as f32;
-            if cfg.verbose {
-                eprintln!("[NCF] epoch {epoch}: loss {final_loss:.4}");
-            }
-        }
-        let elapsed = start.elapsed().as_secs_f64();
+                let loss = bpr_loss(&mut tape, pos_s, neg_s, n);
+                let loss = add_l2(&mut tape, loss, &reg, self.cfg.l2, n);
+                (tape.value(loss).get(0, 0), tape.backward(loss, store))
+            },
+        );
+        self.store = store;
         self.params = Some(p);
-        TrainReport {
-            epochs: cfg.epochs,
-            mean_epoch_secs: elapsed / cfg.epochs.max(1) as f64,
-            final_loss,
-        }
+        report
     }
 }
 
@@ -253,7 +228,13 @@ mod tests {
         m.fit(&toy_dataset());
         let p = m.params.as_ref().unwrap();
         let mut tape = Tape::new();
-        let (scores, _) = Ncf::forward(p, &mut tape, Arc::new(vec![0, 1]), Arc::new(vec![2, 3]));
+        let (scores, _) = Ncf::forward(
+            &m.store,
+            p,
+            &mut tape,
+            Arc::new(vec![0, 1]),
+            Arc::new(vec![2, 3]),
+        );
         let tape_scores = tape.value(scores).as_slice().to_vec();
         let plain0 = m.score_items(0, &[2]);
         let plain1 = m.score_items(1, &[3]);

@@ -1,18 +1,17 @@
 //! Neural Graph Collaborative Filtering [25].
 
 use crate::common::{
-    add_l2, bpr_loss, dot_scores, shuffled_batches, Recommender, TrainConfig, TrainReport,
+    add_l2, bpr_loss, dot_scores, train_pairs, Recommender, TrainConfig, TrainReport,
 };
-use gb_autograd::{Adam, AdamConfig, ParamId, ParamStore, Tape, Var};
+use gb_autograd::{ParamId, ParamStore, Tape, Var};
 use gb_data::convert::{to_pairs, InteractionKind};
-use gb_data::{Dataset, NegativeSampler};
+use gb_data::Dataset;
 use gb_eval::Scorer;
 use gb_graph::Bipartite;
 use gb_tensor::{init, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// NGCF with two propagation layers on the user–item bipartite graph.
 ///
@@ -29,7 +28,6 @@ pub struct Ngcf {
 }
 
 struct NgcfParams {
-    store: ParamStore,
     u: ParamId,
     v: ParamId,
     w1: Vec<ParamId>,
@@ -48,9 +46,8 @@ impl Ngcf {
         }
     }
 
-    fn init_params(&self, train: &Dataset, rng: &mut StdRng) -> NgcfParams {
+    fn init_params(&self, train: &Dataset, store: &mut ParamStore, rng: &mut StdRng) -> NgcfParams {
         let d = self.cfg.dim;
-        let mut store = ParamStore::new();
         let u = store.add("ngcf.user", init::xavier_uniform(train.n_users(), d, rng));
         let v = store.add("ngcf.item", init::xavier_uniform(train.n_items(), d, rng));
         let (mut w1, mut w2, mut b) = (Vec::new(), Vec::new(), Vec::new());
@@ -59,31 +56,25 @@ impl Ngcf {
             w2.push(store.add(format!("ngcf.w2.{l}"), init::xavier_uniform(d, d, rng)));
             b.push(store.add(format!("ngcf.b.{l}"), Matrix::zeros(1, d)));
         }
-        NgcfParams {
-            store,
-            u,
-            v,
-            w1,
-            w2,
-            b,
-        }
+        NgcfParams { u, v, w1, w2, b }
     }
 
     /// Full-graph propagation; returns concatenated (user, item) finals.
     fn propagate(
+        store: &ParamStore,
         p: &NgcfParams,
         tape: &mut Tape,
         graph: &Bipartite,
         n_layers: usize,
     ) -> (Var, Var) {
-        let mut u_cur = tape.param(&p.store, p.u);
-        let mut v_cur = tape.param(&p.store, p.v);
+        let mut u_cur = tape.param(store, p.u);
+        let mut v_cur = tape.param(store, p.v);
         let mut u_all = vec![u_cur];
         let mut v_all = vec![v_cur];
         for l in 0..n_layers {
-            let w1 = tape.param(&p.store, p.w1[l]);
-            let w2 = tape.param(&p.store, p.w2[l]);
-            let b = tape.param(&p.store, p.b[l]);
+            let w1 = tape.param(store, p.w1[l]);
+            let w2 = tape.param(store, p.w2[l]);
+            let b = tape.param(store, p.b[l]);
 
             let agg_u = tape.segment_mean(
                 v_cur,
@@ -126,67 +117,40 @@ impl Recommender for Ngcf {
     }
 
     fn fit(&mut self, train: &Dataset) -> TrainReport {
-        let cfg = self.cfg.clone();
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut p = self.init_params(train, &mut rng);
-        let mut adam = Adam::new(AdamConfig::with_lr(cfg.lr), &p.store);
-
+        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
+        let mut store = ParamStore::new();
+        let p = self.init_params(train, &mut store, &mut rng);
         let pairs = to_pairs(train, InteractionKind::BothRoles);
         let graph = Bipartite::from_interactions(train.n_users(), train.n_items(), &pairs);
-        let sampler = NegativeSampler::from_dataset(train);
-
-        let mut final_loss = 0.0f32;
-        let start = Instant::now();
-        for epoch in 0..cfg.epochs {
-            let mut epoch_loss = 0.0f32;
-            let mut n_batches = 0usize;
-            for batch in shuffled_batches(pairs.len(), cfg.batch_size, &mut rng) {
-                let mut users = Vec::new();
-                let mut pos = Vec::new();
-                let mut neg = Vec::new();
-                for idx in batch {
-                    let (usr, item) = pairs[idx];
-                    for _ in 0..cfg.neg_ratio.max(1) {
-                        users.push(usr);
-                        pos.push(item);
-                        neg.push(sampler.sample_one(usr, &mut rng));
-                    }
-                }
-                let n = users.len();
-
+        let report = train_pairs(
+            "NGCF",
+            &self.cfg,
+            train,
+            &pairs,
+            &mut store,
+            &mut rng,
+            |store, batch| {
+                let n = batch.len();
                 let mut tape = Tape::new();
-                let (u_final, v_final) = Self::propagate(&p, &mut tape, &graph, self.n_layers);
-                let ue = tape.gather(u_final, Arc::new(users));
-                let pe = tape.gather(v_final, Arc::new(pos));
-                let ne = tape.gather(v_final, Arc::new(neg));
+                let (u_final, v_final) =
+                    Self::propagate(store, &p, &mut tape, &graph, self.n_layers);
+                let ue = tape.gather(u_final, Arc::new(batch.users));
+                let pe = tape.gather(v_final, Arc::new(batch.pos));
+                let ne = tape.gather(v_final, Arc::new(batch.neg));
                 let pos_s = tape.rowwise_dot(ue, pe);
                 let neg_s = tape.rowwise_dot(ue, ne);
-                let loss = bpr_loss(&mut tape, pos_s, neg_s);
-                let loss = add_l2(&mut tape, loss, &[ue, pe, ne], cfg.l2, n);
-
-                epoch_loss += tape.value(loss).get(0, 0);
-                n_batches += 1;
-                let grads = tape.backward(loss, &p.store);
-                adam.step(&mut p.store, &grads);
-            }
-            final_loss = epoch_loss / n_batches.max(1) as f32;
-            if cfg.verbose {
-                eprintln!("[NGCF] epoch {epoch}: loss {final_loss:.4}");
-            }
-        }
-        let elapsed = start.elapsed().as_secs_f64();
+                let loss = bpr_loss(&mut tape, pos_s, neg_s, n);
+                let loss = add_l2(&mut tape, loss, &[ue, pe, ne], self.cfg.l2, n);
+                (tape.value(loss).get(0, 0), tape.backward(loss, store))
+            },
+        );
 
         // Cache final embeddings with one last propagation.
         let mut tape = Tape::new();
-        let (u_final, v_final) = Self::propagate(&p, &mut tape, &graph, self.n_layers);
+        let (u_final, v_final) = Self::propagate(&store, &p, &mut tape, &graph, self.n_layers);
         self.user_final = tape.value(u_final).clone();
         self.item_final = tape.value(v_final).clone();
-
-        TrainReport {
-            epochs: cfg.epochs,
-            mean_epoch_secs: elapsed / cfg.epochs.max(1) as f64,
-            final_loss,
-        }
+        report
     }
 }
 

@@ -1,16 +1,15 @@
 //! SIGR [21]: social-influence-based group recommendation.
 
-use crate::common::{add_l2, shuffled_batches, Recommender, TrainConfig, TrainReport};
-use gb_autograd::{Adam, AdamConfig, ParamId, ParamStore, Tape, Var};
+use crate::common::{add_l2, train_pairs, Recommender, TrainConfig, TrainReport};
+use gb_autograd::{ParamId, ParamStore, Tape, Var};
 use gb_data::convert::{to_groups, to_pairs, GroupData, InteractionKind};
-use gb_data::{Dataset, NegativeSampler};
+use gb_data::Dataset;
 use gb_eval::Scorer;
 use gb_graph::Bipartite;
 use gb_tensor::{init, kernels, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// SIGR combines bipartite-graph embeddings (user–item propagation) with a
 /// learned per-user **social influence** weight that controls how much
@@ -30,10 +29,8 @@ pub struct Sigr {
 }
 
 struct SigrState {
-    store: ParamStore,
-    user_emb: ParamId,
-    item_emb: ParamId,
-    influence: ParamId,
+    /// Trained per-user influence logits (`P x 1`).
+    influence: Matrix,
     groups: GroupData,
     /// Cached post-training propagated embeddings.
     user_final: Matrix,
@@ -73,17 +70,24 @@ impl Sigr {
     }
 
     /// Group representation for aligned group batches on the tape.
-    fn group_repr(s: &SigrState, tape: &mut Tape, u_final: Var, gids: &[u32]) -> Var {
+    fn group_repr(
+        store: &ParamStore,
+        influence: ParamId,
+        groups: &GroupData,
+        tape: &mut Tape,
+        u_final: Var,
+        gids: &[u32],
+    ) -> Var {
         let mut flat = Vec::new();
         let mut offsets = vec![0usize];
         for &g in gids {
-            flat.extend_from_slice(&s.groups.members[g as usize]);
+            flat.extend_from_slice(&groups.members[g as usize]);
             offsets.push(flat.len());
         }
         let n_edges = flat.len();
         let flat = Arc::new(flat);
         let mem = tape.gather(u_final, flat.clone());
-        let infl = tape.gather_param(&s.store, s.influence, flat);
+        let infl = tape.gather_param(store, influence, flat);
         let gate = tape.sigmoid(infl);
         let gated = tape.scale_rows(mem, gate);
         let ident: Arc<Vec<u32>> = Arc::new((0..n_edges as u32).collect());
@@ -97,7 +101,7 @@ impl Recommender for Sigr {
     }
 
     fn fit(&mut self, train: &Dataset) -> TrainReport {
-        let cfg = self.cfg.clone();
+        let cfg = &self.cfg;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let groups = to_groups(train);
 
@@ -112,53 +116,24 @@ impl Recommender for Sigr {
             init::xavier_uniform(train.n_items(), d, &mut rng),
         );
         let influence = store.add("sigr.influence", Matrix::zeros(train.n_users(), 1));
-        let mut adam = Adam::new(AdamConfig::with_lr(cfg.lr), &store);
 
         let pairs = to_pairs(train, InteractionKind::BothRoles);
         let graph = Bipartite::from_interactions(train.n_users(), train.n_items(), &pairs);
-        let sampler = NegativeSampler::from_dataset(train);
-
-        let mut state = SigrState {
-            store,
-            user_emb,
-            item_emb,
-            influence,
-            groups,
-            user_final: Matrix::zeros(0, 0),
-            item_final: Matrix::zeros(0, 0),
-        };
-        let activities = state.groups.group_items.clone();
-
-        let mut final_loss = 0.0f32;
-        let start = Instant::now();
-        for epoch in 0..cfg.epochs {
-            let mut epoch_loss = 0.0f32;
-            let mut n_batches = 0usize;
-            for batch in shuffled_batches(activities.len(), cfg.batch_size, &mut rng) {
-                let mut gids = Vec::new();
-                let mut pos = Vec::new();
-                let mut neg = Vec::new();
-                for idx in batch {
-                    let (g, item) = activities[idx];
-                    for _ in 0..cfg.neg_ratio.max(1) {
-                        gids.push(g);
-                        pos.push(item);
-                        neg.push(sampler.sample_one(g, &mut rng));
-                    }
-                }
-                let n = gids.len();
-
+        let report = train_pairs(
+            "SIGR",
+            cfg,
+            train,
+            &groups.group_items,
+            &mut store,
+            &mut rng,
+            |store, batch| {
+                let n = batch.len();
                 let mut tape = Tape::new();
-                let (u_final, v_final) = propagate(
-                    &state.store,
-                    state.user_emb,
-                    state.item_emb,
-                    &mut tape,
-                    &graph,
-                );
-                let grp = Sigr::group_repr(&state, &mut tape, u_final, &gids);
-                let pe = tape.gather(v_final, Arc::new(pos));
-                let ne = tape.gather(v_final, Arc::new(neg));
+                let (u_final, v_final) = propagate(store, user_emb, item_emb, &mut tape, &graph);
+                let grp =
+                    Sigr::group_repr(store, influence, &groups, &mut tape, u_final, &batch.users);
+                let pe = tape.gather(v_final, Arc::new(batch.pos));
+                let ne = tape.gather(v_final, Arc::new(batch.neg));
                 let pos_s = tape.rowwise_dot(grp, pe);
                 let neg_s = tape.rowwise_dot(grp, ne);
 
@@ -171,37 +146,20 @@ impl Recommender for Sigr {
                 let sum = tape.add(mp, mn);
                 let loss = tape.scale(sum, -1.0);
                 let loss = add_l2(&mut tape, loss, &[grp, pe, ne], cfg.l2, n);
-
-                epoch_loss += tape.value(loss).get(0, 0);
-                n_batches += 1;
-                let grads = tape.backward(loss, &state.store);
-                adam.step(&mut state.store, &grads);
-            }
-            final_loss = epoch_loss / n_batches.max(1) as f32;
-            if cfg.verbose {
-                eprintln!("[SIGR] epoch {epoch}: loss {final_loss:.4}");
-            }
-        }
-        let elapsed = start.elapsed().as_secs_f64();
+                (tape.value(loss).get(0, 0), tape.backward(loss, store))
+            },
+        );
 
         // Cache propagated embeddings for scoring.
         let mut tape = Tape::new();
-        let (u_final, v_final) = propagate(
-            &state.store,
-            state.user_emb,
-            state.item_emb,
-            &mut tape,
-            &graph,
-        );
-        state.user_final = tape.value(u_final).clone();
-        state.item_final = tape.value(v_final).clone();
-        self.state = Some(state);
-
-        TrainReport {
-            epochs: cfg.epochs,
-            mean_epoch_secs: elapsed / cfg.epochs.max(1) as f64,
-            final_loss,
-        }
+        let (u_final, v_final) = propagate(&store, user_emb, item_emb, &mut tape, &graph);
+        self.state = Some(SigrState {
+            influence: store.value(influence).clone(),
+            groups,
+            user_final: tape.value(u_final).clone(),
+            item_final: tape.value(v_final).clone(),
+        });
+        report
     }
 }
 
@@ -213,7 +171,7 @@ impl Scorer for Sigr {
         let d = s.user_final.cols();
         let mut grp = vec![0.0f32; d];
         for &m in members {
-            let infl = s.store.value(s.influence).get(m as usize, 0);
+            let infl = s.influence.get(m as usize, 0);
             let gate = kernels::sigmoid_scalar(infl);
             for (g, &e) in grp.iter_mut().zip(s.user_final.row(m as usize)) {
                 *g += gate * e;
@@ -275,7 +233,7 @@ mod tests {
         let mut m = Sigr::new(cfg);
         m.fit(&toy());
         let s = m.state.as_ref().unwrap();
-        assert!(!s.store.value(s.influence).has_non_finite());
+        assert!(!s.influence.has_non_finite());
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! SocialMF [1]: matrix factorization with trust propagation.
 
 use crate::common::{
-    add_l2, bpr_loss, dot_scores, shuffled_batches, Recommender, TrainConfig, TrainReport,
+    add_l2, bpr_loss, dot_scores, train_pairs, Recommender, TrainConfig, TrainReport,
 };
-use gb_autograd::{Adam, AdamConfig, ParamStore, Tape};
+use gb_autograd::{ParamStore, Tape};
 use gb_data::convert::{to_pairs, InteractionKind};
-use gb_data::{Dataset, NegativeSampler};
+use gb_data::Dataset;
 use gb_eval::Scorer;
 use gb_tensor::{init, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// SocialMF: BPR matrix factorization plus the social regularization term
 /// of Jamali & Ester [1], which pulls each user's embedding toward the
@@ -45,7 +44,7 @@ impl Recommender for SocialMf {
     }
 
     fn fit(&mut self, train: &Dataset) -> TrainReport {
-        let cfg = self.cfg.clone();
+        let cfg = &self.cfg;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut store = ParamStore::new();
         let u = store.add(
@@ -56,40 +55,27 @@ impl Recommender for SocialMf {
             "socialmf.item",
             init::xavier_uniform(train.n_items(), cfg.dim, &mut rng),
         );
-        let mut adam = Adam::new(AdamConfig::with_lr(cfg.lr), &store);
 
         let pairs = to_pairs(train, InteractionKind::BothRoles);
-        let sampler = NegativeSampler::from_dataset(train);
         let social = train.social().csr();
-
-        let mut final_loss = 0.0f32;
-        let start = Instant::now();
-        for epoch in 0..cfg.epochs {
-            let mut epoch_loss = 0.0f32;
-            let mut n_batches = 0usize;
-            for batch in shuffled_batches(pairs.len(), cfg.batch_size, &mut rng) {
-                let mut users = Vec::new();
-                let mut pos = Vec::new();
-                let mut neg = Vec::new();
-                for idx in batch {
-                    let (usr, item) = pairs[idx];
-                    for _ in 0..cfg.neg_ratio.max(1) {
-                        users.push(usr);
-                        pos.push(item);
-                        neg.push(sampler.sample_one(usr, &mut rng));
-                    }
-                }
-                let n = users.len();
-                let users = Arc::new(users);
-
+        let report = train_pairs(
+            "SocialMF",
+            cfg,
+            train,
+            &pairs,
+            &mut store,
+            &mut rng,
+            |store, batch| {
+                let n = batch.len();
+                let users = Arc::new(batch.users);
                 let mut tape = Tape::new();
-                let u_full = tape.param(&store, u);
+                let u_full = tape.param(store, u);
                 let ue = tape.gather(u_full, users.clone());
-                let pe = tape.gather_param(&store, v, Arc::new(pos));
-                let ne = tape.gather_param(&store, v, Arc::new(neg));
+                let pe = tape.gather_param(store, v, Arc::new(batch.pos));
+                let ne = tape.gather_param(store, v, Arc::new(batch.neg));
                 let pos_s = tape.rowwise_dot(ue, pe);
                 let neg_s = tape.rowwise_dot(ue, ne);
-                let loss = bpr_loss(&mut tape, pos_s, neg_s);
+                let loss = bpr_loss(&mut tape, pos_s, neg_s, n);
                 let loss = add_l2(&mut tape, loss, &[ue, pe, ne], cfg.l2, n);
 
                 // Trust propagation: batch users toward their friend mean.
@@ -100,26 +86,13 @@ impl Recommender for SocialMf {
                 let fm_batch = tape.gather(friend_mean, users);
                 let gap = tape.sub(ue, fm_batch);
                 let loss = add_l2(&mut tape, loss, &[gap], self.social_reg, n);
-
-                epoch_loss += tape.value(loss).get(0, 0);
-                n_batches += 1;
-                let grads = tape.backward(loss, &store);
-                adam.step(&mut store, &grads);
-            }
-            final_loss = epoch_loss / n_batches.max(1) as f32;
-            if cfg.verbose {
-                eprintln!("[SocialMF] epoch {epoch}: loss {final_loss:.4}");
-            }
-        }
-        let elapsed = start.elapsed().as_secs_f64();
+                (tape.value(loss).get(0, 0), tape.backward(loss, store))
+            },
+        );
 
         self.user_emb = store.value(u).clone();
         self.item_emb = store.value(v).clone();
-        TrainReport {
-            epochs: cfg.epochs,
-            mean_epoch_secs: elapsed / cfg.epochs.max(1) as f64,
-            final_loss,
-        }
+        report
     }
 }
 
