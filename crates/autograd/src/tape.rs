@@ -8,6 +8,12 @@
 //! backward kernels are free to fuse (gather backwards scatter into the
 //! reused accumulator slot instead of allocating a zeroed table per
 //! node).
+//!
+//! A cotangent travels in one of two forms ([`Cot`]): a full table, or
+//! only its listed rows with every other row `+0.0`. The second is born
+//! where a mini-batch's gathers scatter into a table and is carried
+//! through the propagation's own VJPs, so a backward pays for the rows a
+//! batch touched rather than for the table heights.
 
 use crate::params::{Gradients, ParamId, ParamStore};
 use gb_tensor::{kernels, Matrix};
@@ -20,7 +26,209 @@ pub struct Var(usize);
 /// A recorded backward op: consumes the node's incoming cotangent and
 /// routes contributions to upstream nodes (`NodeGrads`) or terminal
 /// sinks (`GradSinks`: parameter slots and input leaves).
-type BackwardOp = Box<dyn FnOnce(Matrix, &mut NodeGrads, &mut GradSinks) + Send>;
+type BackwardOp = Box<dyn FnOnce(Cot, &mut NodeGrads, &mut GradSinks) + Send>;
+
+/// The backward of an op that reads its cotangent as a full table.
+fn dense_op(
+    f: impl FnOnce(Matrix, &mut NodeGrads, &mut GradSinks) + Send + 'static,
+) -> Option<BackwardOp> {
+    Some(Box::new(move |g: Cot, ng, sinks| {
+        f(g.into_dense(), ng, sinks)
+    }))
+}
+
+/// A cotangent during the reverse sweep.
+///
+/// `Rows` stands for the `height x m.cols()` table whose rows `rows`
+/// (ascending, distinct, fewer than half of `height`) are the rows of
+/// `m` in order, and whose every other row is `+0.0` — exactly `+0.0`,
+/// by definition. It is born where a gather with strictly ascending
+/// indices scatters into an empty or `Rows` slot
+/// ([`NodeGrads::scatter_accumulate`]) and carried, never scanned,
+/// through the VJPs that map a `+0.0` row to a `+0.0` row:
+/// `concat_cols` (column slices of the same rows), `add` (the same rows,
+/// twice), `scale` by a finite `α ≥ +0.0`, `dense` (whose `act′ ≥ 0`,
+/// and whose kernels start every accumulator at `+0.0`) and
+/// `segment_mean` (which scatters the listed segments only). Every
+/// other op, every sink and every seed reads it through
+/// [`Cot::into_dense`].
+///
+/// Both forms give the same bits: a VJP of a `Rows` cotangent computes
+/// its listed rows exactly as the dense VJP computes them, and the
+/// dense VJP's unlisted rows are `+0.0`, which is what `Rows` says they
+/// are.
+#[derive(Clone)]
+enum Cot {
+    Dense(Matrix),
+    Rows {
+        height: usize,
+        rows: Arc<Vec<u32>>,
+        m: Matrix,
+    },
+}
+
+impl From<Matrix> for Cot {
+    fn from(m: Matrix) -> Self {
+        Cot::Dense(m)
+    }
+}
+
+impl Cot {
+    /// The full table.
+    fn into_dense(self) -> Matrix {
+        match self {
+            Cot::Dense(m) => m,
+            Cot::Rows { height, rows, m } => {
+                let mut out = Matrix::zeros(height, m.cols());
+                for (from, &to) in rows.iter().enumerate() {
+                    out.row_mut(to as usize).copy_from_slice(m.row(from));
+                }
+                out
+            }
+        }
+    }
+
+    /// `f` applied to the stored rows. `f` must compute each output row
+    /// from the same input row alone and map a `+0.0` row to a `+0.0`
+    /// row, so that the unlisted rows stay `+0.0`.
+    fn map_rows(&self, f: impl FnOnce(&Matrix) -> Matrix) -> Cot {
+        match self {
+            Cot::Dense(m) => Cot::Dense(f(m)),
+            Cot::Rows { height, rows, m } => Cot::Rows {
+                height: *height,
+                rows: Arc::clone(rows),
+                m: f(m),
+            },
+        }
+    }
+
+    /// `self += 1.0 · other`, bit for bit what [`kernels::add_assign`]
+    /// gives on the two full tables.
+    fn add(self, other: Cot) -> Cot {
+        match (self, other) {
+            (
+                Cot::Rows { height, rows, m },
+                Cot::Rows {
+                    rows: r2, m: m2, ..
+                },
+            ) => merge_rows(height, (&rows, &m), (&r2, &m2), Merge::Add),
+            (a, b) => {
+                let mut sum = a.into_dense();
+                kernels::add_assign(&mut sum, &b.into_dense());
+                Cot::Dense(sum)
+            }
+        }
+    }
+}
+
+/// What a row listed only on the existing side of [`merge_rows`] becomes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Merge {
+    /// `x + 0.0`: `add_assign` adds the other side's `+0.0` row, which
+    /// turns a `-0.0` into `+0.0`.
+    Add,
+    /// `x`: a scatter leaves the rows it does not list untouched.
+    Scatter,
+}
+
+/// `dst += alpha · src`, elementwise — the arithmetic of `kernels`'
+/// `add_assign`, `scatter_add_rows` and `segment_mean_backward` on one row.
+fn axpy_row(dst: &mut [f32], alpha: f32, src: &[f32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += alpha * s;
+    }
+}
+
+/// The sum of two row-listed tables of height `height`, the `existing`
+/// one first: a row listed on both sides is `x + 1.0·y`, one listed on
+/// the `new` side only is `0.0 + 1.0·y`, one listed on the `existing`
+/// side only is as `how` says. Comes back `Rows` over the union of the
+/// two lists while that covers fewer than half of `height`, and as the
+/// full table once it reaches half.
+fn merge_rows(
+    height: usize,
+    (ra, ma): (&[u32], &Matrix),
+    (rb, mb): (&[u32], &Matrix),
+    how: Merge,
+) -> Cot {
+    let mut union: Vec<u32> = ra.iter().chain(rb).copied().collect();
+    union.sort_unstable();
+    union.dedup();
+    let dense = 2 * union.len() >= height;
+    let mut out = Matrix::zeros(if dense { height } else { union.len() }, mb.cols());
+    let (mut i, mut j) = (0, 0);
+    for (k, &r) in union.iter().enumerate() {
+        let dst = out.row_mut(if dense { r as usize } else { k });
+        let (in_a, in_b) = (ra.get(i) == Some(&r), rb.get(j) == Some(&r));
+        if in_a {
+            dst.copy_from_slice(ma.row(i));
+            i += 1;
+            if !in_b && how == Merge::Add {
+                dst.iter_mut().for_each(|x| *x += 0.0);
+            }
+        }
+        if in_b {
+            axpy_row(dst, 1.0, mb.row(j));
+            j += 1;
+        }
+    }
+    if dense {
+        Cot::Dense(out)
+    } else {
+        Cot::Rows {
+            height,
+            rows: Arc::new(union),
+            m: out,
+        }
+    }
+}
+
+/// Backward of `segment_mean` for a cotangent listed at the segments
+/// `rows`: each listed segment, in ascending order, adds `inv · g` to
+/// each of its member rows in list order, exactly as
+/// `kernels::segment_mean_backward` does (which skips the unlisted
+/// segments' `+0.0` rows anyway). `Rows` over the union of the listed
+/// segments' members while that is under half of `src_rows`, the full
+/// table otherwise.
+fn segment_mean_rows_vjp(
+    rows: &[u32],
+    m: &Matrix,
+    offsets: &[usize],
+    members: &[u32],
+    src_rows: usize,
+) -> Cot {
+    let segment = |s: u32| &members[offsets[s as usize]..offsets[s as usize + 1]];
+    let mut union: Vec<u32> = rows.iter().flat_map(|&s| segment(s)).copied().collect();
+    union.sort_unstable();
+    union.dedup();
+    let dense = 2 * union.len() >= src_rows;
+    let mut out = Matrix::zeros(if dense { src_rows } else { union.len() }, m.cols());
+    for (k, &s) in rows.iter().enumerate() {
+        let seg = segment(s);
+        let inv = 1.0 / seg.len() as f32;
+        for &member in seg {
+            let at = if dense {
+                member as usize
+            } else {
+                // invariant: `union` holds every member of every listed
+                // segment.
+                union
+                    .binary_search(&member)
+                    .expect("segment member missing from the union")
+            };
+            axpy_row(out.row_mut(at), inv, m.row(k));
+        }
+    }
+    if dense {
+        Cot::Dense(out)
+    } else {
+        Cot::Rows {
+            height: src_rows,
+            rows: Arc::new(union),
+            m: out,
+        }
+    }
+}
 
 /// The elementwise activation [`Tape::dense`] applies to its affine map.
 #[derive(Clone, Copy, Debug)]
@@ -47,9 +255,10 @@ impl Activation {
 
     /// `g ⊙ act′` in place, from the stored *output* `y`:
     /// `tanh′ = 1 - y²`, `σ′ = y(1 - y)`, and for a positive slope the
-    /// LeakyReLU output has its input's sign.
-    fn vjp(self, g: &mut Matrix, y: &Matrix) {
-        let pairs = g.as_mut_slice().iter_mut().zip(y.as_slice());
+    /// LeakyReLU output has its input's sign. Every `act′` is `≥ 0`, so a
+    /// `+0.0` element of `g` stays `+0.0`.
+    fn vjp(self, g: &mut [f32], y: &[f32]) {
+        let pairs = g.iter_mut().zip(y);
         match self {
             Self::Tanh => pairs.for_each(|(d, &yy)| *d *= 1.0 - yy * yy),
             Self::Sigmoid => pairs.for_each(|(d, &yy)| *d *= yy * (1.0 - yy)),
@@ -76,6 +285,10 @@ impl Activation {
 /// never `-0.0` and `acc + ±0.0 == acc` — the row's `dX` is `+0.0`
 /// throughout, and its terms drop out of `dW`'s ascending-row sums without
 /// reordering the rest. A row holding a NaN is not zero and is kept.
+///
+/// Only full-table cotangents reach this scan: a [`Cot::Rows`] one already
+/// lists its rows, and [`Tape::dense`] runs the compact products on them
+/// directly.
 fn matmul_vjp(x: &Matrix, w: &Matrix, g: &Matrix) -> (Matrix, Matrix) {
     let live: Vec<u32> = (0..g.rows())
         .filter(|&r| g.row(r).iter().any(|&v| v != 0.0))
@@ -105,20 +318,27 @@ struct Node {
 
 /// Per-node gradient accumulator used during one reverse sweep.
 struct NodeGrads {
-    slots: Vec<Option<Matrix>>,
+    slots: Vec<Option<Cot>>,
 }
 
 impl NodeGrads {
-    fn accumulate(&mut self, v: Var, g: Matrix) {
-        match &mut self.slots[v.0] {
-            Some(existing) => kernels::add_assign(existing, &g),
-            slot @ None => *slot = Some(g),
-        }
+    fn accumulate(&mut self, v: Var, g: impl Into<Cot>) {
+        let slot = &mut self.slots[v.0];
+        *slot = Some(match slot.take() {
+            Some(existing) => existing.add(g.into()),
+            None => g.into(),
+        });
     }
 
     /// Fused gather backward: scatters `g` rows straight into the
-    /// accumulator slot for `v`, allocating the zeroed table at most
-    /// once per slot instead of once per gather node.
+    /// accumulator slot for `v` (a `rows x cols` table), allocating the
+    /// zeroed table at most once per slot instead of once per gather node.
+    ///
+    /// Strictly ascending `indices` into an empty or [`Cot::Rows`] slot
+    /// merge as rows, which stay compact while they cover fewer than half
+    /// of the table: a mini-batch's gathers at its sorted touched ids are
+    /// exactly this. Unsorted or repeated indices, or a full slot, take
+    /// the full-table scatter.
     fn scatter_accumulate(
         &mut self,
         v: Var,
@@ -127,8 +347,24 @@ impl NodeGrads {
         indices: &[u32],
         g: &Matrix,
     ) {
-        let acc = self.slots[v.0].get_or_insert_with(|| Matrix::zeros(rows, cols));
-        kernels::scatter_add_rows(acc, indices, g);
+        let ascending = indices.windows(2).all(|w| w[0] < w[1]);
+        let acc = match self.slots[v.0].take() {
+            None if ascending => merge_rows(
+                rows,
+                (&[], &Matrix::zeros(0, cols)),
+                (indices, g),
+                Merge::Scatter,
+            ),
+            Some(Cot::Rows { rows: have, m, .. }) if ascending => {
+                merge_rows(rows, (&have, &m), (indices, g), Merge::Scatter)
+            }
+            existing => {
+                let mut acc = existing.map_or_else(|| Matrix::zeros(rows, cols), Cot::into_dense);
+                kernels::scatter_add_rows(&mut acc, indices, g);
+                Cot::Dense(acc)
+            }
+        };
+        self.slots[v.0] = Some(acc);
     }
 
     /// Fused [`Tape::gather_dot`] backward for one operand: scatters
@@ -144,11 +380,14 @@ impl NodeGrads {
         src_idx: &[u32],
         g: &Matrix,
     ) {
-        let acc = self.slots[v.0].get_or_insert_with(|| Matrix::zeros(rows, src.cols()));
-        kernels::scatter_add_scaled_rows(acc, dst_idx, src, src_idx, g);
+        let mut acc = self.slots[v.0]
+            .take()
+            .map_or_else(|| Matrix::zeros(rows, src.cols()), Cot::into_dense);
+        kernels::scatter_add_scaled_rows(&mut acc, dst_idx, src, src_idx, g);
+        self.slots[v.0] = Some(Cot::Dense(acc));
     }
 
-    fn take(&mut self, idx: usize) -> Option<Matrix> {
+    fn take(&mut self, idx: usize) -> Option<Cot> {
         self.slots[idx].take()
     }
 }
@@ -248,9 +487,7 @@ impl Tape {
         let value = store.value(id).clone();
         self.push(
             value,
-            Some(Box::new(move |g, _ng, sinks| {
-                sinks.params.accumulate(id, g)
-            })),
+            dense_op(move |g, _ng, sinks| sinks.params.accumulate(id, g)),
         )
     }
 
@@ -266,12 +503,10 @@ impl Tape {
         self.n_inputs += 1;
         self.push_arc(
             value,
-            Some(Box::new(move |g, _ng, sinks| {
-                match &mut sinks.inputs[slot] {
-                    Some(existing) => kernels::add_assign(existing, &g),
-                    s @ None => *s = Some(g),
-                }
-            })),
+            dense_op(move |g, _ng, sinks| match &mut sinks.inputs[slot] {
+                Some(existing) => kernels::add_assign(existing, &g),
+                s @ None => *s = Some(g),
+            }),
         )
     }
 
@@ -281,11 +516,11 @@ impl Tape {
         let (rows, cols) = store.value(id).shape();
         self.push(
             value,
-            Some(Box::new(move |g, _ng, sinks| {
+            dense_op(move |g, _ng, sinks| {
                 sinks
                     .params
                     .scatter_accumulate(id, rows, cols, &indices, &g);
-            })),
+            }),
         )
     }
 
@@ -297,14 +532,19 @@ impl Tape {
         let (rows, cols) = self.nodes[src.0].value.shape();
         self.push(
             value,
-            Some(Box::new(move |g, ng, _sinks| {
+            dense_op(move |g, ng, _sinks| {
                 ng.scatter_accumulate(src, rows, cols, &indices, &g);
-            })),
+            }),
         )
     }
 
     /// CSR segment mean: output row `i` is the mean of
     /// `src[members[offsets[i]..offsets[i+1]]]`; empty segments yield zero.
+    ///
+    /// Backward: a cotangent listed at a few segments scatters those
+    /// segments only; a full one goes through
+    /// `kernels::segment_mean_backward`, whose zero-row skip only ever
+    /// sees full tables.
     pub fn segment_mean(
         &mut self,
         src: Var,
@@ -316,7 +556,14 @@ impl Tape {
         self.push(
             value,
             Some(Box::new(move |g, ng, _sinks| {
-                let back = kernels::segment_mean_backward(&g, &offsets, &members, src_rows);
+                let back = match g {
+                    Cot::Rows { rows, m, .. } => {
+                        segment_mean_rows_vjp(&rows, &m, &offsets, &members, src_rows)
+                    }
+                    Cot::Dense(g) => Cot::Dense(kernels::segment_mean_backward(
+                        &g, &offsets, &members, src_rows,
+                    )),
+                };
                 ng.accumulate(src, back);
             })),
         )
@@ -332,10 +579,10 @@ impl Tape {
             .collect();
         self.push(
             value,
-            Some(Box::new(move |g, ng, _sinks| {
+            Some(Box::new(move |g: Cot, ng, _sinks| {
                 let mut at = 0;
                 for (p, w) in parts {
-                    ng.accumulate(p, kernels::slice_cols(&g, at, w));
+                    ng.accumulate(p, g.map_rows(|m| kernels::slice_cols(m, at, w)));
                     at += w;
                 }
             })),
@@ -352,11 +599,11 @@ impl Tape {
         let value = kernels::matmul(&av, &bv);
         self.push(
             value,
-            Some(Box::new(move |g, ng, _sinks| {
+            dense_op(move |g, ng, _sinks| {
                 let (da, db) = matmul_vjp(&av, &bv, &g);
                 ng.accumulate(a, da);
                 ng.accumulate(b, db);
-            })),
+            }),
         )
     }
 
@@ -371,7 +618,10 @@ impl Tape {
     /// matmul VJP, which skips rows of it that are entirely `±0.0` (a
     /// mini-batch's cotangent is zero outside the rows it touched). The
     /// skip changes no bit provided `x` and `w` are finite — `0 · ∞` is the
-    /// only way a skipped row could have contributed.
+    /// only way a skipped row could have contributed. A cotangent listed
+    /// at a few rows is not scanned: `act′`, the column sum,
+    /// `dX = g W^T` and `dW = X[rows]^T g` run on its listed rows alone,
+    /// and `dX` stays listed at the same rows.
     ///
     /// # Panics
     /// Panics if the shapes do not compose.
@@ -392,12 +642,35 @@ impl Tape {
         let y = Arc::clone(&value);
         self.push_arc(
             value,
-            Some(Box::new(move |mut g, ng, _sinks| {
-                act.vjp(&mut g, &y);
-                ng.accumulate(bias, kernels::col_sum(&g));
-                let (dx, dw) = matmul_vjp(&xv, &wv, &g);
-                ng.accumulate(x, dx);
-                ng.accumulate(w, dw);
+            Some(Box::new(move |g, ng, _sinks| match g {
+                Cot::Rows {
+                    height,
+                    rows,
+                    mut m,
+                } => {
+                    for (i, &r) in rows.iter().enumerate() {
+                        act.vjp(m.row_mut(i), y.row(r as usize));
+                    }
+                    ng.accumulate(bias, kernels::col_sum(&m));
+                    let dx = kernels::matmul_nt(&m, &wv);
+                    let dw = kernels::matmul_tn(&kernels::gather_rows(&xv, &rows), &m);
+                    ng.accumulate(
+                        x,
+                        Cot::Rows {
+                            height,
+                            rows,
+                            m: dx,
+                        },
+                    );
+                    ng.accumulate(w, dw);
+                }
+                Cot::Dense(mut g) => {
+                    act.vjp(g.as_mut_slice(), y.as_slice());
+                    ng.accumulate(bias, kernels::col_sum(&g));
+                    let (dx, dw) = matmul_vjp(&xv, &wv, &g);
+                    ng.accumulate(x, dx);
+                    ng.accumulate(w, dw);
+                }
             })),
         )
     }
@@ -407,7 +680,7 @@ impl Tape {
         let value = kernels::add(&self.nodes[a.0].value, &self.nodes[b.0].value);
         self.push(
             value,
-            Some(Box::new(move |g, ng, _sinks| {
+            Some(Box::new(move |g: Cot, ng, _sinks| {
                 ng.accumulate(a, g.clone());
                 ng.accumulate(b, g);
             })),
@@ -419,10 +692,10 @@ impl Tape {
         let value = kernels::sub(&self.nodes[a.0].value, &self.nodes[b.0].value);
         self.push(
             value,
-            Some(Box::new(move |g, ng, _sinks| {
+            dense_op(move |g, ng, _sinks| {
                 ng.accumulate(b, kernels::scale(&g, -1.0));
                 ng.accumulate(a, g);
-            })),
+            }),
         )
     }
 
@@ -433,12 +706,12 @@ impl Tape {
         let value = kernels::mul(&av, &bv);
         self.push(
             value,
-            Some(Box::new(move |g, ng, _sinks| {
+            dense_op(move |g, ng, _sinks| {
                 let da = kernels::mul(&g, &bv);
                 let db = kernels::mul(&g, &av);
                 ng.accumulate(a, da);
                 ng.accumulate(b, db);
-            })),
+            }),
         )
     }
 
@@ -447,10 +720,10 @@ impl Tape {
         let value = kernels::add_bias(&self.nodes[x.0].value, &self.nodes[bias.0].value);
         self.push(
             value,
-            Some(Box::new(move |g, ng, _sinks| {
+            dense_op(move |g, ng, _sinks| {
                 ng.accumulate(bias, kernels::col_sum(&g));
                 ng.accumulate(x, g);
-            })),
+            }),
         )
     }
 
@@ -459,8 +732,16 @@ impl Tape {
         let value = kernels::scale(&self.nodes[a.0].value, alpha);
         self.push(
             value,
-            Some(Box::new(move |g, ng, _sinks| {
-                ng.accumulate(a, kernels::scale(&g, alpha));
+            Some(Box::new(move |g: Cot, ng, _sinks| {
+                // `+0.0 · alpha` is `+0.0` only for a finite `alpha ≥ +0.0`
+                // (`-0.0` for a negative one, NaN for an infinite one), so
+                // any other `alpha` needs the full table.
+                let g = if alpha.is_sign_positive() && alpha.is_finite() {
+                    g
+                } else {
+                    Cot::Dense(g.into_dense())
+                };
+                ng.accumulate(a, g.map_rows(|m| kernels::scale(m, alpha)));
             })),
         )
     }
@@ -472,7 +753,7 @@ impl Tape {
         let value = kernels::rowwise_dot(&av, &bv);
         self.push(
             value,
-            Some(Box::new(move |g, ng, _sinks| {
+            dense_op(move |g, ng, _sinks| {
                 // d(a·b)/da = g[i] * b[i] rowwise (g is n x 1).
                 let mut da = (*bv).clone();
                 let mut db = (*av).clone();
@@ -483,7 +764,7 @@ impl Tape {
                 }
                 ng.accumulate(a, da);
                 ng.accumulate(b, db);
-            })),
+            }),
         )
     }
 
@@ -504,10 +785,10 @@ impl Tape {
         let value = kernels::gather_dot(&av, &ia, &bv, &ib);
         self.push(
             value,
-            Some(Box::new(move |g, ng, _sinks| {
+            dense_op(move |g, ng, _sinks| {
                 ng.scatter_accumulate_scaled(b, bv.rows(), &ib, &av, &ia, &g);
                 ng.scatter_accumulate_scaled(a, av.rows(), &ia, &bv, &ib, &g);
-            })),
+            }),
         )
     }
 
@@ -518,14 +799,14 @@ impl Tape {
         let value = kernels::scale_rows(&av, &sv);
         self.push(
             value,
-            Some(Box::new(move |g, ng, _sinks| {
+            dense_op(move |g, ng, _sinks| {
                 // out[i] = s[i] * a[i]  =>  da[i] = s[i] * g[i],
                 // ds[i] = g[i] · a[i].
                 let da = kernels::scale_rows(&g, &sv);
                 let ds = kernels::rowwise_dot(&g, &av);
                 ng.accumulate(a, da);
                 ng.accumulate(s, ds);
-            })),
+            }),
         )
     }
 
@@ -537,10 +818,10 @@ impl Tape {
         let y = Arc::clone(&value);
         self.push_arc(
             value,
-            Some(Box::new(move |mut g, ng, _sinks| {
-                Activation::Sigmoid.vjp(&mut g, &y);
+            dense_op(move |mut g, ng, _sinks| {
+                Activation::Sigmoid.vjp(g.as_mut_slice(), y.as_slice());
                 ng.accumulate(a, g);
-            })),
+            }),
         )
     }
 
@@ -550,10 +831,10 @@ impl Tape {
         let y = Arc::clone(&value);
         self.push_arc(
             value,
-            Some(Box::new(move |mut g, ng, _sinks| {
-                Activation::Tanh.vjp(&mut g, &y);
+            dense_op(move |mut g, ng, _sinks| {
+                Activation::Tanh.vjp(g.as_mut_slice(), y.as_slice());
                 ng.accumulate(a, g);
-            })),
+            }),
         )
     }
 
@@ -563,10 +844,10 @@ impl Tape {
         let y = Arc::clone(&value);
         self.push_arc(
             value,
-            Some(Box::new(move |mut g, ng, _sinks| {
-                Activation::LeakyRelu(alpha).vjp(&mut g, &y);
+            dense_op(move |mut g, ng, _sinks| {
+                Activation::LeakyRelu(alpha).vjp(g.as_mut_slice(), y.as_slice());
                 ng.accumulate(a, g);
-            })),
+            }),
         )
     }
 
@@ -577,13 +858,13 @@ impl Tape {
         let value = x.map(kernels::log_sigmoid_scalar);
         self.push(
             value,
-            Some(Box::new(move |mut g, ng, _sinks| {
+            dense_op(move |mut g, ng, _sinks| {
                 // d/dx ln σ(x) = σ(-x); uses the stored input.
                 for (d, &xx) in g.as_mut_slice().iter_mut().zip(x.as_slice()) {
                     *d *= kernels::sigmoid_scalar(-xx);
                 }
                 ng.accumulate(a, g);
-            })),
+            }),
         )
     }
 
@@ -595,9 +876,9 @@ impl Tape {
         let (rows, cols) = self.nodes[a.0].value.shape();
         self.push(
             value,
-            Some(Box::new(move |g, ng, _sinks| {
+            dense_op(move |g, ng, _sinks| {
                 ng.accumulate(a, Matrix::full(rows, cols, g.get(0, 0)));
-            })),
+            }),
         )
     }
 
@@ -607,10 +888,10 @@ impl Tape {
         let (rows, cols) = self.nodes[a.0].value.shape();
         self.push(
             value,
-            Some(Box::new(move |g, ng, _sinks| {
+            dense_op(move |g, ng, _sinks| {
                 let n = (rows * cols).max(1) as f32;
                 ng.accumulate(a, Matrix::full(rows, cols, g.get(0, 0) / n));
-            })),
+            }),
         )
     }
 
@@ -620,9 +901,9 @@ impl Tape {
         let value = Matrix::from_vec(1, 1, vec![x.sq_norm()]);
         self.push(
             value,
-            Some(Box::new(move |g, ng, _sinks| {
+            dense_op(move |g, ng, _sinks| {
                 ng.accumulate(a, kernels::scale(&x, 2.0 * g.get(0, 0)));
-            })),
+            }),
         )
     }
 
@@ -637,7 +918,7 @@ impl Tape {
         }
         self.push(
             value,
-            Some(Box::new(move |g, ng, _sinks| {
+            dense_op(move |g, ng, _sinks| {
                 let inv = 1.0 / rows.max(1) as f32;
                 let mut da = Matrix::zeros(rows, cols);
                 for r in 0..rows {
@@ -646,7 +927,7 @@ impl Tape {
                     }
                 }
                 ng.accumulate(a, da);
-            })),
+            }),
         )
     }
 
@@ -1247,5 +1528,84 @@ mod tests {
                 }
             }
         }
+    }
+    // ----- the row-listed cotangent -----------------------------------------
+
+    fn rows_cot(height: usize, rows: &[u32], m: Matrix) -> Cot {
+        Cot::Rows {
+            height,
+            rows: Arc::new(rows.to_vec()),
+            m,
+        }
+    }
+
+    #[test]
+    fn rows_plus_rows_equals_add_assign_bitwise() {
+        // Row 3 holds a `-0.0` listed on the existing side only, row 4 one
+        // listed on the new side only; row 1 is listed on both, with a
+        // `-0.0` on each side in column 0.
+        let a = Matrix::from_vec(2, 2, vec![-0.0, 1.5, -0.0, 2.0]);
+        let b = Matrix::from_vec(2, 2, vec![-0.0, -1.5, -0.0, 0.25]);
+        for height in [10usize, 5] {
+            let ca = rows_cot(height, &[1, 3], a.clone());
+            let cb = rows_cot(height, &[1, 4], b.clone());
+            let mut want = ca.clone().into_dense();
+            kernels::add_assign(&mut want, &cb.clone().into_dense());
+            let got = ca.add(cb);
+            // Three listed rows are under half of 10 and reach half of 5.
+            assert_eq!(matches!(got, Cot::Rows { .. }), height == 10);
+            assert_eq!(bits(&got.into_dense()), bits(&want), "height {height}");
+        }
+    }
+
+    #[test]
+    fn a_scatter_into_listed_rows_leaves_the_others_untouched() {
+        // The dense scatter never reads the rows it does not list, so a
+        // `-0.0` there stays `-0.0`.
+        let (height, cols) = (9, 2);
+        let existing = rows_cot(
+            height,
+            &[2, 5],
+            Matrix::from_vec(2, 2, vec![-0.0, 3.0, 1.0, -0.0]),
+        );
+        let g = Matrix::from_vec(2, 2, vec![0.5, -0.0, -0.0, 4.0]);
+        let mut want = existing.clone().into_dense();
+        kernels::scatter_add_rows(&mut want, &[1, 5], &g);
+        let mut ng = NodeGrads {
+            slots: vec![Some(existing)],
+        };
+        ng.scatter_accumulate(Var(0), height, cols, &[1, 5], &g);
+        let got = ng.take(0).expect("slot filled");
+        assert!(matches!(got, Cot::Rows { .. }));
+        assert_eq!(bits(&got.into_dense()), bits(&want));
+    }
+
+    #[test]
+    fn unsorted_or_repeated_gather_indices_take_the_dense_path() {
+        let (height, cols) = (10, 3);
+        let cases: [(&[u32], bool); 6] = [
+            (&[1, 4], true),
+            (&[], true),
+            (&[4, 1], false),
+            (&[1, 1], false),
+            (&[0, 1, 2, 3, 4], false),
+            (&[0, 2, 4, 6], true),
+        ];
+        for (indices, listed) in cases {
+            let g = awkward(indices.len(), cols, indices.len() as u32);
+            let mut want = Matrix::zeros(height, cols);
+            kernels::scatter_add_rows(&mut want, indices, &g);
+            let mut ng = NodeGrads { slots: vec![None] };
+            ng.scatter_accumulate(Var(0), height, cols, indices, &g);
+            let got = ng.take(0).expect("slot filled");
+            assert_eq!(matches!(got, Cot::Rows { .. }), listed, "{indices:?}");
+            assert_eq!(bits(&got.into_dense()), bits(&want), "{indices:?}");
+        }
+        // A full slot stays full, whatever the indices.
+        let mut ng = NodeGrads {
+            slots: vec![Some(Cot::Dense(Matrix::zeros(height, cols)))],
+        };
+        ng.scatter_accumulate(Var(0), height, cols, &[3], &Matrix::full(1, cols, 1.0));
+        assert!(matches!(ng.take(0), Some(Cot::Dense(_))));
     }
 }

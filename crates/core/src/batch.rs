@@ -174,7 +174,10 @@ impl LossBatch {
         }
     }
 
-    /// All distinct users appearing in the batch (for regularization).
+    /// All distinct users appearing in the batch (for regularization),
+    /// strictly ascending. The trainer gathers a shard's table rows at
+    /// this list, and the tape keeps their cotangents row-sparse only for
+    /// strictly ascending gathers.
     pub fn touched_users(&self) -> Vec<u32> {
         let mut users: Vec<u32> = self
             .fwd_users
@@ -187,7 +190,8 @@ impl LossBatch {
         users
     }
 
-    /// All distinct items appearing in the batch.
+    /// All distinct items appearing in the batch, strictly ascending (as
+    /// [`LossBatch::touched_users`]).
     pub fn touched_items(&self) -> Vec<u32> {
         let mut items: Vec<u32> = self
             .fwd_pos
@@ -206,7 +210,9 @@ impl LossBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gb_data::synth::{generate, SynthConfig};
     use gb_data::GroupBehavior;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn dataset() -> Dataset {
@@ -357,6 +363,38 @@ mod tests {
         assert_eq!(users_only.fwd_users, both.fwd_users);
         assert_eq!(users_only.fwd_neg, b.fwd_neg);
         assert_eq!(users_only.rev_pos, b.rev_pos);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The tape keeps a shard's table cotangents row-sparse only when
+        /// its gathers' indices are strictly ascending: were these lists
+        /// ever unsorted or repeated, every bit would stay right and the
+        /// sparse backward would silently stop running.
+        #[test]
+        fn every_shards_touched_lists_are_strictly_ascending_and_in_range(
+            picks in prop::collection::vec(0usize..10_000, 0..48),
+            neg_ratio in 1usize..=3,
+            seed in 0u64..1_000,
+        ) {
+            let d = generate(&SynthConfig::tiny());
+            let indices: Vec<usize> = picks.iter().map(|p| p % d.behaviors().len()).collect();
+            let sampler = NegativeSampler::from_dataset(&d);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let batch = LossBatch::build(&d, &indices, neg_ratio, &sampler, &mut rng);
+            for n_shards in 1..=8 {
+                for shard in std::iter::once(&batch).chain(&batch.split(n_shards)) {
+                    for (ids, n) in [
+                        (shard.touched_users(), d.n_users()),
+                        (shard.touched_items(), d.n_items()),
+                    ] {
+                        prop_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+                        prop_assert!(ids.iter().all(|&id| (id as usize) < n));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

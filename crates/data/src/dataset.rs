@@ -3,16 +3,20 @@
 use crate::behavior::GroupBehavior;
 use crate::stats::DatasetStats;
 use gb_graph::{HeteroBuilder, HeteroGraphs, SocialGraph};
+use std::sync::Arc;
 
 /// A complete group-buying dataset: behaviors `B`, social relations `S`,
 /// and the per-item group-size thresholds `t_n` (Sec. II).
+///
+/// The social graph and its pairs are shared, not copied, by the datasets
+/// [`Dataset::with_behaviors`] derives.
 #[derive(Clone, Debug)]
 pub struct Dataset {
     n_users: usize,
     n_items: usize,
     behaviors: Vec<GroupBehavior>,
-    social_pairs: Vec<(u32, u32)>,
-    social: SocialGraph,
+    social_pairs: Arc<[(u32, u32)]>,
+    social: Arc<SocialGraph>,
     item_thresholds: Vec<u32>,
 }
 
@@ -36,20 +40,13 @@ impl Dataset {
             n_items,
             "one threshold per item required"
         );
-        for b in &behaviors {
-            assert!((b.initiator as usize) < n_users, "initiator out of bounds");
-            assert!((b.item as usize) < n_items, "item out of bounds");
-            for &p in &b.participants {
-                assert!((p as usize) < n_users, "participant out of bounds");
-                assert_ne!(p, b.initiator, "initiator cannot participate in own group");
-            }
-        }
-        let social = SocialGraph::from_pairs(n_users, &social_pairs);
+        check_behaviors(n_users, n_items, &behaviors);
+        let social = Arc::new(SocialGraph::from_pairs(n_users, &social_pairs));
         Self {
             n_users,
             n_items,
             behaviors,
-            social_pairs,
+            social_pairs: social_pairs.into(),
             social,
             item_thresholds,
         }
@@ -139,15 +136,35 @@ impl Dataset {
         DatasetStats::compute(self)
     }
 
-    /// Returns a copy with a different behavior set (used by the splitter).
+    /// Returns a copy with a different behavior set (used by the splitter
+    /// and by every streaming tick), sharing this dataset's social graph.
+    ///
+    /// # Panics
+    /// Panics on an out-of-bounds id or an initiator among its own
+    /// participants, as [`Dataset::new`] does.
     pub fn with_behaviors(&self, behaviors: Vec<GroupBehavior>) -> Dataset {
-        Dataset::new(
-            self.n_users,
-            self.n_items,
+        check_behaviors(self.n_users, self.n_items, &behaviors);
+        Dataset {
+            n_users: self.n_users,
+            n_items: self.n_items,
             behaviors,
-            self.social_pairs.clone(),
-            self.item_thresholds.clone(),
-        )
+            social_pairs: Arc::clone(&self.social_pairs),
+            social: Arc::clone(&self.social),
+            item_thresholds: self.item_thresholds.clone(),
+        }
+    }
+}
+
+/// Panics unless every id of `behaviors` is in bounds and no initiator is
+/// among its own participants.
+fn check_behaviors(n_users: usize, n_items: usize, behaviors: &[GroupBehavior]) {
+    for b in behaviors {
+        assert!((b.initiator as usize) < n_users, "initiator out of bounds");
+        assert!((b.item as usize) < n_items, "item out of bounds");
+        for &p in &b.participants {
+            assert!((p as usize) < n_users, "participant out of bounds");
+            assert_ne!(p, b.initiator, "initiator cannot participate in own group");
+        }
     }
 }
 
@@ -206,6 +223,24 @@ mod tests {
         assert_eq!(sets[0], vec![0, 1, 2]); // initiator of 0,1; participant of 2
         assert_eq!(sets[4], vec![1]); // participant only
         assert_eq!(sets[5], vec![2]);
+    }
+
+    #[test]
+    fn with_behaviors_shares_the_social_graph_and_replaces_the_behaviors() {
+        let d = tiny();
+        let kept = d.behaviors()[1..3].to_vec();
+        let derived = d.with_behaviors(kept.clone());
+        assert!(std::ptr::eq(d.social(), derived.social()));
+        assert!(std::ptr::eq(d.social_pairs(), derived.social_pairs()));
+        assert_eq!(derived.behaviors(), &kept[..]);
+        assert_eq!(d.behaviors().len(), 6, "the source keeps its behaviors");
+        assert_eq!(derived.item_thresholds(), d.item_thresholds());
+    }
+
+    #[test]
+    #[should_panic(expected = "own group")]
+    fn with_behaviors_rejects_an_initiator_among_its_participants() {
+        tiny().with_behaviors(vec![GroupBehavior::new(2, 0, vec![2])]);
     }
 
     #[test]
