@@ -307,6 +307,20 @@ fn matmul_vjp(x: &Matrix, w: &Matrix, g: &Matrix) -> (Matrix, Matrix) {
     (dx, dw)
 }
 
+/// `x w` as [`Tape::dense`]'s forward computes it, bit for bit
+/// `kernels::matmul(x, w)`: the product on the rows of `x` that are not
+/// entirely `±0.0`, the others left `+0.0` — exactly what the full product
+/// gives them when `w` is finite. A `w` holding a non-finite value lists
+/// every row, since `0 · ∞` and `0 · NaN` are NaN.
+fn dense_product(x: &Matrix, w: &Matrix) -> Matrix {
+    let finite_w = !w.has_non_finite();
+    let rows: Vec<u32> = (0..x.rows())
+        .filter(|&r| !finite_w || x.row(r).iter().any(|&v| v != 0.0))
+        .map(|r| r as u32)
+        .collect();
+    kernels::matmul_rows(x, &rows, w)
+}
+
 struct Node {
     /// Forward value, `Arc`-shared so backward closures (and callers via
     /// [`Tape::arc_value`]) can hold it without copying the matrix.
@@ -614,6 +628,11 @@ impl Tape {
     /// sum and the activation share one buffer, so the tape holds one
     /// table for the layer instead of three.
     ///
+    /// Forward: the product skips the rows of `x` that are entirely `±0.0`
+    /// (`dense_product` says when that changes no bit) — a node with no
+    /// neighbours in a view propagates an empty-segment zero row. The bias
+    /// and the activation then run over the whole table.
+    ///
     /// Backward: `g ⊙ act′(y)` in place, its column sum to `bias`, then the
     /// matmul VJP, which skips rows of it that are entirely `±0.0` (a
     /// mini-batch's cotangent is zero outside the rows it touched). The
@@ -628,7 +647,7 @@ impl Tape {
     pub fn dense(&mut self, x: Var, w: Var, bias: Var, act: Activation) -> Var {
         let xv = self.arc_value(x);
         let wv = self.arc_value(w);
-        let mut value = kernels::matmul(&xv, &wv);
+        let mut value = dense_product(&xv, &wv);
         let b = &self.nodes[bias.0].value;
         assert_eq!(b.rows(), 1, "bias must be a row vector");
         assert_eq!(value.cols(), b.cols(), "bias width mismatch");
@@ -1480,10 +1499,18 @@ mod tests {
                 (seed + 0.7 * r as f32 + 0.31 * c as f32).sin() * 0.8
             })
         };
+        // Every third row of `x` signed zeros: the forward skips them.
+        let zero_rows = |m: Matrix| {
+            Matrix::from_fn(m.rows(), m.cols(), |r, c| match (r % 3, c % 2) {
+                (1, 0) => 0.0,
+                (1, _) => -0.0,
+                _ => m.get(r, c),
+            })
+        };
         // Widths with and without lane tails.
         for (m, k, n) in [(9usize, 5usize, 7usize), (12, 16, 32), (1, 3, 1)] {
             let tag = format!("{m}x{k}x{n}");
-            let x = store.add(format!("x{tag}"), finite(m, k, 0.2));
+            let x = store.add(format!("x{tag}"), zero_rows(finite(m, k, 0.2)));
             let w = store.add(format!("w{tag}"), finite(k, n, 0.9));
             let b = store.add(format!("b{tag}"), finite(1, n, 1.7));
             // A sparse read (most cotangent rows zero: the compact VJP) and
@@ -1529,6 +1556,37 @@ mod tests {
             }
         }
     }
+
+    /// `dense`'s forward product skips `x`'s signed-zero rows only while
+    /// `w` is finite: with a `w` holding `∞` (or NaN) those rows are NaN
+    /// in the full product, and the forward reproduces them. (Through the
+    /// tape itself a non-finite value trips the debug assertion on every
+    /// recorded node, so the product is tested directly.)
+    #[test]
+    fn dense_forward_lists_every_row_when_w_is_not_finite() {
+        let x = Matrix::from_fn(6, 9, |r, c| match r {
+            1 => 0.0,
+            4 => -0.0,
+            _ => (r as f32 * 0.9 - c as f32 * 0.4).sin(),
+        });
+        let finite = Matrix::from_fn(9, 17, |r, c| (r as f32 * 0.3 + c as f32 * 0.7).cos());
+        let same = |a: &Matrix, b: &Matrix| {
+            a.as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .all(|(p, q)| p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()))
+        };
+        for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            let mut w = finite.clone();
+            w.set(5, 11, bad);
+            let got = dense_product(&x, &w);
+            assert!(same(&got, &kernels::matmul(&x, &w)), "w holding {bad}");
+            for r in [1, 4] {
+                assert!(got.get(r, 11).is_nan(), "zero row {r} against {bad}");
+            }
+        }
+    }
+
     // ----- the row-listed cotangent -----------------------------------------
 
     fn rows_cot(height: usize, rows: &[u32], m: Matrix) -> Cot {

@@ -917,7 +917,9 @@ impl SnapshotSource for GbgcnModel {
     /// Freezes the cached Eq. 8/9 terms — `u_hat_i`, `v_hat_i`,
     /// `friend_mean_p`, `v_hat_p` — exactly as [`Scorer::score_items`]
     /// reads them, so a served snapshot reproduces offline scores
-    /// bit-for-bit.
+    /// bit-for-bit. The tables are shared, not copied
+    /// ([`Matrix::from_arc`]): `finalize` caches them immutable, and the
+    /// snapshot keeps them alive past the next `finalize` or the model.
     fn export_snapshot(&self) -> EmbeddingSnapshot {
         // invariant: exporting an unfitted model is a caller programming
         // error — every trainer path finalizes before export, and the
@@ -925,10 +927,10 @@ impl SnapshotSource for GbgcnModel {
         let f = self.finals.as_ref().expect("model not fitted");
         EmbeddingSnapshot::new(
             self.cfg.alpha,
-            (*f.views.u_hat_i).clone(),
-            (*f.views.v_hat_i).clone(),
-            (*f.friend_mean_p).clone(),
-            (*f.views.v_hat_p).clone(),
+            Matrix::from_arc(Arc::clone(&f.views.u_hat_i)),
+            Matrix::from_arc(Arc::clone(&f.views.v_hat_i)),
+            Matrix::from_arc(Arc::clone(&f.friend_mean_p)),
+            Matrix::from_arc(Arc::clone(&f.views.v_hat_p)),
         )
     }
 }
@@ -962,6 +964,7 @@ mod tests {
     use crate::config::AblationMode;
     use gb_data::synth::{generate, SynthConfig};
     use gb_data::GroupBehavior;
+    use gb_models::SnapshotDelta;
     use proptest::prelude::*;
 
     fn tiny_train() -> Dataset {
@@ -1379,6 +1382,71 @@ mod tests {
                 "user {user}"
             );
         }
+    }
+
+    #[test]
+    fn snapshot_export_shares_the_finalized_tables_and_outlives_the_model() {
+        let d = tiny_train();
+        let cfg = GbgcnConfig {
+            pretrain_epochs: 1,
+            finetune_epochs: 1,
+            ..GbgcnConfig::test_config()
+        };
+        let mut m = GbgcnModel::new(cfg, &d);
+        m.fit(&d);
+        let snap = m.export_snapshot();
+        let f = m.finals.as_ref().expect("fitted");
+        let exported = [
+            snap.user_own(),
+            snap.item_own(),
+            snap.user_social(),
+            snap.item_social(),
+        ];
+        // The four tables `score_items` reads, in snapshot order.
+        let cached = [
+            &f.views.u_hat_i,
+            &f.views.v_hat_i,
+            &f.friend_mean_p,
+            &f.views.v_hat_p,
+        ];
+        for (i, (table, cached)) in exported.iter().zip(cached).enumerate() {
+            assert!(table.is_shared(), "table {i} is a view");
+            assert_eq!(table.as_slice().as_ptr(), cached.as_slice().as_ptr());
+            assert_eq!(bits(table), bits(cached), "table {i}");
+        }
+        let items: Vec<u32> = (0..d.n_items() as u32).collect();
+        let score_bits = |scores: Vec<f32>| scores.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let offline: Vec<_> = (0..4u32)
+            .map(|u| score_bits(m.score_items(u, &items)))
+            .collect();
+
+        // The model goes; its snapshot still reads and publishes.
+        drop(m);
+        let handle = SnapshotHandle::new(snap.clone());
+        let served = handle.load();
+        for (u, want) in (0..4u32).zip(&offline) {
+            assert_eq!(&score_bits(snap.score_items(u, &items)), want);
+            assert_eq!(&score_bits(served.snapshot().score_items(u, &items)), want);
+        }
+
+        // A delta onto the shared tables copies the tables it touches and
+        // leaves the exported ones as they were.
+        let before = bits(snap.user_own());
+        let own = vec![0.25; snap.own_dim()];
+        let social = vec![-0.5; snap.social_dim()];
+        handle.publish_delta(&SnapshotDelta::new().set_user(2, own.clone(), social));
+        let next = handle.load();
+        assert_eq!(next.snapshot().user_own().row(2), &own[..]);
+        assert_ne!(
+            next.snapshot().user_own().as_slice().as_ptr(),
+            snap.user_own().as_slice().as_ptr()
+        );
+        assert_eq!(bits(snap.user_own()), before);
+        assert_eq!(
+            next.snapshot().item_own().as_slice().as_ptr(),
+            snap.item_own().as_slice().as_ptr(),
+            "an untouched table stays aliased"
+        );
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! compare the tape with itself; this one holds it to recorded bits. The
 //! ticks touch fewer than half of the users and items, so the row-sparse
 //! backward runs; the 64-deal batches of (b) touch more than half once
-//! their four shards merge, so the densify-on-merge path runs too. A
+//! their four shards merge, so the densify-on-merge path runs too. A third
+//! set of chains runs over a history prefix so sparse that over a quarter
+//! of every forward's FC input rows are empty-segment zeros. A
 //! deliberate numerics change re-records the constants and says so; a
 //! refactor or an optimisation never touches them.
 
@@ -97,7 +99,12 @@ fn touched_users(d: &Dataset, deals: &Dataset) -> Vec<u32> {
 /// The tick model over the history (every behavior before the last six
 /// ticks), after six one-batch ticks of the held-back deals.
 fn tick_chain(d: &Dataset, cfg: GbgcnConfig, n_shards: usize) -> u64 {
-    let n_hist = d.behaviors().len() - N_TICKS * TICK_DEALS;
+    tick_chain_after(d, d.behaviors().len() - N_TICKS * TICK_DEALS, cfg, n_shards)
+}
+
+/// The tick model over the first `n_hist` behaviors, after six one-batch
+/// ticks of the deals that follow them.
+fn tick_chain_after(d: &Dataset, n_hist: usize, cfg: GbgcnConfig, n_shards: usize) -> u64 {
     let hist = d.with_behaviors(d.behaviors()[..n_hist].to_vec());
     let mut model = GbgcnModel::new(cfg, &hist);
     for k in 0..N_TICKS {
@@ -195,6 +202,72 @@ fn tick_chains_keep_their_pinned_bits() {
     .map(|(n, fp)| (n.to_string(), fp))
     .collect();
     assert_eq!(got, want);
+}
+
+/// Share of the six cross-view FC inputs' rows (Eqs. 4–7) that are
+/// empty-segment means, so exactly `+0.0` whatever the parameters: users
+/// who launched nothing, shared to nobody, joined nothing or were shared
+/// to by nobody, and items nobody launched or joined.
+fn structurally_zero_fc_row_share(hist: &Dataset) -> f64 {
+    let g = hist.build_hetero();
+    let segmentations = [
+        g.initiator.user_to_item(),
+        g.share.out_csr(),
+        g.participant.user_to_item(),
+        g.share.in_csr(),
+        g.initiator.item_to_user(),
+        g.participant.item_to_user(),
+    ];
+    let (mut empty, mut rows) = (0, 0);
+    for csr in segmentations {
+        let (offsets, _) = csr.segments();
+        empty += offsets.windows(2).filter(|w| w[0] == w[1]).count();
+        rows += offsets.len() - 1;
+    }
+    empty as f64 / rows as f64
+}
+
+/// The freshness chain over a history prefix — the first half of the
+/// behaviors — whose graphs leave many users without a launch or a join:
+/// 29 % of the FC input rows are empty-segment zeros here, against 4 %
+/// over the longer history above. Constants recorded before the forward
+/// learned to skip zero rows.
+#[test]
+fn tick_chains_over_a_sparse_history_keep_their_pinned_bits() {
+    let d = generate(&SynthConfig::tiny());
+    let n_hist = d.behaviors().len() / 2;
+    let hist = d.with_behaviors(d.behaviors()[..n_hist].to_vec());
+    let share = structurally_zero_fc_row_share(&hist);
+    assert!(
+        share >= 0.2,
+        "only {share:.3} of the FC input rows are structurally zero"
+    );
+    let mut got = Vec::new();
+    for activation in [Activation::Tanh, Activation::Sigmoid, Activation::LeakyRelu] {
+        for n_shards in [1, 4] {
+            let cfg = GbgcnConfig {
+                pretrain_epochs: 0,
+                finetune_epochs: 1,
+                batch_size: TICK_DEALS,
+                activation,
+                ..GbgcnConfig::default()
+            };
+            let label = format!("{activation:?}/x{n_shards}");
+            got.push((label, tick_chain_after(&d, n_hist, cfg, n_shards)));
+        }
+    }
+    let want: Vec<(String, u64)> = [
+        ("Tanh/x1", 0xff64_612f_5761_f806),
+        ("Tanh/x4", 0x80ff_64bc_40e2_b48f),
+        ("Sigmoid/x1", 0xab1d_fc4b_d906_8460),
+        ("Sigmoid/x4", 0xb847_4e27_5ba3_c415),
+        ("LeakyRelu/x1", 0xa2d7_f30c_4c18_fbfb),
+        ("LeakyRelu/x4", 0xe734_fb45_dac4_e46e),
+    ]
+    .into_iter()
+    .map(|(n, fp)| (n.to_string(), fp))
+    .collect();
+    assert_eq!(got, want, "structurally zero share {share:.3}");
 }
 
 #[test]

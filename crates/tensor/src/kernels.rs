@@ -23,7 +23,8 @@
 //! else, each array operation mirroring its intrinsic bit for bit. The
 //! unit tests instantiate the same bodies at `simd::Portable` and hold the
 //! two to each other, which is a real comparison on AVX2 builds only;
-//! [`reference`] shares no code with either. The lanes are explicit
+//! [`reference`] shares no code with either (bar `reference::tanh`, which
+//! keeps `tanh`'s two arms and drops only its shortcut). The lanes are explicit
 //! because, left to itself, LLVM SLP-vectorises an array accumulator
 //! *across the 4-item tile* instead of along the 8 lanes: 128-bit
 //! multiplies fed by shuffles, and no 256-bit arithmetic at all.
@@ -31,15 +32,22 @@
 //! The one reduction along lanes is `dot_tile`; the three `blend_dot_*`
 //! kernels add a fused 4-item tile that reduces and blends eight
 //! accumulators at once (`Lane8::reduce_blend`). The products that do not
-//! reduce along lanes — [`matmul`] and [`matmul_tn`], the propagation FCs
-//! forward and their weight gradients — share one tile loop that differs
-//! only in how it addresses the left operand (`Lhs`: `a[(i0+r)*k + kk]` for
-//! `matmul`, `a[kk*m + i0+r]` for `matmul_tn`). Every whole 4-row ×
-//! 16-column output tile is eight accumulator vectors held across the full
-//! reduction (`acc[r][0..2] += splat(a) * loadu(b)`), a leftover 8 columns
-//! the same tile one vector wide, and the edges one element at a time.
-//! Tiles partition the *output*, never the reduction: every element is the
-//! ascending-index sum from `+0.0` whichever tile produced it.
+//! reduce along lanes — [`matmul`], [`matmul_rows`] and [`matmul_tn`], the
+//! propagation FCs forward and their weight gradients — share one tile
+//! loop that differs only in how it addresses the left operand (`Lhs`:
+//! `a[i*k + kk]` for the first two, `a[kk*m + i]` for `matmul_tn`) and in
+//! which output rows it walks (`RowSet`: all of them, or `matmul_rows`'
+//! ascending list, position `p` of a tile reading and writing row
+//! `rows[p]`). Every whole 4-row × 16-column output tile is eight
+//! accumulator vectors held across the full reduction
+//! (`acc[r][0..2] += splat(a) * loadu(b)`), a leftover 8 columns the same
+//! tile one vector wide, and the edges one element at a time. Tiles
+//! partition the *output*, never the reduction: every element is the
+//! ascending-index sum from `+0.0` whichever tile produced it — so a
+//! listed row comes out of `matmul_rows` with `matmul`'s bits, and an
+//! unlisted one stays at the `+0.0` that `matmul` also writes for a row of
+//! `A` made of signed zeros whenever `B` is finite (every product is a
+//! signed zero, and `+0.0 + ±0.0` is `+0.0`).
 //! [`segment_mean`] follows the same arrangement — each output row
 //! accumulated in registers over 32-column strips, then single vectors,
 //! then single columns, per-element order `(((0 + s0) + s1) + …) * inv` in
@@ -53,11 +61,14 @@
 //!
 //! **One `tanh`, and not libm's.** [`tanh_inplace`] is the only hyperbolic
 //! tangent the workspace computes (`gb-lint`'s `no-libm-tanh` keeps it
-//! so): a branch-free Cephes split over the same `simd::Lane8`, within
-//! 2 ulp of the exact value for every `f32`. A slice's tail is padded into
-//! one more vector, so an element's result depends on that element alone:
-//! not on its index, the slice's length, the build, or the host's C
-//! library.
+//! so): the Cephes split over the same `simd::Lane8`, within 2 ulp of the
+//! exact value for every `f32`. Its exponential arm runs only for a vector
+//! with a lane at or above the split; a vector of small lanes returns the
+//! polynomial arm the per-lane select would have picked in every lane, so
+//! the branch is a scheduling choice and never a numeric one. A slice's
+//! tail is padded into one more vector, so an element's result depends on
+//! that element alone: not on its index, its neighbours, the slice's
+//! length, the build, or the host's C library.
 //!
 //! The pre-blocking scalar loops survive in [`reference`]; the property
 //! tests pin the blocked kernels to them within float-reassociation
@@ -201,67 +212,135 @@ struct Lhs<'a> {
     k_stride: usize,
 }
 
-impl Lhs<'_> {
+impl<'a> Lhs<'a> {
+    /// `a` itself, row-major.
+    fn row_major(a: &'a Matrix) -> Self {
+        Self {
+            data: a.as_slice(),
+            i_stride: a.cols(),
+            k_stride: 1,
+        }
+    }
+
+    /// `a^T`, read down `a`'s columns.
+    fn transposed(a: &'a Matrix) -> Self {
+        Self {
+            data: a.as_slice(),
+            i_stride: 1,
+            k_stride: a.cols(),
+        }
+    }
+
     #[inline(always)]
     fn at(&self, i: usize, kk: usize) -> f32 {
         self.data[i * self.i_stride + kk * self.k_stride]
     }
 }
 
+/// The output rows a product computes: `0..m`, or a strictly ascending
+/// list of rows under `m`. Position `p` of the tile loop reads and writes
+/// row `row(p)`.
+#[derive(Clone, Copy)]
+struct RowSet<'a> {
+    m: usize,
+    list: Option<&'a [u32]>,
+}
+
+impl<'a> RowSet<'a> {
+    fn all(m: usize) -> Self {
+        Self { m, list: None }
+    }
+
+    /// # Panics
+    /// Panics unless `list` is strictly ascending and under `m`.
+    fn listed(m: usize, list: &'a [u32]) -> Self {
+        assert!(
+            list.windows(2).all(|w| w[0] < w[1]) && list.last().is_none_or(|&r| (r as usize) < m),
+            "matmul_rows: rows not strictly ascending below {m}"
+        );
+        Self {
+            m,
+            list: Some(list),
+        }
+    }
+
+    /// Rows the tile loop walks.
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.list.map_or(self.m, <[u32]>::len)
+    }
+
+    /// The row at position `p`.
+    #[inline(always)]
+    fn row(&self, p: usize) -> usize {
+        self.list.map_or(p, |l| l[p] as usize)
+    }
+}
+
 /// Every whole `ROW_TILE x 8V` tile in columns `from..` of the `m x n`
-/// product `out = a * b`: `4V` accumulator vectors live across the full `k`
-/// loop — per `kk`, `V` loads of `b`'s row segment and four broadcasts of
-/// `a` feed `4V` `mul`-then-`add`s. Each element is the ascending-`kk` sum
+/// product `out = a * b`, over the rows of `rows` four at a time: `4V`
+/// accumulator vectors live across the full `k` loop — per `kk`, `V` loads
+/// of `b`'s row segment and four broadcasts of `a` feed `4V`
+/// `mul`-then-`add`s. Each element is the ascending-`kk` sum
 /// `Σ a(i, kk) * b[kk][j]` from `+0.0`.
 ///
 /// Returns the column the tiles stopped at; the caller computes the rest.
 ///
 /// # Panics
-/// Panics if an operand is shorter than its shape.
+/// Panics if an operand is shorter than its shape, or a row is not under
+/// `m`.
 #[inline(always)]
 fn matmul_tiles<L: Lane8, const V: usize>(
     a: Lhs<'_>,
     b: &[f32],
     out: &mut [f32],
-    m: usize,
+    rows: RowSet<'_>,
     k: usize,
     n: usize,
     from: usize,
 ) -> usize {
-    let (m_full, width) = (m - m % ROW_TILE, V * DOT_LANES);
+    let (p_full, width) = (rows.len() - rows.len() % ROW_TILE, V * DOT_LANES);
     let to = from + n.saturating_sub(from) / width * width;
-    if m_full == 0 || to == from || k == 0 {
+    if p_full == 0 || to == from || k == 0 {
         return from;
     }
+    let m = rows.m;
     assert!(
-        (m_full - 1) * a.i_stride + (k - 1) * a.k_stride < a.data.len()
+        m > 0
+            && (m - 1) * a.i_stride + (k - 1) * a.k_stride < a.data.len()
             && k * n <= b.len()
-            && m_full * n <= out.len(),
+            && m * n <= out.len(),
         "matmul_tiles: operand shorter than its shape"
     );
-    // SAFETY: with `i0 + r < m_full`, `kk < k` and `j0 + width <= to <= n`:
-    // the read of `a` is at most `(m_full - 1) * i_stride +
-    // (k - 1) * k_stride`, the `V` loads of `b` end at
-    // `kk * n + j0 + width <= k * n`, and the `V` stores end at
-    // `(i0 + r) * n + j0 + width <= m_full * n` — all inside their slices
-    // by the assert above.
+    // SAFETY: with every tile row `i < m` (asserted per tile below),
+    // `kk < k` and `j0 + width <= to <= n`: the read of `a` is at most
+    // `(m - 1) * i_stride + (k - 1) * k_stride`, the `V` loads of `b` end
+    // at `kk * n + j0 + width <= k * n`, and the `V` stores end at
+    // `i * n + j0 + width <= m * n` — all inside their slices by the
+    // assert above.
     unsafe {
-        for i0 in (0..m_full).step_by(ROW_TILE) {
+        for p0 in (0..p_full).step_by(ROW_TILE) {
+            let i: [usize; ROW_TILE] = std::array::from_fn(|r| rows.row(p0 + r));
+            assert!(
+                i.iter().all(|&i| i < m),
+                "matmul_tiles: row outside the product"
+            );
+            let ap: [*const f32; ROW_TILE] =
+                std::array::from_fn(|r| a.data.as_ptr().add(i[r] * a.i_stride));
             for j0 in (from..to).step_by(width) {
                 let mut acc = [[L::splat(0.0); V]; ROW_TILE];
                 for kk in 0..k {
                     let bp = b.as_ptr().add(kk * n + j0);
                     let bv: [L; V] = std::array::from_fn(|v| L::loadu_ptr(bp.add(v * DOT_LANES)));
-                    let ap = a.data.as_ptr().add(i0 * a.i_stride + kk * a.k_stride);
-                    for (r, acc) in acc.iter_mut().enumerate() {
-                        let av = L::splat(*ap.add(r * a.i_stride));
+                    for (acc, ap) in acc.iter_mut().zip(&ap) {
+                        let av = L::splat(*ap.add(kk * a.k_stride));
                         for (acc, &bv) in acc.iter_mut().zip(&bv) {
                             *acc = acc.add(av.mul(bv));
                         }
                     }
                 }
-                for (r, acc) in acc.iter().enumerate() {
-                    let op = out.as_mut_ptr().add((i0 + r) * n + j0);
+                for (acc, &i) in acc.iter().zip(&i) {
+                    let op = out.as_mut_ptr().add(i * n + j0);
                     for (v, acc) in acc.iter().enumerate() {
                         acc.storeu_ptr(op.add(v * DOT_LANES));
                     }
@@ -272,16 +351,19 @@ fn matmul_tiles<L: Lane8, const V: usize>(
     to
 }
 
-/// Output rows `rows`, columns `cols` of the zeroed `m x n` buffer `od`,
-/// one element at a time: what the tiles do not reach. The same
-/// ascending-`kk` order per element, accumulated in the output itself.
+/// Columns `cols` of the rows at positions `at` of `rows`, in the zeroed
+/// `m x n` buffer `od`, one element at a time: what the tiles do not
+/// reach. The same ascending-`kk` order per element, accumulated in the
+/// output itself.
+#[allow(clippy::too_many_arguments)]
 fn matmul_edge(
     a: Lhs<'_>,
     bd: &[f32],
     od: &mut [f32],
+    rows: RowSet<'_>,
     k: usize,
     n: usize,
-    rows: std::ops::Range<usize>,
+    at: std::ops::Range<usize>,
     cols: std::ops::Range<usize>,
 ) {
     // The common case — `n` a multiple of the tile width — must cost
@@ -289,7 +371,8 @@ fn matmul_edge(
     if cols.is_empty() {
         return;
     }
-    for i in rows {
+    for p in at {
+        let i = rows.row(p);
         let orow = &mut od[i * n + cols.start..i * n + cols.end];
         for kk in 0..k {
             let av = a.at(i, kk);
@@ -301,19 +384,20 @@ fn matmul_edge(
     }
 }
 
-/// The `m x n` product of `a` (`m x k` as [`Lhs`] addresses it) and `b`:
-/// whole 4x16 tiles, then 4x8 tiles over the columns those leave, then the
-/// remaining columns and rows one element at a time. One copy of the tile
-/// loop serves both products: the strides stay run-time values.
-fn matmul_strided<L: Lane8>(a: Lhs<'_>, b: &Matrix, m: usize, k: usize) -> Matrix {
+/// The `m x n` product of `a` (`m x k` as [`Lhs`] addresses it) and `b`
+/// on the rows of `rows`, every other row left `+0.0`: whole 4x16 tiles,
+/// then 4x8 tiles over the columns those leave, then the remaining columns
+/// and rows one element at a time. One copy of the tile loop serves all
+/// three products: the strides and the row list stay run-time values.
+fn matmul_strided<L: Lane8>(a: Lhs<'_>, b: &Matrix, rows: RowSet<'_>, k: usize) -> Matrix {
     let n = b.cols();
-    let mut out = Matrix::zeros(m, n);
+    let mut out = Matrix::zeros(rows.m, n);
     let (bd, od) = (b.as_slice(), out.as_mut_slice());
-    let wide = matmul_tiles::<L, 2>(a, bd, od, m, k, n, 0);
-    let tiled = matmul_tiles::<L, 1>(a, bd, od, m, k, n, wide);
-    let m_full = m - m % ROW_TILE;
-    matmul_edge(a, bd, od, k, n, 0..m_full, tiled..n);
-    matmul_edge(a, bd, od, k, n, m_full..m, 0..n);
+    let wide = matmul_tiles::<L, 2>(a, bd, od, rows, k, n, 0);
+    let tiled = matmul_tiles::<L, 1>(a, bd, od, rows, k, n, wide);
+    let p_full = rows.len() - rows.len() % ROW_TILE;
+    matmul_edge(a, bd, od, rows, k, n, 0..p_full, tiled..n);
+    matmul_edge(a, bd, od, rows, k, n, p_full..rows.len(), 0..n);
     out
 }
 
@@ -338,12 +422,29 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
         b.shape()
     );
     let (m, k) = a.shape();
-    let lhs = Lhs {
-        data: a.as_slice(),
-        i_stride: k,
-        k_stride: 1,
-    };
-    matmul_strided::<simd::Native>(lhs, b, m, k)
+    matmul_strided::<simd::Native>(Lhs::row_major(a), b, RowSet::all(m), k)
+}
+
+/// `C = A * B` on the listed rows of `A` only: row `rows[i]` of the
+/// result is row `rows[i]` of [`matmul`]`(a, b)`, bit for bit — the same
+/// tile loop, its row `i` reading and writing row `rows[i]` — and every
+/// other row is `+0.0`. This is what `matmul` itself gives on a row of
+/// `A` that is entirely `±0.0` when `B` is finite: each product is a
+/// signed zero, and a sum that starts at `+0.0` stays `+0.0`.
+///
+/// # Panics
+/// Panics if `a.cols() != b.rows()`, or `rows` is not strictly ascending
+/// with every row under `a.rows()`.
+pub fn matmul_rows(a: &Matrix, rows: &[u32], b: &Matrix) -> Matrix {
+    assert_eq!(
+        a.cols(),
+        b.rows(),
+        "matmul_rows shape mismatch: {:?} x {:?}",
+        a.shape(),
+        b.shape()
+    );
+    let (m, k) = a.shape();
+    matmul_strided::<simd::Native>(Lhs::row_major(a), b, RowSet::listed(m, rows), k)
 }
 
 /// `C = A^T * B`.
@@ -361,12 +462,7 @@ pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
         b.shape()
     );
     let (k, m) = a.shape();
-    let lhs = Lhs {
-        data: a.as_slice(),
-        i_stride: 1,
-        k_stride: m,
-    };
-    matmul_strided::<simd::Native>(lhs, b, m, k)
+    matmul_strided::<simd::Native>(Lhs::transposed(a), b, RowSet::all(m), k)
 }
 
 /// `C = A * B^T`.
@@ -773,26 +869,11 @@ fn horner<L: Lane8>(x: L, c: &[f32]) -> L {
         .fold(L::splat(c[0]), |acc, &ck| acc.mul(x).add(L::splat(ck)))
 }
 
-/// `tanh` of eight lanes: the Cephes single-precision split, branch-free.
-///
-/// With `z = |x|`, both arms are computed and one is selected per lane:
-///
-/// * `z < 0.625`: `z + z · z² P(z²)`, `P` the degree-4 minimax fit;
-/// * otherwise `1 − 2 / (e^{2z} + 1)`, where `e^a = 2^n e^r` with
-///   `n = round(a log₂e)`, `r = a − n ln 2` (`ln 2` split in two so that
-///   `n · C1` is exact) and `e^r = 1 + r + r² Q(r)`.
-///
-/// The sign goes back on with `copysign`, so `tanh(-x) == -tanh(x)` and
-/// `-0.0 → -0.0` bit for bit. NaN stays NaN through either arm (the clamp
-/// is `min(CLAMP, z)`, which returns its second operand for a NaN);
-/// subnormal and tiny `x` return themselves (`z²` underflows and the
-/// correction with it). Worst error over all 2³² inputs: see the
-/// `tanh_exhaustive_sweep` test.
+/// `tanh`'s polynomial arm at `z = min(CLAMP, |x|)`: `z + z · z² P(z²)`,
+/// `P` the Cephes degree-4 minimax fit, meant for `z < 0.625`.
 #[inline(always)]
 #[allow(clippy::excessive_precision)] // the coefficients as Cephes prints them
-fn tanh_lanes<L: Lane8>(x: L) -> L {
-    let z = L::splat(TANH_CLAMP).min(x.abs());
-
+fn tanh_poly_arm<L: Lane8>(z: L) -> L {
     let w = z.mul(z);
     let p = horner(
         w,
@@ -804,8 +885,16 @@ fn tanh_lanes<L: Lane8>(x: L) -> L {
             -3.333_328_194_22e-1,
         ],
     );
-    let small = p.mul(w).mul(z).add(z);
+    p.mul(w).mul(z).add(z)
+}
 
+/// `tanh`'s exponential arm at `z = min(CLAMP, |x|)`:
+/// `1 − 2 / (e^{2z} + 1)`, where `e^a = 2^n e^r` with
+/// `n = round(a log₂e)`, `r = a − n ln 2` (`ln 2` split in two so that
+/// `n · C1` is exact) and `e^r = 1 + r + r² Q(r)`.
+#[inline(always)]
+#[allow(clippy::excessive_precision)] // the coefficients as Cephes prints them
+fn tanh_exp_arm<L: Lane8>(z: L) -> L {
     let a = z.add(z);
     let biased = a
         .mul(L::splat(std::f32::consts::LOG2_E))
@@ -830,27 +919,73 @@ fn tanh_lanes<L: Lane8>(x: L) -> L {
         .add(r)
         .add(L::splat(1.0))
         .mul(biased.exp2i());
-    let large = L::splat(1.0).sub(L::splat(2.0).div(e.add(L::splat(1.0))));
+    L::splat(1.0).sub(L::splat(2.0).div(e.add(L::splat(1.0))))
+}
 
-    z.select_lt(L::splat(TANH_POLY_BELOW), small, large)
+/// `tanh` of eight lanes, the Cephes single-precision split: with
+/// `z = min(CLAMP, |x|)`, lane by lane the polynomial arm
+/// ([`tanh_poly_arm`]) where `z < 0.625` and the exponential arm
+/// ([`tanh_exp_arm`]) elsewhere, chosen by `select_lt`.
+///
+/// The exponential arm — the `div` and most of the work — is computed
+/// only when some lane needs it. A vector whose every lane has
+/// `z < 0.625` (`Lane8::all_lt`, the comparison the select makes) returns
+/// the polynomial arm directly, which is what the select picks in every
+/// lane of such a vector, so the shortcut changes no bit; the arms are
+/// pure arithmetic, and leaving one uncomputed is unobservable. A NaN lane
+/// fails the ordered compare and takes the select as before. The
+/// both-arms form survives as [`reference::tanh`], and the tests hold
+/// this to it bit for bit on every `f32`.
+///
+/// The sign goes back on with `copysign`, so `tanh(-x) == -tanh(x)` and
+/// `-0.0 → -0.0` bit for bit. NaN stays NaN through either arm (the clamp
+/// is `min(CLAMP, z)`, which returns its second operand for a NaN);
+/// subnormal and tiny `x` return themselves (`z²` underflows and the
+/// correction with it). Worst error over all 2³² inputs: see the
+/// `tanh_exhaustive_sweep` test.
+#[inline(always)]
+fn tanh_lanes<L: Lane8>(x: L) -> L {
+    let z = L::splat(TANH_CLAMP).min(x.abs());
+    let below = L::splat(TANH_POLY_BELOW);
+    let small = tanh_poly_arm(z);
+    let y = if z.all_lt(below) {
+        small
+    } else {
+        z.select_lt(below, small, tanh_exp_arm(z))
+    };
+    y.copysign(x)
+}
+
+/// [`tanh_lanes`] without the shortcut: both arms, then the select —
+/// the body [`reference::tanh`] runs.
+#[inline(always)]
+fn tanh_lanes_both_arms<L: Lane8>(x: L) -> L {
+    let z = L::splat(TANH_CLAMP).min(x.abs());
+    z.select_lt(L::splat(TANH_POLY_BELOW), tanh_poly_arm(z), tanh_exp_arm(z))
         .copysign(x)
 }
 
-/// [`tanh_inplace`] over a given [`Lane8`]: whole vectors, then the tail
-/// padded with zeros into one more. Every element goes through the same
-/// [`tanh_lanes`] whatever its index and whatever the slice's length.
+/// `f` over `xs` in place: whole vectors, then the tail padded with zeros
+/// into one more. Every element goes through the same `f` whatever its
+/// index and whatever the slice's length.
 #[inline(always)]
-fn tanh_slice<L: Lane8>(xs: &mut [f32]) {
+fn map_lanes<L: Lane8>(xs: &mut [f32], f: impl Fn(L) -> L) {
     let (chunks, tail) = xs.as_chunks_mut::<{ simd::LANES }>();
     for c in chunks {
-        tanh_lanes(L::loadu(c)).storeu(c);
+        f(L::loadu(c)).storeu(c);
     }
     if !tail.is_empty() {
         let mut pad = [0.0f32; simd::LANES];
         pad[..tail.len()].copy_from_slice(tail);
-        tanh_lanes(L::loadu(&pad)).storeu(&mut pad);
+        f(L::loadu(&pad)).storeu(&mut pad);
         tail.copy_from_slice(&pad[..tail.len()]);
     }
+}
+
+/// [`tanh_inplace`] over a given [`Lane8`].
+#[inline(always)]
+fn tanh_slice<L: Lane8>(xs: &mut [f32]) {
+    map_lanes(xs, tanh_lanes::<L>);
 }
 
 /// Elementwise `tanh` in place — the workspace's only `tanh`, computed in
@@ -1185,6 +1320,7 @@ pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
 /// integration test, so the module stays `pub`). They are *not* used by
 /// any training or serving path.
 pub mod reference {
+    use crate::simd;
     use crate::Matrix;
 
     /// Plain ascending-index dot product.
@@ -1280,6 +1416,19 @@ pub mod reference {
                 out.set(i, c, acc);
             }
         }
+        out
+    }
+
+    /// Elementwise `tanh` computed the way [`super::tanh`] computed it
+    /// before it learned to skip the exponential arm: both Cephes arms for
+    /// every vector, then the per-lane select. The oracle that shortcut is
+    /// held to bit for bit.
+    pub fn tanh(a: &Matrix) -> Matrix {
+        let mut out = a.clone();
+        super::map_lanes(
+            out.as_mut_slice(),
+            super::tanh_lanes_both_arms::<simd::Native>,
+        );
         out
     }
 
@@ -1887,25 +2036,31 @@ mod tests {
                     seed += 1;
                     let b = Matrix::from_vec(kk, nn, awkward(kk * nn, seed));
                     let a = Matrix::from_vec(mm, kk, awkward(mm * kk, seed ^ 0x5555));
-                    let lhs = Lhs {
-                        data: a.as_slice(),
-                        i_stride: kk,
-                        k_stride: 1,
-                    };
+                    let all = RowSet::all(mm);
                     assert_same_bits(
                         &matmul(&a, &b),
-                        &matmul_strided::<simd::Portable>(lhs, &b, mm, kk),
+                        &matmul_strided::<simd::Portable>(Lhs::row_major(&a), &b, all, kk),
                         &format!("matmul {mm}x{kk}x{nn}"),
                     );
+                    // Every other row, from the first or the second.
+                    let rows: Vec<u32> = (seed as usize % 2..mm)
+                        .step_by(2)
+                        .map(|r| r as u32)
+                        .collect();
+                    assert_same_bits(
+                        &matmul_rows(&a, &rows, &b),
+                        &matmul_strided::<simd::Portable>(
+                            Lhs::row_major(&a),
+                            &b,
+                            RowSet::listed(mm, &rows),
+                            kk,
+                        ),
+                        &format!("matmul_rows {mm}x{kk}x{nn}"),
+                    );
                     let at = Matrix::from_vec(kk, mm, awkward(kk * mm, seed ^ 0xAAAA));
-                    let lhs = Lhs {
-                        data: at.as_slice(),
-                        i_stride: 1,
-                        k_stride: mm,
-                    };
                     assert_same_bits(
                         &matmul_tn(&at, &b),
-                        &matmul_strided::<simd::Portable>(lhs, &b, mm, kk),
+                        &matmul_strided::<simd::Portable>(Lhs::transposed(&at), &b, all, kk),
                         &format!("matmul_tn {mm}x{kk}x{nn}"),
                     );
                 }
@@ -2132,20 +2287,110 @@ mod tests {
         assert!(err <= 2.0, "{err} ulp at {at:e}");
     }
 
+    /// Lanes that share a vector with the swept value in
+    /// [`tanh_matches_its_both_arms_reference`]: the first three and `-0.0`
+    /// leave an all-small vector on the polynomial shortcut, `0.7`, `20.0`
+    /// and NaN send it through both arms and the select.
+    const TANH_COMPANIONS: [f32; 6] = [0.1, -0.3, 0.7, 20.0, f32::NAN, -0.0];
+
+    /// `xs[i]` in lane 0 of vector `i`, the other seven lanes all
+    /// `TANH_COMPANIONS[i % 6]`, through `tanh_inplace` and through
+    /// [`reference::tanh`]: every lane bitwise equal.
+    fn tanh_matches_its_both_arms_reference(xs: &[f32]) {
+        let vectors: Vec<f32> = xs
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &x)| {
+                let c = TANH_COMPANIONS[i % TANH_COMPANIONS.len()];
+                std::iter::once(x).chain([c; DOT_LANES - 1])
+            })
+            .collect();
+        let want = reference::tanh(&Matrix::from_vec(xs.len(), DOT_LANES, vectors.clone()));
+        let mut got = vectors;
+        tanh_inplace(&mut got);
+        for (i, (&g, &w)) in got.iter().zip(want.as_slice()).enumerate() {
+            assert!(
+                same_bits(g, w),
+                "tanh({:#010x}) lane {}: {g:e} vs both arms {w:e}",
+                xs[i / DOT_LANES].to_bits(),
+                i % DOT_LANES
+            );
+        }
+    }
+
+    /// The shortcut at its edge and at the specials: the split itself
+    /// (both arms then the select), the float below it (the polynomial arm
+    /// alone), the float above; signed zeros, subnormals and infinities;
+    /// and a NaN lane — each alone in a vector, among small lanes in every
+    /// position, and through both lane types.
+    #[test]
+    fn tanh_shortcut_equals_both_arms_at_the_split_and_the_specials() {
+        let split = TANH_POLY_BELOW;
+        let edge = [
+            f32::from_bits(split.to_bits() - 1),
+            split,
+            f32::from_bits(split.to_bits() + 1),
+        ];
+        let specials = [
+            0.0,
+            f32::from_bits(1),
+            f32::from_bits(0x007F_FFFF),
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NAN,
+        ];
+        let mut vectors: Vec<[f32; DOT_LANES]> = Vec::new();
+        for v in edge.into_iter().chain(specials) {
+            for v in [v, -v] {
+                vectors.push([v; DOT_LANES]);
+                for l in 0..DOT_LANES {
+                    let mut vector = [0.3; DOT_LANES];
+                    vector[l] = v;
+                    vectors.push(vector);
+                }
+            }
+        }
+        let xs = vectors.concat();
+        let want = reference::tanh(&Matrix::from_vec(vectors.len(), DOT_LANES, xs.clone()));
+        let (mut native, mut portable) = (xs.clone(), xs.clone());
+        tanh_inplace(&mut native);
+        tanh_slice::<simd::Portable>(&mut portable);
+        for (i, &x) in xs.iter().enumerate() {
+            let w = want.as_slice()[i];
+            assert!(
+                same_bits(native[i], w),
+                "tanh({x:e}) in vector {}",
+                i / DOT_LANES
+            );
+            assert!(same_bits(portable[i], w), "portable tanh({x:e})");
+        }
+        // Every float within 4 096 ulp of the split, each beside each
+        // companion kind.
+        let c = split.to_bits();
+        let near: Vec<f32> = (c - 4096..=c + 4096).map(f32::from_bits).collect();
+        tanh_matches_its_both_arms_reference(&near);
+    }
+
     /// All 2³² bit patterns, once per PR that touches the kernel:
     /// `cargo test --release -p gb-tensor tanh_exhaustive -- --ignored --nocapture`
-    /// (≈ 1 min on two threads). PR 22, AVX2 and `-C target-cpu=x86-64`
-    /// builds alike: worst 1.3303 ulp at x = 6.2830955e-1 (0x3f20d8e5),
-    /// output checksum 0xc02e6ccdb4f4d8df.
+    /// (≈ 8 min on two threads). Every input's result equals the
+    /// both-arms [`reference::tanh`] bit for bit, alone in lane 0 of a
+    /// vector whose other lanes take and skip the shortcut in turn
+    /// ([`TANH_COMPANIONS`]). Last run after the exponential arm became
+    /// conditional, AVX2 and `-C target-cpu=x86-64` builds alike — the
+    /// same outputs the kernel has had since it replaced libm's: worst
+    /// 1.3303 ulp at x = 6.2830955e-1 (0x3f20d8e5), output checksum
+    /// 0xc02e6ccdb4f4d8df.
     #[test]
-    #[ignore = "2^32 evaluations against f64 tanh: about a minute"]
+    #[ignore = "2^32 evaluations against f64 tanh and 2^35 against the both-arms reference: minutes"]
     fn tanh_exhaustive_sweep() {
         const BLOCK: u32 = 1 << 16;
         // The non-negative half against the oracle, split across two
         // threads; the negative half against the non-negative one, bit
         // for bit (`tanh_checked`), so it inherits the bound. The checksum
         // (FNV-1a over the non-negative half's output bits, ascending) is
-        // what two builds compare to show they agree on every input.
+        // what two builds compare to show they agree on every input. Both
+        // halves also against the both-arms reference.
         let sweep = |blocks: std::ops::Range<u32>| {
             let mut worst = (0.0f64, 0.0f32);
             let mut sum = 0xcbf2_9ce4_8422_2325u64;
@@ -2153,6 +2398,9 @@ mod tests {
                 let xs: Vec<f32> = (b * BLOCK..=b * BLOCK + (BLOCK - 1))
                     .map(f32::from_bits)
                     .collect();
+                tanh_matches_its_both_arms_reference(&xs);
+                let negated: Vec<f32> = xs.iter().map(|x| -x).collect();
+                tanh_matches_its_both_arms_reference(&negated);
                 let (ys, w) = tanh_checked(&xs);
                 for y in ys {
                     sum = (sum ^ u64::from(y.to_bits())).wrapping_mul(0x0100_0000_01b3);

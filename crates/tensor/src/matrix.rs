@@ -167,6 +167,27 @@ impl Matrix {
         }
     }
 
+    /// A zero-copy view of the matrix behind `m`, O(1): the view keeps the
+    /// `Arc` alive, and no copy of the buffer is ever made for it.
+    ///
+    /// Sound without a caller promise: a matrix inside an `Arc` can only be
+    /// changed through `Arc::get_mut` / `Arc::make_mut`, and the clone the
+    /// view holds makes the first fail and the second copy, so the buffer
+    /// the view reads never changes while the view exists.
+    pub fn from_arc(m: Arc<Matrix>) -> Matrix {
+        if m.is_shared() {
+            return (*m).clone();
+        }
+        let (rows, cols, ptr) = (m.rows, m.cols, m.as_slice().as_ptr());
+        // SAFETY: `ptr` is the start of `m`'s owned buffer of
+        // `rows * cols` floats (non-null and aligned even when empty), and
+        // `keep` is `m` itself, so the buffer lives as long as any view of
+        // it. Nobody writes to it: `m`'s matrix is reachable only through
+        // the `Arc`, whose other owners cannot get `&mut` access while
+        // `keep` holds a count, and `keep` is never unwrapped.
+        unsafe { Matrix::from_raw_shared(rows, cols, ptr, m) }
+    }
+
     /// Whether this matrix is a zero-copy view into shared memory.
     #[inline]
     pub fn is_shared(&self) -> bool {
@@ -713,6 +734,32 @@ mod tests {
         // The view keeps the backing alive on its own.
         drop(backing);
         assert_eq!(m.get(0, 2), 3.0);
+    }
+
+    #[test]
+    fn from_arc_views_the_arcs_buffer_and_outlives_it() {
+        let src = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32 - 5.5);
+        let mut arc = Arc::new(src.clone());
+        let view = Matrix::from_arc(Arc::clone(&arc));
+        assert!(view.is_shared());
+        assert_eq!(view.as_slice().as_ptr(), arc.as_slice().as_ptr(), "no copy");
+        assert_eq!(view, src);
+        // The other owner cannot write through the shared buffer: it gets
+        // a copy, and the view keeps reading the original.
+        Arc::make_mut(&mut arc).set(0, 0, 99.0);
+        assert_ne!(view.as_slice().as_ptr(), arc.as_slice().as_ptr());
+        drop(arc);
+        assert_eq!(view, src);
+        // Writing through the view detaches it; clones alias it.
+        let alias = view.clone();
+        let mut edited = view;
+        edited.set(2, 3, -1.0);
+        assert_eq!(alias, src);
+        // An already-shared matrix is re-viewed, not re-wrapped; empty works.
+        let shared = Arc::new(src.to_shared());
+        let again = Matrix::from_arc(Arc::clone(&shared));
+        assert_eq!(again.as_slice().as_ptr(), shared.as_slice().as_ptr());
+        assert!(Matrix::from_arc(Arc::new(Matrix::zeros(0, 4))).is_empty());
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //! portable form is compiled for the tests only, as the oracle the
 //! intrinsics are held to.
 //!
-//! No operation fuses a multiply with an add. Every one but
-//! [`Lane8::reduce_blend`] acts on each lane alone — a lane's result is a
-//! function of that lane's inputs and of nothing else — and that one
-//! combines lanes in a single fixed tree, [`reduce_lanes`].
+//! No operation fuses a multiply with an add. Every one but two acts on
+//! each lane alone — a lane's result is a function of that lane's inputs
+//! and of nothing else. [`Lane8::reduce_blend`] combines lanes in a single
+//! fixed tree, [`reduce_lanes`]; [`Lane8::all_lt`] folds eight comparisons
+//! into one `bool`, which a kernel may branch on but never computes with.
 
 /// Lanes per vector.
 pub(crate) const LANES: usize = 8;
@@ -39,7 +40,7 @@ pub(crate) fn reduce_lanes(l: &[f32; LANES]) -> f32 {
 }
 
 /// Eight `f32` lanes; see the module docs. All operations but
-/// [`Lane8::reduce_blend`] are lanewise.
+/// [`Lane8::reduce_blend`] and [`Lane8::all_lt`] are lanewise.
 pub(crate) trait Lane8: Copy {
     /// The eight floats at `src`, lane `l` from `src.add(l)`.
     ///
@@ -80,6 +81,9 @@ pub(crate) trait Lane8: Copy {
     fn copysign(self, sign: Self) -> Self;
     /// `a` where `self < o` (false when either is NaN), else `b`.
     fn select_lt(self, o: Self, a: Self, b: Self) -> Self;
+    /// Whether `self < o` in every lane — the comparison of
+    /// [`Lane8::select_lt`], so a NaN lane makes it false.
+    fn all_lt(self, o: Self) -> bool;
     /// `2^n` for `self = n + EXP2I_BIAS` with integer `-127 < n < 128`,
     /// built from bits: `(bits + 127) << 23`, the biased exponent of `2^n`
     /// moved into place and everything above it shifted out. Other inputs
@@ -189,6 +193,12 @@ mod avx2 {
         fn select_lt(self, o: Self, a: Self, b: Self) -> Self {
             // SAFETY: register-only; AVX is enabled for this build.
             Self(unsafe { _mm256_blendv_ps(b.0, a.0, _mm256_cmp_ps::<_CMP_LT_OQ>(self.0, o.0)) })
+        }
+
+        #[inline(always)]
+        fn all_lt(self, o: Self) -> bool {
+            // SAFETY: register-only; AVX is enabled for this build.
+            unsafe { _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(self.0, o.0)) == 0xff }
         }
 
         #[inline(always)]
@@ -344,6 +354,11 @@ mod portable {
         }
 
         #[inline(always)]
+        fn all_lt(self, o: Self) -> bool {
+            (0..LANES).all(|l| self.0[l] < o.0[l])
+        }
+
+        #[inline(always)]
         fn exp2i(self) -> Self {
             Self(
                 self.0
@@ -416,6 +431,24 @@ mod tests {
         assert_eq!(lt(0.625, 0.625), 2.0);
         assert_eq!(lt(f32::NAN, 0.625), 2.0);
         assert_eq!(lt(-0.0, 0.0), 2.0);
+    }
+
+    /// `all_lt` is `select_lt`'s comparison in every lane at once: one
+    /// lane that fails it — equal, greater, NaN, or a zero against a zero —
+    /// makes the whole vector fail, wherever that lane sits.
+    fn all_lt_needs_every_lane<L: Lane8>() {
+        let all = |v: [f32; LANES], o: f32| L::loadu(&v).all_lt(L::splat(o));
+        assert!(all([0.5; LANES], 0.625));
+        assert!(all([-f32::INFINITY; LANES], f32::MIN));
+        assert!(!all([-0.0; LANES], 0.0));
+        for l in 0..LANES {
+            for bad in [0.625, 7.0, f32::NAN, f32::INFINITY] {
+                let mut v = [0.5; LANES];
+                v[l] = bad;
+                assert!(!all(v, 0.625), "lane {l} = {bad}");
+            }
+        }
+        assert!(!L::splat(0.5).all_lt(L::splat(f32::NAN)));
     }
 
     /// Four stored accumulator vectors: one side of a `reduce_blend`.
@@ -506,6 +539,7 @@ mod tests {
         min_returns_its_second_operand::<L>();
         exp2i_spells_every_normal_power_of_two::<L>();
         bit_ops_keep_every_other_bit::<L>();
+        all_lt_needs_every_lane::<L>();
         reduce_blend_is_the_scalar_blend_of_the_reduced_lanes::<L>();
         pointer_forms_move_eight_floats_at_any_offset::<L>();
     }
@@ -572,6 +606,18 @@ mod tests {
                     false,
                 );
                 check("exp2i", pa.exp2i(), va.exp2i(), false);
+                assert_eq!(pa.all_lt(pb), va.all_lt(vb), "all_lt({a:e}, {b:e})");
+                // `a` in one lane, `-∞` (below every `b` but `-∞` and NaN)
+                // in the other seven.
+                for l in 0..LANES {
+                    let mut lanes = [-f32::INFINITY; LANES];
+                    lanes[l] = a;
+                    assert_eq!(
+                        Portable::loadu(&lanes).all_lt(pb),
+                        Avx2::loadu(&lanes).all_lt(vb),
+                        "all_lt({a:e} in lane {l}, {b:e})"
+                    );
+                }
             }
         }
         // Lanes keep their places through a load and a store (the pointer

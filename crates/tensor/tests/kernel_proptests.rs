@@ -14,7 +14,9 @@
 //! 3. **Call-site consistency** — the serve-side kernel
 //!    (`blend_dot_block`) reproduces the train-side scorer composition
 //!    (`(1-α)·dot + α·dot`) bit-for-bit, which is what keeps served
-//!    scores identical to offline evaluation scores.
+//!    scores identical to offline evaluation scores; and `matmul_rows`
+//!    is `matmul` on its listed rows and `+0.0` elsewhere, bit for bit,
+//!    on data with signed zeros, subnormals and 1e30 magnitudes.
 
 use gb_tensor::kernels::{self, reference};
 use gb_tensor::{init, Matrix};
@@ -43,6 +45,45 @@ fn assert_close(got: f32, want: f32, scale: f32, what: &str) {
         (got - want).abs() <= tol,
         "{what}: {got} vs {want} (tol {tol})"
     );
+}
+
+/// Output widths for `matmul_rows`: around one 8-wide vector and one
+/// 16-wide tile, with and without a scalar edge.
+const ROW_LIST_WIDTHS: [usize; 8] = [1, 7, 8, 9, 16, 17, 31, 33];
+
+/// Seeded values with the awkward ones mixed in: signed zeros,
+/// subnormals, 1e30-scale magnitudes (products overflow to ±∞ and their
+/// sums to NaN) and mixed signs.
+fn awkward_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut state = (seed as u32).wrapping_mul(2_654_435_761).wrapping_add(1);
+    Matrix::from_fn(rows, cols, |_, _| {
+        state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        let unit = (state >> 8) as f32 / (1u32 << 24) as f32 - 0.5;
+        match (state >> 4) % 16 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::MIN_POSITIVE * unit,
+            3 => 1e30 * unit,
+            _ => unit,
+        }
+    })
+}
+
+/// Bitwise, with any NaN equal to any NaN (which payload survives an x86
+/// NaN sum is the operand order's business).
+fn same_bits(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// Row lists of an `m`-row operand: none, one, every row, and the rows a
+/// 16-bit mask picks — always strictly ascending.
+fn row_list(m: usize, kind: u32, mask: u32) -> Vec<u32> {
+    match kind {
+        0 => Vec::new(),
+        1 => vec![mask % m as u32],
+        2 => (0..m as u32).collect(),
+        _ => (0..m as u32).filter(|r| mask >> r & 1 == 1).collect(),
+    }
 }
 
 /// Natural scale of `out[i][j]` for an `A*B`-shaped product.
@@ -79,6 +120,60 @@ proptest! {
         let want = reference::matmul(&a, &b);
         prop_assert_eq!(got.as_slice(), want.as_slice());
         prop_assert_eq!(kernels::matmul(&a, &b).as_slice(), got.as_slice());
+    }
+
+    #[test]
+    fn matmul_rows_is_matmul_on_its_rows_and_zero_elsewhere(
+        m in 1usize..14, ki in 0usize..7, ni in 0usize..8,
+        kind in 0u32..4, mask in 0u32..1 << 16, seed in 0u64..1 << 20
+    ) {
+        // Heights on both sides of the 4-row tile, widths on both sides
+        // of the 16-column one: a listed row may sit in a tile in one
+        // product and on the edge in the other.
+        let (k, n) = (dim(ki), ROW_LIST_WIDTHS[ni]);
+        let a = awkward_matrix(m, k, seed);
+        let b = awkward_matrix(k, n, seed ^ 0xD00D);
+        let rows = row_list(m, kind, mask);
+        let got = kernels::matmul_rows(&a, &rows, &b);
+        let full = kernels::matmul(&a, &b);
+        prop_assert_eq!(got.shape(), full.shape());
+        for r in 0..m {
+            let listed = rows.contains(&(r as u32));
+            for (c, (&g, &f)) in got.row(r).iter().zip(full.row(r)).enumerate() {
+                if listed {
+                    prop_assert!(same_bits(g, f), "row {} col {}: {} vs {}", r, c, g, f);
+                } else {
+                    prop_assert_eq!(g.to_bits(), 0, "unlisted row {} col {}", r, c);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_rows_over_the_nonzero_rows_is_matmul_for_a_finite_b(
+        m in 1usize..14, ki in 0usize..7, ni in 0usize..8,
+        zero_mask in 0u32..1 << 16, seed in 0u64..1 << 20
+    ) {
+        // Rows of signed zeros (the mask's), then the list `Tape::dense`
+        // builds: every row with a non-zero element. `b` is finite (1e30
+        // included), so the skipped rows' products are all signed zeros
+        // and the full product leaves them `+0.0` too.
+        let (k, n) = (dim(ki), ROW_LIST_WIDTHS[ni]);
+        let noisy = awkward_matrix(m, k, seed);
+        let a = Matrix::from_fn(m, k, |r, c| match (zero_mask >> r & 1, c % 2) {
+            (1, 0) => 0.0,
+            (1, _) => -0.0,
+            _ => noisy.get(r, c),
+        });
+        let b = awkward_matrix(k, n, seed ^ 0xFEED);
+        let rows: Vec<u32> = (0..m as u32)
+            .filter(|&r| a.row(r as usize).iter().any(|&v| v != 0.0))
+            .collect();
+        let got = kernels::matmul_rows(&a, &rows, &b);
+        let full = kernels::matmul(&a, &b);
+        for (i, (&g, &f)) in got.as_slice().iter().zip(full.as_slice()).enumerate() {
+            prop_assert!(same_bits(g, f), "element {}: {} vs {}", i, g, f);
+        }
     }
 
     #[test]
