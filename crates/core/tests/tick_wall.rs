@@ -10,9 +10,12 @@
 //! backward runs; the 64-deal batches of (b) touch more than half once
 //! their four shards merge, so the densify-on-merge path runs too. A third
 //! set of chains runs over a history prefix so sparse that over a quarter
-//! of every forward's FC input rows are empty-segment zeros. A
-//! deliberate numerics change re-records the constants and says so; a
-//! refactor or an optimisation never touches them.
+//! of every forward's FC input rows are empty-segment zeros, a fourth
+//! under the configurations that change the propagated tables' layout
+//! (separate raw tables, one or three layers), and one fingerprint covers
+//! the `embedding_analysis` tables after a chain. A deliberate numerics
+//! change re-records the constants and says so; a refactor or an
+//! optimisation never touches them.
 
 use gb_core::{AblationMode, Activation, GbgcnConfig, GbgcnModel, ParallelTrainConfig};
 use gb_data::synth::{generate, SynthConfig};
@@ -99,12 +102,22 @@ fn touched_users(d: &Dataset, deals: &Dataset) -> Vec<u32> {
 /// The tick model over the history (every behavior before the last six
 /// ticks), after six one-batch ticks of the held-back deals.
 fn tick_chain(d: &Dataset, cfg: GbgcnConfig, n_shards: usize) -> u64 {
-    tick_chain_after(d, d.behaviors().len() - N_TICKS * TICK_DEALS, cfg, n_shards)
+    fingerprint(&tick_model(d, cfg, n_shards))
+}
+
+/// [`tick_chain`]'s model itself.
+fn tick_model(d: &Dataset, cfg: GbgcnConfig, n_shards: usize) -> GbgcnModel {
+    tick_model_after(d, d.behaviors().len() - N_TICKS * TICK_DEALS, cfg, n_shards)
 }
 
 /// The tick model over the first `n_hist` behaviors, after six one-batch
 /// ticks of the deals that follow them.
 fn tick_chain_after(d: &Dataset, n_hist: usize, cfg: GbgcnConfig, n_shards: usize) -> u64 {
+    fingerprint(&tick_model_after(d, n_hist, cfg, n_shards))
+}
+
+/// [`tick_chain_after`]'s model itself.
+fn tick_model_after(d: &Dataset, n_hist: usize, cfg: GbgcnConfig, n_shards: usize) -> GbgcnModel {
     let hist = d.with_behaviors(d.behaviors()[..n_hist].to_vec());
     let mut model = GbgcnModel::new(cfg, &hist);
     for k in 0..N_TICKS {
@@ -116,7 +129,17 @@ fn tick_chain_after(d: &Dataset, n_hist: usize, cfg: GbgcnConfig, n_shards: usiz
         );
         model.fit_parallel(&deals, &par(n_shards), None);
     }
-    fingerprint(&model)
+    model
+}
+
+/// The freshness recipe: one fine-tune step per tick of [`TICK_DEALS`].
+fn tick_config() -> GbgcnConfig {
+    GbgcnConfig {
+        pretrain_epochs: 0,
+        finetune_epochs: 1,
+        batch_size: TICK_DEALS,
+        ..GbgcnConfig::default()
+    }
 }
 
 #[test]
@@ -134,13 +157,10 @@ fn tick_chains_keep_their_pinned_bits() {
             for activation in [Activation::Tanh, Activation::Sigmoid, Activation::LeakyRelu] {
                 for n_shards in [1, 4] {
                     let cfg = GbgcnConfig {
-                        pretrain_epochs: 0,
-                        finetune_epochs: 1,
-                        batch_size: TICK_DEALS,
                         social_reg,
                         activation,
                         ablation,
-                        ..GbgcnConfig::default()
+                        ..tick_config()
                     };
                     let label = format!("{ablation:?}/reg {social_reg}/{activation:?}/x{n_shards}");
                     got.push((label, tick_chain(&d, cfg, n_shards)));
@@ -246,11 +266,8 @@ fn tick_chains_over_a_sparse_history_keep_their_pinned_bits() {
     for activation in [Activation::Tanh, Activation::Sigmoid, Activation::LeakyRelu] {
         for n_shards in [1, 4] {
             let cfg = GbgcnConfig {
-                pretrain_epochs: 0,
-                finetune_epochs: 1,
-                batch_size: TICK_DEALS,
                 activation,
-                ..GbgcnConfig::default()
+                ..tick_config()
             };
             let label = format!("{activation:?}/x{n_shards}");
             got.push((label, tick_chain_after(&d, n_hist, cfg, n_shards)));
@@ -268,6 +285,103 @@ fn tick_chains_over_a_sparse_history_keep_their_pinned_bits() {
     .map(|(n, fp)| (n.to_string(), fp))
     .collect();
     assert_eq!(got, want, "structurally zero share {share:.3}");
+}
+
+/// Chains under the configurations that change how the propagated tables
+/// are laid out: a participant-view raw table of its own (level 0 of each
+/// view's tables comes from a different parameter) and one or three
+/// propagation layers (hat tables `4d` and `8d` wide). Constants recorded
+/// before the propagation wrote its levels straight into the hat tables.
+#[test]
+fn tick_chains_over_other_table_layouts_keep_their_pinned_bits() {
+    let d = generate(&SynthConfig::tiny());
+    let layouts = [
+        (
+            "separate_raw",
+            GbgcnConfig {
+                separate_raw: true,
+                ..tick_config()
+            },
+        ),
+        (
+            "1 layer",
+            GbgcnConfig {
+                n_layers: 1,
+                ..tick_config()
+            },
+        ),
+        (
+            "3 layers",
+            GbgcnConfig {
+                n_layers: 3,
+                ..tick_config()
+            },
+        ),
+    ];
+    let mut got = Vec::new();
+    for (name, cfg) in layouts {
+        for n_shards in [1, 4] {
+            got.push((
+                format!("{name}/x{n_shards}"),
+                tick_chain(&d, cfg.clone(), n_shards),
+            ));
+        }
+    }
+    let want: Vec<(String, u64)> = [
+        ("separate_raw/x1", 0x77fa_4d7b_3633_40cd),
+        ("separate_raw/x4", 0xc361_6a3c_0811_a9fc),
+        ("1 layer/x1", 0x1395_3f2f_635d_fe18),
+        ("1 layer/x4", 0xd0a9_181f_8396_1084),
+        ("3 layers/x1", 0xd273_b503_2cb0_b8fc),
+        ("3 layers/x4", 0x014e_06d8_7c0a_c6bb),
+    ]
+    .into_iter()
+    .map(|(n, fp)| (n.to_string(), fp))
+    .collect();
+    assert_eq!(got, want);
+}
+
+/// The twelve `embedding_analysis` tables after a chain — the in-view and
+/// cross-view halves of the hat tables as well as the hats — under the
+/// full model and under both role ablations, whose averaged levels are
+/// copied into each view's tables.
+#[test]
+fn embedding_analysis_after_a_tick_chain_keeps_its_pinned_bits() {
+    let d = generate(&SynthConfig::tiny());
+    let mut got = Vec::new();
+    for ablation in [AblationMode::Full, AblationMode::NoRoles] {
+        let cfg = GbgcnConfig {
+            ablation,
+            ..tick_config()
+        };
+        let a = tick_model(&d, cfg, 4).embedding_analysis();
+        let mut h = Fnv::new();
+        for m in [
+            &a.u_inview_i,
+            &a.u_inview_p,
+            &a.v_inview_i,
+            &a.v_inview_p,
+            &a.u_cross_i,
+            &a.u_cross_p,
+            &a.v_cross_i,
+            &a.v_cross_p,
+            &a.u_hat_i,
+            &a.u_hat_p,
+            &a.v_hat_i,
+            &a.v_hat_p,
+        ] {
+            h.matrix(m);
+        }
+        got.push((format!("{ablation:?}"), h.0));
+    }
+    let want: Vec<(String, u64)> = [
+        ("Full", 0x1e52_c85c_abcd_e261),
+        ("NoRoles", 0xa8d4_22e3_6b92_41d9),
+    ]
+    .into_iter()
+    .map(|(n, fp)| (n.to_string(), fp))
+    .collect();
+    assert_eq!(got, want);
 }
 
 #[test]
