@@ -42,4 +42,4 @@ pub mod tape;
 pub use optim::{Adam, AdamConfig, Sgd};
 pub use parallel::{shard_spans, ShardExecutor};
 pub use params::{Gradients, ParamId, ParamStore};
-pub use tape::{Activation, Tape, Var};
+pub use tape::{Activation, Table, Tape, Var};

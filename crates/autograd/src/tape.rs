@@ -14,14 +14,37 @@
 //! where a mini-batch's gathers scatter into a table and is carried
 //! through the propagation's own VJPs, so a backward pays for the rows a
 //! batch touched rather than for the table heights.
+//!
+//! **Tables and windows.** A node's value is a column window of a table
+//! the tape holds: usually all of a table its op created, but a caller can
+//! [`Tape::reserve`] a table and have `param`, `segment_mean`, `add` and
+//! `concat_cols` write their results into column windows of it (their
+//! `*_into` forms; the plain op is the same body writing a fresh table).
+//! GBGCN lays its Eq. 3 levels and Eq. 8 halves out this way, so that a
+//! concatenation whose parts already sit side by side in its destination
+//! only records the wider window and copies nothing. That changes no bit:
+//! every element is computed by the same kernel from the same inputs, and
+//! a copy that is not made leaves exactly the bits the copy would have
+//! written. It changes no gradient either, because the backward closures
+//! of those four ops read no forward value — only shapes and index lists.
+//! Each column of a reserved table is written once, and only while the
+//! tape is the table's sole owner (`Arc::get_mut`): a second write, or a
+//! write after the table was handed out, panics instead of changing what
+//! someone already read.
 
 use crate::params::{Gradients, ParamId, ParamStore};
 use gb_tensor::{kernels, Matrix};
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// Handle to a node on the [`Tape`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Var(usize);
+
+/// Handle to a table reserved on the [`Tape`] ([`Tape::reserve`]), whose
+/// column windows ops write their results into.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Table(usize);
 
 /// A recorded backward op: consumes the node's incoming cotangent and
 /// routes contributions to upstream nodes (`NodeGrads`) or terminal
@@ -103,7 +126,8 @@ impl Cot {
     }
 
     /// `self += 1.0 · other`, bit for bit what [`kernels::add_assign`]
-    /// gives on the two full tables.
+    /// gives on the two full tables. A full table and a row-listed one
+    /// add in place into the full one, never densifying the other.
     fn add(self, other: Cot) -> Cot {
         match (self, other) {
             (
@@ -112,11 +136,49 @@ impl Cot {
                     rows: r2, m: m2, ..
                 },
             ) => merge_rows(height, (&rows, &m), (&r2, &m2), Merge::Add),
-            (a, b) => {
-                let mut sum = a.into_dense();
-                kernels::add_assign(&mut sum, &b.into_dense());
-                Cot::Dense(sum)
+            (Cot::Dense(mut a), Cot::Rows { rows, m, .. }) => {
+                add_listed_rows(&mut a, &rows, &m, Side::Second);
+                Cot::Dense(a)
             }
+            (Cot::Rows { rows, m, .. }, Cot::Dense(mut b)) => {
+                add_listed_rows(&mut b, &rows, &m, Side::First);
+                Cot::Dense(b)
+            }
+            (Cot::Dense(mut a), Cot::Dense(b)) => {
+                kernels::add_assign(&mut a, &b);
+                Cot::Dense(a)
+            }
+        }
+    }
+}
+
+/// Which operand of `x + 1.0·y` a row-listed table is in
+/// [`add_listed_rows`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Side {
+    /// `x`: each element of `full` becomes `x + 1.0·full`.
+    First,
+    /// `y`: each element of `full` becomes `full + 1.0·y`.
+    Second,
+}
+
+/// `full` replaced in place by the sum of itself and the row-listed table
+/// `(rows, m)` (of `full`'s height, unlisted rows `+0.0`), with the
+/// operands in the order `listed` says — bit for bit `add_assign` of the
+/// two full tables: a listed row adds its row of `m`, and every other row
+/// adds the `+0.0` it stands for (`x + 0.0`, or `0.0 + y`), which turns a
+/// `-0.0` into `+0.0` exactly as the full sum does.
+fn add_listed_rows(full: &mut Matrix, rows: &[u32], m: &Matrix, listed: Side) {
+    let add = |d: &mut f32, x: f32| match listed {
+        Side::First => *d = x + 1.0 * *d,
+        Side::Second => *d += 1.0 * x,
+    };
+    let mut next = rows.iter().enumerate().peekable();
+    for r in 0..full.rows() {
+        let dst = full.row_mut(r);
+        match next.next_if(|&(_, &at)| at as usize == r) {
+            Some((k, _)) => dst.iter_mut().zip(m.row(k)).for_each(|(d, &x)| add(d, x)),
+            None => dst.iter_mut().for_each(|d| add(d, 0.0)),
         }
     }
 }
@@ -190,6 +252,10 @@ fn merge_rows(
 /// segments' `+0.0` rows anyway). `Rows` over the union of the listed
 /// segments' members while that is under half of `src_rows`, the full
 /// table otherwise.
+///
+/// The union is read off one `src_rows`-long position map — marked, then
+/// numbered in ascending row order — so it comes out ascending, and each
+/// member finds its output row in one lookup.
 fn segment_mean_rows_vjp(
     rows: &[u32],
     m: &Matrix,
@@ -197,26 +263,34 @@ fn segment_mean_rows_vjp(
     members: &[u32],
     src_rows: usize,
 ) -> Cot {
+    const UNLISTED: u32 = u32::MAX;
     let segment = |s: u32| &members[offsets[s as usize]..offsets[s as usize + 1]];
-    let mut union: Vec<u32> = rows.iter().flat_map(|&s| segment(s)).copied().collect();
-    union.sort_unstable();
-    union.dedup();
+    let mut at = vec![UNLISTED; src_rows];
+    for &s in rows {
+        for &member in segment(s) {
+            at[member as usize] = 0;
+        }
+    }
+    let union: Vec<u32> = (0..src_rows as u32)
+        .filter(|&r| at[r as usize] != UNLISTED)
+        .collect();
     let dense = 2 * union.len() >= src_rows;
+    if !dense {
+        for (k, &r) in union.iter().enumerate() {
+            at[r as usize] = k as u32;
+        }
+    }
     let mut out = Matrix::zeros(if dense { src_rows } else { union.len() }, m.cols());
     for (k, &s) in rows.iter().enumerate() {
         let seg = segment(s);
         let inv = 1.0 / seg.len() as f32;
         for &member in seg {
-            let at = if dense {
+            let row = if dense {
                 member as usize
             } else {
-                // invariant: `union` holds every member of every listed
-                // segment.
-                union
-                    .binary_search(&member)
-                    .expect("segment member missing from the union")
+                at[member as usize] as usize
             };
-            axpy_row(out.row_mut(at), inv, m.row(k));
+            axpy_row(out.row_mut(row), inv, m.row(k));
         }
     }
     if dense {
@@ -242,14 +316,17 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation to every element of `m` in place, through
+    /// Applies the activation to every element of `xs` in place, through
     /// what the standalone tape ops run: `kernels::tanh_inplace` (all there
-    /// is under `kernels::tanh`) and `kernels::sigmoid_scalar`.
-    fn apply(self, m: &mut Matrix) {
+    /// is under `kernels::tanh`, and a function of each element alone) and
+    /// `kernels::sigmoid_scalar`.
+    fn apply(self, xs: &mut [f32]) {
         match self {
-            Self::Tanh => kernels::tanh_inplace(m.as_mut_slice()),
-            Self::Sigmoid => m.map_inplace(kernels::sigmoid_scalar),
-            Self::LeakyRelu(alpha) => m.map_inplace(|v| if v >= 0.0 { v } else { alpha * v }),
+            Self::Tanh => kernels::tanh_inplace(xs),
+            Self::Sigmoid => xs.iter_mut().for_each(|v| *v = kernels::sigmoid_scalar(*v)),
+            Self::LeakyRelu(alpha) => xs
+                .iter_mut()
+                .for_each(|v| *v = if *v >= 0.0 { *v } else { alpha * *v }),
         }
     }
 
@@ -321,10 +398,28 @@ fn dense_product(x: &Matrix, w: &Matrix) -> Matrix {
     kernels::matmul_rows(x, &rows, w)
 }
 
+/// A table the tape holds.
+struct Held {
+    /// `Arc`-shared so backward closures (and callers, via
+    /// [`Tape::arc_value`]) can hold it without copying it.
+    m: Arc<Matrix>,
+    /// For a table from [`Tape::reserve`]: which of its columns an op has
+    /// written. `None` for a table an op created whole.
+    written: Option<Vec<bool>>,
+}
+
+/// Where a node's value lies: columns `cols` of held table `table`.
+struct Loc {
+    table: usize,
+    cols: Range<usize>,
+}
+
 struct Node {
-    /// Forward value, `Arc`-shared so backward closures (and callers via
-    /// [`Tape::arc_value`]) can hold it without copying the matrix.
-    value: Arc<Matrix>,
+    at: Loc,
+    /// The value of a window narrower than its table, copied out the first
+    /// time someone asks for it as a matrix of its own
+    /// ([`Tape::value`]).
+    copy: OnceLock<Arc<Matrix>>,
     /// `None` for non-differentiable leaves (constants); taken (consumed)
     /// by the single reverse sweep otherwise.
     backward: Option<BackwardOp>,
@@ -441,6 +536,7 @@ struct GradSinks {
 #[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
+    tables: Vec<Held>,
     /// Number of [`Tape::input`] leaves recorded so far; sizes the
     /// `GradSinks::inputs` vector at backward time.
     n_inputs: usize,
@@ -453,6 +549,7 @@ impl Tape {
     pub fn new() -> Self {
         Self {
             nodes: Vec::with_capacity(64),
+            tables: Vec::with_capacity(64),
             n_inputs: 0,
             consumed: false,
         }
@@ -468,15 +565,142 @@ impl Tape {
         self.nodes.is_empty()
     }
 
-    /// Value of a node (for inspection / prediction extraction).
-    pub fn value(&self, v: Var) -> &Matrix {
-        &self.nodes[v.0].value
+    /// Reserves a `rows x cols` table for the `*_into` ops to write column
+    /// windows of. Each column is written once; a window records a node
+    /// only once an op has written it, and a node of the whole table only
+    /// once every column is written.
+    pub fn reserve(&mut self, rows: usize, cols: usize) -> Table {
+        self.tables.push(Held {
+            m: Arc::new(Matrix::zeros(rows, cols)),
+            written: Some(vec![false; cols]),
+        });
+        Table(self.tables.len() - 1)
+    }
+
+    /// The held table behind `v` and the columns of it `v` occupies.
+    fn window(&self, v: Var) -> (&Arc<Matrix>, Range<usize>) {
+        let at = &self.nodes[v.0].at;
+        (&self.tables[at.table].m, at.cols.clone())
+    }
+
+    /// The table behind `v` (shared, not copied) and the columns of it
+    /// that hold `v`'s value — for callers that read a window in place.
+    pub fn arc_window(&self, v: Var) -> (Arc<Matrix>, Range<usize>) {
+        let (m, cols) = self.window(v);
+        (Arc::clone(m), cols)
+    }
+
+    /// `(rows, cols)` of a node's value.
+    fn shape(&self, v: Var) -> (usize, usize) {
+        let (m, cols) = self.window(v);
+        (m.rows(), cols.len())
     }
 
     /// Shared handle to a node's value. This is how the sharded trainer
     /// hands propagated tables to shard tapes without copying them.
+    ///
+    /// A node spanning its whole table returns the table itself; a
+    /// narrower window is copied out once, on the first call, and that
+    /// copy is returned from then on.
     pub fn arc_value(&self, v: Var) -> Arc<Matrix> {
-        Arc::clone(&self.nodes[v.0].value)
+        Arc::clone(self.value_arc(v))
+    }
+
+    /// Value of a node (for inspection / prediction extraction); see
+    /// [`Tape::arc_value`] for what a window narrower than its table costs.
+    pub fn value(&self, v: Var) -> &Matrix {
+        self.value_arc(v)
+    }
+
+    fn value_arc(&self, v: Var) -> &Arc<Matrix> {
+        let (m, cols) = self.window(v);
+        if cols == (0..m.cols()) {
+            return m;
+        }
+        self.nodes[v.0]
+            .copy
+            .get_or_init(|| Arc::new(kernels::slice_cols(m, cols.start, cols.len())))
+    }
+
+    /// Holds a table an op created whole; returns where it lies.
+    fn hold(&mut self, m: Arc<Matrix>) -> Loc {
+        debug_assert!(!m.has_non_finite(), "non-finite forward value");
+        let cols = 0..m.cols();
+        self.tables.push(Held { m, written: None });
+        Loc {
+            table: self.tables.len() - 1,
+            cols,
+        }
+    }
+
+    /// Writes columns `col .. col + width` of the reserved table `t`
+    /// through `write(table, col)` and returns where they lie.
+    ///
+    /// # Panics
+    /// Panics if the window does not fit, if any of its columns was
+    /// written before, or if the table is not the tape's alone — handed
+    /// out through [`Tape::arc_value`] / [`Tape::arc_window`], held by a
+    /// backward closure, or read by the op writing it.
+    fn write_window(
+        &mut self,
+        (Table(t), col): (Table, usize),
+        width: usize,
+        write: impl FnOnce(&mut Matrix, usize),
+    ) -> Loc {
+        let held = &mut self.tables[t];
+        let cols = col..col + width;
+        // invariant: a `Table` comes from `reserve` alone, which gives the
+        // table its column record.
+        let written = held
+            .written
+            .as_mut()
+            .expect("a `Table` handle names a reserved table");
+        assert!(
+            cols.end <= written.len(),
+            "window {cols:?} past the table's {} columns",
+            written.len()
+        );
+        assert!(
+            !written[cols.clone()].contains(&true),
+            "columns {cols:?} of a reserved table written twice"
+        );
+        written[cols.clone()].fill(true);
+        // invariant: documented panic — the tape writes a reserved table
+        // only while nothing else holds it, so a value someone already
+        // read never changes under them.
+        let m = Arc::get_mut(&mut held.m)
+            .expect("a reserved table is written only while the tape alone holds it");
+        write(m, col);
+        debug_assert!(
+            (0..m.rows()).all(|r| m.row(r)[cols.clone()].iter().all(|v| v.is_finite())),
+            "non-finite forward value"
+        );
+        Loc { table: t, cols }
+    }
+
+    /// Where an op's `width`-column value goes: the fresh table `fresh`
+    /// builds when `dst` is `None`, or the window of `dst` that `into`
+    /// writes. The one body of every op that takes a destination.
+    fn place(
+        &mut self,
+        dst: Option<(Table, usize)>,
+        width: usize,
+        fresh: impl FnOnce() -> Matrix,
+        into: impl FnOnce(&mut Matrix, usize),
+    ) -> Loc {
+        match dst {
+            None => self.hold(Arc::new(fresh())),
+            Some(dst) => self.write_window(dst, width, into),
+        }
+    }
+
+    fn push_at(&mut self, at: Loc, backward: Option<BackwardOp>) -> Var {
+        self.nodes.push(Node {
+            at,
+            copy: OnceLock::new(),
+            backward,
+        });
+        Var(self.nodes.len() - 1)
     }
 
     fn push(&mut self, value: Matrix, backward: Option<BackwardOp>) -> Var {
@@ -484,9 +708,8 @@ impl Tape {
     }
 
     fn push_arc(&mut self, value: Arc<Matrix>, backward: Option<BackwardOp>) -> Var {
-        debug_assert!(!value.has_non_finite(), "non-finite forward value");
-        self.nodes.push(Node { value, backward });
-        Var(self.nodes.len() - 1)
+        let at = self.hold(value);
+        self.push_at(at, backward)
     }
 
     // ----- leaves -------------------------------------------------------
@@ -496,11 +719,28 @@ impl Tape {
         self.push(value, None)
     }
 
-    /// Records a full parameter matrix as a node.
+    /// Records a full parameter matrix as a node: a copy of its value.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        let value = store.value(id).clone();
-        self.push(
-            value,
+        self.param_into(store, id, None)
+    }
+
+    /// [`Tape::param`], the copy written into columns `col ..` of a
+    /// reserved table when `dst` is `Some((table, col))`.
+    pub fn param_into(
+        &mut self,
+        store: &ParamStore,
+        id: ParamId,
+        dst: Option<(Table, usize)>,
+    ) -> Var {
+        let value = store.value(id);
+        let at = self.place(
+            dst,
+            value.cols(),
+            || value.clone(),
+            |m, col| kernels::copy_cols(value, 0..value.cols(), m, col),
+        );
+        self.push_at(
+            at,
             dense_op(move |g, _ng, sinks| sinks.params.accumulate(id, g)),
         )
     }
@@ -542,8 +782,8 @@ impl Tape {
 
     /// Rows of node `src` at `indices`.
     pub fn gather(&mut self, src: Var, indices: Arc<Vec<u32>>) -> Var {
-        let value = kernels::gather_rows(&self.nodes[src.0].value, &indices);
-        let (rows, cols) = self.nodes[src.0].value.shape();
+        let value = kernels::gather_rows(self.value(src), &indices);
+        let (rows, cols) = self.shape(src);
         self.push(
             value,
             dense_op(move |g, ng, _sinks| {
@@ -565,10 +805,29 @@ impl Tape {
         offsets: Arc<Vec<usize>>,
         members: Arc<Vec<u32>>,
     ) -> Var {
-        let value = kernels::segment_mean(&self.nodes[src.0].value, &offsets, &members);
-        let src_rows = self.nodes[src.0].value.rows();
-        self.push(
-            value,
+        self.segment_mean_into(src, offsets, members, None)
+    }
+
+    /// [`Tape::segment_mean`], written into columns `col ..` of a reserved
+    /// table when `dst` is `Some((table, col))`. Reads `src`'s window in
+    /// place.
+    pub fn segment_mean_into(
+        &mut self,
+        src: Var,
+        offsets: Arc<Vec<usize>>,
+        members: Arc<Vec<u32>>,
+        dst: Option<(Table, usize)>,
+    ) -> Var {
+        let (table, cols) = self.arc_window(src);
+        let src_rows = table.rows();
+        let at = self.place(
+            dst,
+            cols.len(),
+            || kernels::segment_mean_cols(&table, cols.clone(), &offsets, &members),
+            |m, col| kernels::segment_mean_into(&table, cols.clone(), &offsets, &members, m, col),
+        );
+        self.push_at(
+            at,
             Some(Box::new(move |g, ng, _sinks| {
                 let back = match g {
                     Cot::Rows { rows, m, .. } => {
@@ -585,17 +844,47 @@ impl Tape {
 
     /// Horizontal concatenation of nodes with equal row counts.
     pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
-        let mats: Vec<&Matrix> = parts.iter().map(|p| &*self.nodes[p.0].value).collect();
-        let value = kernels::concat_cols(&mats);
-        let parts: Vec<(Var, usize)> = parts
-            .iter()
-            .map(|&p| (p, self.nodes[p.0].value.cols()))
-            .collect();
-        self.push(
-            value,
+        self.concat_cols_into(parts, None)
+    }
+
+    /// [`Tape::concat_cols`] into columns `col ..` of a reserved table when
+    /// `dst` is `Some((table, col))`. A part whose window already lies
+    /// where the concatenation puts it is not copied — the node only
+    /// records the wider window — and every other part is copied into its
+    /// columns.
+    pub fn concat_cols_into(&mut self, parts: &[Var], dst: Option<(Table, usize)>) -> Var {
+        let widths: Vec<(Var, usize)> = parts.iter().map(|&p| (p, self.shape(p).1)).collect();
+        let width: usize = widths.iter().map(|&(_, w)| w).sum();
+        let at = match dst {
+            None => {
+                let mats: Vec<&Matrix> = parts.iter().map(|&p| self.value(p)).collect();
+                let value = kernels::concat_cols(&mats);
+                self.hold(Arc::new(value))
+            }
+            Some((table, col)) => {
+                let mut offset = col;
+                for &(p, w) in &widths {
+                    let in_place = self.nodes[p.0].at.table == table.0
+                        && self.nodes[p.0].at.cols.start == offset;
+                    if !in_place {
+                        let (src, cols) = self.arc_window(p);
+                        self.write_window((table, offset), w, |m, at| {
+                            kernels::copy_cols(&src, cols, m, at)
+                        });
+                    }
+                    offset += w;
+                }
+                Loc {
+                    table: table.0,
+                    cols: col..col + width,
+                }
+            }
+        };
+        self.push_at(
+            at,
             Some(Box::new(move |g: Cot, ng, _sinks| {
                 let mut at = 0;
-                for (p, w) in parts {
+                for (p, w) in widths {
                     ng.accumulate(p, g.map_rows(|m| kernels::slice_cols(m, at, w)));
                     at += w;
                 }
@@ -631,7 +920,8 @@ impl Tape {
     /// Forward: the product skips the rows of `x` that are entirely `±0.0`
     /// (`dense_product` says when that changes no bit) — a node with no
     /// neighbours in a view propagates an empty-segment zero row. The bias
-    /// and the activation then run over the whole table.
+    /// and the activation then run over every row in one pass per row
+    /// (each is a function of its element alone).
     ///
     /// Backward: `g ⊙ act′(y)` in place, its column sum to `bias`, then the
     /// matmul VJP, which skips rows of it that are entirely `±0.0` (a
@@ -648,15 +938,16 @@ impl Tape {
         let xv = self.arc_value(x);
         let wv = self.arc_value(w);
         let mut value = dense_product(&xv, &wv);
-        let b = &self.nodes[bias.0].value;
+        let b = self.value(bias);
         assert_eq!(b.rows(), 1, "bias must be a row vector");
         assert_eq!(value.cols(), b.cols(), "bias width mismatch");
         for r in 0..value.rows() {
-            for (v, y) in value.row_mut(r).iter_mut().zip(b.row(0)) {
+            let row = value.row_mut(r);
+            for (v, y) in row.iter_mut().zip(b.row(0)) {
                 *v += y;
             }
+            act.apply(row);
         }
-        act.apply(&mut value);
         let value = Arc::new(value);
         let y = Arc::clone(&value);
         self.push_arc(
@@ -696,9 +987,21 @@ impl Tape {
 
     /// Elementwise sum.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let value = kernels::add(&self.nodes[a.0].value, &self.nodes[b.0].value);
-        self.push(
-            value,
+        self.add_into(a, b, None)
+    }
+
+    /// [`Tape::add`], written into columns `col ..` of a reserved table
+    /// when `dst` is `Some((table, col))`.
+    pub fn add_into(&mut self, a: Var, b: Var, dst: Option<(Table, usize)>) -> Var {
+        let (av, bv) = (self.arc_value(a), self.arc_value(b));
+        let at = self.place(
+            dst,
+            av.cols(),
+            || kernels::add(&av, &bv),
+            |m, col| kernels::add_into(&av, &bv, m, col),
+        );
+        self.push_at(
+            at,
             Some(Box::new(move |g: Cot, ng, _sinks| {
                 ng.accumulate(a, g.clone());
                 ng.accumulate(b, g);
@@ -708,7 +1011,7 @@ impl Tape {
 
     /// Elementwise difference `a - b`.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let value = kernels::sub(&self.nodes[a.0].value, &self.nodes[b.0].value);
+        let value = kernels::sub(self.value(a), self.value(b));
         self.push(
             value,
             dense_op(move |g, ng, _sinks| {
@@ -736,7 +1039,7 @@ impl Tape {
 
     /// Adds a `1 x cols` bias row to every row of `x`.
     pub fn add_bias(&mut self, x: Var, bias: Var) -> Var {
-        let value = kernels::add_bias(&self.nodes[x.0].value, &self.nodes[bias.0].value);
+        let value = kernels::add_bias(self.value(x), self.value(bias));
         self.push(
             value,
             dense_op(move |g, ng, _sinks| {
@@ -748,7 +1051,7 @@ impl Tape {
 
     /// Scalar multiple `alpha * a`.
     pub fn scale(&mut self, a: Var, alpha: f32) -> Var {
-        let value = kernels::scale(&self.nodes[a.0].value, alpha);
+        let value = kernels::scale(self.value(a), alpha);
         self.push(
             value,
             Some(Box::new(move |g: Cot, ng, _sinks| {
@@ -833,7 +1136,7 @@ impl Tape {
 
     /// Elementwise logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let value = Arc::new(kernels::sigmoid(&self.nodes[a.0].value));
+        let value = Arc::new(kernels::sigmoid(self.value(a)));
         let y = Arc::clone(&value);
         self.push_arc(
             value,
@@ -846,7 +1149,7 @@ impl Tape {
 
     /// Elementwise tanh.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let value = Arc::new(kernels::tanh(&self.nodes[a.0].value));
+        let value = Arc::new(kernels::tanh(self.value(a)));
         let y = Arc::clone(&value);
         self.push_arc(
             value,
@@ -859,7 +1162,7 @@ impl Tape {
 
     /// Elementwise LeakyReLU (negative slope `alpha`).
     pub fn leaky_relu(&mut self, a: Var, alpha: f32) -> Var {
-        let value = Arc::new(kernels::leaky_relu(&self.nodes[a.0].value, alpha));
+        let value = Arc::new(kernels::leaky_relu(self.value(a), alpha));
         let y = Arc::clone(&value);
         self.push_arc(
             value,
@@ -891,8 +1194,8 @@ impl Tape {
 
     /// Sum of all elements, as a `1 x 1` node.
     pub fn sum_all(&mut self, a: Var) -> Var {
-        let value = kernels::sum_all(&self.nodes[a.0].value);
-        let (rows, cols) = self.nodes[a.0].value.shape();
+        let value = kernels::sum_all(self.value(a));
+        let (rows, cols) = self.shape(a);
         self.push(
             value,
             dense_op(move |g, ng, _sinks| {
@@ -903,8 +1206,8 @@ impl Tape {
 
     /// Mean of all elements, as a `1 x 1` node.
     pub fn mean_all(&mut self, a: Var) -> Var {
-        let value = kernels::mean_all(&self.nodes[a.0].value);
-        let (rows, cols) = self.nodes[a.0].value.shape();
+        let value = kernels::mean_all(self.value(a));
+        let (rows, cols) = self.shape(a);
         self.push(
             value,
             dense_op(move |g, ng, _sinks| {
@@ -928,7 +1231,7 @@ impl Tape {
 
     /// Mean over rows producing a `1 x cols` row vector.
     pub fn mean_rows(&mut self, a: Var) -> Var {
-        let m = &self.nodes[a.0].value;
+        let m = self.value(a);
         let (rows, cols) = m.shape();
         let mut value = kernels::col_sum(m);
         if rows > 0 {
@@ -970,7 +1273,7 @@ impl Tape {
         store: &ParamStore,
     ) -> (Gradients, Vec<Option<Matrix>>) {
         assert_eq!(
-            self.nodes[loss.0].value.shape(),
+            self.shape(loss),
             (1, 1),
             "backward seed must be a scalar node"
         );
@@ -1013,7 +1316,7 @@ impl Tape {
         for (v, g) in seeds {
             assert_eq!(
                 g.shape(),
-                self.nodes[v.0].value.shape(),
+                self.shape(v),
                 "backward seed shape must match its node value"
             );
             start = Some(start.map_or(v.0, |s: usize| s.max(v.0)));
@@ -1665,5 +1968,125 @@ mod tests {
         };
         ng.scatter_accumulate(Var(0), height, cols, &[3], &Matrix::full(1, cols, 1.0));
         assert!(matches!(ng.take(0), Some(Cot::Dense(_))));
+    }
+
+    #[test]
+    fn full_plus_rows_in_place_equals_add_assign_bitwise() {
+        // `-0.0` on both sides, in listed and unlisted rows alike.
+        let height = 6;
+        let full = Matrix::from_fn(height, 3, |r, c| match (r + c) % 4 {
+            0 => -0.0,
+            1 => 0.0,
+            _ => (r as f32 - 2.5) * 0.75 + c as f32,
+        });
+        let lists: [&[u32]; 4] = [&[], &[1, 4], &[0, 2, 5], &[0, 1, 2, 3, 4, 5]];
+        for rows in lists {
+            let m = Matrix::from_fn(rows.len(), 3, |k, c| match (k + c) % 3 {
+                0 => -0.0,
+                _ => 0.5 - k as f32 + 0.25 * c as f32,
+            });
+            let listed = rows_cot(height, rows, m);
+            for listed_first in [false, true] {
+                let (a, b) = if listed_first {
+                    (listed.clone(), Cot::Dense(full.clone()))
+                } else {
+                    (Cot::Dense(full.clone()), listed.clone())
+                };
+                let mut want = a.clone().into_dense();
+                kernels::add_assign(&mut want, &b.clone().into_dense());
+                let got = a.add(b);
+                assert!(matches!(got, Cot::Dense(_)));
+                assert_eq!(
+                    bits(&got.into_dense()),
+                    bits(&want),
+                    "rows {rows:?}, listed side first: {listed_first}"
+                );
+            }
+        }
+    }
+
+    // ----- column windows of reserved tables -------------------------------
+
+    #[test]
+    fn a_planned_layout_equals_the_fresh_one_bitwise_and_copies_nothing() {
+        let mut store = ParamStore::new();
+        let p = store.add("p", awkward(5, 3, 1));
+        let q = store.add("q", awkward(5, 2, 2));
+        let offsets = Arc::new(vec![0usize, 2, 2, 3, 5, 6]);
+        let members = Arc::new(vec![4u32, 0, 3, 1, 1, 2]);
+        let run = |planned: bool| {
+            let mut t = Tape::new();
+            let table = t.reserve(5, 8);
+            let dst = |col| planned.then_some((table, col));
+            let pv = t.param_into(&store, p, dst(0));
+            let qv = t.param(&store, q);
+            let mean = t.segment_mean_into(qv, Arc::clone(&offsets), Arc::clone(&members), dst(3));
+            // Read in place from the reserved table, into a fresh one.
+            let mean_p = t.segment_mean(pv, Arc::clone(&offsets), Arc::clone(&members));
+            // Two parts in place, one copied in.
+            let cat = t.concat_cols_into(&[pv, mean, mean_p], dst(0));
+            if planned {
+                let (held, cols) = t.arc_window(cat);
+                assert_eq!(cols, 0..8);
+                assert!(Arc::ptr_eq(&held, &t.arc_value(cat)), "the table itself");
+                assert_eq!(t.arc_window(mean).1, 3..5);
+            }
+            let value = bits(t.value(cat));
+            let mean_value = bits(t.value(mean));
+            let picked = t.gather(cat, Arc::new(vec![4, 1]));
+            let ls = t.log_sigmoid(picked);
+            let loss = t.sum_all(ls);
+            let grads = t.backward(loss, &store);
+            let of = |id| grads.get(id).map(bits);
+            (value, mean_value, of(p), of(q), t.len())
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn a_narrow_window_is_copied_out_once() {
+        let (store, w) = store_with("w", awkward(4, 3, 3));
+        let mut t = Tape::new();
+        let table = t.reserve(4, 5);
+        let wv = t.param_into(&store, w, Some((table, 2)));
+        let first = t.arc_value(wv);
+        assert!(Arc::ptr_eq(&first, &t.arc_value(wv)));
+        assert_eq!(bits(&first), bits(store.value(w)));
+        assert_eq!(bits(t.value(wv)), bits(store.value(w)));
+    }
+
+    #[test]
+    #[should_panic(expected = "written twice")]
+    fn a_reserved_column_is_written_once() {
+        let (store, w) = store_with("w", Matrix::full(2, 2, 1.0));
+        let mut t = Tape::new();
+        let table = t.reserve(2, 3);
+        t.param_into(&store, w, Some((table, 0)));
+        t.param_into(&store, w, Some((table, 1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "alone holds it")]
+    fn a_write_after_the_table_was_shared_panics() {
+        let (store, w) = store_with("w", Matrix::full(2, 2, 1.0));
+        let mut t = Tape::new();
+        let table = t.reserve(2, 4);
+        let wv = t.param_into(&store, w, Some((table, 0)));
+        let _held = t.arc_window(wv);
+        t.param_into(&store, w, Some((table, 2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "written twice")]
+    fn a_part_elsewhere_in_the_destination_is_not_taken_as_in_place() {
+        // Both parts lie in the destination table, swapped: neither is
+        // where the concatenation puts it, so each would be copied over
+        // columns the other already holds — which the tape refuses.
+        let (store, w) = store_with("w", Matrix::full(2, 2, 1.0));
+        let mut t = Tape::new();
+        let table = t.reserve(2, 4);
+        let a = t.param_into(&store, w, Some((table, 0)));
+        let b = t.param_into(&store, w, Some((table, 2)));
+        t.concat_cols_into(&[b, a], Some((table, 0)));
     }
 }

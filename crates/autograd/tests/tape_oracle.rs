@@ -5,8 +5,14 @@
 //! the cotangent listed at those rows, and directly at the table with the
 //! same cotangents scattered into a full one — and every parameter
 //! gradient must come out bit for bit the same.
+//!
+//! The same chains also run with their results written into column
+//! windows of reserved tables — each op's own table, wider than its
+//! result, or one table a segment mean and a sum fill side by side before
+//! a concatenation that finds them in place — and must give the fresh
+//! layout's values and gradients bit for bit.
 
-use gb_autograd::{Activation, Gradients, ParamId, ParamStore, Tape, Var};
+use gb_autograd::{Activation, Gradients, ParamId, ParamStore, Table, Tape, Var};
 use gb_tensor::{kernels, Matrix};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -51,13 +57,22 @@ impl Choices {
     }
 
     /// `segments` segments over `src_rows` rows: empty segments, one-member
-    /// segments and repeated members all turn up.
+    /// segments and repeated members all turn up. Members drawn from a
+    /// narrow pool make segments share them, so a few listed segments
+    /// reach few source rows; long segments over every row make a few
+    /// reach more than half of them — the union of a row-listed
+    /// cotangent's members falls on both sides of the half-height switch.
     fn csr(&mut self, segments: usize, src_rows: usize) -> (Arc<Vec<usize>>, Arc<Vec<u32>>) {
+        let (pool, max_len) = match self.below(3) {
+            0 => (1 + self.below(src_rows.min(3)), 5),
+            1 => (src_rows, 5),
+            _ => (src_rows, src_rows + 1),
+        };
         let mut offsets = vec![0];
         let mut members = Vec::new();
         for _ in 0..segments {
-            for _ in 0..self.below(5) {
-                members.push(self.below(src_rows) as u32);
+            for _ in 0..self.below(max_len) {
+                members.push(self.below(pool) as u32);
             }
             offsets.push(members.len());
         }
@@ -90,22 +105,47 @@ struct Chain {
     table: Var,
 }
 
+/// Where a `w`-wide result goes when `windows` is on: a table reserved
+/// for it, up to two columns wider, at a drawn column. Drawn either way,
+/// so both layouts record the same chain from one seed.
+fn dst(
+    tape: &mut Tape,
+    c: &mut Choices,
+    windows: bool,
+    n: usize,
+    w: usize,
+) -> Option<(Table, usize)> {
+    let pad = c.below(3);
+    let col = c.below(pad + 1);
+    windows.then(|| (tape.reserve(n, w + pad), col))
+}
+
 /// Records `n_ops` random ops over `n`-row tables on `tape`, drawing the
-/// chain from `seed` (the same seed records the same chain on any tape).
-fn record(tape: &mut Tape, store: &mut ParamStore, seed: u64, n: usize, n_ops: usize) -> Chain {
+/// chain from `seed` (the same seed records the same chain on any tape,
+/// with or without `windows`).
+fn record(
+    tape: &mut Tape,
+    store: &mut ParamStore,
+    seed: u64,
+    n: usize,
+    n_ops: usize,
+    windows: bool,
+) -> Chain {
     let mut c = Choices(seed | 1);
     let mut params = Vec::new();
-    let mut param = |tape: &mut Tape, store: &mut ParamStore, m: Matrix| {
+    let mut param = |tape: &mut Tape, store: &mut ParamStore, m: Matrix, at| {
         let id = store.add(format!("p{}", params.len()), m);
         params.push(id);
-        tape.param(store, id)
+        tape.param_into(store, id, at)
     };
     let widths = [1, 3, 8, 9, 17];
     let w0 = c.pick(&widths);
-    let mut nodes = vec![
-        (param(tape, store, c.matrix(n, w0)), w0),
-        (param(tape, store, c.matrix(n, w0)), w0),
-    ];
+    let mut nodes = Vec::new();
+    for _ in 0..2 {
+        let m = c.matrix(n, w0);
+        let at = dst(tape, &mut c, windows, n, w0);
+        nodes.push((param(tape, store, m, at), w0));
+    }
     for _ in 0..n_ops {
         // Mostly extend the newest node, so the chain runs deep.
         let (x, wx) = if c.below(2) == 0 {
@@ -114,16 +154,20 @@ fn record(tape: &mut Tape, store: &mut ParamStore, seed: u64, n: usize, n_ops: u
             nodes[c.below(nodes.len())]
         };
         let (y, wy) = nodes[c.below(nodes.len())];
-        let next = match c.below(6) {
+        let next = match c.below(8) {
             0 => {
                 let (offsets, members) = c.csr(n, n);
-                (tape.segment_mean(x, offsets, members), wx)
+                let at = dst(tape, &mut c, windows, n, wx);
+                (tape.segment_mean_into(x, offsets, members, at), wx)
             }
-            1 => (tape.concat_cols(&[x, y]), wx + wy),
+            1 => {
+                let at = dst(tape, &mut c, windows, n, wx + wy);
+                (tape.concat_cols_into(&[x, y], at), wx + wy)
+            }
             2 => {
                 let wout = c.pick(&widths);
-                let w = param(tape, store, c.matrix(wx, wout));
-                let b = param(tape, store, c.matrix(1, wout));
+                let w = param(tape, store, c.matrix(wx, wout), None);
+                let b = param(tape, store, c.matrix(1, wout), None);
                 let act = c.pick(&[
                     Activation::Tanh,
                     Activation::Sigmoid,
@@ -131,9 +175,28 @@ fn record(tape: &mut Tape, store: &mut ParamStore, seed: u64, n: usize, n_ops: u
                 ]);
                 (tape.dense(x, w, b, act), wout)
             }
-            3 if wx == wy => (tape.add(x, y), wx),
-            3 => (tape.add(x, x), wx),
+            3 => {
+                let y = if wx == wy { y } else { x };
+                let at = dst(tape, &mut c, windows, n, wx);
+                (tape.add_into(x, y, at), wx)
+            }
             4 => (tape.scale(x, c.pick(&ALPHAS)), wx),
+            5 => {
+                // A mean and a sum side by side in one table, and the
+                // concatenation that finds both in place.
+                let (offsets, members) = c.csr(n, n);
+                let at = dst(tape, &mut c, windows, n, 2 * wx);
+                let mean = tape.segment_mean_into(x, offsets, members, at);
+                let sum = tape.add_into(x, x, at.map(|(t, col)| (t, col + wx)));
+                (tape.concat_cols_into(&[mean, sum], at), 2 * wx)
+            }
+            6 => {
+                // A mean in place beside a part the concatenation copies.
+                let (offsets, members) = c.csr(n, n);
+                let at = dst(tape, &mut c, windows, n, wx + wy);
+                let mean = tape.segment_mean_into(x, offsets, members, at);
+                (tape.concat_cols_into(&[mean, y], at), wx + wy)
+            }
             _ => {
                 // A residual neighbour mean: `x` reaches two consumers
                 // whose cotangents list different rows.
@@ -166,6 +229,54 @@ fn bits(chain: &Chain, grads: &Gradients) -> Vec<Option<Vec<u32>>> {
         .collect()
 }
 
+/// `n_gathers` cotangents for ascending row sets of an `n x width` table,
+/// the first a row of NaN one time in four.
+fn gather_seeds(
+    seed: u64,
+    n: usize,
+    width: usize,
+    n_gathers: usize,
+) -> Vec<(Arc<Vec<u32>>, Matrix)> {
+    let mut c = Choices(seed.rotate_left(17) | 1);
+    let with_nan = c.below(4) == 0;
+    (0..n_gathers)
+        .map(|k| {
+            let rows = c.ascending_rows(n);
+            let mut g = Matrix::from_fn(rows.len(), width, |_, _| c.awkward());
+            if with_nan && k == 0 && !rows.is_empty() {
+                g.row_mut(0).fill(f32::NAN);
+            }
+            (Arc::new(rows), g)
+        })
+        .collect()
+}
+
+/// The chain's table value bits and its parameters' gradients, seeded
+/// through gathers of the table at `seeds`' rows.
+fn gathered_backward(
+    seed: u64,
+    n: usize,
+    n_ops: usize,
+    windows: bool,
+    seeds: impl FnOnce(usize) -> Vec<(Arc<Vec<u32>>, Matrix)>,
+) -> (Vec<u32>, Vec<Option<Vec<u32>>>) {
+    let mut store = ParamStore::new();
+    let mut tape = Tape::new();
+    let chain = record(&mut tape, &mut store, seed, n, n_ops, windows);
+    let value: Vec<u32> = tape
+        .value(chain.table)
+        .as_slice()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    let gathered: Vec<(Var, Matrix)> = seeds(tape.value(chain.table).cols())
+        .into_iter()
+        .map(|(rows, g)| (tape.gather(chain.table, rows), g))
+        .collect();
+    let grads = tape.backward_seeded(gathered, &store);
+    (value, bits(&chain, &grads))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
@@ -177,39 +288,36 @@ proptest! {
         n_gathers in 1usize..=3,
     ) {
         // Seeded through gathers of the table: row-listed cotangents.
-        let mut store = ParamStore::new();
-        let mut tape = Tape::new();
-        let chain = record(&mut tape, &mut store, seed, n, n_ops);
-        let width = tape.value(chain.table).cols();
-        let mut c = Choices(seed.rotate_left(17) | 1);
-        let with_nan = c.below(4) == 0;
-        let seeds: Vec<(Arc<Vec<u32>>, Matrix)> = (0..n_gathers)
-            .map(|k| {
-                let rows = c.ascending_rows(n);
-                let mut g = Matrix::from_fn(rows.len(), width, |_, _| c.awkward());
-                if with_nan && k == 0 && !rows.is_empty() {
-                    g.row_mut(0).fill(f32::NAN);
-                }
-                (Arc::new(rows), g)
-            })
-            .collect();
-        let gathered: Vec<(Var, Matrix)> = seeds
-            .iter()
-            .map(|(rows, g)| (tape.gather(chain.table, Arc::clone(rows)), g.clone()))
-            .collect();
-        let sparse = tape.backward_seeded(gathered, &store);
+        let mut kept = Vec::new();
+        let (_, sparse) = gathered_backward(seed, n, n_ops, false, |width| {
+            kept = gather_seeds(seed, n, width, n_gathers);
+            kept.clone()
+        });
 
         // Seeded at the table with the same cotangents scattered in the
         // order the sweep meets the gathers: the last recorded first.
         let mut store = ParamStore::new();
         let mut tape = Tape::new();
-        let chain = record(&mut tape, &mut store, seed, n, n_ops);
-        let mut full = Matrix::zeros(n, width);
-        for (rows, g) in seeds.iter().rev() {
+        let chain = record(&mut tape, &mut store, seed, n, n_ops, false);
+        let mut full = Matrix::zeros(n, tape.value(chain.table).cols());
+        for (rows, g) in kept.iter().rev() {
             kernels::scatter_add_rows(&mut full, rows, g);
         }
         let dense = tape.backward_seeded(vec![(chain.table, full)], &store);
 
-        prop_assert_eq!(bits(&chain, &sparse), bits(&chain, &dense));
+        prop_assert_eq!(sparse, bits(&chain, &dense));
+    }
+
+    #[test]
+    fn a_chain_written_into_reserved_tables_equals_the_fresh_chain_bitwise(
+        seed in 0u64..u64::MAX,
+        n in 1usize..=24,
+        n_ops in 1usize..=8,
+        n_gathers in 1usize..=3,
+    ) {
+        let seeds = |width| gather_seeds(seed, n, width, n_gathers);
+        let fresh = gathered_backward(seed, n, n_ops, false, seeds);
+        let windowed = gathered_backward(seed, n, n_ops, true, seeds);
+        prop_assert_eq!(windowed, fresh);
     }
 }

@@ -17,67 +17,60 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
-/// The twelve propagated tables of one forward pass, `Arc`-shared off
-/// the tape that computed them — capturing them copies nothing, which is
-/// what lets `finalize` cache the full pass for `embedding_analysis`.
+/// The four Eq. 8 tables of one forward pass and Eq. 9's friend mean,
+/// `Arc`-shared off the tape that computed them. Capturing them copies
+/// nothing, which is what lets `finalize` cache the full pass for scoring,
+/// export and `embedding_analysis`: each hat table holds its view's Eq. 3
+/// in-view embeddings in its first `(L+1)d` columns and the cross-view
+/// ones of Eqs. 4–7 in the rest.
 struct PropagatedTables {
-    u_inview_i: Arc<Matrix>,
-    u_inview_p: Arc<Matrix>,
-    v_inview_i: Arc<Matrix>,
-    v_inview_p: Arc<Matrix>,
-    u_cross_i: Arc<Matrix>,
-    u_cross_p: Arc<Matrix>,
-    v_cross_i: Arc<Matrix>,
-    v_cross_p: Arc<Matrix>,
     u_hat_i: Arc<Matrix>,
     u_hat_p: Arc<Matrix>,
     v_hat_i: Arc<Matrix>,
     v_hat_p: Arc<Matrix>,
+    /// Per-user mean of friends' participant-view embeddings — Eq. 9's
+    /// social term precomputed by linearity of the dot product.
+    friend_mean_p: Arc<Matrix>,
 }
 
 impl PropagatedTables {
-    fn capture(tape: &Tape, ve: &ViewEmbeddings) -> Self {
+    fn capture(tape: &Tape, ve: &ViewEmbeddings, friend_mean_p: Var) -> Self {
+        let whole = |v: Var| {
+            let (table, cols) = tape.arc_window(v);
+            // invariant: `propagate` writes each hat into a table of its
+            // own, and the friend mean is a `segment_mean`'s fresh table.
+            assert_eq!(cols, 0..table.cols(), "a captured table is a whole table");
+            table
+        };
         Self {
-            u_inview_i: tape.arc_value(ve.u_inview_i),
-            u_inview_p: tape.arc_value(ve.u_inview_p),
-            v_inview_i: tape.arc_value(ve.v_inview_i),
-            v_inview_p: tape.arc_value(ve.v_inview_p),
-            u_cross_i: tape.arc_value(ve.u_cross_i),
-            u_cross_p: tape.arc_value(ve.u_cross_p),
-            v_cross_i: tape.arc_value(ve.v_cross_i),
-            v_cross_p: tape.arc_value(ve.v_cross_p),
-            u_hat_i: tape.arc_value(ve.u_hat_i),
-            u_hat_p: tape.arc_value(ve.u_hat_p),
-            v_hat_i: tape.arc_value(ve.v_hat_i),
-            v_hat_p: tape.arc_value(ve.v_hat_p),
+            u_hat_i: whole(ve.u_hat_i),
+            u_hat_p: whole(ve.u_hat_p),
+            v_hat_i: whole(ve.v_hat_i),
+            v_hat_p: whole(ve.v_hat_p),
+            friend_mean_p: whole(friend_mean_p),
         }
     }
 
     fn to_analysis(&self) -> EmbeddingAnalysis {
+        let half = |m: &Matrix, second: bool| {
+            let dd = m.cols() / 2;
+            kernels::slice_cols(m, if second { dd } else { 0 }, dd)
+        };
         EmbeddingAnalysis {
-            u_inview_i: (*self.u_inview_i).clone(),
-            u_inview_p: (*self.u_inview_p).clone(),
-            v_inview_i: (*self.v_inview_i).clone(),
-            v_inview_p: (*self.v_inview_p).clone(),
-            u_cross_i: (*self.u_cross_i).clone(),
-            u_cross_p: (*self.u_cross_p).clone(),
-            v_cross_i: (*self.v_cross_i).clone(),
-            v_cross_p: (*self.v_cross_p).clone(),
+            u_inview_i: half(&self.u_hat_i, false),
+            u_inview_p: half(&self.u_hat_p, false),
+            v_inview_i: half(&self.v_hat_i, false),
+            v_inview_p: half(&self.v_hat_p, false),
+            u_cross_i: half(&self.u_hat_i, true),
+            u_cross_p: half(&self.u_hat_p, true),
+            v_cross_i: half(&self.v_hat_i, true),
+            v_cross_p: half(&self.v_hat_p, true),
             u_hat_i: (*self.u_hat_i).clone(),
             u_hat_p: (*self.u_hat_p).clone(),
             v_hat_i: (*self.v_hat_i).clone(),
             v_hat_p: (*self.v_hat_p).clone(),
         }
     }
-}
-
-/// Cached post-training representations used for scoring (Eq. 9) and,
-/// via the cached [`PropagatedTables`], for `embedding_analysis`.
-struct FinalEmbeddings {
-    views: PropagatedTables,
-    /// Per-user mean of friends' participant-view embeddings — Eq. 9's
-    /// social term precomputed by linearity of the dot product.
-    friend_mean_p: Arc<Matrix>,
 }
 
 /// The eight embedding matrices the Fig. 5 / Fig. 6 analyses inspect.
@@ -118,7 +111,8 @@ pub struct GbgcnModel {
     /// The construction-time training set, which
     /// [`GbgcnModel::measure_epoch_secs_parallel`] draws its batches from.
     dataset: Arc<Dataset>,
-    finals: Option<FinalEmbeddings>,
+    /// The tables scoring, export and analysis read, cached by `finalize`.
+    finals: Option<PropagatedTables>,
     /// The fine-tune shared forward [`GbgcnModel::finalize`] recorded, kept
     /// for the next fine-tuning step to take: propagation is a function of
     /// the parameters alone, so until one of them changes that step's own
@@ -595,20 +589,17 @@ impl GbgcnModel {
         (loss, grads)
     }
 
-    /// Records the fine-tune shared forward once and caches all twelve
-    /// propagated tables and the friend mean (`Arc`-shared off the tape —
-    /// no copies) for scoring and analysis; `embedding_analysis` reads
+    /// Records the fine-tune shared forward once and caches the four hat
+    /// tables and the friend mean (`Arc`-shared off the tape — no copies)
+    /// for scoring, export and analysis; `embedding_analysis` reads
     /// this cache instead of re-propagating. The tape itself is retained
     /// with the parameter generation it was recorded at, so a fine-tuning
     /// step that follows with the parameters untouched takes it as its
     /// shared forward instead of propagating again.
     fn finalize(&mut self) {
         let (fwd, ve) = self.finetune_forward();
-        self.finals = Some(FinalEmbeddings {
-            views: PropagatedTables::capture(&fwd.tape, &ve),
-            // Slot 3 of the fine-tune slot order: `friend_mean`.
-            friend_mean_p: fwd.tape.arc_value(fwd.vars[3].0),
-        });
+        // Slot 3 of the fine-tune slot order: `friend_mean`.
+        self.finals = Some(PropagatedTables::capture(&fwd.tape, &ve, fwd.vars[3].0));
         self.retain(Some(RetainedForward {
             fwd,
             generation: self.store.generation(),
@@ -625,15 +616,15 @@ impl GbgcnModel {
 
     /// Extracts the embedding matrices for the Fig. 5 / Fig. 6 analyses.
     ///
-    /// Served from the forward pass `finalize` cached when available;
-    /// only an unfitted model pays for a fresh propagation here.
+    /// Served from the forward pass `finalize` cached when available — the
+    /// in-view and cross-view tables are the two column halves of each hat
+    /// table; only an unfitted model pays for a fresh propagation here.
     pub fn embedding_analysis(&self) -> EmbeddingAnalysis {
         if let Some(f) = &self.finals {
-            return f.views.to_analysis();
+            return f.to_analysis();
         }
-        let mut tape = Tape::new();
-        let ve = self.propagate_counted(&mut tape);
-        PropagatedTables::capture(&tape, &ve).to_analysis()
+        let (fwd, ve) = self.finetune_forward();
+        PropagatedTables::capture(&fwd.tape, &ve, fwd.vars[3].0).to_analysis()
     }
 
     /// One epoch of either trainer stage: shuffles `run.train` and, per
@@ -927,10 +918,10 @@ impl SnapshotSource for GbgcnModel {
         let f = self.finals.as_ref().expect("model not fitted");
         EmbeddingSnapshot::new(
             self.cfg.alpha,
-            Matrix::from_arc(Arc::clone(&f.views.u_hat_i)),
-            Matrix::from_arc(Arc::clone(&f.views.v_hat_i)),
+            Matrix::from_arc(Arc::clone(&f.u_hat_i)),
+            Matrix::from_arc(Arc::clone(&f.v_hat_i)),
             Matrix::from_arc(Arc::clone(&f.friend_mean_p)),
-            Matrix::from_arc(Arc::clone(&f.views.v_hat_p)),
+            Matrix::from_arc(Arc::clone(&f.v_hat_p)),
         )
     }
 }
@@ -944,14 +935,14 @@ impl Scorer for GbgcnModel {
         // error — every trainer path finalizes before scoring, and the
         // should-panic tests pin the message.
         let f = self.finals.as_ref().expect("model not fitted");
-        let own = f.views.u_hat_i.row(user as usize);
+        let own = f.u_hat_i.row(user as usize);
         let social = f.friend_mean_p.row(user as usize);
         let a = self.cfg.alpha;
         items
             .iter()
             .map(|&i| {
-                let o = kernels::dot(own, f.views.v_hat_i.row(i as usize));
-                let s = kernels::dot(social, f.views.v_hat_p.row(i as usize));
+                let o = kernels::dot(own, f.v_hat_i.row(i as usize));
+                let s = kernels::dot(social, f.v_hat_p.row(i as usize));
                 (1.0 - a) * o + a * s
             })
             .collect()
@@ -1305,11 +1296,10 @@ mod tests {
         // With alpha = 0 the score must equal the initiator-view dot alone.
         let f = m.finals.as_ref().unwrap();
         let manual: f32 = f
-            .views
             .u_hat_i
             .row(0)
             .iter()
-            .zip(f.views.v_hat_i.row(5))
+            .zip(f.v_hat_i.row(5))
             .map(|(a, b)| a * b)
             .sum();
         let scored = m.score_items(0, &[5])[0];
@@ -1403,12 +1393,7 @@ mod tests {
             snap.item_social(),
         ];
         // The four tables `score_items` reads, in snapshot order.
-        let cached = [
-            &f.views.u_hat_i,
-            &f.views.v_hat_i,
-            &f.friend_mean_p,
-            &f.views.v_hat_p,
-        ];
+        let cached = [&f.u_hat_i, &f.v_hat_i, &f.friend_mean_p, &f.v_hat_p];
         for (i, (table, cached)) in exported.iter().zip(cached).enumerate() {
             assert!(table.is_shared(), "table {i} is a view");
             assert_eq!(table.as_slice().as_ptr(), cached.as_slice().as_ptr());

@@ -2,7 +2,7 @@
 //! propagation (Eqs. 4–8) on the autodiff tape.
 
 use crate::config::{Activation, GbgcnConfig};
-use gb_autograd::{ParamId, ParamStore, Tape, Var};
+use gb_autograd::{ParamId, ParamStore, Table, Tape, Var};
 use gb_graph::HeteroGraphs;
 use gb_tensor::init;
 use rand::rngs::StdRng;
@@ -103,6 +103,11 @@ impl PropParams {
 /// `*_inview_*` are the `{0}`-superscript concatenations of Eq. 3
 /// (`(L+1)d` wide); `*_cross_*` the `{1}`-superscript cross-view outputs
 /// of Eqs. 4–7; `*_hat_*` the final Eq. 8 concatenations (`2(L+1)d`).
+///
+/// Each `*_hat_*` is a table of its own on the tape. Under
+/// [`AblationMode::Full`](crate::AblationMode::Full) the `*_inview_*`
+/// nodes and the users' `u_cross_*` are column windows of the hats, not
+/// tables the hats copy.
 #[derive(Clone, Copy, Debug)]
 pub struct ViewEmbeddings {
     pub u_inview_i: Var,
@@ -125,6 +130,17 @@ fn average_pair(tape: &mut Tape, a: Var, b: Var) -> Var {
 }
 
 /// Runs the full GBGCN forward pass on `tape`.
+///
+/// The four `2(L+1)d`-wide hat tables are reserved up front and every
+/// table of Eqs. 1–8 that ends up in one of them is written there
+/// directly: level `l` of a view into columns `l·d ..`, the users' cross
+/// sum into `(L+1)d ..`. The Eq. 3 and Eq. 8 concatenations then find
+/// their parts in place and copy only what was computed elsewhere — the
+/// shared raw table into the participant view, the item FC outputs
+/// (whose own table `act′` reads on the way back) and, under a role
+/// ablation, the averaged levels and cross terms, which go to tables of
+/// their own because both views read them. Every value is what the
+/// copying layout computes, bit for bit.
 pub fn propagate(
     store: &ParamStore,
     params: &PropParams,
@@ -135,16 +151,27 @@ pub fn propagate(
     let gi = &graphs.initiator;
     let gp = &graphs.participant;
     let gs = &graphs.share;
+    let d = cfg.dim;
+    let dd = (cfg.n_layers + 1) * d;
+    let (ablate_users, ablate_items) = (cfg.ablation.ablate_users(), cfg.ablation.ablate_items());
+
+    // ---- the Eq. 8 tables, filled in place below ----------------------
+    let u_hat_i_t = tape.reserve(graphs.n_users(), 2 * dd);
+    let u_hat_p_t = tape.reserve(graphs.n_users(), 2 * dd);
+    let v_hat_i_t = tape.reserve(graphs.n_items(), 2 * dd);
+    let v_hat_p_t = tape.reserve(graphs.n_items(), 2 * dd);
+    // Columns `col ..` of `table`, unless the view pair is averaged.
+    let at = |averaged: bool, table: Table, col: usize| (!averaged).then_some((table, col));
 
     // ---- raw embedding layer -------------------------------------------
-    let u_raw_i = tape.param(store, params.user_raw);
-    let v_raw_i = tape.param(store, params.item_raw);
+    let u_raw_i = tape.param_into(store, params.user_raw, Some((u_hat_i_t, 0)));
+    let v_raw_i = tape.param_into(store, params.item_raw, Some((v_hat_i_t, 0)));
     let u_raw_p = match params.user_raw_p {
-        Some(id) => tape.param(store, id),
+        Some(id) => tape.param_into(store, id, Some((u_hat_p_t, 0))),
         None => u_raw_i,
     };
     let v_raw_p = match params.item_raw_p {
-        Some(id) => tape.param(store, id),
+        Some(id) => tape.param_into(store, id, Some((v_hat_p_t, 0))),
         None => v_raw_i,
     };
 
@@ -154,32 +181,36 @@ pub fn propagate(
     let mut v_levels_i = vec![v_raw_i];
     let mut v_levels_p = vec![v_raw_p];
     for l in 1..=cfg.n_layers {
-        let mut u_i = tape.segment_mean(
+        let mut u_i = tape.segment_mean_into(
             v_levels_i[l - 1],
             gi.user_to_item().offsets(),
             gi.user_to_item().members(),
+            at(ablate_users, u_hat_i_t, l * d),
         );
-        let mut u_p = tape.segment_mean(
+        let mut u_p = tape.segment_mean_into(
             v_levels_p[l - 1],
             gp.user_to_item().offsets(),
             gp.user_to_item().members(),
+            at(ablate_users, u_hat_p_t, l * d),
         );
-        if cfg.ablation.ablate_users() {
+        if ablate_users {
             let avg = average_pair(tape, u_i, u_p);
             u_i = avg;
             u_p = avg;
         }
-        let mut v_i = tape.segment_mean(
+        let mut v_i = tape.segment_mean_into(
             u_levels_i[l - 1],
             gi.item_to_user().offsets(),
             gi.item_to_user().members(),
+            at(ablate_items, v_hat_i_t, l * d),
         );
-        let mut v_p = tape.segment_mean(
+        let mut v_p = tape.segment_mean_into(
             u_levels_p[l - 1],
             gp.item_to_user().offsets(),
             gp.item_to_user().members(),
+            at(ablate_items, v_hat_p_t, l * d),
         );
-        if cfg.ablation.ablate_items() {
+        if ablate_items {
             let avg = average_pair(tape, v_i, v_p);
             v_i = avg;
             v_p = avg;
@@ -189,10 +220,10 @@ pub fn propagate(
         v_levels_i.push(v_i);
         v_levels_p.push(v_p);
     }
-    let u_inview_i = tape.concat_cols(&u_levels_i);
-    let u_inview_p = tape.concat_cols(&u_levels_p);
-    let v_inview_i = tape.concat_cols(&v_levels_i);
-    let v_inview_p = tape.concat_cols(&v_levels_p);
+    let u_inview_i = tape.concat_cols_into(&u_levels_i, Some((u_hat_i_t, 0)));
+    let u_inview_p = tape.concat_cols_into(&u_levels_p, Some((u_hat_p_t, 0)));
+    let v_inview_i = tape.concat_cols_into(&v_levels_i, Some((v_hat_i_t, 0)));
+    let v_inview_p = tape.concat_cols_into(&v_levels_p, Some((v_hat_p_t, 0)));
 
     // ---- cross-view propagation (Eqs. 4-7) ------------------------------
     let act = match cfg.activation {
@@ -216,7 +247,11 @@ pub fn propagate(
     let term_items_i = fc(tape, items_i, params.w_vi_ui, params.b_vi_ui);
     let shared_to = tape.segment_mean(u_inview_p, gs.out_csr().offsets(), gs.out_csr().members());
     let term_shared_to = fc(tape, shared_to, params.w_up_ui, params.b_up_ui);
-    let mut u_cross_i = tape.add(term_items_i, term_shared_to);
+    let mut u_cross_i = tape.add_into(
+        term_items_i,
+        term_shared_to,
+        at(ablate_users, u_hat_i_t, dd),
+    );
 
     // Eq. 6: participant-view users <- own items + users who shared to them.
     let items_p = tape.segment_mean(
@@ -227,9 +262,13 @@ pub fn propagate(
     let term_items_p = fc(tape, items_p, params.w_vp_up, params.b_vp_up);
     let shared_by = tape.segment_mean(u_inview_i, gs.in_csr().offsets(), gs.in_csr().members());
     let term_shared_by = fc(tape, shared_by, params.w_ui_up, params.b_ui_up);
-    let mut u_cross_p = tape.add(term_items_p, term_shared_by);
+    let mut u_cross_p = tape.add_into(
+        term_items_p,
+        term_shared_by,
+        at(ablate_users, u_hat_p_t, dd),
+    );
 
-    if cfg.ablation.ablate_users() {
+    if ablate_users {
         let avg = average_pair(tape, u_cross_i, u_cross_p);
         u_cross_i = avg;
         u_cross_p = avg;
@@ -249,7 +288,7 @@ pub fn propagate(
     );
     let mut v_cross_p = fc(tape, users_p, params.w_up_vp, params.b_up_vp);
 
-    if cfg.ablation.ablate_items() {
+    if ablate_items {
         let avg = average_pair(tape, v_cross_i, v_cross_p);
         v_cross_i = avg;
         v_cross_p = avg;
@@ -265,10 +304,10 @@ pub fn propagate(
         u_cross_p,
         v_cross_i,
         v_cross_p,
-        u_hat_i: tape.concat_cols(&[u_inview_i, u_cross_i]),
-        u_hat_p: tape.concat_cols(&[u_inview_p, u_cross_p]),
-        v_hat_i: tape.concat_cols(&[v_inview_i, v_cross_i]),
-        v_hat_p: tape.concat_cols(&[v_inview_p, v_cross_p]),
+        u_hat_i: tape.concat_cols_into(&[u_inview_i, u_cross_i], Some((u_hat_i_t, 0))),
+        u_hat_p: tape.concat_cols_into(&[u_inview_p, u_cross_p], Some((u_hat_p_t, 0))),
+        v_hat_i: tape.concat_cols_into(&[v_inview_i, v_cross_i], Some((v_hat_i_t, 0))),
+        v_hat_p: tape.concat_cols_into(&[v_inview_p, v_cross_p], Some((v_hat_p_t, 0))),
     }
 }
 
@@ -278,6 +317,7 @@ mod tests {
     use crate::config::AblationMode;
     use gb_data::synth::{generate, SynthConfig};
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn setup(cfg: &GbgcnConfig) -> (ParamStore, PropParams, HeteroGraphs) {
         let data = generate(&SynthConfig::tiny());
@@ -343,6 +383,41 @@ mod tests {
         let ve = propagate(&store, &params, &mut tape, &graphs, &cfg);
         assert_eq!(tape.value(ve.u_hat_i), tape.value(ve.u_hat_p));
         assert_eq!(tape.value(ve.v_hat_i), tape.value(ve.v_hat_p));
+    }
+
+    #[test]
+    fn the_full_model_writes_its_levels_and_user_cross_sums_into_the_hats() {
+        for ablation in [AblationMode::Full, AblationMode::NoRoles] {
+            let cfg = GbgcnConfig {
+                ablation,
+                ..GbgcnConfig::test_config()
+            };
+            let (store, params, graphs) = setup(&cfg);
+            let mut tape = Tape::new();
+            let ve = propagate(&store, &params, &mut tape, &graphs, &cfg);
+            let dd = (cfg.n_layers + 1) * cfg.dim;
+            let in_hat = |v: Var, hat: Var, cols: std::ops::Range<usize>| {
+                let ((table, at), (hat, whole)) = (tape.arc_window(v), tape.arc_window(hat));
+                assert_eq!(whole, 0..2 * dd, "{ablation:?}: a hat is a whole table");
+                Arc::ptr_eq(&table, &hat) && at == cols
+            };
+            for (inview, cross, hat) in [
+                (ve.u_inview_i, ve.u_cross_i, ve.u_hat_i),
+                (ve.u_inview_p, ve.u_cross_p, ve.u_hat_p),
+            ] {
+                assert!(in_hat(inview, hat, 0..dd), "{ablation:?}");
+                let full = ablation == AblationMode::Full;
+                assert_eq!(in_hat(cross, hat, dd..2 * dd), full, "{ablation:?}");
+            }
+            for (inview, cross, hat) in [
+                (ve.v_inview_i, ve.v_cross_i, ve.v_hat_i),
+                (ve.v_inview_p, ve.v_cross_p, ve.v_hat_p),
+            ] {
+                assert!(in_hat(inview, hat, 0..dd), "{ablation:?}");
+                // The FC's own table: `act′` reads it on the way back.
+                assert!(!in_hat(cross, hat, dd..2 * dd), "{ablation:?}");
+            }
+        }
     }
 
     #[test]

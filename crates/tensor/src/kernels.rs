@@ -70,12 +70,28 @@
 //! that element alone: not on its index, its neighbours, the slice's
 //! length, the build, or the host's C library.
 //!
+//! **Column windows.** The autodiff tape lays several results side by side
+//! in one table (GBGCN's Eq. 3 and Eq. 8 concatenations), so the kernels it
+//! writes them with take a destination window: [`segment_mean_into`],
+//! [`add_into`] and [`copy_cols`] write columns `dst_col .. dst_col + w` of
+//! every row of `dst` and nothing else, and [`segment_mean_into`] /
+//! [`segment_mean_cols`] read a column range of their source. A window
+//! changes no bit: each output element is computed from the same inputs in
+//! the same order whichever table or column it lands in — a concatenation
+//! is a copy, and a copy that is not made (the part already sits where the
+//! concatenation would put it) leaves the same bits in place. The kernels
+//! that return a fresh table ([`segment_mean`], [`concat_cols`],
+//! [`slice_cols`], [`gather_rows`], [`add`]) grow it row by row instead of
+//! zero-filling elements they then overwrite; an empty segment still
+//! writes `+0.0`.
+//!
 //! The pre-blocking scalar loops survive in [`reference`]; the property
 //! tests pin the blocked kernels to them within float-reassociation
 //! tolerance.
 
 use crate::simd::{self, reduce_lanes, Lane8, EXP2I_BIAS};
 use crate::Matrix;
+use std::ops::Range;
 
 /// Lane width (in `f32` elements) of every blocked reduction in this
 /// module. Callers that want to block to the same widths — the serving
@@ -501,12 +517,62 @@ pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// Elementwise `a + b`.
+/// Elementwise `a + b` — bit for bit [`add_assign`] into a copy of `a`
+/// (`x + 1.0 · y` is `x + y`: the product is exact).
 pub fn add(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.shape(), b.shape(), "add shape mismatch");
-    let mut out = a.clone();
-    add_assign(&mut out, b);
-    out
+    let data = a
+        .as_slice()
+        .iter()
+        .zip(b.as_slice())
+        .map(|(x, y)| x + y)
+        .collect();
+    Matrix::from_vec(a.rows(), a.cols(), data)
+}
+
+/// [`add`] written into columns `dst_col .. dst_col + a.cols()` of `dst`.
+///
+/// # Panics
+/// Panics if the shapes differ or the window does not fit in `dst`.
+pub fn add_into(a: &Matrix, b: &Matrix, dst: &mut Matrix, dst_col: usize) {
+    assert_eq!(a.shape(), b.shape(), "add shape mismatch");
+    let w = a.cols();
+    check_window(dst, a.rows(), dst_col, w);
+    for r in 0..a.rows() {
+        let out = &mut dst.row_mut(r)[dst_col..dst_col + w];
+        for ((o, x), y) in out.iter_mut().zip(a.row(r)).zip(b.row(r)) {
+            *o = x + y;
+        }
+    }
+}
+
+/// Asserts that `dst` has `rows` rows and room for `w` columns at
+/// `dst_col`.
+fn check_window(dst: &Matrix, rows: usize, dst_col: usize, w: usize) {
+    assert_eq!(dst.rows(), rows, "destination height mismatch");
+    assert!(
+        dst_col + w <= dst.cols(),
+        "window {dst_col}..{} past the destination's {} columns",
+        dst_col + w,
+        dst.cols()
+    );
+}
+
+/// Copies columns `src_cols` of `src` into columns
+/// `dst_col .. dst_col + src_cols.len()` of `dst`.
+///
+/// # Panics
+/// Panics if the heights differ or either window does not fit.
+pub fn copy_cols(src: &Matrix, src_cols: Range<usize>, dst: &mut Matrix, dst_col: usize) {
+    assert!(
+        src_cols.end <= src.cols(),
+        "copy_cols: source window out of bounds"
+    );
+    let w = src_cols.len();
+    check_window(dst, src.rows(), dst_col, w);
+    for r in 0..src.rows() {
+        dst.row_mut(r)[dst_col..dst_col + w].copy_from_slice(&src.row(r)[src_cols.clone()]);
+    }
 }
 
 /// Elementwise `a += b`.
@@ -607,11 +673,11 @@ pub fn scale_rows(a: &Matrix, s: &Matrix) -> Matrix {
 
 /// Gathers rows of `src` listed in `indices` into a new matrix.
 pub fn gather_rows(src: &Matrix, indices: &[u32]) -> Matrix {
-    let mut out = Matrix::zeros(indices.len(), src.cols());
-    for (dst, &idx) in indices.iter().enumerate() {
-        out.row_mut(dst).copy_from_slice(src.row(idx as usize));
+    let mut data = Vec::with_capacity(indices.len() * src.cols());
+    for &idx in indices {
+        data.extend_from_slice(src.row(idx as usize));
     }
-    out
+    Matrix::from_vec(indices.len(), src.cols(), data)
 }
 
 /// Scatter-add: `dst[indices[i]] += src[i]` for every row `i`.
@@ -669,12 +735,14 @@ pub fn scatter_add_scaled_rows(dst: &mut Matrix, id: &[u32], src: &Matrix, is: &
 /// Columns per register strip of [`segment_mean`]: four lane vectors.
 const SEG_STRIP: usize = 4 * DOT_LANES;
 
-/// Columns `c .. c + 8V` of one [`segment_mean`] output row: `V`
-/// accumulator vectors from `+0.0`, one `add` per member row in list
-/// order, one `mul` by `inv` and one store.
+/// Columns `c .. c + 8V` of one [`segment_mean`] output row, read from
+/// columns `src_col + c ..` of the member rows: `V` accumulator vectors
+/// from `+0.0`, one `add` per member row in list order, one `mul` by `inv`
+/// and one store.
 #[inline(always)]
 fn segment_strip<L: Lane8, const V: usize>(
     src: &Matrix,
+    src_col: usize,
     seg: &[u32],
     c: usize,
     inv: f32,
@@ -683,7 +751,7 @@ fn segment_strip<L: Lane8, const V: usize>(
     let end = c + V * DOT_LANES;
     let mut acc = [L::splat(0.0); V];
     for &m in seg {
-        let row = src.row(m as usize);
+        let row = &src.row(m as usize)[src_col..];
         assert!(end <= row.len(), "segment_mean: strip past the source row");
         // SAFETY: load `v < V` reads floats `c + 8v .. c + 8v + 8` of
         // `row`, which end by `end <= row.len()` (asserted above).
@@ -705,27 +773,64 @@ fn segment_strip<L: Lane8, const V: usize>(
     }
 }
 
-/// One [`segment_mean`] output row: [`SEG_STRIP`]-column strips, then
-/// single lane vectors, then single columns, each accumulated from `+0.0`
-/// over the member rows in list order and scaled by `inv` once —
-/// `(((0 + s0) + s1) + …) * inv` per element, whatever the strip width.
+/// One [`segment_mean`] output row over columns `src_col ..` of `src`, as
+/// wide as `out`: [`SEG_STRIP`]-column strips, then single lane vectors,
+/// then single columns, each accumulated from `+0.0` over the member rows
+/// in list order and scaled by `inv` once — `(((0 + s0) + s1) + …) * inv`
+/// per element, whatever the strip width.
 #[inline(always)]
-fn segment_mean_row<L: Lane8>(src: &Matrix, seg: &[u32], inv: f32, out: &mut [f32]) {
+fn segment_mean_row<L: Lane8>(
+    src: &Matrix,
+    src_col: usize,
+    seg: &[u32],
+    inv: f32,
+    out: &mut [f32],
+) {
     let mut c = 0;
     while c + SEG_STRIP <= out.len() {
-        segment_strip::<L, { SEG_STRIP / DOT_LANES }>(src, seg, c, inv, out);
+        segment_strip::<L, { SEG_STRIP / DOT_LANES }>(src, src_col, seg, c, inv, out);
         c += SEG_STRIP;
     }
     while c + DOT_LANES <= out.len() {
-        segment_strip::<L, 1>(src, seg, c, inv, out);
+        segment_strip::<L, 1>(src, src_col, seg, c, inv, out);
         c += DOT_LANES;
     }
     for (c, o) in out.iter_mut().enumerate().skip(c) {
         let sum = seg
             .iter()
-            .fold(0.0f32, |acc, &m| acc + src.row(m as usize)[c]);
+            .fold(0.0f32, |acc, &m| acc + src.row(m as usize)[src_col + c]);
         *o = sum * inv;
     }
+}
+
+/// Output row `i` of a segment mean over columns `src_col ..` of `src`,
+/// as wide as `out`: `+0.0` throughout for an empty segment.
+#[inline(always)]
+fn segment_mean_at(
+    src: &Matrix,
+    src_col: usize,
+    (offsets, members): (&[usize], &[u32]),
+    i: usize,
+    out: &mut [f32],
+) {
+    let seg = &members[offsets[i]..offsets[i + 1]];
+    if seg.is_empty() {
+        out.fill(0.0);
+    } else {
+        let inv = 1.0 / seg.len() as f32;
+        segment_mean_row::<simd::Native>(src, src_col, seg, inv, out);
+    }
+}
+
+/// The segment count of `offsets`, after checking that `src_cols` lies
+/// inside `src`.
+fn segments(src: &Matrix, src_cols: &Range<usize>, offsets: &[usize]) -> usize {
+    assert!(!offsets.is_empty(), "segment_mean: offsets is empty");
+    assert!(
+        src_cols.start <= src_cols.end && src_cols.end <= src.cols(),
+        "segment_mean: source columns {src_cols:?} out of bounds"
+    );
+    offsets.len() - 1
 }
 
 /// Mean-aggregates rows of `src` over CSR-style segments.
@@ -737,23 +842,62 @@ fn segment_mean_row<L: Lane8>(src: &Matrix, seg: &[u32], inv: f32, out: &mut [f3
 ///
 /// Each output row is accumulated in registers a column strip at a time
 /// (one load per member per strip, one store per strip) instead of through
-/// a load-add-store of the output row per member.
+/// a load-add-store of the output row per member. [`segment_mean_cols`]
+/// over every column of `src`.
 ///
 /// # Panics
 /// Panics if `offsets` is empty: even zero segments have the one offset.
 pub fn segment_mean(src: &Matrix, offsets: &[usize], members: &[u32]) -> Matrix {
-    assert!(!offsets.is_empty(), "segment_mean: offsets is empty");
-    let n_out = offsets.len() - 1;
-    let mut out = Matrix::zeros(n_out, src.cols());
+    segment_mean_cols(src, 0..src.cols(), offsets, members)
+}
+
+/// [`segment_mean`] of the columns `src_cols` of `src`, as a fresh
+/// `n_out x src_cols.len()` table grown a row at a time: each row is
+/// computed into a scratch row and appended, so no element is written
+/// twice.
+///
+/// # Panics
+/// Panics if `offsets` is empty or `src_cols` does not lie inside `src`.
+pub fn segment_mean_cols(
+    src: &Matrix,
+    src_cols: Range<usize>,
+    offsets: &[usize],
+    members: &[u32],
+) -> Matrix {
+    let n_out = segments(src, &src_cols, offsets);
+    let w = src_cols.len();
+    let mut data = Vec::with_capacity(n_out * w);
+    let mut row = vec![0.0f32; w];
     for i in 0..n_out {
-        let seg = &members[offsets[i]..offsets[i + 1]];
-        if seg.is_empty() {
-            continue;
-        }
-        let inv = 1.0 / seg.len() as f32;
-        segment_mean_row::<simd::Native>(src, seg, inv, out.row_mut(i));
+        segment_mean_at(src, src_cols.start, (offsets, members), i, &mut row);
+        data.extend_from_slice(&row);
     }
-    out
+    Matrix::from_vec(n_out, w, data)
+}
+
+/// [`segment_mean_cols`] written into columns
+/// `dst_col .. dst_col + src_cols.len()` of `dst` (one row per segment);
+/// the rest of `dst` is not touched. The same per-element arithmetic, so
+/// the same bits.
+///
+/// # Panics
+/// Panics if `offsets` is empty, `src_cols` does not lie inside `src`, or
+/// the window does not fit in `dst`.
+pub fn segment_mean_into(
+    src: &Matrix,
+    src_cols: Range<usize>,
+    offsets: &[usize],
+    members: &[u32],
+    dst: &mut Matrix,
+    dst_col: usize,
+) {
+    let n_out = segments(src, &src_cols, offsets);
+    let w = src_cols.len();
+    check_window(dst, n_out, dst_col, w);
+    for i in 0..n_out {
+        let out = &mut dst.row_mut(i)[dst_col..dst_col + w];
+        segment_mean_at(src, src_cols.start, (offsets, members), i, out);
+    }
 }
 
 /// Backward of [`segment_mean`]: routes `grad` (one row per segment) back to
@@ -796,31 +940,29 @@ pub fn segment_mean_backward(
 pub fn concat_cols(parts: &[&Matrix]) -> Matrix {
     assert!(!parts.is_empty(), "concat_cols of zero matrices");
     let rows = parts[0].rows();
+    assert!(
+        parts.iter().all(|p| p.rows() == rows),
+        "concat_cols row mismatch"
+    );
     let cols: usize = parts.iter().map(|p| p.cols()).sum();
-    let mut out = Matrix::zeros(rows, cols);
+    let mut data = Vec::with_capacity(rows * cols);
     for r in 0..rows {
-        let mut at = 0;
-        let o = out.row_mut(r);
         for p in parts {
-            assert_eq!(p.rows(), rows, "concat_cols row mismatch");
-            let pr = p.row(r);
-            o[at..at + pr.len()].copy_from_slice(pr);
-            at += pr.len();
+            data.extend_from_slice(p.row(r));
         }
     }
-    out
+    Matrix::from_vec(rows, cols, data)
 }
 
 /// Extracts columns `[start, start+width)` into a new matrix (backward of
 /// [`concat_cols`] for one part).
 pub fn slice_cols(a: &Matrix, start: usize, width: usize) -> Matrix {
     assert!(start + width <= a.cols(), "slice_cols out of bounds");
-    let mut out = Matrix::zeros(a.rows(), width);
+    let mut data = Vec::with_capacity(a.rows() * width);
     for r in 0..a.rows() {
-        out.row_mut(r)
-            .copy_from_slice(&a.row(r)[start..start + width]);
+        data.extend_from_slice(&a.row(r)[start..start + width]);
     }
-    out
+    Matrix::from_vec(a.rows(), width, data)
 }
 
 /// Numerically stable sigmoid `1 / (1 + e^{-x})`.
@@ -2099,7 +2241,7 @@ mod tests {
                 let seg = &members[offsets[i]..offsets[i + 1]];
                 if !seg.is_empty() {
                     let inv = 1.0 / seg.len() as f32;
-                    segment_mean_row::<simd::Portable>(&src, seg, inv, want.row_mut(i));
+                    segment_mean_row::<simd::Portable>(&src, 0, seg, inv, want.row_mut(i));
                 }
             }
             assert_same_bits(&got, &want, &format!("segment_mean w={w}"));
@@ -2109,6 +2251,50 @@ mod tests {
                 &reference::segment_mean(&src, &offsets, &members),
                 &format!("segment_mean vs reference w={w}"),
             );
+        }
+    }
+
+    #[test]
+    fn column_windows_change_no_bit_and_touch_nothing_else() {
+        // A source window starting mid-table, at every strip / vector /
+        // scalar-tail split, written into a destination window whose
+        // other columns hold a sentinel; an empty segment overwrites
+        // `-0.0` garbage with `+0.0`.
+        let offsets = [0usize, 0, 3, 4, 4, 11, 13, 13];
+        let members = [5u32, 0, 5, 2, 1, 6, 1, 3, 3, 4, 0, 6, 6];
+        let n_out = offsets.len() - 1;
+        let sentinel = 7.25f32;
+        for w in tile_dims() {
+            let (lead, trail) = (3, 5);
+            let wide = Matrix::from_vec(7, lead + w + trail, awkward(7 * (lead + w + trail), 61));
+            let src = slice_cols(&wide, lead, w);
+            let want = segment_mean(&src, &offsets, &members);
+            let cols = lead..lead + w;
+            assert_same_bits(
+                &segment_mean_cols(&wide, cols.clone(), &offsets, &members),
+                &want,
+                &format!("segment_mean_cols w={w}"),
+            );
+            let mut dst = Matrix::full(n_out, 2 + w + 1, sentinel);
+            dst.row_mut(3)[2..2 + w].fill(-0.0);
+            segment_mean_into(&wide, cols, &offsets, &members, &mut dst, 2);
+            assert_same_bits(&slice_cols(&dst, 2, w), &want, &format!("into w={w}"));
+            for r in 0..n_out {
+                let row = dst.row(r);
+                assert!(row[..2].iter().chain(&row[2 + w..]).all(|&v| v == sentinel));
+            }
+            assert!(dst.row(3)[2..2 + w].iter().all(|v| v.to_bits() == 0));
+
+            let b = Matrix::from_vec(7, w, awkward(7 * w, 62));
+            let mut dst = Matrix::full(7, w + 4, sentinel);
+            add_into(&src, &b, &mut dst, 1);
+            let mut sum = src.clone();
+            add_assign(&mut sum, &b);
+            assert_same_bits(&slice_cols(&dst, 1, w), &sum, &format!("add_into w={w}"));
+            assert_same_bits(&add(&src, &b), &sum, &format!("add w={w}"));
+            copy_cols(&wide, lead..lead + w, &mut dst, 4);
+            assert_same_bits(&slice_cols(&dst, 4, w), &src, &format!("copy_cols w={w}"));
+            assert!((0..7).all(|r| dst.row(r)[0] == sentinel));
         }
     }
 
