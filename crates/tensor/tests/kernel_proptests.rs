@@ -17,6 +17,11 @@
 //!    scores identical to offline evaluation scores; and `matmul_rows`
 //!    is `matmul` on its listed rows and `+0.0` elsewhere, bit for bit,
 //!    on data with signed zeros, subnormals and 1e30 magnitudes.
+//!
+//! `kmeans` and `assign` are held bitwise to a transcription of the
+//! algorithm with every distance a per-element `dot` call, on small shapes
+//! with repeated rows, signed zeros, subnormals and (for `assign`) `±∞`
+//! and NaN.
 
 use gb_tensor::kernels::{self, reference};
 use gb_tensor::{init, Matrix};
@@ -316,5 +321,162 @@ proptest! {
         for j in 0..len {
             prop_assert_eq!(blocked[j].to_bits(), full[start + j].to_bits());
         }
+    }
+}
+
+/// `kmeans::assign` as the scalar scan over per-element [`kernels::dot`]
+/// calls: `argmin_j (0.5 * dot(c_j, c_j) - dot(x, c_j))`, strict `<`
+/// from `j = 0`.
+fn oracle_assign(data: &Matrix, centroids: &Matrix) -> Vec<u32> {
+    let k = centroids.rows();
+    let half: Vec<f32> = (0..k)
+        .map(|j| 0.5 * kernels::dot(centroids.row(j), centroids.row(j)))
+        .collect();
+    (0..data.rows())
+        .map(|i| {
+            let x = data.row(i);
+            let mut best = 0;
+            let mut best_d = half[0] - kernels::dot(x, centroids.row(0));
+            for (j, &h) in half.iter().enumerate().skip(1) {
+                let d = h - kernels::dot(x, centroids.row(j));
+                if d < best_d {
+                    best = j;
+                    best_d = d;
+                }
+            }
+            best as u32
+        })
+        .collect()
+}
+
+/// `kmeans::kmeans` as a direct transcription: a SplitMix64-seeded first
+/// row, farthest-point rows by `(‖x‖² + ‖c‖²) − 2·dot(x, c)` with a strict
+/// `>` argmax from `−∞`, then Lloyd rounds of [`oracle_assign`] and
+/// ascending-row means. Every distance is a [`kernels::dot`] call.
+fn oracle_kmeans(data: &Matrix, k: usize, iters: usize, seed: u64) -> (Matrix, Vec<u32>) {
+    let (n, d) = data.shape();
+    let k = k.min(n);
+    if k == 0 {
+        return (Matrix::zeros(0, d), Vec::new());
+    }
+    // One SplitMix64 step from `seed ^ 0xD1B5_4A32_D192_ED03`.
+    let mut z = (seed ^ 0xD1B5_4A32_D192_ED03).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    let mut chosen = vec![((z ^ (z >> 31)) % n as u64) as usize];
+    let sq: Vec<f32> = (0..n)
+        .map(|i| kernels::dot(data.row(i), data.row(i)))
+        .collect();
+    let dist = |i: usize, c: usize| sq[i] + sq[c] - 2.0 * kernels::dot(data.row(i), data.row(c));
+    let mut min_dist: Vec<f32> = (0..n).map(|i| dist(i, chosen[0])).collect();
+    while chosen.len() < k {
+        let mut best = 0;
+        let mut best_d = f32::NEG_INFINITY;
+        for (i, &v) in min_dist.iter().enumerate() {
+            if v > best_d {
+                best = i;
+                best_d = v;
+            }
+        }
+        chosen.push(best);
+        for (i, slot) in min_dist.iter_mut().enumerate() {
+            let v = dist(i, best);
+            if v < *slot {
+                *slot = v;
+            }
+        }
+    }
+    let mut centroids = data.select_rows(&chosen);
+    for _ in 0..iters {
+        let assignments = oracle_assign(data, &centroids);
+        let mut sums = Matrix::zeros(k, d);
+        kernels::scatter_add_rows(&mut sums, &assignments, data);
+        let mut counts = vec![0usize; k];
+        for &a in &assignments {
+            counts[a as usize] += 1;
+        }
+        for (c, &count) in counts.iter().enumerate() {
+            if count > 0 {
+                let inv = 1.0 / count as f32;
+                for (x, &s) in centroids.row_mut(c).iter_mut().zip(sums.row(c)) {
+                    *x = s * inv;
+                }
+            }
+        }
+    }
+    let assignments = oracle_assign(data, &centroids);
+    (centroids, assignments)
+}
+
+/// `n × d` rows drawn from `distinct` seeded rows (so repeats are common),
+/// each value from a pool with signed zeros, subnormals and mixed scales;
+/// `specials` adds `±∞` and NaN to the pool.
+fn pooled_rows(n: usize, d: usize, distinct: usize, specials: bool, seed: u64) -> Matrix {
+    const POOL: [f32; 10] = [
+        0.0,
+        -0.0,
+        1e-40,
+        -1e-40,
+        f32::MIN_POSITIVE,
+        1.0,
+        -0.75,
+        0.125,
+        3.5,
+        -1e-3,
+    ];
+    const SPECIAL: [f32; 3] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    let mut state = (seed as u32).wrapping_mul(2_654_435_761).wrapping_add(7);
+    let mut next = || {
+        state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        state >> 8
+    };
+    let base: Vec<f32> = (0..distinct * d)
+        .map(|_| {
+            let r = next();
+            match r % 40 {
+                0..=2 if specials => SPECIAL[(r / 40) as usize % SPECIAL.len()],
+                // Unit-scale values beside the pool's exact ones.
+                3..=19 => (r >> 6) as f32 / (1u32 << 18) as f32 - 0.5,
+                _ => POOL[(r / 40) as usize % POOL.len()],
+            }
+        })
+        .collect();
+    let picks: Vec<usize> = (0..n).map(|_| next() as usize % distinct).collect();
+    Matrix::from_fn(n, d, |r, c| base[picks[r] * d + c])
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn kmeans_equals_the_per_element_dot_oracle_bitwise(
+        n in 0usize..70, d in 1usize..40, k in 1usize..12, iters in 0usize..4,
+        distinct in 1usize..24, seed in 0u64..1 << 20,
+    ) {
+        let data = pooled_rows(n, d, distinct, false, seed);
+        let km = gb_tensor::kmeans::kmeans(&data, k, iters, seed);
+        let (centroids, assignments) = oracle_kmeans(&data, k, iters, seed);
+        prop_assert_eq!(km.centroids.shape(), centroids.shape());
+        prop_assert_eq!(bits(&km.centroids), bits(&centroids));
+        prop_assert_eq!(km.assignments, assignments);
+    }
+
+    #[test]
+    fn assign_equals_the_per_element_dot_oracle_bitwise(
+        n in 0usize..70, d in 1usize..40, k in 1usize..12,
+        distinct in 1usize..24, seed in 0u64..1 << 20,
+    ) {
+        // `±∞` and NaN in both operands: NaN distances never win a strict
+        // `<`, except at `j = 0`, where one sticks.
+        let data = pooled_rows(n, d, distinct, true, seed);
+        let centroids = pooled_rows(k, d, k, true, seed ^ 0xC3);
+        prop_assert_eq!(
+            gb_tensor::kmeans::assign(&data, &centroids),
+            oracle_assign(&data, &centroids)
+        );
     }
 }
