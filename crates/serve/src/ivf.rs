@@ -116,18 +116,9 @@ impl IvfIndex {
         seed: u64,
         packed: bool,
     ) -> Self {
-        let n = snapshot.n_items();
-        let od = snapshot.own_dim();
-        let sd = snapshot.social_dim();
         let item_own = snapshot.item_own();
         let item_social = snapshot.item_social();
-        let concat = Matrix::from_fn(n, od + sd, |r, c| {
-            if c < od {
-                item_own.get(r, c)
-            } else {
-                item_social.get(r, c - od)
-            }
-        });
+        let concat = kernels::concat_cols(&[item_own, item_social]);
         let km = kmeans::kmeans(&concat, n_clusters.max(1), KMEANS_ITERS, seed);
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); km.centroids.rows()];
         for (item, &cell) in km.assignments.iter().enumerate() {
@@ -145,7 +136,7 @@ impl IvfIndex {
         });
         Self {
             version,
-            own_dim: od,
+            own_dim: snapshot.own_dim(),
             centroids: km.centroids,
             lists,
             packed,
@@ -222,14 +213,10 @@ impl IvfIndex {
             .collect();
         let item_own = snapshot.item_own();
         let item_social = snapshot.item_social();
-        let concat = Matrix::from_fn(moved.len(), od + sd, |r, c| {
-            let item = moved[r] as usize;
-            if c < od {
-                item_own.get(item, c)
-            } else {
-                item_social.get(item, c - od)
-            }
-        });
+        let concat = kernels::concat_cols(&[
+            &kernels::gather_rows(item_own, &moved),
+            &kernels::gather_rows(item_social, &moved),
+        ]);
         let cells = kmeans::assign(&concat, &self.centroids);
 
         let mut lists = self.lists.clone();

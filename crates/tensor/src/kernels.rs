@@ -53,6 +53,17 @@
 //! then single columns, per-element order `(((0 + s0) + s1) + …) * inv` in
 //! all three. [`matmul_nt`] reduces along lanes and stays on `dot_tile`.
 //!
+//! The third form puts one *row* in each lane. `RowPanels` transposes a
+//! matrix once into panels of eight rows, column `q` of a panel being one
+//! vector, and `panel_dot` runs in lane `l` the sum `dot` runs for row
+//! `l`: eight accumulator vectors, accumulator `a` collecting columns
+//! `8c + a` over ascending `c` from `+0.0`, folded by `reduce_lanes`'
+//! tree, then the tail columns in index order. Each lane is
+//! `dot(x_l, y)` bit for bit, nothing crosses lanes, and a short last
+//! panel is padded. k-means' assignment and farthest-point passes run on
+//! it with their argmin, or running minimum and argmax, folded into the
+//! same pass, so no table of dot products is built.
+//!
 //! **No FMA, on either lane type, in any kernel.** Every product is rounded
 //! before it is added (`mul` then `add`; never `_mm256_fmadd_ps` or
 //! `f32::mul_add`). A fused multiply-add changes the low bit, and the
@@ -515,6 +526,219 @@ pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
         }
     }
     out
+}
+
+/// A matrix's rows eight to a *panel*, one row per lane: column `q` of
+/// panel `p` is the vector `[m[8p][q], m[8p + 1][q], …, m[8p + 7][q]]`, so
+/// one lane op on it acts on eight rows at once. Lanes past the last row
+/// hold NaN: every distance they give is NaN, which no strict comparison
+/// picks, and the scans drop those lanes. The k-means distance passes run
+/// over this layout ([`RowPanels::nearest`], [`RowPanels::maxmin_sweep`]).
+pub(crate) struct RowPanels {
+    rows: usize,
+    cols: usize,
+    /// Panel `p`'s columns at `p * cols .. (p + 1) * cols`.
+    data: Vec<[f32; DOT_LANES]>,
+}
+
+/// Eight [`dot`]s at once, one per lane: lane `l` of the result is
+/// `dot(x_l, y)` bit for bit, where `x_l` is the panel's row `l` and `y`
+/// is `Some` vector as wide as the panel, or `dot(x_l, x_l)` for `None`.
+/// Lane `l` keeps `dot`'s eight accumulators in eight vectors —
+/// accumulator `a` sums columns `8c + a` over ascending `c` from `+0.0`,
+/// each product `x·y` rounded before the add — folds them with
+/// [`reduce_lanes`]' tree and adds the tail columns in index order: the
+/// whole-chunk loop runs outside the eight accumulators so they stay in
+/// registers.
+///
+/// # Panics
+/// Panics if `y` is not as wide as the panel.
+#[inline(always)]
+fn panel_dot<L: Lane8>(panel: &[[f32; DOT_LANES]], y: Option<&[f32]>) -> L {
+    if let Some(y) = y {
+        assert_eq!(y.len(), panel.len(), "panel_dot: width mismatch");
+    }
+    let factor = |q: usize, x: L| match y {
+        // SAFETY: every `q` below is a column of the panel, so
+        // `q < panel.len() == y.len()` (asserted above).
+        Some(y) => L::splat(unsafe { *y.get_unchecked(q) }),
+        None => x,
+    };
+    let mut chunks = panel.chunks_exact(DOT_LANES);
+    let mut acc = [L::splat(0.0); DOT_LANES];
+    for (c, chunk) in chunks.by_ref().enumerate() {
+        for (a, (acc, x)) in acc.iter_mut().zip(chunk).enumerate() {
+            let x = L::loadu(x);
+            *acc = acc.add(x.mul(factor(c * DOT_LANES + a, x)));
+        }
+    }
+    let [a0, a1, a2, a3, a4, a5, a6, a7] = acc;
+    let mut sum = a0.add(a4).add(a2.add(a6)).add(a1.add(a5).add(a3.add(a7)));
+    let tail = panel.len() - chunks.remainder().len();
+    for (q, x) in chunks.remainder().iter().enumerate() {
+        let x = L::loadu(x);
+        sum = sum.add(x.mul(factor(tail + q, x)));
+    }
+    sum
+}
+
+/// Largest centroid count and panel count whose indices the scans carry
+/// in f32 lanes, where every integer up to it is exact.
+const MAX_LANE_INDEX: usize = 1 << 24;
+
+impl RowPanels {
+    /// `m`'s rows in panels, the last one padded with NaN rows.
+    pub(crate) fn new(m: &Matrix) -> Self {
+        let (rows, cols) = m.shape();
+        let mut data = vec![[f32::NAN; DOT_LANES]; rows.div_ceil(DOT_LANES) * cols];
+        for r in 0..rows {
+            let panel = &mut data[r / DOT_LANES * cols..][..cols];
+            for (col, &v) in panel.iter_mut().zip(m.row(r)) {
+                col[r % DOT_LANES] = v;
+            }
+        }
+        Self { rows, cols, data }
+    }
+
+    /// Panel `p`'s columns.
+    #[inline(always)]
+    fn panel(&self, p: usize) -> &[[f32; DOT_LANES]] {
+        &self.data[p * self.cols..(p + 1) * self.cols]
+    }
+
+    /// The number of panels.
+    fn len(&self) -> usize {
+        self.rows.div_ceil(DOT_LANES)
+    }
+
+    /// `‖x‖² = dot(x, x)` of every row, lane `l` of entry `p` for row
+    /// `8p + l` (NaN on the padded lanes): the panel times itself.
+    pub(crate) fn sq_norms(&self) -> Vec<[f32; DOT_LANES]> {
+        self.sq_norms_on::<simd::Native>()
+    }
+
+    #[inline(always)]
+    fn sq_norms_on<L: Lane8>(&self) -> Vec<[f32; DOT_LANES]> {
+        (0..self.len())
+            .map(|p| {
+                let mut out = [0.0; DOT_LANES];
+                panel_dot::<L>(self.panel(p), None).storeu(&mut out);
+                out
+            })
+            .collect()
+    }
+
+    /// `out[i] = argmin_j (half_norms[j] − dot(x_i, c_j))` over the rows
+    /// `c_j` of `centroids`: the scalar scan of each row, eight rows at a
+    /// time. Per lane, `j` ascends from `0` under a strict `<`, so ties
+    /// keep the lowest `j` and a NaN distance at `j = 0` is never replaced.
+    ///
+    /// # Panics
+    /// Panics if the widths disagree, `out` has a length other than the
+    /// row count, `centroids` has no rows, more than `2^24` rows, or other
+    /// than one half-norm per row.
+    pub(crate) fn nearest(&self, centroids: &Matrix, half_norms: &[f32], out: &mut [u32]) {
+        self.nearest_on::<simd::Native>(centroids, half_norms, out);
+    }
+
+    #[inline(always)]
+    fn nearest_on<L: Lane8>(&self, centroids: &Matrix, half_norms: &[f32], out: &mut [u32]) {
+        let k = centroids.rows();
+        assert!(
+            k > 0 && k <= MAX_LANE_INDEX && half_norms.len() == k,
+            "nearest: {k} centroids, {} half-norms",
+            half_norms.len()
+        );
+        assert_eq!(centroids.cols(), self.cols, "nearest: width mismatch");
+        assert_eq!(out.len(), self.rows, "nearest: output length");
+        let dist = |panel: &[[f32; DOT_LANES]], j: usize| {
+            L::splat(half_norms[j]).sub(panel_dot::<L>(panel, Some(centroids.row(j))))
+        };
+        for (p, out) in out.chunks_mut(DOT_LANES).enumerate() {
+            let panel = self.panel(p);
+            let mut best_d = dist(panel, 0);
+            let mut best = L::splat(0.0);
+            for j in 1..k {
+                let d = dist(panel, j);
+                best = d.select_lt(best_d, L::splat(j as f32), best);
+                best_d = d.min(best_d);
+            }
+            let mut lanes = [0.0f32; DOT_LANES];
+            best.storeu(&mut lanes);
+            for (o, &j) in out.iter_mut().zip(&lanes) {
+                *o = j as u32;
+            }
+        }
+    }
+
+    /// One farthest-point sweep against the chosen row `c` (`y = x_c`):
+    /// every row's distance `(‖x‖² + ‖y‖²) − 2·dot(x, y)` becomes its
+    /// `min_dist` on the `first` sweep and replaces it when strictly
+    /// smaller after that; the sweep returns the row with the largest
+    /// `min_dist` — strict `>` from `−∞` in row order, so the first such
+    /// row, never a NaN, and row 0 when nothing beats `−∞`. The argmax runs
+    /// per lane over the panels, then across the lanes.
+    ///
+    /// # Panics
+    /// Panics if `sq_norms` is not [`RowPanels::sq_norms`]' shape or
+    /// `min_dist` not the same, `c` is not a row, or the table has more
+    /// than `2^24` panels.
+    pub(crate) fn maxmin_sweep(
+        &self,
+        sq_norms: &[[f32; DOT_LANES]],
+        c: usize,
+        min_dist: &mut [[f32; DOT_LANES]],
+        first: bool,
+    ) -> usize {
+        self.maxmin_sweep_on::<simd::Native>(sq_norms, c, min_dist, first)
+    }
+
+    #[inline(always)]
+    fn maxmin_sweep_on<L: Lane8>(
+        &self,
+        sq_norms: &[[f32; DOT_LANES]],
+        c: usize,
+        min_dist: &mut [[f32; DOT_LANES]],
+        first: bool,
+    ) -> usize {
+        let panels = self.len();
+        assert!(
+            panels <= MAX_LANE_INDEX && c < self.rows,
+            "maxmin_sweep: row {c} of {}",
+            self.rows
+        );
+        assert!(
+            sq_norms.len() == panels && min_dist.len() == panels,
+            "maxmin_sweep: operand shapes"
+        );
+        let (cp, cl) = (c / DOT_LANES, c % DOT_LANES);
+        let y: Vec<f32> = self.panel(cp).iter().map(|col| col[cl]).collect();
+        let sq_y = L::splat(sq_norms[cp][cl]);
+        let two = L::splat(2.0);
+        let mut best_d = L::splat(f32::NEG_INFINITY);
+        let mut best = L::splat(0.0);
+        for (p, (sq, slot)) in sq_norms.iter().zip(min_dist.iter_mut()).enumerate() {
+            let dot = panel_dot::<L>(self.panel(p), Some(&y));
+            let d = L::loadu(sq).add(sq_y).sub(two.mul(dot));
+            let m = if first { d } else { d.min(L::loadu(slot)) };
+            m.storeu(slot);
+            best = best_d.select_lt(m, L::splat(p as f32), best);
+            best_d = best_d.select_lt(m, m, best_d);
+        }
+        let (mut lane_d, mut lane_p) = ([0.0f32; DOT_LANES], [0.0f32; DOT_LANES]);
+        best_d.storeu(&mut lane_d);
+        best.storeu(&mut lane_p);
+        // Each lane holds its first row at its maximum; the answer is the
+        // lowest such row among the lanes at the overall maximum.
+        let top = lane_d
+            .iter()
+            .fold(f32::NEG_INFINITY, |m, &v| if v > m { v } else { m });
+        (0..DOT_LANES)
+            .filter(|&l| top > f32::NEG_INFINITY && lane_d[l] == top)
+            .map(|l| lane_p[l] as usize * DOT_LANES + l)
+            .min()
+            .unwrap_or(0)
+    }
 }
 
 /// Elementwise `a + b` — bit for bit [`add_assign`] into a copy of `a`
@@ -2152,6 +2376,65 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn row_panels_match_their_portable_forms_and_dot_bitwise() {
+        // Heights around one panel (a padded last panel, whole panels) and
+        // widths with every tail; 1e30-scale values make infinite and NaN
+        // distances. Every norm is also `dot`'s own bits. The Native ==
+        // Portable half is a real comparison only under
+        // `cfg(target_feature = "avx2")`.
+        let mut seed = 0u32;
+        for n in [1usize, 7, 8, 9, 17, 24] {
+            for d in (1..=20).chain([31, 32, 33]) {
+                seed += 1;
+                let data = Matrix::from_vec(n, d, awkward(n * d, seed));
+                let cents = Matrix::from_vec(5, d, awkward(5 * d, seed ^ 0x3333));
+                let panels = RowPanels::new(&data);
+                let sq = panels.sq_norms();
+                let sq_portable = panels.sq_norms_on::<simd::Portable>();
+                for i in 0..n {
+                    let (got, want) = (sq[i / 8][i % 8], dot(data.row(i), data.row(i)));
+                    assert!(same_bits(got, want), "n={n} d={d} row {i}: ‖x‖²");
+                    assert!(same_bits(got, sq_portable[i / 8][i % 8]), "n={n} d={d}");
+                }
+                let half: Vec<f32> = (0..5)
+                    .map(|j| 0.5 * dot(cents.row(j), cents.row(j)))
+                    .collect();
+                let (mut got, mut want) = (vec![0; n], vec![0; n]);
+                panels.nearest(&cents, &half, &mut got);
+                panels.nearest_on::<simd::Portable>(&cents, &half, &mut want);
+                assert_eq!(got, want, "n={n} d={d}: nearest");
+                let mut md = vec![[0.0; DOT_LANES]; sq.len()];
+                let mut md_portable = md.clone();
+                let mut c = seed as usize % n;
+                for sweep in 0..4 {
+                    let next = panels.maxmin_sweep(&sq, c, &mut md, sweep == 0);
+                    let want = panels.maxmin_sweep_on::<simd::Portable>(
+                        &sq,
+                        c,
+                        &mut md_portable,
+                        sweep == 0,
+                    );
+                    assert_eq!(next, want, "n={n} d={d} sweep {sweep}");
+                    for (a, b) in md.iter().flatten().zip(md_portable.iter().flatten()) {
+                        assert!(same_bits(*a, *b), "n={n} d={d} sweep {sweep}: min_dist");
+                    }
+                    if sweep == 0 {
+                        // The first sweep stores each distance as it is:
+                        // `dot`'s bits in every term.
+                        let (x, y) = (|i: usize| data.row(i), data.row(c));
+                        for i in 0..n {
+                            let want = (dot(x(i), x(i)) + dot(y, y)) - 2.0 * dot(x(i), y);
+                            assert!(same_bits(md[i / 8][i % 8], want), "n={n} d={d} row {i}");
+                        }
+                    }
+                    c = next;
+                }
+            }
+        }
+    }
+
     /// Every size `0..=20` (no tile, one row tile, one column tile, every
     /// edge width on every side, empty dims) plus the widths around and at
     /// the trainer's own.

@@ -5,11 +5,10 @@
 //! requirements there are stricter than "converges nicely":
 //!
 //! * **Determinism.** Same `(data, k, iters, seed)` ⇒ bit-identical
-//!   centroids and assignments, on every run and every thread count. All
-//!   distance work goes through the fixed-order blocked kernels
-//!   ([`kernels::matmul_nt`], [`kernels::dot`]), accumulation walks rows
-//!   in ascending index order ([`kernels::scatter_add_rows`]), and
-//!   initialization uses an inline SplitMix64 stream — no global RNG
+//!   centroids and assignments, on every run and every thread count. Every
+//!   distance is [`kernels::dot`]'s fixed-order lane sum, accumulation
+//!   walks rows in ascending index order ([`kernels::scatter_add_rows`]),
+//!   and initialization uses an inline SplitMix64 stream — no global RNG
 //!   state anywhere.
 //! * **Total assignment.** Every row gets a cluster; distance ties break
 //!   toward the lowest centroid index; empty clusters keep their previous
@@ -18,11 +17,24 @@
 //! Lloyd's update is used verbatim: assign each row to the nearest
 //! centroid under squared Euclidean distance, then recenter each cluster
 //! on the mean of its members. `argmin_j ‖x − c_j‖²` is computed as
-//! `argmin_j (½‖c_j‖² − x·c_j)` so the whole assignment step is one
-//! `matmul_nt` against the centroid matrix plus a per-centroid norm — the
-//! same register-tiled kernel the serving scorer uses.
+//! `argmin_j (½‖c_j‖² − x·c_j)`, a per-centroid norm minus a dot product.
+//!
+//! **Row panels.** Both distance passes — the farthest-point init and
+//! every Lloyd assignment — read `data` transposed once into
+//! `kernels::RowPanels`: eight rows per vector, one row per lane. One
+//! lane body then computes, for a centroid `y`, eight `dot(x, y)` at once,
+//! and the argmin (assignment) or the running minimum and argmax (init)
+//! is folded into the same pass, so no `n × k` table of dot products is
+//! ever built. A lane *is* [`kernels::dot`], bit for bit: it keeps `dot`'s
+//! eight accumulators `p_a = Σ_c x[8c + a]·y[8c + a]` (ascending `c` from
+//! `+0.0`, each product rounded before the add, no FMA), folds them with
+//! `dot`'s tree `((p0+p4)+(p2+p6))+((p1+p5)+(p3+p7))` and adds the
+//! `d mod 8` tail columns in index order. Lanes never interact, so the
+//! last panel is padded and its extra lanes dropped: one path for every
+//! `n`, `d` and `k`.
 
-use crate::{kernels, Matrix};
+use crate::kernels::{self, RowPanels};
+use crate::Matrix;
 
 /// Output of [`kmeans`]: `k × d` centroids plus one cluster id per input
 /// row, consistent with a final assignment pass against those centroids.
@@ -46,42 +58,37 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// `½‖c_j‖²` of every centroid, as `0.5 * dot(c_j, c_j)`.
+fn half_norms(centroids: &Matrix) -> Vec<f32> {
+    (0..centroids.rows())
+        .map(|j| 0.5 * kernels::dot(centroids.row(j), centroids.row(j)))
+        .collect()
+}
+
 /// Nearest-centroid assignment: `out[i] = argmin_j ‖data[i] − c_j‖²`,
 /// ties broken toward the lowest `j`.
 ///
-/// One [`kernels::matmul_nt`] computes every `data[i] · c_j`; the squared
-/// distance comparison drops the (assignment-invariant) `‖x‖²` term.
-/// Deterministic: the kernel has a fixed summation order and the argmin
-/// scan is ascending in `j`.
+/// The comparison drops the (assignment-invariant) `‖x‖²` term:
+/// `out[i] = argmin_j (½‖c_j‖² − dot(data[i], c_j))`, scanned over
+/// ascending `j` under a strict `<` (so a NaN distance at `j = 0` is never
+/// replaced, and a later one never wins). No `n × k` table is built: the
+/// rows go through `kernels::RowPanels` eight at a time, one row per
+/// lane, each lane running [`kernels::dot`]'s own summation (see the
+/// module docs), so every distance has the `dot` call's bits and the
+/// argmin is the scalar scan's.
 ///
 /// # Panics
-/// Panics if widths disagree or `centroids` has no rows while `data` has.
+/// Panics if widths disagree, or `centroids` has no rows (or more than
+/// `2^24`: the scan carries `j` in an f32 lane) while `data` has rows.
 pub fn assign(data: &Matrix, centroids: &Matrix) -> Vec<u32> {
     if data.rows() == 0 {
         return Vec::new();
     }
     assert!(centroids.rows() > 0, "assign: no centroids");
     assert_eq!(data.cols(), centroids.cols(), "assign: width mismatch");
-    let k = centroids.rows();
-    let half_norms: Vec<f32> = (0..k)
-        .map(|j| 0.5 * kernels::dot(centroids.row(j), centroids.row(j)))
-        .collect();
-    let dots = kernels::matmul_nt(data, centroids);
-    (0..data.rows())
-        .map(|i| {
-            let row = dots.row(i);
-            let mut best = 0usize;
-            let mut best_d = half_norms[0] - row[0];
-            for j in 1..k {
-                let d = half_norms[j] - row[j];
-                if d < best_d {
-                    best = j;
-                    best_d = d;
-                }
-            }
-            best as u32
-        })
-        .collect()
+    let mut out = vec![0; data.rows()];
+    RowPanels::new(data).nearest(centroids, &half_norms(centroids), &mut out);
+    out
 }
 
 /// Seeded farthest-point ("maxmin") initialization: the first center is
@@ -93,36 +100,23 @@ pub fn assign(data: &Matrix, centroids: &Matrix) -> Vec<u32> {
 /// them), and Lloyd cannot split a merged cell afterwards; maxmin seeds
 /// every distant mode by construction. Deterministic given `seed`, and
 /// `O(n·k·d)` — the cost of one extra assignment pass.
-fn farthest_point_init(data: &Matrix, k: usize, seed: u64) -> Vec<usize> {
-    let n = data.rows();
+///
+/// Each center but the last costs one sweep over the panels
+/// (`RowPanels::maxmin_sweep`): the distance to the newest center,
+/// `(‖x‖² + ‖c‖²) − 2·dot(x, c)` with `‖x‖²` kept explicitly since the
+/// argmax compares different rows, folded into each row's running minimum
+/// and the running argmax in the same pass.
+fn farthest_point_init(panels: &RowPanels, n: usize, k: usize, seed: u64) -> Vec<usize> {
     let mut state = seed ^ 0xD1B5_4A32_D192_ED03;
     let first = (splitmix64(&mut state) % n as u64) as usize;
     let mut chosen = Vec::with_capacity(k);
     chosen.push(first);
-    // Squared distance to the nearest chosen center so far; ‖x‖² terms
-    // are kept explicitly since the argmax compares different rows.
-    let sq_norm: Vec<f32> = (0..n)
-        .map(|i| kernels::dot(data.row(i), data.row(i)))
-        .collect();
-    let dist_to =
-        |i: usize, c: usize| sq_norm[i] + sq_norm[c] - 2.0 * kernels::dot(data.row(i), data.row(c));
-    let mut min_dist: Vec<f32> = (0..n).map(|i| dist_to(i, first)).collect();
+    let sq_norms = panels.sq_norms();
+    let mut min_dist = vec![[0.0; kernels::DOT_LANES]; sq_norms.len()];
     while chosen.len() < k {
-        let mut best = 0usize;
-        let mut best_d = f32::NEG_INFINITY;
-        for (i, &d) in min_dist.iter().enumerate() {
-            if d > best_d {
-                best = i;
-                best_d = d;
-            }
-        }
-        chosen.push(best);
-        for (i, slot) in min_dist.iter_mut().enumerate() {
-            let d = dist_to(i, best);
-            if d < *slot {
-                *slot = d;
-            }
-        }
+        let c = chosen[chosen.len() - 1];
+        let next = panels.maxmin_sweep(&sq_norms, c, &mut min_dist, chosen.len() == 1);
+        chosen.push(next);
     }
     chosen
 }
@@ -134,6 +128,10 @@ fn farthest_point_init(data: &Matrix, k: usize, seed: u64) -> Vec<usize> {
 /// result. The returned assignments are a *final* assignment pass against
 /// the returned centroids, so they are mutually consistent even when
 /// `iters == 0` (pure seeded initialization).
+///
+/// # Panics
+/// Panics if `data` has more than `2^27` rows (the init's argmax carries
+/// a panel index in an f32 lane) or `k` is above `2^24`.
 pub fn kmeans(data: &Matrix, k: usize, iters: usize, seed: u64) -> KMeans {
     let n = data.rows();
     let d = data.cols();
@@ -145,11 +143,13 @@ pub fn kmeans(data: &Matrix, k: usize, iters: usize, seed: u64) -> KMeans {
         };
     }
 
-    let chosen = farthest_point_init(data, k, seed);
+    let panels = RowPanels::new(data);
+    let chosen = farthest_point_init(&panels, n, k, seed);
     let mut centroids = data.select_rows(&chosen);
+    let mut assignments = vec![0; n];
 
     for _ in 0..iters {
-        let assignments = assign(data, &centroids);
+        panels.nearest(&centroids, &half_norms(&centroids), &mut assignments);
         // Recenter: ascending-row scatter-add keeps the mean's summation
         // order fixed; empty clusters keep their previous centroid.
         let mut sums = Matrix::zeros(k, d);
@@ -171,7 +171,7 @@ pub fn kmeans(data: &Matrix, k: usize, iters: usize, seed: u64) -> KMeans {
         }
     }
 
-    let assignments = assign(data, &centroids);
+    panels.nearest(&centroids, &half_norms(&centroids), &mut assignments);
     KMeans {
         centroids,
         assignments,
