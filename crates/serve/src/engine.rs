@@ -32,7 +32,7 @@
 //! fixed-capacity LRU on their own.
 
 use crate::cache::LruCache;
-use crate::error::{lock_recover, read_recover, write_recover, ServeError};
+use crate::error::{check_users, lock_recover, read_recover, write_recover, ServeError};
 use crate::faults::FaultPlan;
 use crate::ivf::IvfIndex;
 use crate::topk::{ScoredItem, TopK};
@@ -92,8 +92,8 @@ pub struct EngineConfig {
     /// Response cache capacity in `(version, deal generation, user, k)`
     /// entries; 0 disables caching.
     pub cache_capacity: usize,
-    /// Users scored per catalogue pass on the batched path
-    /// ([`QueryEngine::recommend_many`], and the service-side query
+    /// Users scored per catalogue pass
+    /// ([`QueryEngine::try_recommend_batch`], and the service-side query
     /// coalescer). The catalogue pass is memory-bound on the item tables;
     /// streaming them once per user *block* amortizes that traffic across
     /// up to `user_block` requests. Like `block_size`, this is purely a
@@ -449,180 +449,58 @@ impl QueryEngine {
         }
     }
 
-    /// Top-`k` unseen items for `user`, best first.
-    ///
-    /// Results are shared `Arc`s so cache hits are allocation-free.
-    ///
-    /// # Panics
-    /// Panics if `user` is out of range for the served snapshot.
-    pub fn recommend(&self, user: u32, k: usize) -> Arc<Vec<ScoredItem>> {
-        self.recommend_versioned(user, k).1
-    }
-
-    /// Like [`QueryEngine::recommend`], also reporting which published
-    /// snapshot version produced the response. The whole response is
-    /// computed from (or was cached under) exactly that version — never a
-    /// blend across a concurrent publish.
-    pub fn recommend_versioned(&self, user: u32, k: usize) -> (u64, Arc<Vec<ScoredItem>>) {
-        let cur = self.handle.load();
-        (cur.version(), self.recommend_at(&cur, user, k))
-    }
-
-    /// Fallible [`QueryEngine::recommend`]: a bad user id comes back as
-    /// [`ServeError::InvalidRequest`] and a scoring panic is caught at
-    /// this boundary and returned as [`ServeError::Poisoned`] — the
-    /// engine survives (its locks are poison-tolerant and no critical
-    /// section can be interrupted mid-mutation; see `crate::error`).
+    /// Top-`k` unseen items for `user`, best first: a batch of one
+    /// through [`QueryEngine::try_recommend_batch`], so the same
+    /// validation, cache and supervision contract applies. Results are
+    /// shared `Arc`s so cache hits are allocation-free.
     pub fn try_recommend(&self, user: u32, k: usize) -> Result<Arc<Vec<ScoredItem>>, ServeError> {
-        self.try_recommend_versioned(user, k).map(|(_, r)| r)
-    }
-
-    /// [`QueryEngine::try_recommend`] reporting the snapshot version the
-    /// response was computed from.
-    pub fn try_recommend_versioned(
-        &self,
-        user: u32,
-        k: usize,
-    ) -> Result<(u64, Arc<Vec<ScoredItem>>), ServeError> {
-        let cur = self.handle.load();
-        let n_users = cur.snapshot().n_users();
-        if user as usize >= n_users {
-            return Err(ServeError::InvalidRequest {
-                reason: format!("user {user} out of range ({n_users} users)"),
-            });
-        }
-        let version = cur.version();
-        catch_unwind(AssertUnwindSafe(|| self.recommend_at(&cur, user, k)))
-            .map(|r| (version, r))
-            .map_err(|p| ServeError::poisoned(p.as_ref(), "scoring"))
-    }
-
-    /// Fallible [`QueryEngine::recommend_many`]: the whole batch is
-    /// validated up front (any out-of-range user rejects it with
-    /// [`ServeError::InvalidRequest`] before work happens), and a panic
-    /// anywhere in the batched scoring pass is caught and returned as
-    /// one [`ServeError::Poisoned`] for the batch — per-user partial
-    /// results are never fabricated from an interrupted pass.
-    pub fn try_recommend_batch(&self, users: &[u32], k: usize) -> VersionedBatchResult {
-        let cur = self.handle.load();
-        let n_users = cur.snapshot().n_users();
-        if let Some(&user) = users.iter().find(|&&u| u as usize >= n_users) {
-            return Err(ServeError::InvalidRequest {
-                reason: format!("user {user} out of range ({n_users} users)"),
-            });
-        }
-        let version = cur.version();
-        catch_unwind(AssertUnwindSafe(|| self.recommend_many_at(&cur, users, k)))
-            .map(|r| (version, r))
-            .map_err(|p| ServeError::poisoned(p.as_ref(), "batched scoring"))
-    }
-
-    /// [`QueryEngine::recommend`] against an explicitly pinned
-    /// `(version, snapshot)` pair instead of whatever the engine's handle
-    /// currently serves.
-    ///
-    /// This is the scatter primitive of the sharded tier: a
-    /// `ShardedEngine` pins *one* globally published snapshot, slices
-    /// it, and queries every shard engine against its slice of that same
-    /// version — even if the global handle moves mid-scatter, no shard
-    /// can answer from a different publish. Caching still works (the key
-    /// carries `cur`'s version), as does IVF (the index is built for
-    /// `cur`'s version on miss).
-    ///
-    /// # Panics
-    /// Panics if `user` is out of range for `cur`'s snapshot.
-    pub fn recommend_at(
-        &self,
-        cur: &VersionedSnapshot,
-        user: u32,
-        k: usize,
-    ) -> Arc<Vec<ScoredItem>> {
-        let (deal_gen, deal) = self.deal_slot();
-        self.recommend_at_with_deal(cur, deal_gen, deal.as_deref(), user, k)
-    }
-
-    /// [`QueryEngine::recommend_at`] under an explicitly pinned
-    /// `(generation, filter)` deal slot instead of this engine's own.
-    /// The sharded tier reads its *router-level* slot once per query and
-    /// pins every shard to it — the mechanism that makes a cross-shard
-    /// filter install atomic from any single query's point of view.
-    /// Cache keys carry the caller's generation, so the invalidation
-    /// rule is unchanged.
-    ///
-    /// # Panics
-    /// Panics if `user` is out of range for `cur`'s snapshot.
-    pub(crate) fn recommend_at_with_deal(
-        &self,
-        cur: &VersionedSnapshot,
-        deal_gen: u64,
-        deal: Option<&BitMatrix>,
-        user: u32,
-        k: usize,
-    ) -> Arc<Vec<ScoredItem>> {
-        assert!(
-            (user as usize) < cur.snapshot().n_users(),
-            "user {user} out of range ({} users)",
-            cur.snapshot().n_users()
-        );
-        let key = (cur.version(), deal_gen, user, k);
-        if let Some(cache) = &self.cache {
-            if let Some(hit) = lock_recover(cache).get(&key) {
-                return Arc::clone(hit);
-            }
-        }
-        let result = Arc::new(self.rank(cur, deal, user, k));
-        if let Some(cache) = &self.cache {
-            lock_recover(cache).insert(key, Arc::clone(&result));
-        }
-        result
+        self.try_recommend_batch(&[user], k)
+            .map(|(_, mut lists)| lists.swap_remove(0))
     }
 
     /// Top-`k` unseen items for each of `users`, all answered from *one*
-    /// pinned snapshot version, which is returned alongside the results.
+    /// pinned snapshot version, which is returned alongside the results —
+    /// the engine's one request boundary.
     ///
-    /// The batched serving path: uncached users are scored in blocks of
-    /// up to [`EngineConfig::user_block`], each block walking the
-    /// catalogue *once* (the item tables stream from memory once per
-    /// block instead of once per user). Per-user seen-filters and top-K
-    /// heaps run in parallel over the shared score block, and each
-    /// computed response fills the cache on the way out.
+    /// The whole batch is validated up front: any out-of-range user
+    /// rejects it with [`ServeError::InvalidRequest`] before work
+    /// happens. A panic anywhere in the scoring pass is caught here and
+    /// returned as one [`ServeError::Poisoned`] for the batch — per-user
+    /// partial results are never fabricated from an interrupted pass, and
+    /// the engine survives (its locks are poison-tolerant and no critical
+    /// section can be interrupted mid-mutation; see `crate::error`).
     ///
-    /// Every per-user result is bit-identical to what a sequential
-    /// [`QueryEngine::recommend`] against the same snapshot version
-    /// returns — batching and block sizes are scheduling choices, never
-    /// numeric ones. Duplicate users are computed once and share one
-    /// `Arc`.
-    ///
-    /// # Panics
-    /// Panics if any user is out of range for the served snapshot.
-    pub fn recommend_many(&self, users: &[u32], k: usize) -> (u64, Vec<Arc<Vec<ScoredItem>>>) {
+    /// Uncached users are scored in blocks of up to
+    /// [`EngineConfig::user_block`], each block walking the catalogue
+    /// *once* (the item tables stream from memory once per block instead
+    /// of once per user); each computed response fills the cache on the
+    /// way out. Batching and block sizes are scheduling choices, never
+    /// numeric ones: every per-user result is the reference top-`k` of
+    /// that user's scores. Duplicate users are computed once and share
+    /// one `Arc`.
+    pub fn try_recommend_batch(&self, users: &[u32], k: usize) -> VersionedBatchResult {
         let cur = self.handle.load();
-        (cur.version(), self.recommend_many_at(&cur, users, k))
-    }
-
-    /// [`QueryEngine::recommend_many`] against an explicitly pinned
-    /// `(version, snapshot)` pair — the batched scatter primitive of the
-    /// sharded tier (see [`QueryEngine::recommend_at`]). Results are in
-    /// input order and bit-identical to per-user [`Self::recommend_at`]
-    /// calls against the same pair.
-    ///
-    /// # Panics
-    /// Panics if any user is out of range for `cur`'s snapshot.
-    pub fn recommend_many_at(
-        &self,
-        cur: &VersionedSnapshot,
-        users: &[u32],
-        k: usize,
-    ) -> Vec<Arc<Vec<ScoredItem>>> {
+        check_users(users, cur.snapshot().n_users())?;
         let (deal_gen, deal) = self.deal_slot();
-        self.recommend_many_at_with_deal(cur, deal_gen, deal.as_deref(), users, k)
+        catch_unwind(AssertUnwindSafe(|| {
+            self.recommend_many_at_with_deal(&cur, deal_gen, deal.as_deref(), users, k)
+        }))
+        .map(|r| (cur.version(), r))
+        .map_err(|p| ServeError::poisoned(p.as_ref(), "batched scoring"))
     }
 
-    /// [`QueryEngine::recommend_many_at`] under an explicitly pinned
-    /// deal slot — see [`QueryEngine::recommend_at_with_deal`].
+    /// The batched path against an explicitly pinned `(version,
+    /// snapshot)` pair and `(generation, filter)` deal slot, instead of
+    /// whatever the engine's handle and slot currently hold.
     ///
-    /// # Panics
-    /// Panics if any user is out of range for `cur`'s snapshot.
+    /// This is the scatter primitive of the sharded tier: a
+    /// `ShardedEngine` pins *one* globally published snapshot and *one*
+    /// router-level deal slot, slices both, and queries every shard
+    /// engine against its slice — even if the global handle moves
+    /// mid-scatter, no shard can answer from a different publish or
+    /// filter. Caching still works (the key carries `cur`'s version and
+    /// the caller's generation), as does IVF (the index is built for
+    /// `cur`'s version on miss). Callers validate `users` against `cur`.
     pub(crate) fn recommend_many_at_with_deal(
         &self,
         cur: &VersionedSnapshot,
@@ -631,14 +509,6 @@ impl QueryEngine {
         users: &[u32],
         k: usize,
     ) -> Vec<Arc<Vec<ScoredItem>>> {
-        let snapshot = cur.snapshot();
-        let n_users = snapshot.n_users();
-        for &user in users {
-            assert!(
-                (user as usize) < n_users,
-                "user {user} out of range ({n_users} users)"
-            );
-        }
         let version = cur.version();
         let mut out: Vec<Option<Arc<Vec<ScoredItem>>>> = vec![None; users.len()];
 
@@ -715,36 +585,12 @@ impl QueryEngine {
             .collect()
     }
 
-    /// Uncached scoring dispatch for one user against one pinned
-    /// `(version, snapshot)` pair, under one pinned deal filter.
-    fn rank(
-        &self,
-        cur: &VersionedSnapshot,
-        deal: Option<&BitMatrix>,
-        user: u32,
-        k: usize,
-    ) -> Vec<ScoredItem> {
-        if let Some(plan) = &self.faults {
-            plan.at_score();
-        }
-        match self.retrieval {
-            Retrieval::Exact => self.rank_exact(cur.snapshot(), deal, user, k),
-            Retrieval::Ivf {
-                n_clusters,
-                n_probe,
-            } => {
-                let index = self.ivf_for(cur, n_clusters);
-                self.rank_ivf(cur.snapshot(), &index, deal, user, k, n_probe)
-            }
-        }
-    }
-
-    /// Uncached batched scoring dispatch. Exact mode shares one catalogue
-    /// walk across the block; IVF mode ranks each user over its own
-    /// probed candidate set (candidate sets are per-user, so there is no
-    /// shared pass to amortize — the win is scoring far fewer items).
-    /// Either way every per-user result is bit-identical to [`Self::rank`]
-    /// for that user.
+    /// The uncached scoring dispatch for one block of users against one
+    /// pinned `(version, snapshot)` pair, under one pinned deal filter.
+    /// Exact mode shares one catalogue walk across the block; IVF mode
+    /// ranks each user over its own probed candidate set (candidate sets
+    /// are per-user, so there is no shared pass to amortize — the win is
+    /// scoring far fewer items).
     fn rank_many(
         &self,
         cur: &VersionedSnapshot,
@@ -777,34 +623,20 @@ impl QueryEngine {
         }
     }
 
-    /// The IVF scoring path: route to the user's best `n_probe` cells,
-    /// then score only their members (each cell's *packed* item tables
-    /// streamed in `block_size` chunks through [`IvfIndex::score_cell`])
-    /// with the same seen-filter probe and heap as the exhaustive walk.
-    /// Best cell first, so the heap's threshold fills with strong
-    /// candidates early and most later offers fail one comparison.
+    /// The IVF scoring path over one user's precomputed cell route
+    /// ([`IvfIndex::probe_cells_block`] routes once per distinct query
+    /// vector): score only the routed cells' members (each cell's
+    /// *packed* item tables streamed in `block_size` chunks through
+    /// [`IvfIndex::score_cell`]) with the same seen-filter probe and heap
+    /// as the exhaustive walk. Best cell first, so the heap's threshold
+    /// fills with strong candidates early and most later offers fail one
+    /// comparison.
     ///
     /// Scores are bit-identical to the exhaustive pass per surviving
     /// item, and the heap selects under a strict total order — its
     /// output depends only on the candidate *set*, not arrival order —
-    /// so probing every cell reproduces [`Self::rank_exact`]
+    /// so probing every cell reproduces [`Self::rank_many_exact`]
     /// bit-for-bit.
-    fn rank_ivf(
-        &self,
-        snapshot: &EmbeddingSnapshot,
-        index: &IvfIndex,
-        deal: Option<&BitMatrix>,
-        user: u32,
-        k: usize,
-        n_probe: usize,
-    ) -> Vec<ScoredItem> {
-        let cells = index.probe_cells(snapshot, user, n_probe);
-        self.rank_ivf_cells(snapshot, index, deal, user, k, &cells)
-    }
-
-    /// [`Self::rank_ivf`] over a precomputed cell route — the batched
-    /// path computes routes once per distinct query vector
-    /// ([`IvfIndex::probe_cells_block`]) and feeds them here.
     fn rank_ivf_cells(
         &self,
         snapshot: &EmbeddingSnapshot,
@@ -832,7 +664,7 @@ impl QueryEngine {
         topk.into_sorted()
     }
 
-    /// The uncached batched scoring path: one catalogue walk scores every
+    /// The exhaustive scoring path: one catalogue walk scores every
     /// user in `users` (one [`EngineConfig::user_block`]-sized block),
     /// maintaining a per-user seen-filter probe and top-K heap over the
     /// shared score block.
@@ -866,41 +698,12 @@ impl QueryEngine {
         }
         topks.into_iter().map(TopK::into_sorted).collect()
     }
-
-    /// The exhaustive uncached scoring path over one pinned snapshot.
-    fn rank_exact(
-        &self,
-        snapshot: &EmbeddingSnapshot,
-        deal: Option<&BitMatrix>,
-        user: u32,
-        k: usize,
-    ) -> Vec<ScoredItem> {
-        let n_items = snapshot.n_items();
-        let mut topk = TopK::new(k);
-        let mut block = vec![0.0f32; self.block_size.min(n_items.max(1))];
-        let seen = self.filter.as_ref().map(|f| f.row_words(user as usize));
-        let deal = deal.map(|f| f.row_words(0));
-        let mut start = 0usize;
-        while start < n_items {
-            let len = self.block_size.min(n_items - start);
-            let out = &mut block[..len];
-            snapshot.score_block(user, start, out);
-            topk.offer_block(start as u32, out, seen, deal);
-            start += len;
-        }
-        topk.into_sorted()
-    }
 }
 
 /// What the serving front ([`crate::service::RecommendService`]) needs
 /// from an engine — implemented by the single-catalogue [`QueryEngine`]
 /// and by the scatter-gather [`crate::router::ShardedEngine`], so one
 /// worker-pool/coalescing/latency layer fronts both.
-///
-/// The contract every implementation upholds: `recommend_many` results
-/// are in input order, each per-user result is bit-identical to a solo
-/// `recommend` against the same snapshot version, and the reported
-/// version is the one *every* returned ranking was computed from.
 pub trait ServeEngine: Send + Sync + 'static {
     /// Users in the served universe (fixed across publishes).
     fn n_users(&self) -> usize;
@@ -918,33 +721,16 @@ pub trait ServeEngine: Send + Sync + 'static {
     /// The candidate-generation mode served with.
     fn retrieval(&self) -> Retrieval;
 
-    /// Top-`k` for one user plus the snapshot version that produced it.
-    fn recommend_versioned(&self, user: u32, k: usize) -> (u64, Arc<Vec<ScoredItem>>);
-
-    /// Top-`k` per user, all pinned to one version (returned alongside).
-    fn recommend_many(&self, users: &[u32], k: usize) -> (u64, Vec<Arc<Vec<ScoredItem>>>);
-
-    /// Fallible [`ServeEngine::recommend_many`]: validation failures and
-    /// caught scoring panics come back as typed [`ServeError`]s instead
-    /// of panicking the caller — the supervision boundary the service's
-    /// workers score through. The default wraps the infallible path in
-    /// `catch_unwind`; implementations with richer failure structure
-    /// (the sharded router's degraded scatter) override it.
-    fn try_recommend_many(&self, users: &[u32], k: usize) -> VersionedBatchResult {
-        let n_users = self.n_users();
-        if let Some(&user) = users.iter().find(|&&u| u as usize >= n_users) {
-            return Err(ServeError::InvalidRequest {
-                reason: format!("user {user} out of range ({n_users} users)"),
-            });
-        }
-        catch_unwind(AssertUnwindSafe(|| self.recommend_many(users, k)))
-            .map_err(|p| ServeError::poisoned(p.as_ref(), "batched scoring"))
-    }
-
-    /// Top-`k` for one user (version discarded).
-    fn recommend(&self, user: u32, k: usize) -> Arc<Vec<ScoredItem>> {
-        self.recommend_versioned(user, k).1
-    }
+    /// Top-`k` per user, all pinned to one snapshot version (returned
+    /// alongside) — the supervision boundary the service's workers score
+    /// through. Validation failures and caught scoring panics come back
+    /// as typed [`ServeError`]s instead of panicking the caller.
+    ///
+    /// The contract every implementation upholds: results are in input
+    /// order, each per-user result is the same whichever batch it rides
+    /// in, and the reported version is the one *every* returned ranking
+    /// was computed from.
+    fn try_recommend_many(&self, users: &[u32], k: usize) -> VersionedBatchResult;
 }
 
 impl ServeEngine for QueryEngine {
@@ -964,14 +750,6 @@ impl ServeEngine for QueryEngine {
         QueryEngine::retrieval(self)
     }
 
-    fn recommend_versioned(&self, user: u32, k: usize) -> (u64, Arc<Vec<ScoredItem>>) {
-        QueryEngine::recommend_versioned(self, user, k)
-    }
-
-    fn recommend_many(&self, users: &[u32], k: usize) -> (u64, Vec<Arc<Vec<ScoredItem>>>) {
-        QueryEngine::recommend_many(self, users, k)
-    }
-
     fn try_recommend_many(&self, users: &[u32], k: usize) -> VersionedBatchResult {
         QueryEngine::try_recommend_batch(self, users, k)
     }
@@ -983,6 +761,12 @@ mod tests {
     use gb_eval::topk::reference_topk;
     use gb_eval::Scorer;
     use gb_tensor::Matrix;
+
+    /// One user's reply and the version it was computed from.
+    fn versioned(engine: &QueryEngine, user: u32, k: usize) -> (u64, Arc<Vec<ScoredItem>>) {
+        let (version, mut lists) = engine.try_recommend_batch(&[user], k).unwrap();
+        (version, lists.swap_remove(0))
+    }
 
     fn snapshot(n_users: usize, n_items: usize, d: usize) -> EmbeddingSnapshot {
         EmbeddingSnapshot::new(
@@ -1008,7 +792,8 @@ mod tests {
         let candidates: Vec<u32> = (0..333).collect();
         for user in 0..6u32 {
             let got: Vec<(u32, f32)> = engine
-                .recommend(user, 10)
+                .try_recommend(user, 10)
+                .unwrap()
                 .iter()
                 .map(|e| (e.item, e.score))
                 .collect();
@@ -1028,11 +813,11 @@ mod tests {
             seen.set(1, item);
         }
         let engine = QueryEngine::new(snap).with_seen_filter(seen);
-        let rec = engine.recommend(1, 200);
+        let rec = engine.try_recommend(1, 200).unwrap();
         assert_eq!(rec.len(), 200 - 67, "67 items filtered");
         assert!(rec.iter().all(|e| e.item % 3 != 0), "a seen item leaked");
         // Other users are unaffected.
-        assert_eq!(engine.recommend(0, 200).len(), 200);
+        assert_eq!(engine.try_recommend(0, 200).unwrap().len(), 200);
     }
 
     #[test]
@@ -1054,7 +839,8 @@ mod tests {
             .filter(|i| ![0u32, 5, 64, 65, 128, 149].contains(i))
             .collect();
         let got: Vec<(u32, f32)> = engine
-            .recommend(2, 7)
+            .try_recommend(2, 7)
+            .unwrap()
             .iter()
             .map(|e| (e.item, e.score))
             .collect();
@@ -1071,15 +857,15 @@ mod tests {
                 ..Default::default()
             },
         );
-        let first = engine.recommend(3, 5);
-        let second = engine.recommend(3, 5);
+        let first = engine.try_recommend(3, 5).unwrap();
+        let second = engine.try_recommend(3, 5).unwrap();
         assert!(
             Arc::ptr_eq(&first, &second),
             "second query should be a cache hit"
         );
         assert_eq!(engine.cache_stats(), (1, 1));
         // Different k is a different cache entry with consistent content.
-        let shorter = engine.recommend(3, 3);
+        let shorter = engine.try_recommend(3, 3).unwrap();
         assert_eq!(&first[..3], &shorter[..]);
     }
 
@@ -1087,7 +873,7 @@ mod tests {
     fn k_larger_than_catalogue_returns_everything_ranked() {
         let snap = snapshot(2, 40, 4);
         let engine = QueryEngine::new(snap.clone());
-        let rec = engine.recommend(0, 1000);
+        let rec = engine.try_recommend(0, 1000).unwrap();
         assert_eq!(rec.len(), 40);
         let scores = snap.score_items(0, &(0..40u32).collect::<Vec<_>>());
         for pair in rec.windows(2) {
@@ -1113,13 +899,13 @@ mod tests {
         );
         // Populate the cache pre-filter, then install a filter that
         // bans everything the cached answer contained.
-        let before = engine.recommend(0, 10);
+        let before = engine.try_recommend(0, 10).unwrap();
         let mut seen = gb_graph::BitMatrix::zeros(3, 100);
         for e in before.iter() {
             seen.set(0, e.item as usize);
         }
         let engine = engine.with_seen_filter(seen);
-        let after = engine.recommend(0, 10);
+        let after = engine.try_recommend(0, 10).unwrap();
         for e in after.iter() {
             assert!(
                 !before.iter().any(|b| b.item == e.item),
@@ -1135,7 +921,8 @@ mod tests {
         let new = snapshot(4, 60, 4); // different tables, same universe
         let engine = QueryEngine::new(old.clone());
         let before: Vec<(u32, f32)> = engine
-            .recommend(1, 60)
+            .try_recommend(1, 60)
+            .unwrap()
             .iter()
             .map(|e| (e.item, e.score))
             .collect();
@@ -1144,7 +931,7 @@ mod tests {
 
         let v = engine.handle().publish(new.clone());
         assert_eq!(v, 2);
-        let (ver, after) = engine.recommend_versioned(1, 60);
+        let (ver, after) = versioned(&engine, 1, 60);
         assert_eq!(ver, 2);
         let after: Vec<(u32, f32)> = after.iter().map(|e| (e.item, e.score)).collect();
         assert_eq!(
@@ -1165,10 +952,10 @@ mod tests {
                 ..Default::default()
             },
         );
-        let (ver1, first) = engine.recommend_versioned(2, 10);
+        let (ver1, first) = versioned(&engine, 2, 10);
         assert_eq!(ver1, 1);
         engine.handle().publish(v2.clone());
-        let (ver2, fresh) = engine.recommend_versioned(2, 10);
+        let (ver2, fresh) = versioned(&engine, 2, 10);
         assert_eq!(ver2, 2);
         assert!(
             !Arc::ptr_eq(&first, &fresh),
@@ -1180,16 +967,9 @@ mod tests {
         // The recompute was a miss, not a stale hit: 0 hits, 2 misses.
         assert_eq!(engine.cache_stats(), (0, 2));
         // Re-querying v2 is a genuine hit.
-        let again = engine.recommend_versioned(2, 10);
+        let again = versioned(&engine, 2, 10);
         assert_eq!(again.0, 2);
         assert_eq!(engine.cache_stats(), (1, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_user_panics() {
-        let engine = QueryEngine::new(snapshot(2, 10, 4));
-        engine.recommend(2, 1);
     }
 
     fn ivf_engine(snap: EmbeddingSnapshot, n_clusters: usize, n_probe: usize) -> QueryEngine {
@@ -1212,8 +992,8 @@ mod tests {
         let exact = QueryEngine::new(snap.clone());
         let ivf = ivf_engine(snap, 7, 7);
         for user in 0..6u32 {
-            let e = exact.recommend(user, 10);
-            let a = ivf.recommend(user, 10);
+            let e = exact.try_recommend(user, 10).unwrap();
+            let a = ivf.try_recommend(user, 10).unwrap();
             assert_eq!(e.len(), a.len(), "user {user}");
             for (x, y) in e.iter().zip(a.iter()) {
                 assert_eq!(x.item, y.item, "user {user}");
@@ -1230,8 +1010,8 @@ mod tests {
         let snap = snapshot(4, 200, 8);
         let exact = QueryEngine::new(snap.clone());
         let ivf = ivf_engine(snap, 10, 3);
-        let full = exact.recommend(1, 200); // the entire exact ranking
-        let approx = ivf.recommend(1, 20);
+        let full = exact.try_recommend(1, 200).unwrap(); // the entire exact ranking
+        let approx = ivf.try_recommend(1, 20).unwrap();
         assert!(!approx.is_empty());
         let mut last_pos = 0usize;
         for e in approx.iter() {
@@ -1251,13 +1031,13 @@ mod tests {
         let new = snapshot(4, 120, 4);
         let engine = ivf_engine(old.clone(), 5, 5);
         assert_eq!(engine.ivf_index_version(), None, "lazy until first query");
-        engine.recommend(0, 5);
+        engine.try_recommend(0, 5).unwrap();
         assert_eq!(engine.ivf_index_version(), Some(1));
 
         engine.handle().publish(new.clone());
         // The stale index survives until a query observes the publish...
         assert_eq!(engine.ivf_index_version(), Some(1));
-        let (version, got) = engine.recommend_versioned(2, 120);
+        let (version, got) = versioned(&engine, 2, 120);
         assert_eq!(version, 2);
         assert_eq!(engine.ivf_index_version(), Some(2), "rebuilt on publish");
         // ...and the post-publish response comes entirely from the new
@@ -1275,7 +1055,7 @@ mod tests {
             seen.set(1, item);
         }
         let engine = ivf_engine(snap, 8, 8).with_seen_filter(seen);
-        let rec = engine.recommend(1, 200);
+        let rec = engine.try_recommend(1, 200).unwrap();
         assert_eq!(rec.len(), 200 - 67);
         assert!(rec.iter().all(|e| e.item % 3 != 0), "a seen item leaked");
     }
@@ -1292,12 +1072,15 @@ mod tests {
         );
         // One cluster, one probe = the whole catalogue through the IVF
         // path.
-        assert_eq!(engine.recommend(0, 30).len(), 30);
+        assert_eq!(engine.try_recommend(0, 30).unwrap().len(), 30);
     }
 
     #[test]
     fn recommend_many_matches_sequential_bitwise() {
+        // Every slot of a batch — at every user-block size, duplicates
+        // included — is the reference top-k of that user's scores.
         let snap = snapshot(7, 333, 8);
+        let candidates: Vec<u32> = (0..333).collect();
         for user_block in [1usize, 2, 3, 8] {
             let engine = QueryEngine::with_config(
                 snap.clone(),
@@ -1308,20 +1091,19 @@ mod tests {
                 },
             );
             let users: Vec<u32> = vec![3, 0, 6, 1, 3, 5, 2, 4, 0]; // dups included
-            let (version, many) = engine.recommend_many(&users, 10);
+            let (version, many) = engine.try_recommend_batch(&users, 10).unwrap();
             assert_eq!(version, 1);
             assert_eq!(many.len(), users.len());
             for (slot, &user) in users.iter().enumerate() {
-                let solo = engine.recommend(user, 10);
-                assert_eq!(solo.len(), many[slot].len());
-                for (a, b) in many[slot].iter().zip(solo.iter()) {
-                    assert_eq!(a.item, b.item, "user_block {user_block} user {user}");
-                    assert_eq!(
-                        a.score.to_bits(),
-                        b.score.to_bits(),
-                        "user_block {user_block} user {user}"
-                    );
-                }
+                let want: Vec<(u32, u32)> = reference_topk(&snap, user, &candidates, 10)
+                    .into_iter()
+                    .map(|(item, score)| (item, score.to_bits()))
+                    .collect();
+                let got: Vec<(u32, u32)> = many[slot]
+                    .iter()
+                    .map(|e| (e.item, e.score.to_bits()))
+                    .collect();
+                assert_eq!(got, want, "user_block {user_block} user {user}");
             }
         }
     }
@@ -1342,7 +1124,7 @@ mod tests {
             },
         )
         .with_seen_filter(seen);
-        let (_, many) = engine.recommend_many(&[0, 1, 2], 200);
+        let (_, many) = engine.try_recommend_batch(&[0, 1, 2], 200).unwrap();
         assert_eq!(
             many[1].len(),
             200 - 67,
@@ -1352,7 +1134,7 @@ mod tests {
         assert_eq!(many[0].len(), 200);
         // The batch filled the cache: sequential queries are pointer hits.
         for (slot, &user) in [0u32, 1, 2].iter().enumerate() {
-            let again = engine.recommend(user, 200);
+            let again = engine.try_recommend(user, 200).unwrap();
             assert!(
                 Arc::ptr_eq(&again, &many[slot]),
                 "user {user} should hit the batch-filled cache"
@@ -1373,19 +1155,19 @@ mod tests {
                 ..Default::default()
             },
         );
-        let (_, many) = engine.recommend_many(&[5, 5, 2], 7);
+        let (_, many) = engine.try_recommend_batch(&[5, 5, 2], 7).unwrap();
         assert_eq!(engine.cache_stats(), (1, 2));
         assert!(Arc::ptr_eq(&many[0], &many[1]));
         // And the entries really are cached: re-querying is all hits.
-        engine.recommend(5, 7);
-        engine.recommend(2, 7);
+        engine.try_recommend(5, 7).unwrap();
+        engine.try_recommend(2, 7).unwrap();
         assert_eq!(engine.cache_stats(), (3, 2));
     }
 
     #[test]
     fn recommend_many_shares_one_arc_across_duplicates() {
         let engine = QueryEngine::new(snapshot(3, 50, 4));
-        let (_, many) = engine.recommend_many(&[2, 2, 2], 5);
+        let (_, many) = engine.try_recommend_batch(&[2, 2, 2], 5).unwrap();
         assert!(Arc::ptr_eq(&many[0], &many[1]));
         assert!(Arc::ptr_eq(&many[1], &many[2]));
     }
@@ -1393,16 +1175,27 @@ mod tests {
     #[test]
     fn recommend_many_empty_users_is_a_noop() {
         let engine = QueryEngine::new(snapshot(2, 10, 4));
-        let (version, many) = engine.recommend_many(&[], 5);
+        let (version, many) = engine.try_recommend_batch(&[], 5).unwrap();
         assert_eq!(version, 1);
         assert!(many.is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
     fn recommend_many_rejects_out_of_range_users() {
-        let engine = QueryEngine::new(snapshot(2, 10, 4));
-        engine.recommend_many(&[0, 2], 1);
+        let engine = QueryEngine::with_config(
+            snapshot(2, 10, 4),
+            EngineConfig {
+                cache_capacity: 4,
+                ..Default::default()
+            },
+        );
+        match engine.try_recommend_batch(&[0, 2], 1) {
+            Err(ServeError::InvalidRequest { reason }) => {
+                assert_eq!(reason, "user 2 out of range (2 users)");
+            }
+            other => panic!("expected InvalidRequest, got {other:?}"),
+        }
+        assert_eq!(engine.cache_stats(), (0, 0), "rejected before any work");
     }
 
     /// A deal filter blocking every item `% 5 == 0`.
@@ -1419,12 +1212,12 @@ mod tests {
         let engine = QueryEngine::new(snapshot(4, 200, 8));
         engine.set_deal_filter(deal_filter(200));
         for user in 0..4u32 {
-            let rec = engine.recommend(user, 200);
+            let rec = engine.try_recommend(user, 200).unwrap();
             assert_eq!(rec.len(), 160, "user {user}: 40 items blocked");
             assert!(rec.iter().all(|e| e.item % 5 != 0), "a blocked item leaked");
         }
         engine.clear_deal_filter();
-        assert_eq!(engine.recommend(0, 200).len(), 200);
+        assert_eq!(engine.try_recommend(0, 200).unwrap().len(), 200);
     }
 
     #[test]
@@ -1438,13 +1231,14 @@ mod tests {
         engine.set_deal_filter(deal_filter(150));
         let allowed: Vec<u32> = (0..150u32).filter(|i| i % 3 != 0 && i % 5 != 0).collect();
         let got: Vec<(u32, f32)> = engine
-            .recommend(1, 150)
+            .try_recommend(1, 150)
+            .unwrap()
             .iter()
             .map(|e| (e.item, e.score))
             .collect();
         assert_eq!(got, reference_topk(&snap, 1, &allowed, 150));
         // A user with no seen bits is gated by the deal filter alone.
-        assert_eq!(engine.recommend(0, 150).len(), 120);
+        assert_eq!(engine.try_recommend(0, 150).unwrap().len(), 120);
     }
 
     #[test]
@@ -1457,19 +1251,19 @@ mod tests {
             },
         );
         assert_eq!(engine.deal_generation(), 0);
-        let unfiltered = engine.recommend(0, 100);
+        let unfiltered = engine.try_recommend(0, 100).unwrap();
         assert_eq!(unfiltered.len(), 100);
         engine.set_deal_filter(deal_filter(100));
         assert_eq!(engine.deal_generation(), 1);
-        let filtered = engine.recommend(0, 100);
+        let filtered = engine.try_recommend(0, 100).unwrap();
         assert_eq!(filtered.len(), 80, "the pre-filter entry must not serve");
         // Clearing is a new generation, not a return to the old key.
         engine.clear_deal_filter();
         assert_eq!(engine.deal_generation(), 2);
-        assert_eq!(engine.recommend(0, 100).len(), 100);
+        assert_eq!(engine.try_recommend(0, 100).unwrap().len(), 100);
         // All three were misses; re-query under the current generation hits.
         assert_eq!(engine.cache_stats(), (0, 3));
-        engine.recommend(0, 100);
+        engine.try_recommend(0, 100).unwrap();
         assert_eq!(engine.cache_stats(), (1, 3));
     }
 
@@ -1485,7 +1279,7 @@ mod tests {
         engine.set_deal_filter(deal_filter(60));
         let new = snapshot(3, 80, 4);
         engine.handle().publish(new.clone());
-        let rec = engine.recommend(0, 80);
+        let rec = engine.try_recommend(0, 80).unwrap();
         let expect: Vec<u32> = (0..80u32)
             .filter(|&i| i != 10 && (i >= 60 || i % 5 != 0))
             .collect();
@@ -1502,8 +1296,8 @@ mod tests {
         let ivf = ivf_engine(snap, 8, 8);
         ivf.set_deal_filter(deal_filter(200));
         for user in 0..4u32 {
-            let e = exact.recommend(user, 200);
-            let a = ivf.recommend(user, 200);
+            let e = exact.try_recommend(user, 200).unwrap();
+            let a = ivf.try_recommend(user, 200).unwrap();
             assert_eq!(e.len(), a.len(), "user {user}");
             for (x, y) in e.iter().zip(a.iter()) {
                 assert_eq!((x.item, x.score.to_bits()), (y.item, y.score.to_bits()));
@@ -1535,16 +1329,16 @@ mod tests {
                 ..Default::default()
             },
         );
-        engine.recommend(0, 5); // build the v1 index
+        engine.try_recommend(0, 5).unwrap(); // build the v1 index
         assert_eq!(engine.ivf_index_version(), Some(1));
         let delta = delta_for(&snap);
         engine.handle().publish_delta(&delta);
         let cur = engine.snapshot();
         let exact = QueryEngine::new(cur.snapshot().clone());
         for user in 0..5u32 {
-            let (version, got) = engine.recommend_versioned(user, 122);
+            let (version, got) = versioned(&engine, user, 122);
             assert_eq!(version, 2);
-            let want = exact.recommend(user, 122);
+            let want = exact.try_recommend(user, 122).unwrap();
             assert_eq!(got.len(), want.len(), "user {user}");
             for (a, b) in got.iter().zip(want.iter()) {
                 assert_eq!(
@@ -1575,11 +1369,11 @@ mod tests {
                 ..Default::default()
             },
         );
-        engine.recommend(0, 5);
+        engine.try_recommend(0, 5).unwrap();
         engine.handle().publish_delta(&delta_for(&snap));
         let cur = engine.snapshot();
         for user in 0..4u32 {
-            let (version, got) = engine.recommend_versioned(user, 20);
+            let (version, got) = versioned(&engine, user, 20);
             assert_eq!(version, 2);
             assert!(!got.is_empty());
             for e in got.iter() {
@@ -1613,8 +1407,8 @@ mod tests {
         engine.handle().publish_delta(&delta_for(&snap));
         let cur = engine.snapshot();
         let exact = QueryEngine::new(cur.snapshot().clone());
-        let got = engine.recommend(1, 92);
-        let want = exact.recommend(1, 92);
+        let got = engine.try_recommend(1, 92).unwrap();
+        let want = exact.try_recommend(1, 92).unwrap();
         assert_eq!(got.len(), want.len());
         for (a, b) in got.iter().zip(want.iter()) {
             assert_eq!((a.item, a.score.to_bits()), (b.item, b.score.to_bits()));

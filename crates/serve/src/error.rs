@@ -1,13 +1,11 @@
 //! Typed serving errors and poison-tolerant lock helpers.
 //!
-//! Every fallible serving API (`try_recommend` / `try_recommend_batch`
+//! Every serving request API (`try_recommend` / `try_recommend_batch`
 //! on [`QueryEngine`](crate::engine::QueryEngine),
 //! [`ShardedEngine`](crate::router::ShardedEngine), and
-//! [`RecommendService`](crate::service::RecommendService)) returns a
-//! [`ServeError`] instead of panicking or hanging. The infallible APIs
-//! from earlier PRs are preserved as thin wrappers that panic on the
-//! same conditions they always did — existing callers and tests see no
-//! behavioral change; new callers opt into the typed contract.
+//! [`RecommendService`](crate::service::RecommendService), plus
+//! `RecommendService::warm`) returns a [`ServeError`] instead of
+//! panicking or hanging.
 //!
 //! ## Which error means what
 //!
@@ -99,6 +97,18 @@ impl fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
+
+/// Rejects a request naming a user outside a universe of `n_users`
+/// with [`ServeError::InvalidRequest`] (the first such user is named),
+/// before any work happens.
+pub(crate) fn check_users(users: &[u32], n_users: usize) -> Result<(), ServeError> {
+    match users.iter().find(|&&u| u as usize >= n_users) {
+        Some(&user) => Err(ServeError::InvalidRequest {
+            reason: format!("user {user} out of range ({n_users} users)"),
+        }),
+        None => Ok(()),
+    }
+}
 
 /// Locks a mutex, recovering from poisoning instead of propagating the
 /// panic to every subsequent request.

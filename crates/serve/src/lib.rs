@@ -30,7 +30,7 @@
 //!                          │           workers, multi-user query
 //!                          │           coalescing, enqueue→reply
 //!                          ▼           latency into gb_eval::timing)
-//!        recommend / recommend_versioned / recommend_batch / warm
+//!    try_recommend / try_recommend_versioned / try_recommend_batch / warm
 //! ```
 //!
 //! A trainer publishing to the engine's [`SnapshotHandle`] hot-swaps the
@@ -50,17 +50,18 @@
 //!   query instead of the eval path's materialize-and-sort
 //!   `O(n log n)`, with `O(k)` extra memory.
 //! * [`engine::QueryEngine`] — walks the catalogue in cache-sized blocks
-//!   through `gb_tensor::kernels::blend_dot_block` and offers each score
+//!   through `gb_tensor::kernels::blend_dot_block_multi` and offers each
+//!   user's score
 //!   block to the heap threshold-first ([`topk::TopK::offer_block`]):
 //!   only scores that reach the heap floor pay the bit-probe
 //!   ([`gb_graph::BitMatrix`]) of the seen filter and the deal filter (a
 //!   hot-swappable one-row deal-state mask, e.g. from
 //!   `gb_data::EventLog::blocked_items_at`) and the heap push. Optionally
 //!   caches `(user, k)` responses in an LRU ([`cache::LruCache`]).
-//!   `recommend_many` scores up to `EngineConfig::user_block` users per
-//!   catalogue pass (`blend_dot_block_multi` streams the item tables
-//!   once per block), with per-user results bit-identical to sequential
-//!   `recommend`.
+//!   Every request is a batch: `try_recommend_batch` scores up to
+//!   `EngineConfig::user_block` users per catalogue pass (the item
+//!   tables stream once per block), and a single user is a batch of
+//!   one, with per-user results the same whichever batch they ride in.
 //! * [`ivf::IvfIndex`] — approximate retrieval for catalogues that
 //!   outgrow exhaustive scans ([`engine::Retrieval::Ivf`]): a seeded
 //!   deterministic k-means over the concatenated item embeddings routes

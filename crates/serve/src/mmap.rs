@@ -650,7 +650,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let loaded = open_mmap_snapshot(&path).unwrap();
         let engine = crate::engine::QueryEngine::new(loaded);
-        let top = engine.recommend(0, 9);
+        let top = engine.try_recommend(0, 9).unwrap();
         assert_eq!(top.len(), 8, "the poisoned item is dropped, not ranked");
         assert!(top.iter().all(|e| e.item != 0 && e.score.is_finite()));
         std::fs::remove_file(&path).ok();

@@ -40,16 +40,16 @@
 //! the current `Arc<VersionedSnapshot>` once, resolves the per-shard
 //! slice set for exactly that version ([`ShardedEngine`] keeps a
 //! two-slot version cache of slice sets, mirroring the engine's IVF
-//! cache), and scatters with explicit
-//! [`QueryEngine::recommend_at`]-style calls — so a publish landing
-//! mid-scatter can never tear a response across versions: every shard
-//! answers from the same publish, and the merged response reports that
-//! version. Publishing through [`ShardedEngine::publish`] shares the
-//! tables first ([`EmbeddingSnapshot::to_shared`]), so the N slices of
-//! a version alias one copy of the catalogue.
+//! cache), and scatters to every shard engine's batched path against
+//! that pinned version — so a publish landing mid-scatter can never
+//! tear a response across versions: every shard answers from the same
+//! publish, and the merged response reports that version. Publishing
+//! through [`ShardedEngine::publish`] shares the tables first
+//! ([`EmbeddingSnapshot::to_shared`]), so the N slices of a version
+//! alias one copy of the catalogue.
 
 use crate::engine::{EngineConfig, QueryEngine, Retrieval, ServeEngine, VersionedBatchResult};
-use crate::error::{lock_recover, read_recover, write_recover, ServeError};
+use crate::error::{check_users, lock_recover, read_recover, write_recover, ServeError};
 use crate::faults::FaultPlan;
 use crate::shard::ShardPlan;
 use crate::topk::{ScoredItem, TopK};
@@ -82,8 +82,8 @@ pub struct ShardedConfig {
     /// the missing shards listed on the response
     /// ([`DegradedResponse::missing_shards`]); `false` (the default)
     /// fails the query with [`ServeError::ShardFailed`]. Either way a
-    /// query where *every* shard failed is an error, and infallible
-    /// callers observe a panic, never a silently incomplete ranking.
+    /// query where *every* shard failed is an error — never a silently
+    /// incomplete ranking.
     pub allow_partial: bool,
     /// Per-shard engine tuning. `cache_capacity` and `user_block` apply
     /// per shard; `retrieval: Ivf` builds one independent index per
@@ -106,7 +106,7 @@ impl Default for ShardedConfig {
 
 /// A scatter-gather response that may be missing shards, under the
 /// [`ShardedConfig::allow_partial`] policy. `missing_shards` empty means
-/// the response is complete — bit-identical to the infallible path;
+/// the response is complete — bit-identical to a single engine's;
 /// non-empty means the ranking was merged from the surviving shards
 /// only, and items homed on the listed shards are absent.
 #[derive(Clone, Debug)]
@@ -447,65 +447,24 @@ impl ShardedEngine {
     }
 
     /// Top-`k` unseen items for `user` across the whole catalogue, best
-    /// first — bit-identical to a single-engine run at any shard count.
+    /// first — bit-identical to a single-engine run at any shard count: a
+    /// batch of one through [`ShardedEngine::try_recommend_batch`]. Every
+    /// shard contribution is pinned to the reported version, even across
+    /// a concurrent publish.
     ///
-    /// # Panics
-    /// Panics if `user` is out of range for the served snapshot.
-    pub fn recommend(&self, user: u32, k: usize) -> Arc<Vec<ScoredItem>> {
-        self.recommend_versioned(user, k).1
-    }
-
-    /// Like [`ShardedEngine::recommend`], also reporting the snapshot
-    /// version that produced the response. Every shard contribution is
-    /// pinned to exactly that version, even across a concurrent publish.
-    ///
-    /// # Panics
-    /// Panics if `user` is out of range, or on a typed serving failure
-    /// ([`ShardedEngine::try_recommend`] reports those as errors).
-    pub fn recommend_versioned(&self, user: u32, k: usize) -> (u64, Arc<Vec<ScoredItem>>) {
-        let cur = self.handle.load();
-        self.check_user(&cur, user);
-        match self.try_recommend(user, k) {
-            Ok(r) => (r.version, r.items),
-            // invariant: the documented contract of this infallible
-            // wrapper — callers wanting typed errors use try_recommend.
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`ShardedEngine::recommend`]: a bad user id comes back
-    /// as [`ServeError::InvalidRequest`], and shards still missing after
-    /// [`ShardedConfig::scatter_retries`] either fail the query with
-    /// [`ServeError::ShardFailed`] (strict policy, the default) or are
-    /// listed on the returned [`DegradedResponse`] while the surviving
-    /// shards' merge is served ([`ShardedConfig::allow_partial`]). A
-    /// query where every shard failed is an error under either policy.
+    /// A bad user id comes back as [`ServeError::InvalidRequest`], and
+    /// shards still missing after [`ShardedConfig::scatter_retries`]
+    /// either fail the query with [`ServeError::ShardFailed`] (strict
+    /// policy, the default) or are listed on the returned
+    /// [`DegradedResponse`] while the surviving shards' merge is served
+    /// ([`ShardedConfig::allow_partial`]). A query where every shard
+    /// failed is an error under either policy.
     pub fn try_recommend(&self, user: u32, k: usize) -> Result<DegradedResponse, ServeError> {
-        let cur = self.handle.load();
-        let n_users = cur.snapshot().n_users();
-        if user as usize >= n_users {
-            return Err(ServeError::InvalidRequest {
-                reason: format!("user {user} out of range ({n_users} users)"),
-            });
-        }
-        let set = self.set_for(&cur);
-        let (deal_gen, deal) = self.deal_slot();
-        let (locals, shard_times) = self.scatter(&set, |s, shard, slice| {
-            shard.recommend_at_with_deal(slice, deal_gen, deal.as_ref().map(|d| &d[s]), user, k)
-        });
-        let missing = self.check_missing(&locals)?;
-        let merge_start = Instant::now();
-        let mut topk = TopK::new(k);
-        self.offer_locals(
-            &mut topk,
-            locals.iter().map(|l| l.as_ref().map(|v| v.as_slice())),
-        );
-        let merged = Arc::new(topk.into_sorted());
-        self.record_query(&shard_times, merge_start.elapsed());
+        let mut batch = self.try_recommend_batch(&[user], k)?;
         Ok(DegradedResponse {
-            version: cur.version(),
-            items: merged,
-            missing_shards: missing,
+            version: batch.version,
+            items: batch.results.swap_remove(0),
+            missing_shards: batch.missing_shards,
         })
     }
 
@@ -513,42 +472,19 @@ impl ShardedEngine {
     /// answers the whole (deduplicated) block through its batched path,
     /// then per-user gathers merge under the global order. Results are
     /// in input order; duplicates share one `Arc`; every per-user result
-    /// is bit-identical to solo [`ShardedEngine::recommend`] — and to a
-    /// single unsharded engine.
+    /// is bit-identical to a single unsharded engine's.
     ///
-    /// # Panics
-    /// Panics if any user is out of range, or on a typed serving failure
-    /// ([`ShardedEngine::try_recommend_batch`] reports those as errors).
-    pub fn recommend_many(&self, users: &[u32], k: usize) -> (u64, Vec<Arc<Vec<ScoredItem>>>) {
-        let cur = self.handle.load();
-        for &user in users {
-            self.check_user(&cur, user);
-        }
-        match self.try_recommend_batch(users, k) {
-            Ok(b) => (b.version, b.results),
-            // invariant: the documented contract of this infallible
-            // wrapper — callers wanting typed errors use the try_ form.
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`ShardedEngine::recommend_many`] under the same policy
-    /// as [`ShardedEngine::try_recommend`]: the whole batch is validated
-    /// up front, a shard fails (or survives) for the whole scattered
-    /// block at once, and the merged per-user rankings come back with
-    /// one shared `missing_shards` list.
+    /// Same policy as [`ShardedEngine::try_recommend`]: the whole batch
+    /// is validated up front, a shard fails (or survives) for the whole
+    /// scattered block at once, and the merged per-user rankings come
+    /// back with one shared `missing_shards` list.
     pub fn try_recommend_batch(
         &self,
         users: &[u32],
         k: usize,
     ) -> Result<DegradedBatch, ServeError> {
         let cur = self.handle.load();
-        let n_users = cur.snapshot().n_users();
-        if let Some(&user) = users.iter().find(|&&u| u as usize >= n_users) {
-            return Err(ServeError::InvalidRequest {
-                reason: format!("user {user} out of range ({n_users} users)"),
-            });
-        }
+        check_users(users, cur.snapshot().n_users())?;
         if users.is_empty() {
             return Ok(DegradedBatch {
                 version: cur.version(),
@@ -620,15 +556,6 @@ impl ShardedEngine {
         }
         self.degraded.fetch_add(1, Ordering::Relaxed);
         Ok(missing)
-    }
-
-    /// Rejects out-of-range users against the pinned snapshot.
-    fn check_user(&self, cur: &VersionedSnapshot, user: u32) {
-        let n_users = cur.snapshot().n_users();
-        assert!(
-            (user as usize) < n_users,
-            "user {user} out of range ({n_users} users)"
-        );
     }
 
     /// The served per-shard ranges for a catalogue of `n_items`: the
@@ -828,14 +755,6 @@ impl ServeEngine for ShardedEngine {
         self.shards[0].retrieval()
     }
 
-    fn recommend_versioned(&self, user: u32, k: usize) -> (u64, Arc<Vec<ScoredItem>>) {
-        ShardedEngine::recommend_versioned(self, user, k)
-    }
-
-    fn recommend_many(&self, users: &[u32], k: usize) -> (u64, Vec<Arc<Vec<ScoredItem>>>) {
-        ShardedEngine::recommend_many(self, users, k)
-    }
-
     fn try_recommend_many(&self, users: &[u32], k: usize) -> VersionedBatchResult {
         // Degraded detail (which shards were missing) is available on the
         // inherent API; through the service trait a permitted partial
@@ -859,6 +778,12 @@ mod tests {
         )
     }
 
+    /// One user's merged reply and the version it was computed from.
+    fn versioned(sharded: &ShardedEngine, user: u32, k: usize) -> (u64, Arc<Vec<ScoredItem>>) {
+        let r = sharded.try_recommend(user, k).unwrap();
+        (r.version, r.items)
+    }
+
     fn pairs(items: &[ScoredItem]) -> Vec<(u32, u32)> {
         items.iter().map(|e| (e.item, e.score.to_bits())).collect()
     }
@@ -871,8 +796,8 @@ mod tests {
             let sharded = ShardedEngine::new(snap.clone(), n_shards);
             for user in 0..5u32 {
                 assert_eq!(
-                    pairs(&sharded.recommend(user, 10)),
-                    pairs(&single.recommend(user, 10)),
+                    pairs(&sharded.try_recommend(user, 10).unwrap().items),
+                    pairs(&single.try_recommend(user, 10).unwrap()),
                     "user {user} at {n_shards} shards"
                 );
             }
@@ -892,8 +817,8 @@ mod tests {
         let sharded = ShardedEngine::new(snap, 3).with_seen_filter(seen);
         for user in 0..4u32 {
             assert_eq!(
-                pairs(&sharded.recommend(user, 130)),
-                pairs(&single.recommend(user, 130)),
+                pairs(&sharded.try_recommend(user, 130).unwrap().items),
+                pairs(&single.try_recommend(user, 130).unwrap()),
                 "user {user}"
             );
         }
@@ -905,23 +830,27 @@ mod tests {
         let new = snapshot(4, 90, 4);
         let single = QueryEngine::new(new.clone());
         let sharded = ShardedEngine::new(old, 4);
-        let (v1, _) = sharded.recommend_versioned(0, 5);
+        let (v1, _) = versioned(&sharded, 0, 5);
         assert_eq!(v1, 1);
         assert_eq!(sharded.publish(new), 2);
-        let (v2, got) = sharded.recommend_versioned(0, 90);
+        let (v2, got) = versioned(&sharded, 0, 90);
         assert_eq!(v2, 2);
-        assert_eq!(pairs(&got), pairs(&single.recommend(0, 90)));
+        assert_eq!(pairs(&got), pairs(&single.try_recommend(0, 90).unwrap()));
     }
 
     #[test]
     fn recommend_many_merges_like_solo_queries() {
         let snap = snapshot(6, 101, 8);
+        let single = QueryEngine::new(snap.clone());
         let sharded = ShardedEngine::new(snap, 4);
         let users = [3u32, 0, 3, 5, 1, 3];
-        let (_, many) = ShardedEngine::recommend_many(&sharded, &users, 7);
+        let many = sharded.try_recommend_batch(&users, 7).unwrap().results;
         assert_eq!(many.len(), users.len());
         for (slot, &user) in users.iter().enumerate() {
-            assert_eq!(pairs(&many[slot]), pairs(&sharded.recommend(user, 7)));
+            assert_eq!(
+                pairs(&many[slot]),
+                pairs(&single.try_recommend(user, 7).unwrap())
+            );
         }
         // Duplicates share one Arc.
         assert!(Arc::ptr_eq(&many[0], &many[2]));
@@ -942,8 +871,8 @@ mod tests {
         );
         for user in 0..4u32 {
             assert_eq!(
-                pairs(&parallel.recommend(user, 20)),
-                pairs(&sequential.recommend(user, 20))
+                pairs(&parallel.try_recommend(user, 20).unwrap().items),
+                pairs(&sequential.try_recommend(user, 20).unwrap().items)
             );
         }
     }
@@ -951,8 +880,8 @@ mod tests {
     #[test]
     fn latency_breakdown_attributes_per_shard_and_merge() {
         let sharded = ShardedEngine::new(snapshot(3, 60, 4), 3);
-        sharded.recommend(0, 5);
-        ShardedEngine::recommend_many(&sharded, &[1, 2], 5);
+        sharded.try_recommend(0, 5).unwrap();
+        sharded.try_recommend_batch(&[1, 2], 5).unwrap();
         let breakdown = sharded.latency_breakdown();
         assert_eq!(breakdown.n_stages(), 4, "3 shards + merge");
         assert_eq!(breakdown.label(3), "merge");
@@ -972,15 +901,31 @@ mod tests {
         let sharded = ShardedEngine::new(snap, 8);
         assert_eq!(sharded.n_shards(), 8);
         assert_eq!(
-            pairs(&sharded.recommend(1, 5)),
-            pairs(&single.recommend(1, 5))
+            pairs(&sharded.try_recommend(1, 5).unwrap().items),
+            pairs(&single.try_recommend(1, 5).unwrap())
         );
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_user_panics() {
-        ShardedEngine::new(snapshot(2, 10, 4), 2).recommend(2, 1);
+    fn out_of_range_user_is_rejected_with_a_typed_error() {
+        let sharded = ShardedEngine::new(snapshot(2, 10, 4), 2);
+        let results = [
+            sharded.try_recommend(2, 1).map(|r| r.version),
+            sharded.try_recommend_batch(&[0, 2], 1).map(|b| b.version),
+        ];
+        for result in results {
+            match result {
+                Err(ServeError::InvalidRequest { reason }) => {
+                    assert_eq!(reason, "user 2 out of range (2 users)");
+                }
+                other => panic!("expected InvalidRequest, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            sharded.latency_breakdown().stage(0).n_samples(),
+            0,
+            "rejected before any scatter"
+        );
     }
 
     fn deal_filter(n_items: usize) -> BitMatrix {
@@ -1005,8 +950,8 @@ mod tests {
             sharded.set_deal_filter(deal_filter(130));
             for user in 0..4u32 {
                 assert_eq!(
-                    pairs(&sharded.recommend(user, 130)),
-                    pairs(&single.recommend(user, 130)),
+                    pairs(&sharded.try_recommend(user, 130).unwrap().items),
+                    pairs(&single.try_recommend(user, 130).unwrap()),
                     "user {user} at {n_shards} shards"
                 );
             }
@@ -1017,9 +962,9 @@ mod tests {
     fn clearing_the_deal_filter_restores_the_full_candidate_set() {
         let sharded = ShardedEngine::new(snapshot(3, 64, 4), 4);
         sharded.set_deal_filter(deal_filter(64));
-        assert_eq!(sharded.recommend(0, 64).len(), 48);
+        assert_eq!(sharded.try_recommend(0, 64).unwrap().items.len(), 48);
         sharded.clear_deal_filter();
-        assert_eq!(sharded.recommend(0, 64).len(), 64);
+        assert_eq!(sharded.try_recommend(0, 64).unwrap().items.len(), 64);
     }
 
     #[test]
@@ -1030,15 +975,15 @@ mod tests {
         let old = snapshot(4, 90, 6);
         let new = snapshot(4, 107, 6);
         let sharded = ShardedEngine::new(old, 3);
-        sharded.recommend(0, 5); // build the v1 slice set first
+        sharded.try_recommend(0, 5).unwrap(); // build the v1 slice set first
         assert_eq!(sharded.publish(new.clone()), 2);
         let single = QueryEngine::new(new);
         for user in 0..4u32 {
-            let (version, got) = sharded.recommend_versioned(user, 107);
+            let (version, got) = versioned(&sharded, user, 107);
             assert_eq!(version, 2);
             assert_eq!(
                 pairs(&got),
-                pairs(&single.recommend(user, 107)),
+                pairs(&single.try_recommend(user, 107).unwrap()),
                 "user {user}"
             );
         }
@@ -1048,7 +993,7 @@ mod tests {
     fn delta_publish_is_restamped_per_shard() {
         let snap = snapshot(3, 80, 4);
         let sharded = ShardedEngine::new(snap.clone(), 3);
-        sharded.recommend(0, 3);
+        sharded.try_recommend(0, 3).unwrap();
         let delta = SnapshotDelta::new()
             .set_item(5, vec![0.5; 4], vec![-0.5; 4])
             .set_item(60, vec![0.1; 4], vec![0.2; 4])
@@ -1073,8 +1018,8 @@ mod tests {
         let single = QueryEngine::new(cur.snapshot().clone());
         for user in 0..3u32 {
             assert_eq!(
-                pairs(&sharded.recommend(user, 81)),
-                pairs(&single.recommend(user, 81)),
+                pairs(&sharded.try_recommend(user, 81).unwrap().items),
+                pairs(&single.try_recommend(user, 81).unwrap()),
                 "user {user}"
             );
         }

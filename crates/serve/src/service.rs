@@ -12,8 +12,9 @@
 //! The catalogue pass is memory-bound on the item tables, so a worker
 //! that pops a query also drains more *compatible* queued queries (same
 //! `k`; one engine call pins one snapshot version for all of them) and
-//! answers the whole group through [`ServeEngine::recommend_many`] — one
-//! catalogue pass per `user_block` users instead of one per request.
+//! answers the whole group through [`ServeEngine::try_recommend_many`]
+//! — one catalogue pass per `user_block` users instead of one per
+//! request.
 //!
 //! How greedily a worker drains is sized from the live queue depth
 //! ([`coalesce_limit`]): an idle service groups at most `user_block`
@@ -38,11 +39,10 @@
 //!
 //! ## Failure semantics
 //!
-//! The `try_*` APIs return typed [`ServeError`]s; the legacy infallible
-//! APIs are thin wrappers that panic with the same messages they always
-//! did. Three failure paths, three counters, one rule — **only served
-//! requests feed the latency percentiles** (the same exclusion the
-//! warm-up traffic already gets):
+//! Every request API returns typed [`ServeError`]s. Three failure
+//! paths, three counters, one rule — **only served requests feed the
+//! latency percentiles** (the same exclusion the warm-up traffic
+//! already gets):
 //!
 //! * **Shedding** ([`ServiceConfig::shed_watermark`]): a request that
 //!   arrives while the queue depth is at/above the watermark is refused
@@ -62,7 +62,7 @@
 //!   keeps serving, and [`RecommendService::worker_panics`] records it.
 
 use crate::engine::{QueryEngine, ServeEngine};
-use crate::error::{lock_recover, ServeError};
+use crate::error::{check_users, lock_recover, ServeError};
 use crate::topk::ScoredItem;
 use gb_eval::timing::Stopwatch;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -258,54 +258,23 @@ impl<E: ServeEngine> RecommendService<E> {
     }
 
     /// Top-`k` items for one user, computed on a worker thread.
-    ///
-    /// # Panics
-    /// Panics if `user` is out of range for the served snapshot.
-    pub fn recommend(&self, user: u32, k: usize) -> Arc<Vec<ScoredItem>> {
-        self.recommend_versioned(user, k).1
-    }
-
-    /// Like [`RecommendService::recommend`], also reporting which
-    /// published snapshot version produced the response — the whole
-    /// answer is consistent with exactly that version even if the trainer
-    /// publishes concurrently.
-    ///
-    /// # Panics
-    /// Panics if `user` is out of range for the served snapshot, or on
-    /// a typed serving failure (shed, expired, or poisoned — see
-    /// [`RecommendService::try_recommend_versioned`] for the fallible
-    /// contract).
-    pub fn recommend_versioned(&self, user: u32, k: usize) -> (u64, Arc<Vec<ScoredItem>>) {
-        self.check_user(user);
-        match self.try_recommend_versioned(user, k) {
-            Ok(r) => r,
-            // invariant: the documented contract of this infallible
-            // wrapper — callers wanting typed errors use the try_ form.
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`RecommendService::recommend`]: admission control, the
-    /// queue deadline, and worker supervision all report as typed
-    /// [`ServeError`]s instead of blocking forever or panicking. See
-    /// the module docs for the full failure contract.
+    /// Admission control, the queue deadline, and worker supervision all
+    /// report as typed [`ServeError`]s instead of blocking forever or
+    /// panicking. See the module docs for the full failure contract.
     pub fn try_recommend(&self, user: u32, k: usize) -> Result<Arc<Vec<ScoredItem>>, ServeError> {
         self.try_recommend_versioned(user, k).map(|(_, r)| r)
     }
 
     /// [`RecommendService::try_recommend`] reporting the snapshot
-    /// version the response was computed from.
+    /// version the response was computed from — the whole answer is
+    /// consistent with exactly that version even if the trainer
+    /// publishes concurrently.
     pub fn try_recommend_versioned(
         &self,
         user: u32,
         k: usize,
     ) -> Result<(u64, Arc<Vec<ScoredItem>>), ServeError> {
-        let n_users = self.engine.n_users();
-        if user as usize >= n_users {
-            return Err(ServeError::InvalidRequest {
-                reason: format!("user {user} out of range ({n_users} users)"),
-            });
-        }
+        check_users(&[user], self.engine.n_users())?;
         let (reply_tx, reply_rx) = sync_channel(1);
         self.try_send(Job::Query(QueryJob {
             user,
@@ -326,32 +295,14 @@ impl<E: ServeEngine> RecommendService<E> {
         }
     }
 
-    /// Top-`k` items for a batch of users.
-    ///
-    /// Requests fan out across the worker pool (where adjacent queued
-    /// requests with the same `k` coalesce into shared catalogue passes)
-    /// and results return in input order; answers are bit-identical to
-    /// issuing [`Self::recommend`] per user sequentially.
-    ///
-    /// # Panics
-    /// Panics if any user is out of range for the served snapshot, or
-    /// on any per-request typed failure (see
-    /// [`RecommendService::try_recommend_batch`]).
-    pub fn recommend_batch(&self, users: &[u32], k: usize) -> Vec<Arc<Vec<ScoredItem>>> {
-        users.iter().for_each(|&u| self.check_user(u));
-        self.try_recommend_batch(users, k)
-            .into_iter()
-            // invariant: the documented contract of this infallible
-            // wrapper — callers wanting typed errors use the try_ form.
-            .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-            .collect()
-    }
-
-    /// Fallible [`RecommendService::recommend_batch`]: one outcome per
-    /// input slot, in input order. Slots fail independently — a shed or
-    /// expired request costs its own slot an error while the rest of
-    /// the batch serves normally, so one flash crowd cannot turn a
-    /// whole batch into wasted work.
+    /// Top-`k` items for a batch of users: one outcome per input slot,
+    /// in input order. Requests fan out across the worker pool (where
+    /// adjacent queued requests with the same `k` coalesce into shared
+    /// catalogue passes); each answer is the one
+    /// [`Self::try_recommend`] gives that user. Slots fail independently
+    /// — an out-of-range, shed or expired request costs its own slot an
+    /// error while the rest of the batch serves normally, so one flash
+    /// crowd cannot turn a whole batch into wasted work.
     pub fn try_recommend_batch(
         &self,
         users: &[u32],
@@ -364,10 +315,8 @@ impl<E: ServeEngine> RecommendService<E> {
             vec![None; users.len()];
         let mut waiting = 0usize;
         for (tag, &user) in users.iter().enumerate() {
-            if user as usize >= n_users {
-                out[tag] = Some(Err(ServeError::InvalidRequest {
-                    reason: format!("user {user} out of range ({n_users} users)"),
-                }));
+            if let Err(e) = check_users(&[user], n_users) {
+                out[tag] = Some(Err(e));
                 continue;
             }
             match self.try_send(Job::Query(QueryJob {
@@ -400,32 +349,21 @@ impl<E: ServeEngine> RecommendService<E> {
 
     /// Enqueues fire-and-forget queries that populate the response cache
     /// for `users` (at the configured `warm_k`), without blocking on the
-    /// results. A no-op when the engine has no response cache — there
+    /// results. The whole slice is validated first: an out-of-range user
+    /// rejects it with [`ServeError::InvalidRequest`] and nothing is
+    /// enqueued. A no-op when the engine has no response cache — there
     /// would be nothing to warm, only discarded work.
-    ///
-    /// # Panics
-    /// Panics if any user is out of range for the served snapshot.
-    pub fn warm(&self, users: &[u32]) {
-        if !self.engine.has_cache() {
-            return;
+    pub fn warm(&self, users: &[u32]) -> Result<(), ServeError> {
+        check_users(users, self.engine.n_users())?;
+        if self.engine.has_cache() {
+            for &user in users {
+                self.send(Job::Warm {
+                    user,
+                    k: self.warm_k,
+                });
+            }
         }
-        for &user in users {
-            self.check_user(user);
-            self.send(Job::Warm {
-                user,
-                k: self.warm_k,
-            });
-        }
-    }
-
-    /// Rejects out-of-range users on the caller's thread, before the job
-    /// is enqueued — an invalid id must not kill a worker.
-    fn check_user(&self, user: u32) {
-        let n_users = self.engine.n_users();
-        assert!(
-            (user as usize) < n_users,
-            "user {user} out of range ({n_users} users)"
-        );
+        Ok(())
     }
 
     /// Drains all recorded enqueue→reply latencies into a [`Stopwatch`].
@@ -559,7 +497,7 @@ fn worker_loop<E: ServeEngine>(
             Job::Query(first) => {
                 // Coalesce: opportunistically drain queued queries with the
                 // same `k` (all are answered from the one snapshot version
-                // recommend_many pins) into one shared catalogue pass, up
+                // try_recommend_many pins) into one shared catalogue pass, up
                 // to a limit sized from the backlog at this instant.
                 // `try_lock`, not `lock`: an idle peer worker parks *inside*
                 // `recv()` while holding the queue mutex, so blocking here

@@ -3,10 +3,12 @@
 //! * [`LruCache`] against a naive reference model over arbitrary
 //!   insert/get/clear sequences — contents, eviction order, and counters
 //!   all agree.
-//! * `QueryEngine::recommend_many` and the service coalescer
-//!   (`recommend_batch`) against sequential `recommend` — bitwise, across
-//!   user-block sizes 1–8 and across a concurrent publish.
+//! * `QueryEngine::try_recommend_batch` and the service coalescer
+//!   (`try_recommend_batch`) against the reference top-k of each user's
+//!   scores (`gb_eval::topk::reference_topk`) — bitwise, across
+//!   user-block sizes 1–8, duplicate users, and a concurrent publish.
 
+use gb_eval::topk::reference_topk;
 use gb_models::EmbeddingSnapshot;
 use gb_serve::{EngineConfig, LruCache, QueryEngine, RecommendService, ScoredItem, ServiceConfig};
 use gb_tensor::Matrix;
@@ -124,7 +126,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// recommend_many / recommend_batch == sequential recommend, bitwise
+// batched and coalesced serving == the reference top-k, bitwise
 // ---------------------------------------------------------------------------
 
 /// A deterministic synthetic snapshot; `tag` varies the tables so a
@@ -144,6 +146,17 @@ fn pairs(items: &Arc<Vec<ScoredItem>>) -> Vec<(u32, u32)> {
     items.iter().map(|e| (e.item, e.score.to_bits())).collect()
 }
 
+/// The oracle: the reference top-`k` of `user`'s scores over the whole
+/// catalogue, as `(item, score bits)` — computed by `gb-eval`, not by
+/// any serving path.
+fn oracle(snap: &EmbeddingSnapshot, user: u32, k: usize) -> Vec<(u32, u32)> {
+    let candidates: Vec<u32> = (0..snap.n_items() as u32).collect();
+    reference_topk(snap, user, &candidates, k)
+        .into_iter()
+        .map(|(item, score)| (item, score.to_bits()))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -157,9 +170,8 @@ proptest! {
         cached in 0u8..2,
     ) {
         let snap = snapshot(seed % 5, 40, 137, 8);
-        let sequential = QueryEngine::new(snap.clone());
         let batched = QueryEngine::with_config(
-            snap,
+            snap.clone(),
             EngineConfig {
                 block_size,
                 user_block,
@@ -167,12 +179,11 @@ proptest! {
                 ..Default::default()
             },
         );
-        let (_, many) = batched.recommend_many(&users, k);
+        let (_, many) = batched.try_recommend_batch(&users, k).unwrap();
         for (slot, &user) in users.iter().enumerate() {
-            let solo = sequential.recommend(user, k);
             prop_assert_eq!(
                 pairs(&many[slot]),
-                pairs(&solo),
+                oracle(&snap, user, k),
                 "user {} (user_block {}, block_size {})",
                 user,
                 user_block,
@@ -191,13 +202,9 @@ proptest! {
     ) {
         let v1 = snapshot(seed % 7, 30, 90, 8);
         let v2 = snapshot(seed % 7 + 1, 30, 90, 8);
-        // Sequential ground truth per version, from private engines.
-        let solo_v1 = QueryEngine::new(v1.clone());
-        let solo_v2 = QueryEngine::new(v2.clone());
-
         let service = RecommendService::with_config(
             QueryEngine::with_config(
-                v1,
+                v1.clone(),
                 EngineConfig {
                     user_block,
                     cache_capacity: 16,
@@ -213,22 +220,22 @@ proptest! {
         );
 
         // Fire the batch, publishing mid-stream: every response must be
-        // bitwise identical to a sequential query against whichever
-        // version the engine pinned for it.
+        // bitwise the reference top-k under whichever version the engine
+        // pinned for it.
         let mut answers = Vec::with_capacity(users.len());
         for (i, &user) in users.iter().enumerate() {
             if i == publish_at.min(users.len() - 1) {
                 service.engine().handle().publish(v2.clone());
             }
-            answers.push(service.recommend_versioned(user, k));
+            answers.push(service.try_recommend_versioned(user, k).unwrap());
         }
         for (&user, (version, got)) in users.iter().zip(&answers) {
-            let solo = match *version {
-                1 => solo_v1.recommend(user, k),
-                2 => solo_v2.recommend(user, k),
+            let want = match *version {
+                1 => oracle(&v1, user, k),
+                2 => oracle(&v2, user, k),
                 v => panic!("unexpected version {v}"),
             };
-            prop_assert_eq!(pairs(got), pairs(&solo), "user {} version {}", user, version);
+            prop_assert_eq!(pairs(got), want, "user {} version {}", user, version);
         }
     }
 }
@@ -238,10 +245,9 @@ proptest! {
 #[test]
 fn saturated_coalescer_answers_match_sequential_bitwise() {
     let snap = snapshot(3, 24, 120, 8);
-    let sequential = QueryEngine::new(snap.clone());
     let service = RecommendService::with_config(
         QueryEngine::with_config(
-            snap,
+            snap.clone(),
             EngineConfig {
                 user_block: 8,
                 ..Default::default()
@@ -255,13 +261,10 @@ fn saturated_coalescer_answers_match_sequential_bitwise() {
         },
     );
     let users: Vec<u32> = (0..24u32).cycle().take(192).collect();
-    let got = service.recommend_batch(&users, 10);
+    let got = service.try_recommend_batch(&users, 10);
     for (slot, &user) in users.iter().enumerate() {
-        assert_eq!(
-            pairs(&got[slot]),
-            pairs(&sequential.recommend(user, 10)),
-            "user {user}"
-        );
+        let reply = got[slot].as_ref().unwrap();
+        assert_eq!(pairs(reply), oracle(&snap, user, 10), "user {user}");
     }
     assert_eq!(service.requests_served(), 192);
     let sw = service.latency_stopwatch();

@@ -83,7 +83,7 @@ fn engine_rejects_out_of_range_user_with_typed_error() {
     }
     let errs = [
         engine.try_recommend_batch(&[0, 9], 5).unwrap_err(),
-        engine.try_recommend_versioned(9, 5).unwrap_err(),
+        engine.try_recommend_batch(&[9], 5).unwrap_err(),
     ];
     for e in errs {
         assert!(matches!(e, ServeError::InvalidRequest { .. }), "{e:?}");
@@ -104,7 +104,7 @@ fn engine_scripted_panic_is_caught_and_engine_survives() {
     // The engine (locks included) stays serviceable, and the post-panic
     // answer is bitwise what an unfaulted engine serves.
     let healed = faulted.try_recommend(0, 8).expect("call 2 is unfaulted");
-    assert_eq!(pairs(&healed), pairs(&clean.recommend(0, 8)));
+    assert_eq!(pairs(&healed), pairs(&clean.try_recommend(0, 8).unwrap()));
 }
 
 // ---------------------------------------------------------------------
@@ -133,7 +133,7 @@ fn service_worker_survives_scoring_panic() {
     );
     // Same worker thread, next request: served, bitwise clean.
     let healed = service.try_recommend(0, 8).expect("worker survived");
-    assert_eq!(pairs(&healed), pairs(&clean.recommend(0, 8)));
+    assert_eq!(pairs(&healed), pairs(&clean.try_recommend(0, 8).unwrap()));
     assert_eq!(service.requests_served(), 1);
     assert_eq!(service.latency_stopwatch().n_samples(), 1);
 }
@@ -169,11 +169,39 @@ fn zero_watermark_sheds_every_request() {
     assert_eq!(service.requests_served(), 0);
     assert_eq!(service.latency_stopwatch().n_samples(), 0);
     // Warm-ups are never shed.
-    service.warm(&[0, 1]);
+    service.warm(&[0, 1]).unwrap();
     while service.warmups_served() < 2 {
         std::thread::yield_now();
     }
     assert_eq!(service.requests_shed(), 3, "warm() bypasses the watermark");
+}
+
+#[test]
+fn warm_validates_the_whole_slice_before_enqueueing() {
+    let service = RecommendService::with_config(
+        QueryEngine::with_config(
+            snapshot(5, 6, 40, 4),
+            EngineConfig {
+                cache_capacity: 8,
+                ..serial_engine_cfg()
+            },
+        ),
+        serial_service_cfg(),
+    );
+    match service.warm(&[0, 1, 6]) {
+        Err(ServeError::InvalidRequest { reason }) => {
+            assert!(reason.contains("out of range"), "reason: {reason}");
+        }
+        other => panic!("expected InvalidRequest, got {other:?}"),
+    }
+    // One worker drains the queue in order: once this reply is back,
+    // every job enqueued before it has run.
+    service.try_recommend(2, 5).expect("worker alive");
+    assert_eq!(
+        service.warmups_served(),
+        0,
+        "a rejected warm enqueues nothing"
+    );
 }
 
 #[test]
@@ -284,7 +312,10 @@ fn retry_heals_a_transient_shard_failure() {
     let sharded = sharded_with_faults(snap, 4, 1, false, FaultPlan::new().fail_shard(1, 1));
     let got = sharded.try_recommend(0, 10).expect("retry heals");
     assert!(got.missing_shards.is_empty());
-    assert_eq!(pairs(&got.items), pairs(&single.recommend(0, 10)));
+    assert_eq!(
+        pairs(&got.items),
+        pairs(&single.try_recommend(0, 10).unwrap())
+    );
     assert_eq!(sharded.shard_failures(), vec![0, 1, 0, 0]);
     assert_eq!(sharded.degraded_served(), 0);
 }
@@ -419,7 +450,7 @@ proptest! {
             });
             let mut bad = None;
             while !installer.is_finished() || sharded.deal_generation() == gen_before {
-                let got = sharded.recommend(0, n_items);
+                let got = sharded.try_recommend(0, n_items).unwrap().items;
                 let mut served: Vec<u32> = got.iter().map(|e| e.item).collect();
                 served.sort_unstable();
                 if !(served == all || served == odds || served == evens) && bad.is_none() {
@@ -437,7 +468,13 @@ proptest! {
         );
         // 13 installs happened-before this load.
         prop_assert_eq!(sharded.deal_generation(), 13);
-        let final_set: Vec<u32> = sharded.recommend(0, n_items).iter().map(|e| e.item).collect();
+        let final_set: Vec<u32> = sharded
+            .try_recommend(0, n_items)
+            .unwrap()
+            .items
+            .iter()
+            .map(|e| e.item)
+            .collect();
         let mut final_sorted = final_set;
         final_sorted.sort_unstable();
         prop_assert_eq!(final_sorted, all, "cleared filter serves everything");
@@ -471,7 +508,7 @@ proptest! {
             prop_assert!(got.missing_shards.is_empty());
             prop_assert_eq!(
                 pairs(&got.items),
-                pairs(&single.recommend(user, k)),
+                pairs(&single.try_recommend(user, k).unwrap()),
                 "round {} user {}",
                 round,
                 user

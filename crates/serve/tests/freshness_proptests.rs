@@ -38,6 +38,18 @@ fn snapshot(tag: u64, n_users: usize, n_items: usize, d: usize) -> EmbeddingSnap
     )
 }
 
+/// One user's reply and the version it was computed from.
+fn versioned(engine: &QueryEngine, user: u32, k: usize) -> (u64, Arc<Vec<ScoredItem>>) {
+    let (version, mut lists) = engine.try_recommend_batch(&[user], k).unwrap();
+    (version, lists.swap_remove(0))
+}
+
+/// One user's merged reply and the version it was computed from.
+fn sharded_versioned(sharded: &ShardedEngine, user: u32, k: usize) -> (u64, Arc<Vec<ScoredItem>>) {
+    let r = sharded.try_recommend(user, k).unwrap();
+    (r.version, r.items)
+}
+
 fn pairs(items: &Arc<Vec<ScoredItem>>) -> Vec<(u32, u32)> {
     items.iter().map(|e| (e.item, e.score.to_bits())).collect()
 }
@@ -97,7 +109,7 @@ proptest! {
                 ..Default::default()
             },
         );
-        ivf.recommend(0, 1); // build the v1 index so updates can chain
+        ivf.try_recommend(0, 1).unwrap(); // build the v1 index so updates can chain
         let full = QueryEngine::new(base.clone());
         let mut current = base;
         for step in 0..3u64 {
@@ -107,14 +119,14 @@ proptest! {
             current = delta.apply(&current);
             full.handle().publish(current.clone());
             for user in 0..8u32 {
-                let want = full.recommend(user, k);
+                let want = full.try_recommend(user, k).unwrap();
                 prop_assert_eq!(
-                    pairs(&sharded.recommend(user, k)),
+                    pairs(&sharded.try_recommend(user, k).unwrap().items),
                     pairs(&want),
                     "sharded: step {} user {} shards {}", step, user, n_shards
                 );
                 prop_assert_eq!(
-                    pairs(&ivf.recommend(user, k)),
+                    pairs(&ivf.try_recommend(user, k).unwrap()),
                     pairs(&want),
                     "incremental ivf: step {} user {}", step, user
                 );
@@ -151,14 +163,14 @@ proptest! {
                 .collect();
             let want = reference_topk(&snap, user, &allowed, k);
             let got: Vec<(u32, f32)> = single
-                .recommend(user, k)
+                .try_recommend(user, k).unwrap()
                 .iter()
                 .map(|e| (e.item, e.score))
                 .collect();
             prop_assert_eq!(got, want, "single: user {}", user);
             prop_assert_eq!(
-                pairs(&sharded.recommend(user, k)),
-                pairs(&single.recommend(user, k)),
+                pairs(&sharded.try_recommend(user, k).unwrap().items),
+                pairs(&single.try_recommend(user, k).unwrap()),
                 "sharded: user {} shards {}", user, n_shards
             );
         }
@@ -183,14 +195,14 @@ proptest! {
                 ..Default::default()
             },
         );
-        engine.recommend(0, 1);
+        engine.try_recommend(0, 1).unwrap();
         let mut current = base;
         for step in 0..4u64 {
             let delta = delta_step(&current, tag * 7 + step, n_changed, n_appended);
             engine.handle().publish_delta(&delta);
             current = delta.apply(&current);
             for user in 0..6u32 {
-                let (version, got) = engine.recommend_versioned(user, 12);
+                let (version, got) = versioned(&engine, user, 12);
                 prop_assert_eq!(version, step + 2);
                 prop_assert!(!got.is_empty());
                 for e in got.iter() {
@@ -250,17 +262,20 @@ fn concurrent_delta_publishes_never_tear_a_response() {
         });
         for round in 0..60u32 {
             let user = round % 10;
-            let (version, got) = sharded.recommend_versioned(user, 9);
-            let solo = solos[(version - 1) as usize].recommend(user, 9);
+            let (version, got) = sharded_versioned(sharded, user, 9);
+            let solo = solos[(version - 1) as usize]
+                .try_recommend(user, 9)
+                .unwrap();
             assert_eq!(
                 pairs(&got),
                 pairs(&solo),
                 "user {user} version {version} round {round}"
             );
             let users: Vec<u32> = (0..10).map(|i| (round + i) % 10).collect();
-            let (version, many) = sharded.recommend_many(&users, 6);
+            let batch = sharded.try_recommend_batch(&users, 6).unwrap();
+            let (version, many) = (batch.version, batch.results);
             for (slot, &u) in users.iter().enumerate() {
-                let solo = solos[(version - 1) as usize].recommend(u, 6);
+                let solo = solos[(version - 1) as usize].try_recommend(u, 6).unwrap();
                 assert_eq!(
                     pairs(&many[slot]),
                     pairs(&solo),

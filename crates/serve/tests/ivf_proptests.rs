@@ -63,16 +63,16 @@ proptest! {
 
         for &user in &users {
             prop_assert_eq!(
-                pairs(&ivf.recommend(user, k)),
-                pairs(&exact.recommend(user, k)),
+                pairs(&ivf.try_recommend(user, k).unwrap()),
+                pairs(&exact.try_recommend(user, k).unwrap()),
                 "pre-publish user {} (clusters {})", user, n_clusters
             );
         }
-        let (_, many) = ivf.recommend_many(&users, k);
+        let (_, many) = ivf.try_recommend_batch(&users, k).unwrap();
         for (slot, &user) in users.iter().enumerate() {
             prop_assert_eq!(
                 pairs(&many[slot]),
-                pairs(&exact.recommend(user, k)),
+                pairs(&exact.try_recommend(user, k).unwrap()),
                 "pre-publish batched user {}", user
             );
         }
@@ -83,8 +83,8 @@ proptest! {
         ivf.handle().publish(v2);
         for &user in &users {
             prop_assert_eq!(
-                pairs(&ivf.recommend(user, k)),
-                pairs(&exact.recommend(user, k)),
+                pairs(&ivf.try_recommend(user, k).unwrap()),
+                pairs(&exact.try_recommend(user, k).unwrap()),
                 "post-publish user {}", user
             );
         }
@@ -111,8 +111,8 @@ proptest! {
                 ..Default::default()
             },
         );
-        let full = exact.recommend(user, 150);
-        let approx = ivf.recommend(user, k);
+        let full = exact.try_recommend(user, 150).unwrap();
+        let approx = ivf.try_recommend(user, k).unwrap();
         let mut last_pos = 0usize;
         for e in approx.iter() {
             let pos = full.iter().position(|f| f.item == e.item);
@@ -167,8 +167,18 @@ fn ivf_recall_stays_high_on_clustered_catalogue() {
     );
     let mut total = 0.0f64;
     for user in 0..24u32 {
-        let e: Vec<u32> = exact.recommend(user, 10).iter().map(|x| x.item).collect();
-        let a: Vec<u32> = ivf.recommend(user, 10).iter().map(|x| x.item).collect();
+        let e: Vec<u32> = exact
+            .try_recommend(user, 10)
+            .unwrap()
+            .iter()
+            .map(|x| x.item)
+            .collect();
+        let a: Vec<u32> = ivf
+            .try_recommend(user, 10)
+            .unwrap()
+            .iter()
+            .map(|x| x.item)
+            .collect();
         total += recall_vs_exact(&e, &a) as f64;
     }
     let recall = total / 24.0;
@@ -196,12 +206,12 @@ fn ivf_results_cache_and_invalidate_by_version() {
             ..Default::default()
         },
     );
-    let first = engine.recommend(3, 5);
-    let second = engine.recommend(3, 5);
+    let first = engine.try_recommend(3, 5).unwrap();
+    let second = engine.try_recommend(3, 5).unwrap();
     assert!(Arc::ptr_eq(&first, &second), "second query is a cache hit");
     assert_eq!(engine.cache_stats(), (1, 1));
     engine.handle().publish(v2);
-    let fresh = engine.recommend(3, 5);
+    let fresh = engine.try_recommend(3, 5).unwrap();
     assert!(
         !Arc::ptr_eq(&first, &fresh),
         "a v1 response must not serve v2"

@@ -92,8 +92,8 @@ proptest! {
         let sharded = ShardedEngine::new(open_mmap_snapshot(&path).unwrap(), n_shards);
         for user in 0..9u32 {
             prop_assert_eq!(
-                pairs(&sharded.recommend(user, k)),
-                pairs(&single.recommend(user, k)),
+                pairs(&sharded.try_recommend(user, k).unwrap().items),
+                pairs(&single.try_recommend(user, k).unwrap()),
                 "user {} shards {}",
                 user,
                 n_shards
@@ -142,7 +142,7 @@ proptest! {
         if let Ok(loaded) = open_mmap_snapshot(&path) {
             if loaded.n_users() > 0 {
                 let engine = QueryEngine::new(loaded);
-                let top = engine.recommend(0, 5);
+                let top = engine.try_recommend(0, 5).unwrap();
                 prop_assert!(top.iter().all(|e| e.score.is_finite()));
             }
         }

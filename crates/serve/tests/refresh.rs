@@ -51,14 +51,14 @@ fn mid_training_refresh_is_served_hot_with_cache_invalidation() {
         },
     );
     for &u in &users {
-        let (ver, got) = service.recommend_versioned(u, 10);
+        let (ver, got) = service.try_recommend_versioned(u, 10).unwrap();
         assert_eq!(ver, 1);
         let got: Vec<(u32, f32)> = got.iter().map(|e| (e.item, e.score)).collect();
         assert_eq!(got, reference_topk(&v1_snapshot, u, &candidates, 10));
     }
     // Second pass: all v1 answers now come from the cache.
     for &u in &users {
-        service.recommend(u, 10);
+        service.try_recommend(u, 10).unwrap();
     }
     assert_eq!(
         service.engine().cache_stats(),
@@ -90,7 +90,7 @@ fn mid_training_refresh_is_served_hot_with_cache_invalidation() {
     // embeddings, element for element.
     let refreshed = trainer.export_snapshot();
     for &u in &users {
-        let (ver, got) = service.recommend_versioned(u, 10);
+        let (ver, got) = service.try_recommend_versioned(u, 10).unwrap();
         assert_eq!(ver, final_version, "must serve the latest publish");
         let got: Vec<(u32, f32)> = got.iter().map(|e| (e.item, e.score)).collect();
         assert_eq!(
@@ -106,7 +106,7 @@ fn mid_training_refresh_is_served_hot_with_cache_invalidation() {
         (users.len() as u64, 2 * users.len() as u64)
     );
     // And repeat queries against the new version hit again.
-    let (ver, _) = service.recommend_versioned(users[0], 10);
+    let (ver, _) = service.try_recommend_versioned(users[0], 10).unwrap();
     assert_eq!(ver, final_version);
     assert_eq!(
         service.engine().cache_stats(),
@@ -152,7 +152,7 @@ fn every_published_cadence_version_is_observable_between_epochs() {
     // 3 per-epoch publishes on top of version 1; no redundant final
     // (the epoch-3 publish is the finished model).
     assert_eq!(handle.version(), 4);
-    let (ver, got) = service.recommend_versioned(3, 5);
+    let (ver, got) = service.try_recommend_versioned(3, 5).unwrap();
     assert_eq!(ver, 4);
     let candidates: Vec<u32> = (0..data.n_items() as u32).collect();
     let expect = reference_topk(&trainer.export_snapshot(), 3, &candidates, 5);

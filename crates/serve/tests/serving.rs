@@ -10,7 +10,7 @@ use gb_eval::{EvalProtocol, Scorer};
 use gb_models::{Gbmf, GbmfConfig, Recommender, SnapshotSource, TrainConfig};
 use gb_serve::{
     load_snapshot, save_snapshot, seen_filter, EngineConfig, QueryEngine, RecommendService,
-    ServiceConfig,
+    ServeError, ServiceConfig,
 };
 
 fn workload() -> Dataset {
@@ -87,7 +87,8 @@ fn served_topk_matches_offline_scorer_ranking() {
     let candidates: Vec<u32> = (0..data.n_items() as u32).collect();
     for user in 0..data.n_users() as u32 {
         let served: Vec<(u32, f32)> = engine
-            .recommend(user, 10)
+            .try_recommend(user, 10)
+            .unwrap()
             .iter()
             .map(|e| (e.item, e.score))
             .collect();
@@ -129,7 +130,7 @@ fn seen_items_never_served() {
         .with_seen_filter(seen_filter(&data.build_hetero()));
     let interacted = data.interacted_items();
     for user in 0..data.n_users() as u32 {
-        let served = engine.recommend(user, data.n_items());
+        let served = engine.try_recommend(user, data.n_items()).unwrap();
         for e in served.iter() {
             assert!(
                 interacted[user as usize].binary_search(&e.item).is_err(),
@@ -157,7 +158,8 @@ fn filtered_serving_matches_reference_over_unseen_candidates() {
             .filter(|i| interacted[user as usize].binary_search(i).is_err())
             .collect();
         let served: Vec<(u32, f32)> = engine
-            .recommend(user, 5)
+            .try_recommend(user, 5)
+            .unwrap()
             .iter()
             .map(|e| (e.item, e.score))
             .collect();
@@ -181,7 +183,8 @@ fn concurrent_batches_equal_sequential_answers() {
     let expected: Vec<Vec<(u32, f32)>> = users
         .iter()
         .map(|&u| {
-            solo.recommend(u, 10)
+            solo.try_recommend(u, 10)
+                .unwrap()
                 .iter()
                 .map(|e| (e.item, e.score))
                 .collect()
@@ -204,10 +207,15 @@ fn concurrent_batches_equal_sequential_answers() {
             ..Default::default()
         },
     );
-    service.warm(&users[..20]);
-    let got = service.recommend_batch(&users, 10);
+    service.warm(&users[..20]).unwrap();
+    let got = service.try_recommend_batch(&users, 10);
     for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-        let g: Vec<(u32, f32)> = g.iter().map(|x| (x.item, x.score)).collect();
+        let g: Vec<(u32, f32)> = g
+            .as_ref()
+            .unwrap()
+            .iter()
+            .map(|x| (x.item, x.score))
+            .collect();
         assert_eq!(&g, e, "request {i} (user {})", users[i]);
     }
     // Warm-ups must never leak into the serving metrics: only the 300
@@ -243,7 +251,10 @@ fn single_recommend_through_service_matches_engine() {
     let solo = QueryEngine::new(snap.clone());
     let service = RecommendService::start(QueryEngine::new(snap));
     for user in [0u32, 5, 42] {
-        assert_eq!(*service.recommend(user, 7), *solo.recommend(user, 7));
+        assert_eq!(
+            *service.try_recommend(user, 7).unwrap(),
+            *solo.try_recommend(user, 7).unwrap()
+        );
     }
 }
 
@@ -253,8 +264,8 @@ fn warm_is_a_noop_without_a_response_cache() {
     let snap = trained_gbmf(&data).export_snapshot();
     // Default EngineConfig has no cache: warming would be discarded work.
     let service = RecommendService::start(QueryEngine::new(snap));
-    service.warm(&[0, 1, 2, 3]);
-    let answer = service.recommend(0, 5); // forces the queue to drain past warm
+    service.warm(&[0, 1, 2, 3]).unwrap();
+    let answer = service.try_recommend(0, 5).unwrap(); // forces the queue to drain past warm
     assert_eq!(answer.len(), 5);
     assert_eq!(
         service.requests_served(),
@@ -275,17 +286,26 @@ fn out_of_range_user_rejected_without_killing_workers() {
         },
     );
     let bad = data.n_users() as u32 + 3;
-    let panicked =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| service.recommend(bad, 5)))
-            .is_err();
-    assert!(panicked, "out-of-range user must be rejected");
+    assert!(
+        matches!(
+            service.try_recommend(bad, 5),
+            Err(ServeError::InvalidRequest { .. })
+        ),
+        "out-of-range user must be rejected"
+    );
     // The rejection happened on the caller's thread: the single worker
     // is still alive and serving.
-    assert_eq!(service.recommend(0, 5).len(), 5);
-    let also_panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        service.recommend_batch(&[0, bad], 5)
-    }))
-    .is_err();
-    assert!(also_panicked, "batch must validate every user up front");
-    assert_eq!(service.recommend(1, 5).len(), 5);
+    assert_eq!(service.try_recommend(0, 5).unwrap().len(), 5);
+    let batch = service.try_recommend_batch(&[0, bad], 5);
+    assert_eq!(batch[0].as_ref().unwrap().len(), 5);
+    assert!(
+        matches!(batch[1], Err(ServeError::InvalidRequest { .. })),
+        "batch must validate every user before enqueueing it"
+    );
+    assert_eq!(
+        service.requests_served(),
+        2,
+        "the bad slot never reached a worker"
+    );
+    assert_eq!(service.try_recommend(1, 5).unwrap().len(), 5);
 }

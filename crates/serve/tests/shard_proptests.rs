@@ -32,6 +32,12 @@ fn snapshot(tag: u64, n_users: usize, n_items: usize, d: usize) -> EmbeddingSnap
     )
 }
 
+/// One user's merged reply and the version it was computed from.
+fn versioned(sharded: &ShardedEngine, user: u32, k: usize) -> (u64, Arc<Vec<ScoredItem>>) {
+    let r = sharded.try_recommend(user, k).unwrap();
+    (r.version, r.items)
+}
+
 fn pairs(items: &Arc<Vec<ScoredItem>>) -> Vec<(u32, u32)> {
     items.iter().map(|e| (e.item, e.score.to_bits())).collect()
 }
@@ -59,8 +65,8 @@ proptest! {
         );
         for user in 0..12u32 {
             prop_assert_eq!(
-                pairs(&sharded.recommend(user, k)),
-                pairs(&single.recommend(user, k)),
+                pairs(&sharded.try_recommend(user, k).unwrap().items),
+                pairs(&single.try_recommend(user, k).unwrap()),
                 "user {} shards {} items {}",
                 user,
                 n_shards,
@@ -96,8 +102,8 @@ proptest! {
         );
         for user in 0..8u32 {
             prop_assert_eq!(
-                pairs(&sharded.recommend(user, k)),
-                pairs(&single.recommend(user, k)),
+                pairs(&sharded.try_recommend(user, k).unwrap().items),
+                pairs(&single.try_recommend(user, k).unwrap()),
                 "user {} shards {} clusters {}",
                 user,
                 n_shards,
@@ -116,8 +122,8 @@ proptest! {
         let snap = snapshot(tag, 15, 101, 8);
         let single = QueryEngine::new(snap.clone());
         let sharded = ShardedEngine::new(snap, n_shards);
-        let (_, many) = sharded.recommend_many(&users, k);
-        let (_, solo_many) = single.recommend_many(&users, k);
+        let many = sharded.try_recommend_batch(&users, k).unwrap().results;
+        let (_, solo_many) = single.try_recommend_batch(&users, k).unwrap();
         for (slot, &user) in users.iter().enumerate() {
             prop_assert_eq!(
                 pairs(&many[slot]),
@@ -146,8 +152,8 @@ proptest! {
         let sharded = ShardedEngine::new(snap, n_shards).with_seen_filter(filter);
         for user in 0..10u32 {
             prop_assert_eq!(
-                pairs(&sharded.recommend(user, k)),
-                pairs(&single.recommend(user, k)),
+                pairs(&sharded.try_recommend(user, k).unwrap().items),
+                pairs(&single.try_recommend(user, k).unwrap()),
                 "user {} shards {}",
                 user,
                 n_shards
@@ -173,12 +179,12 @@ proptest! {
             if i == publish_at.min(users.len() - 1) {
                 sharded.publish(v2.clone());
             }
-            answers.push(sharded.recommend_versioned(user, k));
+            answers.push(versioned(&sharded, user, k));
         }
         for (&user, (version, got)) in users.iter().zip(&answers) {
             let solo = match *version {
-                1 => solo_v1.recommend(user, k),
-                2 => solo_v2.recommend(user, k),
+                1 => solo_v1.try_recommend(user, k).unwrap(),
+                2 => solo_v2.try_recommend(user, k).unwrap(),
                 v => panic!("unexpected version {v}"),
             };
             prop_assert_eq!(pairs(got), pairs(&solo), "user {} version {}", user, version);
@@ -213,18 +219,21 @@ fn concurrent_publishes_never_tear_a_scatter() {
         });
         for round in 0..60u32 {
             let user = round % 12;
-            let (version, got) = sharded.recommend_versioned(user, 10);
+            let (version, got) = versioned(sharded, user, 10);
             // Version v serves the tables of tag v-1.
-            let solo = solos[(version - 1) as usize].recommend(user, 10);
+            let solo = solos[(version - 1) as usize]
+                .try_recommend(user, 10)
+                .unwrap();
             assert_eq!(
                 pairs(&got),
                 pairs(&solo),
                 "user {user} version {version} round {round}"
             );
             let users: Vec<u32> = (0..12).map(|i| (round + i) % 12).collect();
-            let (version, many) = sharded.recommend_many(&users, 7);
+            let batch = sharded.try_recommend_batch(&users, 7).unwrap();
+            let (version, many) = (batch.version, batch.results);
             for (slot, &u) in users.iter().enumerate() {
-                let solo = solos[(version - 1) as usize].recommend(u, 7);
+                let solo = solos[(version - 1) as usize].try_recommend(u, 7).unwrap();
                 assert_eq!(
                     pairs(&many[slot]),
                     pairs(&solo),

@@ -84,7 +84,7 @@ fn swapping_under_reader_fire_never_tears_or_staleness() {
                         .wrapping_add(1442695040888963407);
                     let user = (x >> 33) as u32 % N_USERS as u32;
                     let k = 1 + (x >> 17) as usize % 20;
-                    let (version, items) = service.recommend_versioned(user, k);
+                    let (version, items) = service.try_recommend_versioned(user, k).unwrap();
 
                     // Consistency with exactly one published version: the
                     // stamp equation holds for every entry.
@@ -117,7 +117,7 @@ fn swapping_under_reader_fire_never_tears_or_staleness() {
                 // Soak the tail: after the writer finishes, responses must
                 // settle on the final version.
                 if done.load(Ordering::Acquire) {
-                    let (version, _) = service.recommend_versioned(0, 5);
+                    let (version, _) = service.try_recommend_versioned(0, 5).unwrap();
                     assert_eq!(version, N_PUBLISHES);
                 }
             });
@@ -185,9 +185,10 @@ fn coalesced_batches_under_publish_fire_stay_version_coherent() {
                         })
                         .collect();
                     let k = 1 + (x >> 17) as usize % 20;
-                    let answers = service.recommend_batch(&users, k);
+                    let answers = service.try_recommend_batch(&users, k);
                     assert_eq!(answers.len(), users.len());
                     for (slot, items) in answers.iter().enumerate() {
+                        let items = items.as_ref().unwrap();
                         assert_eq!(items.len(), k.min(N_ITEMS));
                         // Recover the version from the top item's stamp;
                         // every other entry must agree with it exactly.

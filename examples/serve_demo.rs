@@ -71,7 +71,7 @@ fn main() {
 
     // Warm a hot user set, then serve a skewed query stream.
     let hot: Vec<u32> = (0..32).collect();
-    service.warm(&hot);
+    service.warm(&hot).expect("hot users are in range");
     let queries: Vec<u32> = (0..2000u32)
         .map(|i| {
             if i % 3 == 0 {
@@ -81,9 +81,9 @@ fn main() {
             }
         })
         .collect();
-    let results = service.recommend_batch(&queries, 10);
+    let results = service.try_recommend_batch(&queries, 10);
 
-    let user0 = &results[0];
+    let user0 = results[0].as_ref().expect("user 0 is served");
     println!("\ntop-10 for user {}:", queries[0]);
     for (rank, e) in user0.iter().enumerate() {
         println!(
