@@ -1,9 +1,9 @@
 //! Property tests for the IVF approximate retrieval layer (PR 5):
 //!
 //! * `Retrieval::Ivf` with `n_probe = n_clusters` is **bit-identical** to
-//!   `Retrieval::Exact` — for `recommend` and `recommend_many`, across
-//!   block sizes, user blocks, cluster counts, and a concurrent publish
-//!   (the index must be rebuilt, not served stale).
+//!   `Retrieval::Exact` — for `try_recommend` and `try_recommend_batch`,
+//!   across block sizes, user blocks, cluster counts, and a concurrent
+//!   publish (the index must be rebuilt, not served stale).
 //! * Partial probes always return a subset of the exact ranking with
 //!   bit-identical scores, and recall on a *clustered* catalogue (the
 //!   regime IVF exists for) stays high at a small probe fraction.
