@@ -34,6 +34,7 @@
 
 pub mod checkpoint;
 pub mod gradcheck;
+mod listed;
 pub mod optim;
 pub mod parallel;
 pub mod params;

@@ -1,7 +1,9 @@
 //! Named trainable parameters and their gradients.
 
+use crate::listed::{self, merge_rows, Merge, Merged, Side, Window};
 use gb_tensor::Matrix;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Stable handle for a parameter inside a [`ParamStore`].
 pub type ParamId = usize;
@@ -117,8 +119,70 @@ impl ParamStore {
 /// the common case for embedding tables under negative sampling; optimizers
 /// skip them entirely (sparse update semantics, matching how the paper's
 /// PyTorch implementation updates only embedding rows in the batch).
+///
+/// A gradient built only by scatters at strictly ascending rows (an
+/// embedding gathered at a mini-batch's sorted ids) keeps just those rows
+/// while they are fewer than half of the table, so a shard's gradient is
+/// `O(batch)`, not a function of the table height. [`Gradients::merge`]
+/// adds such a gradient into a full table row by row; a read through
+/// [`Gradients::get`] or [`Gradients::iter`] makes the full table once.
+/// Either way every bit is what the full table gives.
 pub struct Gradients {
-    grads: Vec<Option<Matrix>>,
+    grads: Vec<Option<Grad>>,
+}
+
+/// One parameter's gradient.
+enum Grad {
+    Full(Matrix),
+    /// Rows `rows` — ascending, distinct, fewer than half of `height` — of
+    /// the `height`-row table whose every other row is `+0.0`, and that
+    /// table itself once someone has read it.
+    Listed {
+        height: usize,
+        rows: Vec<u32>,
+        m: Matrix,
+        full: OnceLock<Matrix>,
+    },
+}
+
+impl Grad {
+    fn from_merged(height: usize, merged: Merged) -> Self {
+        match merged {
+            Merged::Full(m) => Grad::Full(m),
+            Merged::Listed(rows, m) => Grad::Listed {
+                height,
+                rows,
+                m,
+                full: OnceLock::new(),
+            },
+        }
+    }
+
+    fn as_full(&self) -> &Matrix {
+        match self {
+            Grad::Full(m) => m,
+            Grad::Listed {
+                height,
+                rows,
+                m,
+                full,
+            } => full.get_or_init(|| listed::to_full(*height, rows, Window::whole(m))),
+        }
+    }
+
+    fn into_full(self) -> Matrix {
+        match self {
+            Grad::Full(m) => m,
+            Grad::Listed {
+                height,
+                rows,
+                m,
+                full,
+            } => full
+                .into_inner()
+                .unwrap_or_else(|| listed::to_full(height, &rows, Window::whole(&m))),
+        }
+    }
 }
 
 impl Gradients {
@@ -131,21 +195,31 @@ impl Gradients {
 
     /// Gradient for `id`, if that parameter participated in the loss.
     pub fn get(&self, id: ParamId) -> Option<&Matrix> {
-        self.grads.get(id).and_then(|g| g.as_ref())
+        self.grads
+            .get(id)
+            .and_then(|g| g.as_ref())
+            .map(Grad::as_full)
     }
 
     /// Accumulates `g` into the slot for `id`.
     pub fn accumulate(&mut self, id: ParamId, g: Matrix) {
-        match &mut self.grads[id] {
-            Some(existing) => gb_tensor::kernels::add_assign(existing, &g),
-            slot @ None => *slot = Some(g),
-        }
+        let slot = &mut self.grads[id];
+        *slot = Some(Grad::Full(match slot.take() {
+            Some(existing) => {
+                let mut existing = existing.into_full();
+                gb_tensor::kernels::add_assign(&mut existing, &g);
+                existing
+            }
+            None => g,
+        }));
     }
 
     /// Fused gather backward: scatters the rows of `g` at `indices`
     /// straight into the `(rows x cols)` accumulator slot for `id`,
     /// allocating the zeroed table at most once per backward sweep
-    /// instead of once per gather node.
+    /// instead of once per gather node — and not at all while every
+    /// scatter into the slot lists strictly ascending rows, which are
+    /// kept as rows (see [`Gradients`]).
     pub fn scatter_accumulate(
         &mut self,
         id: ParamId,
@@ -154,8 +228,25 @@ impl Gradients {
         indices: &[u32],
         g: &Matrix,
     ) {
-        let acc = self.grads[id].get_or_insert_with(|| Matrix::zeros(rows, cols));
-        gb_tensor::kernels::scatter_add_rows(acc, indices, g);
+        let ascending = indices.windows(2).all(|w| w[0] < w[1]);
+        let new = (indices, Window::whole(g));
+        let slot = &mut self.grads[id];
+        *slot = Some(match slot.take() {
+            None if ascending => {
+                let none = Matrix::zeros(0, cols);
+                let merged = merge_rows(rows, (&[], Window::whole(&none)), new, Merge::Scatter);
+                Grad::from_merged(rows, merged)
+            }
+            Some(Grad::Listed { rows: have, m, .. }) if ascending => {
+                let merged = merge_rows(rows, (&have, Window::whole(&m)), new, Merge::Scatter);
+                Grad::from_merged(rows, merged)
+            }
+            existing => {
+                let mut acc = existing.map_or_else(|| Matrix::zeros(rows, cols), Grad::into_full);
+                gb_tensor::kernels::scatter_add_rows(&mut acc, indices, g);
+                Grad::Full(acc)
+            }
+        });
     }
 
     /// Merges `other` into `self` by accumulating every touched slot.
@@ -165,17 +256,33 @@ impl Gradients {
     /// addition is deterministic, so merging a fixed sequence of gradient
     /// sets always produces bit-identical results regardless of which
     /// thread computed each set — the invariant the sharded trainer's
-    /// reduction relies on.
+    /// reduction relies on. A slot of `self` comes out a full table: a
+    /// row-listed gradient merged into an empty slot is made full there,
+    /// and one merged into a full table adds its rows in place — the
+    /// `+0.0` it stands for elsewhere changes no bit of a table that is
+    /// itself never `-0.0`, and turns a `-0.0` into `+0.0` exactly as the
+    /// full sum does.
     pub fn merge(&mut self, other: Gradients) {
         assert_eq!(
             self.grads.len(),
             other.grads.len(),
             "gradient sets cover different parameter counts"
         );
-        for (id, g) in other.grads.into_iter().enumerate() {
-            if let Some(g) = g {
-                self.accumulate(id, g);
-            }
+        for (slot, g) in self.grads.iter_mut().zip(other.grads) {
+            let Some(g) = g else { continue };
+            *slot = Some(Grad::Full(match (slot.take(), g) {
+                (None, g) => g.into_full(),
+                (Some(existing), Grad::Full(g)) => {
+                    let mut existing = existing.into_full();
+                    gb_tensor::kernels::add_assign(&mut existing, &g);
+                    existing
+                }
+                (Some(existing), Grad::Listed { rows, m, .. }) => {
+                    let mut existing = existing.into_full();
+                    listed::add_listed_rows(&mut existing, &rows, Window::whole(&m), Side::Second);
+                    existing
+                }
+            }));
         }
     }
 
@@ -184,7 +291,7 @@ impl Gradients {
         self.grads
             .iter()
             .enumerate()
-            .filter_map(|(id, g)| g.as_ref().map(|g| (id, g)))
+            .filter_map(|(id, g)| g.as_ref().map(|g| (id, g.as_full())))
     }
 
     /// Number of parameters with a gradient this step.

@@ -13,7 +13,25 @@
 //! only its listed rows with every other row `+0.0`. The second is born
 //! where a mini-batch's gathers scatter into a table and is carried
 //! through the propagation's own VJPs, so a backward pays for the rows a
-//! batch touched rather than for the table heights.
+//! batch touched rather than for the table heights. Either form is a
+//! column window of a table that several nodes may share ([`Shared`]): a
+//! concatenation hands each part the window of its cotangent that covers
+//! it and `add` hands both operands the same one, so a VJP that only reads
+//! its cotangent copies nothing, and one that needs a table of its own
+//! copies only when someone else still holds it. `dense` writes
+//! `g ⊙ act′` over its own output, once nothing else holds that.
+//!
+//! **What the tape holds, and for how long.** A tape holds every value it
+//! records until [`Tape::release_values`] lets go of its own handles —
+//! typically once the forward is recorded and its readers have taken what
+//! they need. From then on a value a backward closure reads lives in that
+//! closure until the sweep consumes it, a value a caller took through
+//! [`Tape::arc_value`] or [`Tape::arc_window`] lives with the caller, and
+//! every other value is gone: the forward's peak, not its sum, is what
+//! stays live through the backward. Shapes outlive the release, so the
+//! sweep runs as before and gives the same bits; reading a released value
+//! panics with a message naming the node. [`Tape::gather_unheld`] records
+//! a gather whose rows the tape never holds at all.
 //!
 //! **Tables and windows.** A node's value is a column window of a table
 //! the tape holds: usually all of a table its op created, but a caller can
@@ -32,8 +50,10 @@
 //! write after the table was handed out, panics instead of changing what
 //! someone already read.
 
+use crate::listed::{self, add_listed_rows, axpy_row, merge_rows, Merge, Merged, Side, Window};
 use crate::params::{Gradients, ParamId, ParamStore};
 use gb_tensor::{kernels, Matrix};
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
@@ -60,6 +80,92 @@ fn dense_op(
     }))
 }
 
+/// Columns `cols` of a cotangent table that several nodes may share. A
+/// concatenation hands each part the window of its own cotangent that
+/// covers it, and `add` hands both operands the same one, instead of
+/// copying; a consumer reads the window in place, or takes a table of its
+/// own with [`Shared::into_matrix`], which copies only when the window is
+/// narrower than its table or someone else still holds the table.
+#[derive(Clone)]
+struct Shared {
+    m: Arc<Matrix>,
+    cols: Range<usize>,
+}
+
+impl Shared {
+    fn whole(m: Matrix) -> Self {
+        let cols = 0..m.cols();
+        Self {
+            m: Arc::new(m),
+            cols,
+        }
+    }
+
+    fn view(&self) -> Window<'_> {
+        Window {
+            m: &self.m,
+            cols: self.cols.clone(),
+        }
+    }
+
+    fn is_whole(&self) -> bool {
+        self.cols == (0..self.m.cols())
+    }
+
+    /// Columns `at .. at + w` of the window.
+    fn narrow(&self, at: usize, w: usize) -> Self {
+        let start = self.cols.start + at;
+        Self {
+            m: Arc::clone(&self.m),
+            cols: start..start + w,
+        }
+    }
+
+    /// The table itself, when the window spans it and nothing else holds
+    /// it.
+    fn try_take(self) -> Result<Matrix, Self> {
+        if !self.is_whole() {
+            return Err(self);
+        }
+        let cols = self.cols;
+        Arc::try_unwrap(self.m).map_err(|m| Self { m, cols })
+    }
+
+    /// The window as a table of its own: [`Shared::try_take`]'s, or a copy.
+    fn into_matrix(self) -> Matrix {
+        self.try_take().unwrap_or_else(|s| s.to_matrix())
+    }
+
+    fn to_matrix(&self) -> Matrix {
+        if self.is_whole() {
+            (*self.m).clone()
+        } else {
+            kernels::slice_cols(&self.m, self.cols.start, self.cols.len())
+        }
+    }
+
+    /// The window as a table to read: its table when the window spans it,
+    /// a copy otherwise.
+    fn as_matrix(&self) -> Cow<'_, Matrix> {
+        if self.is_whole() {
+            Cow::Borrowed(&self.m)
+        } else {
+            Cow::Owned(self.to_matrix())
+        }
+    }
+}
+
+/// `a += b`, bit for bit [`kernels::add_assign`] of `a` and the window.
+fn add_window(a: &mut Matrix, b: Window<'_>) {
+    if b.cols == (0..b.m.cols()) {
+        kernels::add_assign(a, b.m);
+    } else {
+        for r in 0..a.rows() {
+            axpy_row(a.row_mut(r), 1.0, b.row(r));
+        }
+    }
+}
+
 /// A cotangent during the reverse sweep.
 ///
 /// `Rows` stands for the `height x m.cols()` table whose rows `rows`
@@ -69,7 +175,7 @@ fn dense_op(
 /// indices scatters into an empty or `Rows` slot
 /// ([`NodeGrads::scatter_accumulate`]) and carried, never scanned,
 /// through the VJPs that map a `+0.0` row to a `+0.0` row:
-/// `concat_cols` (column slices of the same rows), `add` (the same rows,
+/// `concat_cols` (column windows of the same rows), `add` (the same rows,
 /// twice), `scale` by a finite `α ≥ +0.0`, `dense` (whose `act′ ≥ 0`,
 /// and whose kernels start every accumulator at `+0.0`) and
 /// `segment_mean` (which scatters the listed segments only). Every
@@ -79,35 +185,54 @@ fn dense_op(
 /// Both forms give the same bits: a VJP of a `Rows` cotangent computes
 /// its listed rows exactly as the dense VJP computes them, and the
 /// dense VJP's unlisted rows are `+0.0`, which is what `Rows` says they
-/// are.
+/// are. Either form's table is a [`Shared`] window: whether a VJP reads
+/// it in place or copies it out, it reads the same values.
 #[derive(Clone)]
 enum Cot {
-    Dense(Matrix),
+    Dense(Shared),
     Rows {
         height: usize,
         rows: Arc<Vec<u32>>,
-        m: Matrix,
+        m: Shared,
     },
 }
 
 impl From<Matrix> for Cot {
     fn from(m: Matrix) -> Self {
-        Cot::Dense(m)
+        Cot::Dense(Shared::whole(m))
     }
 }
 
 impl Cot {
-    /// The full table.
+    /// A sum of row-listed tables of height `height` as a cotangent.
+    fn merged(height: usize, merged: Merged) -> Self {
+        match merged {
+            Merged::Full(m) => Cot::from(m),
+            Merged::Listed(rows, m) => Cot::Rows {
+                height,
+                rows: Arc::new(rows),
+                m: Shared::whole(m),
+            },
+        }
+    }
+
+    /// The full table, as a table of its own.
     fn into_dense(self) -> Matrix {
         match self {
-            Cot::Dense(m) => m,
-            Cot::Rows { height, rows, m } => {
-                let mut out = Matrix::zeros(height, m.cols());
-                for (from, &to) in rows.iter().enumerate() {
-                    out.row_mut(to as usize).copy_from_slice(m.row(from));
-                }
-                out
-            }
+            Cot::Dense(m) => m.into_matrix(),
+            Cot::Rows { height, rows, m } => listed::to_full(height, &rows, m.view()),
+        }
+    }
+
+    /// Columns `at .. at + w`, shared rather than copied.
+    fn narrow(&self, at: usize, w: usize) -> Cot {
+        match self {
+            Cot::Dense(m) => Cot::Dense(m.narrow(at, w)),
+            Cot::Rows { height, rows, m } => Cot::Rows {
+                height: *height,
+                rows: Arc::clone(rows),
+                m: m.narrow(at, w),
+            },
         }
     }
 
@@ -116,18 +241,20 @@ impl Cot {
     /// row, so that the unlisted rows stay `+0.0`.
     fn map_rows(&self, f: impl FnOnce(&Matrix) -> Matrix) -> Cot {
         match self {
-            Cot::Dense(m) => Cot::Dense(f(m)),
+            Cot::Dense(m) => Cot::from(f(&m.as_matrix())),
             Cot::Rows { height, rows, m } => Cot::Rows {
                 height: *height,
                 rows: Arc::clone(rows),
-                m: f(m),
+                m: Shared::whole(f(&m.as_matrix())),
             },
         }
     }
 
     /// `self += 1.0 · other`, bit for bit what [`kernels::add_assign`]
     /// gives on the two full tables. A full table and a row-listed one
-    /// add in place into the full one, never densifying the other.
+    /// add in place into the full one, never densifying the other; two
+    /// full ones add into whichever of the two is a table nobody else
+    /// holds, and into a copy of `self` only when neither is.
     fn add(self, other: Cot) -> Cot {
         match (self, other) {
             (
@@ -135,112 +262,37 @@ impl Cot {
                 Cot::Rows {
                     rows: r2, m: m2, ..
                 },
-            ) => merge_rows(height, (&rows, &m), (&r2, &m2), Merge::Add),
-            (Cot::Dense(mut a), Cot::Rows { rows, m, .. }) => {
-                add_listed_rows(&mut a, &rows, &m, Side::Second);
-                Cot::Dense(a)
+            ) => Cot::merged(
+                height,
+                merge_rows(height, (&rows, m.view()), (&r2, m2.view()), Merge::Add),
+            ),
+            (Cot::Dense(a), Cot::Rows { rows, m, .. }) => {
+                let mut a = a.into_matrix();
+                add_listed_rows(&mut a, &rows, m.view(), Side::Second);
+                Cot::from(a)
             }
-            (Cot::Rows { rows, m, .. }, Cot::Dense(mut b)) => {
-                add_listed_rows(&mut b, &rows, &m, Side::First);
-                Cot::Dense(b)
+            (Cot::Rows { rows, m, .. }, Cot::Dense(b)) => {
+                let mut b = b.into_matrix();
+                add_listed_rows(&mut b, &rows, m.view(), Side::First);
+                Cot::from(b)
             }
-            (Cot::Dense(mut a), Cot::Dense(b)) => {
-                kernels::add_assign(&mut a, &b);
-                Cot::Dense(a)
-            }
-        }
-    }
-}
-
-/// Which operand of `x + 1.0·y` a row-listed table is in
-/// [`add_listed_rows`].
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Side {
-    /// `x`: each element of `full` becomes `x + 1.0·full`.
-    First,
-    /// `y`: each element of `full` becomes `full + 1.0·y`.
-    Second,
-}
-
-/// `full` replaced in place by the sum of itself and the row-listed table
-/// `(rows, m)` (of `full`'s height, unlisted rows `+0.0`), with the
-/// operands in the order `listed` says — bit for bit `add_assign` of the
-/// two full tables: a listed row adds its row of `m`, and every other row
-/// adds the `+0.0` it stands for (`x + 0.0`, or `0.0 + y`), which turns a
-/// `-0.0` into `+0.0` exactly as the full sum does.
-fn add_listed_rows(full: &mut Matrix, rows: &[u32], m: &Matrix, listed: Side) {
-    let add = |d: &mut f32, x: f32| match listed {
-        Side::First => *d = x + 1.0 * *d,
-        Side::Second => *d += 1.0 * x,
-    };
-    let mut next = rows.iter().enumerate().peekable();
-    for r in 0..full.rows() {
-        let dst = full.row_mut(r);
-        match next.next_if(|&(_, &at)| at as usize == r) {
-            Some((k, _)) => dst.iter_mut().zip(m.row(k)).for_each(|(d, &x)| add(d, x)),
-            None => dst.iter_mut().for_each(|d| add(d, 0.0)),
-        }
-    }
-}
-
-/// What a row listed only on the existing side of [`merge_rows`] becomes.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Merge {
-    /// `x + 0.0`: `add_assign` adds the other side's `+0.0` row, which
-    /// turns a `-0.0` into `+0.0`.
-    Add,
-    /// `x`: a scatter leaves the rows it does not list untouched.
-    Scatter,
-}
-
-/// `dst += alpha · src`, elementwise — the arithmetic of `kernels`'
-/// `add_assign`, `scatter_add_rows` and `segment_mean_backward` on one row.
-fn axpy_row(dst: &mut [f32], alpha: f32, src: &[f32]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d += alpha * s;
-    }
-}
-
-/// The sum of two row-listed tables of height `height`, the `existing`
-/// one first: a row listed on both sides is `x + 1.0·y`, one listed on
-/// the `new` side only is `0.0 + 1.0·y`, one listed on the `existing`
-/// side only is as `how` says. Comes back `Rows` over the union of the
-/// two lists while that covers fewer than half of `height`, and as the
-/// full table once it reaches half.
-fn merge_rows(
-    height: usize,
-    (ra, ma): (&[u32], &Matrix),
-    (rb, mb): (&[u32], &Matrix),
-    how: Merge,
-) -> Cot {
-    let mut union: Vec<u32> = ra.iter().chain(rb).copied().collect();
-    union.sort_unstable();
-    union.dedup();
-    let dense = 2 * union.len() >= height;
-    let mut out = Matrix::zeros(if dense { height } else { union.len() }, mb.cols());
-    let (mut i, mut j) = (0, 0);
-    for (k, &r) in union.iter().enumerate() {
-        let dst = out.row_mut(if dense { r as usize } else { k });
-        let (in_a, in_b) = (ra.get(i) == Some(&r), rb.get(j) == Some(&r));
-        if in_a {
-            dst.copy_from_slice(ma.row(i));
-            i += 1;
-            if !in_b && how == Merge::Add {
-                dst.iter_mut().for_each(|x| *x += 0.0);
-            }
-        }
-        if in_b {
-            axpy_row(dst, 1.0, mb.row(j));
-            j += 1;
-        }
-    }
-    if dense {
-        Cot::Dense(out)
-    } else {
-        Cot::Rows {
-            height,
-            rows: Arc::new(union),
-            m: out,
+            (Cot::Dense(a), Cot::Dense(b)) => match (a.try_take(), b) {
+                (Ok(mut a), b) => {
+                    add_window(&mut a, b.view());
+                    Cot::from(a)
+                }
+                (Err(a), b) => match b.try_take() {
+                    Ok(mut b) => {
+                        listed::add_into_second(a.view(), &mut b);
+                        Cot::from(b)
+                    }
+                    Err(b) => {
+                        let mut a = a.into_matrix();
+                        add_window(&mut a, b.view());
+                        Cot::from(a)
+                    }
+                },
+            },
         }
     }
 }
@@ -258,7 +310,7 @@ fn merge_rows(
 /// member finds its output row in one lookup.
 fn segment_mean_rows_vjp(
     rows: &[u32],
-    m: &Matrix,
+    m: Window<'_>,
     offsets: &[usize],
     members: &[u32],
     src_rows: usize,
@@ -280,7 +332,7 @@ fn segment_mean_rows_vjp(
             at[r as usize] = k as u32;
         }
     }
-    let mut out = Matrix::zeros(if dense { src_rows } else { union.len() }, m.cols());
+    let mut out = Matrix::zeros(if dense { src_rows } else { union.len() }, m.width());
     for (k, &s) in rows.iter().enumerate() {
         let seg = segment(s);
         let inv = 1.0 / seg.len() as f32;
@@ -294,12 +346,12 @@ fn segment_mean_rows_vjp(
         }
     }
     if dense {
-        Cot::Dense(out)
+        Cot::from(out)
     } else {
         Cot::Rows {
             height: src_rows,
             rows: Arc::new(union),
-            m: out,
+            m: Shared::whole(out),
         }
     }
 }
@@ -330,6 +382,22 @@ impl Activation {
         }
     }
 
+    /// [`Activation::vjp`] written over the output instead of the
+    /// cotangent: each element of `y` becomes `g · act′(y)`, the same
+    /// product of the same two factors.
+    fn vjp_over_output(self, y: &mut Matrix, g: Window<'_>) {
+        for r in 0..y.rows() {
+            let pairs = y.row_mut(r).iter_mut().zip(g.row(r));
+            match self {
+                Self::Tanh => pairs.for_each(|(yy, &d)| *yy = d * (1.0 - *yy * *yy)),
+                Self::Sigmoid => pairs.for_each(|(yy, &d)| *yy = d * (*yy * (1.0 - *yy))),
+                Self::LeakyRelu(alpha) => {
+                    pairs.for_each(|(yy, &d)| *yy = if *yy < 0.0 { d * alpha } else { d })
+                }
+            }
+        }
+    }
+
     /// `g ⊙ act′` in place, from the stored *output* `y`:
     /// `tanh′ = 1 - y²`, `σ′ = y(1 - y)`, and for a positive slope the
     /// LeakyReLU output has its input's sign. Every `act′` is `≥ 0`, so a
@@ -353,9 +421,11 @@ impl Activation {
 ///
 /// A mini-batch's cotangent is nonzero in the rows the batch touched and
 /// nowhere else. When fewer than half of `g`'s rows are live, the live
-/// rows of `g` and `X` are gathered (ascending), `matmul_nt` / `matmul_tn`
-/// run on the compact operands and `dX`'s rows are written back into a
-/// zeroed table; otherwise both run on the full operands. The two paths
+/// rows of `g` are gathered (ascending), `matmul_nt` runs on them and
+/// `matmul_tn_rows` on them and `X`'s live rows read in place, and `dX`'s
+/// rows are written back into a zeroed table; otherwise both products run
+/// on the full operands, `dW` first, so that a square `W`'s `dX` can be
+/// written over `g` itself. The two paths
 /// agree bit for bit given finite `X` and `W` (`0 · ∞` is the only way a
 /// skipped row could have contributed): a zero row's products are all
 /// `±0.0`; every accumulator in `kernels.rs` starts at `+0.0`, so it is
@@ -366,21 +436,26 @@ impl Activation {
 /// Only full-table cotangents reach this scan: a [`Cot::Rows`] one already
 /// lists its rows, and [`Tape::dense`] runs the compact products on them
 /// directly.
-fn matmul_vjp(x: &Matrix, w: &Matrix, g: &Matrix) -> (Matrix, Matrix) {
+fn matmul_vjp(x: &Matrix, w: &Matrix, mut g: Matrix) -> (Matrix, Matrix) {
     let live: Vec<u32> = (0..g.rows())
         .filter(|&r| g.row(r).iter().any(|&v| v != 0.0))
         .map(|r| r as u32)
         .collect();
     if 2 * live.len() >= g.rows() {
-        return (kernels::matmul_nt(g, w), kernels::matmul_tn(x, g));
+        let dw = kernels::matmul_tn(x, &g);
+        if w.rows() == w.cols() {
+            kernels::matmul_nt_in_place(&mut g, w);
+            return (g, dw);
+        }
+        return (kernels::matmul_nt(&g, w), dw);
     }
-    let g_live = kernels::gather_rows(g, &live);
+    let g_live = kernels::gather_rows(&g, &live);
     let dx_live = kernels::matmul_nt(&g_live, w);
     let mut dx = Matrix::zeros(x.rows(), x.cols());
     for (from, &to) in live.iter().enumerate() {
         dx.row_mut(to as usize).copy_from_slice(dx_live.row(from));
     }
-    let dw = kernels::matmul_tn(&kernels::gather_rows(x, &live), &g_live);
+    let dw = kernels::matmul_tn_rows(x, &live, &g_live);
     (dx, dw)
 }
 
@@ -401,8 +476,12 @@ fn dense_product(x: &Matrix, w: &Matrix) -> Matrix {
 /// A table the tape holds.
 struct Held {
     /// `Arc`-shared so backward closures (and callers, via
-    /// [`Tape::arc_value`]) can hold it without copying it.
-    m: Arc<Matrix>,
+    /// [`Tape::arc_value`]) can hold it without copying it. `None` once
+    /// [`Tape::release_values`] has let go of it.
+    m: Option<Arc<Matrix>>,
+    /// The table's height, which outlives its release: shape checks read
+    /// it.
+    rows: usize,
     /// For a table from [`Tape::reserve`]: which of its columns an op has
     /// written. `None` for a table an op created whole.
     written: Option<Vec<bool>>,
@@ -457,20 +536,21 @@ impl NodeGrads {
         g: &Matrix,
     ) {
         let ascending = indices.windows(2).all(|w| w[0] < w[1]);
+        let new = (indices, Window::whole(g));
         let acc = match self.slots[v.0].take() {
-            None if ascending => merge_rows(
-                rows,
-                (&[], &Matrix::zeros(0, cols)),
-                (indices, g),
-                Merge::Scatter,
-            ),
-            Some(Cot::Rows { rows: have, m, .. }) if ascending => {
-                merge_rows(rows, (&have, &m), (indices, g), Merge::Scatter)
+            None if ascending => {
+                let none = Matrix::zeros(0, cols);
+                let merged = merge_rows(rows, (&[], Window::whole(&none)), new, Merge::Scatter);
+                Cot::merged(rows, merged)
             }
+            Some(Cot::Rows { rows: have, m, .. }) if ascending => Cot::merged(
+                rows,
+                merge_rows(rows, (&have, m.view()), new, Merge::Scatter),
+            ),
             existing => {
                 let mut acc = existing.map_or_else(|| Matrix::zeros(rows, cols), Cot::into_dense);
                 kernels::scatter_add_rows(&mut acc, indices, g);
-                Cot::Dense(acc)
+                Cot::from(acc)
             }
         };
         self.slots[v.0] = Some(acc);
@@ -493,7 +573,7 @@ impl NodeGrads {
             .take()
             .map_or_else(|| Matrix::zeros(rows, src.cols()), Cot::into_dense);
         kernels::scatter_add_scaled_rows(&mut acc, dst_idx, src, src_idx, g);
-        self.slots[v.0] = Some(Cot::Dense(acc));
+        self.slots[v.0] = Some(Cot::from(acc));
     }
 
     fn take(&mut self, idx: usize) -> Option<Cot> {
@@ -532,7 +612,11 @@ struct GradSinks {
 /// `FnOnce` and are consumed by the sweep, so a tape supports exactly
 /// one backward pass (`backward`, `backward_with_inputs`, or
 /// `backward_seeded`) — a second call panics. Forward values stay
-/// readable through [`Tape::value`] afterwards.
+/// readable through [`Tape::value`] afterwards, up to
+/// [`Tape::release_values`]: after it, only what a caller took through
+/// [`Tape::arc_value`] / [`Tape::arc_window`] can still be read, a value
+/// only backward closures hold is freed as the sweep consumes them, and
+/// [`Tape::value`] panics, naming the node.
 #[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
@@ -571,16 +655,30 @@ impl Tape {
     /// once every column is written.
     pub fn reserve(&mut self, rows: usize, cols: usize) -> Table {
         self.tables.push(Held {
-            m: Arc::new(Matrix::zeros(rows, cols)),
+            m: Some(Arc::new(Matrix::zeros(rows, cols))),
+            rows,
             written: Some(vec![false; cols]),
         });
         Table(self.tables.len() - 1)
     }
 
     /// The held table behind `v` and the columns of it `v` occupies.
+    ///
+    /// # Panics
+    /// Panics, naming the node, once [`Tape::release_values`] has let go
+    /// of the table, or for a [`Tape::gather_unheld`] node.
     fn window(&self, v: Var) -> (&Arc<Matrix>, Range<usize>) {
         let at = &self.nodes[v.0].at;
-        (&self.tables[at.table].m, at.cols.clone())
+        let Some(m) = &self.tables[at.table].m else {
+            // invariant: documented panic — a released or unheld value is
+            // not there to read, and reading it is a caller's bug, not a
+            // value to make up.
+            panic!(
+                "the value of node {} is not held: the tape released it or never held it",
+                v.0
+            );
+        };
+        (m, at.cols.clone())
     }
 
     /// The table behind `v` (shared, not copied) and the columns of it
@@ -590,10 +688,26 @@ impl Tape {
         (Arc::clone(m), cols)
     }
 
-    /// `(rows, cols)` of a node's value.
+    /// `(rows, cols)` of a node's value, released or not.
     fn shape(&self, v: Var) -> (usize, usize) {
-        let (m, cols) = self.window(v);
-        (m.rows(), cols.len())
+        let at = &self.nodes[v.0].at;
+        (self.tables[at.table].rows, at.cols.len())
+    }
+
+    /// Lets go of the tape's own handle on every value it holds, so that
+    /// each is freed as soon as nothing else needs it: a value a backward
+    /// closure reads lives in that closure until the sweep consumes it,
+    /// one a caller took through [`Tape::arc_value`] or
+    /// [`Tape::arc_window`] lives with the caller, and every other one
+    /// goes now. Shapes stay, so the sweep and its seed checks work as
+    /// before and give the same bits; reading a value afterwards panics.
+    pub fn release_values(&mut self) {
+        for held in &mut self.tables {
+            held.m = None;
+        }
+        for node in &mut self.nodes {
+            node.copy.take();
+        }
     }
 
     /// Shared handle to a node's value. This is how the sharded trainer
@@ -626,7 +740,11 @@ impl Tape {
     fn hold(&mut self, m: Arc<Matrix>) -> Loc {
         debug_assert!(!m.has_non_finite(), "non-finite forward value");
         let cols = 0..m.cols();
-        self.tables.push(Held { m, written: None });
+        self.tables.push(Held {
+            rows: m.rows(),
+            m: Some(m),
+            written: None,
+        });
         Loc {
             table: self.tables.len() - 1,
             cols,
@@ -640,7 +758,8 @@ impl Tape {
     /// Panics if the window does not fit, if any of its columns was
     /// written before, or if the table is not the tape's alone — handed
     /// out through [`Tape::arc_value`] / [`Tape::arc_window`], held by a
-    /// backward closure, or read by the op writing it.
+    /// backward closure, read by the op writing it, or already released
+    /// ([`Tape::release_values`]).
     fn write_window(
         &mut self,
         (Table(t), col): (Table, usize),
@@ -666,9 +785,12 @@ impl Tape {
         );
         written[cols.clone()].fill(true);
         // invariant: documented panic — the tape writes a reserved table
-        // only while nothing else holds it, so a value someone already
-        // read never changes under them.
-        let m = Arc::get_mut(&mut held.m)
+        // only while it holds it and nothing else does, so a value someone
+        // already read never changes under them.
+        let m = held
+            .m
+            .as_mut()
+            .and_then(Arc::get_mut)
             .expect("a reserved table is written only while the tape alone holds it");
         write(m, col);
         debug_assert!(
@@ -783,13 +905,40 @@ impl Tape {
     /// Rows of node `src` at `indices`.
     pub fn gather(&mut self, src: Var, indices: Arc<Vec<u32>>) -> Var {
         let value = kernels::gather_rows(self.value(src), &indices);
+        let backward = self.gather_backward(src, indices);
+        self.push(value, backward)
+    }
+
+    /// [`Tape::gather`] recorded without its value: the tape neither
+    /// computes nor holds the rows, and whoever reads them gathers them
+    /// from `src`'s value itself (`kernels::gather_rows`, what `gather`
+    /// runs), when and where it needs them. A table that many consumers
+    /// read in pieces is then never copied all at once. Reading the node's
+    /// value panics; its backward is `gather`'s, so a cotangent seeded at
+    /// it ([`Tape::backward_seeded`]) scatters into `src`'s exactly as one
+    /// seeded at a `gather` does. Reads no value, so it records after
+    /// [`Tape::release_values`] too.
+    pub fn gather_unheld(&mut self, src: Var, indices: Arc<Vec<u32>>) -> Var {
+        self.tables.push(Held {
+            m: None,
+            rows: indices.len(),
+            written: None,
+        });
+        let at = Loc {
+            table: self.tables.len() - 1,
+            cols: 0..self.shape(src).1,
+        };
+        let backward = self.gather_backward(src, indices);
+        self.push_at(at, backward)
+    }
+
+    /// The backward of a gather of `src` at `indices`: its cotangent's rows
+    /// scatter-add into `src`'s accumulator.
+    fn gather_backward(&self, src: Var, indices: Arc<Vec<u32>>) -> Option<BackwardOp> {
         let (rows, cols) = self.shape(src);
-        self.push(
-            value,
-            dense_op(move |g, ng, _sinks| {
-                ng.scatter_accumulate(src, rows, cols, &indices, &g);
-            }),
-        )
+        dense_op(move |g, ng, _sinks| {
+            ng.scatter_accumulate(src, rows, cols, &indices, &g);
+        })
     }
 
     /// CSR segment mean: output row `i` is the mean of
@@ -831,10 +980,14 @@ impl Tape {
             Some(Box::new(move |g, ng, _sinks| {
                 let back = match g {
                     Cot::Rows { rows, m, .. } => {
-                        segment_mean_rows_vjp(&rows, &m, &offsets, &members, src_rows)
+                        segment_mean_rows_vjp(&rows, m.view(), &offsets, &members, src_rows)
                     }
-                    Cot::Dense(g) => Cot::Dense(kernels::segment_mean_backward(
-                        &g, &offsets, &members, src_rows,
+                    Cot::Dense(g) => Cot::from(kernels::segment_mean_backward_cols(
+                        &g.m,
+                        g.cols.clone(),
+                        &offsets,
+                        &members,
+                        src_rows,
                     )),
                 };
                 ng.accumulate(src, back);
@@ -885,7 +1038,7 @@ impl Tape {
             Some(Box::new(move |g: Cot, ng, _sinks| {
                 let mut at = 0;
                 for (p, w) in widths {
-                    ng.accumulate(p, g.map_rows(|m| kernels::slice_cols(m, at, w)));
+                    ng.accumulate(p, g.narrow(at, w));
                     at += w;
                 }
             })),
@@ -903,7 +1056,7 @@ impl Tape {
         self.push(
             value,
             dense_op(move |g, ng, _sinks| {
-                let (da, db) = matmul_vjp(&av, &bv, &g);
+                let (da, db) = matmul_vjp(&av, &bv, g);
                 ng.accumulate(a, da);
                 ng.accumulate(b, db);
             }),
@@ -929,8 +1082,11 @@ impl Tape {
     /// skip changes no bit provided `x` and `w` are finite — `0 · ∞` is the
     /// only way a skipped row could have contributed. A cotangent listed
     /// at a few rows is not scanned: `act′`, the column sum,
-    /// `dX = g W^T` and `dW = X[rows]^T g` run on its listed rows alone,
-    /// and `dX` stays listed at the same rows.
+    /// `dX = g W^T` and `dW = X[rows]^T g` run on its listed rows alone
+    /// (`X`'s read in place), and `dX` stays listed at the same rows. A
+    /// full cotangent's `g ⊙ act′(y)` is written over `y`'s buffer once
+    /// the tape has released its values (this closure then holds the last
+    /// handle on it), so the cotangent is read, not copied.
     ///
     /// # Panics
     /// Panics if the shapes do not compose.
@@ -953,31 +1109,42 @@ impl Tape {
         self.push_arc(
             value,
             Some(Box::new(move |g, ng, _sinks| match g {
-                Cot::Rows {
-                    height,
-                    rows,
-                    mut m,
-                } => {
+                Cot::Rows { height, rows, m } => {
+                    let mut m = m.into_matrix();
                     for (i, &r) in rows.iter().enumerate() {
                         act.vjp(m.row_mut(i), y.row(r as usize));
                     }
                     ng.accumulate(bias, kernels::col_sum(&m));
                     let dx = kernels::matmul_nt(&m, &wv);
-                    let dw = kernels::matmul_tn(&kernels::gather_rows(&xv, &rows), &m);
+                    let dw = kernels::matmul_tn_rows(&xv, &rows, &m);
                     ng.accumulate(
                         x,
                         Cot::Rows {
                             height,
                             rows,
-                            m: dx,
+                            m: Shared::whole(dx),
                         },
                     );
                     ng.accumulate(w, dw);
                 }
-                Cot::Dense(mut g) => {
-                    act.vjp(g.as_mut_slice(), y.as_slice());
+                Cot::Dense(g) => {
+                    // `g ⊙ act′(y)` over `y`'s own buffer when this closure
+                    // holds the last handle on it (the tape has released its
+                    // values), reading `g` in place; over a copy of `g`
+                    // otherwise.
+                    let g = match Arc::try_unwrap(y) {
+                        Ok(mut y) => {
+                            act.vjp_over_output(&mut y, g.view());
+                            y
+                        }
+                        Err(y) => {
+                            let mut g = g.into_matrix();
+                            act.vjp(g.as_mut_slice(), y.as_slice());
+                            g
+                        }
+                    };
                     ng.accumulate(bias, kernels::col_sum(&g));
-                    let (dx, dw) = matmul_vjp(&xv, &wv, &g);
+                    let (dx, dw) = matmul_vjp(&xv, &wv, g);
                     ng.accumulate(x, dx);
                     ng.accumulate(w, dw);
                 }
@@ -1061,7 +1228,7 @@ impl Tape {
                 let g = if alpha.is_sign_positive() && alpha.is_finite() {
                     g
                 } else {
-                    Cot::Dense(g.into_dense())
+                    Cot::from(g.into_dense())
                 };
                 ng.accumulate(a, g.map_rows(|m| kernels::scale(m, alpha)));
             })),
@@ -1505,6 +1672,67 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "the value of node 1 is not held")]
+    fn reading_a_released_value_panics_naming_the_node() {
+        let (store, w) = store_with("w", Matrix::full(2, 2, 1.5));
+        let mut t = Tape::new();
+        let wv = t.param(&store, w);
+        let s = t.scale(wv, 2.0);
+        t.release_values();
+        t.value(s);
+    }
+
+    #[test]
+    fn a_released_tape_keeps_shapes_and_what_callers_took() {
+        let (store, w) = store_with("w", Matrix::full(2, 3, 1.5));
+        let mut t = Tape::new();
+        let wv = t.param(&store, w);
+        let s = t.scale(wv, 2.0);
+        let taken = t.arc_value(s);
+        let loss = t.sum_all(s);
+        t.release_values();
+        assert_eq!(taken.as_slice(), &[3.0; 6]);
+        // The seed check reads the released node's shape.
+        let grads = t.backward_seeded(vec![(loss, Matrix::full(1, 1, 1.0))], &store);
+        assert_eq!(grads.get(w).unwrap().as_slice(), &[2.0; 6]);
+    }
+
+    #[test]
+    fn an_unheld_gather_backpropagates_as_a_gather_bitwise() {
+        let (store, w) = store_with("emb", awkward(6, 3, 4));
+        let rows = Arc::new(vec![0u32, 2, 5]);
+        let g = awkward(3, 3, 9);
+        let run = |unheld: bool| {
+            let mut t = Tape::new();
+            let wv = t.param(&store, w);
+            let sm = t.segment_mean(
+                wv,
+                Arc::new(vec![0, 2, 3, 3, 5, 6, 6]),
+                Arc::new(vec![1, 4, 0, 2, 3, 5]),
+            );
+            let picked = if unheld {
+                t.release_values();
+                t.gather_unheld(sm, Arc::clone(&rows))
+            } else {
+                t.gather(sm, Arc::clone(&rows))
+            };
+            let grads = t.backward_seeded(vec![(picked, g.clone())], &store);
+            bits(grads.get(w).unwrap())
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    #[should_panic(expected = "the value of node 1 is not held")]
+    fn an_unheld_gather_has_no_value() {
+        let (store, w) = store_with("w", Matrix::full(3, 2, 1.0));
+        let mut t = Tape::new();
+        let wv = t.param(&store, w);
+        let picked = t.gather_unheld(wv, Arc::new(vec![2, 0]));
+        t.value(picked);
+    }
+
+    #[test]
     fn input_leaf_collects_gradient() {
         // loss = sum(3 * input): the input leaf's cotangent is 3s, and
         // fan-out accumulates into one slot.
@@ -1785,7 +2013,7 @@ mod tests {
                 for (what, pattern) in &patterns {
                     let g =
                         Matrix::from_fn(m, n, |r, c| pattern(m, r, c).unwrap_or(base.get(r, c)));
-                    let (dx, dw) = matmul_vjp(&x, &w, &g);
+                    let (dx, dw) = matmul_vjp(&x, &w, g.clone());
                     let what = format!("{what}, {m}x{k} * {k}x{n}");
                     assert_eq!(bits(&dx), bits(&kernels::matmul_nt(&g, &w)), "dX: {what}");
                     assert_eq!(bits(&dw), bits(&kernels::matmul_tn(&x, &g)), "dW: {what}");
@@ -1896,7 +2124,7 @@ mod tests {
         Cot::Rows {
             height,
             rows: Arc::new(rows.to_vec()),
-            m,
+            m: Shared::whole(m),
         }
     }
 
@@ -1964,7 +2192,7 @@ mod tests {
         }
         // A full slot stays full, whatever the indices.
         let mut ng = NodeGrads {
-            slots: vec![Some(Cot::Dense(Matrix::zeros(height, cols)))],
+            slots: vec![Some(Cot::from(Matrix::zeros(height, cols)))],
         };
         ng.scatter_accumulate(Var(0), height, cols, &[3], &Matrix::full(1, cols, 1.0));
         assert!(matches!(ng.take(0), Some(Cot::Dense(_))));
@@ -1988,9 +2216,9 @@ mod tests {
             let listed = rows_cot(height, rows, m);
             for listed_first in [false, true] {
                 let (a, b) = if listed_first {
-                    (listed.clone(), Cot::Dense(full.clone()))
+                    (listed.clone(), Cot::from(full.clone()))
                 } else {
-                    (Cot::Dense(full.clone()), listed.clone())
+                    (Cot::from(full.clone()), listed.clone())
                 };
                 let mut want = a.clone().into_dense();
                 kernels::add_assign(&mut want, &b.clone().into_dense());

@@ -11,6 +11,11 @@
 //! result, or one table a segment mean and a sum fill side by side before
 //! a concatenation that finds them in place — and must give the fresh
 //! layout's values and gradients bit for bit.
+//!
+//! And they run with the tape's values released once the forward is
+//! recorded ([`Tape::release_values`]), in either layout, from a leaf bound
+//! as an `input`: values, parameter gradients and the input's cotangent
+//! must be the unreleased tape's, bit for bit.
 
 use gb_autograd::{Activation, Gradients, ParamId, ParamStore, Table, Tape, Var};
 use gb_tensor::{kernels, Matrix};
@@ -122,7 +127,9 @@ fn dst(
 
 /// Records `n_ops` random ops over `n`-row tables on `tape`, drawing the
 /// chain from `seed` (the same seed records the same chain on any tape,
-/// with or without `windows`).
+/// with or without `windows`). With `input`, the second leaf is an
+/// [`Tape::input`] of the same value instead of a parameter, wherever
+/// `windows` would have put it.
 fn record(
     tape: &mut Tape,
     store: &mut ParamStore,
@@ -130,6 +137,7 @@ fn record(
     n: usize,
     n_ops: usize,
     windows: bool,
+    input: bool,
 ) -> Chain {
     let mut c = Choices(seed | 1);
     let mut params = Vec::new();
@@ -141,10 +149,15 @@ fn record(
     let widths = [1, 3, 8, 9, 17];
     let w0 = c.pick(&widths);
     let mut nodes = Vec::new();
-    for _ in 0..2 {
+    for leaf in 0..2 {
         let m = c.matrix(n, w0);
         let at = dst(tape, &mut c, windows, n, w0);
-        nodes.push((param(tape, store, m, at), w0));
+        let node = if input && leaf == 1 {
+            tape.input(Arc::new(m))
+        } else {
+            param(tape, store, m, at)
+        };
+        nodes.push((node, w0));
     }
     for _ in 0..n_ops {
         // Mostly extend the newest node, so the chain runs deep.
@@ -262,7 +275,7 @@ fn gathered_backward(
 ) -> (Vec<u32>, Vec<Option<Vec<u32>>>) {
     let mut store = ParamStore::new();
     let mut tape = Tape::new();
-    let chain = record(&mut tape, &mut store, seed, n, n_ops, windows);
+    let chain = record(&mut tape, &mut store, seed, n, n_ops, windows, false);
     let value: Vec<u32> = tape
         .value(chain.table)
         .as_slice()
@@ -277,8 +290,77 @@ fn gathered_backward(
     (value, bits(&chain, &grads))
 }
 
+/// NaN-blind bits of a table.
+fn table_bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice()
+        .iter()
+        .map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() })
+        .collect()
+}
+
+/// A chain's value bits (the table's, then the loss's), its parameters'
+/// gradient bits and its input's cotangent bits.
+type ChainBits = (Vec<u32>, Vec<Option<Vec<u32>>>, Option<Vec<u32>>);
+
+/// Everything a chain with an input leaf gives — its table's value bits,
+/// its parameters' gradients and the input's cotangent — under the loss
+/// `Σ_k sum(gather(table, rows_k) ⊙ g_k)`, whose cotangent at the `k`-th
+/// gather is exactly `g_k`: the same row-listed cotangents
+/// [`gathered_backward`] seeds. With `release`, the tape lets go of its
+/// values once the loss is recorded and read.
+fn released_or_kept(
+    seed: u64,
+    n: usize,
+    n_ops: usize,
+    windows: bool,
+    n_gathers: usize,
+    release: bool,
+) -> ChainBits {
+    let mut store = ParamStore::new();
+    let mut tape = Tape::new();
+    let chain = record(&mut tape, &mut store, seed, n, n_ops, windows, true);
+    let value = table_bits(tape.value(chain.table));
+    let width = tape.value(chain.table).cols();
+    let mut loss = None;
+    for (rows, g) in gather_seeds(seed, n, width, n_gathers) {
+        let picked = tape.gather(chain.table, rows);
+        // A forward value must be finite: the NaN row becomes ones.
+        let g = tape.constant(g.map(|v| if v.is_nan() { 1.0 } else { v }));
+        let weighted = tape.mul(picked, g);
+        let term = tape.sum_all(weighted);
+        loss = Some(match loss {
+            Some(acc) => tape.add(acc, term),
+            None => term,
+        });
+    }
+    let loss = loss.expect("at least one gather");
+    let loss_bits = table_bits(tape.value(loss));
+    if release {
+        tape.release_values();
+    }
+    let (grads, inputs) = tape.backward_with_inputs(loss, &store);
+    let input = inputs[0].as_ref().map(table_bits);
+    let mut value = value;
+    value.extend(loss_bits);
+    (value, bits(&chain, &grads), input)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn a_released_tape_gives_the_kept_tape_bitwise(
+        seed in 0u64..u64::MAX,
+        n in 1usize..=24,
+        n_ops in 1usize..=8,
+        n_gathers in 1usize..=3,
+        layout in 0u32..2,
+    ) {
+        let windows = layout == 1;
+        let kept = released_or_kept(seed, n, n_ops, windows, n_gathers, false);
+        let released = released_or_kept(seed, n, n_ops, windows, n_gathers, true);
+        prop_assert_eq!(released, kept);
+    }
 
     #[test]
     fn row_sparse_backward_equals_the_dense_backward_bitwise(
@@ -298,7 +380,7 @@ proptest! {
         // order the sweep meets the gathers: the last recorded first.
         let mut store = ParamStore::new();
         let mut tape = Tape::new();
-        let chain = record(&mut tape, &mut store, seed, n, n_ops, false);
+        let chain = record(&mut tape, &mut store, seed, n, n_ops, false, false);
         let mut full = Matrix::zeros(n, tape.value(chain.table).cols());
         for (rows, g) in kept.iter().rev() {
             kernels::scatter_add_rows(&mut full, rows, g);

@@ -407,64 +407,92 @@ impl GbgcnModel {
         (kept.generation == self.store.generation()).then_some(kept.fwd)
     }
 
-    /// Records `shard`'s *compact* tables on the shared tape — one
-    /// `gather` per shared table at the shard's sorted distinct users (or
-    /// items) — and returns the shard's inputs over them, its pairs
-    /// renumbered to compact rows, together with the gather nodes in slot
+    /// Splits `batch` into its `n_shards` shards and gives each its
+    /// *compact* tables — its rows of every shared table, at its sorted
+    /// distinct users (or items) — and its pairs renumbered to those rows,
+    /// together with one [`Tape::gather_unheld`] node per table in slot
     /// order. The shard's table cotangents are then `n_distinct x w`, seed
     /// those gather nodes directly, and the gathers' own scatter-add
     /// backward folds them into the full-size tables: all per-shard work
     /// is `O(batch)`, never a function of the table heights.
     ///
+    /// The shared tape lets go of its values first
+    /// ([`Tape::release_values`]), and the shared tables are gathered one
+    /// at a time, each freed as soon as every shard has its rows of it:
+    /// what stays live is the backward closures' operands and the compact
+    /// tables, never the forward's every table beside them. Within a
+    /// table the gathers are recorded in *reverse* shard order (see
+    /// [`GbgcnModel::sharded_grad`]).
+    ///
     /// Pre-training shares no item table (its item rows come from the
     /// parameter by `gather_param`), so there the item ids stay global.
-    fn compact_shard(&self, fwd: &mut SharedForward, shard: &LossBatch) -> (ShardInputs, Vec<Var>) {
-        let users = Arc::new(shard.touched_users());
-        let items = Arc::new(shard.touched_items());
-        let gathers: Vec<Var> = fwd
+    fn compact_shards(
+        &self,
+        fwd: &mut SharedForward,
+        batch: &LossBatch,
+        n_shards: usize,
+    ) -> Vec<(ShardInputs, Vec<Var>)> {
+        let shards = batch.split(n_shards);
+        let rows: Vec<_> = shards
+            .iter()
+            .map(|s| (Arc::new(s.touched_users()), Arc::new(s.touched_items())))
+            .collect();
+        let tables: Vec<Arc<Matrix>> = fwd
             .vars
             .iter()
-            .map(|&(v, ids)| {
-                let rows = match ids {
-                    RowIds::Users => &users,
-                    RowIds::Items => &items,
-                };
-                fwd.tape.gather(v, Arc::clone(rows))
-            })
+            .map(|&(v, _)| fwd.tape.arc_value(v))
             .collect();
+        fwd.tape.release_values();
+        let mut compact: Vec<(Vec<Arc<Matrix>>, Vec<Var>)> =
+            shards.iter().map(|_| (Vec::new(), Vec::new())).collect();
+        for (&(v, ids), table) in fwd.vars.iter().zip(tables) {
+            for ((tables, gathers), (users, items)) in compact.iter_mut().zip(&rows).rev() {
+                let rows = match ids {
+                    RowIds::Users => users,
+                    RowIds::Items => items,
+                };
+                tables.push(Arc::new(kernels::gather_rows(&table, rows)));
+                gathers.push(fwd.tape.gather_unheld(v, Arc::clone(rows)));
+            }
+        }
         let shares_items = fwd.vars.iter().any(|&(_, ids)| ids == RowIds::Items);
-        let inputs = ShardInputs {
-            batch: shard.to_local_rows(&users, shares_items.then_some(&items[..])),
-            reg: RegRows {
-                user_rows: Arc::new((0..users.len() as u32).collect()),
-                users,
-                items,
-            },
-            tables: gathers.iter().map(|&g| fwd.tape.arc_value(g)).collect(),
-        };
-        (inputs, gathers)
+        shards
+            .into_iter()
+            .zip(rows)
+            .zip(compact)
+            .map(|((shard, (users, items)), (tables, gathers))| {
+                let inputs = ShardInputs {
+                    batch: shard.to_local_rows(&users, shares_items.then_some(&items[..])),
+                    reg: RegRows {
+                        user_rows: Arc::new((0..users.len() as u32).collect()),
+                        users,
+                        items,
+                    },
+                    tables,
+                };
+                (inputs, gathers)
+            })
+            .collect()
     }
 
     /// Consumer side of the shared-forward protocol for one shard: binds
     /// `shard.tables` as `input` leaves (slot order of
-    /// [`GbgcnModel::shared_forward`]), scores and assembles the loss on
-    /// a private tape, and returns `(loss, param gradients, per-table
-    /// cotangents)`. Pure in `(self, shard)`, so shards may run on any
-    /// thread in any order.
+    /// [`GbgcnModel::shared_forward`]), scores and assembles the loss on a
+    /// private tape, and returns `(loss, param gradients, per-table
+    /// cotangents)`. It consumes its inputs, and its tape lets go of its
+    /// values before the backward, so its compact tables are freed as the
+    /// sweep finishes with them. Pure in `(self, shard)`, so shards may run
+    /// on any thread in any order.
     ///
     /// Pre-training's shared tables are `[user_raw, raw_friend_mean]`,
     /// reused by both Eq. 9 scoring and the social-regularization term.
     fn shard_grad(
         &self,
-        shard: &ShardInputs,
+        shard: ShardInputs,
         finetune: bool,
     ) -> (f32, Gradients, Vec<Option<Matrix>>) {
         let mut tape = Tape::new();
-        let inputs: Vec<Var> = shard
-            .tables
-            .iter()
-            .map(|t| tape.input(Arc::clone(t)))
-            .collect();
+        let inputs: Vec<Var> = shard.tables.into_iter().map(|t| tape.input(t)).collect();
         let social_reg = self.cfg.social_reg > 0.0;
         let (scores, social_vars) = if finetune {
             let st = ScoreTables {
@@ -487,6 +515,7 @@ impl GbgcnModel {
         let n_behaviors = shard.batch.n_behaviors;
         let loss = self.assemble_loss(&mut tape, n_behaviors, scores, &shard.reg, social_vars);
         let value = tape.value(loss).get(0, 0);
+        tape.release_values();
         let (grads, table_grads) = tape.backward_with_inputs(loss, &self.store);
         (value, grads, table_grads)
     }
@@ -496,17 +525,30 @@ impl GbgcnModel {
     /// merged in fixed shard order, and every shard's table cotangents.
     fn run_shards(
         &self,
-        shards: &[ShardInputs],
+        shards: Vec<ShardInputs>,
         executor: &ShardExecutor,
         finetune: bool,
     ) -> (f32, Gradients, Vec<Vec<Option<Matrix>>>) {
+        let n_shards = shards.len();
+        // Each shard closure takes its inputs out of its slot, so they die
+        // with the shard's tape instead of outliving every shard.
+        let shards: Vec<Mutex<Option<ShardInputs>>> =
+            shards.into_iter().map(|s| Mutex::new(Some(s))).collect();
         // Per-shard table-cotangent side channel: `accumulate` merges
         // only `(loss, Gradients)`, so the third output travels through
         // shard-indexed one-shot slots instead.
         let table_grads: Vec<OnceLock<Vec<Option<Matrix>>>> =
-            (0..shards.len()).map(|_| OnceLock::new()).collect();
-        let (loss, grads) = executor.accumulate(self.store.len(), shards.len(), |s| {
-            let (value, grads, tg) = self.shard_grad(&shards[s], finetune);
+            (0..n_shards).map(|_| OnceLock::new()).collect();
+        let (loss, grads) = executor.accumulate(self.store.len(), n_shards, |s| {
+            // invariant: `accumulate` hands each shard index to exactly one
+            // closure call, so its slot is still full; the guard covers an
+            // `Option` take, which leaves the slot valid at every step.
+            let shard = shards[s]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take()
+                .expect("each shard's inputs are taken once");
+            let (value, grads, tg) = self.shard_grad(shard, finetune);
             // invariant: `accumulate` hands each shard index to exactly one
             // closure call, so no slot is set twice.
             assert!(
@@ -537,11 +579,22 @@ impl GbgcnModel {
     /// not at all, when `finalize` has already recorded it from these very
     /// parameters ([`GbgcnModel::take_retained`]);
     /// each shard reads only its own rows of the shared tables
-    /// ([`GbgcnModel::compact_shard`]) and its compact cotangents seed its
+    /// ([`GbgcnModel::compact_shards`]) and its compact cotangents seed its
     /// gather nodes on the shared tape, whose single backward sweep both
     /// reduces them — in ascending shard order — and produces the
     /// propagation gradients. The whole pipeline stays a pure function of
     /// `(self, batch, n_shards)` — thread count never changes a bit.
+    ///
+    /// What a batch holds at once sets its page faults: the allocator
+    /// hands the top of the heap back when a batch frees its tables, and
+    /// the next batch faults its whole working set in again. So the shared
+    /// tape lets go of its values once the forward is recorded
+    /// ([`Tape::release_values`]): a table only the forward read is freed
+    /// there, a shared table once the shards have their rows of it, and
+    /// one a backward closure reads when the sweep has run that closure.
+    /// Each shard drops its compact tables with its tape, and its
+    /// parameter gradient keeps only the rows it touched until the
+    /// fixed-order merge.
     fn sharded_grad(
         &self,
         batch: &LossBatch,
@@ -558,24 +611,21 @@ impl GbgcnModel {
             Some(retained) if finetune => retained,
             _ => self.shared_forward(finetune),
         };
-        // Recorded in *reverse* shard order: the sweep visits nodes in
-        // descending order, so it meets shard 0's gathers first and
-        // scatters `acc[row] += S_k[row]` for k = 0, 1, 2, … — the
-        // ascending-shard sum `((S_0 + S_1) + S_2) + …` of every row's
-        // cotangent. (Summing only the shards that touch a row, from a
-        // zeroed accumulator, equals summing dense per-shard tables whose
+        // A table's gathers are recorded in *reverse* shard order: the
+        // sweep visits nodes in descending order, so it meets shard 0's
+        // gather first and scatters `acc[row] += S_k[row]` for k = 0, 1,
+        // 2, … — the ascending-shard sum `((S_0 + S_1) + S_2) + …` of every
+        // row's cotangent. (Summing only the shards that touch a row, from
+        // a zeroed accumulator, equals summing dense per-shard tables whose
         // untouched rows are `+0.0`: a partial sum that starts from `+0.0`
         // is never `-0.0`, so adding `+0.0` to it, or it to `+0.0`,
-        // changes no bit.)
-        let mut compact: Vec<_> = batch
-            .split(n_shards)
-            .iter()
-            .rev()
-            .map(|shard| self.compact_shard(&mut fwd, shard))
-            .collect();
-        compact.reverse();
-        let (shards, gathers): (Vec<_>, Vec<_>) = compact.into_iter().unzip();
-        let (loss, mut grads, table_grads) = self.run_shards(&shards, executor, finetune);
+        // changes no bit.) Different tables' gathers scatter into
+        // different accumulators, so how they interleave changes nothing.
+        let (shards, gathers): (Vec<_>, Vec<_>) = self
+            .compact_shards(&mut fwd, batch, n_shards)
+            .into_iter()
+            .unzip();
+        let (loss, mut grads, table_grads) = self.run_shards(shards, executor, finetune);
         // One propagation backward per batch, seeded at the gather nodes.
         let seeds: Vec<(Var, Matrix)> = gathers
             .into_iter()
@@ -596,7 +646,13 @@ impl GbgcnModel {
     /// with the parameter generation it was recorded at, so a fine-tuning
     /// step that follows with the parameters untouched takes it as its
     /// shared forward instead of propagating again.
+    ///
+    /// The previous pass's cache and retained tape go first, so the new
+    /// pass reuses their memory instead of faulting in its own beside
+    /// them; a snapshot exported from the old cache keeps its tables.
     fn finalize(&mut self) {
+        self.finals = None;
+        self.retain(None);
         let (fwd, ve) = self.finetune_forward();
         // Slot 3 of the fine-tune slot order: `friend_mean`.
         self.finals = Some(PropagatedTables::capture(&fwd.tape, &ve, fwd.vars[3].0));
@@ -1048,7 +1104,7 @@ mod tests {
                 tables: tables.clone(),
             })
             .collect();
-        let (loss, mut grads, table_grads) = m.run_shards(&shards, executor, finetune);
+        let (loss, mut grads, table_grads) = m.run_shards(shards, executor, finetune);
         let mut reduced: Vec<Option<Matrix>> = (0..fwd.vars.len()).map(|_| None).collect();
         for shard_grads in table_grads {
             for (acc, g) in reduced.iter_mut().zip(shard_grads) {

@@ -1,5 +1,6 @@
-//! Deterministic work counter for the streaming tick: the bytes one
-//! freshness-recipe tick allocates, counted by a global allocator.
+//! Deterministic work counters for the streaming tick: the bytes one
+//! freshness-recipe tick allocates and the most it holds live at once,
+//! counted by a global allocator.
 //!
 //! The count is kept per thread, because `n_threads: 1` runs every shard
 //! on the calling thread and the test harness may run other tests beside
@@ -14,46 +15,55 @@ use gb_data::synth::{generate, SynthConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// The system allocator, counting the bytes each thread asks it for.
+/// The system allocator, counting per thread the bytes asked for, the
+/// bytes live and the most bytes live since the last [`reset_peak`].
 struct Counting;
 
 thread_local! {
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count(bytes: usize) {
+/// Records `grown` more bytes live, of which `asked` were requested.
+fn count(asked: usize, grown: i64) {
     // A thread's TLS may already be gone while it frees its last buffers;
     // such late requests go uncounted.
-    let _ = BYTES.try_with(|b| b.set(b.get() + bytes as u64));
+    let _ = BYTES.try_with(|b| b.set(b.get() + asked as u64));
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + grown);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged, so `System`'s guarantees are the ones returned; the counter is
-// a const-initialised `Cell` that never allocates.
+// unchanged, so `System`'s guarantees are the ones returned; the counters
+// are const-initialised `Cell`s that never allocate.
 unsafe impl GlobalAlloc for Counting {
     // SAFETY: callers uphold `GlobalAlloc::alloc`'s contract, passed on as is.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count(layout.size(), layout.size() as i64);
         // SAFETY: forwarded under the caller's `alloc` contract.
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: callers uphold `GlobalAlloc::alloc_zeroed`'s contract, passed on as is.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count(layout.size(), layout.size() as i64);
         // SAFETY: forwarded under the caller's `alloc_zeroed` contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     // SAFETY: callers uphold `GlobalAlloc::realloc`'s contract, passed on as is.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
+        count(new_size, new_size as i64 - layout.size() as i64);
         // SAFETY: forwarded under the caller's `realloc` contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     // SAFETY: callers uphold `GlobalAlloc::dealloc`'s contract, passed on as is.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|live| live.set(live.get() - layout.size() as i64));
         // SAFETY: forwarded under the caller's `dealloc` contract.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -67,16 +77,30 @@ fn allocated() -> u64 {
     BYTES.with(Cell::get)
 }
 
+/// Bytes this thread holds live now; the peak restarts from here.
+fn reset_peak() -> i64 {
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(live));
+    live
+}
+
 /// Deals per tick and ticks held back from the history, as in the
 /// `freshness` benchmark.
 const TICK_DEALS: usize = 32;
 const HELD_BACK: usize = 150;
 
-/// The bound on one tick's allocation: its count (21 982 664 bytes, or
+/// The bound on one tick's allocation: its count (19 609 460 bytes;
+/// 21 982 664 while the backward still copied its cotangents, and
 /// 29 232 848 while the propagation still copied its levels into the
 /// exported tables), rounded up to 4 KiB. A change that allocates less
 /// lowers it.
-const TICK_BYTES_BOUND: u64 = 21_983_232;
+const TICK_BYTES_BOUND: u64 = 19_611_648;
+
+/// The bound on the most bytes one tick holds live above what was live at
+/// its start: its count (1 319 492 bytes; 5 222 720 while `finalize`
+/// recorded its forward beside the previous one's tables), rounded up to
+/// 4 KiB. A change that holds less lowers it.
+const TICK_PEAK_BOUND: u64 = 1_323_008;
 
 #[test]
 fn a_tick_allocates_within_its_bound() {
@@ -105,17 +129,23 @@ fn a_tick_allocates_within_its_bound() {
     model.fit_parallel(&ticks[0], &par, None);
 
     let before = allocated();
+    let live_before = reset_peak();
     let forwards = model.propagation_forward_count();
     model.fit_parallel(&ticks[1], &par, None);
     let bytes = allocated() - before;
+    let peak = (PEAK.with(Cell::get) - live_before) as u64;
     assert_eq!(
         model.propagation_forward_count() - forwards,
         1,
         "the measured tick takes the retained forward and runs finalize's"
     );
-    eprintln!("one tick allocates {bytes} bytes");
+    eprintln!("one tick allocates {bytes} bytes and peaks {peak} bytes above its entry heap");
     assert!(
         bytes <= TICK_BYTES_BOUND,
         "one tick allocates {bytes} bytes, above its bound of {TICK_BYTES_BOUND}"
+    );
+    assert!(
+        peak <= TICK_PEAK_BOUND,
+        "one tick peaks {peak} bytes above its entry heap, above its bound of {TICK_PEAK_BOUND}"
     );
 }

@@ -227,16 +227,49 @@ fn axpy_into(dst: &mut [f32], alpha: f32, src: &[f32]) {
     }
 }
 
+/// Which step along `k_stride` the product's reduction index `kk` reads:
+/// `kk` itself ([`Every`]), or the `kk`-th of a strictly ascending list
+/// ([`Listed`]). A type, not a value, so the tile loop of the common case
+/// compiles to what it was before lists existed.
+trait Reduce: Copy {
+    fn at(self, kk: usize) -> usize;
+}
+
+/// Every reduction index, in order.
+#[derive(Clone, Copy)]
+struct Every;
+
+impl Reduce for Every {
+    #[inline(always)]
+    fn at(self, kk: usize) -> usize {
+        kk
+    }
+}
+
+/// The listed reduction indices, strictly ascending.
+#[derive(Clone, Copy)]
+struct Listed<'a>(&'a [u32]);
+
+impl Reduce for Listed<'_> {
+    #[inline(always)]
+    fn at(self, kk: usize) -> usize {
+        self.0[kk] as usize
+    }
+}
+
 /// The left operand of [`matmul`] / [`matmul_tn`] as their shared tile
 /// loop reads it: the factor for output row `i` at reduction index `kk` is
-/// `data[i * i_stride + kk * k_stride]`. `matmul` reads `A` row-major
-/// (`i_stride = k`, `k_stride = 1`); `matmul_tn` reads `A^T` out of `A`'s
-/// own buffer (`i_stride = 1`, `k_stride = m`) without materializing it.
+/// `data[i * i_stride + reduce.at(kk) * k_stride]`. `matmul` reads `A`
+/// row-major (`i_stride = k`, `k_stride = 1`); `matmul_tn` reads `A^T` out
+/// of `A`'s own buffer (`i_stride = 1`, `k_stride = m`) without
+/// materializing it, and [`matmul_tn_rows`] reads `A[rows]^T` the same
+/// way, stepping through the listed rows only.
 #[derive(Clone, Copy)]
-struct Lhs<'a> {
+struct Lhs<'a, K = Every> {
     data: &'a [f32],
     i_stride: usize,
     k_stride: usize,
+    reduce: K,
 }
 
 impl<'a> Lhs<'a> {
@@ -246,6 +279,7 @@ impl<'a> Lhs<'a> {
             data: a.as_slice(),
             i_stride: a.cols(),
             k_stride: 1,
+            reduce: Every,
         }
     }
 
@@ -255,12 +289,37 @@ impl<'a> Lhs<'a> {
             data: a.as_slice(),
             i_stride: 1,
             k_stride: a.cols(),
+            reduce: Every,
         }
     }
+}
 
+impl<'a> Lhs<'a, Listed<'a>> {
+    /// `a[rows]^T`, read down `a`'s columns at the rows `rows` only.
+    ///
+    /// # Panics
+    /// Panics unless `rows` is strictly ascending with every row under
+    /// `a.rows()`.
+    fn transposed_rows(a: &'a Matrix, rows: &'a [u32]) -> Self {
+        assert!(
+            rows.windows(2).all(|w| w[0] < w[1])
+                && rows.last().is_none_or(|&r| (r as usize) < a.rows()),
+            "matmul_tn_rows: rows not strictly ascending below {}",
+            a.rows()
+        );
+        Self {
+            data: a.as_slice(),
+            i_stride: 1,
+            k_stride: a.cols(),
+            reduce: Listed(rows),
+        }
+    }
+}
+
+impl<K: Reduce> Lhs<'_, K> {
     #[inline(always)]
     fn at(&self, i: usize, kk: usize) -> f32 {
-        self.data[i * self.i_stride + kk * self.k_stride]
+        self.data[i * self.i_stride + self.reduce.at(kk) * self.k_stride]
     }
 }
 
@@ -317,8 +376,8 @@ impl<'a> RowSet<'a> {
 /// Panics if an operand is shorter than its shape, or a row is not under
 /// `m`.
 #[inline(always)]
-fn matmul_tiles<L: Lane8, const V: usize>(
-    a: Lhs<'_>,
+fn matmul_tiles<L: Lane8, K: Reduce, const V: usize>(
+    a: Lhs<'_, K>,
     b: &[f32],
     out: &mut [f32],
     rows: RowSet<'_>,
@@ -334,17 +393,19 @@ fn matmul_tiles<L: Lane8, const V: usize>(
     let m = rows.m;
     assert!(
         m > 0
-            && (m - 1) * a.i_stride + (k - 1) * a.k_stride < a.data.len()
+            && (m - 1) * a.i_stride + a.reduce.at(k - 1) * a.k_stride < a.data.len()
             && k * n <= b.len()
             && m * n <= out.len(),
         "matmul_tiles: operand shorter than its shape"
     );
     // SAFETY: with every tile row `i < m` (asserted per tile below),
     // `kk < k` and `j0 + width <= to <= n`: the read of `a` is at most
-    // `(m - 1) * i_stride + (k - 1) * k_stride`, the `V` loads of `b` end
-    // at `kk * n + j0 + width <= k * n`, and the `V` stores end at
-    // `i * n + j0 + width <= m * n` — all inside their slices by the
-    // assert above.
+    // `(m - 1) * i_stride + reduce.at(k - 1) * k_stride` (`reduce.at` is
+    // `kk` itself or a strictly ascending list, checked where the `Lhs` is
+    // built and indexed with bounds checks, so its largest value is its
+    // last), the `V` loads of `b` end at `kk * n + j0 + width <= k * n`,
+    // and the `V` stores end at `i * n + j0 + width <= m * n` — all inside
+    // their slices by the assert above.
     unsafe {
         for p0 in (0..p_full).step_by(ROW_TILE) {
             let i: [usize; ROW_TILE] = std::array::from_fn(|r| rows.row(p0 + r));
@@ -360,7 +421,7 @@ fn matmul_tiles<L: Lane8, const V: usize>(
                     let bp = b.as_ptr().add(kk * n + j0);
                     let bv: [L; V] = std::array::from_fn(|v| L::loadu_ptr(bp.add(v * DOT_LANES)));
                     for (acc, ap) in acc.iter_mut().zip(&ap) {
-                        let av = L::splat(*ap.add(kk * a.k_stride));
+                        let av = L::splat(*ap.add(a.reduce.at(kk) * a.k_stride));
                         for (acc, &bv) in acc.iter_mut().zip(&bv) {
                             *acc = acc.add(av.mul(bv));
                         }
@@ -383,8 +444,8 @@ fn matmul_tiles<L: Lane8, const V: usize>(
 /// reach. The same ascending-`kk` order per element, accumulated in the
 /// output itself.
 #[allow(clippy::too_many_arguments)]
-fn matmul_edge(
-    a: Lhs<'_>,
+fn matmul_edge<K: Reduce>(
+    a: Lhs<'_, K>,
     bd: &[f32],
     od: &mut [f32],
     rows: RowSet<'_>,
@@ -416,12 +477,17 @@ fn matmul_edge(
 /// then 4x8 tiles over the columns those leave, then the remaining columns
 /// and rows one element at a time. One copy of the tile loop serves all
 /// three products: the strides and the row list stay run-time values.
-fn matmul_strided<L: Lane8>(a: Lhs<'_>, b: &Matrix, rows: RowSet<'_>, k: usize) -> Matrix {
+fn matmul_strided<L: Lane8, K: Reduce>(
+    a: Lhs<'_, K>,
+    b: &Matrix,
+    rows: RowSet<'_>,
+    k: usize,
+) -> Matrix {
     let n = b.cols();
     let mut out = Matrix::zeros(rows.m, n);
     let (bd, od) = (b.as_slice(), out.as_mut_slice());
-    let wide = matmul_tiles::<L, 2>(a, bd, od, rows, k, n, 0);
-    let tiled = matmul_tiles::<L, 1>(a, bd, od, rows, k, n, wide);
+    let wide = matmul_tiles::<L, K, 2>(a, bd, od, rows, k, n, 0);
+    let tiled = matmul_tiles::<L, K, 1>(a, bd, od, rows, k, n, wide);
     let p_full = rows.len() - rows.len() % ROW_TILE;
     matmul_edge(a, bd, od, rows, k, n, 0..p_full, tiled..n);
     matmul_edge(a, bd, od, rows, k, n, p_full..rows.len(), 0..n);
@@ -449,7 +515,7 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
         b.shape()
     );
     let (m, k) = a.shape();
-    matmul_strided::<simd::Native>(Lhs::row_major(a), b, RowSet::all(m), k)
+    matmul_strided::<simd::Native, _>(Lhs::row_major(a), b, RowSet::all(m), k)
 }
 
 /// `C = A * B` on the listed rows of `A` only: row `rows[i]` of the
@@ -471,7 +537,7 @@ pub fn matmul_rows(a: &Matrix, rows: &[u32], b: &Matrix) -> Matrix {
         b.shape()
     );
     let (m, k) = a.shape();
-    matmul_strided::<simd::Native>(Lhs::row_major(a), b, RowSet::listed(m, rows), k)
+    matmul_strided::<simd::Native, _>(Lhs::row_major(a), b, RowSet::listed(m, rows), k)
 }
 
 /// `C = A^T * B`.
@@ -489,7 +555,29 @@ pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
         b.shape()
     );
     let (k, m) = a.shape();
-    matmul_strided::<simd::Native>(Lhs::transposed(a), b, RowSet::all(m), k)
+    matmul_strided::<simd::Native, _>(Lhs::transposed(a), b, RowSet::all(m), k)
+}
+
+/// `C = A[rows]^T * B` for strictly ascending `rows`: [`matmul_tn`]'s tile
+/// loop stepping down `A`'s columns through the listed rows only — bit for
+/// bit `matmul_tn(&gather_rows(a, rows), b)`, without the gathered copy.
+/// The weight gradient `X[rows]^T G` of a product whose cotangent `G`
+/// lists only the rows `rows`.
+///
+/// # Panics
+/// Panics if `rows.len() != b.rows()`, or `rows` is not strictly
+/// ascending with every row under `a.rows()`.
+pub fn matmul_tn_rows(a: &Matrix, rows: &[u32], b: &Matrix) -> Matrix {
+    assert_eq!(
+        rows.len(),
+        b.rows(),
+        "matmul_tn_rows shape mismatch: {} rows of {:?} x {:?}",
+        rows.len(),
+        a.shape(),
+        b.shape()
+    );
+    let lhs = Lhs::transposed_rows(a, rows);
+    matmul_strided::<simd::Native, _>(lhs, b, RowSet::all(a.cols()), rows.len())
 }
 
 /// `C = A * B^T`.
@@ -506,26 +594,51 @@ pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
         a.shape(),
         b.shape()
     );
-    let m = a.rows();
-    let n = b.rows();
-    let mut out = Matrix::zeros(m, n);
-    for i in 0..m {
-        let a_row = a.row(i);
-        let out_row = out.row_mut(i);
-        let mut j0 = 0;
-        while j0 + ROW_TILE <= n {
-            let tile = dot_tile::<ROW_TILE>(
-                a_row,
-                [b.row(j0), b.row(j0 + 1), b.row(j0 + 2), b.row(j0 + 3)],
-            );
-            out_row[j0..j0 + ROW_TILE].copy_from_slice(&tile);
-            j0 += ROW_TILE;
-        }
-        for (j, slot) in out_row.iter_mut().enumerate().skip(j0) {
-            *slot = dot_tile::<1>(a_row, [b.row(j)])[0];
-        }
+    let mut out = Matrix::zeros(a.rows(), b.rows());
+    for i in 0..a.rows() {
+        matmul_nt_row(a.row(i), b, out.row_mut(i));
     }
     out
+}
+
+/// [`matmul_nt`] written over `a`: row `i` of `a` becomes row `i` of
+/// `a * b^T`, bit for bit, through one row of scratch instead of a second
+/// table. `b` must be square, so that each row keeps its width — the
+/// `dX = G W^T` of a square layer, with `G` a table the caller owns.
+///
+/// # Panics
+/// Panics if `b` is not square or `a.cols() != b.cols()`.
+pub fn matmul_nt_in_place(a: &mut Matrix, b: &Matrix) {
+    assert!(
+        a.cols() == b.cols() && b.rows() == b.cols(),
+        "matmul_nt_in_place shape mismatch: {:?} x {:?}^T",
+        a.shape(),
+        b.shape()
+    );
+    let mut row = vec![0.0; a.cols()];
+    for i in 0..a.rows() {
+        row.copy_from_slice(a.row(i));
+        matmul_nt_row(&row, b, a.row_mut(i));
+    }
+}
+
+/// `out_row = a_row * b^T`: the row of [`matmul_nt`], rows of `b`
+/// [`ROW_TILE`] at a time, each element a lane-blocked [`dot`].
+#[inline(always)]
+fn matmul_nt_row(a_row: &[f32], b: &Matrix, out_row: &mut [f32]) {
+    let n = b.rows();
+    let mut j0 = 0;
+    while j0 + ROW_TILE <= n {
+        let tile = dot_tile::<ROW_TILE>(
+            a_row,
+            [b.row(j0), b.row(j0 + 1), b.row(j0 + 2), b.row(j0 + 3)],
+        );
+        out_row[j0..j0 + ROW_TILE].copy_from_slice(&tile);
+        j0 += ROW_TILE;
+    }
+    for (j, slot) in out_row.iter_mut().enumerate().skip(j0) {
+        *slot = dot_tile::<1>(a_row, [b.row(j)])[0];
+    }
 }
 
 /// A matrix's rows eight to a *panel*, one row per lane: column `q` of
@@ -1141,14 +1254,34 @@ pub fn segment_mean_backward(
     members: &[u32],
     src_rows: usize,
 ) -> Matrix {
+    segment_mean_backward_cols(grad, 0..grad.cols(), offsets, members, src_rows)
+}
+
+/// [`segment_mean_backward`] of the window `grad_cols` of `grad`, read in
+/// place: bit for bit the backward of that window copied out.
+///
+/// # Panics
+/// Panics if `offsets` is empty, or `grad_cols` runs past `grad`.
+pub fn segment_mean_backward_cols(
+    grad: &Matrix,
+    grad_cols: Range<usize>,
+    offsets: &[usize],
+    members: &[u32],
+    src_rows: usize,
+) -> Matrix {
     assert!(
         !offsets.is_empty(),
         "segment_mean_backward: offsets is empty"
     );
-    let mut out = Matrix::zeros(src_rows, grad.cols());
+    assert!(
+        grad_cols.end <= grad.cols(),
+        "segment_mean_backward: window {grad_cols:?} past {} columns",
+        grad.cols()
+    );
+    let mut out = Matrix::zeros(src_rows, grad_cols.len());
     for i in 0..offsets.len() - 1 {
         let seg = &members[offsets[i]..offsets[i + 1]];
-        let g = grad.row(i);
+        let g = &grad.row(i)[grad_cols.clone()];
         if seg.is_empty() || g.iter().all(|&v| v == 0.0) {
             continue;
         }
@@ -2478,7 +2611,7 @@ mod tests {
                     let all = RowSet::all(mm);
                     assert_same_bits(
                         &matmul(&a, &b),
-                        &matmul_strided::<simd::Portable>(Lhs::row_major(&a), &b, all, kk),
+                        &matmul_strided::<simd::Portable, _>(Lhs::row_major(&a), &b, all, kk),
                         &format!("matmul {mm}x{kk}x{nn}"),
                     );
                     // Every other row, from the first or the second.
@@ -2488,7 +2621,7 @@ mod tests {
                         .collect();
                     assert_same_bits(
                         &matmul_rows(&a, &rows, &b),
-                        &matmul_strided::<simd::Portable>(
+                        &matmul_strided::<simd::Portable, _>(
                             Lhs::row_major(&a),
                             &b,
                             RowSet::listed(mm, &rows),
@@ -2499,8 +2632,24 @@ mod tests {
                     let at = Matrix::from_vec(kk, mm, awkward(kk * mm, seed ^ 0xAAAA));
                     assert_same_bits(
                         &matmul_tn(&at, &b),
-                        &matmul_strided::<simd::Portable>(Lhs::transposed(&at), &b, all, kk),
+                        &matmul_strided::<simd::Portable, _>(Lhs::transposed(&at), &b, all, kk),
                         &format!("matmul_tn {mm}x{kk}x{nn}"),
+                    );
+                    // Every other row of `at`, against as many rows of `b`.
+                    let listed: Vec<u32> = (seed as usize % 2..kk)
+                        .step_by(2)
+                        .map(|r| r as u32)
+                        .collect();
+                    let bl = gather_rows(&b, &listed);
+                    assert_same_bits(
+                        &matmul_tn_rows(&at, &listed, &bl),
+                        &matmul_strided::<simd::Portable, _>(
+                            Lhs::transposed_rows(&at, &listed),
+                            &bl,
+                            all,
+                            listed.len(),
+                        ),
+                        &format!("matmul_tn_rows {mm}x{kk}x{nn}"),
                     );
                 }
             }

@@ -155,6 +155,41 @@ proptest! {
     }
 
     #[test]
+    fn matmul_nt_in_place_is_matmul_nt_bitwise(
+        m in 0usize..14, ki in 0usize..8, seed in 0u64..1 << 20
+    ) {
+        let k = ROW_LIST_WIDTHS[ki];
+        let a = awkward_matrix(m, k, seed);
+        let b = awkward_matrix(k, k, seed ^ 0xF00D);
+        let mut got = a.clone();
+        kernels::matmul_nt_in_place(&mut got, &b);
+        let want = kernels::matmul_nt(&a, &b);
+        prop_assert_eq!(got.shape(), want.shape());
+        for (i, (&g, &w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            prop_assert!(same_bits(g, w), "element {}: {} vs {}", i, g, w);
+        }
+    }
+
+    #[test]
+    fn matmul_tn_rows_is_matmul_tn_of_the_gathered_rows(
+        m in 1usize..14, ki in 0usize..7, ni in 0usize..8,
+        kind in 0u32..4, mask in 0u32..1 << 16, seed in 0u64..1 << 20
+    ) {
+        // `a` is `m x k`; the product reduces over its listed rows, as many
+        // as `b` has: none, one, some or all, on both sides of the tiles.
+        let (k, n) = (dim(ki), ROW_LIST_WIDTHS[ni]);
+        let a = awkward_matrix(m, k, seed);
+        let rows = row_list(m, kind, mask);
+        let b = awkward_matrix(rows.len(), n, seed ^ 0xBEEF);
+        let got = kernels::matmul_tn_rows(&a, &rows, &b);
+        let want = kernels::matmul_tn(&kernels::gather_rows(&a, &rows), &b);
+        prop_assert_eq!(got.shape(), want.shape());
+        for (i, (&g, &w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            prop_assert!(same_bits(g, w), "element {}: {} vs {}", i, g, w);
+        }
+    }
+
+    #[test]
     fn matmul_rows_over_the_nonzero_rows_is_matmul_for_a_finite_b(
         m in 1usize..14, ki in 0usize..7, ni in 0usize..8,
         zero_mask in 0u32..1 << 16, seed in 0u64..1 << 20
