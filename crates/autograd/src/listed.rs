@@ -82,16 +82,6 @@ pub(crate) fn add_listed_rows(full: &mut Matrix, rows: &[u32], m: Window<'_>, li
     }
 }
 
-/// `full` replaced in place by `x + 1.0·full`, `x` the full table `first`
-/// — bit for bit `add_assign(first, full)` computed into `full`'s buffer.
-pub(crate) fn add_into_second(first: Window<'_>, full: &mut Matrix) {
-    for r in 0..full.rows() {
-        for (d, &x) in full.row_mut(r).iter_mut().zip(first.row(r)) {
-            *d = x + 1.0 * *d;
-        }
-    }
-}
-
 /// What a row listed only on the existing side of [`merge_rows`] becomes.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Merge {

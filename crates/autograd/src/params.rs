@@ -342,6 +342,46 @@ mod tests {
     }
 
     #[test]
+    fn a_row_listed_gradient_is_the_full_table_bitwise() {
+        use gb_tensor::kernels::{add_assign, scatter_add_rows};
+        let (height, cols) = (10, 3);
+        let signed = |rows: usize, seed: f32| {
+            Matrix::from_fn(rows, cols, |r, c| match (r + c) % 3 {
+                0 => -0.0,
+                _ => seed - r as f32 + 0.25 * c as f32,
+            })
+        };
+        let scatters: [(&[u32], Matrix); 2] =
+            [(&[1, 4], signed(2, 0.5)), (&[4, 7], signed(2, -1.5))];
+        let listed = || {
+            let mut g = Gradients::empty(1);
+            for (rows, m) in &scatters {
+                g.scatter_accumulate(0, height, cols, rows, m);
+            }
+            assert!(matches!(g.grads[0], Some(Grad::Listed { .. })));
+            g
+        };
+        let mut full = Matrix::zeros(height, cols);
+        for (rows, m) in &scatters {
+            scatter_add_rows(&mut full, rows, m);
+        }
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(listed().get(0).unwrap()), bits(&full), "read");
+
+        // Merged into an empty slot, and into a full table holding `-0.0`s.
+        let mut into_empty = Gradients::empty(1);
+        into_empty.merge(listed());
+        assert_eq!(bits(into_empty.get(0).unwrap()), bits(&full), "into empty");
+        let base = signed(height, 2.0);
+        let mut into_full = Gradients::empty(1);
+        into_full.accumulate(0, base.clone());
+        into_full.merge(listed());
+        let mut want = base;
+        add_assign(&mut want, &full);
+        assert_eq!(bits(into_full.get(0).unwrap()), bits(&want), "into full");
+    }
+
+    #[test]
     fn generation_moves_with_every_mutation_path_and_no_read() {
         use crate::{checkpoint, Adam, AdamConfig, Sgd};
         let mut s = ParamStore::new();

@@ -166,6 +166,16 @@ fn add_window(a: &mut Matrix, b: Window<'_>) {
     }
 }
 
+/// `b` replaced by `a + 1.0·b` — bit for bit `add_assign` of the window
+/// `a` and `b`, computed into `b`'s buffer.
+fn add_window_into(a: Window<'_>, b: &mut Matrix) {
+    for r in 0..b.rows() {
+        for (d, &x) in b.row_mut(r).iter_mut().zip(a.row(r)) {
+            *d = x + 1.0 * *d;
+        }
+    }
+}
+
 /// A cotangent during the reverse sweep.
 ///
 /// `Rows` stands for the `height x m.cols()` table whose rows `rows`
@@ -283,7 +293,7 @@ impl Cot {
                 }
                 (Err(a), b) => match b.try_take() {
                     Ok(mut b) => {
-                        listed::add_into_second(a.view(), &mut b);
+                        add_window_into(a.view(), &mut b);
                         Cot::from(b)
                     }
                     Err(b) => {
@@ -424,8 +434,8 @@ impl Activation {
 /// rows of `g` are gathered (ascending), `matmul_nt` runs on them and
 /// `matmul_tn_rows` on them and `X`'s live rows read in place, and `dX`'s
 /// rows are written back into a zeroed table; otherwise both products run
-/// on the full operands, `dW` first, so that a square `W`'s `dX` can be
-/// written over `g` itself. The two paths
+/// on the full operands, `dW` first. Either way a square `W`'s `dX` is
+/// written over `g`'s own buffer, which has its shape. The two paths
 /// agree bit for bit given finite `X` and `W` (`0 · ∞` is the only way a
 /// skipped row could have contributed): a zero row's products are all
 /// `±0.0`; every accumulator in `kernels.rs` starts at `+0.0`, so it is
@@ -451,11 +461,17 @@ fn matmul_vjp(x: &Matrix, w: &Matrix, mut g: Matrix) -> (Matrix, Matrix) {
     }
     let g_live = kernels::gather_rows(&g, &live);
     let dx_live = kernels::matmul_nt(&g_live, w);
-    let mut dx = Matrix::zeros(x.rows(), x.cols());
+    let dw = kernels::matmul_tn_rows(x, &live, &g_live);
+    // A square `W`'s `dX` has `g`'s shape: zeroed, `g` holds it.
+    let mut dx = if w.rows() == w.cols() {
+        g.as_mut_slice().fill(0.0);
+        g
+    } else {
+        Matrix::zeros(x.rows(), x.cols())
+    };
     for (from, &to) in live.iter().enumerate() {
         dx.row_mut(to as usize).copy_from_slice(dx_live.row(from));
     }
-    let dw = kernels::matmul_tn_rows(x, &live, &g_live);
     (dx, dw)
 }
 
@@ -982,7 +998,7 @@ impl Tape {
                     Cot::Rows { rows, m, .. } => {
                         segment_mean_rows_vjp(&rows, m.view(), &offsets, &members, src_rows)
                     }
-                    Cot::Dense(g) => Cot::from(kernels::segment_mean_backward_cols(
+                    Cot::Dense(g) => Cot::from(kernels::segment_mean_backward(
                         &g.m,
                         g.cols.clone(),
                         &offsets,

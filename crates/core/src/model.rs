@@ -437,7 +437,7 @@ impl GbgcnModel {
             .iter()
             .map(|s| (Arc::new(s.touched_users()), Arc::new(s.touched_items())))
             .collect();
-        let tables: Vec<Arc<Matrix>> = fwd
+        let shared: Vec<Arc<Matrix>> = fwd
             .vars
             .iter()
             .map(|&(v, _)| fwd.tape.arc_value(v))
@@ -445,7 +445,7 @@ impl GbgcnModel {
         fwd.tape.release_values();
         let mut compact: Vec<(Vec<Arc<Matrix>>, Vec<Var>)> =
             shards.iter().map(|_| (Vec::new(), Vec::new())).collect();
-        for (&(v, ids), table) in fwd.vars.iter().zip(tables) {
+        for (&(v, ids), table) in fwd.vars.iter().zip(shared) {
             for ((tables, gathers), (users, items)) in compact.iter_mut().zip(&rows).rev() {
                 let rows = match ids {
                     RowIds::Users => users,

@@ -1237,8 +1237,10 @@ pub fn segment_mean_into(
     }
 }
 
-/// Backward of [`segment_mean`]: routes `grad` (one row per segment) back to
-/// the member rows, scaled by `1 / segment_len`.
+/// Backward of [`segment_mean`]: routes the columns `grad_cols` of `grad`
+/// (one row per segment) back to the member rows, scaled by
+/// `1 / segment_len`. The window is read in place: bit for bit the
+/// backward of the window copied out.
 ///
 /// A row of `grad` that is entirely `±0.0` is skipped — a mini-batch's
 /// cotangent is nonzero in the rows it touched and nowhere else. Skipping
@@ -1247,22 +1249,9 @@ pub fn segment_mean_into(
 /// for every such `acc`. (A NaN row is not zero and is routed as before.)
 ///
 /// # Panics
-/// Panics if `offsets` is empty: even zero segments have the one offset.
+/// Panics if `offsets` is empty (even zero segments have the one offset),
+/// or if `grad_cols` runs past `grad`.
 pub fn segment_mean_backward(
-    grad: &Matrix,
-    offsets: &[usize],
-    members: &[u32],
-    src_rows: usize,
-) -> Matrix {
-    segment_mean_backward_cols(grad, 0..grad.cols(), offsets, members, src_rows)
-}
-
-/// [`segment_mean_backward`] of the window `grad_cols` of `grad`, read in
-/// place: bit for bit the backward of that window copied out.
-///
-/// # Panics
-/// Panics if `offsets` is empty, or `grad_cols` runs past `grad`.
-pub fn segment_mean_backward_cols(
     grad: &Matrix,
     grad_cols: Range<usize>,
     offsets: &[usize],
@@ -2101,7 +2090,7 @@ mod tests {
         let offsets = [0usize, 2, 2, 3];
         let members = [0u32, 1, 2];
         let grad = m(3, 2, &[1.0, 2.0, 99.0, 99.0, 3.0, 4.0]);
-        let back = segment_mean_backward(&grad, &offsets, &members, 3);
+        let back = segment_mean_backward(&grad, 0..2, &offsets, &members, 3);
         assert_eq!(back.row(0), &[0.5, 1.0]);
         assert_eq!(back.row(1), &[0.5, 1.0]);
         assert_eq!(back.row(2), &[3.0, 4.0]);
@@ -2741,6 +2730,18 @@ mod tests {
             copy_cols(&wide, lead..lead + w, &mut dst, 4);
             assert_same_bits(&slice_cols(&dst, 4, w), &src, &format!("copy_cols w={w}"));
             assert!((0..7).all(|r| dst.row(r)[0] == sentinel));
+
+            // The backward reads a window of a cotangent as its copy.
+            let g = Matrix::from_vec(
+                n_out,
+                lead + w + trail,
+                awkward(n_out * (lead + w + trail), 63),
+            );
+            assert_same_bits(
+                &segment_mean_backward(&g, lead..lead + w, &offsets, &members, 7),
+                &segment_mean_backward(&slice_cols(&g, lead, w), 0..w, &offsets, &members, 7),
+                &format!("segment_mean_backward window w={w}"),
+            );
         }
     }
 
@@ -2753,7 +2754,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "segment_mean_backward: offsets is empty")]
     fn segment_mean_backward_rejects_empty_offsets() {
-        segment_mean_backward(&Matrix::zeros(0, 3), &[], &[], 2);
+        segment_mean_backward(&Matrix::zeros(0, 3), 0..3, &[], &[], 2);
     }
 
     #[test]
@@ -2788,7 +2789,7 @@ mod tests {
                 ),
             ];
             for (what, grad) in &cases {
-                let got = segment_mean_backward(grad, &offsets, &members, 9);
+                let got = segment_mean_backward(grad, 0..w, &offsets, &members, 9);
                 // The kernel without the skip.
                 let mut want = Matrix::zeros(9, w);
                 for i in 0..n_seg {
