@@ -229,8 +229,8 @@ fn axpy_into(dst: &mut [f32], alpha: f32, src: &[f32]) {
 
 /// Which step along `k_stride` the product's reduction index `kk` reads:
 /// `kk` itself ([`Every`]), or the `kk`-th of a strictly ascending list
-/// ([`Listed`]). A type, not a value, so the tile loop of the common case
-/// compiles to what it was before lists existed.
+/// ([`Listed`]). A type, not a value, so the common case's tile loop
+/// carries no list lookup.
 trait Reduce: Copy {
     fn at(self, kk: usize) -> usize;
 }
