@@ -147,14 +147,117 @@ type ResponseCache = LruCache<(u64, u64, u32, usize), Arc<Vec<ScoredItem>>>;
 /// per requested user — or the typed error that refused the batch.
 pub type VersionedBatchResult = Result<(u64, Vec<Arc<Vec<ScoredItem>>>), ServeError>;
 
-/// The installed deal-state filter plus its generation counter. Read
-/// together under one lock so a query's cache key and probe words always
-/// agree — a filter swapped in mid-query can at worst make an in-flight
-/// insert land under the retired generation's (dead) key, never serve a
-/// response computed under one filter from a key claiming another.
-struct DealSlot {
-    generation: u64,
-    filter: Option<Arc<BitMatrix>>,
+/// A deal-state filter slot: the installed filter (`F` is the whole row
+/// on a [`QueryEngine`], the per-shard slices on a
+/// [`crate::router::ShardedEngine`]) plus how many times it has been
+/// swapped. Every swap bumps the generation, and a read takes both under
+/// one lock, so a query's cache key and probe words always agree — a
+/// filter swapped in mid-query can at worst make an in-flight insert land
+/// under the retired generation's (dead) key, never serve a response
+/// computed under one filter from a key claiming another.
+pub(crate) struct DealSlot<F>(RwLock<(u64, Option<Arc<F>>)>);
+
+impl<F> DealSlot<F> {
+    pub(crate) fn new() -> Self {
+        Self(RwLock::new((0, None)))
+    }
+
+    /// Installs `filter` (`None` clears it) under a new generation.
+    pub(crate) fn swap(&self, filter: Option<F>) {
+        let filter = filter.map(Arc::new);
+        let mut slot = write_recover(&self.0);
+        slot.0 += 1;
+        slot.1 = filter;
+    }
+
+    /// Swaps so far — the cache-key component that retires responses
+    /// computed under an earlier filter.
+    pub(crate) fn generation(&self) -> u64 {
+        read_recover(&self.0).0
+    }
+
+    /// One consistent `(generation, filter)` read for a whole query.
+    pub(crate) fn load(&self) -> (u64, Option<Arc<F>>) {
+        let slot = read_recover(&self.0);
+        (slot.0, slot.1.clone())
+    }
+}
+
+/// What an engine derives from one snapshot version (an IVF index, a
+/// router's per-shard slice set), built at most once per version and kept
+/// for the two newest. Two, not one: around a publish, in-flight queries
+/// still pinned to the old version coexist with queries on the new one,
+/// and a single slot would make them evict each other's entry — a full
+/// rebuild per eviction.
+pub(crate) struct VersionCache<T> {
+    /// `(version, entry)`, newest last.
+    entries: RwLock<Vec<(u64, Arc<T>)>>,
+    /// Serializes *builds* (not lookups): after a publish every worker
+    /// misses the new version at once, and without this gate each would
+    /// run its own identical build. Late arrivals block here, then hit
+    /// on re-check.
+    build: Mutex<()>,
+}
+
+impl<T> VersionCache<T> {
+    pub(crate) fn new() -> Self {
+        Self {
+            entries: RwLock::new(Vec::new()),
+            build: Mutex::new(()),
+        }
+    }
+
+    /// The entry built for `version`, if it is still kept.
+    pub(crate) fn get(&self, version: u64) -> Option<Arc<T>> {
+        read_recover(&self.entries)
+            .iter()
+            .find(|(v, _)| *v == version)
+            .map(|(_, entry)| Arc::clone(entry))
+    }
+
+    /// The newest version an entry is kept for.
+    pub(crate) fn newest(&self) -> Option<u64> {
+        read_recover(&self.entries).last().map(|&(v, _)| v)
+    }
+
+    /// The entry for `version`, running `build` on a miss. The build runs
+    /// under the gate but *outside* the entries' write lock, so it never
+    /// stalls queries already holding an entry for another version.
+    pub(crate) fn get_or_build(&self, version: u64, build: impl FnOnce() -> T) -> Arc<T> {
+        if let Some(hit) = self.get(version) {
+            return hit;
+        }
+        let _building = lock_recover(&self.build);
+        if let Some(hit) = self.get(version) {
+            return hit; // a peer built it while we waited at the gate
+        }
+        let built = Arc::new(build());
+        let mut entries = write_recover(&self.entries);
+        entries.push((version, Arc::clone(&built)));
+        entries.sort_by_key(|&(v, _)| v);
+        if entries.len() > 2 {
+            entries.remove(0);
+        }
+        built
+    }
+}
+
+/// Checks a seen-item filter against the snapshot it is installed over.
+///
+/// # Panics
+/// Panics unless the filter has exactly one row per user and one column
+/// per item.
+pub(crate) fn check_seen_filter(filter: &BitMatrix, snapshot: &EmbeddingSnapshot) {
+    assert_eq!(
+        filter.rows(),
+        snapshot.n_users(),
+        "filter user count mismatch"
+    );
+    assert_eq!(
+        filter.cols(),
+        snapshot.n_items(),
+        "filter item count mismatch"
+    );
 }
 
 /// Scores one user against the full catalogue and keeps the top K.
@@ -165,26 +268,17 @@ pub struct QueryEngine {
     /// Deal-state filter (one row of item bits, bit set ⇒ blocked) plus
     /// its generation, swappable at runtime as deal lifecycles progress;
     /// composes with the per-user seen filter at every rank site.
-    deal: RwLock<DealSlot>,
+    deal: DealSlot<BitMatrix>,
     cache: Option<Mutex<ResponseCache>>,
     block_size: usize,
     user_block: usize,
     retrieval: Retrieval,
     ivf_packed: bool,
     ivf_incremental: bool,
-    /// IVF indexes by snapshot version, newest last; at most the two
-    /// most recent versions are kept. Two, not one: around a publish,
-    /// in-flight queries still pinned to the old version coexist with
-    /// queries on the new one, and a single slot would make them evict
-    /// each other's index — a full k-means rebuild per eviction. Built
-    /// lazily on the first IVF-mode query per version; unused in exact
+    /// IVF indexes of the two newest versions queried, each built lazily
+    /// on the first IVF-mode query against its version; unused in exact
     /// mode.
-    ivf: RwLock<Vec<Arc<IvfIndex>>>,
-    /// Serializes IVF index *builds* (not lookups): after a publish,
-    /// every worker misses the cache for the new version at once, and
-    /// without this gate each would run its own identical full-catalogue
-    /// k-means. Late arrivals block here, then hit the cache on re-check.
-    ivf_build: Mutex<()>,
+    ivf: VersionCache<IvfIndex>,
     /// Scripted fault schedule (tests/soaks only): consulted at every
     /// uncached scoring dispatch. `None` in production — one branch.
     faults: Option<Arc<FaultPlan>>,
@@ -224,10 +318,7 @@ impl QueryEngine {
         Self {
             handle,
             filter: None,
-            deal: RwLock::new(DealSlot {
-                generation: 0,
-                filter: None,
-            }),
+            deal: DealSlot::new(),
             cache,
             block_size: cfg
                 .block_size
@@ -237,8 +328,7 @@ impl QueryEngine {
             retrieval,
             ivf_packed: cfg.ivf_packed,
             ivf_incremental: cfg.ivf_incremental,
-            ivf: RwLock::new(Vec::new()),
-            ivf_build: Mutex::new(()),
+            ivf: VersionCache::new(),
             faults: None,
         }
     }
@@ -262,24 +352,21 @@ impl QueryEngine {
     /// The universe is grow-only: later publishes may append items past
     /// the filter's columns, and those items probe as unseen.
     pub fn with_seen_filter(mut self, filter: BitMatrix) -> Self {
-        let cur = self.handle.load();
-        assert_eq!(
-            filter.rows(),
-            cur.snapshot().n_users(),
-            "filter user count mismatch"
-        );
-        assert_eq!(
-            filter.cols(),
-            cur.snapshot().n_items(),
-            "filter item count mismatch"
-        );
+        check_seen_filter(&filter, self.handle.load().snapshot());
+        self.install_seen_filter(filter);
+        self
+    }
+
+    /// [`QueryEngine::with_seen_filter`] without its shape check: a shard
+    /// engine's slice is checked by its router against the served
+    /// catalogue, which may have grown past the shard's own snapshot.
+    pub(crate) fn install_seen_filter(&mut self, filter: BitMatrix) {
         self.filter = Some(filter);
         if let Some(cache) = &self.cache {
             // Flush entries, keep hit/miss counters and the slab
             // allocation — invalidation is not amnesia.
             lock_recover(cache).clear();
         }
-        self
     }
 
     /// Installs (or replaces) the deal-state candidate filter: one row of
@@ -302,31 +389,21 @@ impl QueryEngine {
     /// Panics unless the filter is exactly one row.
     pub fn set_deal_filter(&self, filter: BitMatrix) {
         assert_eq!(filter.rows(), 1, "deal filter is one row of item bits");
-        let mut slot = write_recover(&self.deal);
-        slot.generation += 1;
-        slot.filter = Some(Arc::new(filter));
+        self.deal.swap(Some(filter));
     }
 
     /// Removes the deal-state filter; subsequent queries gate candidates
     /// on the seen filter alone. Bumps the filter generation like
     /// [`QueryEngine::set_deal_filter`].
     pub fn clear_deal_filter(&self) {
-        let mut slot = write_recover(&self.deal);
-        slot.generation += 1;
-        slot.filter = None;
+        self.deal.swap(None);
     }
 
     /// How many times the deal-state filter has been installed, replaced,
     /// or cleared — the cache-key component that retires responses
     /// computed under an earlier filter.
     pub fn deal_generation(&self) -> u64 {
-        read_recover(&self.deal).generation
-    }
-
-    /// One consistent `(generation, filter)` read for a whole query.
-    fn deal_slot(&self) -> (u64, Option<Arc<BitMatrix>>) {
-        let slot = read_recover(&self.deal);
-        (slot.generation, slot.filter.clone())
+        self.deal.generation()
     }
 
     /// Whether this engine caches responses.
@@ -349,44 +426,7 @@ impl QueryEngine {
     /// any IVF-mode query this is at least the version that query
     /// reported — the rebuild-on-publish observability hook.
     pub fn ivf_index_version(&self) -> Option<u64> {
-        read_recover(&self.ivf).last().map(|idx| idx.version())
-    }
-
-    /// The IVF index for the snapshot `cur`, building it if no cached
-    /// index matches that version. Each query scores against the index
-    /// matching *its* pinned snapshot, so a response can never blend an
-    /// index from one publish with tables from another.
-    ///
-    /// The build runs under the `ivf_build` gate but *outside* the
-    /// cache's `RwLock` write lock — a k-means over the whole catalogue
-    /// must not stall queries already holding an index for a different
-    /// version, and the gate ensures a thundering herd of post-publish
-    /// misses runs the expensive build exactly once (everyone else waits
-    /// at the gate and then hits the cache on re-check).
-    fn ivf_for(&self, cur: &VersionedSnapshot, n_clusters: usize) -> Arc<IvfIndex> {
-        let lookup = |cached: &[Arc<IvfIndex>]| {
-            cached
-                .iter()
-                .find(|idx| idx.version() == cur.version())
-                .map(Arc::clone)
-        };
-        if let Some(idx) = lookup(&read_recover(&self.ivf)) {
-            return idx;
-        }
-        let _building = lock_recover(&self.ivf_build);
-        if let Some(idx) = lookup(&read_recover(&self.ivf)) {
-            return idx; // a peer built it while we waited at the gate
-        }
-        let built = Arc::new(self.build_ivf(cur, n_clusters));
-        let mut cached = write_recover(&self.ivf);
-        cached.push(Arc::clone(&built));
-        // Newest last; keep the two most recent versions so queries
-        // pinned across a publish never evict each other's index.
-        cached.sort_by_key(|idx| idx.version());
-        if cached.len() > 2 {
-            cached.remove(0);
-        }
-        built
+        self.ivf.newest()
     }
 
     /// One IVF index for `cur`, by whichever path applies: when
@@ -400,11 +440,7 @@ impl QueryEngine {
     fn build_ivf(&self, cur: &VersionedSnapshot, n_clusters: usize) -> IvfIndex {
         if self.ivf_incremental {
             if let Some(stamp) = cur.delta() {
-                let prev = read_recover(&self.ivf)
-                    .iter()
-                    .find(|idx| idx.version() == stamp.prev_version())
-                    .map(Arc::clone);
-                if let Some(prev) = prev {
+                if let Some(prev) = self.ivf.get(stamp.prev_version()) {
                     if prev.n_clusters() > 0 {
                         return prev.update(
                             cur.snapshot(),
@@ -481,7 +517,7 @@ impl QueryEngine {
     pub fn try_recommend_batch(&self, users: &[u32], k: usize) -> VersionedBatchResult {
         let cur = self.handle.load();
         check_users(users, cur.snapshot().n_users())?;
-        let (deal_gen, deal) = self.deal_slot();
+        let (deal_gen, deal) = self.deal.load();
         catch_unwind(AssertUnwindSafe(|| {
             self.recommend_many_at_with_deal(&cur, deal_gen, deal.as_deref(), users, k)
         }))
@@ -607,10 +643,14 @@ impl QueryEngine {
                 n_clusters,
                 n_probe,
             } => {
-                // Route once per distinct query vector across the block
-                // (queued duplicates are common under coalesced bursty
-                // traffic), then score each user over its shared route.
-                let index = self.ivf_for(cur, n_clusters);
+                // The index of *this* pinned version, so a response never
+                // blends an index from one publish with tables from
+                // another. Route once per distinct query vector across
+                // the block (queued duplicates are common under coalesced
+                // bursty traffic), then score each user over its route.
+                let index = self
+                    .ivf
+                    .get_or_build(cur.version(), || self.build_ivf(cur, n_clusters));
                 let routes = index.probe_cells_block(cur.snapshot(), users, n_probe);
                 users
                     .iter()

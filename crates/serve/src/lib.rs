@@ -8,13 +8,13 @@
 //! training machinery — no graphs, tapes, or parameter stores — so the
 //! hand-off artifact is an [`EmbeddingSnapshot`] (re-exported from
 //! `gb_models`): the four Eq. 9 tables plus `α`, exported via
-//! [`SnapshotSource`] and persisted in a versioned binary format
-//! ([`snapshot_io`]).
+//! [`SnapshotSource`] and persisted in one versioned, mappable file
+//! format ([`mmap`]).
 //!
 //! ## Architecture
 //!
 //! ```text
-//!  trained model ──export_snapshot()──▶ EmbeddingSnapshot ──save/load──▶ disk
+//!  trained model ──export_snapshot()──▶ EmbeddingSnapshot ──save/open──▶ disk
 //!       │ fit_parallel(.., refresh)            │
 //!       └──────publish every N epochs──▶ SnapshotHandle  (versioned
 //!                                            │            hot swap)
@@ -80,11 +80,12 @@
 //!   per-shard top-k under the same strict total order — bitwise
 //!   identical to a single engine at any shard count, with per-shard +
 //!   merge stage timing for tail attribution.
-//! * [`mmap`] — a mappable v2 snapshot layout: 64-byte-aligned raw-f32
+//! * [`mmap`] — the snapshot file format (v2): 64-byte-aligned raw-f32
 //!   sections behind a fixed header, validated in `O(1)` and served
 //!   straight from the page cache (raw-syscall `mmap` with a heap
 //!   fallback), so a multi-GB shard opens in microseconds instead of a
-//!   streaming parse.
+//!   streaming parse; `open_mmap_snapshot_heap` reads the whole file
+//!   and also refuses non-finite payloads.
 //! * [`service::RecommendService`] — a std-thread worker pool consuming
 //!   a bounded request queue; workers coalesce queued same-`k` queries
 //!   into shared catalogue passes, sized adaptively from the live queue
@@ -123,7 +124,6 @@ pub mod mmap;
 pub mod router;
 pub mod service;
 pub mod shard;
-pub mod snapshot_io;
 pub mod topk;
 
 pub use cache::LruCache;
@@ -136,7 +136,6 @@ pub use mmap::{open_mmap_snapshot, open_mmap_snapshot_heap, save_mmap_snapshot};
 pub use router::{DegradedBatch, DegradedResponse, ShardedConfig, ShardedEngine};
 pub use service::{RecommendService, ServiceConfig};
 pub use shard::ShardPlan;
-pub use snapshot_io::{load_from_path, load_snapshot, save_snapshot, save_to_path};
 pub use topk::{ScoredItem, TopK};
 
 use gb_graph::{BitMatrix, HeteroGraphs};

@@ -1,10 +1,9 @@
-//! Zero-copy snapshot loading via `mmap(2)`.
+//! The snapshot file format, opened zero-copy via `mmap(2)`.
 //!
-//! [`snapshot_io`](crate::snapshot_io) (layout v1) *streams* a snapshot:
-//! every float is read through a buffer, parsed, and copied into freshly
-//! allocated tables — load time and peak RSS both scale with the
-//! catalogue, and N processes serving one snapshot hold N copies. This
-//! module adds layout **v2**, designed to be *mapped* instead of read:
+//! A snapshot has one on-disk layout (version **2**), designed to be
+//! *mapped* instead of read — a streaming parse would copy every float
+//! into fresh tables, so load time and peak RSS would both scale with the
+//! catalogue and N processes serving one snapshot would hold N copies:
 //!
 //! ```text
 //! offset   0  magic    [u8; 4] = b"GBSN"
@@ -49,15 +48,15 @@
 //! zero-copy open): the serving heap already drops non-finite scores at
 //! [`TopK::push`](crate::topk::TopK::push), so a NaN smuggled into a
 //! mapped table degrades to an omitted candidate, exactly like a score
-//! overflow. Use the v1 streaming loader when eager full validation
-//! matters more than load time.
-//!
-//! v1 readers reject v2 files by version (and vice versa), so the two
-//! layouts can coexist on disk without misparsing.
+//! overflow. Use [`open_mmap_snapshot_heap`] when eager full validation
+//! matters more than load time: it has read every byte already, so it
+//! also scans the payload and rejects a non-finite value with `Err`,
+//! naming the table. The heap fallback *inside* [`open_mmap_snapshot`]
+//! stays unscanned, so what that open accepts does not depend on the
+//! platform. A file of any other version is rejected by version.
 //!
 //! [`Matrix::from_raw_shared`]: gb_tensor::Matrix::from_raw_shared
 
-use crate::snapshot_io::MAGIC;
 use gb_models::EmbeddingSnapshot;
 use gb_tensor::Matrix;
 use std::any::Any;
@@ -70,6 +69,9 @@ use std::sync::Arc;
 // workspace builds for).
 #[cfg(target_endian = "big")]
 compile_error!("the v2 snapshot layout assumes a little-endian host");
+
+/// File magic identifying a gb-serve snapshot.
+const MAGIC: [u8; 4] = *b"GBSN";
 
 /// Layout version written and required by this module.
 pub const MMAP_VERSION: u32 = 2;
@@ -346,7 +348,7 @@ pub fn open_mmap_snapshot(path: impl AsRef<Path>) -> Result<EmbeddingSnapshot> {
         return parse(Arc::new(Backing::Mapped(region)));
     }
     drop(file);
-    open_mmap_snapshot_heap(path)
+    read_heap(path)
 }
 
 /// [`open_mmap_snapshot`] behind a fault plan: a scripted open failure
@@ -366,12 +368,30 @@ pub fn open_mmap_snapshot_faulted(
     open_mmap_snapshot(path)
 }
 
-/// Opens a v2 snapshot through the heap fallback path unconditionally:
-/// one read into an `f32`-aligned buffer, then the same validation and
-/// pointer wiring as the mapped path. Bit-identical to
-/// [`open_mmap_snapshot`]; useful for tests and for callers that must
-/// not hold a file mapping (e.g. the file will be truncated in place).
+/// Opens a v2 snapshot through the heap path unconditionally: one read
+/// into an `f32`-aligned buffer, the same validation and pointer wiring
+/// as the mapped path, then a scan of every table — a non-finite value
+/// is `Err(InvalidData)` naming the table. Any file both opens accept
+/// loads bit-identically; use this one when the file will be truncated
+/// in place, or when a poisoned payload must be refused at load rather
+/// than dropped at serve time.
 pub fn open_mmap_snapshot_heap(path: impl AsRef<Path>) -> Result<EmbeddingSnapshot> {
+    let snapshot = read_heap(path)?;
+    for (name, table) in [
+        ("user_own", snapshot.user_own()),
+        ("item_own", snapshot.item_own()),
+        ("user_social", snapshot.user_social()),
+        ("item_social", snapshot.item_social()),
+    ] {
+        if table.has_non_finite() {
+            return Err(invalid(format!("{name} holds non-finite values")));
+        }
+    }
+    Ok(snapshot)
+}
+
+/// The heap path without the payload scan: the mapped open's fallback.
+fn read_heap(path: impl AsRef<Path>) -> Result<EmbeddingSnapshot> {
     use std::io::Read;
     let mut file = std::fs::File::open(path)?;
     let len = usize::try_from(file.metadata()?.len()).map_err(|_| invalid("file too large"))?;
@@ -562,18 +582,33 @@ mod tests {
     }
 
     #[test]
-    fn v1_and_v2_readers_reject_each_other() {
-        let snap = snapshot();
-        let v1 = tmp("v1.gbsn");
-        let v2 = tmp("v2.gbsn2");
-        crate::snapshot_io::save_to_path(&snap, &v1).unwrap();
-        save_mmap_snapshot(&snap, &v2).unwrap();
-        let err = open_mmap_snapshot(&v1).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
-        let err = crate::snapshot_io::load_from_path(&v2).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
-        std::fs::remove_file(&v1).ok();
-        std::fs::remove_file(&v2).ok();
+    fn foreign_headers_are_rejected_by_magic_or_version() {
+        let path = tmp("foreign.gbsn");
+        save_mmap_snapshot(&snapshot(), &path).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        // A hand-written version-1 header (magic, version, alpha, then
+        // the first table's shape) and a version-3 one.
+        let mut v1 = MAGIC.to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&0.375f32.to_le_bytes());
+        v1.extend_from_slice(&5u64.to_le_bytes());
+        v1.extend_from_slice(&3u64.to_le_bytes());
+        v1.resize(good.len(), 0);
+        let mut v3 = good.clone();
+        v3[4..8].copy_from_slice(&3u32.to_le_bytes());
+        let mut magic = good;
+        magic[0] = b'X';
+        for (bytes, why) in [(v1, "version"), (v3, "version"), (magic, "magic")] {
+            std::fs::write(&path, &bytes).unwrap();
+            for err in [
+                open_mmap_snapshot(&path).unwrap_err(),
+                open_mmap_snapshot_heap(&path).unwrap_err(),
+            ] {
+                assert_eq!(err.kind(), ErrorKind::InvalidData);
+                assert!(err.to_string().contains(why), "{err}");
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -634,25 +669,41 @@ mod tests {
 
     #[test]
     fn nan_payload_loads_but_never_serves() {
-        // The v2 loader skips the payload scan by contract; TopK is the
-        // NaN firewall. Check the end-to-end behavior.
-        let snap = snapshot();
+        // The mapped open skips the payload scan by contract and TopK is
+        // its NaN firewall; the heap open refuses the same file, naming
+        // the table. NaN and ±∞ at the first float of each section.
         let path = tmp("nan.gbsn2");
-        save_mmap_snapshot(&snap, &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        // First float of item_own: descriptor 1's offset field.
-        let off = u64::from_le_bytes(
-            bytes[16 + DESC_BYTES + 16..16 + DESC_BYTES + 24]
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        bytes[off..off + 4].copy_from_slice(&f32::NAN.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let loaded = open_mmap_snapshot(&path).unwrap();
-        let engine = crate::engine::QueryEngine::new(loaded);
-        let top = engine.try_recommend(0, 9).unwrap();
-        assert_eq!(top.len(), 8, "the poisoned item is dropped, not ranked");
-        assert!(top.iter().all(|e| e.item != 0 && e.score.is_finite()));
+        save_mmap_snapshot(&snapshot(), &path).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let names = ["user_own", "item_own", "user_social", "item_social"];
+        for (section, name) in names.into_iter().enumerate() {
+            let at = 16 + section * DESC_BYTES + 16;
+            let off = u64::from_le_bytes(good[at..at + 8].try_into().unwrap()) as usize;
+            for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut bytes = good.clone();
+                bytes[off..off + 4].copy_from_slice(&poison.to_le_bytes());
+                std::fs::write(&path, &bytes).unwrap();
+                let err = open_mmap_snapshot_heap(&path).unwrap_err();
+                assert_eq!(err.kind(), ErrorKind::InvalidData);
+                let msg = err.to_string();
+                assert!(msg.contains("non-finite") && msg.contains(name), "{msg}");
+
+                let engine = crate::engine::QueryEngine::new(open_mmap_snapshot(&path).unwrap());
+                for user in 0..5u32 {
+                    let top = engine.try_recommend(user, 9).unwrap();
+                    assert!(top.iter().all(|e| e.score.is_finite()), "{name} {poison}");
+                    // Item 0's row (or user 0's) scores non-finite
+                    // against every partner: dropped, not ranked.
+                    let want = match (section % 2, user) {
+                        (1, _) => 8,
+                        (0, 0) => 0,
+                        _ => 9,
+                    };
+                    assert_eq!(top.len(), want, "{name} {poison} user {user}");
+                    assert!(section % 2 == 0 || top.iter().all(|e| e.item != 0));
+                }
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 }

@@ -38,9 +38,9 @@
 //!
 //! All shards hang off *one* global [`SnapshotHandle`]. A query loads
 //! the current `Arc<VersionedSnapshot>` once, resolves the per-shard
-//! slice set for exactly that version ([`ShardedEngine`] keeps a
-//! two-slot version cache of slice sets, mirroring the engine's IVF
-//! cache), and scatters to every shard engine's batched path against
+//! slice set for exactly that version (built on a version's first query
+//! and kept two versions deep, through the same cache as the engine's IVF
+//! indexes), and scatters to every shard engine's batched path against
 //! that pinned version — so a publish landing mid-scatter can never
 //! tear a response across versions: every shard answers from the same
 //! publish, and the merged response reports that version. Publishing
@@ -48,8 +48,11 @@
 //! ([`EmbeddingSnapshot::to_shared`]), so the N slices of a version
 //! alias one copy of the catalogue.
 
-use crate::engine::{EngineConfig, QueryEngine, Retrieval, ServeEngine, VersionedBatchResult};
-use crate::error::{check_users, lock_recover, read_recover, write_recover, ServeError};
+use crate::engine::{
+    check_seen_filter, DealSlot, EngineConfig, QueryEngine, Retrieval, ServeEngine, VersionCache,
+    VersionedBatchResult,
+};
+use crate::error::{check_users, lock_recover, ServeError};
 use crate::faults::FaultPlan;
 use crate::shard::ShardPlan;
 use crate::topk::{ScoredItem, TopK};
@@ -59,7 +62,7 @@ use gb_models::{DeltaStamp, EmbeddingSnapshot, SnapshotDelta, SnapshotHandle, Ve
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for [`ShardedEngine`].
@@ -137,23 +140,7 @@ pub struct DegradedBatch {
 /// The per-shard slice set of one published version: slice `s` is the
 /// sub-snapshot of shard `s`'s item range, tagged with the *global*
 /// version so shard engines cache/build against it.
-struct ShardSet {
-    version: u64,
-    slices: Vec<Arc<VersionedSnapshot>>,
-}
-
-/// The router-level deal-filter slot: one generation counter and the
-/// per-shard filter slices, installed together under one write lock.
-/// A query reads the slot once and pins every shard of its scatter to
-/// that `(generation, slices)` pair — the whole atomic-install fix:
-/// there is no instant at which a scatter can pair shard 0's slice of
-/// filter A with shard 1's slice of filter B, because slices of A and B
-/// never coexist in the slot (per-shard slicing happens *before* the
-/// swap, in the prepare phase).
-struct RouterDealSlot {
-    generation: u64,
-    slices: Option<Arc<Vec<BitMatrix>>>,
-}
+type ShardSet = Vec<Arc<VersionedSnapshot>>;
 
 /// N shard engines behind one handle, merged under the single-engine
 /// total order — bit-identical to an unsharded [`QueryEngine`] at any
@@ -163,17 +150,14 @@ pub struct ShardedEngine {
     handle: SnapshotHandle,
     plan: ShardPlan,
     shards: Vec<QueryEngine>,
-    /// Slice sets by version, newest last; the two most recent versions
-    /// are kept so queries pinned across a publish don't thrash slice
-    /// rebuilds (same shape as the engine's IVF two-slot cache).
-    sets: RwLock<Vec<Arc<ShardSet>>>,
-    /// Serializes slice-set *builds* so a post-publish thundering herd
-    /// shares one build instead of racing N identical ones.
-    set_build: Mutex<()>,
-    /// The cross-shard-atomic deal-filter slot (see [`RouterDealSlot`]).
-    /// Shard engines' own slots are bypassed entirely on this tier —
-    /// scatters pass the router's `(generation, slice)` down explicitly.
-    deal: RwLock<RouterDealSlot>,
+    /// Slice sets of the two newest versions queried.
+    sets: VersionCache<ShardSet>,
+    /// The cross-shard-atomic deal-filter slot: one generation and the
+    /// per-shard filter slices, installed together (see
+    /// [`ShardedEngine::set_deal_filter`]). Shard engines' own slots are
+    /// bypassed entirely on this tier — scatters pass the router's
+    /// `(generation, slice)` down explicitly.
+    deal: DealSlot<Vec<BitMatrix>>,
     parallel: bool,
     /// Failed scatter attempts after which the shard counts as missing.
     retries: usize,
@@ -215,7 +199,8 @@ impl ShardedEngine {
     /// the very next query, every shard switching atomically to the new
     /// version. Prefer publishing via [`ShardedEngine::publish`], which
     /// shares the tables before they reach the handle; an owned snapshot
-    /// published directly costs one sharing copy at first query.
+    /// (the handle's first, or one published directly) costs one sharing
+    /// copy at its first query.
     pub fn with_handle(handle: SnapshotHandle, cfg: ShardedConfig) -> Self {
         let cur = handle.load();
         let plan = ShardPlan::balanced(cur.snapshot().n_items(), cfg.n_shards);
@@ -227,16 +212,6 @@ impl ShardedEngine {
                 QueryEngine::with_config(shared.slice_items(start, len), cfg.engine.clone())
             })
             .collect();
-        let slices = plan
-            .ranges()
-            .iter()
-            .map(|&(start, len)| {
-                Arc::new(VersionedSnapshot::new(
-                    cur.version(),
-                    shared.slice_items(start, len),
-                ))
-            })
-            .collect();
         let labels: Vec<String> = (0..plan.n_shards())
             .map(|s| format!("shard{s}"))
             .chain(std::iter::once("merge".to_string()))
@@ -246,15 +221,8 @@ impl ShardedEngine {
             handle,
             plan,
             shards,
-            sets: RwLock::new(vec![Arc::new(ShardSet {
-                version: cur.version(),
-                slices,
-            })]),
-            set_build: Mutex::new(()),
-            deal: RwLock::new(RouterDealSlot {
-                generation: 0,
-                slices: None,
-            }),
+            sets: VersionCache::new(),
+            deal: DealSlot::new(),
             parallel: cfg.parallel_scatter,
             retries: cfg.scatter_retries,
             allow_partial: cfg.allow_partial,
@@ -285,24 +253,11 @@ impl ShardedEngine {
     /// # Panics
     /// Panics if the bitset shape disagrees with the served snapshot.
     pub fn with_seen_filter(mut self, filter: BitMatrix) -> Self {
-        let cur = self.handle.load();
-        assert_eq!(
-            filter.rows(),
-            cur.snapshot().n_users(),
-            "filter user count mismatch"
-        );
-        assert_eq!(
-            filter.cols(),
-            cur.snapshot().n_items(),
-            "filter item count mismatch"
-        );
+        check_seen_filter(&filter, self.handle.load().snapshot());
         let ranges = self.effective_ranges(filter.cols());
-        self.shards = self
-            .shards
-            .into_iter()
-            .zip(&ranges)
-            .map(|(engine, &(start, len))| engine.with_seen_filter(filter.slice_cols(start, len)))
-            .collect();
+        for (engine, &(start, len)) in self.shards.iter_mut().zip(&ranges) {
+            engine.install_seen_filter(filter.slice_cols(start, len));
+        }
         self
     }
 
@@ -313,7 +268,8 @@ impl ShardedEngine {
     /// Composes with the per-shard seen filters, and each shard's
     /// response cache retires its old entries by generation, exactly as
     /// on a single engine. Items past the filter's columns (appended by
-    /// later grow-only publishes) probe as allowed.
+    /// later grow-only publishes, or past a filter narrower than the
+    /// plan) probe as allowed, as on a single engine.
     ///
     /// The install is **atomic across shards**: the per-shard slices are
     /// prepared first, then the whole `(generation, slices)` pair is
@@ -328,29 +284,26 @@ impl ShardedEngine {
     /// engine does by its own.
     ///
     /// # Panics
-    /// Panics unless the filter is one row covering at least the planned
-    /// catalogue.
+    /// Panics unless the filter is exactly one row.
     pub fn set_deal_filter(&self, filter: BitMatrix) {
         assert_eq!(filter.rows(), 1, "deal filter is one row of item bits");
-        assert!(
-            filter.cols() >= self.plan.n_items(),
-            "deal filter covers {} items but the shard plan serves {}",
-            filter.cols(),
-            self.plan.n_items()
-        );
-        // Phase 1 — prepare: slice per shard with no lock held.
-        let ranges = self.effective_ranges(filter.cols());
-        let slices: Vec<BitMatrix> = ranges
+        // Phase 1 — prepare: slice per shard with no lock held, each
+        // shard taking only the columns the filter covers (a shard past
+        // them gets a zero-width slice).
+        let cols = filter.cols();
+        let slices: Vec<BitMatrix> = self
+            .effective_ranges(cols.max(self.plan.n_items()))
             .iter()
-            .map(|&(start, len)| filter.slice_cols(start, len))
+            .map(|&(start, len)| {
+                let start = start.min(cols);
+                filter.slice_cols(start, len.min(cols - start))
+            })
             .collect();
         if let Some(plan) = &self.faults {
             plan.at_filter_install();
         }
         // Phase 2 — install: one pointer-sized swap under the write lock.
-        let mut slot = write_recover(&self.deal);
-        slot.generation += 1;
-        slot.slices = Some(Arc::new(slices));
+        self.deal.swap(Some(slices));
     }
 
     /// Removes the deal-state filter from every shard, through the same
@@ -361,22 +314,13 @@ impl ShardedEngine {
         if let Some(plan) = &self.faults {
             plan.at_filter_install();
         }
-        let mut slot = write_recover(&self.deal);
-        slot.generation += 1;
-        slot.slices = None;
+        self.deal.swap(None);
     }
 
     /// How many times the deal-state filter has been installed, replaced,
     /// or cleared on this router.
     pub fn deal_generation(&self) -> u64 {
-        read_recover(&self.deal).generation
-    }
-
-    /// One consistent `(generation, per-shard slices)` read for a whole
-    /// query — the read side of the atomic install.
-    fn deal_slot(&self) -> (u64, Option<Arc<Vec<BitMatrix>>>) {
-        let slot = read_recover(&self.deal);
-        (slot.generation, slot.slices.clone())
+        self.deal.generation()
     }
 
     /// The global handle every shard serves from; publish to it (or via
@@ -492,8 +436,10 @@ impl ShardedEngine {
                 missing_shards: Vec::new(),
             });
         }
-        let set = self.set_for(&cur);
-        let (deal_gen, deal) = self.deal_slot();
+        let set = self
+            .sets
+            .get_or_build(cur.version(), || self.build_set(&cur));
+        let (deal_gen, deal) = self.deal.load();
         // Scatter only distinct users; duplicate slots share the merge.
         let mut first_of: HashMap<u32, usize> = HashMap::with_capacity(users.len());
         let mut distinct: Vec<u32> = Vec::new();
@@ -579,35 +525,19 @@ impl ShardedEngine {
         ranges
     }
 
-    /// The per-shard slice set for the pinned snapshot `cur`, building
-    /// (and caching, two versions deep) on first sight of a version.
-    /// Mirrors `QueryEngine::ivf_for`: lookups take a read lock, builds
-    /// serialize on a gate and re-check, so a post-publish herd builds
-    /// the N slices once.
-    fn set_for(&self, cur: &Arc<VersionedSnapshot>) -> Arc<ShardSet> {
-        let lookup = |sets: &[Arc<ShardSet>]| {
-            sets.iter()
-                .find(|s| s.version == cur.version())
-                .map(Arc::clone)
-        };
-        if let Some(set) = lookup(&read_recover(&self.sets)) {
-            return set;
-        }
-        let _building = lock_recover(&self.set_build);
-        if let Some(set) = lookup(&read_recover(&self.sets)) {
-            return set;
-        }
-        // Share once per version (O(1) if the publisher already shared),
-        // then slice zero-copy. Grow-only publishes extend the last
-        // shard's range; a delta publish is re-stamped per shard with the
-        // change set translated to local ids, so shard engines keep the
-        // incremental IVF path.
+    /// The per-shard slice set of the pinned snapshot `cur`, built on a
+    /// version's first query. Shares `cur`'s tables once (O(1) if the
+    /// publisher already shared) and slices them zero-copy. Grow-only
+    /// publishes extend the last shard's range; a delta publish is
+    /// re-stamped per shard with the change set translated to local ids,
+    /// so shard engines keep the incremental IVF path.
+    fn build_set(&self, cur: &VersionedSnapshot) -> ShardSet {
         let shared = cur.snapshot().to_shared();
         let ranges = self.effective_ranges(cur.snapshot().n_items());
         let prev_ranges = cur
             .delta()
             .map(|stamp| self.effective_ranges(cur.snapshot().n_items() - stamp.n_appended()));
-        let slices = ranges
+        ranges
             .iter()
             .enumerate()
             .map(|(s, &(start, len))| {
@@ -630,18 +560,7 @@ impl ShardedEngine {
                     _ => Arc::new(VersionedSnapshot::new(cur.version(), slice)),
                 }
             })
-            .collect();
-        let built = Arc::new(ShardSet {
-            version: cur.version(),
-            slices,
-        });
-        let mut sets = write_recover(&self.sets);
-        sets.push(Arc::clone(&built));
-        sets.sort_by_key(|s| s.version);
-        if sets.len() > 2 {
-            sets.remove(0);
-        }
-        built
+            .collect()
     }
 
     /// Runs `f` once per shard against that shard's slice of `set`,
@@ -670,7 +589,7 @@ impl ShardedEngine {
                     if let Some(plan) = &self.faults {
                         plan.at_shard(s);
                     }
-                    f(s, &self.shards[s], &set.slices[s])
+                    f(s, &self.shards[s], &set[s])
                 }));
                 match result {
                     Ok(v) => {
@@ -990,6 +909,29 @@ mod tests {
     }
 
     #[test]
+    fn a_seen_filter_installed_after_a_grown_publish_matches_a_single_engine() {
+        // The last shard serves the grown tail, so its filter slice is
+        // wider than the slice its engine was built over.
+        let mut seen = BitMatrix::zeros(4, 107);
+        for item in (0..107).step_by(3) {
+            seen.set(2, item);
+        }
+        let single = QueryEngine::new(snapshot(4, 90, 6));
+        single.handle().publish(snapshot(4, 107, 6));
+        let single = single.with_seen_filter(seen.clone());
+        let sharded = ShardedEngine::new(snapshot(4, 90, 6), 3);
+        sharded.publish(snapshot(4, 107, 6));
+        let sharded = sharded.with_seen_filter(seen);
+        for user in 0..4u32 {
+            assert_eq!(
+                pairs(&sharded.try_recommend(user, 107).unwrap().items),
+                pairs(&single.try_recommend(user, 107).unwrap()),
+                "user {user}"
+            );
+        }
+    }
+
+    #[test]
     fn delta_publish_is_restamped_per_shard() {
         let snap = snapshot(3, 80, 4);
         let sharded = ShardedEngine::new(snap.clone(), 3);
@@ -1000,11 +942,10 @@ mod tests {
             .append_item(vec![0.9; 4], vec![0.3; 4]);
         assert_eq!(sharded.publish_delta(&delta), 2);
         let cur = sharded.handle().load();
-        let set = sharded.set_for(&cur);
+        let set = sharded.build_set(&cur);
         // 80 items over 3 shards: ranges (0,27) (27,27) (54,26); the
         // appended item extends the last to (54,27).
         let stamps: Vec<_> = set
-            .slices
             .iter()
             .map(|s| s.delta().expect("every slice re-stamped"))
             .collect();
@@ -1013,7 +954,7 @@ mod tests {
         assert!(stamps[1].changed_items().is_empty());
         assert_eq!(stamps[2].changed_items(), &[60 - 54]);
         assert_eq!(stamps[2].n_appended(), 1);
-        assert_eq!(set.slices[2].snapshot().n_items(), 27);
+        assert_eq!(set[2].snapshot().n_items(), 27);
         // And the served merge equals a single engine over the new tables.
         let single = QueryEngine::new(cur.snapshot().clone());
         for user in 0..3u32 {

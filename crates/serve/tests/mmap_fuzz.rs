@@ -1,8 +1,10 @@
 //! Fuzz/property tests for the mappable v2 snapshot layout:
 //!
 //! * save → [`open_mmap_snapshot`] round-trips bit-identically for
-//!   arbitrary table shapes (including zero-dimension tables), and the
-//!   heap fallback loader agrees with the mapped loader bit-for-bit.
+//!   arbitrary table shapes (including zero-dimension tables) and awkward
+//!   finite bit patterns (signed zeros, extremes, subnormals), also for
+//!   tables larger than the writer's buffer, and the heap loader agrees
+//!   with the mapped loader bit-for-bit.
 //! * A sharded engine serving a *mapped* snapshot answers bitwise like a
 //!   single engine serving the original in-memory snapshot — the whole
 //!   PR 6 path (mmap → shared tables → slices → scatter-gather merge)
@@ -11,7 +13,9 @@
 //!   out-of-bounds access; flipping any single byte yields `Ok` or
 //!   `Err`, never a panic — and a structurally-valid-but-poisoned load
 //!   still serves without panicking (non-finite scores are dropped at
-//!   the heap, by contract).
+//!   the heap, by contract). Descriptors advertising near-overflow table
+//!   shapes are rejected by both opens without the allocation they
+//!   describe.
 
 use gb_models::EmbeddingSnapshot;
 use gb_serve::{
@@ -54,6 +58,80 @@ fn tmp(name: &str, case: u64) -> PathBuf {
     dir.join(format!("{name}_{case}.gbsn2"))
 }
 
+/// Deterministic "awkward finite f32" generator: an LCG stream spiked
+/// with exactly-representable extremes (signed zeros, max/min magnitude,
+/// subnormal neighborhood). NaN/Inf are excluded — `EmbeddingSnapshot`
+/// rejects non-finite tables by contract.
+fn awkward(seed: u64, k: usize) -> f32 {
+    const SPIKES: [f32; 10] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        f32::MAX,
+        f32::MIN,
+        f32::MIN_POSITIVE,
+        -f32::MIN_POSITIVE,
+        1.1754942e-38, // largest subnormal
+        -3.4e38,
+    ];
+    let x = seed
+        .wrapping_add(k as u64)
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    if x.is_multiple_of(17) {
+        SPIKES[(x >> 32) as usize % SPIKES.len()]
+    } else {
+        ((x >> 33) as i32 % 2_000_001) as f32 * 1e-3
+    }
+}
+
+/// A snapshot of `awkward` values, in table order.
+fn awkward_snapshot(
+    seed: u64,
+    alpha: f32,
+    (n_users, n_items, d_own, d_social): (usize, usize, usize, usize),
+) -> EmbeddingSnapshot {
+    let mut k = 0usize;
+    let mut next = |_: usize, _: usize| {
+        k += 1;
+        awkward(seed, k)
+    };
+    EmbeddingSnapshot::new(
+        alpha,
+        Matrix::from_fn(n_users, d_own, &mut next),
+        Matrix::from_fn(n_items, d_own, &mut next),
+        Matrix::from_fn(n_users, d_social, &mut next),
+        Matrix::from_fn(n_items, d_social, &mut next),
+    )
+}
+
+/// Every table's raw bits, plus α's: equality here is bit identity,
+/// which `==` on floats is not (it equates the two zeros).
+fn bits(snap: &EmbeddingSnapshot) -> (u32, [Vec<u32>; 4]) {
+    let table = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect();
+    (
+        snap.alpha().to_bits(),
+        [
+            table(snap.user_own()),
+            table(snap.item_own()),
+            table(snap.user_social()),
+            table(snap.item_social()),
+        ],
+    )
+}
+
+/// Saves `snap`, opens it both ways, and checks each open against it
+/// bit for bit.
+fn assert_roundtrips(snap: &EmbeddingSnapshot, path: &std::path::Path) {
+    save_mmap_snapshot(snap, path).unwrap();
+    let mapped = open_mmap_snapshot(path).unwrap();
+    let heaped = open_mmap_snapshot_heap(path).unwrap();
+    assert!(bits(&mapped) == bits(snap), "mapped load differs");
+    assert!(bits(&heaped) == bits(snap), "heap load differs");
+    std::fs::remove_file(path).ok();
+}
+
 fn pairs(items: &Arc<Vec<ScoredItem>>) -> Vec<(u32, u32)> {
     items.iter().map(|e| (e.item, e.score.to_bits())).collect()
 }
@@ -63,20 +141,12 @@ proptest! {
 
     #[test]
     fn roundtrip_and_heap_fallback_are_bit_identical(
-        tag in 0u64..1000,
-        n_users in 0usize..20,
-        n_items in 0usize..60,
-        d_own in 0usize..10,
-        d_social in 0usize..10,
+        seed in 0u64..1 << 48,
+        alpha in 0.0f32..=1.0,
+        dims in (0usize..20, 0usize..60, 0usize..10, 0usize..10),
     ) {
-        let snap = snapshot(tag, n_users, n_items, d_own, d_social);
-        let path = tmp("roundtrip", tag * 1_000_000 + (n_users * 600 + n_items * 10 + d_own) as u64);
-        save_mmap_snapshot(&snap, &path).unwrap();
-        let mapped = open_mmap_snapshot(&path).unwrap();
-        let heaped = open_mmap_snapshot_heap(&path).unwrap();
-        prop_assert!(mapped == snap, "mapped load differs");
-        prop_assert!(heaped == mapped, "heap fallback differs from mapped");
-        std::fs::remove_file(&path).ok();
+        let snap = awkward_snapshot(seed, alpha, dims);
+        assert_roundtrips(&snap, &tmp("roundtrip", seed));
     }
 
     #[test]
@@ -139,6 +209,11 @@ proptest! {
         // Ok or Err, but never a panic or a wild read — and anything
         // that loads must also *serve* without panicking (a poisoned
         // payload degrades to dropped candidates at the TopK heap).
+        // What the scanning heap open accepts, the mapped one loads
+        // identically.
+        if let Ok(heaped) = open_mmap_snapshot_heap(&path) {
+            prop_assert!(open_mmap_snapshot(&path).is_ok_and(|m| bits(&m) == bits(&heaped)));
+        }
         if let Ok(loaded) = open_mmap_snapshot(&path) {
             if loaded.n_users() > 0 {
                 let engine = QueryEngine::new(loaded);
@@ -148,4 +223,54 @@ proptest! {
         }
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// Tables larger than the writer's 64 KiB buffer cross several flushes,
+/// each at a different offset into a row.
+#[test]
+fn tables_larger_than_the_write_buffer_roundtrip() {
+    let snap = awkward_snapshot(7, 0.25, (3_001, 40_009, 3, 2));
+    assert!(snap.item_own().len() * 4 > 4 * 64 * 1024, "several flushes");
+    assert_roundtrips(&snap, &tmp("large", 0));
+}
+
+/// The zero-user/zero-item universe is a legal snapshot and must survive
+/// the file, not just the in-memory constructor.
+#[test]
+fn empty_universe_roundtrips() {
+    let snap = EmbeddingSnapshot::without_social(Matrix::zeros(0, 3), Matrix::zeros(0, 3));
+    assert_roundtrips(&snap, &tmp("empty", 0));
+}
+
+/// Descriptors advertising near-overflow table shapes are rejected by
+/// both opens without attempting the giant allocation they describe.
+#[test]
+fn near_overflow_dims_rejected_without_oom() {
+    let snap = EmbeddingSnapshot::without_social(Matrix::zeros(2, 2), Matrix::zeros(3, 2));
+    let path = tmp("overflow", 0);
+    save_mmap_snapshot(&snap, &path).unwrap();
+    let good = std::fs::read(&path).unwrap();
+    // The first section descriptor's rows and cols follow the 16-byte
+    // fixed header.
+    for (rows, cols) in [
+        (u64::MAX, u64::MAX),
+        (u64::MAX, 3),
+        (1 << 62, 1), // rows*cols*4 overflows u64/usize
+        (1 << 40, 1), // representable but astronomically larger than the file
+        (u64::MAX / 4, 1_000_000),
+    ] {
+        let mut bad = good.clone();
+        bad[16..24].copy_from_slice(&rows.to_le_bytes());
+        bad[24..32].copy_from_slice(&cols.to_le_bytes());
+        std::fs::write(&path, &bad).unwrap();
+        assert!(
+            open_mmap_snapshot(&path).is_err(),
+            "rows {rows} cols {cols}"
+        );
+        assert!(
+            open_mmap_snapshot_heap(&path).is_err(),
+            "rows {rows} cols {cols}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
 }

@@ -9,8 +9,8 @@ use gb_eval::topk::reference_topk;
 use gb_eval::{EvalProtocol, Scorer};
 use gb_models::{Gbmf, GbmfConfig, Recommender, SnapshotSource, TrainConfig};
 use gb_serve::{
-    load_snapshot, save_snapshot, seen_filter, EngineConfig, QueryEngine, RecommendService,
-    ServeError, ServiceConfig,
+    open_mmap_snapshot_heap, save_mmap_snapshot, seen_filter, EngineConfig, QueryEngine,
+    RecommendService, ServeError, ServiceConfig,
 };
 
 fn workload() -> Dataset {
@@ -50,13 +50,13 @@ fn trained_gbmf(data: &Dataset) -> Gbmf {
 #[test]
 fn trained_snapshot_roundtrips_bit_identically() {
     let data = workload();
+    let path = std::env::temp_dir().join(format!("gb_serving_{}.gbsn", std::process::id()));
     for snap in [
         trained_gbgcn(&data).export_snapshot(),
         trained_gbmf(&data).export_snapshot(),
     ] {
-        let mut buf = Vec::new();
-        save_snapshot(&snap, &mut buf).unwrap();
-        let back = load_snapshot(buf.as_slice()).unwrap();
+        save_mmap_snapshot(&snap, &path).unwrap();
+        let back = open_mmap_snapshot_heap(&path).unwrap();
         assert_eq!(back, snap, "round-trip must be exact");
         // And the reloaded snapshot scores identically.
         let items: Vec<u32> = (0..data.n_items() as u32).collect();
@@ -67,6 +67,7 @@ fn trained_snapshot_roundtrips_bit_identically() {
             );
         }
     }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

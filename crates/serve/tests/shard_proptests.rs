@@ -162,6 +162,41 @@ proptest! {
     }
 
     #[test]
+    fn a_deal_filter_narrower_than_the_plan_matches_a_single_engine(
+        tag in 0u64..6,
+        n_shards in 1usize..=8,
+        n_items in 1usize..=130,
+        cols_frac in 0.0f64..1.0,
+        k in 1usize..=40,
+        blocked in proptest::collection::vec(0usize..130, 0..50),
+    ) {
+        // Items past the filter's columns probe as allowed on a single
+        // engine; every shard must agree, including shards whose whole
+        // range lies past them.
+        let cols = (n_items as f64 * cols_frac) as usize;
+        let mut deal = BitMatrix::zeros(1, cols);
+        for &item in blocked.iter().filter(|&&item| item < cols) {
+            deal.set(0, item);
+        }
+        let snap = snapshot(tag, 6, n_items, 6);
+        let single = QueryEngine::new(snap.clone());
+        single.set_deal_filter(deal.clone());
+        let sharded = ShardedEngine::new(snap, n_shards);
+        sharded.set_deal_filter(deal);
+        for user in 0..6u32 {
+            prop_assert_eq!(
+                pairs(&sharded.try_recommend(user, k).unwrap().items),
+                pairs(&single.try_recommend(user, k).unwrap()),
+                "user {} shards {} items {} filter cols {}",
+                user,
+                n_shards,
+                n_items,
+                cols
+            );
+        }
+    }
+
+    #[test]
     fn responses_pin_one_version_across_interleaved_publishes(
         tag in 0u64..4,
         n_shards in 2usize..=6,

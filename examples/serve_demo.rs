@@ -8,7 +8,9 @@ use gbgcn_repro::data::synth::{generate, SynthConfig};
 use gbgcn_repro::gbgcn::{GbgcnConfig, GbgcnModel};
 use gbgcn_repro::models::Recommender;
 use gbgcn_repro::prelude::*;
-use gbgcn_repro::serve::{load_from_path, save_to_path, EngineConfig, QueryEngine, ServiceConfig};
+use gbgcn_repro::serve::{
+    open_mmap_snapshot_heap, save_mmap_snapshot, EngineConfig, QueryEngine, ServiceConfig,
+};
 
 fn main() {
     // --- offline: train on a synthetic Beibei-like workload --------------
@@ -38,8 +40,8 @@ fn main() {
     // --- hand-off: snapshot to disk, reload for serving -------------------
     let snap = model.export_snapshot();
     let path = std::env::temp_dir().join("serve_demo.gbsn");
-    save_to_path(&snap, &path).expect("write snapshot");
-    let loaded = load_from_path(&path).expect("read snapshot");
+    save_mmap_snapshot(&snap, &path).expect("write snapshot");
+    let loaded = open_mmap_snapshot_heap(&path).expect("read snapshot");
     assert_eq!(loaded, snap, "round-trip must be exact");
     println!(
         "snapshot: {} bytes on disk ({} user rows x d={} own / d={} social)",
