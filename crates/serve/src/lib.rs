@@ -124,6 +124,8 @@ pub mod mmap;
 pub mod router;
 pub mod service;
 pub mod shard;
+#[cfg(test)]
+mod snapshot_io;
 pub mod topk;
 
 pub use cache::LruCache;

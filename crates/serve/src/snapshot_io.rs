@@ -1,190 +1,75 @@
-//! Versioned binary persistence for [`EmbeddingSnapshot`].
-//!
-//! Layout (all integers little-endian):
-//!
-//! ```text
-//! magic   [u8; 4]  = b"GBSN"
-//! version u32      = 1
-//! alpha   f32      (raw bits)
-//! 4 x matrix:      user_own, item_own, user_social, item_social
-//!   rows  u64
-//!   cols  u64
-//!   data  rows*cols x f32 (raw bits, row-major)
-//! ```
-//!
-//! Floats are stored as raw bits, so save → load round-trips
-//! bit-identically — a served snapshot scores exactly like the model that
-//! exported it. The version field gates forward compatibility: readers
-//! reject snapshots written by a newer layout instead of misparsing them.
-
-use gb_models::EmbeddingSnapshot;
-use gb_tensor::Matrix;
-use std::io::{Error, ErrorKind, Read, Result, Write};
-use std::path::Path;
-
-/// File magic identifying a gb-serve snapshot.
-pub const MAGIC: [u8; 4] = *b"GBSN";
-
-/// Current layout version.
-pub const VERSION: u32 = 1;
-
-/// Writes `snapshot` in the versioned binary format.
-pub fn save_snapshot<W: Write>(snapshot: &EmbeddingSnapshot, mut w: W) -> Result<()> {
-    w.write_all(&MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&snapshot.alpha().to_le_bytes())?;
-    for m in [
-        snapshot.user_own(),
-        snapshot.item_own(),
-        snapshot.user_social(),
-        snapshot.item_social(),
-    ] {
-        write_matrix(&mut w, m)?;
-    }
-    Ok(())
-}
-
-/// Reads a snapshot written by [`save_snapshot`].
-///
-/// Rejects wrong magic, unknown versions, and structurally inconsistent
-/// tables (the [`EmbeddingSnapshot`] constructor re-validates shapes).
-pub fn load_snapshot<R: Read>(mut r: R) -> Result<EmbeddingSnapshot> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if magic != MAGIC {
-        return Err(invalid(format!("bad magic {magic:?}, expected {MAGIC:?}")));
-    }
-    let version = read_u32(&mut r)?;
-    if version != VERSION {
-        return Err(invalid(format!(
-            "unsupported snapshot version {version} (reader supports {VERSION})"
-        )));
-    }
-    let alpha = f32::from_le_bytes(read_array(&mut r)?);
-    if !alpha.is_finite() || !(0.0..=1.0).contains(&alpha) {
-        return Err(invalid(format!("alpha {alpha} outside [0, 1]")));
-    }
-    let user_own = read_matrix(&mut r)?;
-    let item_own = read_matrix(&mut r)?;
-    let user_social = read_matrix(&mut r)?;
-    let item_social = read_matrix(&mut r)?;
-    if user_own.rows() != user_social.rows()
-        || item_own.rows() != item_social.rows()
-        || user_own.cols() != item_own.cols()
-        || user_social.cols() != item_social.cols()
-    {
-        return Err(invalid("inconsistent table shapes in snapshot"));
-    }
-    if [&user_own, &item_own, &user_social, &item_social]
-        .iter()
-        .any(|m| m.has_non_finite())
-    {
-        return Err(invalid("snapshot holds non-finite values"));
-    }
-    Ok(EmbeddingSnapshot::new(
-        alpha,
-        user_own,
-        item_own,
-        user_social,
-        item_social,
-    ))
-}
-
-/// Saves a snapshot to a file at `path`.
-pub fn save_to_path(snapshot: &EmbeddingSnapshot, path: impl AsRef<Path>) -> Result<()> {
-    let file = std::fs::File::create(path)?;
-    save_snapshot(snapshot, std::io::BufWriter::new(file))
-}
-
-/// Loads a snapshot from a file at `path`.
-pub fn load_from_path(path: impl AsRef<Path>) -> Result<EmbeddingSnapshot> {
-    let file = std::fs::File::open(path)?;
-    load_snapshot(std::io::BufReader::new(file))
-}
-
-fn invalid(msg: impl Into<String>) -> Error {
-    Error::new(ErrorKind::InvalidData, msg.into())
-}
-
-fn write_matrix<W: Write>(w: &mut W, m: &Matrix) -> Result<()> {
-    w.write_all(&(m.rows() as u64).to_le_bytes())?;
-    w.write_all(&(m.cols() as u64).to_le_bytes())?;
-    // Write row-major data in 64 KiB chunks to amortize syscalls without
-    // materializing the whole byte image.
-    let mut buf = Vec::with_capacity(64 * 1024);
-    for v in m.as_slice() {
-        buf.extend_from_slice(&v.to_le_bytes());
-        if buf.len() >= 64 * 1024 {
-            w.write_all(&buf)?;
-            buf.clear();
-        }
-    }
-    w.write_all(&buf)
-}
-
-fn read_matrix<R: Read>(r: &mut R) -> Result<Matrix> {
-    let rows = read_u64(r)? as usize;
-    let cols = read_u64(r)? as usize;
-    let len = rows
-        .checked_mul(cols)
-        .and_then(|n| n.checked_mul(4))
-        .ok_or_else(|| invalid("matrix dimensions overflow"))?
-        / 4;
-    // Stream in bounded chunks so a corrupt header can't drive one giant
-    // up-front allocation: memory grows only as real data arrives, and a
-    // truncated file errors out at the first short chunk.
-    const CHUNK_BYTES: usize = 4 << 20;
-    let mut data = Vec::with_capacity(len.min(CHUNK_BYTES / 4));
-    let mut buf = vec![0u8; CHUNK_BYTES.min(len.max(1) * 4)];
-    let mut remaining = len * 4;
-    while remaining > 0 {
-        let take = remaining.min(buf.len());
-        r.read_exact(&mut buf[..take])?;
-        data.extend(
-            buf[..take]
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-        );
-        remaining -= take;
-    }
-    Ok(Matrix::from_vec(rows, cols, data))
-}
-
-fn read_u32<R: Read>(r: &mut R) -> Result<u32> {
-    Ok(u32::from_le_bytes(read_array(r)?))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> Result<u64> {
-    Ok(u64::from_le_bytes(read_array(r)?))
-}
-
-fn read_array<R: Read, const N: usize>(r: &mut R) -> Result<[u8; N]> {
-    let mut buf = [0u8; N];
-    r.read_exact(&mut buf)?;
-    Ok(buf)
-}
+//! Load-side tests of the snapshot file, through the crate's public
+//! save/open functions: what `open_mmap_snapshot_heap` — the open that
+//! reads and checks every byte — gives back for a good file, and what
+//! both opens refuse. The mapped open's own cases (zero copy, keep-alive,
+//! serving a poisoned payload) are in `mmap`'s tests.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{open_mmap_snapshot, open_mmap_snapshot_heap, save_mmap_snapshot};
+    use gb_models::EmbeddingSnapshot;
+    use gb_tensor::Matrix;
+    use std::io::ErrorKind;
+    use std::path::{Path, PathBuf};
+
+    /// Bytes per section descriptor, and the descriptors' start (the
+    /// layout in `mmap`'s module doc).
+    const DESC_BYTES: usize = 32;
+    const DESCS_AT: usize = 16;
 
     fn snapshot() -> EmbeddingSnapshot {
         EmbeddingSnapshot::new(
             0.375,
             Matrix::from_fn(5, 3, |r, c| (r as f32 + 1.0) / (c as f32 + 2.0)),
             Matrix::from_fn(9, 3, |r, c| ((r * 3 + c) as f32 * 0.77).sin()),
-            Matrix::from_fn(5, 4, |r, c| (r as f32 - c as f32) * 1e-3),
+            // -0.0 on the diagonal: `==` would not tell it from 0.0.
+            Matrix::from_fn(5, 4, |r, c| (r as f32 - c as f32) * -1e-3),
             Matrix::from_fn(9, 4, |r, c| (r as f32 * c as f32).sqrt()),
         )
+    }
+
+    fn tmp(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join("gb_serve_snapshot_io_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
+
+    /// Every table's raw bits, plus α's.
+    fn bits(snap: &EmbeddingSnapshot) -> (u32, [Vec<u32>; 4]) {
+        let table = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect();
+        (
+            snap.alpha().to_bits(),
+            [
+                table(snap.user_own()),
+                table(snap.item_own()),
+                table(snap.user_social()),
+                table(snap.item_social()),
+            ],
+        )
+    }
+
+    /// Writes `bytes` to `path` and checks that both opens refuse it as
+    /// `InvalidData` with a message containing `why`.
+    fn assert_both_refuse(path: &Path, bytes: &[u8], why: &str) {
+        std::fs::write(path, bytes).unwrap();
+        for err in [
+            open_mmap_snapshot(path).unwrap_err(),
+            open_mmap_snapshot_heap(path).unwrap_err(),
+        ] {
+            assert_eq!(err.kind(), ErrorKind::InvalidData);
+            assert!(err.to_string().contains(why), "{err}");
+        }
     }
 
     #[test]
     fn roundtrip_is_bit_identical() {
         let snap = snapshot();
-        let mut buf = Vec::new();
-        save_snapshot(&snap, &mut buf).unwrap();
-        let back = load_snapshot(buf.as_slice()).unwrap();
-        assert_eq!(back, snap);
+        let path = tmp("roundtrip.gbsn2");
+        save_mmap_snapshot(&snap, &path).unwrap();
+        let back = open_mmap_snapshot_heap(&path).unwrap();
+        assert!(bits(&back) == bits(&snap), "heap open differs");
+        assert_eq!((back.n_users(), back.n_items()), (5, 9));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -193,68 +78,102 @@ mod tests {
             Matrix::from_fn(4, 2, |r, c| (r + c) as f32),
             Matrix::from_fn(6, 2, |r, c| (r * c) as f32),
         );
-        let mut buf = Vec::new();
-        save_snapshot(&snap, &mut buf).unwrap();
-        assert_eq!(load_snapshot(buf.as_slice()).unwrap(), snap);
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let mut buf = Vec::new();
-        save_snapshot(&snapshot(), &mut buf).unwrap();
-        buf[0] = b'X';
-        assert!(load_snapshot(buf.as_slice()).is_err());
-    }
-
-    #[test]
-    fn future_version_rejected() {
-        let mut buf = Vec::new();
-        save_snapshot(&snapshot(), &mut buf).unwrap();
-        buf[4..8].copy_from_slice(&99u32.to_le_bytes());
-        let err = load_snapshot(buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
-    }
-
-    #[test]
-    fn non_finite_values_rejected_at_load() {
-        let mut buf = Vec::new();
-        save_snapshot(&snapshot(), &mut buf).unwrap();
-        // Overwrite the first f32 of user_own (header: 4 magic + 4
-        // version + 4 alpha + 16 shape) with NaN.
-        buf[28..32].copy_from_slice(&f32::NAN.to_le_bytes());
-        let err = load_snapshot(buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("non-finite"), "{err}");
-    }
-
-    #[test]
-    fn large_tables_roundtrip_through_chunked_io() {
-        // Spans several 4 MiB read chunks (2M rows x 2 cols = 16 MiB).
-        let snap = EmbeddingSnapshot::without_social(
-            Matrix::from_fn(4, 2, |r, c| (r + c) as f32),
-            Matrix::from_fn(2_000_000, 2, |r, c| ((r * 2 + c) % 971) as f32 * 0.125),
+        let path = tmp("social_free.gbsn2");
+        save_mmap_snapshot(&snap, &path).unwrap();
+        let back = open_mmap_snapshot_heap(&path).unwrap();
+        assert_eq!(back, snap);
+        assert_eq!(
+            (back.user_social().cols(), back.item_social().rows()),
+            (0, 6)
         );
-        let mut buf = Vec::new();
-        save_snapshot(&snap, &mut buf).unwrap();
-        assert_eq!(load_snapshot(buf.as_slice()).unwrap(), snap);
-    }
-
-    #[test]
-    fn truncation_rejected() {
-        let mut buf = Vec::new();
-        save_snapshot(&snapshot(), &mut buf).unwrap();
-        buf.truncate(buf.len() - 5);
-        assert!(load_snapshot(buf.as_slice()).is_err());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn file_roundtrip() {
-        let snap = snapshot();
-        let dir = std::env::temp_dir().join("gb_serve_snapshot_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.gbsn");
-        save_to_path(&snap, &path).unwrap();
-        let back = load_from_path(&path).unwrap();
-        assert_eq!(back, snap);
+        // Saving what either open returned writes the same bytes again:
+        // open and save are inverses on files, not only on tables.
+        let first = tmp("first.gbsn2");
+        let again = tmp("again.gbsn2");
+        save_mmap_snapshot(&snapshot(), &first).unwrap();
+        let bytes = std::fs::read(&first).unwrap();
+        for back in [
+            open_mmap_snapshot_heap(&first).unwrap(),
+            open_mmap_snapshot(&first).unwrap(),
+        ] {
+            save_mmap_snapshot(&back, &again).unwrap();
+            assert!(std::fs::read(&again).unwrap() == bytes);
+        }
+        std::fs::remove_file(&first).ok();
+        std::fs::remove_file(&again).ok();
+    }
+
+    #[test]
+    fn bad_magic_rejected() {
+        let path = tmp("magic.gbsn2");
+        save_mmap_snapshot(&snapshot(), &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[0] = b'X';
+        assert_both_refuse(&path, &bytes, "magic");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn future_version_rejected() {
+        let path = tmp("version.gbsn2");
+        save_mmap_snapshot(&snapshot(), &path).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        for version in [3u32, 99, u32::MAX] {
+            let mut bytes = good.clone();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            assert_both_refuse(&path, &bytes, "version");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn non_finite_values_rejected_at_load() {
+        // NaN and ±∞ at the first and at the last float of each section:
+        // the heap open scans every table to its end and names the one
+        // it refuses, while the mapped open stays a trusted O(1) open.
+        let path = tmp("non_finite.gbsn2");
+        save_mmap_snapshot(&snapshot(), &path).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let field = |section: usize, k: usize| {
+            let at = DESCS_AT + section * DESC_BYTES + 8 * k;
+            u64::from_le_bytes(good[at..at + 8].try_into().unwrap()) as usize
+        };
+        let names = ["user_own", "item_own", "user_social", "item_social"];
+        for (section, name) in names.into_iter().enumerate() {
+            let (rows, cols, off) = (field(section, 0), field(section, 1), field(section, 2));
+            for at in [off, off + 4 * (rows * cols - 1)] {
+                for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                    let mut bytes = good.clone();
+                    bytes[at..at + 4].copy_from_slice(&poison.to_le_bytes());
+                    std::fs::write(&path, &bytes).unwrap();
+                    let err = open_mmap_snapshot_heap(&path).unwrap_err();
+                    assert_eq!(err.kind(), ErrorKind::InvalidData);
+                    let msg = err.to_string();
+                    assert!(msg.contains("non-finite") && msg.contains(name), "{msg}");
+                    assert!(open_mmap_snapshot(&path).is_ok(), "{name} {poison}");
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn truncation_rejected() {
+        let path = tmp("truncated.gbsn2");
+        save_mmap_snapshot(&snapshot(), &path).unwrap();
+        let full = std::fs::read(&path).unwrap();
+        for keep in [0, 3, 8, 100, full.len() - 5, full.len() - 1] {
+            std::fs::write(&path, &full[..keep]).unwrap();
+            assert!(
+                open_mmap_snapshot_heap(&path).is_err(),
+                "truncation to {keep} bytes must be rejected"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 }

@@ -1,10 +1,10 @@
 //! Fuzz/property tests for the mappable v2 snapshot layout:
 //!
 //! * save → [`open_mmap_snapshot`] round-trips bit-identically for
-//!   arbitrary table shapes (including zero-dimension tables) and awkward
-//!   finite bit patterns (signed zeros, extremes, subnormals), also for
+//!   arbitrary table shapes (including zero-dimension tables), also for
 //!   tables larger than the writer's buffer, and the heap loader agrees
-//!   with the mapped loader bit-for-bit.
+//!   with the mapped loader bit-for-bit. (Awkward bit patterns and
+//!   damaged bytes at small shapes are `snapshot_fuzz`'s.)
 //! * A sharded engine serving a *mapped* snapshot answers bitwise like a
 //!   single engine serving the original in-memory snapshot — the whole
 //!   PR 6 path (mmap → shared tables → slices → scatter-gather merge)
@@ -58,54 +58,6 @@ fn tmp(name: &str, case: u64) -> PathBuf {
     dir.join(format!("{name}_{case}.gbsn2"))
 }
 
-/// Deterministic "awkward finite f32" generator: an LCG stream spiked
-/// with exactly-representable extremes (signed zeros, max/min magnitude,
-/// subnormal neighborhood). NaN/Inf are excluded — `EmbeddingSnapshot`
-/// rejects non-finite tables by contract.
-fn awkward(seed: u64, k: usize) -> f32 {
-    const SPIKES: [f32; 10] = [
-        0.0,
-        -0.0,
-        1.0,
-        -1.0,
-        f32::MAX,
-        f32::MIN,
-        f32::MIN_POSITIVE,
-        -f32::MIN_POSITIVE,
-        1.1754942e-38, // largest subnormal
-        -3.4e38,
-    ];
-    let x = seed
-        .wrapping_add(k as u64)
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    if x.is_multiple_of(17) {
-        SPIKES[(x >> 32) as usize % SPIKES.len()]
-    } else {
-        ((x >> 33) as i32 % 2_000_001) as f32 * 1e-3
-    }
-}
-
-/// A snapshot of `awkward` values, in table order.
-fn awkward_snapshot(
-    seed: u64,
-    alpha: f32,
-    (n_users, n_items, d_own, d_social): (usize, usize, usize, usize),
-) -> EmbeddingSnapshot {
-    let mut k = 0usize;
-    let mut next = |_: usize, _: usize| {
-        k += 1;
-        awkward(seed, k)
-    };
-    EmbeddingSnapshot::new(
-        alpha,
-        Matrix::from_fn(n_users, d_own, &mut next),
-        Matrix::from_fn(n_items, d_own, &mut next),
-        Matrix::from_fn(n_users, d_social, &mut next),
-        Matrix::from_fn(n_items, d_social, &mut next),
-    )
-}
-
 /// Every table's raw bits, plus α's: equality here is bit identity,
 /// which `==` on floats is not (it equates the two zeros).
 fn bits(snap: &EmbeddingSnapshot) -> (u32, [Vec<u32>; 4]) {
@@ -141,12 +93,15 @@ proptest! {
 
     #[test]
     fn roundtrip_and_heap_fallback_are_bit_identical(
-        seed in 0u64..1 << 48,
-        alpha in 0.0f32..=1.0,
-        dims in (0usize..20, 0usize..60, 0usize..10, 0usize..10),
+        tag in 0u64..1000,
+        n_users in 0usize..20,
+        n_items in 0usize..60,
+        d_own in 0usize..10,
+        d_social in 0usize..10,
     ) {
-        let snap = awkward_snapshot(seed, alpha, dims);
-        assert_roundtrips(&snap, &tmp("roundtrip", seed));
+        let snap = snapshot(tag, n_users, n_items, d_own, d_social);
+        let path = tmp("roundtrip", tag * 1_000_000 + (n_users * 600 + n_items * 10 + d_own) as u64);
+        assert_roundtrips(&snap, &path);
     }
 
     #[test]
@@ -229,7 +184,7 @@ proptest! {
 /// each at a different offset into a row.
 #[test]
 fn tables_larger_than_the_write_buffer_roundtrip() {
-    let snap = awkward_snapshot(7, 0.25, (3_001, 40_009, 3, 2));
+    let snap = snapshot(7, 3_001, 40_009, 3, 2);
     assert!(snap.item_own().len() * 4 > 4 * 64 * 1024, "several flushes");
     assert_roundtrips(&snap, &tmp("large", 0));
 }

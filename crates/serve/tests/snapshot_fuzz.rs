@@ -1,12 +1,22 @@
-//! Fuzz/roundtrip property tests for `snapshot_io`: generated snapshots
-//! (including 0-user/0-item edges and awkward finite bit patterns)
-//! survive write → read bit-identically, and truncated or corrupted byte
-//! streams return errors — never panics, never unbounded allocations.
+//! Fuzz/roundtrip property tests for the snapshot file at small shapes:
+//! generated snapshots (including 0-user/0-item edges and awkward finite
+//! bit patterns) survive save → open bit-identically through both opens,
+//! every prefix of a file is refused, and a file with any one byte
+//! corrupted opens to `Err` or to a sound snapshot — never a panic.
 
 use gb_models::EmbeddingSnapshot;
-use gb_serve::{load_snapshot, save_snapshot};
+use gb_serve::{open_mmap_snapshot, open_mmap_snapshot_heap, save_mmap_snapshot};
 use gb_tensor::Matrix;
 use proptest::prelude::*;
+use std::path::PathBuf;
+
+/// A unique temp path per test case (proptest shrinks rerun cases; the
+/// discriminator keeps reruns from racing each other's files).
+fn tmp(name: &str, case: u64) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("gb_serve_snapshot_fuzz_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(format!("{name}_{case}.gbsn2"))
+}
 
 /// Deterministic "awkward finite f32" generator: an LCG stream spiked
 /// with exactly-representable extremes (signed zeros, max/min magnitude,
@@ -36,17 +46,14 @@ fn awkward(seed: u64, k: usize) -> f32 {
     }
 }
 
+/// A snapshot of `awkward` values, in table order.
 fn build(
     seed: u64,
-    n_users: usize,
-    n_items: usize,
-    d_own: usize,
-    d_soc: usize,
     alpha: f32,
+    (n_users, n_items, d_own, d_social): (usize, usize, usize, usize),
 ) -> EmbeddingSnapshot {
     let mut k = 0usize;
-    let mut next = |r: usize, c: usize| {
-        let _ = (r, c);
+    let mut next = |_: usize, _: usize| {
         k += 1;
         awkward(seed, k)
     };
@@ -54,13 +61,33 @@ fn build(
         alpha,
         Matrix::from_fn(n_users, d_own, &mut next),
         Matrix::from_fn(n_items, d_own, &mut next),
-        Matrix::from_fn(n_users, d_soc, &mut next),
-        Matrix::from_fn(n_items, d_soc, &mut next),
+        Matrix::from_fn(n_users, d_social, &mut next),
+        Matrix::from_fn(n_items, d_social, &mut next),
     )
 }
 
-fn table_bits(m: &Matrix) -> Vec<u32> {
-    m.as_slice().iter().map(|v| v.to_bits()).collect()
+/// Every table's raw bits, plus α's: equality here is bit identity,
+/// which `==` on floats is not (it equates the two zeros).
+fn bits(snap: &EmbeddingSnapshot) -> (u32, [Vec<u32>; 4]) {
+    let table = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect();
+    (
+        snap.alpha().to_bits(),
+        [
+            table(snap.user_own()),
+            table(snap.item_own()),
+            table(snap.user_social()),
+            table(snap.item_social()),
+        ],
+    )
+}
+
+/// The shape invariants every opened snapshot must hold.
+fn is_sound(snap: &EmbeddingSnapshot) -> bool {
+    snap.user_own().rows() == snap.user_social().rows()
+        && snap.item_own().rows() == snap.item_social().rows()
+        && snap.user_own().cols() == snap.item_own().cols()
+        && snap.user_social().cols() == snap.item_social().cols()
+        && (0.0..=1.0).contains(&snap.alpha())
 }
 
 proptest! {
@@ -72,36 +99,15 @@ proptest! {
         alpha in 0.0f32..=1.0,
         dims in (0usize..=6, 0usize..=7, 0usize..=5, 0usize..=4),
     ) {
-        let (n_users, n_items, d_own, d_soc) = dims;
-        let snap = build(seed, n_users, n_items, d_own, d_soc, alpha);
-        let mut buf = Vec::new();
-        save_snapshot(&snap, &mut buf).unwrap();
-        let back = load_snapshot(buf.as_slice()).unwrap();
-        prop_assert_eq!(back.alpha().to_bits(), snap.alpha().to_bits());
-        prop_assert_eq!(table_bits(back.user_own()), table_bits(snap.user_own()));
-        prop_assert_eq!(table_bits(back.item_own()), table_bits(snap.item_own()));
-        prop_assert_eq!(table_bits(back.user_social()), table_bits(snap.user_social()));
-        prop_assert_eq!(table_bits(back.item_social()), table_bits(snap.item_social()));
-        prop_assert_eq!(back.n_users(), n_users);
-        prop_assert_eq!(back.n_items(), n_items);
-    }
-
-    #[test]
-    fn truncated_streams_error_instead_of_panicking(
-        seed in 0u64..1 << 48,
-        cut_frac in 0.0f32..1.0,
-    ) {
-        let snap = build(seed, 3, 4, 3, 2, 0.5);
-        let mut buf = Vec::new();
-        save_snapshot(&snap, &mut buf).unwrap();
-        let cut = ((buf.len() as f32 * cut_frac) as usize).min(buf.len() - 1);
-        buf.truncate(cut);
-        prop_assert!(
-            load_snapshot(buf.as_slice()).is_err(),
-            "truncation at {} of {} must be an error",
-            cut,
-            cut_frac
-        );
+        let snap = build(seed, alpha, dims);
+        let path = tmp("roundtrip", seed);
+        save_mmap_snapshot(&snap, &path).unwrap();
+        let mapped = open_mmap_snapshot(&path).unwrap();
+        let heaped = open_mmap_snapshot_heap(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        prop_assert!(bits(&mapped) == bits(&snap), "mapped load differs");
+        prop_assert!(bits(&heaped) == bits(&snap), "heap load differs");
+        prop_assert_eq!((heaped.n_users(), heaped.n_items()), (dims.0, dims.1));
     }
 
     #[test]
@@ -110,53 +116,51 @@ proptest! {
         pos_frac in 0.0f32..1.0,
         flip in 1u8..=255,
     ) {
-        let snap = build(seed, 3, 4, 3, 2, 0.25);
-        let mut buf = Vec::new();
-        save_snapshot(&snap, &mut buf).unwrap();
-        let pos = ((buf.len() as f32 * pos_frac) as usize).min(buf.len() - 1);
-        buf[pos] ^= flip;
-        // A flipped byte may still decode to a valid snapshot (data-region
-        // bits are arbitrary finite floats) — the contract is error-or-ok,
-        // never a panic, and an Ok must be structurally sound.
-        if let Ok(back) = load_snapshot(buf.as_slice()) {
-            prop_assert_eq!(back.user_own().rows(), back.user_social().rows());
-            prop_assert_eq!(back.item_own().rows(), back.item_social().rows());
+        let snap = build(seed, 0.25, (3, 4, 3, 2));
+        let path = tmp("flip", seed);
+        save_mmap_snapshot(&snap, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let pos = ((bytes.len() as f32 * pos_frac) as usize).min(bytes.len() - 1);
+        bytes[pos] ^= flip;
+        std::fs::write(&path, &bytes).unwrap();
+        // A flipped byte may still open (payload bits are arbitrary
+        // floats) — the contract is Err or Ok, never a panic, and an Ok
+        // is structurally sound; the heap open's Ok is also all finite.
+        if let Ok(mapped) = open_mmap_snapshot(&path) {
+            prop_assert!(is_sound(&mapped));
         }
+        if let Ok(heaped) = open_mmap_snapshot_heap(&path) {
+            prop_assert!(is_sound(&heaped));
+            let tables = [heaped.user_own(), heaped.item_own(), heaped.user_social(), heaped.item_social()];
+            prop_assert!(tables.iter().all(|t| !t.has_non_finite()));
+        }
+        std::fs::remove_file(&path).ok();
     }
 }
 
-/// Headers advertising near-overflow table shapes must be rejected (or
-/// fail on EOF) without attempting the giant allocation they describe.
-#[test]
-fn near_overflow_dims_rejected_without_oom() {
-    let snap = EmbeddingSnapshot::without_social(Matrix::zeros(2, 2), Matrix::zeros(3, 2));
-    let mut buf = Vec::new();
-    save_snapshot(&snap, &mut buf).unwrap();
-    // user_own shape lives right after magic+version+alpha (12 bytes).
-    for (rows, cols) in [
-        (u64::MAX, u64::MAX),
-        (u64::MAX, 3),
-        (1 << 62, 1), // rows*cols*4 overflows u64/usize
-        (1 << 40, 1), // representable but astronomically larger than the stream
-        (u64::MAX / 4, 1_000_000),
-    ] {
-        let mut bad = buf.clone();
-        bad[12..20].copy_from_slice(&rows.to_le_bytes());
-        bad[20..28].copy_from_slice(&cols.to_le_bytes());
-        let err = gb_serve::load_snapshot(bad.as_slice());
-        assert!(err.is_err(), "rows {rows} cols {cols} must be rejected");
-    }
-}
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
-/// The zero-user/zero-item universe is a legal snapshot and must survive
-/// the full file-format path, not just the in-memory constructor.
-#[test]
-fn empty_universe_roundtrips() {
-    let snap = EmbeddingSnapshot::without_social(Matrix::zeros(0, 3), Matrix::zeros(0, 3));
-    let mut buf = Vec::new();
-    save_snapshot(&snap, &mut buf).unwrap();
-    let back = load_snapshot(buf.as_slice()).unwrap();
-    assert_eq!(back.n_users(), 0);
-    assert_eq!(back.n_items(), 0);
-    assert_eq!(back, snap);
+    /// Every prefix of the file, not a sampled cut: each one is refused
+    /// by both opens.
+    #[test]
+    fn truncated_streams_error_instead_of_panicking(
+        seed in 0u64..1 << 48,
+        dims in (1usize..=3, 1usize..=4, 0usize..=3, 0usize..=2),
+    ) {
+        let snap = build(seed, 0.5, dims);
+        let path = tmp("trunc", seed);
+        save_mmap_snapshot(&snap, &path).unwrap();
+        let full = std::fs::read(&path).unwrap();
+        for cut in 0..full.len() {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            prop_assert!(
+                open_mmap_snapshot(&path).is_err() && open_mmap_snapshot_heap(&path).is_err(),
+                "truncation at {} of {} must be an error",
+                cut,
+                full.len()
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }
