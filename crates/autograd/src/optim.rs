@@ -55,7 +55,7 @@ impl Sgd {
     }
 }
 
-/// Adam configuration; defaults follow Kingma & Ba [29].
+/// Adam configuration; defaults follow Kingma & Ba \[29\].
 #[derive(Clone, Copy, Debug)]
 pub struct AdamConfig {
     /// Learning rate (the paper searches {1e-2, 1e-3, 1e-4, 1e-5}).

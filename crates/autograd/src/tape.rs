@@ -9,12 +9,12 @@
 //! reused accumulator slot instead of allocating a zeroed table per
 //! node).
 //!
-//! A cotangent travels in one of two forms ([`Cot`]): a full table, or
+//! A cotangent travels in one of two forms (`Cot`): a full table, or
 //! only its listed rows with every other row `+0.0`. The second is born
 //! where a mini-batch's gathers scatter into a table and is carried
 //! through the propagation's own VJPs, so a backward pays for the rows a
 //! batch touched rather than for the table heights. Either form is a
-//! column window of a table that several nodes may share ([`Shared`]): a
+//! column window of a table that several nodes may share (`Shared`): a
 //! concatenation hands each part the window of its cotangent that covers
 //! it and `add` hands both operands the same one, so a VJP that only reads
 //! its cotangent copies nothing, and one that needs a table of its own

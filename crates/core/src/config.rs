@@ -140,7 +140,7 @@ pub struct GbgcnConfig {
     pub beta: f32,
     /// L2 regularization coefficient on batch raw embeddings.
     pub l2: f32,
-    /// Social-regularization coefficient (the term of SocialMF [1] the
+    /// Social-regularization coefficient (the term of SocialMF \[1\] the
     /// paper adds "for better learning").
     pub social_reg: f32,
     /// Mini-batch size in behaviors (paper: 4096 on full Beibei).

@@ -45,7 +45,7 @@ pub struct PropParams {
 }
 
 impl PropParams {
-    /// Registers all GBGCN parameters in `store` with Xavier init [39].
+    /// Registers all GBGCN parameters in `store` with Xavier init \[39\].
     pub fn init(
         store: &mut ParamStore,
         cfg: &GbgcnConfig,

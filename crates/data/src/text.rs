@@ -1,5 +1,5 @@
 //! Plain-text dataset loader compatible with the authors' released data
-//! layout (https://github.com/Sweetnow/group-buying-recommendation).
+//! layout (<https://github.com/Sweetnow/group-buying-recommendation>).
 //!
 //! The release ships whitespace/comma-delimited text files; this module
 //! reads the equivalent structure so the real Beibei dump can be swapped

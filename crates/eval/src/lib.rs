@@ -15,7 +15,7 @@
 //!   baseline the `gb-serve` engine is validated and benchmarked against;
 //! * [`cosine_pdf`] — the cosine-similarity probability-density curves of
 //!   Fig. 5;
-//! * [`tsne`] — exact t-SNE [41] for the embedding visualization of
+//! * [`tsne`] — exact t-SNE \[41\] for the embedding visualization of
 //!   Fig. 6.
 
 pub mod cosine_pdf;

@@ -1,4 +1,4 @@
-//! Exact t-SNE (van der Maaten & Hinton [41]) for the embedding
+//! Exact t-SNE (van der Maaten & Hinton \[41\]) for the embedding
 //! visualization of Fig. 6.
 //!
 //! The paper projects 1000 sampled users and 1000 sampled items (in both

@@ -1,4 +1,4 @@
-//! AGREE [19]: attentive group recommendation, on the paper's group
+//! AGREE \[19\]: attentive group recommendation, on the paper's group
 //! conversion of the group-buying data.
 
 use crate::common::{add_l2, train_pairs, Recommender, TrainConfig, TrainReport};

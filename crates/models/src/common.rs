@@ -168,7 +168,7 @@ pub(crate) fn train_pairs(
 }
 
 /// BPR loss `-(Σ ln σ(pos - neg)) / denom` over aligned `n x 1` score
-/// columns (Rendle et al. [27], the loss the paper uses for most
+/// columns (Rendle et al. \[27\], the loss the paper uses for most
 /// baselines), where `denom` is the *full* batch's pair count.
 ///
 /// A whole-batch caller passes its own `n` and gets the batch mean; a

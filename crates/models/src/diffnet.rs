@@ -1,4 +1,4 @@
-//! DiffNet [11]: layered social influence diffusion.
+//! DiffNet \[11\]: layered social influence diffusion.
 
 use crate::common::{
     add_l2, bpr_loss, dot_scores, train_pairs, Recommender, TrainConfig, TrainReport,

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// BPR matrix factorization [38], [27].
+/// BPR matrix factorization \[38\], \[27\].
 ///
 /// The conversion `kind` selects between the paper's two ways of
 /// flattening group-buying records into user–item interactions:

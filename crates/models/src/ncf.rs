@@ -1,4 +1,4 @@
-//! Neural Collaborative Filtering [28]: GMF ⊕ MLP.
+//! Neural Collaborative Filtering \[28\]: GMF ⊕ MLP.
 
 use crate::common::{add_l2, bpr_loss, train_pairs, Recommender, TrainConfig, TrainReport};
 use gb_autograd::{ParamId, ParamStore, Tape, Var};

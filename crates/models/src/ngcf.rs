@@ -1,4 +1,4 @@
-//! Neural Graph Collaborative Filtering [25].
+//! Neural Graph Collaborative Filtering \[25\].
 
 use crate::common::{
     add_l2, bpr_loss, dot_scores, train_pairs, Recommender, TrainConfig, TrainReport,

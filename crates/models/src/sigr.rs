@@ -1,4 +1,4 @@
-//! SIGR [21]: social-influence-based group recommendation.
+//! SIGR \[21\]: social-influence-based group recommendation.
 
 use crate::common::{add_l2, train_pairs, Recommender, TrainConfig, TrainReport};
 use gb_autograd::{ParamId, ParamStore, Tape, Var};

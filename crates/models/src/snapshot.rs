@@ -244,17 +244,6 @@ impl EmbeddingSnapshot {
         );
     }
 
-    /// [`EmbeddingSnapshot::score_block_rows`] for callers scoring a
-    /// single block: gathers `users`' rows, then scores them.
-    ///
-    /// # Panics
-    /// Panics if any user is out of range, the item range exceeds the
-    /// catalogue, or `out.len() != users.len() * len`.
-    pub fn score_block_multi(&self, users: &[u32], start: usize, len: usize, out: &mut [f32]) {
-        let (owns, socials) = self.user_rows(users);
-        self.score_block_rows(&owns, &socials, start, len, out);
-    }
-
     /// Scores an explicit list of item ids for `user` into `out` — the
     /// gathered scoring path behind `Scorer::score_items` (explicit
     /// candidate lists, e.g. the evaluation protocol's 1000-candidate
@@ -590,7 +579,8 @@ mod tests {
         let users = [2u32, 0, 1, 2]; // duplicates allowed
         for &(start, len) in &[(0usize, 5usize), (1, 3), (4, 1), (2, 0)] {
             let mut multi = vec![0.0f32; users.len() * len];
-            s.score_block_multi(&users, start, len, &mut multi);
+            let (owns, socials) = s.user_rows(&users);
+            s.score_block_rows(&owns, &socials, start, len, &mut multi);
             for (u, &user) in users.iter().enumerate() {
                 let mut single = vec![0.0f32; len];
                 s.score_block(user, start, &mut single);

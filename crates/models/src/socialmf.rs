@@ -1,4 +1,4 @@
-//! SocialMF [1]: matrix factorization with trust propagation.
+//! SocialMF \[1\]: matrix factorization with trust propagation.
 
 use crate::common::{
     add_l2, bpr_loss, dot_scores, train_pairs, Recommender, TrainConfig, TrainReport,
@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 /// SocialMF: BPR matrix factorization plus the social regularization term
-/// of Jamali & Ester [1], which pulls each user's embedding toward the
+/// of Jamali & Ester \[1\], which pulls each user's embedding toward the
 /// mean of their friends' embeddings:
 /// `λ_s Σ_m ||u_m − mean_{f ∈ S(m)} u_f||²`.
 pub struct SocialMf {

@@ -38,6 +38,7 @@ use crate::ivf::IvfIndex;
 use crate::topk::{ScoredItem, TopK};
 use gb_graph::BitMatrix;
 use gb_models::{EmbeddingSnapshot, SnapshotHandle, VersionedSnapshot};
+use gb_tensor::kernels::DOT_LANES;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -110,7 +111,7 @@ pub struct EngineConfig {
     /// default: one extra copy of the item tables bought for sequential
     /// cell streaming) or score cells in place against the snapshot
     /// tables (`false`: zero extra item-table memory — the right call
-    /// when many shard engines share one box). Purely a layout knob:
+    /// when many shards share one box). Purely a layout knob:
     /// rankings are bit-identical either way. Ignored in exact mode.
     pub ivf_packed: bool,
     /// Whether a delta publish ([`SnapshotHandle::publish_delta`])
@@ -260,221 +261,59 @@ pub(crate) fn check_seen_filter(filter: &BitMatrix, snapshot: &EmbeddingSnapshot
     );
 }
 
-/// Scores one user against the full catalogue and keeps the top K.
-pub struct QueryEngine {
-    handle: SnapshotHandle,
-    /// Seen-item bitset: bit `(u, n)` set ⇒ never recommend `n` to `u`.
-    filter: Option<BitMatrix>,
-    /// Deal-state filter (one row of item bits, bit set ⇒ blocked) plus
-    /// its generation, swappable at runtime as deal lifecycles progress;
-    /// composes with the per-user seen filter at every rank site.
-    deal: DealSlot<BitMatrix>,
-    cache: Option<Mutex<ResponseCache>>,
-    block_size: usize,
-    user_block: usize,
-    retrieval: Retrieval,
-    ivf_packed: bool,
-    ivf_incremental: bool,
-    /// IVF indexes of the two newest versions queried, each built lazily
-    /// on the first IVF-mode query against its version; unused in exact
-    /// mode.
-    ivf: VersionCache<IvfIndex>,
-    /// Scripted fault schedule (tests/soaks only): consulted at every
-    /// uncached scoring dispatch. `None` in production — one branch.
-    faults: Option<Arc<FaultPlan>>,
+pub(crate) use scoring::Core;
+
+mod scoring {
+    use super::*;
+
+    /// What one catalogue, or one shard's item range, owns for scoring:
+    /// no handle and no deal slot, so it holds no snapshot between calls.
+    /// `pub` in a private module: `ShardedEngine::shards` hands cores out
+    /// for `cache_stats`, and nothing outside the crate can name them.
+    pub struct Core {
+        /// Seen-item bitset: bit `(u, n)` set ⇒ never recommend `n` to `u`.
+        pub(super) seen: Option<BitMatrix>,
+        pub(crate) cache: Option<Mutex<ResponseCache>>,
+        /// The tuning, knobs clamped as each one's docs say.
+        pub(crate) cfg: EngineConfig,
+        /// IVF indexes of the two newest versions served, each built
+        /// lazily on the first IVF-mode query against its version.
+        pub(super) ivf: VersionCache<IvfIndex>,
+    }
 }
 
-impl QueryEngine {
-    /// Engine over a fixed `snapshot` with default tuning, no filter, no
-    /// cache.
-    pub fn new(snapshot: EmbeddingSnapshot) -> Self {
-        Self::with_config(snapshot, EngineConfig::default())
-    }
-
-    /// Engine over a fixed `snapshot` with explicit tuning.
-    pub fn with_config(snapshot: EmbeddingSnapshot, cfg: EngineConfig) -> Self {
-        Self::with_handle(SnapshotHandle::new(snapshot), cfg)
-    }
-
-    /// Engine over a shared [`SnapshotHandle`]: snapshots published to
-    /// the handle (e.g. by a trainer mid-run) are served by the very next
-    /// query, no restart needed.
-    pub fn with_handle(handle: SnapshotHandle, cfg: EngineConfig) -> Self {
-        let cache = if cfg.cache_capacity > 0 {
-            Some(Mutex::new(LruCache::new(cfg.cache_capacity)))
-        } else {
-            None
-        };
-        let retrieval = match cfg.retrieval {
-            Retrieval::Exact => Retrieval::Exact,
-            Retrieval::Ivf {
-                n_clusters,
-                n_probe,
-            } => Retrieval::Ivf {
-                n_clusters: n_clusters.max(1),
-                n_probe: n_probe.max(1),
-            },
-        };
+impl Core {
+    /// A core tuned by `cfg`, with no seen filter.
+    pub(crate) fn new(cfg: &EngineConfig) -> Self {
+        let mut cfg = cfg.clone();
+        cfg.block_size = cfg.block_size.max(1).next_multiple_of(DOT_LANES);
+        cfg.user_block = cfg.user_block.max(1);
+        if let Retrieval::Ivf {
+            n_clusters,
+            n_probe,
+        } = &mut cfg.retrieval
+        {
+            *n_clusters = (*n_clusters).max(1);
+            *n_probe = (*n_probe).max(1);
+        }
         Self {
-            handle,
-            filter: None,
-            deal: DealSlot::new(),
-            cache,
-            block_size: cfg
-                .block_size
-                .max(1)
-                .next_multiple_of(gb_tensor::kernels::DOT_LANES),
-            user_block: cfg.user_block.max(1),
-            retrieval,
-            ivf_packed: cfg.ivf_packed,
-            ivf_incremental: cfg.ivf_incremental,
+            seen: None,
+            cache: (cfg.cache_capacity > 0).then(|| Mutex::new(LruCache::new(cfg.cache_capacity))),
+            cfg,
             ivf: VersionCache::new(),
-            faults: None,
         }
     }
 
-    /// Attaches a scripted [`FaultPlan`] (tests and soaks): the engine
-    /// consults it at every uncached scoring dispatch, where an injected
-    /// panic lands exactly where a real scoring bug would — outside any
-    /// engine lock, inside the supervision boundary of the `try_*` APIs
-    /// and the service workers.
-    pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Installs a seen-item filter; filtered items never appear in
-    /// results. Any responses already cached are discarded — they were
-    /// computed without the filter and could leak seen items.
-    ///
-    /// # Panics
-    /// Panics if the bitset shape disagrees with the served snapshot.
-    /// The universe is grow-only: later publishes may append items past
-    /// the filter's columns, and those items probe as unseen.
-    pub fn with_seen_filter(mut self, filter: BitMatrix) -> Self {
-        check_seen_filter(&filter, self.handle.load().snapshot());
-        self.install_seen_filter(filter);
-        self
-    }
-
-    /// [`QueryEngine::with_seen_filter`] without its shape check: a shard
-    /// engine's slice is checked by its router against the served
-    /// catalogue, which may have grown past the shard's own snapshot.
-    pub(crate) fn install_seen_filter(&mut self, filter: BitMatrix) {
-        self.filter = Some(filter);
+    /// Installs the seen filter over the core's items, unchecked (the
+    /// caller checks it against the served catalogue) and discards cached
+    /// responses, which could leak seen items.
+    pub(crate) fn set_seen_filter(&mut self, filter: BitMatrix) {
+        self.seen = Some(filter);
         if let Some(cache) = &self.cache {
             // Flush entries, keep hit/miss counters and the slab
             // allocation — invalidation is not amnesia.
             lock_recover(cache).clear();
         }
-    }
-
-    /// Installs (or replaces) the deal-state candidate filter: one row of
-    /// item bits, bit `n` set ⇒ item `n` is blocked for *every* user —
-    /// e.g. `gb_data::EventLog::blocked_items_at` masking items whose
-    /// most recent deal is not in an allowed phase (live / expiring /
-    /// full). Composes with the per-user seen filter: a candidate
-    /// survives only if both gates pass.
-    ///
-    /// Takes effect for every subsequent query (in-flight queries keep
-    /// the filter they started with). Cached responses computed under the
-    /// previous filter are invalidated *by key*: the cache key carries
-    /// the filter generation, so stale entries become unreachable and age
-    /// out of the LRU — same rule a publish applies via the version.
-    ///
-    /// Items past the filter's columns (appended by a later grow-only
-    /// publish) probe as allowed.
-    ///
-    /// # Panics
-    /// Panics unless the filter is exactly one row.
-    pub fn set_deal_filter(&self, filter: BitMatrix) {
-        assert_eq!(filter.rows(), 1, "deal filter is one row of item bits");
-        self.deal.swap(Some(filter));
-    }
-
-    /// Removes the deal-state filter; subsequent queries gate candidates
-    /// on the seen filter alone. Bumps the filter generation like
-    /// [`QueryEngine::set_deal_filter`].
-    pub fn clear_deal_filter(&self) {
-        self.deal.swap(None);
-    }
-
-    /// How many times the deal-state filter has been installed, replaced,
-    /// or cleared — the cache-key component that retires responses
-    /// computed under an earlier filter.
-    pub fn deal_generation(&self) -> u64 {
-        self.deal.generation()
-    }
-
-    /// Whether this engine caches responses.
-    pub fn has_cache(&self) -> bool {
-        self.cache.is_some()
-    }
-
-    /// Users scored per catalogue pass on the batched path (≥ 1).
-    pub fn user_block(&self) -> usize {
-        self.user_block
-    }
-
-    /// The candidate-generation mode this engine serves with.
-    pub fn retrieval(&self) -> Retrieval {
-        self.retrieval
-    }
-
-    /// The newest snapshot version an IVF index has been built for
-    /// (`None` before the first IVF-mode query, or in exact mode). After
-    /// any IVF-mode query this is at least the version that query
-    /// reported — the rebuild-on-publish observability hook.
-    pub fn ivf_index_version(&self) -> Option<u64> {
-        self.ivf.newest()
-    }
-
-    /// One IVF index for `cur`, by whichever path applies: when
-    /// incremental maintenance is enabled and `cur` is a delta publish
-    /// whose predecessor's index is still cached, the predecessor is
-    /// updated in place of a rebuild — only the changed and appended
-    /// items are re-routed to their nearest existing centroid
-    /// ([`IvfIndex::update`]). Everything else (full publishes, a missing
-    /// predecessor index, an empty predecessor catalogue, incremental
-    /// off) runs the full seeded k-means build, exactly as before.
-    fn build_ivf(&self, cur: &VersionedSnapshot, n_clusters: usize) -> IvfIndex {
-        if self.ivf_incremental {
-            if let Some(stamp) = cur.delta() {
-                if let Some(prev) = self.ivf.get(stamp.prev_version()) {
-                    if prev.n_clusters() > 0 {
-                        return prev.update(
-                            cur.snapshot(),
-                            cur.version(),
-                            stamp.changed_items(),
-                            stamp.n_appended(),
-                        );
-                    }
-                }
-            }
-        }
-        IvfIndex::build(
-            cur.snapshot(),
-            cur.version(),
-            n_clusters,
-            IVF_SEED,
-            self.ivf_packed,
-        )
-    }
-
-    /// The handle the engine reads; publish to it to hot-swap the served
-    /// snapshot.
-    pub fn handle(&self) -> &SnapshotHandle {
-        &self.handle
-    }
-
-    /// The currently-served `(version, snapshot)` pair.
-    pub fn snapshot(&self) -> Arc<VersionedSnapshot> {
-        self.handle.load()
-    }
-
-    /// Users in the served universe (fixed across publishes).
-    pub fn n_users(&self) -> usize {
-        self.handle.load().snapshot().n_users()
     }
 
     /// `(hits, misses)` of the response cache (zeros when disabled).
@@ -485,65 +324,20 @@ impl QueryEngine {
         }
     }
 
-    /// Top-`k` unseen items for `user`, best first: a batch of one
-    /// through [`QueryEngine::try_recommend_batch`], so the same
-    /// validation, cache and supervision contract applies. Results are
-    /// shared `Arc`s so cache hits are allocation-free.
-    pub fn try_recommend(&self, user: u32, k: usize) -> Result<Arc<Vec<ScoredItem>>, ServeError> {
-        self.try_recommend_batch(&[user], k)
-            .map(|(_, mut lists)| lists.swap_remove(0))
-    }
-
-    /// Top-`k` unseen items for each of `users`, all answered from *one*
-    /// pinned snapshot version, which is returned alongside the results —
-    /// the engine's one request boundary.
-    ///
-    /// The whole batch is validated up front: any out-of-range user
-    /// rejects it with [`ServeError::InvalidRequest`] before work
-    /// happens. A panic anywhere in the scoring pass is caught here and
-    /// returned as one [`ServeError::Poisoned`] for the batch — per-user
-    /// partial results are never fabricated from an interrupted pass, and
-    /// the engine survives (its locks are poison-tolerant and no critical
-    /// section can be interrupted mid-mutation; see `crate::error`).
-    ///
-    /// Uncached users are scored in blocks of up to
-    /// [`EngineConfig::user_block`], each block walking the catalogue
-    /// *once* (the item tables stream from memory once per block instead
-    /// of once per user); each computed response fills the cache on the
-    /// way out. Batching and block sizes are scheduling choices, never
-    /// numeric ones: every per-user result is the reference top-`k` of
-    /// that user's scores. Duplicate users are computed once and share
-    /// one `Arc`.
-    pub fn try_recommend_batch(&self, users: &[u32], k: usize) -> VersionedBatchResult {
-        let cur = self.handle.load();
-        check_users(users, cur.snapshot().n_users())?;
-        let (deal_gen, deal) = self.deal.load();
-        catch_unwind(AssertUnwindSafe(|| {
-            self.recommend_many_at_with_deal(&cur, deal_gen, deal.as_deref(), users, k)
-        }))
-        .map(|r| (cur.version(), r))
-        .map_err(|p| ServeError::poisoned(p.as_ref(), "batched scoring"))
-    }
-
-    /// The batched path against an explicitly pinned `(version,
-    /// snapshot)` pair and `(generation, filter)` deal slot, instead of
-    /// whatever the engine's handle and slot currently hold.
-    ///
-    /// This is the scatter primitive of the sharded tier: a
-    /// `ShardedEngine` pins *one* globally published snapshot and *one*
-    /// router-level deal slot, slices both, and queries every shard
-    /// engine against its slice — even if the global handle moves
-    /// mid-scatter, no shard can answer from a different publish or
-    /// filter. Caching still works (the key carries `cur`'s version and
-    /// the caller's generation), as does IVF (the index is built for
-    /// `cur`'s version on miss). Callers validate `users` against `cur`.
-    pub(crate) fn recommend_many_at_with_deal(
+    /// Top-`k` per user against the caller's pinned `(version, snapshot)`
+    /// pair and `(generation, filter)` deal pair — both tiers' one scoring
+    /// path (a router passes each shard its slice of both). The cache key
+    /// carries `cur`'s version and `deal_gen`; the IVF index is built for
+    /// `cur`'s version on a miss; `faults` is consulted at every uncached
+    /// scoring dispatch. Callers validate `users` against `cur`.
+    pub(crate) fn serve(
         &self,
         cur: &VersionedSnapshot,
         deal_gen: u64,
         deal: Option<&BitMatrix>,
         users: &[u32],
         k: usize,
+        faults: Option<&FaultPlan>,
     ) -> Vec<Arc<Vec<ScoredItem>>> {
         let version = cur.version();
         let mut out: Vec<Option<Arc<Vec<ScoredItem>>>> = vec![None; users.len()];
@@ -575,7 +369,10 @@ impl QueryEngine {
             pending.push((user, slot));
         }
 
-        for block in pending.chunks(self.user_block) {
+        for block in pending.chunks(self.cfg.user_block) {
+            if let Some(plan) = faults {
+                plan.at_score();
+            }
             let block_users: Vec<u32> = block.iter().map(|&(user, _)| user).collect();
             let ranked = self.rank_many(cur, deal, &block_users, k);
             for (&(user, slot), result) in block.iter().zip(ranked) {
@@ -621,6 +418,38 @@ impl QueryEngine {
             .collect()
     }
 
+    /// One IVF index for `cur`, by whichever path applies: when
+    /// incremental maintenance is enabled and `cur` is a delta publish
+    /// whose predecessor's index is still cached, the predecessor is
+    /// updated in place of a rebuild — only the changed and appended
+    /// items are re-routed to their nearest existing centroid
+    /// ([`IvfIndex::update`]). Everything else (full publishes, a missing
+    /// predecessor index, an empty predecessor catalogue, incremental
+    /// off) runs the full seeded k-means build.
+    fn build_ivf(&self, cur: &VersionedSnapshot, n_clusters: usize) -> IvfIndex {
+        if self.cfg.ivf_incremental {
+            if let Some(stamp) = cur.delta() {
+                if let Some(prev) = self.ivf.get(stamp.prev_version()) {
+                    if prev.n_clusters() > 0 {
+                        return prev.update(
+                            cur.snapshot(),
+                            cur.version(),
+                            stamp.changed_items(),
+                            stamp.n_appended(),
+                        );
+                    }
+                }
+            }
+        }
+        IvfIndex::build(
+            cur.snapshot(),
+            cur.version(),
+            n_clusters,
+            IVF_SEED,
+            self.cfg.ivf_packed,
+        )
+    }
+
     /// The uncached scoring dispatch for one block of users against one
     /// pinned `(version, snapshot)` pair, under one pinned deal filter.
     /// Exact mode shares one catalogue walk across the block; IVF mode
@@ -634,10 +463,7 @@ impl QueryEngine {
         users: &[u32],
         k: usize,
     ) -> Vec<Vec<ScoredItem>> {
-        if let Some(plan) = &self.faults {
-            plan.at_score();
-        }
-        match self.retrieval {
+        match self.cfg.retrieval {
             Retrieval::Exact => self.rank_many_exact(cur.snapshot(), deal, users, k),
             Retrieval::Ivf {
                 n_clusters,
@@ -687,14 +513,14 @@ impl QueryEngine {
         cells: &[usize],
     ) -> Vec<ScoredItem> {
         let mut topk = TopK::new(k);
-        let seen = self.filter.as_ref().map(|f| f.row_words(user as usize));
+        let seen = self.seen.as_ref().map(|f| f.row_words(user as usize));
         let deal = deal.map(|f| f.row_words(0));
-        let mut scores = vec![0.0f32; self.block_size.min(snapshot.n_items().max(1))];
+        let mut scores = vec![0.0f32; self.cfg.block_size.min(snapshot.n_items().max(1))];
         for &cell in cells {
             let list = index.list(cell);
             let mut start = 0usize;
             while start < list.len() {
-                let len = self.block_size.min(list.len() - start);
+                let len = self.cfg.block_size.min(list.len() - start);
                 let out = &mut scores[..len];
                 index.score_cell(snapshot, user, cell, start, out);
                 topk.offer_listed(&list[start..start + len], out, seen, deal);
@@ -719,15 +545,15 @@ impl QueryEngine {
         let mut topks: Vec<TopK> = users.iter().map(|_| TopK::new(k)).collect();
         let seens: Vec<Option<&[u64]>> = users
             .iter()
-            .map(|&u| self.filter.as_ref().map(|f| f.row_words(u as usize)))
+            .map(|&u| self.seen.as_ref().map(|f| f.row_words(u as usize)))
             .collect();
         let deal = deal.map(|f| f.row_words(0));
         let (owns, socials) = snapshot.user_rows(users);
-        let len_cap = self.block_size.min(n_items.max(1));
+        let len_cap = self.cfg.block_size.min(n_items.max(1));
         let mut block = vec![0.0f32; users.len() * len_cap];
         let mut start = 0usize;
         while start < n_items {
-            let len = self.block_size.min(n_items - start);
+            let len = self.cfg.block_size.min(n_items - start);
             let out = &mut block[..users.len() * len];
             snapshot.score_block_rows(&owns, &socials, start, len, out);
             for (u, topk) in topks.iter_mut().enumerate() {
@@ -737,6 +563,191 @@ impl QueryEngine {
             start += len;
         }
         topks.into_iter().map(TopK::into_sorted).collect()
+    }
+}
+
+/// Scores users against the full catalogue and keeps the top K: one
+/// scoring core over whatever snapshot its handle serves.
+pub struct QueryEngine {
+    handle: SnapshotHandle,
+    /// Deal-state filter (one row of item bits, bit set ⇒ blocked) and
+    /// its generation, swapped at runtime as deal lifecycles progress.
+    deal: DealSlot<BitMatrix>,
+    /// Scripted fault schedule (tests/soaks only): consulted at every
+    /// uncached scoring dispatch. `None` in production — one branch.
+    faults: Option<Arc<FaultPlan>>,
+    core: Core,
+}
+
+impl QueryEngine {
+    /// Engine over a fixed `snapshot` with default tuning, no filter, no
+    /// cache.
+    pub fn new(snapshot: EmbeddingSnapshot) -> Self {
+        Self::with_config(snapshot, EngineConfig::default())
+    }
+
+    /// Engine over a fixed `snapshot` with explicit tuning.
+    pub fn with_config(snapshot: EmbeddingSnapshot, cfg: EngineConfig) -> Self {
+        Self::with_handle(SnapshotHandle::new(snapshot), cfg)
+    }
+
+    /// Engine over a shared [`SnapshotHandle`]: snapshots published to
+    /// the handle (e.g. by a trainer mid-run) are served by the very next
+    /// query, no restart needed.
+    pub fn with_handle(handle: SnapshotHandle, cfg: EngineConfig) -> Self {
+        Self {
+            handle,
+            deal: DealSlot::new(),
+            faults: None,
+            core: Core::new(&cfg),
+        }
+    }
+
+    /// Attaches a scripted [`FaultPlan`] (tests and soaks): the engine
+    /// consults it at every uncached scoring dispatch, where an injected
+    /// panic lands exactly where a real scoring bug would — outside any
+    /// engine lock, inside the supervision boundary of the `try_*` APIs
+    /// and the service workers.
+    pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
+        self.faults = Some(plan);
+        self
+    }
+
+    /// Installs a seen-item filter; filtered items never appear in
+    /// results. Any responses already cached are discarded — they were
+    /// computed without the filter and could leak seen items.
+    ///
+    /// # Panics
+    /// Panics if the bitset shape disagrees with the served snapshot.
+    /// The universe is grow-only: later publishes may append items past
+    /// the filter's columns, and those items probe as unseen.
+    pub fn with_seen_filter(mut self, filter: BitMatrix) -> Self {
+        check_seen_filter(&filter, self.handle.load().snapshot());
+        self.core.set_seen_filter(filter);
+        self
+    }
+
+    /// Installs (or replaces) the deal-state candidate filter: one row of
+    /// item bits, bit `n` set ⇒ item `n` is blocked for *every* user —
+    /// e.g. `gb_data::EventLog::blocked_items_at` masking items whose
+    /// most recent deal is not in an allowed phase (live / expiring /
+    /// full). Composes with the per-user seen filter: a candidate
+    /// survives only if both gates pass.
+    ///
+    /// Takes effect for every subsequent query (in-flight queries keep
+    /// the filter they started with). Cached responses computed under the
+    /// previous filter are invalidated *by key*: the cache key carries
+    /// the filter generation, so stale entries become unreachable and age
+    /// out of the LRU — same rule a publish applies via the version.
+    ///
+    /// Items past the filter's columns (appended by a later grow-only
+    /// publish) probe as allowed.
+    ///
+    /// # Panics
+    /// Panics unless the filter is exactly one row.
+    pub fn set_deal_filter(&self, filter: BitMatrix) {
+        assert_eq!(filter.rows(), 1, "deal filter is one row of item bits");
+        self.deal.swap(Some(filter));
+    }
+
+    /// Removes the deal-state filter; subsequent queries gate candidates
+    /// on the seen filter alone. Bumps the filter generation like
+    /// [`QueryEngine::set_deal_filter`].
+    pub fn clear_deal_filter(&self) {
+        self.deal.swap(None);
+    }
+
+    /// How many times the deal-state filter has been installed, replaced,
+    /// or cleared — the cache-key component that retires responses
+    /// computed under an earlier filter.
+    pub fn deal_generation(&self) -> u64 {
+        self.deal.generation()
+    }
+
+    /// Whether this engine caches responses.
+    pub fn has_cache(&self) -> bool {
+        self.core.cache.is_some()
+    }
+
+    /// Users scored per catalogue pass on the batched path (≥ 1).
+    pub fn user_block(&self) -> usize {
+        self.core.cfg.user_block
+    }
+
+    /// The candidate-generation mode this engine serves with.
+    pub fn retrieval(&self) -> Retrieval {
+        self.core.cfg.retrieval
+    }
+
+    /// The newest snapshot version an IVF index has been built for
+    /// (`None` before the first IVF-mode query, or in exact mode). After
+    /// any IVF-mode query this is at least the version that query
+    /// reported — the rebuild-on-publish observability hook.
+    pub fn ivf_index_version(&self) -> Option<u64> {
+        self.core.ivf.newest()
+    }
+
+    /// The handle the engine reads; publish to it to hot-swap the served
+    /// snapshot.
+    pub fn handle(&self) -> &SnapshotHandle {
+        &self.handle
+    }
+
+    /// The currently-served `(version, snapshot)` pair.
+    pub fn snapshot(&self) -> Arc<VersionedSnapshot> {
+        self.handle.load()
+    }
+
+    /// Users in the served universe (fixed across publishes).
+    pub fn n_users(&self) -> usize {
+        self.handle.load().snapshot().n_users()
+    }
+
+    /// `(hits, misses)` of the response cache (zeros when disabled).
+    pub fn cache_stats(&self) -> (u64, u64) {
+        self.core.cache_stats()
+    }
+
+    /// Top-`k` unseen items for `user`, best first: a batch of one
+    /// through [`QueryEngine::try_recommend_batch`], so the same
+    /// validation, cache and supervision contract applies. Results are
+    /// shared `Arc`s so cache hits are allocation-free.
+    pub fn try_recommend(&self, user: u32, k: usize) -> Result<Arc<Vec<ScoredItem>>, ServeError> {
+        self.try_recommend_batch(&[user], k)
+            .map(|(_, mut lists)| lists.swap_remove(0))
+    }
+
+    /// Top-`k` unseen items for each of `users`, all answered from *one*
+    /// pinned snapshot version, which is returned alongside the results —
+    /// the engine's one request boundary.
+    ///
+    /// The whole batch is validated up front: any out-of-range user
+    /// rejects it with [`ServeError::InvalidRequest`] before work
+    /// happens. A panic anywhere in the scoring pass is caught here and
+    /// returned as one [`ServeError::Poisoned`] for the batch — per-user
+    /// partial results are never fabricated from an interrupted pass, and
+    /// the engine survives (its locks are poison-tolerant and no critical
+    /// section can be interrupted mid-mutation; see `crate::error`).
+    ///
+    /// Uncached users are scored in blocks of up to
+    /// [`EngineConfig::user_block`], each block walking the catalogue
+    /// *once* (the item tables stream from memory once per block instead
+    /// of once per user); each computed response fills the cache on the
+    /// way out. Batching and block sizes are scheduling choices, never
+    /// numeric ones: every per-user result is the reference top-`k` of
+    /// that user's scores. Duplicate users are computed once and share
+    /// one `Arc`.
+    pub fn try_recommend_batch(&self, users: &[u32], k: usize) -> VersionedBatchResult {
+        let cur = self.handle.load();
+        check_users(users, cur.snapshot().n_users())?;
+        let (deal_gen, deal) = self.deal.load();
+        catch_unwind(AssertUnwindSafe(|| {
+            let faults = self.faults.as_deref();
+            self.core
+                .serve(&cur, deal_gen, deal.as_deref(), users, k, faults)
+        }))
+        .map(|r| (cur.version(), r))
+        .map_err(|p| ServeError::poisoned(p.as_ref(), "batched scoring"))
     }
 }
 

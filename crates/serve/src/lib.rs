@@ -74,8 +74,10 @@
 //!   changed/appended items ([`IvfIndex::update`]), aliasing every
 //!   untouched packed cell.
 //! * [`router::ShardedEngine`] — the scale-out tier: partitions the
-//!   catalogue across N shard engines along a [`shard::ShardPlan`]
-//!   (contiguous zero-copy snapshot/filter slices, per-shard IVF),
+//!   catalogue along a [`shard::ShardPlan`] and scores each range with
+//!   the scoring core a `QueryEngine` is built on (contiguous zero-copy
+//!   snapshot/filter slices, per-shard cache and IVF; one handle and one
+//!   deal slot, on the router),
 //!   scatters each query to every shard, and merges the gathered
 //!   per-shard top-k under the same strict total order — bitwise
 //!   identical to a single engine at any shard count, with per-shard +

@@ -1,12 +1,13 @@
 //! Scatter-gather serving over a sharded catalogue.
 //!
-//! One [`QueryEngine`] owns the whole item catalogue — which caps a
-//! deployment at whatever one snapshot, one seen-filter, and one IVF
-//! build fit in RAM. [`ShardedEngine`] lifts that cap: a [`ShardPlan`]
-//! splits the catalogue into N contiguous ranges, each range is served
-//! by its own `QueryEngine` (zero-copy snapshot slice, word-shifted
-//! seen-filter slice, independently built IVF index), and a query
-//! *scatters* to every shard, *gathers* the per-shard top-K, and merges.
+//! One [`QueryEngine`](crate::engine::QueryEngine) owns the whole item
+//! catalogue, which caps a deployment at whatever one snapshot, seen
+//! filter and IVF build fit in RAM. [`ShardedEngine`] lifts that cap: a
+//! [`ShardPlan`] splits the catalogue into N contiguous ranges, each
+//! scored by the core under every `QueryEngine` (word-shifted seen-filter
+//! slice, cache, own IVF index); a query *scatters* to every shard with
+//! its zero-copy snapshot slice, *gathers* the per-shard top-K, and
+//! merges.
 //!
 //! ## Why the merge is provably bit-identical
 //!
@@ -36,20 +37,21 @@
 //!
 //! ## One version, every shard
 //!
-//! All shards hang off *one* global [`SnapshotHandle`]. A query loads
-//! the current `Arc<VersionedSnapshot>` once, resolves the per-shard
-//! slice set for exactly that version (built on a version's first query
-//! and kept two versions deep, through the same cache as the engine's IVF
-//! indexes), and scatters to every shard engine's batched path against
-//! that pinned version — so a publish landing mid-scatter can never
-//! tear a response across versions: every shard answers from the same
-//! publish, and the merged response reports that version. Publishing
-//! through [`ShardedEngine::publish`] shares the tables first
+//! The router holds *one* [`SnapshotHandle`] and one deal slot; shards
+//! hold neither. A query loads the current `Arc<VersionedSnapshot>`
+//! once, resolves the per-shard slice set for exactly that version
+//! (built on a version's first query and kept two versions deep, through
+//! the same cache as the engine's IVF indexes), reads the deal slot
+//! once, and scores every shard against its slice of that pinned pair —
+//! so a publish landing mid-scatter can never tear a response across
+//! versions, and the merged response reports that version. The slice
+//! sets alone hold a version's tables on this tier. Publishing through
+//! [`ShardedEngine::publish`] shares the tables first
 //! ([`EmbeddingSnapshot::to_shared`]), so the N slices of a version
 //! alias one copy of the catalogue.
 
 use crate::engine::{
-    check_seen_filter, DealSlot, EngineConfig, QueryEngine, Retrieval, ServeEngine, VersionCache,
+    check_seen_filter, Core, DealSlot, EngineConfig, Retrieval, ServeEngine, VersionCache,
     VersionedBatchResult,
 };
 use crate::error::{check_users, lock_recover, ServeError};
@@ -77,7 +79,7 @@ pub struct ShardedConfig {
     pub parallel_scatter: bool,
     /// How many times a failed (panicked) shard scatter is retried
     /// before the shard counts as missing for that query. Retries hit
-    /// the same shard engine — its state is valid after a caught panic
+    /// the same shard — its state is valid after a caught panic
     /// (see `crate::error`) — so a transient failure heals in-query.
     pub scatter_retries: usize,
     /// Degraded-response policy when shards are still missing after
@@ -88,7 +90,7 @@ pub struct ShardedConfig {
     /// query where *every* shard failed is an error — never a silently
     /// incomplete ranking.
     pub allow_partial: bool,
-    /// Per-shard engine tuning. `cache_capacity` and `user_block` apply
+    /// Per-shard scoring tuning. `cache_capacity` and `user_block` apply
     /// per shard; `retrieval: Ivf` builds one independent index per
     /// shard (each clustering only its own item range — build cost per
     /// shard shrinks superlinearly with the slice).
@@ -139,24 +141,25 @@ pub struct DegradedBatch {
 
 /// The per-shard slice set of one published version: slice `s` is the
 /// sub-snapshot of shard `s`'s item range, tagged with the *global*
-/// version so shard engines cache/build against it.
+/// version so shard cores cache and build against it.
 type ShardSet = Vec<Arc<VersionedSnapshot>>;
 
-/// N shard engines behind one handle, merged under the single-engine
-/// total order — bit-identical to an unsharded [`QueryEngine`] at any
-/// shard count (see the module docs for the argument, and
-/// `shard_proptests.rs` for the property tests).
+/// N shard scoring cores behind one handle, merged under the
+/// single-engine total order — bit-identical to an unsharded
+/// [`QueryEngine`](crate::engine::QueryEngine) at any shard count (see
+/// the module docs for the argument, and `shard_proptests.rs` for the
+/// property tests).
 pub struct ShardedEngine {
     handle: SnapshotHandle,
     plan: ShardPlan,
-    shards: Vec<QueryEngine>,
+    /// One scoring core per shard, plan order.
+    shards: Vec<Core>,
     /// Slice sets of the two newest versions queried.
     sets: VersionCache<ShardSet>,
     /// The cross-shard-atomic deal-filter slot: one generation and the
     /// per-shard filter slices, installed together (see
-    /// [`ShardedEngine::set_deal_filter`]). Shard engines' own slots are
-    /// bypassed entirely on this tier — scatters pass the router's
-    /// `(generation, slice)` down explicitly.
+    /// [`ShardedEngine::set_deal_filter`]); scatters pass each shard its
+    /// `(generation, slice)`.
     deal: DealSlot<Vec<BitMatrix>>,
     parallel: bool,
     /// Failed scatter attempts after which the shard counts as missing.
@@ -200,33 +203,25 @@ impl ShardedEngine {
     /// version. Prefer publishing via [`ShardedEngine::publish`], which
     /// shares the tables before they reach the handle; an owned snapshot
     /// (the handle's first, or one published directly) costs one sharing
-    /// copy at its first query.
+    /// copy at its first query. Construction itself touches no table.
     pub fn with_handle(handle: SnapshotHandle, cfg: ShardedConfig) -> Self {
-        let cur = handle.load();
-        let plan = ShardPlan::balanced(cur.snapshot().n_items(), cfg.n_shards);
-        let shared = cur.snapshot().to_shared();
-        let shards: Vec<QueryEngine> = plan
-            .ranges()
-            .iter()
-            .map(|&(start, len)| {
-                QueryEngine::with_config(shared.slice_items(start, len), cfg.engine.clone())
-            })
-            .collect();
+        let plan = ShardPlan::balanced(handle.load().snapshot().n_items(), cfg.n_shards);
         let labels: Vec<String> = (0..plan.n_shards())
             .map(|s| format!("shard{s}"))
             .chain(std::iter::once("merge".to_string()))
             .collect();
-        let shard_failures = (0..plan.n_shards()).map(|_| AtomicU64::new(0)).collect();
         Self {
             handle,
+            shards: (0..plan.n_shards())
+                .map(|_| Core::new(&cfg.engine))
+                .collect(),
+            shard_failures: (0..plan.n_shards()).map(|_| AtomicU64::new(0)).collect(),
             plan,
-            shards,
             sets: VersionCache::new(),
             deal: DealSlot::new(),
             parallel: cfg.parallel_scatter,
             retries: cfg.scatter_retries,
             allow_partial: cfg.allow_partial,
-            shard_failures,
             degraded: AtomicU64::new(0),
             faults: None,
             timing: Mutex::new(LatencyBreakdown::new(labels)),
@@ -255,8 +250,8 @@ impl ShardedEngine {
     pub fn with_seen_filter(mut self, filter: BitMatrix) -> Self {
         check_seen_filter(&filter, self.handle.load().snapshot());
         let ranges = self.effective_ranges(filter.cols());
-        for (engine, &(start, len)) in self.shards.iter_mut().zip(&ranges) {
-            engine.install_seen_filter(filter.slice_cols(start, len));
+        for (core, &(start, len)) in self.shards.iter_mut().zip(&ranges) {
+            core.set_seen_filter(filter.slice_cols(start, len));
         }
         self
     }
@@ -279,9 +274,7 @@ impl ShardedEngine {
     /// serves either the old filter on *every* shard or the new filter
     /// on *every* shard, never a mix (property-tested in
     /// `fault_proptests.rs`). Queries issued after the install returns
-    /// see the new filter everywhere. Per-shard response caches retire
-    /// their old entries by the router generation, exactly as a single
-    /// engine does by its own.
+    /// see the new filter everywhere.
     ///
     /// # Panics
     /// Panics unless the filter is exactly one row.
@@ -323,7 +316,7 @@ impl ShardedEngine {
         self.deal.generation()
     }
 
-    /// The global handle every shard serves from; publish to it (or via
+    /// The global handle the router serves from; publish to it (or via
     /// [`ShardedEngine::publish`]) to hot-swap all shards atomically.
     pub fn handle(&self) -> &SnapshotHandle {
         &self.handle
@@ -339,16 +332,11 @@ impl ShardedEngine {
     /// Publishes a delta successor of the current snapshot to every
     /// shard at once ([`SnapshotHandle::publish_delta`]), returning its
     /// version. The next query's slice set carries the delta stamp
-    /// translated to each shard's local ids, so shard engines running
+    /// translated to each shard's local ids, so shard cores running
     /// incremental IVF maintenance keep the incremental path across the
     /// scatter boundary.
     pub fn publish_delta(&self, delta: &SnapshotDelta) -> u64 {
         self.handle.publish_delta(delta)
-    }
-
-    /// The partition being served.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
     }
 
     /// Number of shards.
@@ -356,8 +344,9 @@ impl ShardedEngine {
         self.shards.len()
     }
 
-    /// The shard engines, plan order (read-only introspection).
-    pub fn shards(&self) -> &[QueryEngine] {
+    /// The shards' scoring cores, plan order (read-only introspection:
+    /// each one's `cache_stats()`).
+    pub fn shards(&self) -> &[Core] {
         &self.shards
     }
 
@@ -449,14 +438,9 @@ impl ShardedEngine {
                 distinct.len() - 1
             });
         }
-        let (per_shard, shard_times) = self.scatter(&set, |s, shard, slice| {
-            shard.recommend_many_at_with_deal(
-                slice,
-                deal_gen,
-                deal.as_ref().map(|d| &d[s]),
-                &distinct,
-                k,
-            )
+        let (per_shard, shard_times) = self.scatter(&set, |s, core, slice| {
+            let deal = deal.as_ref().map(|d| &d[s]);
+            core.serve(slice, deal_gen, deal, &distinct, k, None)
         });
         let missing = self.check_missing(&per_shard)?;
         let merge_start = Instant::now();
@@ -530,7 +514,7 @@ impl ShardedEngine {
     /// publisher already shared) and slices them zero-copy. Grow-only
     /// publishes extend the last shard's range; a delta publish is
     /// re-stamped per shard with the change set translated to local ids,
-    /// so shard engines keep the incremental IVF path.
+    /// so shard cores keep the incremental IVF path.
     fn build_set(&self, cur: &VersionedSnapshot) -> ShardSet {
         let shared = cur.snapshot().to_shared();
         let ranges = self.effective_ranges(cur.snapshot().n_items());
@@ -579,7 +563,7 @@ impl ShardedEngine {
     fn scatter<T: Send>(
         &self,
         set: &ShardSet,
-        f: impl Fn(usize, &QueryEngine, &VersionedSnapshot) -> T + Sync,
+        f: impl Fn(usize, &Core, &VersionedSnapshot) -> T + Sync,
     ) -> (Vec<Option<T>>, Vec<Duration>) {
         let run = |s: usize| {
             let start = Instant::now();
@@ -661,17 +645,17 @@ impl ServeEngine for ShardedEngine {
         ShardedEngine::n_users(self)
     }
 
+    // Every core is built from one `ShardedConfig::engine`.
     fn user_block(&self) -> usize {
-        // Uniform across shards (they share one EngineConfig).
-        self.shards[0].user_block()
+        self.shards[0].cfg.user_block
     }
 
     fn has_cache(&self) -> bool {
-        self.shards[0].has_cache()
+        self.shards[0].cache.is_some()
     }
 
     fn retrieval(&self) -> Retrieval {
-        self.shards[0].retrieval()
+        self.shards[0].cfg.retrieval
     }
 
     fn try_recommend_many(&self, users: &[u32], k: usize) -> VersionedBatchResult {
@@ -685,6 +669,7 @@ impl ServeEngine for ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::QueryEngine;
     use gb_tensor::Matrix;
 
     fn snapshot(n_users: usize, n_items: usize, d: usize) -> EmbeddingSnapshot {
@@ -963,6 +948,122 @@ mod tests {
                 pairs(&single.try_recommend(user, 81).unwrap()),
                 "user {user}"
             );
+        }
+    }
+
+    /// A table's backing memory, counting its own drop.
+    struct Counted(Vec<f32>, Arc<AtomicU64>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.1.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// A `rows × 4` table over a [`Counted`] keep-alive: `drops` moves
+    /// exactly when the last view of the table is gone.
+    fn counted_table(rows: usize, drops: &Arc<AtomicU64>) -> Matrix {
+        let data = (0..rows * 4).map(|i| (i as f32 * 0.13).sin()).collect();
+        let keep = Arc::new(Counted(data, Arc::clone(drops)));
+        let ptr = keep.0.as_ptr();
+        // SAFETY: `keep` owns `rows * 4` initialised, aligned f32s that
+        // nothing writes to after this point, and the matrix holds `keep`
+        // (and so the buffer) alive for as long as any view of it exists.
+        unsafe { Matrix::from_raw_shared(rows, 4, ptr, keep) }
+    }
+
+    #[test]
+    fn the_router_frees_its_first_version() {
+        let ivf = |ivf_packed| EngineConfig {
+            retrieval: Retrieval::Ivf {
+                n_clusters: 4,
+                n_probe: 4,
+            },
+            ivf_packed,
+            ..Default::default()
+        };
+        // `(retrieval, packed, shards, first-version tables freed)`;
+        // `None` shards is a `QueryEngine`.
+        let mut freed = Vec::new();
+        for cfg in [EngineConfig::default(), ivf(true), ivf(false)] {
+            for n_shards in [None, Some(1), Some(3)] {
+                let drops = Arc::new(AtomicU64::new(0));
+                let [a, b, c, d] = [5, 60, 5, 60].map(|rows| counted_table(rows, &drops));
+                let handle = SnapshotHandle::new(EmbeddingSnapshot::new(0.4, a, b, c, d));
+                let engine: Box<dyn ServeEngine> = match n_shards {
+                    None => Box::new(QueryEngine::with_handle(handle.clone(), cfg.clone())),
+                    Some(n_shards) => Box::new(ShardedEngine::with_handle(
+                        handle.clone(),
+                        ShardedConfig {
+                            n_shards,
+                            engine: cfg.clone(),
+                            ..Default::default()
+                        },
+                    )),
+                };
+                for version in 1..=4 {
+                    if version > 1 {
+                        handle.publish(snapshot(5, 60, 4).to_shared());
+                    }
+                    assert_eq!(engine.try_recommend_many(&[0, 4], 5).unwrap().0, version);
+                }
+                let n = drops.load(Ordering::SeqCst);
+                freed.push((cfg.retrieval, cfg.ivf_packed, n_shards, n));
+            }
+        }
+        assert!(
+            freed.iter().all(|f| f.3 == 4),
+            "every tier frees all 4 first-version tables while alive: {freed:?}"
+        );
+    }
+
+    #[test]
+    fn degenerate_requests_answer_empty_lists_on_both_tiers() {
+        let snap = snapshot(4, 50, 4);
+        let mut every_item = BitMatrix::zeros(1, 50);
+        (0..50).for_each(|item| every_item.set(0, item));
+        let full_probe = Retrieval::Ivf {
+            n_clusters: 5,
+            n_probe: 5,
+        };
+        for retrieval in [Retrieval::Exact, full_probe] {
+            for cache_capacity in [0, 8] {
+                let cfg = EngineConfig {
+                    retrieval,
+                    cache_capacity,
+                    ..Default::default()
+                };
+                let single = QueryEngine::with_config(snap.clone(), cfg.clone());
+                let router = ShardedEngine::with_config(
+                    snap.clone(),
+                    ShardedConfig {
+                        n_shards: 3,
+                        engine: cfg,
+                        ..Default::default()
+                    },
+                );
+                // `k = 0` over the open catalogue, then `k = 10` with every
+                // item blocked; each asked twice, so the second is a repeat.
+                for k in [0, 10] {
+                    if k > 0 {
+                        single.set_deal_filter(every_item.clone());
+                        router.set_deal_filter(every_item.clone());
+                    }
+                    for _ in 0..2 {
+                        let (version, lists) = single.try_recommend_batch(&[0, 3, 0], k).unwrap();
+                        let batch = router.try_recommend_batch(&[0, 3, 0], k).unwrap();
+                        assert_eq!((version, batch.version), (1, 1));
+                        assert!(lists.iter().chain(&batch.results).all(|l| l.is_empty()));
+                        assert!(batch.missing_shards.is_empty());
+                    }
+                }
+                assert_eq!(router.shard_failures(), vec![0; 3]);
+                assert_eq!(router.degraded_served(), 0);
+                // Per phase: two first touches miss; the duplicate and the
+                // three repeats hit.
+                let want = if cache_capacity > 0 { (8, 4) } else { (0, 0) };
+                assert_eq!(single.cache_stats(), want, "{retrieval:?}");
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Parameter initialization.
 //!
 //! The paper initializes all parameters with Xavier (Glorot) initialization
-//! [39]. Both the uniform and the normal variants are provided; the
+//! \[39\]. Both the uniform and the normal variants are provided; the
 //! reproduction uses the uniform variant, matching the common
 //! PyTorch/DGL default used by the authors' released code.
 

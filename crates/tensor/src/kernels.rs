@@ -23,7 +23,7 @@
 //! else, each array operation mirroring its intrinsic bit for bit. The
 //! unit tests instantiate the same bodies at `simd::Portable` and hold the
 //! two to each other, which is a real comparison on AVX2 builds only;
-//! [`reference`] shares no code with either (bar `reference::tanh`, which
+//! [`mod@reference`] shares no code with either (bar `reference::tanh`, which
 //! keeps `tanh`'s two arms and drops only its shortcut). The lanes are explicit
 //! because, left to itself, LLVM SLP-vectorises an array accumulator
 //! *across the 4-item tile* instead of along the 8 lanes: 128-bit
@@ -96,7 +96,7 @@
 //! zero-filling elements they then overwrite; an empty segment still
 //! writes `+0.0`.
 //!
-//! The pre-blocking scalar loops survive in [`reference`]; the property
+//! The pre-blocking scalar loops survive in [`mod@reference`]; the property
 //! tests pin the blocked kernels to them within float-reassociation
 //! tolerance.
 
@@ -584,7 +584,7 @@ pub fn matmul_tn_rows(a: &Matrix, rows: &[u32], b: &Matrix) -> Matrix {
 ///
 /// Used by matmul backward (`dX = dY * W^T`) without materializing `B^T`.
 /// Each output element is a lane-blocked [`dot`] of two rows; rows of `B`
-/// are tiled [`ROW_TILE`] at a time so the loads of `A`'s row are shared
+/// are tiled `ROW_TILE` at a time so the loads of `A`'s row are shared
 /// across the tile. Bit-identical to calling [`dot`] per element.
 pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(
@@ -1482,7 +1482,7 @@ fn tanh_slice<L: Lane8>(xs: &mut [f32]) {
 /// Within 2 ulp of the exact value for every `f32`; odd bit for bit;
 /// `NaN → NaN`, `±∞ → ±1`, `±0 → ±0`, `|y| ≤ 1`. An element's result is a
 /// function of that element alone: not of its position, of the slice's
-/// length, or of whether the build has AVX2 (see [`tanh_lanes`] and the
+/// length, or of whether the build has AVX2 (see `tanh_lanes` and the
 /// `simd` module).
 pub fn tanh_inplace(xs: &mut [f32]) {
     tanh_slice::<simd::Native>(xs);
@@ -1639,7 +1639,7 @@ impl<'a> BlendTile<'a> {
 ///
 /// This is the serving fast path: the caller walks the catalogue in
 /// cache-sized blocks (multiples of [`DOT_LANES`]) and both item tables
-/// are streamed once, row-major, [`ROW_TILE`] items per register tile so
+/// are streamed once, row-major, `ROW_TILE` items per register tile so
 /// the user vectors' loads are shared across the tile. Every per-item
 /// product is the lane-blocked [`dot`] — the exact accumulation the
 /// offline scorers in `gb-models`/`gb-core` use — so served scores are
@@ -1753,7 +1753,7 @@ pub fn blend_dot_block_multi(
 /// catalogue-sized tables.
 ///
 /// `out[j]` is the Eq. 9 blend for item `items[j]`, from the same tile
-/// (over [`ROW_TILE`] gathered rows at a time) as [`blend_dot_block`]
+/// (over `ROW_TILE` gathered rows at a time) as [`blend_dot_block`]
 /// computes for that item, so a gathered item's score is **bit-identical**
 /// to what a contiguous pass computes — candidate selection changes which
 /// items are scored, never what any score is.
