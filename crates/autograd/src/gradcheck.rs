@@ -24,7 +24,7 @@ pub struct GradCheckReport {
 ///
 /// `build` must construct the loss node from the current store contents —
 /// it is invoked `2 * param.len() + 1` times.
-pub fn check_param_grad(
+pub(crate) fn check_param_grad(
     store: &mut ParamStore,
     param: ParamId,
     eps: f32,

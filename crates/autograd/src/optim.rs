@@ -30,12 +30,6 @@ impl Sgd {
         }
     }
 
-    /// Adds L2 weight decay.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-
     /// Enables global-norm gradient clipping.
     pub fn with_clip_norm(mut self, clip: f32) -> Self {
         self.clip_norm = clip;
@@ -209,7 +203,10 @@ mod tests {
         let mut store = ParamStore::new();
         let a = store.add("a", Matrix::full(1, 1, 1.0));
         let b = store.add("b", Matrix::full(1, 1, 1.0));
-        let sgd = Sgd::new(0.5).with_weight_decay(0.1);
+        let sgd = Sgd {
+            weight_decay: 0.1,
+            ..Sgd::new(0.5)
+        };
         let mut grads = Gradients::empty(2);
         grads.accumulate(a, Matrix::zeros(1, 1));
         sgd.step(&mut store, &grads);

@@ -105,12 +105,6 @@ impl ParamStore {
             .enumerate()
             .map(|(id, v)| (id, self.names[id].as_str(), v))
     }
-
-    /// Returns true if any parameter contains NaN/Inf — used by training
-    /// loops as a divergence tripwire.
-    pub fn any_non_finite(&self) -> bool {
-        self.values.iter().any(Matrix::has_non_finite)
-    }
 }
 
 /// Per-parameter gradients produced by one backward pass.
@@ -220,7 +214,7 @@ impl Gradients {
     /// instead of once per gather node — and not at all while every
     /// scatter into the slot lists strictly ascending rows, which are
     /// kept as rows (see [`Gradients`]).
-    pub fn scatter_accumulate(
+    pub(crate) fn scatter_accumulate(
         &mut self,
         id: ParamId,
         rows: usize,
@@ -300,7 +294,7 @@ impl Gradients {
     }
 
     /// Global gradient norm over all touched parameters.
-    pub fn global_norm(&self) -> f32 {
+    pub(crate) fn global_norm(&self) -> f32 {
         self.iter().map(|(_, g)| g.sq_norm()).sum::<f32>().sqrt()
     }
 }
@@ -393,7 +387,7 @@ mod tests {
 
         // Reads leave it alone.
         let _ = (s.value(a), s.iter().count(), s.id("b"), s.scalar_count());
-        let _ = (checkpoint::snapshot(&s), s.any_non_finite());
+        let _ = checkpoint::snapshot(&s);
         let mut json = Vec::new();
         checkpoint::save_json(&s, &mut json).unwrap();
         assert_eq!(s.generation(), last);
@@ -435,14 +429,5 @@ mod tests {
             assert!(s.generation() > last, "{what} must advance the generation");
             last = s.generation();
         }
-    }
-
-    #[test]
-    fn non_finite_tripwire() {
-        let mut s = ParamStore::new();
-        let id = s.add("w", Matrix::zeros(1, 2));
-        assert!(!s.any_non_finite());
-        s.value_mut(id).set(0, 0, f32::INFINITY);
-        assert!(s.any_non_finite());
     }
 }

@@ -6,7 +6,7 @@
 //! friends' negative feedback (Eq. 10). β = 0 degenerates the
 //! double-pairwise loss to plain BPR. The paper's optimum on Beibei is
 //! 0.05; on the synthetic workload the failure signal is cleaner, which
-//! shifts the tolerable β range down (see EXPERIMENTS.md discussion).
+//! shifts the tolerable β range down.
 
 use gb_bench::{train_gbgcn, tuned_gbgcn_config, write_csv, Workload};
 

@@ -2,8 +2,8 @@
 //!
 //! Prints the synthetic Beibei-like dataset's statistics next to the
 //! paper's production numbers so the proportions can be compared
-//! directly (the synthetic set is a ~1/100-scale replica; see
-//! DESIGN.md §1).
+//! directly (the synthetic set is a ~1/100-scale replica; see the
+//! `gb-data` crate doc).
 
 use gb_bench::Workload;
 

@@ -4,8 +4,8 @@
 //! averaged at the output of every propagation layer) and reports the
 //! relative change, expecting every ablation to hurt and the double
 //! ablation to hurt most. Pass `--separate-raw` as the second argument to
-//! also run the DESIGN.md §6 extension ablation (per-view raw embedding
-//! tables instead of the paper's shared table).
+//! also run an extension ablation that is not in the paper (per-view raw
+//! embedding tables instead of the paper's shared table).
 
 use gb_bench::{train_gbgcn, tuned_gbgcn_config, write_csv, Workload};
 use gb_core::AblationMode;
@@ -72,7 +72,7 @@ fn main() {
     }
 
     if separate_raw {
-        println!("\n--- extension ablation (DESIGN.md §6): separate raw embeddings ---");
+        println!("\n--- extension ablation (not in the paper): separate raw embeddings ---");
         let cfg = gb_core::GbgcnConfig {
             separate_raw: true,
             ..tuned_gbgcn_config()

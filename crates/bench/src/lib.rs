@@ -38,7 +38,7 @@ pub struct Workload {
     /// Negative/candidate sampler built from the training split.
     pub sampler: NegativeSampler,
     /// The ranking protocol (exhaustive candidates on the scaled
-    /// catalogue; see EXPERIMENTS.md).
+    /// catalogue; see `gb_eval::protocol`).
     pub protocol: EvalProtocol,
 }
 
@@ -68,7 +68,7 @@ impl Workload {
     }
 
     /// Builds a workload from an explicit generator config.
-    pub fn from_synth(cfg: SynthConfig) -> Self {
+    pub(crate) fn from_synth(cfg: SynthConfig) -> Self {
         let data = generate(&cfg);
         let split = leave_one_out(&data, 1);
         let sampler = NegativeSampler::from_dataset(&split.train);
@@ -97,7 +97,7 @@ impl Workload {
 /// The shared baseline hyper-parameters, tuned once on the validation
 /// split of the standard workload (the paper tunes each baseline the same
 /// way on its validation set).
-pub fn tuned_train_config() -> TrainConfig {
+pub(crate) fn tuned_train_config() -> TrainConfig {
     TrainConfig {
         dim: 32,
         epochs: 40,
@@ -112,8 +112,7 @@ pub fn tuned_train_config() -> TrainConfig {
 ///
 /// α = 0.6 matches the paper's best; β is tuned on validation like every
 /// other hyper-parameter (the synthetic dataset's failed-group signal is
-/// cleaner than production Beibei, shifting the β optimum down — see
-/// EXPERIMENTS.md).
+/// cleaner than production Beibei, shifting the β optimum down).
 pub fn tuned_gbgcn_config() -> GbgcnConfig {
     GbgcnConfig {
         dim: 32,
@@ -187,7 +186,7 @@ pub fn metric_header() -> String {
 }
 
 /// Directory for figure CSVs (`target/experiments/`), created on demand.
-pub fn experiments_dir() -> PathBuf {
+pub(crate) fn experiments_dir() -> PathBuf {
     let dir = PathBuf::from("target/experiments");
     std::fs::create_dir_all(&dir).expect("create experiments dir");
     dir

@@ -192,7 +192,7 @@ impl LossBatch {
 
     /// All distinct items appearing in the batch, strictly ascending (as
     /// [`LossBatch::touched_users`]).
-    pub fn touched_items(&self) -> Vec<u32> {
+    pub(crate) fn touched_items(&self) -> Vec<u32> {
         let mut items: Vec<u32> = self
             .fwd_pos
             .iter()

@@ -19,12 +19,12 @@ pub enum AblationMode {
 
 impl AblationMode {
     /// Whether user-view embeddings are averaged.
-    pub fn ablate_users(self) -> bool {
+    pub(crate) fn ablate_users(self) -> bool {
         matches!(self, AblationMode::NoUserRoles | AblationMode::NoRoles)
     }
 
     /// Whether item-view embeddings are averaged.
-    pub fn ablate_items(self) -> bool {
+    pub(crate) fn ablate_items(self) -> bool {
         matches!(self, AblationMode::NoItemRoles | AblationMode::NoRoles)
     }
 
@@ -160,7 +160,7 @@ pub struct GbgcnConfig {
     pub activation: Activation,
     /// Table V ablation switch.
     pub ablation: AblationMode,
-    /// Extension ablation (DESIGN.md §6): use per-view raw embeddings
+    /// Extension ablation, not in the paper: use per-view raw embeddings
     /// instead of the paper's shared raw embeddings.
     pub separate_raw: bool,
     /// RNG seed.

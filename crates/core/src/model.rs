@@ -790,6 +790,7 @@ impl GbgcnModel {
     /// on the validation instances is evaluated and the parameters are
     /// snapshotted when it improves; the best snapshot is restored before
     /// finalization. With no validation instances this is exactly `fit`.
+    // lint:allow(pub-needs-caller): Sec. IV-A.2's model selection; ROADMAP item 5 builds the baselines' hook on it
     pub fn fit_with_validation(
         &mut self,
         train: &Dataset,

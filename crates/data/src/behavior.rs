@@ -29,11 +29,6 @@ impl GroupBehavior {
         }
     }
 
-    /// Group size including the initiator.
-    pub fn group_size(&self) -> usize {
-        self.participants.len() + 1
-    }
-
     /// Whether the group clinched given the item's threshold `t_n`
     /// (`|Mp| >= t_n`, Sec. II).
     pub fn is_successful(&self, threshold: u32) -> bool {
@@ -58,7 +53,6 @@ mod tests {
         let b = GroupBehavior::new(0, 1, vec![]);
         assert!(!b.is_successful(1));
         assert!(b.is_successful(0));
-        assert_eq!(b.group_size(), 1);
     }
 
     #[test]

@@ -73,12 +73,12 @@ impl Dataset {
     }
 
     /// Raw undirected friendship pairs (for serialization).
-    pub fn social_pairs(&self) -> &[(u32, u32)] {
+    pub(crate) fn social_pairs(&self) -> &[(u32, u32)] {
         &self.social_pairs
     }
 
     /// The per-item group-size thresholds `t_n`.
-    pub fn item_thresholds(&self) -> &[u32] {
+    pub(crate) fn item_thresholds(&self) -> &[u32] {
         &self.item_thresholds
     }
 

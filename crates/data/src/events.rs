@@ -11,7 +11,7 @@
 //! of [`DealEvent`]s with *logical* timestamps (the event's position in
 //! the log — strictly increasing, no wall clock, fully deterministic).
 //! Consumers replay a prefix of the log to answer "what state was every
-//! deal in at time `t`?" ([`EventLog::phases_at`]) and project that onto
+//! deal in at time `t`?" (`EventLog::phases_at`) and project that onto
 //! the item catalogue as a serving filter
 //! ([`EventLog::blocked_items_at`]): the bit mask composes with the
 //! per-user seen-filter in `gb-serve`.
@@ -142,7 +142,7 @@ impl EventLog {
     ///
     /// # Panics
     /// Panics if `deal` does not exist or is already closed.
-    pub fn expire(&mut self, deal: u32) {
+    pub(crate) fn expire(&mut self, deal: u32) {
         self.close(deal, DealPhase::Expired, DealEventKind::Expire);
     }
 
@@ -195,7 +195,8 @@ impl EventLog {
     ///
     /// # Panics
     /// Panics if `deal` was never opened.
-    pub fn deal_item(&self, deal: u32) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn deal_item(&self, deal: u32) -> u32 {
         self.deals[deal as usize].item
     }
 
@@ -203,7 +204,8 @@ impl EventLog {
     ///
     /// # Panics
     /// Panics if `deal` was never opened.
-    pub fn deal_joiners(&self, deal: u32) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn deal_joiners(&self, deal: u32) -> u32 {
         self.deals[deal as usize].joined
     }
 
@@ -213,7 +215,7 @@ impl EventLog {
     /// An open deal older than `expiring_after` logical ticks is
     /// [`DealPhase::Expiring`] — still joinable, but worth boosting or
     /// demoting differently from a fresh deal.
-    pub fn phases_at(&self, now: u64, expiring_after: u64) -> Vec<Option<DealPhase>> {
+    pub(crate) fn phases_at(&self, now: u64, expiring_after: u64) -> Vec<Option<DealPhase>> {
         let mut phases = vec![None; self.deals.len()];
         for ev in &self.events {
             if ev.ts > now {
@@ -244,7 +246,7 @@ impl EventLog {
     ///
     /// # Panics
     /// Panics if any opened deal's item id is `>= n_items`.
-    pub fn item_phases_at(
+    pub(crate) fn item_phases_at(
         &self,
         now: u64,
         expiring_after: u64,

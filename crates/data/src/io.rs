@@ -1,14 +1,10 @@
-//! JSON (de)serialization of datasets.
-//!
-//! The authors released their dataset as text files; this module provides
-//! the equivalent persistence layer so generated workloads can be frozen,
-//! shared, and reloaded bit-identically across experiment binaries.
+//! JSON (de)serialization of datasets: [`write_json`] and [`read_json`]
+//! round-trip behaviors, social pairs and thresholds exactly.
 
 use crate::behavior::GroupBehavior;
 use crate::dataset::Dataset;
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
-use std::path::Path;
 
 /// Plain-data mirror of [`Dataset`] used for serialization (the social
 /// graph is rebuilt from pairs on load).
@@ -56,20 +52,6 @@ pub fn read_json<R: Read>(reader: R) -> serde_json::Result<Dataset> {
     Ok(file.into())
 }
 
-/// Saves a dataset to `path` as JSON.
-pub fn save(dataset: &Dataset, path: impl AsRef<Path>) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    write_json(dataset, std::io::BufWriter::new(file))
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-}
-
-/// Loads a dataset from a JSON file at `path`.
-pub fn load(path: impl AsRef<Path>) -> std::io::Result<Dataset> {
-    let file = std::fs::File::open(path)?;
-    read_json(std::io::BufReader::new(file))
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,18 +70,6 @@ mod tests {
         assert_eq!(d.item_thresholds(), back.item_thresholds());
         // Derived structure identical too.
         assert_eq!(d.stats(), back.stats());
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let d = generate(&SynthConfig::tiny());
-        let dir = std::env::temp_dir().join("gb_data_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tiny.json");
-        save(&d, &path).unwrap();
-        let back = load(&path).unwrap();
-        assert_eq!(d.behaviors(), back.behaviors());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

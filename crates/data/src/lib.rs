@@ -11,8 +11,7 @@
 //! (success ratio, social degree, behaviors per user, popularity skew) and
 //! which plants exactly the structure the models under test are designed
 //! to exploit: role-dependent user preferences, social homophily, and
-//! tie-strength-dependent join behaviour. See `DESIGN.md` §1 for the full
-//! substitution argument.
+//! tie-strength-dependent join behaviour.
 //!
 //! Contents:
 //!

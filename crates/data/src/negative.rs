@@ -28,16 +28,6 @@ impl NegativeSampler {
         }
     }
 
-    /// Builds a sampler from explicit per-user positive lists (each list
-    /// must be sorted).
-    pub fn from_positives(n_items: usize, interacted: Vec<Vec<u32>>) -> Self {
-        debug_assert!(interacted.iter().all(|l| l.windows(2).all(|w| w[0] < w[1])));
-        Self {
-            n_items,
-            interacted,
-        }
-    }
-
     /// Whether `user` has interacted with `item` in any role.
     pub fn is_positive(&self, user: u32, item: u32) -> bool {
         self.interacted[user as usize].binary_search(&item).is_ok()
@@ -65,11 +55,6 @@ impl NegativeSampler {
                 return item;
             }
         }
-    }
-
-    /// Draws `k` unobserved items (with replacement across draws).
-    pub fn sample_k(&self, user: u32, k: usize, rng: &mut StdRng) -> Vec<u32> {
-        (0..k).map(|_| self.sample_one(user, rng)).collect()
     }
 
     /// Draws `k` *distinct* unobserved items, excluding `extra_exclude` —

@@ -32,7 +32,7 @@ pub struct DatasetStats {
 
 impl DatasetStats {
     /// Computes the statistics of `d`.
-    pub fn compute(d: &Dataset) -> Self {
+    pub(crate) fn compute(d: &Dataset) -> Self {
         let n_behaviors = d.behaviors().len();
         let n_successful = d.successful().count();
         let total_parts: usize = d.behaviors().iter().map(|b| b.participants.len()).sum();

@@ -1,7 +1,7 @@
 //! Synthetic Beibei-like group-buying data generator.
 //!
 //! The paper's dataset is a proprietary crawl of the Beibei platform.
-//! This module is the documented substitution (DESIGN.md §1): a latent-
+//! This module is the substitution the crate doc argues for: a latent-
 //! factor simulator of a social e-commerce site that produces the same
 //! record schema (`⟨initiator, item, participants⟩` + social network +
 //! per-item thresholds) with matching shape statistics:

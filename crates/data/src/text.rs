@@ -21,7 +21,7 @@ use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
 
 /// Parses the behaviors file.
-pub fn parse_behaviors<R: Read>(r: R) -> std::io::Result<Vec<GroupBehavior>> {
+pub(crate) fn parse_behaviors<R: Read>(r: R) -> std::io::Result<Vec<GroupBehavior>> {
     let mut out = Vec::new();
     for (lineno, line) in BufReader::new(r).lines().enumerate() {
         let line = line?;
@@ -53,7 +53,7 @@ pub fn parse_behaviors<R: Read>(r: R) -> std::io::Result<Vec<GroupBehavior>> {
 }
 
 /// Parses the social file into undirected pairs.
-pub fn parse_social<R: Read>(r: R) -> std::io::Result<Vec<(u32, u32)>> {
+pub(crate) fn parse_social<R: Read>(r: R) -> std::io::Result<Vec<(u32, u32)>> {
     let mut out = Vec::new();
     for (lineno, line) in BufReader::new(r).lines().enumerate() {
         let line = line?;
@@ -70,7 +70,7 @@ pub fn parse_social<R: Read>(r: R) -> std::io::Result<Vec<(u32, u32)>> {
 }
 
 /// Parses the optional thresholds file into `(item, t_n)` pairs.
-pub fn parse_thresholds<R: Read>(r: R) -> std::io::Result<Vec<(u32, u32)>> {
+pub(crate) fn parse_thresholds<R: Read>(r: R) -> std::io::Result<Vec<(u32, u32)>> {
     let mut out = Vec::new();
     for (lineno, line) in BufReader::new(r).lines().enumerate() {
         let line = line?;
@@ -88,6 +88,7 @@ pub fn parse_thresholds<R: Read>(r: R) -> std::io::Result<Vec<(u32, u32)>> {
 
 /// Loads a dataset directory (`behaviors.txt`, `social.txt`, optional
 /// `thresholds.txt`).
+// lint:allow(pub-needs-caller): reads the authors' released data, input from outside the program
 pub fn load_dir(dir: impl AsRef<Path>) -> std::io::Result<Dataset> {
     let dir = dir.as_ref();
     let behaviors = parse_behaviors(std::fs::File::open(dir.join("behaviors.txt"))?)?;
@@ -102,7 +103,7 @@ pub fn load_dir(dir: impl AsRef<Path>) -> std::io::Result<Dataset> {
 }
 
 /// Assembles a [`Dataset`] from parsed parts, inferring universe sizes.
-pub fn assemble(
+pub(crate) fn assemble(
     behaviors: Vec<GroupBehavior>,
     social: Vec<(u32, u32)>,
     thresholds: Vec<(u32, u32)>,

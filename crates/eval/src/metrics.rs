@@ -98,7 +98,7 @@ impl RankingMetrics {
     }
 
     /// Records one test instance by the test item's 0-based rank.
-    pub fn push_rank(&mut self, rank: usize) {
+    pub(crate) fn push_rank(&mut self, rank: usize) {
         self.per_user_recall
             .push(self.ks.iter().map(|&k| recall_at_k(rank, k)).collect());
         self.per_user_ndcg
@@ -135,12 +135,6 @@ impl RankingMetrics {
             .iter()
             .position(|&kk| kk == k)
             .unwrap_or_else(|| panic!("cutoff {k} not evaluated (have {:?})", self.ks))
-    }
-
-    /// Per-user column of Recall@k values (for paired tests).
-    pub fn recall_column(&self, k: usize) -> Vec<f32> {
-        let i = self.k_index(k);
-        self.per_user_recall.iter().map(|r| r[i]).collect()
     }
 
     /// Per-user column of NDCG@k values (for paired tests).
@@ -242,7 +236,7 @@ mod tests {
         let mut m = RankingMetrics::new(vec![3]);
         m.push_rank(1);
         m.push_rank(7);
-        assert_eq!(m.recall_column(3), vec![1.0, 0.0]);
+        assert_eq!(m.per_user_recall, vec![vec![1.0], vec![0.0]]);
         assert_eq!(m.ndcg_column(3)[1], 0.0);
     }
 

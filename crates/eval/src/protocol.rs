@@ -7,7 +7,7 @@
 //! 30,782-item catalogue; with the scaled synthetic catalogue this
 //! protocol also supports ranking against *all* non-interacted items,
 //! which removes candidate-sampling noise entirely (strictly harder and
-//! lower-variance — noted in EXPERIMENTS.md).
+//! lower-variance).
 
 use crate::metrics::{rank_of, RankingMetrics};
 use gb_data::{NegativeSampler, TestInstance};

@@ -49,16 +49,6 @@ impl Stopwatch {
         self.samples.iter().map(Duration::as_secs_f64).sum()
     }
 
-    /// The worst recorded sample in seconds (0.0 when empty) — the
-    /// number a fault soak asserts against: percentiles hide a single
-    /// stall, the maximum cannot.
-    pub fn max_secs(&self) -> f64 {
-        self.samples
-            .iter()
-            .map(Duration::as_secs_f64)
-            .fold(0.0, f64::max)
-    }
-
     /// Nearest-rank percentile in seconds (0.0 when empty).
     ///
     /// `p` is in percent: `percentile_secs(50.0)` is the median,
@@ -95,36 +85,21 @@ impl Stopwatch {
         *v
     }
 
-    /// Nearest-rank percentiles for a whole report in one pass: sorts the
-    /// samples once and reads every requested rank from the sorted run,
-    /// instead of paying one selection (or worse, one sort) per
-    /// percentile. Values are bit-identical to calling
-    /// [`Stopwatch::percentile_secs`] per entry.
-    ///
-    /// # Panics
-    /// Panics if any `p` is outside `[0, 100]`.
-    pub fn percentiles_secs(&self, ps: &[f64]) -> Vec<f64> {
-        for &p in ps {
-            assert!(
-                (0.0..=100.0).contains(&p),
-                "percentile {p} outside [0, 100]"
-            );
-        }
-        if self.samples.is_empty() {
-            return vec![0.0; ps.len()];
-        }
-        let mut sorted: Vec<f64> = self.samples.iter().map(Duration::as_secs_f64).collect();
-        sorted.sort_by(f64::total_cmp);
-        ps.iter()
-            .map(|&p| sorted[Self::nearest_rank_index(p, sorted.len())])
-            .collect()
-    }
-
     /// The 0-based index of the nearest-rank percentile `p` among `n`
-    /// ascending samples: `ceil(p/100 * n)` clamped to at least rank 1.
+    /// ascending samples: `ceil(p·n / 100)` clamped to at least rank 1.
+    /// Multiplying first keeps `p·n` exact for an integer `p`; a quotient
+    /// within a few ulps of a whole number is that number, so a whole rank
+    /// reached through a rounded `p` (`99.9` of 1 000) is not pushed up to
+    /// the next sample by `ceil`.
     fn nearest_rank_index(p: f64, n: usize) -> usize {
-        let rank = ((p / 100.0) * n as f64).ceil() as usize;
-        rank.max(1) - 1
+        let exact = p * n as f64 / 100.0;
+        let whole = exact.round();
+        let rank = if (exact - whole).abs() <= 4.0 * f64::EPSILON * whole.max(1.0) {
+            whole
+        } else {
+            exact.ceil()
+        };
+        (rank as usize).max(1) - 1
     }
 }
 
@@ -182,22 +157,6 @@ impl LatencyBreakdown {
     pub fn record(&mut self, idx: usize, d: Duration) {
         self.stages[idx].1.record(d);
     }
-
-    /// `(label, n_samples, mean_secs, p99_secs)` per stage — the compact
-    /// summary the bench reports embed.
-    pub fn summary(&self) -> Vec<(String, usize, f64, f64)> {
-        self.stages
-            .iter()
-            .map(|(l, sw)| {
-                (
-                    l.clone(),
-                    sw.n_samples(),
-                    sw.mean_secs(),
-                    sw.percentile_secs(99.0),
-                )
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -212,8 +171,6 @@ mod tests {
         assert_eq!(sw.n_samples(), 2);
         assert!((sw.mean_secs() - 0.2).abs() < 1e-9);
         assert!((sw.total_secs() - 0.4).abs() < 1e-9);
-        assert!((sw.max_secs() - 0.3).abs() < 1e-9);
-        assert_eq!(Stopwatch::new().max_secs(), 0.0);
     }
 
     #[test]
@@ -241,21 +198,27 @@ mod tests {
     }
 
     #[test]
-    fn batch_percentiles_match_per_call_values() {
-        let mut sw = Stopwatch::new();
-        for ms in [40u64, 10, 50, 20, 30, 30, 70] {
-            sw.record(Duration::from_millis(ms));
+    fn whole_nearest_ranks_are_not_rounded_up() {
+        let ascending = |n: u64| {
+            let mut sw = Stopwatch::new();
+            for ms in (1..=n).rev() {
+                sw.record(Duration::from_millis(ms));
+            }
+            sw
+        };
+        // Rank 7 of 100, not the 8th sample; rank 999 of 1 000, not the
+        // maximum.
+        assert!((ascending(100).percentile_secs(7.0) - 0.007).abs() < 1e-9);
+        assert!((ascending(1000).percentile_secs(99.9) - 0.999).abs() < 1e-9);
+        // Every integer and one-decimal `p` against the rational rank
+        // `ceil(p10·n / 1000)`.
+        for n in (1..=300).chain([1000, 3000, 9999]) {
+            for p10 in 0..=1000usize {
+                let p = p10 as f64 / 10.0;
+                let rank = (p10 * n).div_ceil(1000).max(1);
+                assert_eq!(Stopwatch::nearest_rank_index(p, n), rank - 1, "p{p} of {n}");
+            }
         }
-        let ps = [0.0, 20.0, 20.1, 50.0, 99.0, 100.0];
-        let batch = sw.percentiles_secs(&ps);
-        for (&p, &got) in ps.iter().zip(&batch) {
-            assert_eq!(
-                got.to_bits(),
-                sw.percentile_secs(p).to_bits(),
-                "p{p} diverged between batch and per-call paths"
-            );
-        }
-        assert_eq!(Stopwatch::new().percentiles_secs(&ps), vec![0.0; ps.len()]);
     }
 
     #[test]
@@ -275,14 +238,6 @@ mod tests {
         let mut secs = [f64::INFINITY, f64::NAN];
         assert!(Stopwatch::select_percentile(&mut secs, 100.0).is_nan());
         assert!(Stopwatch::select_percentile(&mut secs, 0.0).is_infinite());
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn out_of_range_batch_percentile_rejected() {
-        let mut sw = Stopwatch::new();
-        sw.record(Duration::from_millis(1));
-        sw.percentiles_secs(&[50.0, 100.5]);
     }
 
     #[test]
@@ -309,12 +264,9 @@ mod tests {
         assert_eq!(b.stage(0).n_samples(), 2);
         assert_eq!(b.stage(1).n_samples(), 0);
         assert!((b.stage(0).mean_secs() - 0.020).abs() < 1e-9);
-        let summary = b.summary();
-        assert_eq!(summary.len(), 3);
-        assert_eq!(summary[2].0, "merge");
-        assert_eq!(summary[2].1, 1);
+        assert_eq!(b.stage(2).n_samples(), 1);
         assert!(
-            (summary[0].3 - 0.030).abs() < 1e-9,
+            (b.stage(0).percentile_secs(99.0) - 0.030).abs() < 1e-9,
             "p99 is the worst sample"
         );
     }

@@ -64,16 +64,6 @@ impl Bipartite {
         self.user_to_item.neighbors(user)
     }
 
-    /// Users who interacted with `item` (the `N(n)`), sorted.
-    pub fn users_of(&self, item: u32) -> &[u32] {
-        self.item_to_user.neighbors(item)
-    }
-
-    /// Whether `(user, item)` is an edge of this view.
-    pub fn has_interaction(&self, user: u32, item: u32) -> bool {
-        self.user_to_item.contains(user, item)
-    }
-
     /// User→item CSR (drives `u <- mean(v)` aggregation).
     pub fn user_to_item(&self) -> &Csr {
         &self.user_to_item
@@ -94,8 +84,8 @@ mod tests {
         let b = Bipartite::from_interactions(3, 2, &[(0, 1), (2, 1), (2, 0)]);
         assert_eq!(b.items_of(0), &[1]);
         assert_eq!(b.items_of(2), &[0, 1]);
-        assert_eq!(b.users_of(1), &[0, 2]);
-        assert_eq!(b.users_of(0), &[2]);
+        assert_eq!(b.item_to_user().neighbors(1), &[0, 2]);
+        assert_eq!(b.item_to_user().neighbors(0), &[2]);
         assert_eq!(b.n_interactions(), 3);
     }
 
@@ -103,14 +93,14 @@ mod tests {
     fn duplicate_interactions_collapse() {
         let b = Bipartite::from_interactions(2, 2, &[(0, 0), (0, 0), (0, 0)]);
         assert_eq!(b.n_interactions(), 1);
-        assert_eq!(b.users_of(0), &[0]);
+        assert_eq!(b.item_to_user().neighbors(0), &[0]);
     }
 
     #[test]
     fn has_interaction_matches_edges() {
         let b = Bipartite::from_interactions(2, 3, &[(1, 2), (0, 0)]);
-        assert!(b.has_interaction(1, 2));
-        assert!(!b.has_interaction(1, 0));
+        assert!(b.user_to_item().contains(1, 2));
+        assert!(!b.user_to_item().contains(1, 0));
     }
 
     #[test]

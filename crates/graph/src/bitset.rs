@@ -94,14 +94,6 @@ impl BitMatrix {
         &self.words[r * self.words_per_row..(r + 1) * self.words_per_row]
     }
 
-    /// Number of set bits in row `r`.
-    pub fn count_row(&self, r: usize) -> usize {
-        self.row_words(r)
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
-
     /// Total number of set bits.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -145,8 +137,8 @@ impl BitMatrix {
                 };
                 *w = lo | hi;
             }
-            // Clear bits past `len` in the final word: `count`/`count_row`
-            // assume trailing bits are zero.
+            // Clear bits past `len` in the final word: `count` assumes
+            // trailing bits are zero.
             if !len.is_multiple_of(64) {
                 if let Some(last) = dst.last_mut() {
                     *last &= (1u64 << (len % 64)) - 1;
@@ -172,7 +164,6 @@ mod tests {
         assert!(m.contains(2, 129));
         assert!(!m.contains(0, 1) && !m.contains(2, 0) && !m.contains(0, 129));
         assert_eq!(m.count(), 4);
-        assert_eq!(m.count_row(1), 2);
     }
 
     #[test]
@@ -196,7 +187,7 @@ mod tests {
         let rows = vec![vec![0u32, 64, 65], vec![], vec![127]];
         let m = BitMatrix::from_rows(&rows, 128);
         assert!(m.contains(0, 0) && m.contains(0, 64) && m.contains(0, 65));
-        assert_eq!(m.count_row(1), 0);
+        assert!(m.row_words(1).iter().all(|&w| w == 0));
         assert!(m.contains(2, 127));
         assert_eq!(m.size_bytes(), 3 * 2 * 8);
     }

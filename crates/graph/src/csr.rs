@@ -29,7 +29,7 @@ impl Csr {
     }
 
     /// Builds a CSR from per-node adjacency lists (sorted + deduped here).
-    pub fn from_adj(mut adj: Vec<Vec<u32>>) -> Self {
+    pub(crate) fn from_adj(mut adj: Vec<Vec<u32>>) -> Self {
         let mut offsets = Vec::with_capacity(adj.len() + 1);
         offsets.push(0usize);
         let mut members = Vec::new();
@@ -102,30 +102,6 @@ impl Csr {
         (&self.offsets, &self.members)
     }
 
-    /// Mean out-degree.
-    pub fn mean_degree(&self) -> f64 {
-        if self.n_nodes() == 0 {
-            0.0
-        } else {
-            self.n_edges() as f64 / self.n_nodes() as f64
-        }
-    }
-
-    /// Maximum out-degree.
-    pub fn max_degree(&self) -> usize {
-        (0..self.n_nodes() as u32)
-            .map(|u| self.degree(u))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Number of nodes with at least one neighbour.
-    pub fn active_nodes(&self) -> usize {
-        (0..self.n_nodes() as u32)
-            .filter(|&u| self.degree(u) > 0)
-            .count()
-    }
-
     /// Reverses the graph: produces the CSR of incoming edges over
     /// `n_dst` destination nodes.
     pub fn reversed(&self, n_dst: usize) -> Csr {
@@ -192,9 +168,8 @@ mod tests {
     #[test]
     fn degree_stats() {
         let csr = Csr::from_edges(4, &[(0, 1), (0, 2), (1, 0)]);
-        assert_eq!(csr.max_degree(), 2);
-        assert_eq!(csr.active_nodes(), 2);
-        assert!((csr.mean_degree() - 0.75).abs() < 1e-12);
+        let degrees: Vec<usize> = (0..4).map(|u| csr.degree(u)).collect();
+        assert_eq!(degrees, vec![2, 1, 0, 0]);
     }
 
     #[test]

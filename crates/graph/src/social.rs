@@ -68,11 +68,6 @@ impl SocialGraph {
     pub fn csr(&self) -> &Csr {
         &self.adj
     }
-
-    /// Mean number of friends per user.
-    pub fn mean_degree(&self) -> f64 {
-        self.adj.mean_degree()
-    }
 }
 
 #[cfg(test)]

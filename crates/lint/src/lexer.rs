@@ -54,13 +54,13 @@ pub struct Token {
 }
 
 impl Token {
-    pub fn is_comment(&self) -> bool {
+    pub(crate) fn is_comment(&self) -> bool {
         matches!(self.kind, TokenKind::LineComment | TokenKind::BlockComment)
     }
 }
 
 /// Lexes `src` and marks attribute and test regions.
-pub fn lex(src: &str) -> Vec<Token> {
+pub(crate) fn lex(src: &str) -> Vec<Token> {
     let mut tokens = raw_lex(src);
     mark_attrs(&mut tokens);
     mark_tests(&mut tokens);

@@ -26,6 +26,10 @@
 //!   only in `crates/tensor/src/simd.rs`.
 //! * `no-libm-tanh` — no `f32::tanh` / `.tanh()` outside test code; the
 //!   one `tanh` is `gb_tensor::kernels::tanh_inplace`.
+//! * `pub-needs-caller` — cross-file, run by `lint_workspace`: every
+//!   `pub` fn/const/static in a crate's library is named by some file
+//!   outside that library; one used only inside is narrowed, and rustc's
+//!   `dead_code` takes it from there.
 //!
 //! Findings are suppressed inline with a justified `lint:allow`
 //! comment (`rule` in parens, then a mandatory `: reason`), e.g.
@@ -33,7 +37,7 @@
 //! or grandfathered in the committed
 //! `lint-baseline.txt`. The CLI (`cargo run -p gb-lint`) exits nonzero
 //! on any unsuppressed, unbaselined finding — CI runs it as a hard
-//! gate, outside the tier-1 build/test jobs.
+//! gate, and `tests/self_lint.rs` runs the same check under `cargo test`.
 
 pub mod lexer;
 pub mod rules;

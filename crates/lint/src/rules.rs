@@ -24,21 +24,25 @@ pub struct Finding {
     pub message: String,
 }
 
-pub const UNSAFE_NEEDS_SAFETY: &str = "unsafe-needs-safety";
-pub const PANIC_NEEDS_INVARIANT: &str = "panic-needs-invariant";
-pub const NO_BARE_LOCKS: &str = "no-bare-locks";
-pub const FLOAT_TOTAL_ORDER: &str = "float-total-order";
-pub const NO_HASH_ITERATION: &str = "no-hash-iteration";
-pub const NO_WALLCLOCK_IN_KERNELS: &str = "no-wallclock-in-kernels";
-pub const ARCH_INTRINSICS_CONFINED: &str = "arch-intrinsics-confined";
-pub const NO_LIBM_TANH: &str = "no-libm-tanh";
+pub(crate) const UNSAFE_NEEDS_SAFETY: &str = "unsafe-needs-safety";
+pub(crate) const PANIC_NEEDS_INVARIANT: &str = "panic-needs-invariant";
+pub(crate) const NO_BARE_LOCKS: &str = "no-bare-locks";
+pub(crate) const FLOAT_TOTAL_ORDER: &str = "float-total-order";
+pub(crate) const NO_HASH_ITERATION: &str = "no-hash-iteration";
+pub(crate) const NO_WALLCLOCK_IN_KERNELS: &str = "no-wallclock-in-kernels";
+pub(crate) const ARCH_INTRINSICS_CONFINED: &str = "arch-intrinsics-confined";
+pub(crate) const NO_LIBM_TANH: &str = "no-libm-tanh";
+/// Cross-file rule, run by [`crate::workspace::lint_workspace`]: a `pub`
+/// function, const or static in a crate's library that nothing outside
+/// that library names.
+pub(crate) const PUB_NEEDS_CALLER: &str = "pub-needs-caller";
 /// Meta-rule: a malformed `lint:allow` (missing justification or
 /// unknown rule name) is itself a finding — suppressions without a
 /// reason are how grandfathered mess accretes.
-pub const BAD_SUPPRESSION: &str = "bad-suppression";
+pub(crate) const BAD_SUPPRESSION: &str = "bad-suppression";
 
 /// Every real (suppressible) rule.
-pub const ALL_RULES: &[&str] = &[
+pub(crate) const ALL_RULES: &[&str] = &[
     UNSAFE_NEEDS_SAFETY,
     PANIC_NEEDS_INVARIANT,
     NO_BARE_LOCKS,
@@ -47,6 +51,7 @@ pub const ALL_RULES: &[&str] = &[
     NO_WALLCLOCK_IN_KERNELS,
     ARCH_INTRINSICS_CONFINED,
     NO_LIBM_TANH,
+    PUB_NEEDS_CALLER,
 ];
 
 /// The only file that may name `core::arch` / `std::arch` intrinsics:
@@ -77,7 +82,7 @@ const ARCH_INTRINSICS_HOME: &[&str] = &["crates/tensor/src/simd.rs"];
 /// * `no-libm-tanh` is global outside test code: the workspace has one
 ///   `tanh`, `gb_tensor::kernels::tanh_inplace`, and test oracles are the
 ///   only callers libm's keeps.
-pub fn rule_scope(rule: &str) -> &'static [&'static str] {
+pub(crate) fn rule_scope(rule: &str) -> &'static [&'static str] {
     match rule {
         UNSAFE_NEEDS_SAFETY | FLOAT_TOTAL_ORDER => &[],
         PANIC_NEEDS_INVARIANT => &[
@@ -209,7 +214,7 @@ impl FileMap {
 
 /// An inline suppression parsed from a comment: `lint:allow` with the
 /// rule name in parens and a mandatory `: reason` tail.
-struct Allow {
+pub(crate) struct Allow {
     rule: String,
     /// Line the comment ends on: the allow covers findings on this line
     /// (trailing comment) and the next (comment-above form).
@@ -218,8 +223,18 @@ struct Allow {
     known_rule: bool,
 }
 
+impl Allow {
+    /// True when this allow silences a `rule` finding on `line`.
+    pub(crate) fn suppresses(&self, rule: &str, line: usize) -> bool {
+        self.known_rule
+            && self.has_reason
+            && self.rule == rule
+            && (self.line == line || self.line + 1 == line)
+    }
+}
+
 /// Extracts every justified-suppression comment from the token stream.
-fn collect_allows(tokens: &[Token]) -> Vec<Allow> {
+pub(crate) fn collect_allows(tokens: &[Token]) -> Vec<Allow> {
     let mut out = Vec::new();
     for t in tokens.iter().filter(|t| t.is_comment()) {
         let text = &t.text;
@@ -483,13 +498,7 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
     let allows = collect_allows(&map.tokens);
     let mut kept: Vec<Finding> = Vec::new();
     for f in findings {
-        let suppressed = allows.iter().any(|a| {
-            a.known_rule
-                && a.has_reason
-                && a.rule == f.rule
-                && (a.line == f.line || a.line + 1 == f.line)
-        });
-        if !suppressed {
+        if !allows.iter().any(|a| a.suppresses(f.rule, f.line)) {
             kept.push(f);
         }
     }

@@ -1,6 +1,8 @@
 //! Workspace walking, the committed baseline, and report formatting.
 
-use crate::rules::{lint_source, Finding};
+use crate::lexer::{lex, Token, TokenKind};
+use crate::rules::{collect_allows, lint_source, Finding, PUB_NEEDS_CALLER};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -12,12 +14,20 @@ const SKIP_DIRS: &[&str] = &["vendor", "target", "fixtures", ".git", ".github"];
 /// Top-level entries of the workspace that contain first-party Rust.
 const SCAN_ROOTS: &[&str] = &["src", "crates", "examples", "tests"];
 
+/// Directories read for `pub-needs-caller` callers only, never linted:
+/// the benchmark is its own package and keeps its own conventions.
+const CALLER_ROOTS: &[&str] = &["benchmark/src"];
+
 /// Collects every first-party `.rs` file under `root`, as
 /// `(relative_path, absolute_path)` with `/`-separated relative paths,
 /// sorted for deterministic reports.
 pub fn workspace_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
+    files_under(root, SCAN_ROOTS)
+}
+
+fn files_under(root: &Path, tops: &[&str]) -> io::Result<Vec<(String, PathBuf)>> {
     let mut out = Vec::new();
-    for top in SCAN_ROOTS {
+    for top in tops {
         let dir = root.join(top);
         if dir.is_dir() {
             walk(&dir, top, &mut out)?;
@@ -44,15 +54,140 @@ fn walk(dir: &Path, rel: &str, out: &mut Vec<(String, PathBuf)>) -> io::Result<(
     Ok(())
 }
 
-/// Lints every workspace file under `root`, returning unsuppressed
-/// findings (baseline not yet applied).
+/// Lints every workspace file under `root`, then runs the cross-file
+/// `pub-needs-caller` pass over all of them (and over the caller-only
+/// roots), returning unsuppressed findings (baseline not yet applied),
+/// sorted by file and line.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
+    let mut lexed = Vec::new();
     for (rel, abs) in workspace_files(root)? {
         let src = std::fs::read_to_string(&abs)?;
         findings.extend(lint_source(&rel, &src));
+        lexed.push((rel, lex(&src)));
     }
+    for (rel, abs) in files_under(root, CALLER_ROOTS)? {
+        lexed.push((rel, lex(&std::fs::read_to_string(&abs)?)));
+    }
+    findings.extend(pub_needs_caller(&lexed));
+    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(findings)
+}
+
+/// The crate directory (`crates/<name>`) whose library `rel` belongs
+/// to: its `src/` minus `src/main.rs` and `src/bin/`, which are callers
+/// like any other target.
+fn library_of(rel: &str) -> Option<&str> {
+    let rest = rel.strip_prefix("crates/")?;
+    let (name, path) = rest.split_once('/')?;
+    let lib = path.strip_prefix("src/")?;
+    if lib == "main.rs" || lib.starts_with("bin/") {
+        return None;
+    }
+    Some(&rel[.."crates/".len() + name.len()])
+}
+
+/// Indices into `tokens` of the names declared by `pub fn` (also
+/// `const`/`async`/`unsafe`/`extern` fns), `pub const` and `pub static`
+/// outside test code. `pub(crate)` and friends are not `pub`.
+fn pub_items(tokens: &[Token]) -> Vec<usize> {
+    let sig: Vec<usize> = (0..tokens.len())
+        .filter(|&i| !tokens[i].is_comment())
+        .collect();
+    let mut out = Vec::new();
+    for (s, &i) in sig.iter().enumerate() {
+        let t = &tokens[i];
+        if t.kind != TokenKind::Ident || t.text != "pub" || t.in_test {
+            continue;
+        }
+        let mut item = false;
+        let mut j = s + 1;
+        while let Some(&k) = sig.get(j) {
+            match tokens[k].text.as_str() {
+                "fn" | "const" | "static" => item = true,
+                "async" | "unsafe" | "extern" | "mut" => {}
+                _ if tokens[k].kind == TokenKind::Literal => {} // an ABI string
+                _ => break,
+            }
+            j += 1;
+        }
+        if let Some(&k) = sig.get(j) {
+            if item && tokens[k].kind == TokenKind::Ident && tokens[k].text != "_" {
+                out.push(k);
+            }
+        }
+    }
+    out
+}
+
+/// `pub-needs-caller`: a `pub` fn/const/static in a crate's library is
+/// flagged when no identifier outside that library names it. Callers
+/// are found by name alone, so the rule under-reports and needs no call
+/// graph; once an item is `pub(crate)`, rustc's `dead_code` takes over.
+fn pub_needs_caller(files: &[(String, Vec<Token>)]) -> Vec<Finding> {
+    // (file, name token, library) of every checked declaration.
+    let decls: Vec<(usize, usize, &str)> = files
+        .iter()
+        .enumerate()
+        .filter_map(|(f, (rel, toks))| Some((f, toks, library_of(rel)?)))
+        .flat_map(|(f, toks, lib)| pub_items(toks).into_iter().map(move |k| (f, k, lib)))
+        .collect();
+    let names: BTreeSet<&str> = decls
+        .iter()
+        .map(|&(f, k, _)| files[f].1[k].text.as_str())
+        .collect();
+    // Per name: the libraries naming it (`None` = any other file), and
+    // the libraries naming it in non-test code.
+    let mut named_in: BTreeMap<&str, BTreeSet<Option<&str>>> = BTreeMap::new();
+    let mut live_in: BTreeSet<(&str, &str)> = BTreeSet::new();
+    let decl_set: BTreeSet<(usize, usize)> = decls.iter().map(|&(f, k, _)| (f, k)).collect();
+    for (f, (rel, toks)) in files.iter().enumerate() {
+        let lib = library_of(rel);
+        for (k, t) in toks.iter().enumerate() {
+            let name = t.text.as_str();
+            if t.kind != TokenKind::Ident || !names.contains(name) || decl_set.contains(&(f, k)) {
+                continue;
+            }
+            named_in.entry(name).or_default().insert(lib);
+            if let (Some(lib), false) = (lib, t.in_test) {
+                live_in.insert((lib, name));
+            }
+        }
+    }
+    let allows: BTreeMap<usize, _> = decls
+        .iter()
+        .map(|&(f, _, _)| (f, collect_allows(&files[f].1)))
+        .collect();
+    let mut out = Vec::new();
+    for (f, k, lib) in decls {
+        let (rel, toks) = &files[f];
+        let name = toks[k].text.as_str();
+        let outside = named_in
+            .get(name)
+            .is_some_and(|libs| libs.iter().any(|l| *l != Some(lib)));
+        if outside {
+            continue;
+        }
+        let line = toks[k].line;
+        if allows[&f]
+            .iter()
+            .any(|a| a.suppresses(PUB_NEEDS_CALLER, line))
+        {
+            continue;
+        }
+        let message = if live_in.contains(&(lib, name)) {
+            format!("`{name}` is used only inside `{lib}`: make it `pub(crate)` or private")
+        } else {
+            format!("`{name}` has no caller outside its crate's unit tests: delete it")
+        };
+        out.push(Finding {
+            rule: PUB_NEEDS_CALLER,
+            file: rel.clone(),
+            line,
+            message,
+        });
+    }
+    out
 }
 
 /// One grandfathered allowance from the committed baseline file.

@@ -5,9 +5,11 @@
 //!
 //! The fixtures live in `crates/lint/fixtures/`, a directory the
 //! workspace walker skips, and are linted here through [`lint_source`]
-//! under virtual paths chosen to land in each rule's scope.
+//! under virtual paths chosen to land in each rule's scope. The
+//! cross-file `pub-needs-caller` rule has a small fixture workspace of
+//! its own, `fixtures/pub_caller/`, driven through [`lint_workspace`].
 
-use gb_lint::{lint_source, Finding};
+use gb_lint::{lint_source, lint_workspace, Finding};
 
 fn fixture(name: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -211,4 +213,50 @@ fn bad_suppressions_are_findings_and_do_not_suppress() {
     // precedes.
     assert_eq!(spans("panic-needs-invariant", &f), vec![7]);
     assert_eq!(f.len(), 3, "unexpected extra findings: {f:?}");
+}
+
+#[test]
+fn pub_needs_caller_fires_where_nothing_outside_the_library_names_an_item() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/pub_caller");
+    let f = lint_workspace(&root).expect("lint the fixture workspace");
+    let lib = "crates/alpha/src/lib.rs";
+    let got: Vec<(&str, &str, usize)> = f
+        .iter()
+        .map(|f| (f.rule, f.file.as_str(), f.line))
+        .collect();
+    // `dead`, `tested_only` (named only in its own file's `#[cfg(test)]`),
+    // `helper` (named only inside `alpha`), `mentioned` (named elsewhere
+    // only in a comment and a string), the static, the `unsafe` and the
+    // `extern` fn, and `reasonless`, whose allow gives no reason. Callers
+    // in `beta`, `benchmark/src`, `examples/`, `src/bin/`, `alpha`'s own
+    // `tests/`, root `src/` and root `tests/` clear the rest; `pub(crate)`,
+    // `pub(super)`, `pub(in …)` and the trait-impl method are not checked,
+    // and the reasoned allow holds.
+    assert_eq!(
+        got,
+        vec![
+            ("pub-needs-caller", lib, 6),
+            ("pub-needs-caller", lib, 9),
+            ("pub-needs-caller", lib, 14),
+            ("pub-needs-caller", lib, 19),
+            ("pub-needs-caller", lib, 22),
+            ("pub-needs-caller", lib, 26),
+            ("pub-needs-caller", lib, 29),
+            ("bad-suppression", lib, 34),
+            ("pub-needs-caller", lib, 35),
+        ]
+    );
+    let message = |line: usize| {
+        f.iter()
+            .find(|f| f.rule == "pub-needs-caller" && f.line == line)
+            .map(|f| f.message.as_str())
+            .expect("finding on that line")
+    };
+    assert_eq!(
+        message(14),
+        "`helper` is used only inside `crates/alpha`: make it `pub(crate)` or private"
+    );
+    for line in [6, 9, 19] {
+        assert!(message(line).ends_with("has no caller outside its crate's unit tests: delete it"));
+    }
 }

@@ -18,7 +18,7 @@ use std::sync::Arc;
 /// `(ŷ_pos − ŷ_neg − 1)²`, which the paper identifies as one reason the
 /// group recommenders trail BPR-trained baselines on this task.
 ///
-/// Faithfulness note (documented in DESIGN.md): the original softmax
+/// Faithfulness note: the original softmax
 /// attention over variable-size member sets is replaced by a sigmoid
 /// gate followed by mean aggregation. On Beibei-like sparsity the paper
 /// itself observes that "attention mechanisms do not work due to the data

@@ -180,7 +180,7 @@ pub(crate) fn train_pairs(
 /// (`tests/trainer_wall.rs`). Only the reported value rounds
 /// differently — `Σ · (-(1/n))` against `-(Σ / n)` — and can differ from
 /// a mean form's in the last place.
-pub fn bpr_loss(tape: &mut Tape, pos: Var, neg: Var, denom: usize) -> Var {
+pub(crate) fn bpr_loss(tape: &mut Tape, pos: Var, neg: Var, denom: usize) -> Var {
     let diff = tape.sub(pos, neg);
     let ls = tape.log_sigmoid(diff);
     let sum = tape.sum_all(ls);
@@ -189,7 +189,7 @@ pub fn bpr_loss(tape: &mut Tape, pos: Var, neg: Var, denom: usize) -> Var {
 
 /// Adds `coef * Σ sum_sq(vars) / denom` to `loss` — the standard
 /// batch-embedding L2 penalty.
-pub fn add_l2(tape: &mut Tape, loss: Var, vars: &[Var], coef: f32, denom: usize) -> Var {
+pub(crate) fn add_l2(tape: &mut Tape, loss: Var, vars: &[Var], coef: f32, denom: usize) -> Var {
     if coef == 0.0 || vars.is_empty() {
         return loss;
     }
@@ -211,7 +211,7 @@ pub fn add_l2(tape: &mut Tape, loss: Var, vars: &[Var], coef: f32, denom: usize)
 /// Goes through the lane-blocked [`gb_tensor::kernels::dot`], the same
 /// accumulation `gb-serve`'s `blend_dot_block` uses, so offline scores
 /// stay bit-identical to served scores.
-pub fn dot_scores(user_emb: &[f32], item_table: &Matrix, items: &[u32]) -> Vec<f32> {
+pub(crate) fn dot_scores(user_emb: &[f32], item_table: &Matrix, items: &[u32]) -> Vec<f32> {
     items
         .iter()
         .map(|&i| gb_tensor::kernels::dot(user_emb, item_table.row(i as usize)))

@@ -17,7 +17,7 @@ use std::sync::Arc;
 /// vs. sampled-negative items with a **log loss** — the loss the paper
 /// attributes to SIGR when analysing its weakness against BPR training.
 ///
-/// Faithfulness note (documented in DESIGN.md): the original's latent
+/// Faithfulness note: the original's latent
 /// influence attention with global/local contexts is reduced to a learned
 /// per-user influence scalar gating member contributions after one round
 /// of bipartite propagation. The structure that matters for the

@@ -181,7 +181,7 @@ impl EmbeddingSnapshot {
 
     /// Scores the contiguous item range `[start, start + out.len())` for
     /// `user` into `out` — the blocked serving fast path.
-    pub fn score_block(&self, user: u32, start: usize, out: &mut [f32]) {
+    pub(crate) fn score_block(&self, user: u32, start: usize, out: &mut [f32]) {
         kernels::blend_dot_block(
             self.user_own.row(user as usize),
             &self.item_own,
@@ -217,7 +217,7 @@ impl EmbeddingSnapshot {
     /// [`EmbeddingSnapshot::user_rows`] returns them; `out` holds one
     /// `len`-wide row per user, row-major: `out[u * len + j]` is user
     /// `u`'s score for item `start + j`, bit-identical to what
-    /// [`EmbeddingSnapshot::score_block`] writes for that user alone (the
+    /// `EmbeddingSnapshot::score_block` writes for that user alone (the
     /// kernel shares loads of the item tables across the block; it never
     /// changes any user's accumulation order).
     ///
@@ -255,7 +255,7 @@ impl EmbeddingSnapshot {
     /// # Panics
     /// Panics if `user` or any item id is out of range, or
     /// `out.len() != items.len()`.
-    pub fn score_indexed(&self, user: u32, items: &[u32], out: &mut [f32]) {
+    pub(crate) fn score_indexed(&self, user: u32, items: &[u32], out: &mut [f32]) {
         kernels::blend_dot_indexed(
             self.user_own.row(user as usize),
             &self.item_own,
@@ -328,7 +328,7 @@ impl EmbeddingSnapshot {
 
 impl Scorer for EmbeddingSnapshot {
     /// Scores an explicit candidate list through the gathered kernel
-    /// ([`EmbeddingSnapshot::score_indexed`]) — one call instead of one
+    /// (`EmbeddingSnapshot::score_indexed`) — one call instead of one
     /// single-item block per candidate, with every score bit-identical
     /// either way (the same lane-blocked dot per item).
     fn score_items(&self, user: u32, items: &[u32]) -> Vec<f32> {

@@ -665,7 +665,7 @@ impl QueryEngine {
     }
 
     /// Whether this engine caches responses.
-    pub fn has_cache(&self) -> bool {
+    pub(crate) fn has_cache(&self) -> bool {
         self.core.cache.is_some()
     }
 

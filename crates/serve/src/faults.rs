@@ -148,7 +148,7 @@ impl FaultPlan {
     /// # Panics
     /// Panics when the call count hits a scripted index — that is the
     /// injected fault, expected to be caught by worker supervision.
-    pub fn at_score(&self) {
+    pub(crate) fn at_score(&self) {
         let call = self.score_calls.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(d) = self.score_delay {
             std::thread::sleep(d);
@@ -168,7 +168,7 @@ impl FaultPlan {
     /// # Panics
     /// Panics when this shard has a scripted failure due — expected to
     /// be caught by the router's degraded scatter.
-    pub fn at_shard(&self, shard: usize) {
+    pub(crate) fn at_shard(&self, shard: usize) {
         if let Some(&(_, d)) = self.shard_delays.iter().find(|&&(s, _)| s == shard) {
             std::thread::sleep(d);
         }
@@ -189,7 +189,7 @@ impl FaultPlan {
 
     /// Fault site: between preparing and installing a sharded deal
     /// filter.
-    pub fn at_filter_install(&self) {
+    pub(crate) fn at_filter_install(&self) {
         if let Some(d) = self.install_delay {
             std::thread::sleep(d);
         }
@@ -197,7 +197,7 @@ impl FaultPlan {
 
     /// Fault site: one faulted snapshot open. Returns `true` when the
     /// open should fail (consuming one scripted failure).
-    pub fn fail_next_open(&self) -> bool {
+    pub(crate) fn fail_next_open(&self) -> bool {
         self.open_fails
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
             .is_ok()

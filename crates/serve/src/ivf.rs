@@ -279,11 +279,6 @@ impl IvfIndex {
         self.version
     }
 
-    /// Whether this index carries packed per-cell item tables.
-    pub fn is_packed(&self) -> bool {
-        self.packed.is_some()
-    }
-
     /// Number of cells (≤ the requested `n_clusters` only when the
     /// catalogue itself is smaller).
     pub fn n_clusters(&self) -> usize {
@@ -308,7 +303,7 @@ impl IvfIndex {
     /// # Panics
     /// Panics if `user` is out of range, the range exceeds the cell, or
     /// `snapshot` disagrees with the index on embedding widths.
-    pub fn score_cell(
+    pub(crate) fn score_cell(
         &self,
         snapshot: &EmbeddingSnapshot,
         user: u32,
@@ -422,7 +417,7 @@ impl IvfIndex {
     /// # Panics
     /// Panics if any user is out of range for `snapshot`, or `snapshot`
     /// disagrees with the index on embedding widths.
-    pub fn probe_cells_block(
+    pub(crate) fn probe_cells_block(
         &self,
         snapshot: &EmbeddingSnapshot,
         users: &[u32],
@@ -549,7 +544,7 @@ mod tests {
         let snap = snapshot(73);
         let packed = IvfIndex::build(&snap, 1, 6, 0, true);
         let unpacked = IvfIndex::build(&snap, 1, 6, 0, false);
-        assert!(packed.is_packed() && !unpacked.is_packed());
+        assert!(packed.packed.is_some() && unpacked.packed.is_none());
         for c in 0..packed.n_clusters() {
             assert_eq!(packed.list(c), unpacked.list(c), "same clustering");
             let n = packed.list(c).len();
@@ -643,7 +638,7 @@ mod tests {
         let (next, changed, appended) = delta_successor(&prev);
         let up = packed.update(&next, 2, &changed, appended);
         let uu = unpacked.update(&next, 2, &changed, appended);
-        assert!(up.is_packed() && !uu.is_packed());
+        assert!(up.packed.is_some() && uu.packed.is_none());
         for c in 0..up.n_clusters() {
             assert_eq!(up.list(c), uu.list(c), "same re-routing");
             let n = up.list(c).len();

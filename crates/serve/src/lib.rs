@@ -91,7 +91,7 @@
 //! * [`service::RecommendService`] — a std-thread worker pool consuming
 //!   a bounded request queue; workers coalesce queued same-`k` queries
 //!   into shared catalogue passes, sized adaptively from the live queue
-//!   depth ([`service::coalesce_limit`]). Generic over [`ServeEngine`],
+//!   depth (`service::coalesce_limit`). Generic over [`ServeEngine`],
 //!   so a [`router::ShardedEngine`] drops in behind the same queue.
 //!   Per-request *enqueue→reply* latency (queue wait included) feeds
 //!   [`gb_eval::timing::Stopwatch`]; non-finite scores are dropped by

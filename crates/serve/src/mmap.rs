@@ -74,7 +74,7 @@ compile_error!("the v2 snapshot layout assumes a little-endian host");
 const MAGIC: [u8; 4] = *b"GBSN";
 
 /// Layout version written and required by this module.
-pub const MMAP_VERSION: u32 = 2;
+pub(crate) const MMAP_VERSION: u32 = 2;
 
 /// Header size: magic + version + alpha + pad + 4 descriptors.
 const HEADER_BYTES: usize = 16 + 4 * DESC_BYTES;
@@ -153,7 +153,7 @@ mod sys {
     /// # Safety
     /// `ptr`/`len` must be exactly what a successful [`mmap`] returned,
     /// unmapped at most once, with no live references into the region.
-    pub unsafe fn munmap(ptr: *const u8, len: usize) {
+    pub(crate) unsafe fn munmap(ptr: *const u8, len: usize) {
         let _ret: isize;
         #[cfg(target_arch = "x86_64")]
         asm!(

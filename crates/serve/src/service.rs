@@ -17,7 +17,7 @@
 //! request.
 //!
 //! How greedily a worker drains is sized from the live queue depth
-//! ([`coalesce_limit`]): an idle service groups at most `user_block`
+//! (`coalesce_limit`): an idle service groups at most `user_block`
 //! (grabbing more would only add queue wait for work that saves
 //! nothing), while under backlog the group grows toward
 //! `ServiceConfig::coalesce_cap` so one dequeue amortizes lock and
@@ -82,7 +82,7 @@ pub struct ServiceConfig {
     pub warm_k: usize,
     /// Upper bound on one coalesced group. The effective per-dequeue
     /// limit adapts between the engine's `user_block` and this cap with
-    /// the live queue depth (see [`coalesce_limit`]).
+    /// the live queue depth (see `coalesce_limit`).
     pub coalesce_cap: usize,
     /// Queue depth at/above which admission control sheds new `try_*`
     /// requests with [`ServeError::Overloaded`] instead of queueing
@@ -119,7 +119,7 @@ impl Default for ServiceConfig {
 /// more arrivals is not worth the added queue time). Deep queue → up to
 /// `cap`, so one worker pass drains a burst. Pure so it can be tested
 /// deterministically apart from the live queue.
-pub fn coalesce_limit(user_block: usize, depth: usize, cap: usize) -> usize {
+pub(crate) fn coalesce_limit(user_block: usize, depth: usize, cap: usize) -> usize {
     user_block.max(depth.min(cap)).max(1)
 }
 

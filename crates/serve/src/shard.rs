@@ -71,30 +71,6 @@ impl ShardPlan {
     pub fn ranges(&self) -> &[(usize, usize)] {
         &self.ranges
     }
-
-    /// The shard owning global item `item`.
-    ///
-    /// # Panics
-    /// Panics if `item >= n_items`.
-    pub fn shard_of(&self, item: u32) -> usize {
-        let item = item as usize;
-        assert!(
-            item < self.n_items,
-            "item {item} out of range ({} items)",
-            self.n_items
-        );
-        // Lengths differ by at most one, so the owner is computable in
-        // O(1): the first `extra` shards hold `base + 1` items each.
-        let n_shards = self.ranges.len();
-        let base = self.n_items / n_shards;
-        let extra = self.n_items % n_shards;
-        let boundary = extra * (base + 1);
-        if item < boundary {
-            item / (base + 1)
-        } else {
-            extra + (item - boundary) / base
-        }
-    }
 }
 
 #[cfg(test)]
@@ -134,27 +110,6 @@ mod tests {
             assert!(max - min <= 1, "{n_items}/{n_shards}: {lens:?}");
             assert!(lens.windows(2).all(|w| w[0] >= w[1]), "larger shards first");
         }
-    }
-
-    #[test]
-    fn shard_of_agrees_with_ranges() {
-        for (n_items, n_shards) in [(7usize, 3usize), (64, 8), (100, 7), (5, 9), (1, 1)] {
-            let plan = ShardPlan::balanced(n_items, n_shards);
-            for item in 0..n_items as u32 {
-                let s = plan.shard_of(item);
-                let (start, len) = plan.range(s);
-                assert!(
-                    (start..start + len).contains(&(item as usize)),
-                    "item {item} of {n_items}/{n_shards} -> shard {s} {start}+{len}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn shard_of_checks_bounds() {
-        ShardPlan::balanced(10, 2).shard_of(10);
     }
 
     #[test]

@@ -938,12 +938,6 @@ pub fn mul(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// `a += alpha * b` (AXPY).
-pub fn axpy(a: &mut Matrix, alpha: f32, b: &Matrix) {
-    assert_eq!(a.shape(), b.shape(), "axpy shape mismatch");
-    axpy_into(a.as_mut_slice(), alpha, b.as_slice());
-}
-
 /// `alpha * a` as a new matrix.
 pub fn scale(a: &Matrix, alpha: f32) -> Matrix {
     a.map(|v| v * alpha)

@@ -133,7 +133,8 @@ impl Matrix {
     }
 
     /// Builds a square identity matrix.
-    pub fn eye(n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn eye(n: usize) -> Self {
         Self::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
     }
 
@@ -374,11 +375,6 @@ impl Matrix {
         self.data_mut()[idx] = v;
     }
 
-    /// Sets every element to zero, keeping the allocation.
-    pub fn zero_out(&mut self) {
-        self.as_mut_slice().iter_mut().for_each(|v| *v = 0.0);
-    }
-
     /// Sets every element to `value`.
     pub fn fill(&mut self, value: f32) {
         self.as_mut_slice().iter_mut().for_each(|v| *v = value);
@@ -435,7 +431,8 @@ impl Matrix {
     }
 
     /// Largest absolute element; 0.0 for an empty matrix.
-    pub fn max_abs(&self) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn max_abs(&self) -> f32 {
         self.as_slice()
             .iter()
             .fold(0.0_f32, |acc, v| acc.max(v.abs()))
@@ -701,9 +698,6 @@ mod tests {
         let mut f = base.clone();
         f.fill(1.0);
         assert_eq!(base.get(1, 1), 4.0);
-        let mut z = base.clone();
-        z.zero_out();
-        assert_eq!(base.get(2, 2), 8.0);
         let mut mi = base.clone();
         mi.map_inplace(|v| v + 1.0);
         assert_eq!(base.get(0, 1), 1.0);

@@ -11,8 +11,8 @@
 //! use gbgcn_repro::prelude::*;
 //! ```
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! paper-vs-measured record of every table and figure.
+//! See the README for the system inventory, and its "Reproducing the
+//! paper tables" section for the binary behind each table and figure.
 
 pub use gb_autograd as autograd;
 pub use gb_core as gbgcn;
