@@ -9,25 +9,19 @@
 use crate::params::{Gradients, ParamStore};
 use gb_tensor::Matrix;
 
-/// Vanilla stochastic gradient descent with optional L2 weight decay.
+/// Vanilla stochastic gradient descent with optional global-norm clipping.
 #[derive(Clone, Copy, Debug)]
 pub struct Sgd {
     /// Learning rate (the paper searches {10, 3, 1, 0.3} for fine-tuning).
     pub lr: f32,
-    /// Coupled L2 coefficient; `grad += weight_decay * param`.
-    pub weight_decay: f32,
     /// Global-norm clip applied before the update; 0 disables clipping.
     pub clip_norm: f32,
 }
 
 impl Sgd {
-    /// SGD with the given learning rate, no weight decay, no clipping.
+    /// SGD with the given learning rate and no clipping.
     pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            weight_decay: 0.0,
-            clip_norm: 0.0,
-        }
+        Self { lr, clip_norm: 0.0 }
     }
 
     /// Enables global-norm gradient clipping.
@@ -41,9 +35,8 @@ impl Sgd {
         let scale = clip_scale(grads, self.clip_norm);
         for (id, g) in grads.iter() {
             let p = store.value_mut(id);
-            let wd = self.weight_decay;
             for (w, &gv) in p.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                *w -= self.lr * (gv * scale + wd * *w);
+                *w -= self.lr * (gv * scale);
             }
         }
     }
@@ -60,10 +53,6 @@ pub struct AdamConfig {
     pub beta2: f32,
     /// Numerical floor.
     pub eps: f32,
-    /// Coupled L2 coefficient.
-    pub weight_decay: f32,
-    /// Global-norm clip; 0 disables.
-    pub clip_norm: f32,
 }
 
 impl Default for AdamConfig {
@@ -73,8 +62,6 @@ impl Default for AdamConfig {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            weight_decay: 0.0,
-            clip_norm: 0.0,
         }
     }
 }
@@ -117,7 +104,6 @@ impl Adam {
 
     /// Applies one Adam step for all touched parameters.
     pub fn step(&mut self, store: &mut ParamStore, grads: &Gradients) {
-        let scale = clip_scale(grads, self.cfg.clip_norm);
         for (id, g) in grads.iter() {
             let shape = g.shape();
             let m = self.m[id].get_or_insert_with(|| Matrix::zeros(shape.0, shape.1));
@@ -129,9 +115,8 @@ impl Adam {
             let bias1 = 1.0 - b1.powf(t);
             let bias2 = 1.0 - b2.powf(t);
             let p = store.value_mut(id);
-            let wd = self.cfg.weight_decay;
             for i in 0..p.len() {
-                let grad = g.as_slice()[i] * scale + wd * p.as_slice()[i];
+                let grad = g.as_slice()[i];
                 let mi = &mut m.as_mut_slice()[i];
                 *mi = b1 * *mi + (1.0 - b1) * grad;
                 let vi = &mut v.as_mut_slice()[i];
@@ -194,24 +179,6 @@ mod tests {
         let mut adam = Adam::new(AdamConfig::with_lr(0.1), &store_probe);
         let w = quadratic_descent(|s, g, _| adam.step(s, g));
         assert!((w - 3.0).abs() < 0.05, "w = {w}");
-    }
-
-    #[test]
-    fn weight_decay_shrinks_untouched_loss() {
-        // Pure decay: zero gradient on a param not in the loss leaves it
-        // untouched (sparse semantics) — decay applies only to touched ones.
-        let mut store = ParamStore::new();
-        let a = store.add("a", Matrix::full(1, 1, 1.0));
-        let b = store.add("b", Matrix::full(1, 1, 1.0));
-        let sgd = Sgd {
-            weight_decay: 0.1,
-            ..Sgd::new(0.5)
-        };
-        let mut grads = Gradients::empty(2);
-        grads.accumulate(a, Matrix::zeros(1, 1));
-        sgd.step(&mut store, &grads);
-        assert!(store.value(a).get(0, 0) < 1.0, "touched param decays");
-        assert_eq!(store.value(b).get(0, 0), 1.0, "untouched param untouched");
     }
 
     #[test]

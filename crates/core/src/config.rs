@@ -165,8 +165,6 @@ pub struct GbgcnConfig {
     pub separate_raw: bool,
     /// RNG seed.
     pub seed: u64,
-    /// Log per-epoch losses to stderr.
-    pub verbose: bool,
 }
 
 impl Default for GbgcnConfig {
@@ -188,7 +186,6 @@ impl Default for GbgcnConfig {
             ablation: AblationMode::Full,
             separate_raw: false,
             seed: 42,
-            verbose: false,
         }
     }
 }

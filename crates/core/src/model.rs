@@ -118,7 +118,7 @@ pub struct GbgcnModel {
     /// the parameters alone, so until one of them changes that step's own
     /// forward would recompute these tables bit for bit. Behind a mutex
     /// only because a `Tape` is `Send` but not `Sync`, and the shard
-    /// closures borrow the model across the pool.
+    /// closures borrow the model across the shard threads.
     retained: Mutex<Option<RetainedForward>>,
     /// Counts full GBGCN propagation forward passes — observability for
     /// the shared-forward contract (`sharded_grad` runs `propagate`
@@ -603,7 +603,7 @@ impl GbgcnModel {
         finetune: bool,
     ) -> (f32, Gradients) {
         // Empty-batch fast path: a zero-example batch decomposes into
-        // zero shards — return immediately instead of waking the pool.
+        // zero shards — return immediately instead of spawning shard threads.
         if batch.is_empty() {
             return (0.0, Gradients::empty(self.store.len()));
         }
@@ -749,12 +749,8 @@ impl GbgcnModel {
         // normalization of the pre-trained embeddings ---------------------
         if pretrain_epochs > 0 {
             let mut adam = Adam::new(AdamConfig::with_lr(self.cfg.pretrain_lr), &self.store);
-            for epoch in 0..pretrain_epochs {
-                let loss = self.run_epoch(&mut run, false, |store, grads| adam.step(store, grads));
-                if self.cfg.verbose {
-                    let n_shards = run.n_shards;
-                    eprintln!("[GBGCN pre-train x{n_shards}] epoch {epoch}: loss {loss:.4}");
-                }
+            for _ in 0..pretrain_epochs {
+                self.run_epoch(&mut run, false, |store, grads| adam.step(store, grads));
             }
             for id in [self.params.user_raw, self.params.item_raw] {
                 let normalized = kernels::normalize_rows(self.store.value(id));
@@ -768,10 +764,6 @@ impl GbgcnModel {
         let start = Instant::now();
         for epoch in 0..finetune_epochs {
             final_loss = self.run_epoch(&mut run, true, |store, grads| sgd.step(store, grads));
-            if self.cfg.verbose {
-                let n_shards = run.n_shards;
-                eprintln!("[GBGCN fine-tune x{n_shards}] epoch {epoch}: loss {final_loss:.4}");
-            }
             after_epoch(self, epoch);
         }
         let elapsed = start.elapsed().as_secs_f64();
@@ -804,7 +796,6 @@ impl GbgcnModel {
             seed,
             pretrain_epochs,
             finetune_epochs,
-            verbose,
             ..
         } = self.cfg;
         let sampler = NegativeSampler::from_dataset(train);
@@ -827,11 +818,6 @@ impl GbgcnModel {
                 if score > best_score {
                     best_score = score;
                     best_snapshot = Some(checkpoint::snapshot(&model.store));
-                }
-                if verbose {
-                    eprintln!(
-                        "[GBGCN validate] epoch {epoch}: NDCG@10 {score:.4} (best {best_score:.4})"
-                    );
                 }
             },
         );
@@ -1655,7 +1641,7 @@ mod tests {
     #[test]
     fn zero_behavior_dataset_trains_and_scores_without_panics() {
         // Zero-example epochs take the empty-batch fast path (no shard
-        // decomposition, no pool wake-ups) and still finalize cleanly.
+        // decomposition, no shard threads) and still finalize cleanly.
         let d = Dataset::new(4, 4, vec![], vec![(0, 1)], vec![1; 4]);
         let cfg = GbgcnConfig {
             pretrain_epochs: 1,

@@ -142,7 +142,6 @@ impl Recommender for Agree {
         };
 
         let report = train_pairs(
-            "AGREE",
             cfg,
             train,
             &state.groups.group_items,

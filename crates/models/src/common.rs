@@ -32,8 +32,6 @@ pub struct TrainConfig {
     pub l2: f32,
     /// RNG seed controlling init, shuffling, and negative sampling.
     pub seed: u64,
-    /// Print per-epoch loss to stderr.
-    pub verbose: bool,
 }
 
 impl Default for TrainConfig {
@@ -46,7 +44,6 @@ impl Default for TrainConfig {
             lr: 5e-3,
             l2: 1e-5,
             seed: 42,
-            verbose: false,
         }
     }
 }
@@ -115,10 +112,8 @@ impl PairBatch {
 /// `rng` has already drawn the model's initial parameters; shuffles and
 /// negatives continue the same stream. [`shuffled_batches`] never yields
 /// an empty batch, so `grad` always sees at least one triple and an
-/// example-free dataset never calls it. `name` labels the `verbose`
-/// per-epoch loss line.
+/// example-free dataset never calls it.
 pub(crate) fn train_pairs(
-    name: &str,
     cfg: &TrainConfig,
     train: &Dataset,
     examples: &[(u32, u32)],
@@ -132,7 +127,7 @@ pub(crate) fn train_pairs(
 
     let mut final_loss = 0.0f32;
     let start = Instant::now();
-    for epoch in 0..cfg.epochs {
+    for _ in 0..cfg.epochs {
         let mut epoch_loss = 0.0f32;
         let mut n_batches = 0usize;
         for batch in shuffled_batches(examples.len(), cfg.batch_size, rng) {
@@ -156,9 +151,6 @@ pub(crate) fn train_pairs(
             adam.step(store, &grads);
         }
         final_loss = epoch_loss / n_batches.max(1) as f32;
-        if cfg.verbose {
-            eprintln!("[{name}] epoch {epoch}: loss {final_loss:.4}");
-        }
     }
     TrainReport {
         epochs: cfg.epochs,

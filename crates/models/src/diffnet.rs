@@ -87,27 +87,19 @@ impl Recommender for DiffNet {
         let pairs = to_pairs(train, InteractionKind::BothRoles);
         let graph = Bipartite::from_interactions(train.n_users(), train.n_items(), &pairs);
         let social = train.social().csr();
-        let report = train_pairs(
-            "DiffNet",
-            cfg,
-            train,
-            &pairs,
-            &mut store,
-            &mut rng,
-            |store, batch| {
-                let n = batch.len();
-                let mut tape = Tape::new();
-                let u_final = diffuse(store, u, v, &mut tape, social, &graph, self.depth);
-                let ue = tape.gather(u_final, Arc::new(batch.users));
-                let pe = tape.gather_param(store, v, Arc::new(batch.pos));
-                let ne = tape.gather_param(store, v, Arc::new(batch.neg));
-                let pos_s = tape.rowwise_dot(ue, pe);
-                let neg_s = tape.rowwise_dot(ue, ne);
-                let loss = bpr_loss(&mut tape, pos_s, neg_s, n);
-                let loss = add_l2(&mut tape, loss, &[ue, pe, ne], cfg.l2, n);
-                (tape.value(loss).get(0, 0), tape.backward(loss, store))
-            },
-        );
+        let report = train_pairs(cfg, train, &pairs, &mut store, &mut rng, |store, batch| {
+            let n = batch.len();
+            let mut tape = Tape::new();
+            let u_final = diffuse(store, u, v, &mut tape, social, &graph, self.depth);
+            let ue = tape.gather(u_final, Arc::new(batch.users));
+            let pe = tape.gather_param(store, v, Arc::new(batch.pos));
+            let ne = tape.gather_param(store, v, Arc::new(batch.neg));
+            let pos_s = tape.rowwise_dot(ue, pe);
+            let neg_s = tape.rowwise_dot(ue, ne);
+            let loss = bpr_loss(&mut tape, pos_s, neg_s, n);
+            let loss = add_l2(&mut tape, loss, &[ue, pe, ne], cfg.l2, n);
+            (tape.value(loss).get(0, 0), tape.backward(loss, store))
+        });
 
         let mut tape = Tape::new();
         let u_final = diffuse(&store, u, v, &mut tape, social, &graph, self.depth);

@@ -123,7 +123,6 @@ impl Gbmf {
         let social = train.social().csr();
 
         let report = train_pairs(
-            "GBMF",
             base,
             train,
             &launches,

@@ -16,7 +16,7 @@
 //! training loop, the mini-batch/negative-sampling recipe of Sec. III-C.2,
 //! written once as a crate-private function: it owns the Adam optimiser,
 //! the shuffled batches, the `neg_ratio` negatives drawn per example, the
-//! step, the per-epoch loss and timing, and the `verbose` log. Each
+//! step, and the per-epoch loss and timing. Each
 //! model's `fit` is its parameter init, a closure holding only its own
 //! forward and loss (for `Mf` and `Gbmf`, their sharded recipe), and its
 //! post-training cache. `gb-core`'s GBGCN keeps its own loop: it trains

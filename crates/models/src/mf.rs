@@ -79,31 +79,23 @@ impl Mf {
         );
 
         let pairs = to_pairs(train, self.kind);
-        let report = train_pairs(
-            &self.name,
-            cfg,
-            train,
-            &pairs,
-            &mut store,
-            &mut rng,
-            |store, batch| {
-                let n = batch.len();
-                let spans = shard_spans(n, n_shards);
-                let shard_idx = batch.shards(&spans);
-                executor.accumulate(store.len(), spans.len(), |s| {
-                    let [shard_users, shard_pos, shard_neg] = &shard_idx[s];
-                    let mut tape = Tape::new();
-                    let ue = tape.gather_param(store, u, Arc::clone(shard_users));
-                    let pe = tape.gather_param(store, v, Arc::clone(shard_pos));
-                    let ne = tape.gather_param(store, v, Arc::clone(shard_neg));
-                    let pos_s = tape.rowwise_dot(ue, pe);
-                    let neg_s = tape.rowwise_dot(ue, ne);
-                    let loss = bpr_loss(&mut tape, pos_s, neg_s, n);
-                    let loss = add_l2(&mut tape, loss, &[ue, pe, ne], cfg.l2, n);
-                    (tape.value(loss).get(0, 0), tape.backward(loss, store))
-                })
-            },
-        );
+        let report = train_pairs(cfg, train, &pairs, &mut store, &mut rng, |store, batch| {
+            let n = batch.len();
+            let spans = shard_spans(n, n_shards);
+            let shard_idx = batch.shards(&spans);
+            executor.accumulate(store.len(), spans.len(), |s| {
+                let [shard_users, shard_pos, shard_neg] = &shard_idx[s];
+                let mut tape = Tape::new();
+                let ue = tape.gather_param(store, u, Arc::clone(shard_users));
+                let pe = tape.gather_param(store, v, Arc::clone(shard_pos));
+                let ne = tape.gather_param(store, v, Arc::clone(shard_neg));
+                let pos_s = tape.rowwise_dot(ue, pe);
+                let neg_s = tape.rowwise_dot(ue, ne);
+                let loss = bpr_loss(&mut tape, pos_s, neg_s, n);
+                let loss = add_l2(&mut tape, loss, &[ue, pe, ne], cfg.l2, n);
+                (tape.value(loss).get(0, 0), tape.backward(loss, store))
+            })
+        });
 
         self.user_emb = store.value(u).clone();
         self.item_emb = store.value(v).clone();
@@ -194,9 +186,8 @@ mod tests {
     #[test]
     fn zero_pair_dataset_never_reaches_the_pool() {
         // No behaviors at all: every epoch is a zero-example epoch, which
-        // `shuffled_batches` turns into zero batches, so the worker pool
-        // must stay completely idle and the model still be usable
-        // (untrained).
+        // `shuffled_batches` turns into zero batches, so no shard thread
+        // is spawned and the model is still usable (untrained).
         let d = Dataset::new(2, 3, vec![], vec![(0, 1)], vec![1; 3]);
         let cfg = TrainConfig {
             dim: 4,
@@ -206,7 +197,11 @@ mod tests {
         let mut mf = Mf::new(cfg, InteractionKind::BothRoles);
         let executor = ShardExecutor::new(4);
         let report = mf.fit_sharded(&d, 4, &executor);
-        assert_eq!(executor.jobs_dispatched(), 0, "empty epochs woke the pool");
+        assert_eq!(
+            executor.jobs_dispatched(),
+            0,
+            "empty epochs spawned a thread"
+        );
         assert_eq!(report.final_loss, 0.0);
         assert!(mf.score_items(1, &[0, 1, 2]).iter().all(|s| s.is_finite()));
     }

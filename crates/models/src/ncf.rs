@@ -154,7 +154,6 @@ impl Recommender for Ncf {
         let p = self.init_params(train, &mut store, &mut rng);
         let pairs = to_pairs(train, InteractionKind::BothRoles);
         let report = train_pairs(
-            "NCF",
             &self.cfg,
             train,
             &pairs,

@@ -123,7 +123,6 @@ impl Recommender for Ngcf {
         let pairs = to_pairs(train, InteractionKind::BothRoles);
         let graph = Bipartite::from_interactions(train.n_users(), train.n_items(), &pairs);
         let report = train_pairs(
-            "NGCF",
             &self.cfg,
             train,
             &pairs,

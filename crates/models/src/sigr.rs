@@ -120,7 +120,6 @@ impl Recommender for Sigr {
         let pairs = to_pairs(train, InteractionKind::BothRoles);
         let graph = Bipartite::from_interactions(train.n_users(), train.n_items(), &pairs);
         let report = train_pairs(
-            "SIGR",
             cfg,
             train,
             &groups.group_items,

@@ -58,37 +58,29 @@ impl Recommender for SocialMf {
 
         let pairs = to_pairs(train, InteractionKind::BothRoles);
         let social = train.social().csr();
-        let report = train_pairs(
-            "SocialMF",
-            cfg,
-            train,
-            &pairs,
-            &mut store,
-            &mut rng,
-            |store, batch| {
-                let n = batch.len();
-                let users = Arc::new(batch.users);
-                let mut tape = Tape::new();
-                let u_full = tape.param(store, u);
-                let ue = tape.gather(u_full, users.clone());
-                let pe = tape.gather_param(store, v, Arc::new(batch.pos));
-                let ne = tape.gather_param(store, v, Arc::new(batch.neg));
-                let pos_s = tape.rowwise_dot(ue, pe);
-                let neg_s = tape.rowwise_dot(ue, ne);
-                let loss = bpr_loss(&mut tape, pos_s, neg_s, n);
-                let loss = add_l2(&mut tape, loss, &[ue, pe, ne], cfg.l2, n);
+        let report = train_pairs(cfg, train, &pairs, &mut store, &mut rng, |store, batch| {
+            let n = batch.len();
+            let users = Arc::new(batch.users);
+            let mut tape = Tape::new();
+            let u_full = tape.param(store, u);
+            let ue = tape.gather(u_full, users.clone());
+            let pe = tape.gather_param(store, v, Arc::new(batch.pos));
+            let ne = tape.gather_param(store, v, Arc::new(batch.neg));
+            let pos_s = tape.rowwise_dot(ue, pe);
+            let neg_s = tape.rowwise_dot(ue, ne);
+            let loss = bpr_loss(&mut tape, pos_s, neg_s, n);
+            let loss = add_l2(&mut tape, loss, &[ue, pe, ne], cfg.l2, n);
 
-                // Trust propagation: batch users toward their friend mean.
-                // Users without friends have a zero friend-mean; we still
-                // regularize them toward zero, which is the shrinkage
-                // SocialMF applies to isolated users.
-                let friend_mean = tape.segment_mean(u_full, social.offsets(), social.members());
-                let fm_batch = tape.gather(friend_mean, users);
-                let gap = tape.sub(ue, fm_batch);
-                let loss = add_l2(&mut tape, loss, &[gap], self.social_reg, n);
-                (tape.value(loss).get(0, 0), tape.backward(loss, store))
-            },
-        );
+            // Trust propagation: batch users toward their friend mean.
+            // Users without friends have a zero friend-mean; we still
+            // regularize them toward zero, which is the shrinkage
+            // SocialMF applies to isolated users.
+            let friend_mean = tape.segment_mean(u_full, social.offsets(), social.members());
+            let fm_batch = tape.gather(friend_mean, users);
+            let gap = tape.sub(ue, fm_batch);
+            let loss = add_l2(&mut tape, loss, &[gap], self.social_reg, n);
+            (tape.value(loss).get(0, 0), tape.backward(loss, store))
+        });
 
         self.user_emb = store.value(u).clone();
         self.item_emb = store.value(v).clone();
