@@ -87,7 +87,8 @@ impl BitMatrix {
 
     /// The 64-bit words of row `r` (bit `c` of the row lives in word
     /// `c / 64` at position `c % 64`). Lets scoring loops test 64
-    /// candidates per load.
+    /// candidates per load. Bits past `cols` in the last word are always
+    /// clear, so a probe past the columns reads unset.
     #[inline]
     pub fn row_words(&self, r: usize) -> &[u64] {
         debug_assert!(r < self.rows, "row {r} out of bounds");
@@ -102,50 +103,6 @@ impl BitMatrix {
     /// Heap footprint of the bit store in bytes.
     pub fn size_bytes(&self) -> usize {
         self.words.len() * 8
-    }
-
-    /// The sub-matrix of the contiguous column range `[start, start+len)`:
-    /// bit `(r, c)` of the slice equals bit `(r, start + c)` of `self`.
-    ///
-    /// The sharded serving tier slices one catalogue-wide seen-filter
-    /// into per-shard item ranges with this, so each shard probes a
-    /// filter indexed by its *local* item ids. Built word-at-a-time (a
-    /// shift-and-or across adjacent source words), not bit-at-a-time.
-    ///
-    /// # Panics
-    /// Panics if `start + len > cols`.
-    pub fn slice_cols(&self, start: usize, len: usize) -> BitMatrix {
-        assert!(
-            start.checked_add(len).is_some_and(|end| end <= self.cols),
-            "column range [{start}, {start}+{len}) out of bounds ({} cols)",
-            self.cols
-        );
-        let mut out = BitMatrix::zeros(self.rows, len);
-        let (base, shift) = (start / 64, start % 64);
-        for r in 0..self.rows {
-            let src = self.row_words(r);
-            let dst = &mut out.words[r * out.words_per_row..(r + 1) * out.words_per_row];
-            for (j, w) in dst.iter_mut().enumerate() {
-                let lo = src.get(base + j).copied().unwrap_or(0) >> shift;
-                // `>> 64` is UB-adjacent in Rust (it panics in debug,
-                // wraps in release), so the shift==0 case must not read
-                // the next word at all.
-                let hi = if shift == 0 {
-                    0
-                } else {
-                    src.get(base + j + 1).copied().unwrap_or(0) << (64 - shift)
-                };
-                *w = lo | hi;
-            }
-            // Clear bits past `len` in the final word: `count` assumes
-            // trailing bits are zero.
-            if !len.is_multiple_of(64) {
-                if let Some(last) = dst.last_mut() {
-                    *last &= (1u64 << (len % 64)) - 1;
-                }
-            }
-        }
-        out
     }
 }
 
@@ -207,53 +164,5 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn set_checks_bounds() {
         BitMatrix::zeros(2, 10).set(0, 10);
-    }
-
-    #[test]
-    fn slice_cols_matches_per_bit_membership() {
-        // Dense-ish pseudo-random pattern over a shape that exercises
-        // word-straddling slices.
-        let mut m = BitMatrix::zeros(3, 200);
-        for r in 0..3usize {
-            for c in 0..200usize {
-                if (r * 7 + c * 13) % 5 == 0 {
-                    m.set(r, c);
-                }
-            }
-        }
-        for (start, len) in [
-            (0usize, 200usize),
-            (0, 64),
-            (1, 63),
-            (63, 2),
-            (64, 64),
-            (77, 101),
-            (130, 70),
-            (199, 1),
-            (50, 0),
-            (200, 0),
-        ] {
-            let s = m.slice_cols(start, len);
-            assert_eq!((s.rows(), s.cols()), (3, len), "range {start}+{len}");
-            let mut expect_count = 0usize;
-            for r in 0..3 {
-                for c in 0..len {
-                    assert_eq!(
-                        s.contains(r, c),
-                        m.contains(r, start + c),
-                        "bit ({r}, {c}) of range {start}+{len}"
-                    );
-                    expect_count += usize::from(m.contains(r, start + c));
-                }
-            }
-            // Trailing bits past `len` stayed clear.
-            assert_eq!(s.count(), expect_count, "range {start}+{len}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn slice_cols_checks_bounds() {
-        BitMatrix::zeros(2, 10).slice_cols(5, 6);
     }
 }

@@ -148,23 +148,23 @@ type ResponseCache = LruCache<(u64, u64, u32, usize), Arc<Vec<ScoredItem>>>;
 /// per requested user — or the typed error that refused the batch.
 pub type VersionedBatchResult = Result<(u64, Vec<Arc<Vec<ScoredItem>>>), ServeError>;
 
-/// A deal-state filter slot: the installed filter (`F` is the whole row
-/// on a [`QueryEngine`], the per-shard slices on a
-/// [`crate::router::ShardedEngine`]) plus how many times it has been
-/// swapped. Every swap bumps the generation, and a read takes both under
-/// one lock, so a query's cache key and probe words always agree — a
-/// filter swapped in mid-query can at worst make an in-flight insert land
-/// under the retired generation's (dead) key, never serve a response
-/// computed under one filter from a key claiming another.
-pub(crate) struct DealSlot<F>(RwLock<(u64, Option<Arc<F>>)>);
+/// A deal-state filter slot: the installed catalogue-wide row (every
+/// shard of a [`crate::router::ShardedEngine`] probes it at its own item
+/// offset) plus how many times it has been swapped. Every swap bumps the
+/// generation, and a read takes both under one lock, so a query's cache
+/// key and probe words always agree — a filter swapped in mid-query can
+/// at worst make an in-flight insert land under the retired generation's
+/// (dead) key, never serve a response computed under one filter from a
+/// key claiming another.
+pub(crate) struct DealSlot(RwLock<(u64, Option<Arc<BitMatrix>>)>);
 
-impl<F> DealSlot<F> {
+impl DealSlot {
     pub(crate) fn new() -> Self {
         Self(RwLock::new((0, None)))
     }
 
     /// Installs `filter` (`None` clears it) under a new generation.
-    pub(crate) fn swap(&self, filter: Option<F>) {
+    pub(crate) fn swap(&self, filter: Option<BitMatrix>) {
         let filter = filter.map(Arc::new);
         let mut slot = write_recover(&self.0);
         slot.0 += 1;
@@ -178,7 +178,7 @@ impl<F> DealSlot<F> {
     }
 
     /// One consistent `(generation, filter)` read for a whole query.
-    pub(crate) fn load(&self) -> (u64, Option<Arc<F>>) {
+    pub(crate) fn load(&self) -> (u64, Option<Arc<BitMatrix>>) {
         let slot = read_recover(&self.0);
         (slot.0, slot.1.clone())
     }
@@ -271,8 +271,12 @@ mod scoring {
     /// `pub` in a private module: `ShardedEngine::shards` hands cores out
     /// for `cache_stats`, and nothing outside the crate can name them.
     pub struct Core {
-        /// Seen-item bitset: bit `(u, n)` set ⇒ never recommend `n` to `u`.
-        pub(super) seen: Option<BitMatrix>,
+        /// The global id of the core's item 0: its filter probes read bit
+        /// `start + local id` of the catalogue-wide rows.
+        pub(super) start: usize,
+        /// Seen-item bitset over the whole catalogue, shared by every
+        /// shard: bit `(u, n)` set ⇒ never recommend `n` to `u`.
+        pub(super) seen: Option<Arc<BitMatrix>>,
         pub(crate) cache: Option<Mutex<ResponseCache>>,
         /// The tuning, knobs clamped as each one's docs say.
         pub(crate) cfg: EngineConfig,
@@ -283,8 +287,9 @@ mod scoring {
 }
 
 impl Core {
-    /// A core tuned by `cfg`, with no seen filter.
-    pub(crate) fn new(cfg: &EngineConfig) -> Self {
+    /// A core tuned by `cfg` for the items from global id `start` on,
+    /// with no seen filter.
+    pub(crate) fn new(cfg: &EngineConfig, start: usize) -> Self {
         let mut cfg = cfg.clone();
         cfg.block_size = cfg.block_size.max(1).next_multiple_of(DOT_LANES);
         cfg.user_block = cfg.user_block.max(1);
@@ -297,6 +302,7 @@ impl Core {
             *n_probe = (*n_probe).max(1);
         }
         Self {
+            start,
             seen: None,
             cache: (cfg.cache_capacity > 0).then(|| Mutex::new(LruCache::new(cfg.cache_capacity))),
             cfg,
@@ -304,10 +310,10 @@ impl Core {
         }
     }
 
-    /// Installs the seen filter over the core's items, unchecked (the
-    /// caller checks it against the served catalogue) and discards cached
+    /// Installs the catalogue-wide seen filter, unchecked (the caller
+    /// checks it against the served catalogue) and discards cached
     /// responses, which could leak seen items.
-    pub(crate) fn set_seen_filter(&mut self, filter: BitMatrix) {
+    pub(crate) fn set_seen_filter(&mut self, filter: Arc<BitMatrix>) {
         self.seen = Some(filter);
         if let Some(cache) = &self.cache {
             // Flush entries, keep hit/miss counters and the slab
@@ -326,7 +332,8 @@ impl Core {
 
     /// Top-`k` per user against the caller's pinned `(version, snapshot)`
     /// pair and `(generation, filter)` deal pair — both tiers' one scoring
-    /// path (a router passes each shard its slice of both). The cache key
+    /// path (a router passes each shard its snapshot slice and the one
+    /// deal row, probed at the core's `start`). The cache key
     /// carries `cur`'s version and `deal_gen`; the IVF index is built for
     /// `cur`'s version on a miss; `faults` is consulted at every uncached
     /// scoring dispatch. Callers validate `users` against `cur`.
@@ -523,7 +530,7 @@ impl Core {
                 let len = self.cfg.block_size.min(list.len() - start);
                 let out = &mut scores[..len];
                 index.score_cell(snapshot, user, cell, start, out);
-                topk.offer_listed(&list[start..start + len], out, seen, deal);
+                topk.offer_listed(&list[start..start + len], out, seen, deal, self.start);
                 start += len;
             }
         }
@@ -558,7 +565,7 @@ impl Core {
             snapshot.score_block_rows(&owns, &socials, start, len, out);
             for (u, topk) in topks.iter_mut().enumerate() {
                 let scores = &out[u * len..(u + 1) * len];
-                topk.offer_block(start as u32, scores, seens[u], deal);
+                topk.offer_block(start as u32, scores, seens[u], deal, self.start);
             }
             start += len;
         }
@@ -572,7 +579,7 @@ pub struct QueryEngine {
     handle: SnapshotHandle,
     /// Deal-state filter (one row of item bits, bit set ⇒ blocked) and
     /// its generation, swapped at runtime as deal lifecycles progress.
-    deal: DealSlot<BitMatrix>,
+    deal: DealSlot,
     /// Scripted fault schedule (tests/soaks only): consulted at every
     /// uncached scoring dispatch. `None` in production — one branch.
     faults: Option<Arc<FaultPlan>>,
@@ -599,7 +606,7 @@ impl QueryEngine {
             handle,
             deal: DealSlot::new(),
             faults: None,
-            core: Core::new(&cfg),
+            core: Core::new(&cfg, 0),
         }
     }
 
@@ -623,7 +630,7 @@ impl QueryEngine {
     /// the filter's columns, and those items probe as unseen.
     pub fn with_seen_filter(mut self, filter: BitMatrix) -> Self {
         check_seen_filter(&filter, self.handle.load().snapshot());
-        self.core.set_seen_filter(filter);
+        self.core.set_seen_filter(Arc::new(filter));
         self
     }
 

@@ -7,7 +7,7 @@
 //! |-------------------------|-----------------------------------------------|-----------------------------|
 //! | scoring call            | `QueryEngine::rank`/`rank_many` dispatch      | panic the Nth call, panic every Nth, delay |
 //! | shard scatter           | `ShardedEngine` scatter, per shard, per query | delay a shard, fail (panic) a shard N times or every Nth |
-//! | deal-filter install     | `ShardedEngine::set_deal_filter`, between prepare and install | delay (widens the race window the two-phase install must close) |
+//! | deal-filter install     | `ShardedEngine::set_deal_filter`, before its slot swap | delay (widens the race window the atomic install must close) |
 //! | snapshot open           | [`crate::mmap::open_mmap_snapshot_faulted`]   | fail the next N opens       |
 //!
 //! Plans are **per-instance**, not global: an engine only consults the
@@ -53,8 +53,7 @@ pub struct FaultPlan {
     shard_delays: Vec<(usize, Duration)>,
     /// Per-shard scripted failures.
     shard_fails: Vec<ShardFail>,
-    /// Sleep inside `set_deal_filter` between preparing the per-shard
-    /// slices and installing them.
+    /// Sleep inside `set_deal_filter` just before it swaps the slot.
     install_delay: Option<Duration>,
     /// Remaining scripted snapshot-open failures.
     open_fails: AtomicU64,
@@ -122,9 +121,9 @@ impl FaultPlan {
         self
     }
 
-    /// Sleep `delay` inside `set_deal_filter` between the prepare and
-    /// install phases, widening the window a racing scatter must never
-    /// observe a mixed mask in.
+    /// Sleep `delay` inside `set_deal_filter` just before its slot swap,
+    /// widening the window a racing scatter must never observe a mixed
+    /// mask in.
     pub fn delay_filter_install(mut self, delay: Duration) -> Self {
         self.install_delay = Some(delay);
         self
@@ -187,8 +186,7 @@ impl FaultPlan {
         }
     }
 
-    /// Fault site: between preparing and installing a sharded deal
-    /// filter.
+    /// Fault site: just before a sharded deal filter's slot swap.
     pub(crate) fn at_filter_install(&self) {
         if let Some(d) = self.install_delay {
             std::thread::sleep(d);

@@ -76,7 +76,8 @@
 //! * [`router::ShardedEngine`] — the scale-out tier: partitions the
 //!   catalogue along a [`shard::ShardPlan`] and scores each range with
 //!   the scoring core a `QueryEngine` is built on (contiguous zero-copy
-//!   snapshot/filter slices, per-shard cache and IVF; one handle and one
+//!   snapshot slices, the one seen filter and deal row probed at each
+//!   shard's item offset, per-shard cache and IVF; one handle and one
 //!   deal slot, on the router),
 //!   scatters each query to every shard, and merges the gathered
 //!   per-shard top-k under the same strict total order — bitwise

@@ -4,10 +4,10 @@
 //! catalogue, which caps a deployment at whatever one snapshot, seen
 //! filter and IVF build fit in RAM. [`ShardedEngine`] lifts that cap: a
 //! [`ShardPlan`] splits the catalogue into N contiguous ranges, each
-//! scored by the core under every `QueryEngine` (word-shifted seen-filter
-//! slice, cache, own IVF index); a query *scatters* to every shard with
-//! its zero-copy snapshot slice, *gathers* the per-shard top-K, and
-//! merges.
+//! scored by the core under every `QueryEngine` (cache, own IVF index,
+//! and the one catalogue-wide seen filter probed at the shard's item
+//! offset); a query *scatters* to every shard with its zero-copy
+//! snapshot slice, *gathers* the per-shard top-K, and merges.
 //!
 //! ## Why the merge is provably bit-identical
 //!
@@ -42,13 +42,13 @@
 //! once, resolves the per-shard slice set for exactly that version
 //! (built on a version's first query and kept two versions deep, through
 //! the same cache as the engine's IVF indexes), reads the deal slot
-//! once, and scores every shard against its slice of that pinned pair —
-//! so a publish landing mid-scatter can never tear a response across
-//! versions, and the merged response reports that version. The slice
-//! sets alone hold a version's tables on this tier. Publishing through
-//! [`ShardedEngine::publish`] shares the tables first
-//! ([`EmbeddingSnapshot::to_shared`]), so the N slices of a version
-//! alias one copy of the catalogue.
+//! once, and scores every shard against its snapshot slice and the one
+//! deal row of that pinned pair — so a publish landing mid-scatter can
+//! never tear a response across versions, and the merged response
+//! reports that version. The slice sets alone hold a version's tables
+//! on this tier. Publishing through [`ShardedEngine::publish`] shares
+//! the tables first ([`EmbeddingSnapshot::to_shared`]), so the N slices
+//! of a version alias one copy of the catalogue.
 
 use crate::engine::{
     check_seen_filter, Core, DealSlot, EngineConfig, Retrieval, ServeEngine, VersionCache,
@@ -152,15 +152,16 @@ type ShardSet = Vec<Arc<VersionedSnapshot>>;
 pub struct ShardedEngine {
     handle: SnapshotHandle,
     plan: ShardPlan,
-    /// One scoring core per shard, plan order.
+    /// One scoring core per shard, plan order, each starting at its
+    /// range's first global item.
     shards: Vec<Core>,
     /// Slice sets of the two newest versions queried.
     sets: VersionCache<ShardSet>,
-    /// The cross-shard-atomic deal-filter slot: one generation and the
-    /// per-shard filter slices, installed together (see
-    /// [`ShardedEngine::set_deal_filter`]); scatters pass each shard its
-    /// `(generation, slice)`.
-    deal: DealSlot<Vec<BitMatrix>>,
+    /// The cross-shard-atomic deal-filter slot: one generation and one
+    /// catalogue-wide row, installed together (see
+    /// [`ShardedEngine::set_deal_filter`]); scatters pass every shard the
+    /// same `(generation, row)`, probed at the shard's item offset.
+    deal: DealSlot,
     parallel: bool,
     /// Failed scatter attempts after which the shard counts as missing.
     retries: usize,
@@ -212,8 +213,10 @@ impl ShardedEngine {
             .collect();
         Self {
             handle,
-            shards: (0..plan.n_shards())
-                .map(|_| Core::new(&cfg.engine))
+            shards: plan
+                .ranges()
+                .iter()
+                .map(|&(start, _)| Core::new(&cfg.engine, start))
                 .collect(),
             shard_failures: (0..plan.n_shards()).map(|_| AtomicU64::new(0)).collect(),
             plan,
@@ -230,49 +233,48 @@ impl ShardedEngine {
 
     /// Attaches a scripted [`FaultPlan`] (tests and soaks): consulted
     /// once per shard per scatter (where an injected panic exercises the
-    /// degraded gather) and inside `set_deal_filter`'s prepare→install
-    /// window (where an injected delay widens the race the atomic
-    /// install must win). Production routers carry `None`.
+    /// degraded gather) and inside `set_deal_filter` just before its
+    /// swap (where an injected delay widens the race the atomic install
+    /// must win). Production routers carry `None`.
     pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
         self.faults = Some(plan);
         self
     }
 
-    /// Installs a seen-item filter, sliced per shard: shard `s` receives
-    /// the columns of its item range ([`BitMatrix::slice_cols`]), so its
-    /// local word-probes test exactly the global bits of its items.
-    /// Filtered items never appear in merged results. Items appended by
-    /// later grow-only publishes land past the filter's columns and probe
-    /// as unseen, globally and on every shard.
+    /// Installs a seen-item filter, shared by every shard: one `Arc` of
+    /// the caller's bitset, which shard `s` probes at its range start
+    /// (local item `i` reads global bit `start_s + i`), so nothing is
+    /// copied. Filtered items never appear in merged results. Items
+    /// appended by later grow-only publishes land past the filter's
+    /// columns and probe as unseen, globally and on every shard.
     ///
     /// # Panics
     /// Panics if the bitset shape disagrees with the served snapshot.
     pub fn with_seen_filter(mut self, filter: BitMatrix) -> Self {
         check_seen_filter(&filter, self.handle.load().snapshot());
-        let ranges = self.effective_ranges(filter.cols());
-        for (core, &(start, len)) in self.shards.iter_mut().zip(&ranges) {
-            core.set_seen_filter(filter.slice_cols(start, len));
+        let filter = Arc::new(filter);
+        for core in &mut self.shards {
+            core.set_seen_filter(Arc::clone(&filter));
         }
         self
     }
 
     /// Installs (or replaces) the deal-state candidate filter on every
     /// shard: one global row of item bits (bit set ⇒ blocked for every
-    /// user — see `gb_data::EventLog::blocked_items_at`), sliced so each
-    /// shard probes exactly the global bits of its served item range.
-    /// Composes with the per-shard seen filters, and each shard's
-    /// response cache retires its old entries by generation, exactly as
-    /// on a single engine. Items past the filter's columns (appended by
-    /// later grow-only publishes, or past a filter narrower than the
-    /// plan) probe as allowed, as on a single engine.
+    /// user — see `gb_data::EventLog::blocked_items_at`), which each
+    /// shard probes at its range start, exactly as it probes the seen
+    /// filter. Each shard's response cache retires its old entries by
+    /// generation, exactly as on a single engine. Items past the
+    /// filter's columns (appended by later grow-only publishes, or past
+    /// a filter narrower than the plan) probe as allowed, as on a single
+    /// engine.
     ///
-    /// The install is **atomic across shards**: the per-shard slices are
-    /// prepared first, then the whole `(generation, slices)` pair is
-    /// swapped into the router's deal slot under one write lock. Every
-    /// query reads that slot exactly once and pins all of its shard
-    /// scatters to the pair it read — so a scatter racing the install
-    /// serves either the old filter on *every* shard or the new filter
-    /// on *every* shard, never a mix (property-tested in
+    /// The install is **atomic across shards**: it is one `Arc` swap of
+    /// the `(generation, row)` pair under the deal slot's write lock.
+    /// Every query reads that slot exactly once and pins all of its
+    /// shard scatters to the pair it read — so a scatter racing the
+    /// install serves either the old filter on *every* shard or the new
+    /// filter on *every* shard, never a mix (property-tested in
     /// `fault_proptests.rs`). Queries issued after the install returns
     /// see the new filter everywhere.
     ///
@@ -280,23 +282,10 @@ impl ShardedEngine {
     /// Panics unless the filter is exactly one row.
     pub fn set_deal_filter(&self, filter: BitMatrix) {
         assert_eq!(filter.rows(), 1, "deal filter is one row of item bits");
-        // Phase 1 — prepare: slice per shard with no lock held, each
-        // shard taking only the columns the filter covers (a shard past
-        // them gets a zero-width slice).
-        let cols = filter.cols();
-        let slices: Vec<BitMatrix> = self
-            .effective_ranges(cols.max(self.plan.n_items()))
-            .iter()
-            .map(|&(start, len)| {
-                let start = start.min(cols);
-                filter.slice_cols(start, len.min(cols - start))
-            })
-            .collect();
         if let Some(plan) = &self.faults {
             plan.at_filter_install();
         }
-        // Phase 2 — install: one pointer-sized swap under the write lock.
-        self.deal.swap(Some(slices));
+        self.deal.swap(Some(filter));
     }
 
     /// Removes the deal-state filter from every shard, through the same
@@ -438,9 +427,8 @@ impl ShardedEngine {
                 distinct.len() - 1
             });
         }
-        let (per_shard, shard_times) = self.scatter(&set, |s, core, slice| {
-            let deal = deal.as_ref().map(|d| &d[s]);
-            core.serve(slice, deal_gen, deal, &distinct, k, None)
+        let (per_shard, shard_times) = self.scatter(&set, |core, slice| {
+            core.serve(slice, deal_gen, deal.as_deref(), &distinct, k, None)
         });
         let missing = self.check_missing(&per_shard)?;
         let merge_start = Instant::now();
@@ -491,8 +479,8 @@ impl ShardedEngine {
     /// The served per-shard ranges for a catalogue of `n_items`: the
     /// construction-time plan, with the grow-only tail
     /// `[plan.n_items(), n_items)` appended to the last shard. Range
-    /// *starts* never shift, so global-id translation, installed filter
-    /// slices, and earlier versions' shard sets all stay valid as the
+    /// *starts* never shift, so global-id translation, the cores' filter
+    /// offsets, and earlier versions' shard sets all stay valid as the
     /// catalogue grows.
     fn effective_ranges(&self, n_items: usize) -> Vec<(usize, usize)> {
         assert!(
@@ -563,7 +551,7 @@ impl ShardedEngine {
     fn scatter<T: Send>(
         &self,
         set: &ShardSet,
-        f: impl Fn(usize, &Core, &VersionedSnapshot) -> T + Sync,
+        f: impl Fn(&Core, &VersionedSnapshot) -> T + Sync,
     ) -> (Vec<Option<T>>, Vec<Duration>) {
         let run = |s: usize| {
             let start = Instant::now();
@@ -573,7 +561,7 @@ impl ShardedEngine {
                     if let Some(plan) = &self.faults {
                         plan.at_shard(s);
                     }
-                    f(s, &self.shards[s], &set[s])
+                    f(&self.shards[s], &set[s])
                 }));
                 match result {
                     Ok(v) => {
@@ -895,8 +883,8 @@ mod tests {
 
     #[test]
     fn a_seen_filter_installed_after_a_grown_publish_matches_a_single_engine() {
-        // The last shard serves the grown tail, so its filter slice is
-        // wider than the slice its engine was built over.
+        // The last shard serves the grown tail, so it probes filter bits
+        // past the range its plan was cut for.
         let mut seen = BitMatrix::zeros(4, 107);
         for item in (0..107).step_by(3) {
             seen.set(2, item);

@@ -6,10 +6,11 @@
 //! `0..len_s`. Contiguity is what makes the split free at serving time:
 //! a contiguous item range of an [`EmbeddingSnapshot`] is a zero-copy
 //! row-range view of its item tables
-//! ([`EmbeddingSnapshot::slice_items`]), a contiguous column range of
-//! the seen-filter is a word-shifted [`gb_graph::BitMatrix::slice_cols`],
-//! and translating a shard's local result back to global ids is one
-//! addition (`global = start_s + local`).
+//! ([`EmbeddingSnapshot::slice_items`]), a shard probes the one
+//! catalogue-wide seen filter and deal row at its offset (local item `i`
+//! reads global bit `start_s + i`, so no filter is ever copied per
+//! shard), and translating a shard's local result back to global ids is
+//! the same addition (`global = start_s + local`).
 //!
 //! The plan is deterministic in `(n_items, n_shards)`, so every replica
 //! of a deployment partitions identically and a persisted per-shard

@@ -7,7 +7,9 @@
 //! current k-th best" check. The engine therefore offers whole score
 //! blocks ([`TopK::offer_block`], [`TopK::offer_listed`]), which compare
 //! `SCAN` scores at a time against the heap floor and run the seen/deal
-//! filter probe and [`TopK::push`] for the few survivors only.
+//! filter probe and [`TopK::push`] for the few survivors only. The filter
+//! rows are catalogue-wide: a shard probes them at its item offset, so
+//! item `i` of a block reads bit `offset + i`.
 
 use gb_eval::topk::ranks_before;
 
@@ -24,11 +26,12 @@ fn bit_set(words: &[u64], item: usize) -> bool {
         .is_some_and(|w| w >> (item % 64) & 1 == 1)
 }
 
-/// The composed candidate gate: an item is blocked when its per-user
-/// seen bit *or* its catalogue-wide deal-state bit is set.
+/// The composed candidate gate: the candidate at filter bit `bit` is
+/// blocked when its per-user seen bit *or* its catalogue-wide deal-state
+/// bit is set.
 #[inline]
-fn blocked(seen: Option<&[u64]>, deal: Option<&[u64]>, item: usize) -> bool {
-    seen.is_some_and(|w| bit_set(w, item)) || deal.is_some_and(|w| bit_set(w, item))
+fn blocked(seen: Option<&[u64]>, deal: Option<&[u64]>, bit: usize) -> bool {
+    seen.is_some_and(|w| bit_set(w, bit)) || deal.is_some_and(|w| bit_set(w, bit))
 }
 
 /// One ranked recommendation.
@@ -101,17 +104,18 @@ impl TopK {
     }
 
     /// Offers `scores[j]` as item `first + j` for every `j`, skipping
-    /// items whose bit is set in the `seen` or `deal` filter row (bits past
-    /// a row's end read as unset). Leaves exactly the heap a
-    /// [`TopK::push`] per unblocked item would.
+    /// items whose bit `offset + item` is set in the `seen` or `deal`
+    /// filter row (bits past a row's end read as unset). Leaves exactly
+    /// the heap a [`TopK::push`] per unblocked item would.
     pub fn offer_block(
         &mut self,
         first: u32,
         scores: &[f32],
         seen: Option<&[u64]>,
         deal: Option<&[u64]>,
+        offset: usize,
     ) {
-        self.offer(scores, |j| first + j as u32, seen, deal);
+        self.offer(scores, |j| first + j as u32, seen, deal, offset);
     }
 
     /// [`TopK::offer_block`] for an explicit id list: offers `scores[j]`
@@ -125,9 +129,10 @@ impl TopK {
         scores: &[f32],
         seen: Option<&[u64]>,
         deal: Option<&[u64]>,
+        offset: usize,
     ) {
         assert_eq!(items.len(), scores.len(), "offer_listed: length mismatch");
-        self.offer(scores, |j| items[j], seen, deal);
+        self.offer(scores, |j| items[j], seen, deal, offset);
     }
 
     /// The score an offer must reach to have any chance of being kept:
@@ -158,6 +163,7 @@ impl TopK {
         id: impl Fn(usize) -> u32,
         seen: Option<&[u64]>,
         deal: Option<&[u64]>,
+        offset: usize,
     ) {
         if self.k == 0 {
             return;
@@ -165,7 +171,7 @@ impl TopK {
         // Offers one score that reached the floor; returns the floor after.
         let survivor = |topk: &mut Self, j: usize, score: f32| {
             let item = id(j);
-            if !blocked(seen, deal, item as usize) {
+            if !blocked(seen, deal, offset + item as usize) {
                 topk.push(item, score);
             }
             topk.floor()

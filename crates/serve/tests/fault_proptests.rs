@@ -21,7 +21,7 @@
 //! * Concurrent deal-filter installs and scatters never produce a
 //!   mixed-generation candidate mask: every response reflects exactly
 //!   one installed filter, even with an injected delay widening the
-//!   prepare→install window.
+//!   window before the install's slot swap.
 
 use gb_eval::topk::reference_topk;
 use gb_graph::BitMatrix;
@@ -388,9 +388,9 @@ proptest! {
     /// mixed-generation mask: with `k = n_items` the served set equals
     /// the allowed set exactly, so it must be {all}, {odds} (evens
     /// blocked), or {evens} (odds blocked) — any other set means one
-    /// scatter paired shard slices of two different filters. An injected
-    /// install delay widens the prepare→install window the atomic swap
-    /// must win.
+    /// scatter served shards under two different filters. An injected
+    /// install delay widens the window before the slot swap, which the
+    /// atomic install must win.
     #[test]
     fn concurrent_filter_installs_never_blend_generations(
         tag in 0u64..4,

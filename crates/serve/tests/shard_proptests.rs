@@ -1,6 +1,8 @@
 //! Property tests for the sharded scatter-gather tier: at any shard
-//! count (1–8), over arbitrary snapshots, seen-filters, retrieval modes
-//! with exact semantics, and concurrent publishes, [`ShardedEngine`]
+//! count (1–8), over arbitrary snapshots, seen and deal filters (one
+//! catalogue-wide bitset each, probed by every shard at its item offset),
+//! retrieval modes with exact semantics, grow-only and concurrent
+//! publishes, [`ShardedEngine`]
 //! answers **bitwise identically** to a single unsharded [`QueryEngine`]
 //! — same items, same score bits, same order.
 //!
@@ -193,6 +195,86 @@ proptest! {
                 n_items,
                 cols
             );
+        }
+    }
+
+    #[test]
+    fn seen_and_deal_filters_compose_across_shards_and_a_grown_publish(
+        tag in 0u64..6,
+        n_shards in 1usize..=8,
+        words in 1usize..=4,
+        tail in 1usize..64,
+        grown in 0usize..=70,
+        n_clusters in 0usize..=9,
+        deal_frac in 0.0f64..=1.0,
+        k in 1usize..=40,
+        bits in proptest::collection::vec((0u32..6, 0usize..320), 0..80),
+    ) {
+        // `64 * words + tail` items: never a multiple of 64, so shard
+        // starts fall mid-word whenever the plan cuts between words.
+        let n_items = 64 * words + tail;
+        let deal_cols = (n_items as f64 * deal_frac) as usize;
+        let mut seen = BitMatrix::zeros(6, n_items);
+        let mut deal = BitMatrix::zeros(1, deal_cols);
+        for (i, &(user, item)) in bits.iter().enumerate() {
+            let item = item % n_items;
+            if i % 2 == 0 {
+                seen.set(user as usize, item);
+            } else if item < deal_cols {
+                deal.set(0, item);
+            }
+        }
+        // 0 clusters serves exactly; more probe every cell.
+        let retrieval = match n_clusters {
+            0 => Retrieval::Exact,
+            n_clusters => Retrieval::Ivf {
+                n_clusters,
+                n_probe: n_clusters,
+            },
+        };
+        // Ground truth: an exact single engine under the same filters.
+        let single = QueryEngine::new(snapshot(tag, 6, n_items, 6)).with_seen_filter(seen.clone());
+        single.set_deal_filter(deal.clone());
+        let sharded = ShardedEngine::with_config(
+            snapshot(tag, 6, n_items, 6),
+            ShardedConfig {
+                n_shards,
+                engine: EngineConfig { retrieval, ..Default::default() },
+                ..Default::default()
+            },
+        )
+        .with_seen_filter(seen);
+        sharded.set_deal_filter(deal);
+        for version in [1u64, 2] {
+            if version == 2 {
+                // Grow-only: the appended items lie past both filters.
+                let grown_snap = snapshot(tag + 1, 6, n_items + grown, 6);
+                single.handle().publish(grown_snap.clone());
+                prop_assert_eq!(sharded.publish(grown_snap), 2);
+            }
+            let n_served = if version == 1 { n_items } else { n_items + grown };
+            for user in 0..6u32 {
+                for k in [k, n_served] {
+                    let (got_version, got) = versioned(&sharded, user, k);
+                    prop_assert_eq!(got_version, version);
+                    let want = single.try_recommend(user, k).unwrap();
+                    prop_assert_eq!(
+                        pairs(&got),
+                        pairs(&want),
+                        "user {} k {} v{} shards {} items {} grown {} {:?}",
+                        user, k, version, n_shards, n_items, grown, retrieval
+                    );
+                    if k == n_served {
+                        // Every appended item is unseen and allowed.
+                        for item in n_items..n_served {
+                            prop_assert!(
+                                got.iter().any(|e| e.item as usize == item),
+                                "appended item {} filtered for user {}", item, user
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

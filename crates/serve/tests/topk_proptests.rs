@@ -2,8 +2,9 @@
 //! [`TopK::offer_block`] / [`TopK::offer_listed`] over a sequence of score
 //! blocks must leave exactly the ranking a [`TopK::push`] per unblocked
 //! item leaves — under heavy ties, duplicates straddling the heap floor,
-//! signed zeros, non-finite scores, every `k` regime, and filter rows
-//! shorter than the catalogue.
+//! signed zeros, non-finite scores, every `k` regime, filter rows
+//! shorter than the catalogue, and filter rows probed at an item offset
+//! that falls mid-word (a shard's view of the catalogue-wide rows).
 
 use gb_serve::TopK;
 use proptest::prelude::*;
@@ -40,9 +41,9 @@ fn filter_row(mode: u32, words: &[u64], n: usize, short: usize) -> Option<Vec<u6
     }
 }
 
-fn is_blocked(row: Option<&[u64]>, item: u32) -> bool {
-    row.and_then(|w| w.get(item as usize / 64))
-        .is_some_and(|w| w >> (item % 64) & 1 == 1)
+fn is_blocked(row: Option<&[u64]>, bit: usize) -> bool {
+    row.and_then(|w| w.get(bit / 64))
+        .is_some_and(|w| w >> (bit % 64) & 1 == 1)
 }
 
 /// `(item, score bits)` best-first: bit patterns, so `+0.0` vs `-0.0` and
@@ -63,13 +64,15 @@ proptest! {
         block_lens in prop::collection::vec(1usize..=40, 1..8),
         words in prop::collection::vec(0u64..u64::MAX, 1..5),
         knobs in (0u32..5, 0u32..16, 0usize..4, 0u64..1 << 32),
+        offset in 0usize..200,
     ) {
         let (k_sel, modes, short, perm_seed) = knobs;
         let scores: Vec<f32> = raw.iter().map(|&r| score(r)).collect();
         let n = scores.len();
         let k = [0, 1, 10, n, n + 5][k_sel as usize];
-        let seen = filter_row(modes, &words, n, short);
-        let deal = filter_row(modes / 4, &words[words.len() / 2..], n, short);
+        // The rows cover `offset + n` bits; item `i` probes bit `offset + i`.
+        let seen = filter_row(modes, &words, offset + n, short);
+        let deal = filter_row(modes / 4, &words[words.len() / 2..], offset + n, short);
         let (seen, deal) = (seen.as_deref(), deal.as_deref());
 
         // `offer_listed` sees the catalogue under a seeded permutation of
@@ -84,9 +87,8 @@ proptest! {
 
         let mut pushed = TopK::new(k);
         for (item, &s) in scores.iter().enumerate() {
-            let item = item as u32;
-            if !is_blocked(seen, item) && !is_blocked(deal, item) {
-                pushed.push(item, s);
+            if !is_blocked(seen, offset + item) && !is_blocked(deal, offset + item) {
+                pushed.push(item as u32, s);
             }
         }
         let want = ranking(pushed);
@@ -99,8 +101,8 @@ proptest! {
                 break;
             }
             let end = (start + len).min(n);
-            by_block.offer_block(start as u32, &scores[start..end], seen, deal);
-            by_list.offer_listed(&items[start..end], &listed_scores[start..end], seen, deal);
+            by_block.offer_block(start as u32, &scores[start..end], seen, deal, offset);
+            by_list.offer_listed(&items[start..end], &listed_scores[start..end], seen, deal, offset);
             start = end;
         }
         prop_assert_eq!(ranking(by_block), want.clone(), "offer_block, k = {}", k);
