@@ -43,4 +43,4 @@ pub mod tape;
 pub use optim::{Adam, AdamConfig, Sgd};
 pub use parallel::{shard_spans, ShardExecutor};
 pub use params::{Gradients, ParamId, ParamStore};
-pub use tape::{Activation, Table, Tape, Var};
+pub use tape::{Table, Tape, Var};

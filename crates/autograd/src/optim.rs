@@ -42,37 +42,25 @@ impl Sgd {
     }
 }
 
-/// Adam configuration; defaults follow Kingma & Ba \[29\].
+/// Adam's first-moment decay, Kingma & Ba's default \[29\].
+const BETA1: f32 = 0.9;
+/// Adam's second-moment decay, Kingma & Ba's default.
+const BETA2: f32 = 0.999;
+/// Adam's numerical floor, Kingma & Ba's default.
+const EPS: f32 = 1e-8;
+
+/// Adam configuration: the learning rate. The moment decays and the
+/// numerical floor are Kingma & Ba's defaults \[29\].
 #[derive(Clone, Copy, Debug)]
 pub struct AdamConfig {
     /// Learning rate (the paper searches {1e-2, 1e-3, 1e-4, 1e-5}).
     pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical floor.
-    pub eps: f32,
-}
-
-impl Default for AdamConfig {
-    fn default() -> Self {
-        Self {
-            lr: 1e-3,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-        }
-    }
 }
 
 impl AdamConfig {
-    /// Config with the given learning rate and library defaults otherwise.
+    /// Config with the given learning rate.
     pub fn with_lr(lr: f32) -> Self {
-        Self {
-            lr,
-            ..Self::default()
-        }
+        Self { lr }
     }
 }
 
@@ -110,8 +98,7 @@ impl Adam {
             let v = self.v[id].get_or_insert_with(|| Matrix::zeros(shape.0, shape.1));
             self.t[id] += 1;
             let t = self.t[id] as f32;
-            let b1 = self.cfg.beta1;
-            let b2 = self.cfg.beta2;
+            let (b1, b2) = (BETA1, BETA2);
             let bias1 = 1.0 - b1.powf(t);
             let bias2 = 1.0 - b2.powf(t);
             let p = store.value_mut(id);
@@ -123,7 +110,7 @@ impl Adam {
                 *vi = b2 * *vi + (1.0 - b2) * grad * grad;
                 let m_hat = *mi / bias1;
                 let v_hat = *vi / bias2;
-                p.as_mut_slice()[i] -= self.cfg.lr * m_hat / (v_hat.sqrt() + self.cfg.eps);
+                p.as_mut_slice()[i] -= self.cfg.lr * m_hat / (v_hat.sqrt() + EPS);
             }
         }
     }

@@ -19,7 +19,7 @@
 //! it and `add` hands both operands the same one, so a VJP that only reads
 //! its cotangent copies nothing, and one that needs a table of its own
 //! copies only when someone else still holds it. `dense` writes
-//! `g ⊙ act′` over its own output, once nothing else holds that.
+//! `g ⊙ tanh′` over its own output, once nothing else holds that.
 //!
 //! **What the tape holds, and for how long.** A tape holds every value it
 //! records until [`Tape::release_values`] lets go of its own handles —
@@ -186,7 +186,7 @@ fn add_window_into(a: Window<'_>, b: &mut Matrix) {
 /// ([`NodeGrads::scatter_accumulate`]) and carried, never scanned,
 /// through the VJPs that map a `+0.0` row to a `+0.0` row:
 /// `concat_cols` (column windows of the same rows), `add` (the same rows,
-/// twice), `scale` by a finite `α ≥ +0.0`, `dense` (whose `act′ ≥ 0`,
+/// twice), `scale` by a finite `α ≥ +0.0`, `dense` (whose `tanh′ ≥ 0`,
 /// and whose kernels start every accumulator at `+0.0`) and
 /// `segment_mean` (which scatters the listed segments only). Every
 /// other op, every sink and every seed reads it through
@@ -366,63 +366,19 @@ fn segment_mean_rows_vjp(
     }
 }
 
-/// The elementwise activation [`Tape::dense`] applies to its affine map.
-#[derive(Clone, Copy, Debug)]
-pub enum Activation {
-    /// `tanh(x)`.
-    Tanh,
-    /// The logistic sigmoid.
-    Sigmoid,
-    /// LeakyReLU with the given negative slope (must be `> 0`).
-    LeakyRelu(f32),
+/// `g ⊙ tanh′` in place, from the stored *output* `y`: `tanh′ = 1 - y²`,
+/// which is `≥ 0`, so a `+0.0` element of `g` stays `+0.0`.
+fn tanh_vjp(g: &mut [f32], y: &[f32]) {
+    g.iter_mut().zip(y).for_each(|(d, &yy)| *d *= 1.0 - yy * yy);
 }
 
-impl Activation {
-    /// Applies the activation to every element of `xs` in place, through
-    /// what the standalone tape ops run: `kernels::tanh_inplace` (all there
-    /// is under `kernels::tanh`, and a function of each element alone) and
-    /// `kernels::sigmoid_scalar`.
-    fn apply(self, xs: &mut [f32]) {
-        match self {
-            Self::Tanh => kernels::tanh_inplace(xs),
-            Self::Sigmoid => xs.iter_mut().for_each(|v| *v = kernels::sigmoid_scalar(*v)),
-            Self::LeakyRelu(alpha) => xs
-                .iter_mut()
-                .for_each(|v| *v = if *v >= 0.0 { *v } else { alpha * *v }),
-        }
-    }
-
-    /// [`Activation::vjp`] written over the output instead of the
-    /// cotangent: each element of `y` becomes `g · act′(y)`, the same
-    /// product of the same two factors.
-    fn vjp_over_output(self, y: &mut Matrix, g: Window<'_>) {
-        for r in 0..y.rows() {
-            let pairs = y.row_mut(r).iter_mut().zip(g.row(r));
-            match self {
-                Self::Tanh => pairs.for_each(|(yy, &d)| *yy = d * (1.0 - *yy * *yy)),
-                Self::Sigmoid => pairs.for_each(|(yy, &d)| *yy = d * (*yy * (1.0 - *yy))),
-                Self::LeakyRelu(alpha) => {
-                    pairs.for_each(|(yy, &d)| *yy = if *yy < 0.0 { d * alpha } else { d })
-                }
-            }
-        }
-    }
-
-    /// `g ⊙ act′` in place, from the stored *output* `y`:
-    /// `tanh′ = 1 - y²`, `σ′ = y(1 - y)`, and for a positive slope the
-    /// LeakyReLU output has its input's sign. Every `act′` is `≥ 0`, so a
-    /// `+0.0` element of `g` stays `+0.0`.
-    fn vjp(self, g: &mut [f32], y: &[f32]) {
-        let pairs = g.iter_mut().zip(y);
-        match self {
-            Self::Tanh => pairs.for_each(|(d, &yy)| *d *= 1.0 - yy * yy),
-            Self::Sigmoid => pairs.for_each(|(d, &yy)| *d *= yy * (1.0 - yy)),
-            Self::LeakyRelu(alpha) => pairs.for_each(|(d, &yy)| {
-                if yy < 0.0 {
-                    *d *= alpha;
-                }
-            }),
-        }
+/// [`tanh_vjp`] written over the output instead of the cotangent: each
+/// element of `y` becomes `g · (1 - y²)`, the same product of the same
+/// two factors.
+fn tanh_vjp_over_output(y: &mut Matrix, g: Window<'_>) {
+    for r in 0..y.rows() {
+        let pairs = y.row_mut(r).iter_mut().zip(g.row(r));
+        pairs.for_each(|(yy, &d)| *yy = d * (1.0 - *yy * *yy));
     }
 }
 
@@ -1079,34 +1035,35 @@ impl Tape {
         )
     }
 
-    /// One fully-connected layer as one node: `act(x * w + bias)`, `bias`
+    /// One fully-connected layer as one node: `tanh(x * w + bias)`, `bias`
     /// a `1 x cols` row added to every row. Bit-identical — value and all
     /// three cotangents — to recording [`Tape::matmul`], [`Tape::add_bias`]
-    /// and the activation's own op in a chain, but the product, the biased
-    /// sum and the activation share one buffer, so the tape holds one
-    /// table for the layer instead of three.
+    /// and [`Tape::tanh`] in a chain, but the product, the biased sum and
+    /// the tanh share one buffer, so the tape holds one table for the
+    /// layer instead of three.
     ///
     /// Forward: the product skips the rows of `x` that are entirely `±0.0`
     /// (`dense_product` says when that changes no bit) — a node with no
     /// neighbours in a view propagates an empty-segment zero row. The bias
-    /// and the activation then run over every row in one pass per row
-    /// (each is a function of its element alone).
+    /// and the tanh then run over every row in one pass per row (each is a
+    /// function of its element alone; `kernels::tanh_inplace` is all there
+    /// is under `kernels::tanh`).
     ///
-    /// Backward: `g ⊙ act′(y)` in place, its column sum to `bias`, then the
+    /// Backward: `g ⊙ tanh′(y)` in place, its column sum to `bias`, then the
     /// matmul VJP, which skips rows of it that are entirely `±0.0` (a
     /// mini-batch's cotangent is zero outside the rows it touched). The
     /// skip changes no bit provided `x` and `w` are finite — `0 · ∞` is the
     /// only way a skipped row could have contributed. A cotangent listed
-    /// at a few rows is not scanned: `act′`, the column sum,
+    /// at a few rows is not scanned: `tanh′`, the column sum,
     /// `dX = g W^T` and `dW = X[rows]^T g` run on its listed rows alone
     /// (`X`'s read in place), and `dX` stays listed at the same rows. A
-    /// full cotangent's `g ⊙ act′(y)` is written over `y`'s buffer once
+    /// full cotangent's `g ⊙ tanh′(y)` is written over `y`'s buffer once
     /// the tape has released its values (this closure then holds the last
     /// handle on it), so the cotangent is read, not copied.
     ///
     /// # Panics
     /// Panics if the shapes do not compose.
-    pub fn dense(&mut self, x: Var, w: Var, bias: Var, act: Activation) -> Var {
+    pub fn dense(&mut self, x: Var, w: Var, bias: Var) -> Var {
         let xv = self.arc_value(x);
         let wv = self.arc_value(w);
         let mut value = dense_product(&xv, &wv);
@@ -1118,7 +1075,7 @@ impl Tape {
             for (v, y) in row.iter_mut().zip(b.row(0)) {
                 *v += y;
             }
-            act.apply(row);
+            kernels::tanh_inplace(row);
         }
         let value = Arc::new(value);
         let y = Arc::clone(&value);
@@ -1128,7 +1085,7 @@ impl Tape {
                 Cot::Rows { height, rows, m } => {
                     let mut m = m.into_matrix();
                     for (i, &r) in rows.iter().enumerate() {
-                        act.vjp(m.row_mut(i), y.row(r as usize));
+                        tanh_vjp(m.row_mut(i), y.row(r as usize));
                     }
                     ng.accumulate(bias, kernels::col_sum(&m));
                     let dx = kernels::matmul_nt(&m, &wv);
@@ -1144,18 +1101,18 @@ impl Tape {
                     ng.accumulate(w, dw);
                 }
                 Cot::Dense(g) => {
-                    // `g ⊙ act′(y)` over `y`'s own buffer when this closure
+                    // `g ⊙ tanh′(y)` over `y`'s own buffer when this closure
                     // holds the last handle on it (the tape has released its
                     // values), reading `g` in place; over a copy of `g`
                     // otherwise.
                     let g = match Arc::try_unwrap(y) {
                         Ok(mut y) => {
-                            act.vjp_over_output(&mut y, g.view());
+                            tanh_vjp_over_output(&mut y, g.view());
                             y
                         }
                         Err(y) => {
                             let mut g = g.into_matrix();
-                            act.vjp(g.as_mut_slice(), y.as_slice());
+                            tanh_vjp(g.as_mut_slice(), y.as_slice());
                             g
                         }
                     };
@@ -1324,7 +1281,9 @@ impl Tape {
         self.push_arc(
             value,
             dense_op(move |mut g, ng, _sinks| {
-                Activation::Sigmoid.vjp(g.as_mut_slice(), y.as_slice());
+                // σ′ = y(1 - y) from the stored output.
+                let pairs = g.as_mut_slice().iter_mut().zip(y.as_slice());
+                pairs.for_each(|(d, &yy)| *d *= yy * (1.0 - yy));
                 ng.accumulate(a, g);
             }),
         )
@@ -1337,7 +1296,7 @@ impl Tape {
         self.push_arc(
             value,
             dense_op(move |mut g, ng, _sinks| {
-                Activation::Tanh.vjp(g.as_mut_slice(), y.as_slice());
+                tanh_vjp(g.as_mut_slice(), y.as_slice());
                 ng.accumulate(a, g);
             }),
         )
@@ -1350,7 +1309,13 @@ impl Tape {
         self.push_arc(
             value,
             dense_op(move |mut g, ng, _sinks| {
-                Activation::LeakyRelu(alpha).vjp(g.as_mut_slice(), y.as_slice());
+                // For a positive slope the output has its input's sign.
+                let pairs = g.as_mut_slice().iter_mut().zip(y.as_slice());
+                pairs.for_each(|(d, &yy)| {
+                    if yy < 0.0 {
+                        *d *= alpha;
+                    }
+                });
                 ng.accumulate(a, g);
             }),
         )
@@ -2063,43 +2028,32 @@ mod tests {
             // A sparse read (most cotangent rows zero: the compact VJP) and
             // a read of every row (the full one).
             let reads: [Vec<u32>; 2] = [vec![m as u32 - 1, 0, 0], (0..m as u32).collect()];
-            for act in [
-                Activation::Tanh,
-                Activation::Sigmoid,
-                Activation::LeakyRelu(0.2),
-            ] {
-                for read in &reads {
-                    let run = |fused: bool| {
-                        let mut t = Tape::new();
-                        let (xv, wv, bv) =
-                            (t.param(&store, x), t.param(&store, w), t.param(&store, b));
-                        let y = if fused {
-                            t.dense(xv, wv, bv, act)
-                        } else {
-                            let lin = t.matmul(xv, wv);
-                            let biased = t.add_bias(lin, bv);
-                            match act {
-                                Activation::Tanh => t.tanh(biased),
-                                Activation::Sigmoid => t.sigmoid(biased),
-                                Activation::LeakyRelu(alpha) => t.leaky_relu(biased, alpha),
-                            }
-                        };
-                        let value = bits(t.value(y));
-                        let picked = t.gather(y, Arc::new(read.clone()));
-                        let ls = t.log_sigmoid(picked);
-                        let loss = t.sum_all(ls);
-                        let grads = t.backward(loss, &store);
-                        let of = |p| grads.get(p).map(bits);
-                        (value, of(x), of(w), of(b), t.len())
+            for read in &reads {
+                let run = |fused: bool| {
+                    let mut t = Tape::new();
+                    let (xv, wv, bv) = (t.param(&store, x), t.param(&store, w), t.param(&store, b));
+                    let y = if fused {
+                        t.dense(xv, wv, bv)
+                    } else {
+                        let lin = t.matmul(xv, wv);
+                        let biased = t.add_bias(lin, bv);
+                        t.tanh(biased)
                     };
-                    let (fused, chain) = (run(true), run(false));
-                    let what = format!("{act:?}, {tag}, {} rows read", read.len());
-                    assert_eq!(fused.0, chain.0, "value: {what}");
-                    assert_eq!(fused.1, chain.1, "dX: {what}");
-                    assert_eq!(fused.2, chain.2, "dW: {what}");
-                    assert_eq!(fused.3, chain.3, "db: {what}");
-                    assert_eq!(fused.4 + 2, chain.4, "one node for three: {what}");
-                }
+                    let value = bits(t.value(y));
+                    let picked = t.gather(y, Arc::new(read.clone()));
+                    let ls = t.log_sigmoid(picked);
+                    let loss = t.sum_all(ls);
+                    let grads = t.backward(loss, &store);
+                    let of = |p| grads.get(p).map(bits);
+                    (value, of(x), of(w), of(b), t.len())
+                };
+                let (fused, chain) = (run(true), run(false));
+                let what = format!("{tag}, {} rows read", read.len());
+                assert_eq!(fused.0, chain.0, "value: {what}");
+                assert_eq!(fused.1, chain.1, "dX: {what}");
+                assert_eq!(fused.2, chain.2, "dW: {what}");
+                assert_eq!(fused.3, chain.3, "db: {what}");
+                assert_eq!(fused.4 + 2, chain.4, "one node for three: {what}");
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Oracle for the tape's row-sparse reverse sweep: a random chain of the
-//! propagation's ops (`segment_mean`, `concat_cols`, `dense` under every
-//! activation, `add`, `scale` by either sign) is seeded two ways — through
+//! propagation's ops (`segment_mean`, `concat_cols`, `dense`, `add`,
+//! `scale` by either sign) is seeded two ways — through
 //! `gather`s of its last table at ascending row sets, whose backward keeps
 //! the cotangent listed at those rows, and directly at the table with the
 //! same cotangents scattered into a full one — and every parameter
@@ -17,7 +17,7 @@
 //! as an `input`: values, parameter gradients and the input's cotangent
 //! must be the unreleased tape's, bit for bit.
 
-use gb_autograd::{Activation, Gradients, ParamId, ParamStore, Table, Tape, Var};
+use gb_autograd::{Gradients, ParamId, ParamStore, Table, Tape, Var};
 use gb_tensor::{kernels, Matrix};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -181,12 +181,7 @@ fn record(
                 let wout = c.pick(&widths);
                 let w = param(tape, store, c.matrix(wx, wout), None);
                 let b = param(tape, store, c.matrix(1, wout), None);
-                let act = c.pick(&[
-                    Activation::Tanh,
-                    Activation::Sigmoid,
-                    Activation::LeakyRelu(0.2),
-                ]);
-                (tape.dense(x, w, b, act), wout)
+                (tape.dense(x, w, b), wout)
             }
             3 => {
                 let y = if wx == wy { y } else { x };

@@ -39,25 +39,6 @@ impl AblationMode {
     }
 }
 
-/// Activation `σ(·)` of the cross-view FC transforms (the paper leaves
-/// the concrete choice to the implementation; tanh is the default here —
-/// zero-centered, so the Fig. 5 cosine analysis can show genuine
-/// view divergence).
-///
-/// `Tanh` is `gb_tensor::kernels::tanh_inplace`, an approximant computed
-/// in this workspace (within 2 ulp of the exact value for every `f32`,
-/// worst measured 1.33), not the host libm's `tanhf`: a trained model's
-/// bits do not depend on the machine's C library.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Activation {
-    /// Hyperbolic tangent (default).
-    Tanh,
-    /// Logistic sigmoid.
-    Sigmoid,
-    /// LeakyReLU with slope 0.2.
-    LeakyRelu,
-}
-
 /// Knobs of the sharded-parallel trainer
 /// ([`crate::GbgcnModel::fit_parallel`]).
 ///
@@ -156,8 +137,6 @@ pub struct GbgcnConfig {
     /// SGD fine-tuning learning rate (paper searches {10, 3, 1, 0.3};
     /// scaled here along with the dataset).
     pub finetune_lr: f32,
-    /// Cross-view activation.
-    pub activation: Activation,
     /// Table V ablation switch.
     pub ablation: AblationMode,
     /// Extension ablation, not in the paper: use per-view raw embeddings
@@ -182,7 +161,6 @@ impl Default for GbgcnConfig {
             pretrain_lr: 5e-3,
             finetune_epochs: 20,
             finetune_lr: 0.3,
-            activation: Activation::Tanh,
             ablation: AblationMode::Full,
             separate_raw: false,
             seed: 42,

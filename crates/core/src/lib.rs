@@ -35,5 +35,5 @@ pub mod config;
 pub mod model;
 pub mod propagation;
 
-pub use config::{AblationMode, Activation, GbgcnConfig, ParallelTrainConfig};
+pub use config::{AblationMode, GbgcnConfig, ParallelTrainConfig};
 pub use model::{EmbeddingAnalysis, GbgcnModel};

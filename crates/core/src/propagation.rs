@@ -1,7 +1,7 @@
 //! The GBGCN forward pass: in-view propagation (Eqs. 1–3) and cross-view
 //! propagation (Eqs. 4–8) on the autodiff tape.
 
-use crate::config::{Activation, GbgcnConfig};
+use crate::config::GbgcnConfig;
 use gb_autograd::{ParamId, ParamStore, Table, Tape, Var};
 use gb_graph::HeteroGraphs;
 use gb_tensor::init;
@@ -226,16 +226,19 @@ pub fn propagate(
     let v_inview_p = tape.concat_cols_into(&v_levels_p, Some((v_hat_p_t, 0)));
 
     // ---- cross-view propagation (Eqs. 4-7) ------------------------------
-    let act = match cfg.activation {
-        Activation::Tanh => gb_autograd::Activation::Tanh,
-        Activation::Sigmoid => gb_autograd::Activation::Sigmoid,
-        Activation::LeakyRelu => gb_autograd::Activation::LeakyRelu(0.2),
-    };
+    // The paper leaves the activation σ of Eqs. 4–7 to the implementation.
+    // It is tanh here: zero-centered, so the Fig. 5 cosine analysis can
+    // show genuine view divergence. `Tape::dense` computes it with
+    // `gb_tensor::kernels::tanh_inplace`, an approximant computed in this
+    // workspace (within 2 ulp of the exact value for every `f32`, worst
+    // measured 1.33), not the host libm's `tanhf`: a trained model's bits
+    // do not depend on the machine's C library.
+    //
     // One tape node per FC: the tape keeps the layer's output only.
     let fc = |tape: &mut Tape, x: Var, w: ParamId, b: ParamId| {
         let wv = tape.param(store, w);
         let bv = tape.param(store, b);
-        tape.dense(x, wv, bv, act)
+        tape.dense(x, wv, bv)
     };
 
     // Eq. 4: initiator-view users <- own items + users they shared to.

@@ -10,6 +10,12 @@ use gb_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Gradient-descent learning rate (typical: 100–200).
+const LEARNING_RATE: f64 = 150.0;
+
+/// Iterations of early exaggeration (P scaled by 12).
+const EXAGGERATION_ITERS: usize = 80;
+
 /// t-SNE hyper-parameters.
 #[derive(Clone, Debug)]
 pub struct TsneConfig {
@@ -17,10 +23,6 @@ pub struct TsneConfig {
     pub perplexity: f64,
     /// Gradient-descent iterations.
     pub n_iter: usize,
-    /// Learning rate (typical: 100–200).
-    pub learning_rate: f64,
-    /// Iterations of early exaggeration (P scaled by 12).
-    pub exaggeration_iters: usize,
     /// RNG seed for the initial layout.
     pub seed: u64,
 }
@@ -30,8 +32,6 @@ impl Default for TsneConfig {
         Self {
             perplexity: 30.0,
             n_iter: 350,
-            learning_rate: 150.0,
-            exaggeration_iters: 80,
             seed: 42,
         }
     }
@@ -53,16 +53,8 @@ pub fn tsne(x: &Matrix, cfg: &TsneConfig) -> Matrix {
     let mut gains = vec![[1.0f64; 2]; n];
 
     for iter in 0..cfg.n_iter {
-        let exaggeration = if iter < cfg.exaggeration_iters {
-            12.0
-        } else {
-            1.0
-        };
-        let momentum = if iter < cfg.exaggeration_iters {
-            0.5
-        } else {
-            0.8
-        };
+        let exaggeration = if iter < EXAGGERATION_ITERS { 12.0 } else { 1.0 };
+        let momentum = if iter < EXAGGERATION_ITERS { 0.5 } else { 0.8 };
 
         // Student-t affinities in the embedding.
         let mut q_num = vec![0.0f64; n * n];
@@ -100,7 +92,7 @@ pub fn tsne(x: &Matrix, cfg: &TsneConfig) -> Matrix {
                 } else {
                     gains[i][d] += 0.2;
                 }
-                velocity[i][d] = momentum * velocity[i][d] - cfg.learning_rate * gains[i][d] * g;
+                velocity[i][d] = momentum * velocity[i][d] - LEARNING_RATE * gains[i][d] * g;
             }
         }
         for i in 0..n {
@@ -271,9 +263,7 @@ mod tests {
         let (x, labels) = clustered_input(8);
         let cfg = TsneConfig {
             n_iter: 400,
-            exaggeration_iters: 80,
             perplexity: 5.0,
-            learning_rate: 20.0,
             ..TsneConfig::default()
         };
         let y = tsne(&x, &cfg);

@@ -3,11 +3,11 @@
 //! One query loads the currently-published snapshot from a
 //! [`SnapshotHandle`] (an `Arc` clone — the tables can never change
 //! underneath a running query), then walks the catalogue in cache-sized
-//! blocks: the blocked kernel scores `block_size` items at a time (both
+//! blocks: the blocked kernel scores `BLOCK_SIZE` items at a time (both
 //! item tables are streamed once, row-major), the per-user seen-bitset
 //! drops already interacted items with one word-probe each, and
 //! survivors feed a bounded min-heap. Memory per query is
-//! `O(block_size + k)` regardless of catalogue size — no full score
+//! `O(BLOCK_SIZE + k)` regardless of catalogue size — no full score
 //! vector is ever materialized.
 //!
 //! ## Retrieval modes
@@ -77,19 +77,20 @@ pub enum Retrieval {
     },
 }
 
+/// Items scored per kernel call. 512 rows of a 64-wide f32 table is
+/// 128 KiB — L2-resident on anything modern. A multiple of
+/// `gb_tensor::kernels::DOT_LANES`, the block-size granularity the kernel
+/// layer publishes (a multiple of its item-tile width), so non-tail
+/// blocks decompose into full register tiles with no scalar per-block
+/// item tail. The SIMD lanes themselves run over the embedding
+/// dimension, not the item axis; the block size never changes scores,
+/// only how the catalogue walk is chunked.
+const BLOCK_SIZE: usize = 512;
+const _: () = assert!(BLOCK_SIZE.is_multiple_of(DOT_LANES));
+
 /// Tuning knobs for [`QueryEngine`].
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Items scored per kernel call. 512 rows of a 64-wide f32 table is
-    /// 128 KiB — L2-resident on anything modern. Rounded up to a multiple
-    /// of `gb_tensor::kernels::DOT_LANES` at engine construction — the
-    /// block-size granularity the kernel layer publishes (a multiple of
-    /// its item-tile width), so non-tail blocks decompose into full
-    /// register tiles with no scalar per-block item tail. The SIMD lanes
-    /// themselves run over the embedding dimension, not the item axis;
-    /// block size never changes scores, only how the catalogue walk is
-    /// chunked.
-    pub block_size: usize,
     /// Response cache capacity in `(version, deal generation, user, k)`
     /// entries; 0 disables caching.
     pub cache_capacity: usize,
@@ -97,9 +98,9 @@ pub struct EngineConfig {
     /// ([`QueryEngine::try_recommend_batch`], and the service-side query
     /// coalescer). The catalogue pass is memory-bound on the item tables;
     /// streaming them once per user *block* amortizes that traffic across
-    /// up to `user_block` requests. Like `block_size`, this is purely a
-    /// scheduling knob: per-user scores (and therefore rankings) are
-    /// bit-identical for every block size. Clamped to at least 1.
+    /// up to `user_block` requests. This is purely a scheduling knob:
+    /// per-user scores (and therefore rankings) are bit-identical for
+    /// every `user_block`. Clamped to at least 1.
     pub user_block: usize,
     /// Candidate generation mode: exhaustive catalogue scans
     /// ([`Retrieval::Exact`], the default) or approximate inverted-file
@@ -129,7 +130,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            block_size: 512,
             cache_capacity: 0,
             user_block: 8,
             retrieval: Retrieval::Exact,
@@ -291,7 +291,6 @@ impl Core {
     /// with no seen filter.
     pub(crate) fn new(cfg: &EngineConfig, start: usize) -> Self {
         let mut cfg = cfg.clone();
-        cfg.block_size = cfg.block_size.max(1).next_multiple_of(DOT_LANES);
         cfg.user_block = cfg.user_block.max(1);
         if let Retrieval::Ivf {
             n_clusters,
@@ -499,7 +498,7 @@ impl Core {
     /// The IVF scoring path over one user's precomputed cell route
     /// ([`IvfIndex::probe_cells_block`] routes once per distinct query
     /// vector): score only the routed cells' members (each cell's
-    /// *packed* item tables streamed in `block_size` chunks through
+    /// *packed* item tables streamed in [`BLOCK_SIZE`] chunks through
     /// [`IvfIndex::score_cell`]) with the same seen-filter probe and heap
     /// as the exhaustive walk. Best cell first, so the heap's threshold
     /// fills with strong candidates early and most later offers fail one
@@ -522,12 +521,12 @@ impl Core {
         let mut topk = TopK::new(k);
         let seen = self.seen.as_ref().map(|f| f.row_words(user as usize));
         let deal = deal.map(|f| f.row_words(0));
-        let mut scores = vec![0.0f32; self.cfg.block_size.min(snapshot.n_items().max(1))];
+        let mut scores = vec![0.0f32; BLOCK_SIZE.min(snapshot.n_items().max(1))];
         for &cell in cells {
             let list = index.list(cell);
             let mut start = 0usize;
             while start < list.len() {
-                let len = self.cfg.block_size.min(list.len() - start);
+                let len = BLOCK_SIZE.min(list.len() - start);
                 let out = &mut scores[..len];
                 index.score_cell(snapshot, user, cell, start, out);
                 topk.offer_listed(&list[start..start + len], out, seen, deal, self.start);
@@ -556,11 +555,11 @@ impl Core {
             .collect();
         let deal = deal.map(|f| f.row_words(0));
         let (owns, socials) = snapshot.user_rows(users);
-        let len_cap = self.cfg.block_size.min(n_items.max(1));
+        let len_cap = BLOCK_SIZE.min(n_items.max(1));
         let mut block = vec![0.0f32; users.len() * len_cap];
         let mut start = 0usize;
         while start < n_items {
-            let len = self.cfg.block_size.min(n_items - start);
+            let len = BLOCK_SIZE.min(n_items - start);
             let out = &mut block[..users.len() * len];
             snapshot.score_block_rows(&owns, &socials, start, len, out);
             for (u, topk) in topks.iter_mut().enumerate() {
@@ -838,16 +837,10 @@ mod tests {
 
     #[test]
     fn unfiltered_topk_matches_reference_ranking() {
-        let snap = snapshot(6, 333, 8);
-        // Deliberately non-dividing block size to cover the tail block.
-        let engine = QueryEngine::with_config(
-            snap.clone(),
-            EngineConfig {
-                block_size: 64,
-                ..Default::default()
-            },
-        );
-        let candidates: Vec<u32> = (0..333).collect();
+        // Two full blocks and a tail.
+        let snap = snapshot(6, 1100, 8);
+        let engine = QueryEngine::new(snap.clone());
+        let candidates: Vec<u32> = (0..1100).collect();
         for user in 0..6u32 {
             let got: Vec<(u32, f32)> = engine
                 .try_recommend(user, 10)
@@ -885,14 +878,7 @@ mod tests {
         for item in [0usize, 5, 64, 65, 128, 149] {
             seen.set(2, item);
         }
-        let engine = QueryEngine::with_config(
-            snap.clone(),
-            EngineConfig {
-                block_size: 32,
-                ..Default::default()
-            },
-        )
-        .with_seen_filter(seen);
+        let engine = QueryEngine::new(snap.clone()).with_seen_filter(seen);
         let unseen: Vec<u32> = (0..150u32)
             .filter(|i| ![0u32, 5, 64, 65, 128, 149].contains(i))
             .collect();
@@ -1034,7 +1020,6 @@ mod tests {
         QueryEngine::with_config(
             snap,
             EngineConfig {
-                block_size: 64,
                 retrieval: Retrieval::Ivf {
                     n_clusters,
                     n_probe,
@@ -1137,13 +1122,13 @@ mod tests {
     fn recommend_many_matches_sequential_bitwise() {
         // Every slot of a batch — at every user-block size, duplicates
         // included — is the reference top-k of that user's scores.
-        let snap = snapshot(7, 333, 8);
-        let candidates: Vec<u32> = (0..333).collect();
+        // Two full blocks and a tail.
+        let snap = snapshot(7, 1100, 8);
+        let candidates: Vec<u32> = (0..1100).collect();
         for user_block in [1usize, 2, 3, 8] {
             let engine = QueryEngine::with_config(
                 snap.clone(),
                 EngineConfig {
-                    block_size: 64, // non-dividing: covers the tail block
                     user_block,
                     ..Default::default()
                 },
@@ -1378,7 +1363,6 @@ mod tests {
         let engine = QueryEngine::with_config(
             snap.clone(),
             EngineConfig {
-                block_size: 64,
                 retrieval: Retrieval::Ivf {
                     n_clusters: 6,
                     n_probe: 6,
@@ -1418,7 +1402,6 @@ mod tests {
         let engine = QueryEngine::with_config(
             snap.clone(),
             EngineConfig {
-                block_size: 32,
                 retrieval: Retrieval::Ivf {
                     n_clusters: 10,
                     n_probe: 3,

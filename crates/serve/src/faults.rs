@@ -206,6 +206,10 @@ impl FaultPlan {
 /// `(byte offset, bit)` so a test can log or undo it. Same seed + same
 /// file length = same flip. Bytes 0..4 (the magic) are fair game too —
 /// loaders must reject any corruption without panicking.
+///
+/// It rewrites the file in place, so it must only touch a file that no
+/// live mapping reads: a mapped snapshot's bytes would change under it
+/// (see `mmap`'s `MmapRegion`).
 pub fn corrupt_file(path: impl AsRef<std::path::Path>, seed: u64) -> std::io::Result<(u64, u8)> {
     let mut bytes = std::fs::read(&path)?;
     if bytes.is_empty() {

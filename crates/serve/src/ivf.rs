@@ -564,6 +564,57 @@ mod tests {
     }
 
     #[test]
+    fn a_non_finite_item_row_keeps_the_cells_apart_and_full_probe_exact() {
+        // 64 items in 4 axis-aligned clusters; item 5's own row carries a
+        // NaN through the unscanned constructor a mapped open uses.
+        let hubs = |r: usize, c: usize| {
+            let hub = if c == r / 16 { 4.0 } else { 0.0 };
+            hub + ((r * 3 + c) as f32 * 0.9).sin() * 0.2
+        };
+        let mut item_own = Matrix::from_fn(64, 4, hubs);
+        item_own.row_mut(5)[2] = f32::NAN;
+        let snap = EmbeddingSnapshot::new_trusted(
+            0.4,
+            Matrix::from_fn(6, 4, |r, c| ((r * 7 + c * 3) as f32 * 0.17).sin()),
+            item_own,
+            Matrix::from_fn(6, 4, |r, c| ((r + c * 11) as f32 * 0.13).sin()),
+            Matrix::from_fn(64, 4, hubs),
+        );
+        let index = IvfIndex::build(&snap, 1, 4, 0x1BF5_2026, true);
+        let sizes: Vec<usize> = (0..4).map(|c| index.list(c).len()).collect();
+        assert!(
+            sizes.iter().filter(|&&len| len > 0).count() > 1,
+            "one cell holds the catalogue: {sizes:?}"
+        );
+        // The heap refuses item 5's NaN scores, so the reference ranks the
+        // rest of the catalogue.
+        let engine = crate::engine::QueryEngine::with_config(
+            snap.clone(),
+            crate::engine::EngineConfig {
+                retrieval: crate::engine::Retrieval::Ivf {
+                    n_clusters: 4,
+                    n_probe: 4,
+                },
+                ..Default::default()
+            },
+        );
+        let candidates: Vec<u32> = (0..64).filter(|&i| i != 5).collect();
+        for user in 0..6u32 {
+            let got: Vec<(u32, u32)> = engine
+                .try_recommend(user, 10)
+                .unwrap()
+                .iter()
+                .map(|e| (e.item, e.score.to_bits()))
+                .collect();
+            let want: Vec<(u32, u32)> = gb_eval::topk::reference_topk(&snap, user, &candidates, 10)
+                .into_iter()
+                .map(|(item, score)| (item, score.to_bits()))
+                .collect();
+            assert_eq!(got, want, "user {user}");
+        }
+    }
+
+    #[test]
     fn size_bytes_reports_the_layout_difference() {
         let snap = snapshot(100);
         let packed = IvfIndex::build(&snap, 1, 5, 0, true);

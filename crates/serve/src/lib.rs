@@ -49,8 +49,8 @@
 //! * [`topk::TopK`] — bounded min-heap partial sort: `O(n log k)` per
 //!   query instead of the eval path's materialize-and-sort
 //!   `O(n log n)`, with `O(k)` extra memory.
-//! * [`engine::QueryEngine`] — walks the catalogue in cache-sized blocks
-//!   through `gb_tensor::kernels::blend_dot_block_multi` and offers each
+//! * [`engine::QueryEngine`] — walks the catalogue in fixed 512-item
+//!   blocks (128 KiB of a 64-wide table: L2-resident) through `gb_tensor::kernels::blend_dot_block_multi` and offers each
 //!   user's score
 //!   block to the heap threshold-first ([`topk::TopK::offer_block`]):
 //!   only scores that reach the heap floor pay the bit-probe
@@ -79,7 +79,8 @@
 //!   snapshot slices, the one seen filter and deal row probed at each
 //!   shard's item offset, per-shard cache and IVF; one handle and one
 //!   deal slot, on the router),
-//!   scatters each query to every shard, and merges the gathered
+//!   scatters each query to every shard in plan order on the caller's
+//!   thread, and merges the gathered
 //!   per-shard top-k under the same strict total order — bitwise
 //!   identical to a single engine at any shard count, with per-shard +
 //!   merge stage timing for tail attribution.
@@ -88,7 +89,8 @@
 //!   straight from the page cache (raw-syscall `mmap` with a heap
 //!   fallback), so a multi-GB shard opens in microseconds instead of a
 //!   streaming parse; `open_mmap_snapshot_heap` reads the whole file
-//!   and also refuses non-finite payloads.
+//!   and also refuses non-finite payloads. A save renames a new file
+//!   over the path, so a live mapping never sees a re-save.
 //! * [`service::RecommendService`] — a std-thread worker pool consuming
 //!   a bounded request queue; workers coalesce queued same-`k` queries
 //!   into shared catalogue passes, sized adaptively from the live queue

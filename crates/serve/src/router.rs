@@ -72,11 +72,6 @@ use std::time::{Duration, Instant};
 pub struct ShardedConfig {
     /// Number of catalogue shards (clamped to at least 1).
     pub n_shards: usize,
-    /// Scatter to shards on spawned scoped threads (`true`) or serve
-    /// them sequentially on the caller's thread (`false`, the default —
-    /// on a single-core host the threaded scatter only adds switch
-    /// overhead; flip it on when shards get their own cores).
-    pub parallel_scatter: bool,
     /// How many times a failed (panicked) shard scatter is retried
     /// before the shard counts as missing for that query. Retries hit
     /// the same shard — its state is valid after a caught panic
@@ -101,7 +96,6 @@ impl Default for ShardedConfig {
     fn default() -> Self {
         Self {
             n_shards: 4,
-            parallel_scatter: false,
             scatter_retries: 1,
             allow_partial: false,
             engine: EngineConfig::default(),
@@ -162,7 +156,6 @@ pub struct ShardedEngine {
     /// [`ShardedEngine::set_deal_filter`]); scatters pass every shard the
     /// same `(generation, row)`, probed at the shard's item offset.
     deal: DealSlot,
-    parallel: bool,
     /// Failed scatter attempts after which the shard counts as missing.
     retries: usize,
     /// Serve partial merges (flagged) instead of failing the query.
@@ -222,7 +215,6 @@ impl ShardedEngine {
             plan,
             sets: VersionCache::new(),
             deal: DealSlot::new(),
-            parallel: cfg.parallel_scatter,
             retries: cfg.scatter_retries,
             allow_partial: cfg.allow_partial,
             degraded: AtomicU64::new(0),
@@ -341,9 +333,7 @@ impl ShardedEngine {
 
     /// A point-in-time copy of the per-shard/merge latency attribution:
     /// stages `shard0..shardN-1` record each shard's scatter service
-    /// time per query, stage `merge` the gather-merge. Under
-    /// `parallel_scatter` the per-shard stages still record true
-    /// per-shard durations (measured on the shard's thread).
+    /// time per query, stage `merge` the gather-merge.
     pub fn latency_breakdown(&self) -> LatencyBreakdown {
         lock_recover(&self.timing).clone()
     }
@@ -535,11 +525,9 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Runs `f` once per shard against that shard's slice of `set`,
-    /// returning per-shard results and service times in plan order.
-    /// With `parallel_scatter`, shards 1.. run on scoped threads while
-    /// shard 0 runs on the caller's thread; durations are measured on
-    /// the executing thread either way, so the attribution stays honest.
+    /// Runs `f` once per shard against that shard's slice of `set`, in
+    /// plan order on the caller's thread, returning per-shard results and
+    /// service times.
     ///
     /// Each per-shard call is supervised: a panic (real or injected via
     /// the fault plan's shard site) is caught, counted against that
@@ -548,10 +536,10 @@ impl ShardedEngine {
     /// its slot. The duration covers all attempts — a flapping shard's
     /// retries show up in its own latency stage, where tail attribution
     /// will find them.
-    fn scatter<T: Send>(
+    fn scatter<T>(
         &self,
         set: &ShardSet,
-        f: impl Fn(&Core, &VersionedSnapshot) -> T + Sync,
+        f: impl Fn(&Core, &VersionedSnapshot) -> T,
     ) -> (Vec<Option<T>>, Vec<Duration>) {
         let run = |s: usize| {
             let start = Instant::now();
@@ -575,25 +563,7 @@ impl ShardedEngine {
             }
             (out, start.elapsed())
         };
-        let results: Vec<(Option<T>, Duration)> = if self.parallel && self.shards.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (1..self.shards.len())
-                    .map(|s| scope.spawn(move || run(s)))
-                    .collect();
-                let mut all = Vec::with_capacity(self.shards.len());
-                all.push(run(0));
-                for handle in handles {
-                    // invariant: `run` catches every panic `f` can raise,
-                    // so a scatter thread can only die on its own stack
-                    // unwinding machinery failing.
-                    all.push(handle.join().expect("shard scatter thread"));
-                }
-                all
-            })
-        } else {
-            (0..self.shards.len()).map(run).collect()
-        };
-        results.into_iter().unzip()
+        (0..self.shards.len()).map(run).unzip()
     }
 
     /// Offers every gathered local result to `topk`, translating each
@@ -747,26 +717,6 @@ mod tests {
         // Duplicates share one Arc.
         assert!(Arc::ptr_eq(&many[0], &many[2]));
         assert!(Arc::ptr_eq(&many[2], &many[5]));
-    }
-
-    #[test]
-    fn parallel_scatter_is_bitwise_identical_to_sequential() {
-        let snap = snapshot(4, 200, 8);
-        let sequential = ShardedEngine::new(snap.clone(), 4);
-        let parallel = ShardedEngine::with_config(
-            snap,
-            ShardedConfig {
-                n_shards: 4,
-                parallel_scatter: true,
-                ..Default::default()
-            },
-        );
-        for user in 0..4u32 {
-            assert_eq!(
-                pairs(&parallel.try_recommend(user, 20).unwrap().items),
-                pairs(&sequential.try_recommend(user, 20).unwrap().items)
-            );
-        }
     }
 
     #[test]

@@ -7,10 +7,17 @@
 //!   (`try_recommend_batch`) against the reference top-k of each user's
 //!   scores (`gb_eval::topk::reference_topk`) — bitwise, across
 //!   user-block sizes 1–8, duplicate users, and a concurrent publish.
+//! * Every serving path over catalogues longer than the engine's
+//!   512-item scoring block, under a seen filter, against the same
+//!   reference.
 
 use gb_eval::topk::reference_topk;
+use gb_graph::BitMatrix;
 use gb_models::EmbeddingSnapshot;
-use gb_serve::{EngineConfig, LruCache, QueryEngine, RecommendService, ScoredItem, ServiceConfig};
+use gb_serve::{
+    EngineConfig, LruCache, QueryEngine, RecommendService, Retrieval, ScoredItem, ServiceConfig,
+    ShardedEngine,
+};
 use gb_tensor::Matrix;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -164,7 +171,6 @@ proptest! {
     fn recommend_many_is_bitwise_sequential_across_user_blocks(
         seed in 0u64..1 << 32,
         user_block in 1usize..=8,
-        block_size in 8usize..=96,
         k in 1usize..=12,
         users in proptest::collection::vec(0u32..40, 1..20),
         cached in 0u8..2,
@@ -173,7 +179,6 @@ proptest! {
         let batched = QueryEngine::with_config(
             snap.clone(),
             EngineConfig {
-                block_size,
                 user_block,
                 cache_capacity: if cached == 1 { 8 } else { 0 },
                 ..Default::default()
@@ -184,10 +189,9 @@ proptest! {
             prop_assert_eq!(
                 pairs(&many[slot]),
                 oracle(&snap, user, k),
-                "user {} (user_block {}, block_size {})",
+                "user {} (user_block {})",
                 user,
-                user_block,
-                block_size
+                user_block
             );
         }
     }
@@ -236,6 +240,72 @@ proptest! {
                 v => panic!("unexpected version {v}"),
             };
             prop_assert_eq!(pairs(got), want, "user {} version {}", user, version);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Catalogues of 513–1300 items: each walk scores at least one full
+    /// 512-item block and a tail (IVF with one cell walks a list that
+    /// spans blocks), across three shards and through the service, with
+    /// duplicate users and a seen filter.
+    #[test]
+    fn catalogues_past_one_block_serve_the_reference_on_every_path(
+        seed in 0u64..1 << 32,
+        n_items in 513usize..=1300,
+        k in 1usize..=12,
+        users in proptest::collection::vec(0u32..16, 1..12),
+        seen in proptest::collection::vec((0usize..16, 0usize..1300), 0..300),
+    ) {
+        let snap = snapshot(seed % 5, 16, n_items, 8);
+        let mut filter = BitMatrix::zeros(16, n_items);
+        for &(user, item) in &seen {
+            filter.set(user, item % n_items);
+        }
+        let want: Vec<Vec<(u32, u32)>> = users
+            .iter()
+            .map(|&user| {
+                let unseen: Vec<u32> = (0..n_items as u32)
+                    .filter(|&i| !filter.contains(user as usize, i as usize))
+                    .collect();
+                reference_topk(&snap, user, &unseen, k)
+                    .into_iter()
+                    .map(|(item, score)| (item, score.to_bits()))
+                    .collect()
+            })
+            .collect();
+        let exact = QueryEngine::new(snap.clone()).with_seen_filter(filter.clone());
+        let one_cell = EngineConfig {
+            retrieval: Retrieval::Ivf { n_clusters: 1, n_probe: 1 },
+            ..Default::default()
+        };
+        let ivf = QueryEngine::with_config(snap.clone(), one_cell).with_seen_filter(filter.clone());
+        let sharded = ShardedEngine::new(snap.clone(), 3).with_seen_filter(filter.clone());
+        let service = RecommendService::with_config(
+            QueryEngine::new(snap).with_seen_filter(filter),
+            ServiceConfig { workers: 2, ..Default::default() },
+        );
+        for (path, got) in [
+            ("exact", exact.try_recommend_batch(&users, k).unwrap().1),
+            ("ivf", ivf.try_recommend_batch(&users, k).unwrap().1),
+            ("sharded", sharded.try_recommend_batch(&users, k).unwrap().results),
+            (
+                "service",
+                service.try_recommend_batch(&users, k).into_iter().map(Result::unwrap).collect(),
+            ),
+        ] {
+            for (slot, &user) in users.iter().enumerate() {
+                prop_assert_eq!(
+                    pairs(&got[slot]),
+                    want[slot].clone(),
+                    "{} user {} items {}",
+                    path,
+                    user,
+                    n_items
+                );
+            }
         }
     }
 }

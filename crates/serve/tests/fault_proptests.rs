@@ -417,7 +417,6 @@ proptest! {
             snap,
             ShardedConfig {
                 n_shards,
-                parallel_scatter: n_shards > 1,
                 engine: EngineConfig { cache_capacity: 0, ..Default::default() },
                 ..Default::default()
             },

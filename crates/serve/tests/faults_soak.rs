@@ -175,7 +175,6 @@ fn degraded_scatter_under_filter_churn_and_publishes_never_tears() {
         stamped(1),
         ShardedConfig {
             n_shards: N_SHARDS,
-            parallel_scatter: true,
             scatter_retries: 0,
             allow_partial: true,
             engine: EngineConfig {

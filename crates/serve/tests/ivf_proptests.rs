@@ -42,7 +42,6 @@ proptest! {
     #[test]
     fn ivf_full_probe_is_bitwise_exact(
         seed in 0u64..1 << 32,
-        block_size in 8usize..=96,
         user_block in 1usize..=8,
         k in 1usize..=12,
         n_clusters in 1usize..=12,
@@ -54,7 +53,6 @@ proptest! {
         let ivf = QueryEngine::with_config(
             v1,
             EngineConfig {
-                block_size,
                 user_block,
                 retrieval: Retrieval::Ivf { n_clusters, n_probe: n_clusters },
                 ..Default::default()

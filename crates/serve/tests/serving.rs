@@ -75,16 +75,8 @@ fn served_topk_matches_offline_scorer_ranking() {
     let data = workload();
     let model = trained_gbgcn(&data);
     let snap = model.export_snapshot();
-    let engine = QueryEngine::with_config(
-        snap,
-        EngineConfig {
-            // Engine construction rounds block_size up to the kernel lane
-            // width (17 → 24 here); 24 still doesn't divide the 80-item
-            // catalogue, so the tail block stays exercised.
-            block_size: 17,
-            ..Default::default()
-        },
-    );
+    // One 80-item block, shorter than a full one: the tail path.
+    let engine = QueryEngine::new(snap);
     let candidates: Vec<u32> = (0..data.n_items() as u32).collect();
     for user in 0..data.n_users() as u32 {
         let served: Vec<(u32, f32)> = engine

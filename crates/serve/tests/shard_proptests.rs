@@ -53,18 +53,10 @@ proptest! {
         n_shards in 1usize..=8,
         n_items in 1usize..=160,
         k in 1usize..=20,
-        parallel in 0u8..2,
     ) {
         let snap = snapshot(tag, 12, n_items, 8);
         let single = QueryEngine::new(snap.clone());
-        let sharded = ShardedEngine::with_config(
-            snap,
-            ShardedConfig {
-                n_shards,
-                parallel_scatter: parallel == 1,
-                ..Default::default()
-            },
-        );
+        let sharded = ShardedEngine::new(snap, n_shards);
         for user in 0..12u32 {
             prop_assert_eq!(
                 pairs(&sharded.try_recommend(user, k).unwrap().items),

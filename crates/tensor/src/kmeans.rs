@@ -13,6 +13,11 @@
 //! * **Total assignment.** Every row gets a cluster; distance ties break
 //!   toward the lowest centroid index; empty clusters keep their previous
 //!   centroid (they can be re-populated by a later iteration).
+//! * **Non-finite rows stay out.** A row holding a NaN or an infinity
+//!   takes no part in the init or in any recenter; only the final
+//!   assignment places it. One such row would otherwise make its
+//!   centroid NaN, and a NaN distance at `j = 0` is never replaced, so
+//!   every row would join cluster 0.
 //!
 //! Lloyd's update is used verbatim: assign each row to the nearest
 //! centroid under squared Euclidean distance, then recenter each cluster
@@ -129,10 +134,34 @@ fn farthest_point_init(panels: &RowPanels, n: usize, k: usize, seed: u64) -> Vec
 /// the returned centroids, so they are mutually consistent even when
 /// `iters == 0` (pure seeded initialization).
 ///
+/// Rows holding a non-finite value are left out of the clustering: the
+/// centroids are bitwise those of `kmeans` over the finite rows alone
+/// (`k` then clamps to their count), and the final pass assigns every
+/// row, a NaN row to cluster 0 by [`assign`]'s rule. When no row is
+/// finite, the rows are clustered as they are.
+///
 /// # Panics
 /// Panics if `data` has more than `2^27` rows (the init's argmax carries
 /// a panel index in an f32 lane) or `k` is above `2^24`.
 pub fn kmeans(data: &Matrix, k: usize, iters: usize, seed: u64) -> KMeans {
+    if data.has_non_finite() {
+        let finite: Vec<usize> = (0..data.rows())
+            .filter(|&r| data.row(r).iter().all(|v| v.is_finite()))
+            .collect();
+        if !finite.is_empty() {
+            let centroids = lloyd(&data.select_rows(&finite), k, iters, seed).centroids;
+            let assignments = assign(data, &centroids);
+            return KMeans {
+                centroids,
+                assignments,
+            };
+        }
+    }
+    lloyd(data, k, iters, seed)
+}
+
+/// [`kmeans`] over rows taken as they are.
+fn lloyd(data: &Matrix, k: usize, iters: usize, seed: u64) -> KMeans {
     let n = data.rows();
     let d = data.cols();
     let k = k.min(n);
@@ -246,6 +275,62 @@ mod tests {
         let data = blobs();
         let km = kmeans(&data, 3, 0, 9);
         assert_eq!(km.assignments, assign(&data, &km.centroids));
+    }
+
+    #[test]
+    fn non_finite_rows_take_no_part_in_the_clustering() {
+        // 64 rows in 4 axis-aligned clusters, then NaN, +inf and -inf rows
+        // (one entry or the whole row) spliced in among them.
+        let clean = Matrix::from_fn(64, 4, |r, c| {
+            let hub = if c == r / 16 { 10.0 } else { 0.0 };
+            hub + ((r * 5 + c) as f32 * 0.7).sin() * 0.5
+        });
+        let bad: [(usize, [f32; 4]); 4] = [
+            (5, [0.3, f32::NAN, 0.1, 0.2]),
+            (20, [f32::INFINITY, 1.0, 1.0, 1.0]),
+            (41, [f32::NAN; 4]),
+            (60, [0.0, 0.0, f32::NEG_INFINITY, 0.0]),
+        ];
+        let n = clean.rows() + bad.len();
+        let mut dirty = Matrix::zeros(n, 4);
+        let mut clean_of = Vec::new(); // dirty row -> clean row, finite rows only
+        let mut next = 0;
+        for r in 0..n {
+            match bad.iter().find(|(at, _)| *at == r) {
+                Some((_, row)) => dirty.set_row(r, row),
+                None => {
+                    dirty.set_row(r, clean.row(next));
+                    clean_of.push((r, next));
+                    next += 1;
+                }
+            }
+        }
+        let mut first_centre_was_bad = false;
+        for seed in 0..32u64 {
+            let mut state = seed ^ 0xD1B5_4A32_D192_ED03;
+            let first = (splitmix64(&mut state) % n as u64) as usize;
+            first_centre_was_bad |= bad.iter().any(|(at, _)| *at == first);
+            let want = kmeans(&clean, 4, 8, seed);
+            let got = kmeans(&dirty, 4, 8, seed);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.centroids), bits(&want.centroids), "seed {seed}");
+            for &(r, c) in &clean_of {
+                assert_eq!(
+                    got.assignments[r], want.assignments[c],
+                    "seed {seed} row {r}"
+                );
+            }
+            assert_eq!(got.assignments, assign(&dirty, &got.centroids));
+            let mut sizes = [0usize; 4];
+            for &(r, _) in &clean_of {
+                sizes[got.assignments[r] as usize] += 1;
+            }
+            assert_eq!(sizes, [16; 4], "seed {seed}: the four clusters are found");
+        }
+        assert!(
+            first_centre_was_bad,
+            "no seed drew a non-finite first centre"
+        );
     }
 
     #[test]

@@ -55,7 +55,6 @@ fn main() {
     let engine = QueryEngine::with_config(
         loaded,
         EngineConfig {
-            block_size: 512,
             cache_capacity: 128,
             ..Default::default()
         },
