@@ -270,7 +270,7 @@ mod tests {
                 let av = t.param(s, a);
                 let bv = t.param(s, b);
                 let m = t.mul(av, bv);
-                let mr = t.mean_rows(m);
+                let mr = t.mean_all(m);
                 let sg = t.sigmoid(mr);
                 t.sum_all(sg)
             });

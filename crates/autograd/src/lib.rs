@@ -25,7 +25,8 @@
 //!   for every differentiable op.
 //! * [`parallel`] — [`ShardExecutor`], deterministic multi-threaded
 //!   accumulation of per-shard gradients with a fixed reduction order
-//!   (thread count never changes the numbers, only the wall clock).
+//!   (thread count never changes the numbers, only the wall clock), for
+//!   GBGCN's sharded trainer; the baselines record one tape per batch.
 //!
 //! Graph-specific ops (`gather_param`, `segment_mean`) make sparse
 //! embedding training efficient: a mini-batch touches only the rows that
@@ -41,6 +42,6 @@ pub mod params;
 pub mod tape;
 
 pub use optim::{Adam, AdamConfig, Sgd};
-pub use parallel::{shard_spans, ShardExecutor};
+pub use parallel::ShardExecutor;
 pub use params::{Gradients, ParamId, ParamStore};
 pub use tape::{Table, Tape, Var};

@@ -1,9 +1,10 @@
 //! Deterministic parallel gradient accumulation.
 //!
-//! The sharded training loops split each mini-batch into a fixed sequence
-//! of shards, compute one [`Gradients`] per shard, and reduce them into a
-//! single merged gradient for one optimizer step. [`ShardExecutor`] owns
-//! the scheduling side of that contract:
+//! GBGCN's sharded trainer (`gb-core`'s `fit_parallel`) splits each
+//! mini-batch into a fixed sequence of shards, computes one [`Gradients`]
+//! per shard, and reduces them into a single merged gradient for one
+//! optimizer step. [`ShardExecutor`] owns the scheduling side of that
+//! contract:
 //!
 //! * the **shard decomposition** is chosen by the caller and is part of
 //!   the numerical recipe — changing the shard count changes float
@@ -16,8 +17,8 @@
 //!
 //! Because float addition is deterministic for a fixed operand order, the
 //! merged gradient from `t` threads is bit-identical to the one produced
-//! by the serial fallback (`t = 1`) for the same shard count — the
-//! property test suites assert this for every model family.
+//! by the serial fallback (`t = 1`) for the same shard count — `gb-core`'s
+//! `parallel_determinism` property tests assert this for GBGCN.
 //!
 //! ## Threads
 //!
@@ -29,7 +30,6 @@
 
 use crate::params::Gradients;
 use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Scheduler for sharded backward passes.
 ///
@@ -40,9 +40,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug)]
 pub struct ShardExecutor {
     threads: usize,
-    /// Total chunks handed to spawned threads (observability: tests
-    /// assert empty batches never spawn, benches report dispatch cost).
-    dispatched: AtomicU64,
 }
 
 impl ShardExecutor {
@@ -53,7 +50,6 @@ impl ShardExecutor {
     pub fn new(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
-            dispatched: AtomicU64::new(0),
         }
     }
 
@@ -65,13 +61,6 @@ impl ShardExecutor {
     /// Configured thread count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Number of shard chunks handed to spawned threads so far. Zero for
-    /// serial executors and for calls short-circuited by the empty-batch
-    /// fast path.
-    pub fn jobs_dispatched(&self) -> u64 {
-        self.dispatched.load(Ordering::Relaxed)
     }
 
     /// Runs `shard_fn(0..n_shards)`, merging the per-shard `(loss,
@@ -115,8 +104,6 @@ impl ShardExecutor {
                     .enumerate()
                     .map(|(t, slot_chunk)| scope.spawn(move || run((t + 1) * chunk, slot_chunk)))
                     .collect();
-                self.dispatched
-                    .fetch_add(handles.len() as u64, Ordering::Relaxed);
                 // A panic here unwinds into the scope, which joins the
                 // spawned threads and then re-raises this payload.
                 run(0, caller_chunk);
@@ -145,23 +132,11 @@ impl ShardExecutor {
     }
 }
 
-/// Contiguous `[start, end)` spans covering `0..len` in up to `n_shards`
-/// near-equal chunks, empty spans dropped — the shared shard
-/// decomposition for flat index-list batches. A pure function of its
-/// arguments, like every shard decomposition must be.
-pub fn shard_spans(len: usize, n_shards: usize) -> Vec<(usize, usize)> {
-    let n = n_shards.max(1);
-    let chunk = len.div_ceil(n).max(1);
-    (0..n)
-        .map(|s| ((s * chunk).min(len), ((s + 1) * chunk).min(len)))
-        .filter(|(a, b)| a < b)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gb_tensor::Matrix;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A synthetic shard gradient whose value depends on the shard index
     /// in a way that makes reduction-order mistakes visible: repeated
@@ -219,23 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_spans_partition_the_range_in_order() {
-        for len in [0usize, 1, 5, 8, 17] {
-            for n in 1..=8 {
-                let spans = shard_spans(len, n);
-                let mut at = 0;
-                for &(a, b) in &spans {
-                    assert_eq!(a, at, "len {len} shards {n}");
-                    assert!(b > a);
-                    at = b;
-                }
-                assert_eq!(at, len, "len {len} shards {n} must cover the range");
-                assert!(spans.len() <= n);
-            }
-        }
-    }
-
-    #[test]
     fn more_threads_than_shards_is_fine() {
         let (_, a) = ShardExecutor::new(64).accumulate(3, 2, shard_grad);
         let (_, b) = ShardExecutor::serial().accumulate(3, 2, shard_grad);
@@ -246,22 +204,27 @@ mod tests {
     fn persistent_pool_is_reused_across_batches() {
         // One executor, many accumulate calls — the training-loop shape.
         // Every call must reproduce the serial bits, and the chunks past
-        // the caller's must actually run on spawned threads.
+        // the caller's must actually run on spawned threads: 8 shards on
+        // 4 threads leave the caller 2 and hand the other 6 off.
         let executor = ShardExecutor::new(4);
         let (serial_loss, serial) = ShardExecutor::serial().accumulate(3, 8, shard_grad);
+        let caller = std::thread::current().id();
+        let off_caller = AtomicUsize::new(0);
+        let shard = |s: usize| {
+            if std::thread::current().id() != caller {
+                off_caller.fetch_add(1, Ordering::Relaxed);
+            }
+            shard_grad(s)
+        };
         for _batch in 0..50 {
-            let (loss, merged) = executor.accumulate(3, 8, shard_grad);
+            let (loss, merged) = executor.accumulate(3, 8, shard);
             assert_eq!(loss.to_bits(), serial_loss.to_bits());
             assert_eq!(
                 merged.get(0).unwrap().as_slice(),
                 serial.get(0).unwrap().as_slice()
             );
         }
-        assert!(
-            executor.jobs_dispatched() >= 50,
-            "spawned threads saw {} chunks",
-            executor.jobs_dispatched()
-        );
+        assert_eq!(off_caller.load(Ordering::Relaxed), 50 * 6);
     }
 
     #[test]
@@ -298,10 +261,11 @@ mod tests {
     #[test]
     fn zero_shards_never_touch_the_pool() {
         let executor = ShardExecutor::new(4);
-        let (loss, merged) = executor.accumulate(2, 0, shard_grad);
+        let (loss, merged) = executor.accumulate(2, 0, |s| -> (f32, Gradients) {
+            panic!("shard {s} of zero ran")
+        });
         assert_eq!(loss, 0.0);
         assert_eq!(merged.touched(), 0);
-        assert_eq!(executor.jobs_dispatched(), 0);
     }
 
     #[test]

@@ -1377,30 +1377,6 @@ impl Tape {
         )
     }
 
-    /// Mean over rows producing a `1 x cols` row vector.
-    pub fn mean_rows(&mut self, a: Var) -> Var {
-        let m = self.value(a);
-        let (rows, cols) = m.shape();
-        let mut value = kernels::col_sum(m);
-        if rows > 0 {
-            let inv = 1.0 / rows as f32;
-            value.map_inplace(|v| v * inv);
-        }
-        self.push(
-            value,
-            dense_op(move |g, ng, _sinks| {
-                let inv = 1.0 / rows.max(1) as f32;
-                let mut da = Matrix::zeros(rows, cols);
-                for r in 0..rows {
-                    for (d, &gg) in da.row_mut(r).iter_mut().zip(g.row(0)) {
-                        *d = gg * inv;
-                    }
-                }
-                ng.accumulate(a, da);
-            }),
-        )
-    }
-
     // ----- backward ---------------------------------------------------------
 
     /// Reverse sweep from scalar node `loss`, returning parameter gradients.
@@ -1613,19 +1589,6 @@ mod tests {
         let grads = t.backward(loss, &store);
         // d loss / d w = c
         assert_eq!(grads.get(w).unwrap().as_slice(), &[7.0, 7.0]);
-    }
-
-    #[test]
-    fn mean_rows_backward_uniform() {
-        let (store, w) = store_with("w", Matrix::full(4, 3, 2.0));
-        let mut t = Tape::new();
-        let wv = t.param(&store, w);
-        let m = t.mean_rows(wv);
-        let loss = t.sum_all(m);
-        let grads = t.backward(loss, &store);
-        for &v in grads.get(w).unwrap().as_slice() {
-            assert!((v - 0.25).abs() < 1e-6);
-        }
     }
 
     // ----- boxed-op ownership model ---------------------------------------

@@ -78,7 +78,7 @@ proptest! {
                 let gv = t.param(s, gid);
                 let gate = t.sigmoid(gv);
                 let gated = t.scale_rows(av, gate);
-                let mr = t.mean_rows(gated);
+                let mr = t.mean_all(gated);
                 t.sum_sq(mr)
             });
         }

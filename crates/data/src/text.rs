@@ -7,7 +7,8 @@
 //!
 //! * `behaviors.txt` — one behavior per line:
 //!   `initiator<TAB>item<TAB>participant,participant,...`
-//!   (the participant field may be empty for failed solo launches);
+//!   (the participant field may be empty for failed solo launches, and a
+//!   line that lists its initiator there is an `InvalidData` error);
 //! * `social.txt` — one undirected friendship per line: `user<TAB>user`;
 //! * `thresholds.txt` — optional, one `item<TAB>t_n` per line; items
 //!   without an entry default to a threshold of 1.
@@ -45,8 +46,17 @@ pub(crate) fn parse_behaviors<R: Read>(r: R) -> std::io::Result<Vec<GroupBehavio
                         )
                     })
                 })
-                .collect::<Result<_, _>>()?,
+                .collect::<Result<Vec<u32>, _>>()?,
         };
+        if participants.contains(&initiator) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "line {}: initiator {initiator} is listed among its own participants",
+                    lineno + 1
+                ),
+            ));
+        }
         out.push(GroupBehavior::new(initiator, item, participants));
     }
     Ok(out)
@@ -213,6 +223,21 @@ mod tests {
         )
         .unwrap();
         assert!(d.item_thresholds().iter().all(|&t| t == 1));
+    }
+
+    #[test]
+    fn an_initiator_among_its_participants_is_an_error_naming_the_line() {
+        let dir = std::env::temp_dir().join(format!(
+            "gb_data_text_self_participant_{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("behaviors.txt"), "0\t1\t2\n3\t1\t3,5\n").unwrap();
+        std::fs::write(dir.join("social.txt"), SOCIAL).unwrap();
+        let err = load_dir(&dir).expect_err("the initiator joins its own group");
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().starts_with("line 2:"), "{err}");
     }
 
     #[test]

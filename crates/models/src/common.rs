@@ -6,7 +6,6 @@ use gb_eval::Scorer;
 use gb_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Hyper-parameters shared by every model in the comparison.
@@ -91,16 +90,6 @@ impl PairBatch {
     pub(crate) fn len(&self) -> usize {
         self.users.len()
     }
-
-    /// `[users, pos, neg]` of each `(start, end)` span, built once on the
-    /// calling thread so shard closures only clone `Arc`s instead of
-    /// re-slicing the batch per gradient call.
-    pub(crate) fn shards(&self, spans: &[(usize, usize)]) -> Vec<[Arc<Vec<u32>>; 3]> {
-        spans
-            .iter()
-            .map(|&(a, b)| [&self.users, &self.pos, &self.neg].map(|v| Arc::new(v[a..b].to_vec())))
-            .collect()
-    }
 }
 
 /// The baselines' one training loop (Sec. III-C.2): every epoch shuffles
@@ -161,17 +150,13 @@ pub(crate) fn train_pairs(
 
 /// BPR loss `-(Σ ln σ(pos - neg)) / denom` over aligned `n x 1` score
 /// columns (Rendle et al. \[27\], the loss the paper uses for most
-/// baselines), where `denom` is the *full* batch's pair count.
+/// baselines), where `denom` is the batch's pair count.
 ///
-/// A whole-batch caller passes its own `n` and gets the batch mean; a
-/// shard of a sharded batch passes the parent batch's count, so shard
-/// losses sum to the full-batch loss (up to float association). Either
-/// way every pair's gradient is seeded with `1 * (-(1/n))`, the same
-/// IEEE value as a mean form's `(-1)/n`, which is why the whole-batch
-/// models share this one form without a trained bit moving
-/// (`tests/trainer_wall.rs`). Only the reported value rounds
-/// differently — `Σ · (-(1/n))` against `-(Σ / n)` — and can differ from
-/// a mean form's in the last place.
+/// Every pair's gradient is seeded with `1 * (-(1/n))`, the same IEEE
+/// value as a mean form's `(-1)/n`, which is why the models share this
+/// one form without a trained bit moving (`tests/trainer_wall.rs`).
+/// Only the reported value rounds differently — `Σ · (-(1/n))` against
+/// `-(Σ / n)` — and can differ from a mean form's in the last place.
 pub(crate) fn bpr_loss(tape: &mut Tape, pos: Var, neg: Var, denom: usize) -> Var {
     let diff = tape.sub(pos, neg);
     let ls = tape.log_sigmoid(diff);

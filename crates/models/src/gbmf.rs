@@ -2,13 +2,13 @@
 //! baseline (the strongest baseline in Table III).
 
 use crate::common::{add_l2, bpr_loss, train_pairs, Recommender, TrainConfig, TrainReport};
-use gb_autograd::{shard_spans, ParamStore, ShardExecutor, Tape, Var};
+use gb_autograd::{ParamStore, Tape, Var};
 use gb_data::Dataset;
 use gb_eval::Scorer;
 use gb_tensor::{init, kernels, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// GBMF configuration: the shared hyper-parameters plus the role
 /// coefficient `α` of the Eq. 9-style prediction.
@@ -81,26 +81,14 @@ impl Gbmf {
     pub fn tables(&self) -> (&Matrix, &Matrix, &Matrix) {
         (&self.user_emb, &self.item_emb, &self.friend_mean)
     }
+}
 
-    /// Sharded-parallel training: every mini-batch (negatives sampled on
-    /// the calling thread) is split into `n_shards` contiguous spans
-    /// whose gradients are computed on `executor`'s threads and reduced
-    /// in fixed shard order before one Adam step. The full-table social
-    /// `segment_mean` is identical for every shard, so it is recorded
-    /// **once per batch** on a shared forward tape; shards bind
-    /// read-only `Arc` views of the user and friend-mean tables via
-    /// [`Tape::input`] and their reduced table cotangents seed the
-    /// single backward through that shared forward.
-    ///
-    /// [`Recommender::fit`] is exactly `fit_sharded(train, 1,
-    /// &ShardExecutor::serial())`; for a fixed shard count, every thread
-    /// count produces bit-identical embeddings.
-    pub fn fit_sharded(
-        &mut self,
-        train: &Dataset,
-        n_shards: usize,
-        executor: &ShardExecutor,
-    ) -> TrainReport {
+impl Recommender for Gbmf {
+    fn name(&self) -> &str {
+        "GBMF"
+    }
+
+    fn fit(&mut self, train: &Dataset) -> TrainReport {
         let base = &self.cfg.base;
         let alpha = self.cfg.alpha;
         let mut rng = StdRng::seed_from_u64(base.seed);
@@ -130,66 +118,18 @@ impl Gbmf {
             &mut rng,
             |store, batch| {
                 let n = batch.len();
-                let spans = shard_spans(n, n_shards);
-                // Shared forward: record the user table and the social
-                // segment mean once per batch; shards see them read-only.
-                let mut fwd = Tape::new();
-                let u_full = fwd.param(store, u);
-                let friend_mean = fwd.segment_mean(u_full, social.offsets(), social.members());
-                let tables = [fwd.arc_value(u_full), fwd.arc_value(friend_mean)];
-                let shard_idx = batch.shards(&spans);
-                let table_grads: Vec<OnceLock<Vec<Option<Matrix>>>> =
-                    (0..spans.len()).map(|_| OnceLock::new()).collect();
-                let (loss, mut grads) = executor.accumulate(store.len(), spans.len(), |s| {
-                    let [shard_users, shard_pos, shard_neg] = &shard_idx[s];
-                    let mut tape = Tape::new();
-                    let u_in = tape.input(Arc::clone(&tables[0]));
-                    let fm_in = tape.input(Arc::clone(&tables[1]));
-                    let pe = tape.gather_param(store, v, Arc::clone(shard_pos));
-                    let ne = tape.gather_param(store, v, Arc::clone(shard_neg));
-                    let pos_s =
-                        eq9_score(&mut tape, u_in, fm_in, pe, Arc::clone(shard_users), alpha);
-                    let neg_s =
-                        eq9_score(&mut tape, u_in, fm_in, ne, Arc::clone(shard_users), alpha);
-                    let loss = bpr_loss(&mut tape, pos_s, neg_s, n);
-                    let ue = tape.gather(u_in, Arc::clone(shard_users));
-                    let loss = add_l2(&mut tape, loss, &[ue, pe, ne], base.l2, n);
-                    let value = tape.value(loss).get(0, 0);
-                    let (g, tg) = tape.backward_with_inputs(loss, store);
-                    assert!(
-                        table_grads[s].set(tg).is_ok(),
-                        "shard {s} ran twice within one accumulate call"
-                    );
-                    (value, g)
-                });
-                // Reduce table cotangents in fixed shard order, then run
-                // the single shared backward seeded by the reduction.
-                let mut reduced: Vec<Option<Matrix>> = vec![None, None];
-                for slot in table_grads {
-                    // invariant: `accumulate` runs every shard closure
-                    // exactly once before returning, so each slot was
-                    // published by the `set` above.
-                    let shard_grads = slot
-                        .into_inner()
-                        .expect("shard table gradients published before accumulate returned");
-                    for (acc, g) in reduced.iter_mut().zip(shard_grads) {
-                        if let Some(g) = g {
-                            match acc {
-                                Some(a) => kernels::add_assign(a, &g),
-                                slot @ None => *slot = Some(g),
-                            }
-                        }
-                    }
-                }
-                let seeds: Vec<(Var, Matrix)> = [u_full, friend_mean]
-                    .iter()
-                    .zip(reduced)
-                    .filter_map(|(&var, g)| g.map(|g| (var, g)))
-                    .collect();
-                if !seeds.is_empty() {
-                    grads.merge(fwd.backward_seeded(seeds, store));
-                }
-                (loss, grads)
+                let users = Arc::new(batch.users);
+                let mut tape = Tape::new();
+                let u_full = tape.param(store, u);
+                let friend_mean = tape.segment_mean(u_full, social.offsets(), social.members());
+                let pe = tape.gather_param(store, v, Arc::new(batch.pos));
+                let ne = tape.gather_param(store, v, Arc::new(batch.neg));
+                let pos_s = eq9_score(&mut tape, u_full, friend_mean, pe, users.clone(), alpha);
+                let neg_s = eq9_score(&mut tape, u_full, friend_mean, ne, users.clone(), alpha);
+                let loss = bpr_loss(&mut tape, pos_s, neg_s, n);
+                let ue = tape.gather(u_full, users);
+                let loss = add_l2(&mut tape, loss, &[ue, pe, ne], base.l2, n);
+                (tape.value(loss).get(0, 0), tape.backward(loss, store))
             },
         );
 
@@ -198,16 +138,6 @@ impl Gbmf {
         let (offsets, members) = social.segments();
         self.friend_mean = kernels::segment_mean(&self.user_emb, offsets, members);
         report
-    }
-}
-
-impl Recommender for Gbmf {
-    fn name(&self) -> &str {
-        "GBMF"
-    }
-
-    fn fit(&mut self, train: &Dataset) -> TrainReport {
-        self.fit_sharded(train, 1, &ShardExecutor::serial())
     }
 }
 

@@ -17,9 +17,8 @@
 //! written once as a crate-private function: it owns the Adam optimiser,
 //! the shuffled batches, the `neg_ratio` negatives drawn per example, the
 //! step, and the per-epoch loss and timing. Each
-//! model's `fit` is its parameter init, a closure holding only its own
-//! forward and loss (for `Mf` and `Gbmf`, their sharded recipe), and its
-//! post-training cache. `gb-core`'s GBGCN keeps its own loop: it trains
+//! model's `fit` is its parameter init, a closure recording its own
+//! forward and loss on one tape per batch, and its post-training cache. `gb-core`'s GBGCN keeps its own loop: it trains
 //! on failed-group negatives in two phases. Where the paper prescribes a
 //! loss that differs from BPR (AGREE's regression-based pairwise loss,
 //! SIGR's log loss) the prescribed loss is used — the paper explicitly

@@ -3,7 +3,7 @@
 use crate::common::{
     add_l2, bpr_loss, dot_scores, train_pairs, Recommender, TrainConfig, TrainReport,
 };
-use gb_autograd::{shard_spans, ParamStore, ShardExecutor, Tape};
+use gb_autograd::{ParamStore, Tape};
 use gb_data::convert::{to_pairs, InteractionKind};
 use gb_data::Dataset;
 use gb_eval::Scorer;
@@ -43,29 +43,22 @@ impl Mf {
     }
 
     /// The trained user embedding table (`P x d`).
-    pub fn user_embeddings(&self) -> &Matrix {
+    pub(crate) fn user_embeddings(&self) -> &Matrix {
         &self.user_emb
     }
 
     /// The trained item embedding table (`Q x d`).
-    pub fn item_embeddings(&self) -> &Matrix {
+    pub(crate) fn item_embeddings(&self) -> &Matrix {
         &self.item_emb
     }
+}
 
-    /// Sharded-parallel training: every mini-batch (negatives sampled on
-    /// the calling thread) is split into `n_shards` contiguous spans
-    /// whose gradients are computed on `executor`'s threads and reduced
-    /// in fixed shard order before one Adam step.
-    ///
-    /// [`Recommender::fit`] is exactly `fit_sharded(train, 1,
-    /// &ShardExecutor::serial())`; for a fixed shard count, every thread
-    /// count produces bit-identical embeddings.
-    pub fn fit_sharded(
-        &mut self,
-        train: &Dataset,
-        n_shards: usize,
-        executor: &ShardExecutor,
-    ) -> TrainReport {
+impl Recommender for Mf {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn fit(&mut self, train: &Dataset) -> TrainReport {
         let cfg = &self.cfg;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut store = ParamStore::new();
@@ -81,35 +74,20 @@ impl Mf {
         let pairs = to_pairs(train, self.kind);
         let report = train_pairs(cfg, train, &pairs, &mut store, &mut rng, |store, batch| {
             let n = batch.len();
-            let spans = shard_spans(n, n_shards);
-            let shard_idx = batch.shards(&spans);
-            executor.accumulate(store.len(), spans.len(), |s| {
-                let [shard_users, shard_pos, shard_neg] = &shard_idx[s];
-                let mut tape = Tape::new();
-                let ue = tape.gather_param(store, u, Arc::clone(shard_users));
-                let pe = tape.gather_param(store, v, Arc::clone(shard_pos));
-                let ne = tape.gather_param(store, v, Arc::clone(shard_neg));
-                let pos_s = tape.rowwise_dot(ue, pe);
-                let neg_s = tape.rowwise_dot(ue, ne);
-                let loss = bpr_loss(&mut tape, pos_s, neg_s, n);
-                let loss = add_l2(&mut tape, loss, &[ue, pe, ne], cfg.l2, n);
-                (tape.value(loss).get(0, 0), tape.backward(loss, store))
-            })
+            let mut tape = Tape::new();
+            let ue = tape.gather_param(store, u, Arc::new(batch.users));
+            let pe = tape.gather_param(store, v, Arc::new(batch.pos));
+            let ne = tape.gather_param(store, v, Arc::new(batch.neg));
+            let pos_s = tape.rowwise_dot(ue, pe);
+            let neg_s = tape.rowwise_dot(ue, ne);
+            let loss = bpr_loss(&mut tape, pos_s, neg_s, n);
+            let loss = add_l2(&mut tape, loss, &[ue, pe, ne], cfg.l2, n);
+            (tape.value(loss).get(0, 0), tape.backward(loss, store))
         });
 
         self.user_emb = store.value(u).clone();
         self.item_emb = store.value(v).clone();
         report
-    }
-}
-
-impl Recommender for Mf {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn fit(&mut self, train: &Dataset) -> TrainReport {
-        self.fit_sharded(train, 1, &ShardExecutor::serial())
     }
 }
 
@@ -186,8 +164,8 @@ mod tests {
     #[test]
     fn zero_pair_dataset_never_reaches_the_pool() {
         // No behaviors at all: every epoch is a zero-example epoch, which
-        // `shuffled_batches` turns into zero batches, so no shard thread
-        // is spawned and the model is still usable (untrained).
+        // `shuffled_batches` turns into zero batches, so the gradient
+        // closure never runs and the model is still usable (untrained).
         let d = Dataset::new(2, 3, vec![], vec![(0, 1)], vec![1; 3]);
         let cfg = TrainConfig {
             dim: 4,
@@ -195,13 +173,7 @@ mod tests {
             ..Default::default()
         };
         let mut mf = Mf::new(cfg, InteractionKind::BothRoles);
-        let executor = ShardExecutor::new(4);
-        let report = mf.fit_sharded(&d, 4, &executor);
-        assert_eq!(
-            executor.jobs_dispatched(),
-            0,
-            "empty epochs spawned a thread"
-        );
+        let report = mf.fit(&d);
         assert_eq!(report.final_loss, 0.0);
         assert!(mf.score_items(1, &[0, 1, 2]).iter().all(|s| s.is_finite()));
     }

@@ -5,7 +5,7 @@ use gb_autograd::{ParamId, ParamStore, Tape, Var};
 use gb_data::convert::{to_pairs, InteractionKind};
 use gb_data::Dataset;
 use gb_eval::Scorer;
-use gb_tensor::{init, kernels, Matrix};
+use gb_tensor::{init, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -111,36 +111,6 @@ impl Ncf {
         let score = tape.matmul(feat, head);
         (score, vec![ug, vg, um, vm])
     }
-
-    /// Plain-kernel forward for post-training scoring.
-    fn forward_plain(&self, user: u32, items: &[u32]) -> Vec<f32> {
-        let p = self.params.as_ref().expect("model not fitted");
-        let store = &self.store;
-        let n = items.len();
-        let users = vec![user; n];
-        let idx_items: Vec<u32> = items.to_vec();
-
-        let ug = kernels::gather_rows(store.value(p.ug), &users);
-        let vg = kernels::gather_rows(store.value(p.vg), &idx_items);
-        let um = kernels::gather_rows(store.value(p.um), &users);
-        let vm = kernels::gather_rows(store.value(p.vm), &idx_items);
-
-        let gmf = kernels::mul(&ug, &vg);
-        let mlp_in = kernels::concat_cols(&[&um, &vm]);
-        let z1 = kernels::leaky_relu(
-            &kernels::add_bias(
-                &kernels::matmul(&mlp_in, store.value(p.w1)),
-                store.value(p.b1),
-            ),
-            0.0,
-        );
-        let z2 = kernels::leaky_relu(
-            &kernels::add_bias(&kernels::matmul(&z1, store.value(p.w2)), store.value(p.b2)),
-            0.0,
-        );
-        let feat = kernels::concat_cols(&[&gmf, &z2]);
-        kernels::matmul(&feat, store.value(p.head)).into_vec()
-    }
 }
 
 impl Recommender for Ncf {
@@ -180,8 +150,18 @@ impl Recommender for Ncf {
 }
 
 impl Scorer for Ncf {
+    /// Runs the training forward on a fresh tape and reads its value.
     fn score_items(&self, user: u32, items: &[u32]) -> Vec<f32> {
-        self.forward_plain(user, items)
+        let p = self.params.as_ref().expect("model not fitted");
+        let mut tape = Tape::new();
+        let (scores, _) = Self::forward(
+            &self.store,
+            p,
+            &mut tape,
+            Arc::new(vec![user; items.len()]),
+            Arc::new(items.to_vec()),
+        );
+        tape.value(scores).as_slice().to_vec()
     }
 }
 
@@ -213,32 +193,6 @@ mod tests {
         m.fit(&toy_dataset());
         let s = m.score_items(0, &[0, 1, 2, 3]);
         assert!(s[0] > s[2] && s[1] > s[3], "scores {s:?}");
-    }
-
-    #[test]
-    fn tape_and_plain_forward_agree() {
-        let cfg = TrainConfig {
-            dim: 8,
-            epochs: 3,
-            batch_size: 8,
-            ..Default::default()
-        };
-        let mut m = Ncf::new(cfg);
-        m.fit(&toy_dataset());
-        let p = m.params.as_ref().unwrap();
-        let mut tape = Tape::new();
-        let (scores, _) = Ncf::forward(
-            &m.store,
-            p,
-            &mut tape,
-            Arc::new(vec![0, 1]),
-            Arc::new(vec![2, 3]),
-        );
-        let tape_scores = tape.value(scores).as_slice().to_vec();
-        let plain0 = m.score_items(0, &[2]);
-        let plain1 = m.score_items(1, &[3]);
-        assert!((tape_scores[0] - plain0[0]).abs() < 1e-5);
-        assert!((tape_scores[1] - plain1[0]).abs() < 1e-5);
     }
 
     #[test]

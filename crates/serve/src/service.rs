@@ -71,6 +71,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// `k` that [`RecommendService::warm`] pre-populates the cache at.
+const WARM_K: usize = 10;
+
 /// Tuning knobs for [`RecommendService`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
@@ -78,8 +81,6 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Bounded queue depth (backpressure: senders block when full).
     pub queue_depth: usize,
-    /// `k` used by [`RecommendService::warm`] to pre-populate the cache.
-    pub warm_k: usize,
     /// Upper bound on one coalesced group. The effective per-dequeue
     /// limit adapts between the engine's `user_block` and this cap with
     /// the live queue depth (see `coalesce_limit`).
@@ -103,7 +104,6 @@ impl Default for ServiceConfig {
         Self {
             workers: 4,
             queue_depth: 256,
-            warm_k: 10,
             coalesce_cap: 64,
             shed_watermark: usize::MAX,
             deadline: None,
@@ -188,7 +188,6 @@ pub struct RecommendService<E: ServeEngine = QueryEngine> {
     queue: Option<SyncSender<Job>>,
     workers: Vec<JoinHandle<()>>,
     stats: Arc<Stats>,
-    warm_k: usize,
     shed_watermark: usize,
     deadline: Option<Duration>,
 }
@@ -238,7 +237,6 @@ impl<E: ServeEngine> RecommendService<E> {
             queue: Some(tx),
             workers,
             stats,
-            warm_k: cfg.warm_k.max(1),
             shed_watermark: cfg.shed_watermark,
             deadline: cfg.deadline,
         }
@@ -348,19 +346,16 @@ impl<E: ServeEngine> RecommendService<E> {
     }
 
     /// Enqueues fire-and-forget queries that populate the response cache
-    /// for `users` (at the configured `warm_k`), without blocking on the
-    /// results. The whole slice is validated first: an out-of-range user
-    /// rejects it with [`ServeError::InvalidRequest`] and nothing is
-    /// enqueued. A no-op when the engine has no response cache — there
-    /// would be nothing to warm, only discarded work.
+    /// for `users` (at `k = 10`), without blocking on the results. The
+    /// whole slice is validated first: an out-of-range user rejects it
+    /// with [`ServeError::InvalidRequest`] and nothing is enqueued. A
+    /// no-op when the engine has no response cache — there would be
+    /// nothing to warm, only discarded work.
     pub fn warm(&self, users: &[u32]) -> Result<(), ServeError> {
         check_users(users, self.engine.n_users())?;
         if self.engine.has_cache() {
             for &user in users {
-                self.send(Job::Warm {
-                    user,
-                    k: self.warm_k,
-                });
+                self.send(Job::Warm { user, k: WARM_K });
             }
         }
         Ok(())

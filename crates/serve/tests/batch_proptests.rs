@@ -218,7 +218,6 @@ proptest! {
             ServiceConfig {
                 workers: 2,
                 queue_depth: 32,
-                warm_k: 5,
                 ..Default::default()
             },
         );
@@ -326,7 +325,6 @@ fn saturated_coalescer_answers_match_sequential_bitwise() {
         ServiceConfig {
             workers: 2,
             queue_depth: 64,
-            warm_k: 5,
             ..Default::default()
         },
     );

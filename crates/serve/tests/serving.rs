@@ -196,7 +196,6 @@ fn concurrent_batches_equal_sequential_answers() {
         ServiceConfig {
             workers: 4,
             queue_depth: 8,
-            warm_k: 10,
             ..Default::default()
         },
     );

@@ -51,7 +51,6 @@ fn swapping_under_reader_fire_never_tears_or_staleness() {
         ServiceConfig {
             workers: 4,
             queue_depth: 64,
-            warm_k: 10,
             ..Default::default()
         },
     );
@@ -156,7 +155,6 @@ fn coalesced_batches_under_publish_fire_stay_version_coherent() {
         ServiceConfig {
             workers: 4,
             queue_depth: 64,
-            warm_k: 10,
             ..Default::default()
         },
     );

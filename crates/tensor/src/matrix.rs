@@ -322,19 +322,6 @@ impl Matrix {
         self.data_mut()
     }
 
-    /// Consumes the matrix, returning the row-major buffer (copied out
-    /// if the matrix viewed shared memory).
-    pub fn into_vec(self) -> Vec<f32> {
-        match self.data {
-            Storage::Owned(v) => v,
-            Storage::Shared { ptr, len, .. } => {
-                // SAFETY: same contract as `as_slice`; `keep` is still
-                // alive here because `self.data` owns it until drop.
-                unsafe { std::slice::from_raw_parts(ptr, len) }.to_vec()
-            }
-        }
-    }
-
     /// Immutable view of row `r`.
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
@@ -399,11 +386,6 @@ impl Matrix {
             cols: self.cols,
             data: Storage::Owned(self.as_slice().iter().map(|&v| f(v)).collect()),
         }
-    }
-
-    /// Applies `f` elementwise in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        self.as_mut_slice().iter_mut().for_each(|v| *v = f(*v));
     }
 
     /// Sum of all elements.
@@ -698,23 +680,12 @@ mod tests {
         let mut f = base.clone();
         f.fill(1.0);
         assert_eq!(base.get(1, 1), 4.0);
-        let mut mi = base.clone();
-        mi.map_inplace(|v| v + 1.0);
-        assert_eq!(base.get(0, 1), 1.0);
         let mut rm = base.clone();
         rm.row_mut(1)[0] = -5.0;
         assert_eq!(base.get(1, 0), 3.0);
         let mut ix = base.clone();
         ix[(2, 0)] = 7.0;
         assert_eq!(base.get(2, 0), 6.0);
-    }
-
-    #[test]
-    fn into_vec_copies_out_of_shared_memory() {
-        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let s = m.to_shared();
-        assert_eq!(s.into_vec(), vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m.into_vec(), vec![1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

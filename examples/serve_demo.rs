@@ -65,7 +65,6 @@ fn main() {
         ServiceConfig {
             workers: 4,
             queue_depth: 256,
-            warm_k: 10,
             ..Default::default()
         },
     );
