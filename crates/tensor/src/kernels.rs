@@ -745,17 +745,24 @@ impl RowPanels {
     /// `c_j` of `centroids`: the scalar scan of each row, eight rows at a
     /// time. Per lane, `j` ascends from `0` under a strict `<`, so ties
     /// keep the lowest `j` and a NaN distance at `j = 0` is never replaced.
+    /// Returns whether any `out[i]` changed: each stored index is compared
+    /// with the one it overwrites, so no copy of `out` is kept.
     ///
     /// # Panics
     /// Panics if the widths disagree, `out` has a length other than the
     /// row count, `centroids` has no rows, more than `2^24` rows, or other
     /// than one half-norm per row.
-    pub(crate) fn nearest(&self, centroids: &Matrix, half_norms: &[f32], out: &mut [u32]) {
-        self.nearest_on::<simd::Native>(centroids, half_norms, out);
+    pub(crate) fn nearest(&self, centroids: &Matrix, half_norms: &[f32], out: &mut [u32]) -> bool {
+        self.nearest_on::<simd::Native>(centroids, half_norms, out)
     }
 
     #[inline(always)]
-    fn nearest_on<L: Lane8>(&self, centroids: &Matrix, half_norms: &[f32], out: &mut [u32]) {
+    fn nearest_on<L: Lane8>(
+        &self,
+        centroids: &Matrix,
+        half_norms: &[f32],
+        out: &mut [u32],
+    ) -> bool {
         let k = centroids.rows();
         assert!(
             k > 0 && k <= MAX_LANE_INDEX && half_norms.len() == k,
@@ -767,6 +774,7 @@ impl RowPanels {
         let dist = |panel: &[[f32; DOT_LANES]], j: usize| {
             L::splat(half_norms[j]).sub(panel_dot::<L>(panel, Some(centroids.row(j))))
         };
+        let mut moved = false;
         for (p, out) in out.chunks_mut(DOT_LANES).enumerate() {
             let panel = self.panel(p);
             let mut best_d = dist(panel, 0);
@@ -779,9 +787,11 @@ impl RowPanels {
             let mut lanes = [0.0f32; DOT_LANES];
             best.storeu(&mut lanes);
             for (o, &j) in out.iter_mut().zip(&lanes) {
+                moved |= *o != j as u32;
                 *o = j as u32;
             }
         }
+        moved
     }
 
     /// One farthest-point sweep against the chosen row `c` (`y = x_c`):
@@ -2532,9 +2542,11 @@ mod tests {
                     .map(|j| 0.5 * dot(cents.row(j), cents.row(j)))
                     .collect();
                 let (mut got, mut want) = (vec![0; n], vec![0; n]);
-                panels.nearest(&cents, &half, &mut got);
-                panels.nearest_on::<simd::Portable>(&cents, &half, &mut want);
+                let moved = panels.nearest(&cents, &half, &mut got);
+                let moved_portable = panels.nearest_on::<simd::Portable>(&cents, &half, &mut want);
                 assert_eq!(got, want, "n={n} d={d}: nearest");
+                assert_eq!(moved, moved_portable, "n={n} d={d}: moved");
+                assert_eq!(moved, got.iter().any(|&j| j != 0), "n={n} d={d}: moved");
                 let mut md = vec![[0.0; DOT_LANES]; sq.len()];
                 let mut md_portable = md.clone();
                 let mut c = seed as usize % n;

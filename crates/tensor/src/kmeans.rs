@@ -24,6 +24,17 @@
 //! on the mean of its members. `argmin_j ‖x − c_j‖²` is computed as
 //! `argmin_j (½‖c_j‖² − x·c_j)`, a per-centroid norm minus a dot product.
 //!
+//! **Fixed-point exit.** The rounds stop as soon as an assignment pass
+//! after the first moves no row, and the current centroids and
+//! assignments are returned. This is exact, not approximate. If round
+//! `t ≥ 1` assigns every row the cell round `t − 1` did, every non-empty
+//! cluster has the same members, so the ascending-row scatter-add and the
+//! `s * (1/count)` give the same centroid bits; every empty cluster keeps
+//! the centroid it already had. So `C_t == C_{t−1}`, every later round
+//! repeats `A_t`, and the final pass returns `A_t`: the output is
+//! bit-identical to running all `iters` rounds, on every input. The check
+//! costs no copy: the pass compares each index with the one it overwrites.
+//!
 //! **Row panels.** Both distance passes — the farthest-point init and
 //! every Lloyd assignment — read `data` transposed once into
 //! `kernels::RowPanels`: eight rows per vector, one row per lane. One
@@ -96,6 +107,20 @@ pub fn assign(data: &Matrix, centroids: &Matrix) -> Vec<u32> {
     out
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Assignment passes [`lloyd`] has run on this thread.
+    static PASSES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// One Lloyd assignment pass of `panels`' rows against `centroids`;
+/// returns whether any row changed cell.
+fn assign_pass(panels: &RowPanels, centroids: &Matrix, assignments: &mut [u32]) -> bool {
+    #[cfg(test)]
+    PASSES.with(|p| p.set(p.get() + 1));
+    panels.nearest(centroids, &half_norms(centroids), assignments)
+}
+
 /// Seeded farthest-point ("maxmin") initialization: the first center is
 /// a seeded random row, each further center the row farthest from every
 /// center chosen so far (ties toward the lower row index).
@@ -133,6 +158,11 @@ fn farthest_point_init(panels: &RowPanels, n: usize, k: usize, seed: u64) -> Vec
 /// result. The returned assignments are a *final* assignment pass against
 /// the returned centroids, so they are mutually consistent even when
 /// `iters == 0` (pure seeded initialization).
+///
+/// `iters` is a cap: a round whose assignment pass, after the first,
+/// moves no row ends the loop, because every later round would rebuild
+/// the same centroid bits (see the module docs' fixed-point exit). The
+/// result is bitwise that of all `iters` rounds.
 ///
 /// Rows holding a non-finite value are left out of the clustering: the
 /// centroids are bitwise those of `kmeans` over the finite rows alone
@@ -177,8 +207,16 @@ fn lloyd(data: &Matrix, k: usize, iters: usize, seed: u64) -> KMeans {
     let mut centroids = data.select_rows(&chosen);
     let mut assignments = vec![0; n];
 
-    for _ in 0..iters {
-        panels.nearest(&centroids, &half_norms(&centroids), &mut assignments);
+    for round in 0..iters {
+        let moved = assign_pass(&panels, &centroids, &mut assignments);
+        if round > 0 && !moved {
+            // A fixed point: recentering would rebuild these centroids bit
+            // for bit, and every later pass would repeat these cells.
+            return KMeans {
+                centroids,
+                assignments,
+            };
+        }
         // Recenter: ascending-row scatter-add keeps the mean's summation
         // order fixed; empty clusters keep their previous centroid.
         let mut sums = Matrix::zeros(k, d);
@@ -200,7 +238,7 @@ fn lloyd(data: &Matrix, k: usize, iters: usize, seed: u64) -> KMeans {
         }
     }
 
-    panels.nearest(&centroids, &half_norms(&centroids), &mut assignments);
+    assign_pass(&panels, &centroids, &mut assignments);
     KMeans {
         centroids,
         assignments,
@@ -217,6 +255,62 @@ mod tests {
             let sign = if r < 10 { 5.0 } else { -5.0 };
             sign + ((r * 2 + c) as f32 * 0.37).sin() * 0.3
         })
+    }
+
+    /// `kmeans_wall`'s catalogue shape: `n` rows around `clusters` seeded
+    /// centers in `[-2, 2)^d`, row `i` near center `i % clusters` with
+    /// noise in `[-0.15, 0.15)`.
+    fn clustered(n: usize, d: usize, clusters: usize, seed: u32) -> Matrix {
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (state >> 8) as f32 / (1u32 << 24) as f32 - 0.5
+        };
+        let centers: Vec<f32> = (0..clusters * d).map(|_| 4.0 * next()).collect();
+        Matrix::from_fn(n, d, |r, c| centers[(r % clusters) * d + c] + 0.3 * next())
+    }
+
+    /// `kmeans(data, k, iters, seed)` and the assignment passes it ran.
+    fn counted(data: &Matrix, k: usize, iters: usize, seed: u64) -> (KMeans, usize) {
+        let before = PASSES.with(std::cell::Cell::get);
+        let km = kmeans(data, k, iters, seed);
+        (km, PASSES.with(std::cell::Cell::get) - before)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn nearest_reports_whether_a_row_moved() {
+        // Nine points on a line (two panels, the second padded) around 1.5
+        // and 12; row 8, at 3.0, is the one a centroid moved to 4.0 takes.
+        let data = Matrix::from_vec(9, 1, vec![10.0, 11.0, 12.0, 13.0, 0.0, 1.0, 2.0, 14.0, 3.0]);
+        let panels = RowPanels::new(&data);
+        let mut cents = Matrix::from_vec(2, 1, vec![1.5, 12.0]);
+        let mut out = vec![0; data.rows()];
+        assert!(panels.nearest(&cents, &half_norms(&cents), &mut out));
+        let settled = out.clone();
+        assert_eq!(settled, [1, 1, 1, 1, 0, 0, 0, 1, 0]);
+        assert!(!panels.nearest(&cents, &half_norms(&cents), &mut out));
+        assert_eq!(out, settled);
+        cents.set_row(1, &[4.0]);
+        assert!(panels.nearest(&cents, &half_norms(&cents), &mut out));
+        assert_eq!(out, [1, 1, 1, 1, 0, 0, 0, 1, 1]);
+        assert!(!panels.nearest(&cents, &half_norms(&cents), &mut out));
+    }
+
+    #[test]
+    fn lloyd_stops_at_its_fixed_point_with_the_same_bits() {
+        for (data, k, seed) in [(blobs(), 2, 7), (clustered(16_384, 32, 64, 47), 64, 47)] {
+            let (want, _) = counted(&data, k, 2, seed);
+            for iters in [5, 50] {
+                let (km, passes) = counted(&data, k, iters, seed);
+                assert_eq!(passes, 2, "{} rows, iters {iters}", data.rows());
+                assert_eq!(bits(&km.centroids), bits(&want.centroids));
+                assert_eq!(km.assignments, want.assignments);
+            }
+        }
     }
 
     #[test]
