@@ -110,22 +110,60 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
     (out, start.elapsed().as_secs_f64())
 }
 
-/// Per-stage latency attribution: a fixed set of labelled [`Stopwatch`]es
+/// One stage's clock in a [`LatencyBreakdown`]: how many durations were
+/// recorded and their sum. Constant memory however many queries it sees,
+/// so a long-running router's attribution never grows; what it gives up
+/// is the per-sample distribution ([`Stopwatch`] keeps that).
+#[derive(Clone, Copy, Default, Debug)]
+pub struct StageClock {
+    n: usize,
+    total: Duration,
+}
+
+impl StageClock {
+    fn record(&mut self, d: Duration) {
+        self.n += 1;
+        self.total += d;
+    }
+
+    /// Number of recorded samples.
+    pub fn n_samples(&self) -> usize {
+        self.n
+    }
+
+    /// Total recorded time in seconds.
+    pub fn total_secs(&self) -> f64 {
+        self.total.as_secs_f64()
+    }
+
+    /// Mean duration in seconds (0.0 when empty).
+    pub fn mean_secs(&self) -> f64 {
+        if self.n == 0 {
+            return 0.0;
+        }
+        self.total_secs() / self.n as f64
+    }
+}
+
+/// Per-stage latency attribution: a fixed set of labelled [`StageClock`]s
 /// recorded side by side.
 ///
 /// The sharded serving tier records one stage per shard plus a merge
 /// stage, so an operator can see *which* shard drags the scatter-gather
-/// tail — the per-shard analogue of the per-phase Table IV wall clocks.
+/// mean — the per-shard analogue of the per-phase Table IV wall clocks.
 #[derive(Clone, Debug)]
 pub struct LatencyBreakdown {
-    stages: Vec<(String, Stopwatch)>,
+    stages: Vec<(String, StageClock)>,
 }
 
 impl LatencyBreakdown {
-    /// A breakdown with one empty stopwatch per label.
+    /// A breakdown with one empty clock per label.
     pub fn new(labels: impl IntoIterator<Item = String>) -> Self {
         Self {
-            stages: labels.into_iter().map(|l| (l, Stopwatch::new())).collect(),
+            stages: labels
+                .into_iter()
+                .map(|l| (l, StageClock::default()))
+                .collect(),
         }
     }
 
@@ -142,11 +180,11 @@ impl LatencyBreakdown {
         &self.stages[idx].0
     }
 
-    /// The accumulated samples of stage `idx`.
+    /// The count and total of stage `idx`.
     ///
     /// # Panics
     /// Panics if `idx` is out of range.
-    pub fn stage(&self, idx: usize) -> &Stopwatch {
+    pub fn stage(&self, idx: usize) -> &StageClock {
         &self.stages[idx].1
     }
 
@@ -264,10 +302,8 @@ mod tests {
         assert_eq!(b.stage(0).n_samples(), 2);
         assert_eq!(b.stage(1).n_samples(), 0);
         assert!((b.stage(0).mean_secs() - 0.020).abs() < 1e-9);
+        assert!((b.stage(0).total_secs() - 0.040).abs() < 1e-9);
         assert_eq!(b.stage(2).n_samples(), 1);
-        assert!(
-            (b.stage(0).percentile_secs(99.0) - 0.030).abs() < 1e-9,
-            "p99 is the worst sample"
-        );
+        assert_eq!(b.stage(1).mean_secs(), 0.0, "an empty stage averages 0");
     }
 }

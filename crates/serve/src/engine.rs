@@ -14,7 +14,8 @@
 //!
 //! The exhaustive walk is [`Retrieval::Exact`]. Catalogues that outgrow
 //! it can serve with [`Retrieval::Ivf`]: an [`IvfIndex`] clusters the
-//! items offline and a query scores only its `n_probe` best cells —
+//! items offline and a query scores at most its `n_probe` best cells,
+//! skipping those a per-cell score bound proves cannot reach the top k —
 //! sublinear work per query, with `n_probe = n_clusters` provably
 //! bit-identical to exact serving. The index is tagged with the snapshot
 //! version it was built from and rebuilt when a query observes a newer
@@ -58,10 +59,16 @@ pub enum Retrieval {
     Exact,
     /// Approximate inverted-file retrieval: items are clustered into
     /// `n_clusters` cells over the concatenated embedding space
-    /// ([`IvfIndex`]); a query scores only the members of its `n_probe`
-    /// best cells. Work per query is roughly `n_probe / n_clusters` of a
+    /// ([`IvfIndex`]); a query scores only members of its `n_probe`
+    /// best cells. Work per query is at most `n_probe / n_clusters` of a
     /// catalogue pass plus the `n_clusters` routing dots — sublinear in
     /// the catalogue for fixed cell occupancy.
+    ///
+    /// `n_probe` caps the cells scored. Within that cap a per-cell score
+    /// bound picks the cells: once the heap is full, a routed cell whose
+    /// bound is below the k-th score is not scored, and the reply is
+    /// bit-identical to scoring all `n_probe` cells (see the `ivf`
+    /// module's "Exactness envelope").
     ///
     /// `n_probe = n_clusters` probes every cell and is **bit-identical**
     /// to [`Retrieval::Exact`] (property-tested): the candidate set
@@ -72,7 +79,7 @@ pub enum Retrieval {
         /// Cells the catalogue is partitioned into (clamped to the
         /// catalogue size at build time).
         n_clusters: usize,
-        /// Cells probed per query.
+        /// Cells routed per query: the most a query scores.
         n_probe: usize,
     },
 }
@@ -262,6 +269,12 @@ pub(crate) fn check_seen_filter(filter: &BitMatrix, snapshot: &EmbeddingSnapshot
 }
 
 pub(crate) use scoring::Core;
+
+#[cfg(test)]
+thread_local! {
+    /// IVF cells [`Core::rank_ivf_cells`] has scored on this thread.
+    pub(crate) static CELLS_SCORED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
 mod scoring {
     use super::*;
@@ -497,12 +510,18 @@ impl Core {
 
     /// The IVF scoring path over one user's precomputed cell route
     /// ([`IvfIndex::probe_cells_block`] routes once per distinct query
-    /// vector): score only the routed cells' members (each cell's
-    /// *packed* item tables streamed in [`BLOCK_SIZE`] chunks through
+    /// vector): score the routed cells' members (each cell's *packed*
+    /// item tables streamed in [`BLOCK_SIZE`] chunks through
     /// [`IvfIndex::score_cell`]) with the same seen-filter probe and heap
-    /// as the exhaustive walk. Best cell first, so the heap's threshold
-    /// fills with strong candidates early and most later offers fail one
-    /// comparison.
+    /// as the exhaustive walk.
+    ///
+    /// `n_probe` caps the cells scored; the per-cell bound picks cells
+    /// within that cap. The routed cells are visited in descending bound
+    /// ([`IvfIndex::scan_order`]), and the scan stops before the first
+    /// cell whose bound is strictly below a full heap's k-th score: no
+    /// member of it, or of any cell after it, could enter the heap (see
+    /// the `ivf` module's "Exactness envelope"). So the reply is
+    /// bit-identical to scoring every routed cell.
     ///
     /// Scores are bit-identical to the exhaustive pass per surviving
     /// item, and the heap selects under a strict total order — its
@@ -522,7 +541,14 @@ impl Core {
         let seen = self.seen.as_ref().map(|f| f.row_words(user as usize));
         let deal = deal.map(|f| f.row_words(0));
         let mut scores = vec![0.0f32; BLOCK_SIZE.min(snapshot.n_items().max(1))];
-        for &cell in cells {
+        for (cell, bound) in index.scan_order(snapshot, user, cells) {
+            if let Some((_, kth)) = topk.threshold() {
+                if bound < f64::from(kth) {
+                    break;
+                }
+            }
+            #[cfg(test)]
+            CELLS_SCORED.with(|c| c.set(c.get() + 1));
             let list = index.list(cell);
             let mut start = 0usize;
             while start < list.len() {

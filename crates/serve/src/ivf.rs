@@ -42,14 +42,57 @@
 //!
 //! ## Exactness envelope
 //!
-//! Probing is the only approximation. Survivor scores come from the same
-//! lane-blocked dot as the exhaustive pass, and the serving heap
-//! selects under a *strict total order* (descending score, ascending
-//! item id) — so its kept set and output order depend only on the set of
-//! `(item, score)` pairs offered, never on the order they arrive. With
-//! `n_probe = n_clusters` every list is probed, the candidate set is the
-//! full catalogue, and the served ranking is **bit-identical** to exact
-//! serving — property-tested in `ivf_proptests.rs`.
+//! Routing to `n_probe` cells is the only approximation. Survivor scores
+//! come from the same lane-blocked dot as the exhaustive pass, and the
+//! serving heap selects under a *strict total order* (descending score,
+//! ascending item id) — so its kept set and output order depend only on
+//! the set of `(item, score)` pairs offered, never on the order they
+//! arrive. With `n_probe = n_clusters` every list is probed, the
+//! candidate set is the full catalogue, and the served ranking is
+//! **bit-identical** to exact serving — property-tested in
+//! `ivf_proptests.rs`.
+//!
+//! Inside the routed cells, a per-cell bound skips the cells that
+//! provably hold no top-k item, and the reply stays bit-identical to
+//! scoring every routed cell. The index keeps one radius per cell,
+//! `r_j = max ‖x − c_j‖` over the cell's members in the concatenated
+//! space, computed in f64 (`+∞` for a cell holding a non-finite row).
+//! [`IvfIndex::update`] grows it for re-routed and appended rows and never
+//! shrinks it: a radius that is too large is still sound. Per query, with
+//! `q' = [w·u_own ; α·u_social]` in f64 — `w` the f32 `1 - α` the blend
+//! kernel multiplies by (1 when `α = 0`) — and `n` the concatenated width:
+//!
+//! ```text
+//! B_j = q'·c_j + ‖q'‖·r_j + γ·‖q'‖·(‖c_j‖ + r_j) + (n + 2)·2⁻¹⁴⁹
+//! γ   = 2(n + 2)·2⁻²⁴
+//! ```
+//!
+//! A NaN or infinite `B_j` counts as `+∞`. The engine visits the routed
+//! cells in descending `B_j` (ties toward the lower cell index) and stops
+//! before a cell once the heap is full and `B_j` is strictly below its
+//! k-th score.
+//!
+//! *Why that is exact.* A member `x` of cell `j` has the real blended
+//! score `q'·x` (`α ∈ [0, 1]`, so `q'` is `w·u_own` and `α·u_social`
+//! exactly), and `q'·x ≤ q'·c_j + ‖q'‖·r_j` (Cauchy–Schwarz; the ball
+//! bound of Ram & Gray, *Maximum Inner-Product Search using Cone Trees*,
+//! KDD 2012). The served f32 score passes through at most `n + 2`
+//! roundings per term — the product, at most `n − 1` additions in
+//! whatever tree the lanes use, the blend weight and the blend add — so
+//! while nothing overflows it is within `γ_{n+2}·Σ|q'_i·x_i|` of the
+//! real score (`γ_m = m·u / (1 − m·u)`, `u = 2⁻²⁴`), plus at most
+//! `2⁻¹⁵⁰` for each of the `n + 2` multiplications that may underflow.
+//! `Σ|q'_i·x_i| ≤ ‖q'‖·‖x‖ ≤ ‖q'‖·(‖c_j‖ + r_j)`, and `γ = 2(n + 2)·u`
+//! is about twice `γ_{n+2}`: the spare half covers the f64 rounding of
+//! `B_j` and of `r_j` themselves (relative `≈ n·2⁻⁵³`). The heap rejects
+//! every non-finite score, and a finite score means no intermediate
+//! overflowed, so every score it could keep is at most `B_j`. A skipped
+//! cell's members therefore all score strictly below the current k-th
+//! score; the k-th score only rises, and a strict-total-order heap would
+//! never have kept them. The reply equals the all-routed-cells reply bit
+//! for bit, whatever the catalogue — and on a router each shard prunes
+//! against its own local heap, whose reply is equally unchanged, so the
+//! merge is too.
 //!
 //! ## Version tagging
 //!
@@ -102,6 +145,47 @@ pub struct IvfIndex {
     /// memory-for-bandwidth trade; `None` scores cells in place through
     /// the gathered kernel.
     packed: Option<PackedCells>,
+    /// Per-cell `max ‖x − c‖` over the members, in f64 (`+∞` when a
+    /// member is not finite; 0 for an empty cell). Never below the true
+    /// radius; see the module docs.
+    radii: Vec<f64>,
+}
+
+/// `‖x − c‖` in f64, `+∞` unless finite (a NaN or infinite row).
+fn distance(x: &[f32], c: &[f32]) -> f64 {
+    // Four partial sums, so the loop is not one long dependency chain;
+    // the bound's slack covers any summation order.
+    let mut acc = [0.0f64; 4];
+    let mut xs = x.chunks_exact(4);
+    let mut cs = c.chunks_exact(4);
+    for (x4, c4) in xs.by_ref().zip(cs.by_ref()) {
+        for l in 0..4 {
+            let d = f64::from(x4[l]) - f64::from(c4[l]);
+            acc[l] += d * d;
+        }
+    }
+    for (&xi, &ci) in xs.remainder().iter().zip(cs.remainder()) {
+        let d = f64::from(xi) - f64::from(ci);
+        acc[0] += d * d;
+    }
+    let d = ((acc[0] + acc[1]) + (acc[2] + acc[3])).sqrt();
+    if d.is_finite() {
+        d
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// Grows `radii[cells[i]]` to cover row `i` of `rows`, streaming `rows`
+/// once in order.
+fn grow_radii(radii: &mut [f64], rows: &Matrix, cells: &[u32], centroids: &Matrix) {
+    for (i, &cell) in cells.iter().enumerate() {
+        let cell = cell as usize;
+        let d = distance(rows.row(i), centroids.row(cell));
+        if d > radii[cell] {
+            radii[cell] = d;
+        }
+    }
 }
 
 impl IvfIndex {
@@ -123,6 +207,9 @@ impl IvfIndex {
         let item_social = snapshot.item_social();
         let concat = kernels::concat_cols(&[item_own, item_social]);
         let km = kmeans::kmeans(&concat, n_clusters.max(1), KMEANS_ITERS, seed);
+        let mut radii = vec![0.0; km.centroids.rows()];
+        grow_radii(&mut radii, &concat, &km.assignments, &km.centroids);
+        drop(concat);
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); km.centroids.rows()];
         for (item, &cell) in km.assignments.iter().enumerate() {
             lists[cell as usize].push(item as u32);
@@ -143,6 +230,7 @@ impl IvfIndex {
             centroids: km.centroids,
             lists,
             packed,
+            radii,
         }
     }
 
@@ -157,7 +245,9 @@ impl IvfIndex {
     /// existing cell ([`kmeans::assign`] — the same argmin the full
     /// build's final pass uses), and only the cells that gained or lost a
     /// member are re-packed; untouched cells alias the previous packed
-    /// tables outright. Cost is `O(moved · n_clusters · d)` routing plus
+    /// tables outright. A cell's radius grows to cover every row routed
+    /// into it and is never shrunk by a row that leaves — too large is
+    /// still a sound bound (see the module docs). Cost is `O(moved · n_clusters · d)` routing plus
     /// the affected-cell repack, versus the full build's
     /// `O(n · n_clusters · d · iters)` k-means over the whole catalogue.
     ///
@@ -221,6 +311,8 @@ impl IvfIndex {
             &kernels::gather_rows(item_social, &moved),
         ]);
         let cells = kmeans::assign(&concat, &self.centroids);
+        let mut radii = self.radii.clone();
+        grow_radii(&mut radii, &concat, &cells, &self.centroids);
 
         let mut lists = self.lists.clone();
         let mut affected = vec![false; lists.len()];
@@ -274,6 +366,7 @@ impl IvfIndex {
             centroids: self.centroids.clone(),
             lists,
             packed,
+            radii,
         }
     }
 
@@ -337,12 +430,14 @@ impl IvfIndex {
     }
 
     /// Honest heap footprint of the index in bytes: centroids, inverted
-    /// lists, and — only when built packed — the per-cell item-table
-    /// copies. (An earlier revision reported the packed tables alone,
-    /// understating unpacked indexes as free and omitting routing state.)
+    /// lists, the per-cell radii, and — only when built packed — the
+    /// per-cell item-table copies. (An earlier revision reported the
+    /// packed tables alone, understating unpacked indexes as free and
+    /// omitting routing state.)
     pub fn size_bytes(&self) -> usize {
         let centroids = 4 * self.centroids.len();
         let lists = 4 * self.lists.iter().map(Vec::len).sum::<usize>();
+        let radii = 8 * self.radii.len();
         let packed = match &self.packed {
             Some(p) => {
                 4 * (p.own.iter().chain(p.social.iter()))
@@ -351,7 +446,7 @@ impl IvfIndex {
             }
             None => 0,
         };
-        centroids + lists + packed
+        centroids + lists + radii + packed
     }
 
     /// The user's routing vector in the concatenated item space:
@@ -442,6 +537,54 @@ impl IvfIndex {
                 )
             })
             .collect()
+    }
+
+    /// `cells` (a route from [`IvfIndex::probe_cells`]) paired with each
+    /// one's score bound `B_j` for `user` and sorted into scan order:
+    /// descending bound, ties toward the lower cell index. No member of
+    /// cell `j` has a finite served score above `B_j`; a NaN or infinite
+    /// bound reads `+∞`. See the module docs for the bound and its proof.
+    ///
+    /// # Panics
+    /// Panics if `user` is out of range for `snapshot`.
+    pub(crate) fn scan_order(
+        &self,
+        snapshot: &EmbeddingSnapshot,
+        user: u32,
+        cells: &[usize],
+    ) -> Vec<(usize, f64)> {
+        let alpha = snapshot.alpha();
+        // The weight the blend kernel multiplies the own product by, in
+        // its own f32 arithmetic; each f64 product below is exact.
+        let own_w = f64::from(if alpha == 0.0 { 1.0 } else { 1.0 - alpha });
+        let alpha = f64::from(alpha);
+        let own = snapshot.user_own().row(user as usize);
+        let social = snapshot.user_social().row(user as usize);
+        let query: Vec<f64> = (own.iter().map(|&v| own_w * f64::from(v)))
+            .chain(social.iter().map(|&v| alpha * f64::from(v)))
+            .collect();
+        let n = self.centroids.cols();
+        let q_norm = query.iter().map(|v| v * v).sum::<f64>().sqrt();
+        let gamma = 2.0 * (n + 2) as f64 * f64::powi(2.0, -24);
+        let underflow = (n + 2) as f64 * f64::powi(2.0, -149);
+        let mut order: Vec<(usize, f64)> = cells
+            .iter()
+            .map(|&cell| {
+                let c = self.centroids.row(cell);
+                let r = self.radii[cell];
+                let dot: f64 = query.iter().zip(c).map(|(&q, &c)| q * f64::from(c)).sum();
+                let c_norm = c.iter().map(|&c| f64::from(c).powi(2)).sum::<f64>().sqrt();
+                let bound = dot + q_norm * r + gamma * q_norm * (c_norm + r) + underflow;
+                let bound = if bound.is_finite() {
+                    bound
+                } else {
+                    f64::INFINITY
+                };
+                (cell, bound)
+            })
+            .collect();
+        order.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        order
     }
 }
 
@@ -622,10 +765,11 @@ mod tests {
         let snap = snapshot(100);
         let packed = IvfIndex::build(&snap, 1, 5, 0, true);
         let unpacked = IvfIndex::build(&snap, 1, 5, 0, false);
-        // Both count centroids + lists; packed adds one full copy of the
-        // item tables (100 items × (6 own + 4 social) × 4 bytes).
+        // Both count 5 centroids × 10 floats, 100 list entries and 5 f64
+        // radii; packed adds one full copy of the item tables (100 items
+        // × (6 own + 4 social) × 4 bytes).
+        assert_eq!(unpacked.size_bytes(), 5 * 10 * 4 + 100 * 4 + 5 * 8);
         assert_eq!(packed.size_bytes(), unpacked.size_bytes() + 100 * 10 * 4);
-        assert!(unpacked.size_bytes() > 0, "routing state is not free");
     }
 
     #[test]

@@ -167,8 +167,8 @@ pub struct ShardedEngine {
     /// Scripted fault schedule (tests/soaks): consulted per shard per
     /// scatter and inside `set_deal_filter`'s install window.
     faults: Option<Arc<FaultPlan>>,
-    /// Per-shard scatter latency plus the merge stage, for tail
-    /// attribution ("which shard drags p99?").
+    /// Per-shard scatter latency plus the merge stage, each a count and
+    /// a total, for attribution ("which shard drags the mean?").
     timing: Mutex<LatencyBreakdown>,
 }
 
@@ -534,8 +534,8 @@ impl ShardedEngine {
     /// shard, and retried up to [`ShardedConfig::scatter_retries`]
     /// times; a shard still failing after its retries yields `None` in
     /// its slot. The duration covers all attempts — a flapping shard's
-    /// retries show up in its own latency stage, where tail attribution
-    /// will find them.
+    /// retries show up in its own latency stage, where the attribution
+    /// finds them.
     fn scatter<T>(
         &self,
         set: &ShardSet,
@@ -1003,5 +1003,75 @@ mod tests {
                 assert_eq!(single.cache_stats(), want, "{retrieval:?}");
             }
         }
+    }
+
+    /// `serve_sharded_ivf`'s catalogue at its smoke size: α = 0.6,
+    /// 16 + 16 columns, 64 equally large categories each a Xavier centre
+    /// plus 0.08 of Xavier noise (`clustered`), or plain Xavier items.
+    fn bench_shaped(clustered: bool) -> EmbeddingSnapshot {
+        use rand::SeedableRng;
+        let (n_users, n_items, d, n_cats) = (64, 16_384, 16, 64);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(47);
+        let items = |rng: &mut rand::rngs::StdRng| {
+            let noise = gb_tensor::init::xavier_uniform(n_items, d, rng);
+            if !clustered {
+                return noise;
+            }
+            let centres = gb_tensor::init::xavier_uniform(n_cats, d, rng);
+            Matrix::from_fn(n_items, d, |r, c| {
+                centres.get(r % n_cats, c) + 0.08 * noise.get(r, c)
+            })
+        };
+        let item_own = items(&mut rng);
+        let item_social = items(&mut rng);
+        EmbeddingSnapshot::new(
+            0.6,
+            gb_tensor::init::xavier_uniform(n_users, d, &mut rng),
+            item_own,
+            gb_tensor::init::xavier_uniform(n_users, d, &mut rng),
+            item_social,
+        )
+    }
+
+    /// IVF cells scored by `users`' misses through a 4-shard router with
+    /// 64 cells and 4 probed per shard, `k = 10`, after one warm-up query
+    /// builds the indexes (`try_recommend` scatters on this thread).
+    fn cells_scored_per_miss(snap: EmbeddingSnapshot, users: std::ops::Range<u32>) -> usize {
+        let router = ShardedEngine::with_config(
+            snap,
+            ShardedConfig {
+                n_shards: 4,
+                engine: EngineConfig {
+                    retrieval: Retrieval::Ivf {
+                        n_clusters: 64,
+                        n_probe: 4,
+                    },
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        );
+        router.try_recommend(0, 10).unwrap();
+        let count = || crate::engine::CELLS_SCORED.with(std::cell::Cell::get);
+        let before = count();
+        for user in users {
+            router.try_recommend(user, 10).unwrap();
+        }
+        count() - before
+    }
+
+    #[test]
+    fn a_clustered_miss_scores_about_one_cell_per_shard() {
+        // 64 misses, 16 routed cells each (4 per shard): the bound leaves
+        // the cell that holds a shard's top 10, plus 17 more cells over
+        // all 256 shard scans — 4.27 cells a miss instead of 16.
+        assert_eq!(cells_scored_per_miss(bench_shaped(true), 0..64), 273);
+    }
+
+    #[test]
+    fn a_xavier_miss_never_scores_more_cells_than_it_routes() {
+        let scored = cells_scored_per_miss(bench_shaped(false), 0..64);
+        assert!(scored <= 64 * 16, "{scored} cells for 64 misses");
+        assert_eq!(scored, 64 * 16, "unclustered cells are too wide to skip");
     }
 }

@@ -7,12 +7,22 @@
 //! * Partial probes always return a subset of the exact ranking with
 //!   bit-identical scores, and recall on a *clustered* catalogue (the
 //!   regime IVF exists for) stays high at a small probe fraction.
+//! * The per-cell bound that skips routed cells changes no reply: the
+//!   engine and the router answer bit for bit what scoring every routed
+//!   cell of the same index answers.
 
 use gb_eval::metrics::recall_vs_exact;
-use gb_models::EmbeddingSnapshot;
-use gb_serve::{EngineConfig, QueryEngine, Retrieval, ScoredItem};
-use gb_tensor::Matrix;
+use gb_eval::topk::reference_topk;
+use gb_graph::BitMatrix;
+use gb_models::{EmbeddingSnapshot, SnapshotDelta};
+use gb_serve::{
+    EngineConfig, IvfIndex, QueryEngine, Retrieval, ScoredItem, ShardPlan, ShardedConfig,
+    ShardedEngine,
+};
+use gb_tensor::{init::xavier_uniform, Matrix};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// A deterministic synthetic snapshot; `tag` varies the tables so a
@@ -215,4 +225,293 @@ fn ivf_results_cache_and_invalidate_by_version() {
         "a v1 response must not serve v2"
     );
     assert_eq!(engine.cache_stats(), (1, 2));
+}
+
+/// The engine's k-means seed: the wall builds the index each core builds.
+const IVF_SEED: u64 = 0x1BF5_2026;
+const WALL_USERS: usize = 12;
+const WALL_ITEMS: usize = 240;
+const WALL_DIM: usize = 8;
+const WALL_CELLS: usize = 8;
+
+/// The wall's catalogue: Xavier items, or 8 categories of Xavier centres
+/// plus 0.08 of Xavier noise (`clustered`). Every fifth item from the
+/// ninth on repeats the row of its category one cycle back, so scores tie
+/// at every rank; item 7's own row holds a NaN and item 100's social row
+/// a `+∞`; the last user is all zeros (every finite score ties at 0) and
+/// the one before it has a NaN.
+fn wall_catalogue(seed: u64, clustered: bool, alpha: f32) -> EmbeddingSnapshot {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let items = |rng: &mut StdRng| {
+        let noise = xavier_uniform(WALL_ITEMS, WALL_DIM, rng);
+        if !clustered {
+            return noise;
+        }
+        let centres = xavier_uniform(WALL_CELLS, WALL_DIM, rng);
+        Matrix::from_fn(WALL_ITEMS, WALL_DIM, |r, c| {
+            centres.get(r % WALL_CELLS, c) + 0.08 * noise.get(r, c)
+        })
+    };
+    let mut item_own = items(&mut rng);
+    let mut item_social = items(&mut rng);
+    for r in (WALL_CELLS..WALL_ITEMS).filter(|r| r % 5 == 0) {
+        for table in [&mut item_own, &mut item_social] {
+            let twin = table.row(r - WALL_CELLS).to_vec();
+            table.row_mut(r).copy_from_slice(&twin);
+        }
+    }
+    item_own.row_mut(7)[1] = f32::NAN;
+    item_social.row_mut(100)[0] = f32::INFINITY;
+    let mut user_own = xavier_uniform(WALL_USERS, WALL_DIM, &mut rng);
+    let mut user_social = xavier_uniform(WALL_USERS, WALL_DIM, &mut rng);
+    user_own.row_mut(WALL_USERS - 1).fill(0.0);
+    user_social.row_mut(WALL_USERS - 1).fill(0.0);
+    user_own.row_mut(WALL_USERS - 2)[3] = f32::NAN;
+    EmbeddingSnapshot::new_trusted(alpha, user_own, item_own, user_social, item_social)
+}
+
+/// A delta that replaces two rows and appends one far row per user in
+/// `far_users`: that user's own and social vectors times 6, which tops
+/// their ranking and lands far outside every cell's first radius.
+fn far_delta(snap: &EmbeddingSnapshot, changed: [u32; 2], far_users: [usize; 2]) -> SnapshotDelta {
+    let mut delta = SnapshotDelta::new();
+    for (n, item) in changed.into_iter().enumerate() {
+        let row = |t: usize| {
+            (0..WALL_DIM)
+                .map(|c| ((c + t + n) as f32 * 0.7).sin() * 0.3)
+                .collect()
+        };
+        delta = delta.set_item(item, row(0), row(3));
+    }
+    for user in far_users {
+        let scaled = |row: &[f32]| row.iter().map(|v| 6.0 * v).collect();
+        delta = delta.append_item(
+            scaled(snap.user_own().row(user)),
+            scaled(snap.user_social().row(user)),
+        );
+    }
+    delta
+}
+
+/// What scoring every routed cell answers: per shard, the index the core
+/// holds for this version and its slice of the catalogue.
+struct RoutedReference {
+    shards: Vec<(usize, EmbeddingSnapshot, IvfIndex)>,
+}
+
+impl RoutedReference {
+    fn build(snap: &EmbeddingSnapshot, n_shards: usize) -> Self {
+        let shards = ShardPlan::balanced(snap.n_items(), n_shards)
+            .ranges()
+            .iter()
+            .map(|&(start, len)| {
+                let slice = snap.slice_items(start, len);
+                let index = IvfIndex::build(&slice, 1, WALL_CELLS, IVF_SEED, true);
+                (start, slice, index)
+            })
+            .collect();
+        Self { shards }
+    }
+
+    /// The successor's indexes after `delta`, updated the way a core
+    /// with `ivf_incremental` updates: the last shard takes the appended
+    /// rows, and each shard re-routes its own changed rows.
+    fn update(&self, next: &EmbeddingSnapshot, version: u64, delta: &SnapshotDelta) -> Self {
+        let last = self.shards.len() - 1;
+        let changed = delta.changed_item_ids();
+        let shards = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(s, (start, prev, index))| {
+                let appended = if s == last { delta.n_appended() } else { 0 };
+                let slice = next.slice_items(*start, prev.n_items() + appended);
+                let local: Vec<u32> = changed
+                    .iter()
+                    .filter(|&&g| (*start..*start + prev.n_items()).contains(&(g as usize)))
+                    .map(|&g| g - *start as u32)
+                    .collect();
+                let index = index.update(&slice, version, &local, appended);
+                (*start, slice, index)
+            })
+            .collect();
+        Self { shards }
+    }
+
+    /// The first routed cell of every shard for `user`, as global ids.
+    fn first_cells(&self, user: u32) -> Vec<u32> {
+        (self.shards.iter())
+            .flat_map(|(start, slice, index)| {
+                let cell = index.probe_cells(slice, user, 1)[0];
+                index.list(cell).iter().map(move |&i| i + *start as u32)
+            })
+            .collect()
+    }
+
+    /// Top `k` over every routed cell's unfiltered members, non-finite
+    /// scores dropped, as `(item, score bits)`.
+    fn reply(
+        &self,
+        snap: &EmbeddingSnapshot,
+        user: u32,
+        k: usize,
+        n_probe: usize,
+        seen: &BitMatrix,
+        deal: &BitMatrix,
+    ) -> Vec<(u32, u32)> {
+        let blocked =
+            |f: &BitMatrix, r: usize, g: u32| (g as usize) < f.cols() && f.contains(r, g as usize);
+        let candidates: Vec<u32> = (self.shards.iter())
+            .flat_map(|(start, slice, index)| {
+                index
+                    .probe_cells(slice, user, n_probe)
+                    .into_iter()
+                    .flat_map(move |cell| index.list(cell).iter().map(move |&i| i + *start as u32))
+            })
+            .filter(|&g| !blocked(seen, user as usize, g) && !blocked(deal, 0, g))
+            .collect();
+        reference_topk(snap, user, &candidates, candidates.len())
+            .into_iter()
+            .filter(|(_, score)| score.is_finite())
+            .take(k)
+            .map(|(item, score)| (item, score.to_bits()))
+            .collect()
+    }
+}
+
+/// One reply per user, in user order.
+type Replies = Vec<Arc<Vec<ScoredItem>>>;
+
+/// One engine under the wall: a single `QueryEngine` or a router.
+enum Served {
+    Single(QueryEngine),
+    Sharded(ShardedEngine),
+}
+
+impl Served {
+    fn new(snap: EmbeddingSnapshot, n_shards: usize, n_probe: usize, seen: BitMatrix) -> Self {
+        let engine = EngineConfig {
+            retrieval: Retrieval::Ivf {
+                n_clusters: WALL_CELLS,
+                n_probe,
+            },
+            ivf_incremental: true,
+            ..Default::default()
+        };
+        if n_shards == 1 {
+            return Self::Single(QueryEngine::with_config(snap, engine).with_seen_filter(seen));
+        }
+        let cfg = ShardedConfig {
+            n_shards,
+            engine,
+            ..Default::default()
+        };
+        Self::Sharded(ShardedEngine::with_config(snap, cfg).with_seen_filter(seen))
+    }
+
+    fn set_deal_filter(&self, deal: BitMatrix) {
+        match self {
+            Self::Single(e) => e.set_deal_filter(deal),
+            Self::Sharded(e) => e.set_deal_filter(deal),
+        }
+    }
+
+    fn publish_delta(&self, delta: &SnapshotDelta) -> u64 {
+        match self {
+            Self::Single(e) => e.handle().publish_delta(delta),
+            Self::Sharded(e) => e.publish_delta(delta),
+        }
+    }
+
+    /// Each user alone, then all of them as one batch.
+    fn replies(&self, users: &[u32], k: usize) -> (Replies, Replies) {
+        match self {
+            Self::Single(e) => (
+                users
+                    .iter()
+                    .map(|&u| e.try_recommend(u, k).unwrap())
+                    .collect(),
+                e.try_recommend_batch(users, k).unwrap().1,
+            ),
+            Self::Sharded(e) => (
+                users
+                    .iter()
+                    .map(|&u| e.try_recommend(u, k).unwrap().items)
+                    .collect(),
+                e.try_recommend_batch(users, k).unwrap().results,
+            ),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The bound's exactness wall: over clustered and Xavier catalogues,
+    /// α ∈ {0, 0.6, 1}, seen and deal filters (a routed cell of every
+    /// shard fully filtered for user 1, a whole cell for everyone), ties
+    /// at every rank, non-finite item and user rows, `k` ∈ {0, 1, 7,
+    /// more than the catalogue}, 1 and 3 shards and a chain of two
+    /// incremental updates that append far rows, every reply — alone or
+    /// batched — equals top-`k` over every routed cell's members of the
+    /// same index, bit for bit.
+    #[test]
+    fn pruned_replies_equal_scoring_every_routed_cell(
+        seed in 0u64..1 << 32,
+        clustered in 0u8..2,
+        n_probe in 1usize..=WALL_CELLS,
+    ) {
+        let users: Vec<u32> = (0..WALL_USERS as u32).collect();
+        for alpha in [0.0f32, 0.6, 1.0] {
+            for n_shards in [1usize, 3] {
+                let mut snap = wall_catalogue(seed, clustered == 1, alpha);
+                let mut reference = RoutedReference::build(&snap, n_shards);
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x5EE5);
+                let mut seen = BitMatrix::zeros(WALL_USERS, WALL_ITEMS);
+                let mut deal = BitMatrix::zeros(1, WALL_ITEMS);
+                for user in 0..WALL_USERS {
+                    for item in 0..WALL_ITEMS {
+                        if rng.gen_bool(0.15) {
+                            seen.set(user, item);
+                        }
+                    }
+                }
+                for item in reference.first_cells(1) {
+                    seen.set(1, item as usize);
+                }
+                let (_, slice, index) = &reference.shards[0];
+                for &item in index.list(index.probe_cells(slice, 0, 1)[0]) {
+                    deal.set(0, item as usize);
+                }
+                for item in (3..WALL_ITEMS).step_by(17) {
+                    deal.set(0, item);
+                }
+                let served = Served::new(snap.clone(), n_shards, n_probe, seen.clone());
+                served.set_deal_filter(deal.clone());
+                let deltas = [([3u32, 150], [0usize, 1]), ([41, 199], [2, 3])];
+                for step in 0..=deltas.len() {
+                    for k in [0, 1, 7, WALL_ITEMS + 10] {
+                        let (alone, batched) = served.replies(&users, k);
+                        for &user in &users {
+                            let want = reference.reply(&snap, user, k, n_probe, &seen, &deal);
+                            prop_assert_eq!(
+                                pairs(&alone[user as usize]), want.clone(),
+                                "user {} k {} α {} shards {} step {}", user, k, alpha, n_shards, step
+                            );
+                            prop_assert_eq!(
+                                pairs(&batched[user as usize]), want,
+                                "batched user {} k {} α {} shards {} step {}", user, k, alpha, n_shards, step
+                            );
+                        }
+                    }
+                    if let Some(&(changed, far)) = deltas.get(step) {
+                        let delta = far_delta(&snap, changed, far);
+                        let version = served.publish_delta(&delta);
+                        snap = delta.apply(&snap);
+                        reference = reference.update(&snap, version, &delta);
+                    }
+                }
+            }
+        }
+    }
 }
