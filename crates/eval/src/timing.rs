@@ -135,14 +135,6 @@ impl StageClock {
     pub fn total_secs(&self) -> f64 {
         self.total.as_secs_f64()
     }
-
-    /// Mean duration in seconds (0.0 when empty).
-    pub fn mean_secs(&self) -> f64 {
-        if self.n == 0 {
-            return 0.0;
-        }
-        self.total_secs() / self.n as f64
-    }
 }
 
 /// Per-stage latency attribution: a fixed set of labelled [`StageClock`]s
@@ -301,9 +293,8 @@ mod tests {
         assert_eq!(b.label(1), "shard1");
         assert_eq!(b.stage(0).n_samples(), 2);
         assert_eq!(b.stage(1).n_samples(), 0);
-        assert!((b.stage(0).mean_secs() - 0.020).abs() < 1e-9);
         assert!((b.stage(0).total_secs() - 0.040).abs() < 1e-9);
         assert_eq!(b.stage(2).n_samples(), 1);
-        assert_eq!(b.stage(1).mean_secs(), 0.0, "an empty stage averages 0");
+        assert_eq!(b.stage(1).total_secs(), 0.0, "an empty stage sums to 0");
     }
 }

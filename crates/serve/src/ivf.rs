@@ -153,22 +153,12 @@ pub struct IvfIndex {
 
 /// `‖x − c‖` in f64, `+∞` unless finite (a NaN or infinite row).
 fn distance(x: &[f32], c: &[f32]) -> f64 {
-    // Four partial sums, so the loop is not one long dependency chain;
-    // the bound's slack covers any summation order.
-    let mut acc = [0.0f64; 4];
-    let mut xs = x.chunks_exact(4);
-    let mut cs = c.chunks_exact(4);
-    for (x4, c4) in xs.by_ref().zip(cs.by_ref()) {
-        for l in 0..4 {
-            let d = f64::from(x4[l]) - f64::from(c4[l]);
-            acc[l] += d * d;
-        }
-    }
-    for (&xi, &ci) in xs.remainder().iter().zip(cs.remainder()) {
-        let d = f64::from(xi) - f64::from(ci);
-        acc[0] += d * d;
-    }
-    let d = ((acc[0] + acc[1]) + (acc[2] + acc[3])).sqrt();
+    let d = x
+        .iter()
+        .zip(c)
+        .map(|(&a, &b)| (f64::from(a) - f64::from(b)).powi(2))
+        .sum::<f64>()
+        .sqrt();
     if d.is_finite() {
         d
     } else {

@@ -588,7 +588,7 @@ impl ShardedEngine {
 
     /// Records one query's per-shard and merge durations. Only *served*
     /// queries get here (complete or degraded) — refused queries never
-    /// pollute the latency percentiles.
+    /// enter the stage counts and totals.
     fn record_query(&self, shard_times: &[Duration], merge: Duration) {
         let mut timing = lock_recover(&self.timing);
         for (s, &d) in shard_times.iter().enumerate() {
@@ -1071,7 +1071,6 @@ mod tests {
     #[test]
     fn a_xavier_miss_never_scores_more_cells_than_it_routes() {
         let scored = cells_scored_per_miss(bench_shaped(false), 0..64);
-        assert!(scored <= 64 * 16, "{scored} cells for 64 misses");
         assert_eq!(scored, 64 * 16, "unclustered cells are too wide to skip");
     }
 }
