@@ -58,11 +58,6 @@ impl ShardExecutor {
         Self::new(1)
     }
 
-    /// Configured thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Runs `shard_fn(0..n_shards)`, merging the per-shard `(loss,
     /// gradients)` results in ascending shard order.
     ///

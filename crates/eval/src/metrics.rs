@@ -116,7 +116,7 @@ impl RankingMetrics {
     }
 
     /// Mean NDCG@ks\[i\] over users.
-    pub fn ndcg(&self, i: usize) -> f64 {
+    fn ndcg(&self, i: usize) -> f64 {
         mean_column(&self.per_user_ndcg, i)
     }
 

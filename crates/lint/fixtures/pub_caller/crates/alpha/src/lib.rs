@@ -76,3 +76,6 @@ mod tests {
         assert_eq!(tested_only(), 1);
     }
 }
+
+/// Other files name it only as a struct field and a `let` binding.
+pub fn shadowed() {}

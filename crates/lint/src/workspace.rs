@@ -120,10 +120,42 @@ fn pub_items(tokens: &[Token]) -> Vec<usize> {
     out
 }
 
+/// Indices into `tokens` of the identifiers that can refer to an item:
+/// called (`name(`, `name::<`), named as a path (`::name`) or listed in
+/// a `use`. A struct field or a binding that merely shares a name does
+/// not count.
+fn item_refs(tokens: &[Token]) -> Vec<usize> {
+    let sig: Vec<usize> = (0..tokens.len())
+        .filter(|&i| !tokens[i].is_comment())
+        .collect();
+    let text = |s: usize| sig.get(s).map_or("", |&i| tokens[i].text.as_str());
+    let mut in_use = false;
+    let mut out = Vec::new();
+    for (s, &i) in sig.iter().enumerate() {
+        let t = &tokens[i];
+        if t.kind == TokenKind::Ident && t.text == "use" {
+            in_use = true;
+        } else if t.kind == TokenKind::Punct && t.text == ";" {
+            in_use = false;
+        }
+        if t.kind != TokenKind::Ident {
+            continue;
+        }
+        let called =
+            text(s + 1) == "(" || (text(s + 1), text(s + 2), text(s + 3)) == (":", ":", "<");
+        let pathed = s >= 2 && (text(s - 2), text(s - 1)) == (":", ":");
+        if in_use || called || pathed {
+            out.push(i);
+        }
+    }
+    out
+}
+
 /// `pub-needs-caller`: a `pub` fn/const/static in a crate's library is
-/// flagged when no identifier outside that library names it. Callers
-/// are found by name alone, so the rule under-reports and needs no call
-/// graph; once an item is `pub(crate)`, rustc's `dead_code` takes over.
+/// flagged when no file outside that library refers to it by name
+/// ([`item_refs`]). Callers are found by name alone, so the rule
+/// under-reports and needs no call graph; once an item is `pub(crate)`,
+/// rustc's `dead_code` takes over.
 fn pub_needs_caller(files: &[(String, Vec<Token>)]) -> Vec<Finding> {
     // (file, name token, library) of every checked declaration.
     let decls: Vec<(usize, usize, &str)> = files
@@ -143,9 +175,10 @@ fn pub_needs_caller(files: &[(String, Vec<Token>)]) -> Vec<Finding> {
     let decl_set: BTreeSet<(usize, usize)> = decls.iter().map(|&(f, k, _)| (f, k)).collect();
     for (f, (rel, toks)) in files.iter().enumerate() {
         let lib = library_of(rel);
-        for (k, t) in toks.iter().enumerate() {
+        for k in item_refs(toks) {
+            let t = &toks[k];
             let name = t.text.as_str();
-            if t.kind != TokenKind::Ident || !names.contains(name) || decl_set.contains(&(f, k)) {
+            if !names.contains(name) || decl_set.contains(&(f, k)) {
                 continue;
             }
             named_in.entry(name).or_default().insert(lib);

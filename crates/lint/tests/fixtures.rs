@@ -227,7 +227,9 @@ fn pub_needs_caller_fires_where_nothing_outside_the_library_names_an_item() {
     // `dead`, `tested_only` (named only in its own file's `#[cfg(test)]`),
     // `helper` (named only inside `alpha`), `mentioned` (named elsewhere
     // only in a comment and a string), the static, the `unsafe` and the
-    // `extern` fn, and `reasonless`, whose allow gives no reason. Callers
+    // `extern` fn, `reasonless`, whose allow gives no reason, and
+    // `shadowed` (named elsewhere only as a struct field and a `let`
+    // binding: neither calls it, paths to it nor imports it). Callers
     // in `beta`, `benchmark/src`, `examples/`, `src/bin/`, `alpha`'s own
     // `tests/`, root `src/` and root `tests/` clear the rest; `pub(crate)`,
     // `pub(super)`, `pub(in …)` and the trait-impl method are not checked,
@@ -244,6 +246,7 @@ fn pub_needs_caller_fires_where_nothing_outside_the_library_names_an_item() {
             ("pub-needs-caller", lib, 29),
             ("bad-suppression", lib, 34),
             ("pub-needs-caller", lib, 35),
+            ("pub-needs-caller", lib, 81),
         ]
     );
     let message = |line: usize| {
@@ -256,7 +259,7 @@ fn pub_needs_caller_fires_where_nothing_outside_the_library_names_an_item() {
         message(14),
         "`helper` is used only inside `crates/alpha`: make it `pub(crate)` or private"
     );
-    for line in [6, 9, 19] {
+    for line in [6, 9, 19, 81] {
         assert!(message(line).ends_with("has no caller outside its crate's unit tests: delete it"));
     }
 }

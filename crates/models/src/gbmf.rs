@@ -78,7 +78,7 @@ impl Gbmf {
     }
 
     /// The trained `(user, item, friend_mean)` tables (empty pre-fit).
-    pub fn tables(&self) -> (&Matrix, &Matrix, &Matrix) {
+    pub(crate) fn tables(&self) -> (&Matrix, &Matrix, &Matrix) {
         (&self.user_emb, &self.item_emb, &self.friend_mean)
     }
 }

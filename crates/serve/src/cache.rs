@@ -59,11 +59,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.map.is_empty()
     }
 
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// `(hits, misses)` counters since construction.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
@@ -242,7 +237,7 @@ mod tests {
         assert_eq!(c.get(&"zzz"), None);
         c.clear();
         assert!(c.is_empty());
-        assert_eq!(c.capacity(), 2);
+        assert_eq!(c.capacity, 2);
         assert_eq!(c.stats(), (1, 1), "clear must not reset the counters");
         assert_eq!(c.get(&"a"), None, "entries are gone");
         // The cache keeps working after a clear (fresh slab links).

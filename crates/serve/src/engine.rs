@@ -115,13 +115,6 @@ pub struct EngineConfig {
     /// the served snapshot and rebuilt whenever a new version is
     /// published, so approximate results never blend across a publish.
     pub retrieval: Retrieval,
-    /// Whether IVF builds pack per-cell item tables (`true`, the
-    /// default: one extra copy of the item tables bought for sequential
-    /// cell streaming) or score cells in place against the snapshot
-    /// tables (`false`: zero extra item-table memory — the right call
-    /// when many shards share one box). Purely a layout knob:
-    /// rankings are bit-identical either way. Ignored in exact mode.
-    pub ivf_packed: bool,
     /// Whether a delta publish ([`SnapshotHandle::publish_delta`])
     /// updates the IVF index incrementally (`true`: keep the previous
     /// version's centroids, re-route only the changed and appended items
@@ -140,7 +133,6 @@ impl Default for EngineConfig {
             cache_capacity: 0,
             user_block: 8,
             retrieval: Retrieval::Exact,
-            ivf_packed: true,
             ivf_incremental: false,
         }
     }
@@ -460,13 +452,7 @@ impl Core {
                 }
             }
         }
-        IvfIndex::build(
-            cur.snapshot(),
-            cur.version(),
-            n_clusters,
-            IVF_SEED,
-            self.cfg.ivf_packed,
-        )
+        IvfIndex::build(cur.snapshot(), cur.version(), n_clusters, IVF_SEED, true)
     }
 
     /// The uncached scoring dispatch for one block of users against one
@@ -490,38 +476,33 @@ impl Core {
             } => {
                 // The index of *this* pinned version, so a response never
                 // blends an index from one publish with tables from
-                // another. Route once per distinct query vector across
-                // the block (queued duplicates are common under coalesced
-                // bursty traffic), then score each user over its route.
+                // another.
                 let index = self
                     .ivf
                     .get_or_build(cur.version(), || self.build_ivf(cur, n_clusters));
-                let routes = index.probe_cells_block(cur.snapshot(), users, n_probe);
                 users
                     .iter()
-                    .zip(&routes)
-                    .map(|(&user, cells)| {
-                        self.rank_ivf_cells(cur.snapshot(), &index, deal, user, k, cells)
+                    .map(|&user| {
+                        self.rank_ivf_cells(cur.snapshot(), &index, deal, user, k, n_probe)
                     })
                     .collect()
             }
         }
     }
 
-    /// The IVF scoring path over one user's precomputed cell route
-    /// ([`IvfIndex::probe_cells_block`] routes once per distinct query
-    /// vector): score the routed cells' members (each cell's *packed*
-    /// item tables streamed in [`BLOCK_SIZE`] chunks through
-    /// [`IvfIndex::score_cell`]) with the same seen-filter probe and heap
-    /// as the exhaustive walk.
+    /// The IVF scoring path for one user: route it to its `n_probe` best
+    /// cells ([`IvfIndex::probe_cells`]), then score those cells' members
+    /// (each cell's packed item tables streamed in [`BLOCK_SIZE`] chunks
+    /// through [`IvfIndex::score_cell`]) with the same seen-filter probe
+    /// and heap as the exhaustive walk.
     ///
     /// `n_probe` caps the cells scored; the per-cell bound picks cells
     /// within that cap. The routed cells are visited in descending bound
-    /// ([`IvfIndex::scan_order`]), and the scan stops before the first
-    /// cell whose bound is strictly below a full heap's k-th score: no
-    /// member of it, or of any cell after it, could enter the heap (see
-    /// the `ivf` module's "Exactness envelope"). So the reply is
-    /// bit-identical to scoring every routed cell.
+    /// ([`IvfIndex::scan_order`]), not in routing order, and the scan
+    /// stops before the first cell whose bound is strictly below a full
+    /// heap's k-th score: no member of it, or of any cell after it, could
+    /// enter the heap (see the `ivf` module's "Exactness envelope"). So
+    /// the reply is bit-identical to scoring every routed cell.
     ///
     /// Scores are bit-identical to the exhaustive pass per surviving
     /// item, and the heap selects under a strict total order — its
@@ -535,13 +516,14 @@ impl Core {
         deal: Option<&BitMatrix>,
         user: u32,
         k: usize,
-        cells: &[usize],
+        n_probe: usize,
     ) -> Vec<ScoredItem> {
         let mut topk = TopK::new(k);
         let seen = self.seen.as_ref().map(|f| f.row_words(user as usize));
         let deal = deal.map(|f| f.row_words(0));
         let mut scores = vec![0.0f32; BLOCK_SIZE.min(snapshot.n_items().max(1))];
-        for (cell, bound) in index.scan_order(snapshot, user, cells) {
+        let cells = index.probe_cells(snapshot, user, n_probe);
+        for (cell, bound) in index.scan_order(snapshot, user, &cells) {
             if let Some((_, kth)) = topk.threshold() {
                 if bound < f64::from(kth) {
                     break;
@@ -701,16 +683,6 @@ impl QueryEngine {
         self.core.cache.is_some()
     }
 
-    /// Users scored per catalogue pass on the batched path (≥ 1).
-    pub fn user_block(&self) -> usize {
-        self.core.cfg.user_block
-    }
-
-    /// The candidate-generation mode this engine serves with.
-    pub fn retrieval(&self) -> Retrieval {
-        self.core.cfg.retrieval
-    }
-
     /// The newest snapshot version an IVF index has been built for
     /// (`None` before the first IVF-mode query, or in exact mode). After
     /// any IVF-mode query this is at least the version that query
@@ -801,9 +773,6 @@ pub trait ServeEngine: Send + Sync + 'static {
     /// [`RecommendService::warm`]: crate::service::RecommendService::warm
     fn has_cache(&self) -> bool;
 
-    /// The candidate-generation mode served with.
-    fn retrieval(&self) -> Retrieval;
-
     /// Top-`k` per user, all pinned to one snapshot version (returned
     /// alongside) — the supervision boundary the service's workers score
     /// through. Validation failures and caught scoring panics come back
@@ -822,15 +791,11 @@ impl ServeEngine for QueryEngine {
     }
 
     fn user_block(&self) -> usize {
-        QueryEngine::user_block(self)
+        self.core.cfg.user_block
     }
 
     fn has_cache(&self) -> bool {
         QueryEngine::has_cache(self)
-    }
-
-    fn retrieval(&self) -> Retrieval {
-        QueryEngine::retrieval(self)
     }
 
     fn try_recommend_many(&self, users: &[u32], k: usize) -> VersionedBatchResult {
@@ -1133,7 +1098,7 @@ mod tests {
     fn ivf_knobs_are_clamped() {
         let engine = ivf_engine(snapshot(2, 30, 4), 0, 0);
         assert_eq!(
-            engine.retrieval(),
+            engine.core.cfg.retrieval,
             Retrieval::Ivf {
                 n_clusters: 1,
                 n_probe: 1

@@ -65,7 +65,7 @@ pub enum ServeError {
 impl ServeError {
     /// A [`ServeError::Poisoned`] from a caught panic payload,
     /// extracting the message when the payload is a string.
-    pub fn poisoned(payload: &(dyn std::any::Any + Send), context: &str) -> Self {
+    pub(crate) fn poisoned(payload: &(dyn std::any::Any + Send), context: &str) -> Self {
         let reason = payload
             .downcast_ref::<&str>()
             .map(|s| (*s).to_string())

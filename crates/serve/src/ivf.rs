@@ -31,9 +31,11 @@
 //! *packs* each cell's item rows into contiguous per-cell tables at build
 //! time — probing streams sequentially through the same blocked kernel as
 //! the exhaustive walk — at the cost of one full extra copy of the item
-//! tables. That trade is wrong for memory-tight deployments (e.g. many
-//! shards on one box), so packing is now a build-time choice: an unpacked
-//! index scores cell members through the gathered kernel
+//! tables. The engine always builds this packed layout.
+//!
+//! The in-place layout remains an index-level choice (`packed = false` in
+//! [`IvfIndex::build`]), kept as the gathered reference the packed scores
+//! are tested against: it scores cell members through the gathered kernel
 //! ([`gb_tensor::kernels::blend_dot_indexed`]) directly against the
 //! snapshot tables — zero extra item-table memory, bit-identical scores
 //! (both kernels run the same per-row lane-blocked dot), just a slower
@@ -103,7 +105,6 @@
 
 use gb_models::EmbeddingSnapshot;
 use gb_tensor::{kernels, kmeans, Matrix};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Cap on the Lloyd rounds of an index build. Routing quality saturates
@@ -367,7 +368,7 @@ impl IvfIndex {
 
     /// Number of cells (≤ the requested `n_clusters` only when the
     /// catalogue itself is smaller).
-    pub fn n_clusters(&self) -> usize {
+    pub(crate) fn n_clusters(&self) -> usize {
         self.lists.len()
     }
 
@@ -439,45 +440,15 @@ impl IvfIndex {
         centroids + lists + radii + packed
     }
 
-    /// The user's routing vector in the concatenated item space:
-    /// `[w_own · u_own ; α · u_social]` with `w_own = 1` when `α = 0`
-    /// (the blend leaves the own product unweighted there), else `1-α` —
-    /// so `query · x_i` is exactly the served blend score.
-    fn query_vector(&self, snapshot: &EmbeddingSnapshot, user: u32) -> Vec<f32> {
-        let alpha = snapshot.alpha();
-        let own_w = if alpha == 0.0 { 1.0 } else { 1.0 - alpha };
-        let own = snapshot.user_own().row(user as usize);
-        let social = snapshot.user_social().row(user as usize);
-        debug_assert_eq!(own.len(), self.own_dim);
-        own.iter()
-            .map(|&v| own_w * v)
-            .chain(social.iter().map(|&v| alpha * v))
-            .collect()
-    }
-
-    /// Ranks every cell against one routing vector, best first (ties
-    /// toward the lower cell index), truncated to `n_probe`.
-    fn route(&self, query: &[f32], n_probe: usize) -> Vec<usize> {
-        let k = self.lists.len();
-        assert_eq!(
-            query.len(),
-            self.centroids.cols(),
-            "snapshot embedding widths disagree with the IVF index"
-        );
-        let mut ranked: Vec<(usize, f32)> = (0..k)
-            .map(|j| (j, kernels::dot(query, self.centroids.row(j))))
-            .collect();
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        ranked.truncate(n_probe.max(1).min(k));
-        ranked.into_iter().map(|(j, _)| j).collect()
-    }
-
     /// The `n_probe` cell indices whose centroids score best against the
-    /// user's routing vector, best first (ties toward the lower cell
-    /// index). This is the per-query routing step — `n_clusters` dots
-    /// plus a small sort, independent of catalogue size. The engine
-    /// scores the returned cells' lists directly, best cell first, so
-    /// the heap's threshold fills with strong candidates early.
+    /// user's routing vector `[w_own · u_own ; α · u_social]` (`w_own = 1`
+    /// when `α = 0`, else `1-α`, so its dot with an item vector is the
+    /// served blend score), best first (ties toward the lower cell index).
+    /// This is the per-query routing step — `n_clusters` dots plus a small
+    /// sort, independent of catalogue size. The engine does not score the
+    /// returned cells in this order: it visits them in descending score
+    /// bound, and stops once no cell left can reach the heap (the module
+    /// docs' "Exactness envelope").
     ///
     /// # Panics
     /// Panics if `user` is out of range for `snapshot`, or `snapshot`
@@ -488,45 +459,31 @@ impl IvfIndex {
         user: u32,
         n_probe: usize,
     ) -> Vec<usize> {
-        if self.lists.is_empty() {
+        let k = self.lists.len();
+        if k == 0 {
             return Vec::new();
         }
-        self.route(&self.query_vector(snapshot, user), n_probe)
-    }
-
-    /// [`IvfIndex::probe_cells`] for a coalesced user block: routing is
-    /// computed once per *distinct* routing vector and shared across
-    /// duplicates (queued duplicate users are common under bursty
-    /// coalesced serving, and routing costs `n_clusters` dots each). The
-    /// returned slot `i` holds exactly what `probe_cells(snapshot,
-    /// users[i], n_probe)` returns — deduplication keys on the routing
-    /// vector's raw bits, so only provably identical routes are shared.
-    ///
-    /// # Panics
-    /// Panics if any user is out of range for `snapshot`, or `snapshot`
-    /// disagrees with the index on embedding widths.
-    pub(crate) fn probe_cells_block(
-        &self,
-        snapshot: &EmbeddingSnapshot,
-        users: &[u32],
-        n_probe: usize,
-    ) -> Vec<Arc<Vec<usize>>> {
-        if self.lists.is_empty() {
-            return users.iter().map(|_| Arc::new(Vec::new())).collect();
-        }
-        // lint:allow(no-hash-iteration): lookup-only memo, never iterated — order cannot leak
-        let mut memo: HashMap<Vec<u32>, Arc<Vec<usize>>> = HashMap::new();
-        users
+        let alpha = snapshot.alpha();
+        let own_w = if alpha == 0.0 { 1.0 } else { 1.0 - alpha };
+        let own = snapshot.user_own().row(user as usize);
+        let social = snapshot.user_social().row(user as usize);
+        debug_assert_eq!(own.len(), self.own_dim);
+        let query: Vec<f32> = own
             .iter()
-            .map(|&user| {
-                let query = self.query_vector(snapshot, user);
-                let key: Vec<u32> = query.iter().map(|v| v.to_bits()).collect();
-                Arc::clone(
-                    memo.entry(key)
-                        .or_insert_with(|| Arc::new(self.route(&query, n_probe))),
-                )
-            })
-            .collect()
+            .map(|&v| own_w * v)
+            .chain(social.iter().map(|&v| alpha * v))
+            .collect();
+        assert_eq!(
+            query.len(),
+            self.centroids.cols(),
+            "snapshot embedding widths disagree with the IVF index"
+        );
+        let mut ranked: Vec<(usize, f32)> = (0..k)
+            .map(|j| (j, kernels::dot(&query, self.centroids.row(j))))
+            .collect();
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        ranked.truncate(n_probe.max(1).min(k));
+        ranked.into_iter().map(|(j, _)| j).collect()
     }
 
     /// `cells` (a route from [`IvfIndex::probe_cells`]) paired with each
@@ -670,9 +627,6 @@ mod tests {
         let index = IvfIndex::build(&snap, 1, 4, 0, true);
         assert_eq!(index.n_clusters(), 0);
         assert!(probe(&index, &snap, 0, 4).is_empty());
-        // The block router handles the empty index too.
-        let routes = index.probe_cells_block(&snap, &[0, 1], 4);
-        assert!(routes.iter().all(|r| r.is_empty()));
     }
 
     #[test]
@@ -760,27 +714,6 @@ mod tests {
         // × (6 own + 4 social) × 4 bytes).
         assert_eq!(unpacked.size_bytes(), 5 * 10 * 4 + 100 * 4 + 5 * 8);
         assert_eq!(packed.size_bytes(), unpacked.size_bytes() + 100 * 10 * 4);
-    }
-
-    #[test]
-    fn block_routing_matches_single_routing_and_shares_duplicates() {
-        let snap = snapshot(90);
-        let index = IvfIndex::build(&snap, 1, 9, 0, true);
-        let users = [3u32, 0, 3, 1, 3, 0];
-        let routes = index.probe_cells_block(&snap, &users, 3);
-        assert_eq!(routes.len(), users.len());
-        for (slot, &user) in users.iter().enumerate() {
-            assert_eq!(
-                *routes[slot],
-                index.probe_cells(&snap, user, 3),
-                "slot {slot}"
-            );
-        }
-        // Duplicate users share one routing allocation.
-        assert!(Arc::ptr_eq(&routes[0], &routes[2]));
-        assert!(Arc::ptr_eq(&routes[2], &routes[4]));
-        assert!(Arc::ptr_eq(&routes[1], &routes[5]));
-        assert!(!Arc::ptr_eq(&routes[0], &routes[1]));
     }
 
     /// A delta successor of `snapshot(n)`: item 3's rows replaced, two

@@ -51,7 +51,7 @@
 //! of a version alias one copy of the catalogue.
 
 use crate::engine::{
-    check_seen_filter, Core, DealSlot, EngineConfig, Retrieval, ServeEngine, VersionCache,
+    check_seen_filter, Core, DealSlot, EngineConfig, ServeEngine, VersionCache,
     VersionedBatchResult,
 };
 use crate::error::{check_users, lock_recover, ServeError};
@@ -60,7 +60,7 @@ use crate::shard::ShardPlan;
 use crate::topk::{ScoredItem, TopK};
 use gb_eval::timing::LatencyBreakdown;
 use gb_graph::BitMatrix;
-use gb_models::{DeltaStamp, EmbeddingSnapshot, SnapshotDelta, SnapshotHandle, VersionedSnapshot};
+use gb_models::{DeltaStamp, EmbeddingSnapshot, SnapshotHandle, VersionedSnapshot};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -308,21 +308,6 @@ impl ShardedEngine {
     /// the per-shard slices built at first query alias one copy.
     pub fn publish(&self, snapshot: EmbeddingSnapshot) -> u64 {
         self.handle.publish(snapshot.to_shared())
-    }
-
-    /// Publishes a delta successor of the current snapshot to every
-    /// shard at once ([`SnapshotHandle::publish_delta`]), returning its
-    /// version. The next query's slice set carries the delta stamp
-    /// translated to each shard's local ids, so shard cores running
-    /// incremental IVF maintenance keep the incremental path across the
-    /// scatter boundary.
-    pub fn publish_delta(&self, delta: &SnapshotDelta) -> u64 {
-        self.handle.publish_delta(delta)
-    }
-
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// The shards' scoring cores, plan order (read-only introspection:
@@ -612,10 +597,6 @@ impl ServeEngine for ShardedEngine {
         self.shards[0].cache.is_some()
     }
 
-    fn retrieval(&self) -> Retrieval {
-        self.shards[0].cfg.retrieval
-    }
-
     fn try_recommend_many(&self, users: &[u32], k: usize) -> VersionedBatchResult {
         // Degraded detail (which shards were missing) is available on the
         // inherent API; through the service trait a permitted partial
@@ -627,7 +608,8 @@ impl ServeEngine for ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::QueryEngine;
+    use crate::engine::{QueryEngine, Retrieval};
+    use gb_models::SnapshotDelta;
     use gb_tensor::Matrix;
 
     fn snapshot(n_users: usize, n_items: usize, d: usize) -> EmbeddingSnapshot {
@@ -741,7 +723,7 @@ mod tests {
         let snap = snapshot(3, 5, 4);
         let single = QueryEngine::new(snap.clone());
         let sharded = ShardedEngine::new(snap, 8);
-        assert_eq!(sharded.n_shards(), 8);
+        assert_eq!(sharded.shards().len(), 8);
         assert_eq!(
             pairs(&sharded.try_recommend(1, 5).unwrap().items),
             pairs(&single.try_recommend(1, 5).unwrap())
@@ -863,7 +845,7 @@ mod tests {
             .set_item(5, vec![0.5; 4], vec![-0.5; 4])
             .set_item(60, vec![0.1; 4], vec![0.2; 4])
             .append_item(vec![0.9; 4], vec![0.3; 4]);
-        assert_eq!(sharded.publish_delta(&delta), 2);
+        assert_eq!(sharded.handle().publish_delta(&delta), 2);
         let cur = sharded.handle().load();
         let set = sharded.build_set(&cur);
         // 80 items over 3 shards: ranges (0,27) (27,27) (54,26); the
@@ -912,18 +894,17 @@ mod tests {
 
     #[test]
     fn the_router_frees_its_first_version() {
-        let ivf = |ivf_packed| EngineConfig {
+        let ivf = EngineConfig {
             retrieval: Retrieval::Ivf {
                 n_clusters: 4,
                 n_probe: 4,
             },
-            ivf_packed,
             ..Default::default()
         };
-        // `(retrieval, packed, shards, first-version tables freed)`;
-        // `None` shards is a `QueryEngine`.
+        // `(retrieval, shards, first-version tables freed)`; `None`
+        // shards is a `QueryEngine`.
         let mut freed = Vec::new();
-        for cfg in [EngineConfig::default(), ivf(true), ivf(false)] {
+        for cfg in [EngineConfig::default(), ivf] {
             for n_shards in [None, Some(1), Some(3)] {
                 let drops = Arc::new(AtomicU64::new(0));
                 let [a, b, c, d] = [5, 60, 5, 60].map(|rows| counted_table(rows, &drops));
@@ -946,11 +927,11 @@ mod tests {
                     assert_eq!(engine.try_recommend_many(&[0, 4], 5).unwrap().0, version);
                 }
                 let n = drops.load(Ordering::SeqCst);
-                freed.push((cfg.retrieval, cfg.ivf_packed, n_shards, n));
+                freed.push((cfg.retrieval, n_shards, n));
             }
         }
         assert!(
-            freed.iter().all(|f| f.3 == 4),
+            freed.iter().all(|f| f.2 == 4),
             "every tier frees all 4 first-version tables while alive: {freed:?}"
         );
     }

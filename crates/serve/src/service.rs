@@ -247,14 +247,6 @@ impl<E: ServeEngine> RecommendService<E> {
         &self.engine
     }
 
-    /// The engine's candidate-generation mode, passed through untouched:
-    /// the service layer (queueing, coalescing, latency capture) is
-    /// identical for exact and IVF serving, sharded or not — retrieval
-    /// is configured once on the engine and every worker serves with it.
-    pub fn retrieval(&self) -> crate::engine::Retrieval {
-        self.engine.retrieval()
-    }
-
     /// Top-`k` items for one user, computed on a worker thread.
     /// Admission control, the queue deadline, and worker supervision all
     /// report as typed [`ServeError`]s instead of blocking forever or

@@ -56,16 +56,8 @@ impl ShardPlan {
     }
 
     /// Number of shards.
-    pub fn n_shards(&self) -> usize {
+    pub(crate) fn n_shards(&self) -> usize {
         self.ranges.len()
-    }
-
-    /// The `(start, len)` global item range owned by shard `s`.
-    ///
-    /// # Panics
-    /// Panics if `s` is out of range.
-    pub fn range(&self, s: usize) -> (usize, usize) {
-        self.ranges[s]
     }
 
     /// All `(start, len)` ranges, shard order.
@@ -97,7 +89,7 @@ mod tests {
             // Contiguous cover: starts chain, lengths sum.
             let mut next = 0usize;
             for s in 0..plan.n_shards() {
-                let (start, len) = plan.range(s);
+                let (start, len) = plan.ranges()[s];
                 assert_eq!(start, next, "shard {s} of {n_items}/{n_shards}");
                 next = start + len;
             }
@@ -117,7 +109,7 @@ mod tests {
     fn zero_shards_clamps_to_one() {
         let plan = ShardPlan::balanced(5, 0);
         assert_eq!(plan.n_shards(), 1);
-        assert_eq!(plan.range(0), (0, 5));
+        assert_eq!(plan.ranges(), [(0, 5)]);
     }
 
     #[test]

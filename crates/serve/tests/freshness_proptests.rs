@@ -114,7 +114,7 @@ proptest! {
         let mut current = base;
         for step in 0..3u64 {
             let delta = delta_step(&current, tag * 10 + step, n_changed, n_appended);
-            sharded.publish_delta(&delta);
+            sharded.handle().publish_delta(&delta);
             ivf.handle().publish_delta(&delta);
             current = delta.apply(&current);
             full.handle().publish(current.clone());
@@ -257,7 +257,7 @@ fn concurrent_delta_publishes_never_tear_a_response() {
         let publisher = scope.spawn(move || {
             for delta in deltas {
                 std::thread::sleep(std::time::Duration::from_millis(2));
-                sharded.publish_delta(delta);
+                sharded.handle().publish_delta(delta);
             }
         });
         for round in 0..60u32 {

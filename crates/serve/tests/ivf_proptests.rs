@@ -229,7 +229,7 @@ fn ivf_results_cache_and_invalidate_by_version() {
 
 /// The engine's k-means seed: the wall builds the index each core builds.
 const IVF_SEED: u64 = 0x1BF5_2026;
-const WALL_USERS: usize = 12;
+const WALL_USERS: usize = 13;
 const WALL_ITEMS: usize = 240;
 const WALL_DIM: usize = 8;
 const WALL_CELLS: usize = 8;
@@ -238,8 +238,10 @@ const WALL_CELLS: usize = 8;
 /// plus 0.08 of Xavier noise (`clustered`). Every fifth item from the
 /// ninth on repeats the row of its category one cycle back, so scores tie
 /// at every rank; item 7's own row holds a NaN and item 100's social row
-/// a `+∞`; the last user is all zeros (every finite score ties at 0) and
-/// the one before it has a NaN.
+/// a `+∞`; the last user is all zeros (every finite score ties at 0),
+/// the one before it has a NaN, and the one before that is a copy of the
+/// user before it: two distinct users with bit-identical rows, in one
+/// `EngineConfig::user_block` of 8 whenever they ride in one batch.
 fn wall_catalogue(seed: u64, clustered: bool, alpha: f32) -> EmbeddingSnapshot {
     let mut rng = StdRng::seed_from_u64(seed);
     let items = |rng: &mut StdRng| {
@@ -267,6 +269,10 @@ fn wall_catalogue(seed: u64, clustered: bool, alpha: f32) -> EmbeddingSnapshot {
     user_own.row_mut(WALL_USERS - 1).fill(0.0);
     user_social.row_mut(WALL_USERS - 1).fill(0.0);
     user_own.row_mut(WALL_USERS - 2)[3] = f32::NAN;
+    for table in [&mut user_own, &mut user_social] {
+        let twin = table.row(WALL_USERS - 4).to_vec();
+        table.row_mut(WALL_USERS - 3).copy_from_slice(&twin);
+    }
     EmbeddingSnapshot::new_trusted(alpha, user_own, item_own, user_social, item_social)
 }
 
@@ -419,7 +425,7 @@ impl Served {
     fn publish_delta(&self, delta: &SnapshotDelta) -> u64 {
         match self {
             Self::Single(e) => e.handle().publish_delta(delta),
-            Self::Sharded(e) => e.publish_delta(delta),
+            Self::Sharded(e) => e.handle().publish_delta(delta),
         }
     }
 
@@ -450,7 +456,8 @@ proptest! {
     /// The bound's exactness wall: over clustered and Xavier catalogues,
     /// α ∈ {0, 0.6, 1}, seen and deal filters (a routed cell of every
     /// shard fully filtered for user 1, a whole cell for everyone), ties
-    /// at every rank, non-finite item and user rows, `k` ∈ {0, 1, 7,
+    /// at every rank, non-finite item and user rows, two users whose rows
+    /// are bit-identical in one batch, `k` ∈ {0, 1, 7,
     /// more than the catalogue}, 1 and 3 shards and a chain of two
     /// incremental updates that append far rows, every reply — alone or
     /// batched — equals top-`k` over every routed cell's members of the

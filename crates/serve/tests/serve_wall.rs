@@ -122,13 +122,12 @@ fn filters() -> (BitMatrix, BitMatrix) {
     (seen, deal)
 }
 
-fn ivf(n_probe: usize, packed: bool) -> EngineConfig {
+fn ivf(n_probe: usize) -> EngineConfig {
     EngineConfig {
         retrieval: Retrieval::Ivf {
             n_clusters: 6,
             n_probe,
         },
-        ivf_packed: packed,
         ..Default::default()
     }
 }
@@ -252,18 +251,19 @@ fn ivf_replies_are_pinned() {
     let snap = snapshot(23);
     let mut got = Vec::new();
     for (probe, n_probe) in [("full", 6usize), ("partial", 2)] {
-        for (layout, packed) in [("packed", true), ("unpacked", false)] {
+        // The `unpacked` rows were recorded while the engine could score
+        // cells in place, against the snapshot tables; each equals its
+        // `packed` row, and both now build the one (packed) layout.
+        for layout in ["packed", "unpacked"] {
             let tag = format!("{probe}_{layout}");
-            let engine = QueryEngine::with_config(snap.clone(), ivf(n_probe, packed));
+            let engine = QueryEngine::with_config(snap.clone(), ivf(n_probe));
             got.push((format!("engine_{tag}"), engine_print(&engine, 1)));
             for n_shards in [1usize, 3] {
-                let router = ShardedEngine::with_config(
-                    snap.clone(),
-                    sharded_cfg(n_shards, ivf(n_probe, packed)),
-                );
+                let router =
+                    ShardedEngine::with_config(snap.clone(), sharded_cfg(n_shards, ivf(n_probe)));
                 got.push((format!("router{n_shards}_{tag}"), router_print(&router, 1)));
             }
-            let svc = service(QueryEngine::with_config(snap.clone(), ivf(n_probe, packed)));
+            let svc = service(QueryEngine::with_config(snap.clone(), ivf(n_probe)));
             got.push((format!("service_{tag}"), service_print(&svc, 1)));
         }
     }
@@ -275,7 +275,7 @@ fn filtered_replies_are_pinned() {
     let snap = snapshot(37);
     let (seen, deal) = filters();
     let mut got = Vec::new();
-    for (mode, cfg) in [("exact", EngineConfig::default()), ("ivf", ivf(2, true))] {
+    for (mode, cfg) in [("exact", EngineConfig::default()), ("ivf", ivf(2))] {
         let engine =
             QueryEngine::with_config(snap.clone(), cfg.clone()).with_seen_filter(seen.clone());
         engine.set_deal_filter(deal.clone());
@@ -327,7 +327,7 @@ fn replies_across_publishes_are_pinned() {
     let step = delta(&second, 61);
     let incremental = |n_probe: usize| EngineConfig {
         ivf_incremental: true,
-        ..ivf(n_probe, true)
+        ..ivf(n_probe)
     };
     let handle = SnapshotHandle::new(first);
     let exact = QueryEngine::with_handle(handle.clone(), EngineConfig::default());

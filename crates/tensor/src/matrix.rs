@@ -407,11 +407,6 @@ impl Matrix {
         self.as_slice().iter().map(|v| v * v).sum()
     }
 
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.sq_norm().sqrt()
-    }
-
     /// Largest absolute element; 0.0 for an empty matrix.
     #[cfg(test)]
     pub(crate) fn max_abs(&self) -> f32 {
